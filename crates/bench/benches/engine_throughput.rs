@@ -14,7 +14,7 @@ use randcast_core::simple::SimplePlan;
 use randcast_engine::adversary::FlipMpAdversary;
 use randcast_engine::fault::FaultConfig;
 use randcast_engine::flood_fast::{FastFlood, FastFloodVariant, ShardedFlood};
-use randcast_engine::kernel::{FaultTapes, FlipFault};
+use randcast_engine::kernel::FlipFault;
 use randcast_engine::mp::{MpNetwork, MpNode, Outgoing, SilentMpAdversary};
 use randcast_engine::radio::{RadioAction, RadioNetwork, RadioNode};
 use randcast_engine::radio_fast::{FastRadio, FastRadioSchedule, ShardedRadio};
@@ -200,9 +200,7 @@ fn bench_flood_fast_vs_mp(c: &mut Criterion) {
                 let mut seed = 0u64;
                 b.iter(|| {
                     seed += 1;
-                    fast_plan
-                        .run_lane_model(&model, &FaultTapes::new(seed), 0)
-                        .informed_count()
+                    fast_plan.run_lane_model(&model, seed, 0).informed_count()
                 })
             });
         }

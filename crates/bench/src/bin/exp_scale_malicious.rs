@@ -36,9 +36,7 @@ use randcast_bench::{banner, cli, scale_table, write_json};
 use randcast_core::scenario::{fmt_p, Algorithm, GraphFamily, Model, Scenario, ShardSpec};
 use randcast_engine::fault::{FaultConfig, FaultKind};
 use randcast_engine::flood_fast::{FastFlood, FastFloodVariant};
-use randcast_engine::kernel::{
-    CorruptionKind, FaultModel, FaultTapes, Omission, WorstCasePlacement, LANES,
-};
+use randcast_engine::kernel::{CorruptionKind, FaultModel, Omission, WorstCasePlacement, LANES};
 use randcast_graph::{generators, CsrGraph};
 use randcast_stats::table::{fmt_f2, Table};
 
@@ -231,8 +229,7 @@ fn placement_study(blocks: u64, seed: u64) {
         let mean_frac = |model: &dyn FaultModel| {
             let mut informed = 0usize;
             for block in 0..blocks {
-                let tapes = FaultTapes::new(seed.wrapping_add(block));
-                let batch = flood.run_batch_model(model, &tapes);
+                let batch = flood.run_batch_model(model, seed.wrapping_add(block));
                 for lane in 0..LANES as u32 {
                     informed += batch.informed_count(lane);
                 }

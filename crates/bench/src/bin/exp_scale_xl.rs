@@ -53,7 +53,7 @@ use randcast_engine::radio_fast::{FastRadioSchedule, ShardedRadio};
 use randcast_engine::simple_fast::ShardedSimple;
 use randcast_graph::generators::gnp_edges;
 use randcast_graph::shard::{
-    default_scratch_dir, EdgeSink, ShardError, ShardPlan, ShardStore, ShardedBfsTree, ShardedCsr,
+    default_scratch_dir, EdgeSink, RamShards, ShardError, ShardPlan, ShardStore, ShardedBfsTree,
     SpillSink,
 };
 use randcast_graph::CsrGraph;
@@ -218,9 +218,8 @@ fn out_of_core_trials(cli: &Cli, n: usize, quick: bool, cells: &mut Vec<CellResu
                 .unwrap_or_else(|e| panic!("edge stream failed: {e}"));
             let csr = CsrGraph::from_edges(n, &sink.0);
             drop(sink);
-            let sharded = ShardedCsr::split(&csr, plan);
-            let edges = sharded.edge_count() as u64;
-            (ShardStore::Ram(sharded), edges)
+            let edges = csr.edge_count() as u64;
+            (ShardStore::Ram(RamShards::from_csr(csr, plan)), edges)
         }
     };
     let build_wall = build_start.elapsed();

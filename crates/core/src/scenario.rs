@@ -28,7 +28,7 @@ use rand::SeedableRng as _;
 use randcast_engine::adversary::{FlipMpAdversary, LieOrJamAdversary};
 use randcast_engine::fault::{FaultConfig, FaultKind};
 use randcast_engine::flood_fast::{FastFlood, FastFloodVariant};
-use randcast_engine::kernel::{FaultModel, FaultTapes, FlipFault, LieOrJamFault, LANES};
+use randcast_engine::kernel::{FaultModel, FlipFault, LieOrJamFault, Omission, LANES};
 use randcast_engine::mp::SilentMpAdversary;
 use randcast_engine::radio::SilentRadioAdversary;
 use randcast_engine::radio_fast::{FastRadio, FastRadioSchedule};
@@ -498,13 +498,13 @@ enum PlanKind {
 
 /// A compiled scenario: graph + plan, ready to run seeded trials. The
 /// graph is held behind an [`Arc`] so sweeps spanning several cells
-/// over the same `(family, seed)` share one built copy.
+/// over the same `(family, seed)` share one built copy. Fast-path plans
+/// hold their adjacency as an in-RAM shard store cut along the
+/// scenario's [`ShardSpec`].
 pub struct PreparedScenario {
     scenario: Scenario,
     graph: Arc<Graph>,
     plan: PlanKind,
-    /// Resolved from the scenario's [`ShardSpec`] at prepare time;
-    /// `None` means monolithic passes.
     shard_plan: Option<ShardPlan>,
 }
 
@@ -740,26 +740,31 @@ impl Scenario {
                 })
             }
         };
-        // Resolve the shard plan once, at prepare time. Only the
-        // batch-capable fast-path plans consume it; the general
-        // engines never shard.
-        let shard_plan = if matches!(
-            plan,
-            PlanKind::FloodFast(_) | PlanKind::DecayFast(_) | PlanKind::SimpleFast(_)
-        ) {
-            let n = graph.node_count();
-            match self.shards {
-                ShardSpec::Fixed(k) => (k > 1 && n > 0).then(|| ShardPlan::uniform(n, k)),
-                ShardSpec::Auto => (n >= SHARD_AUTO_MIN_N).then(|| {
-                    ShardPlan::for_budget(
-                        n,
-                        2 * graph.edge_count() as u64,
-                        SHARD_AUTO_BUDGET_BYTES as u64,
-                    )
-                }),
+        // Resolve the shard plan once, at prepare time, and cut the fast
+        // plans' stores along it; the general engines never shard.
+        let n = graph.node_count();
+        let shard_plan = match self.shards {
+            ShardSpec::Fixed(k) => (k > 1 && n > 0).then(|| ShardPlan::uniform(n, k)),
+            ShardSpec::Auto => (n >= SHARD_AUTO_MIN_N).then(|| {
+                ShardPlan::for_budget(
+                    n,
+                    2 * graph.edge_count() as u64,
+                    SHARD_AUTO_BUDGET_BYTES as u64,
+                )
+            }),
+        };
+        let (plan, shard_plan) = match (plan, shard_plan) {
+            (PlanKind::FloodFast(f), Some(sp)) => {
+                (PlanKind::FloodFast(f.with_shard_plan(sp.clone())), Some(sp))
             }
-        } else {
-            None
+            (PlanKind::DecayFast(f), Some(sp)) => {
+                (PlanKind::DecayFast(f.with_shard_plan(sp.clone())), Some(sp))
+            }
+            (PlanKind::SimpleFast(f), Some(sp)) => (
+                PlanKind::SimpleFast(f.with_shard_plan(sp.clone())),
+                Some(sp),
+            ),
+            (plan, _) => (plan, None),
         };
         Ok(PreparedScenario {
             scenario: self,
@@ -848,23 +853,17 @@ impl PreparedScenario {
         self.graph.as_ref()
     }
 
-    /// The fast-kernel [`FaultModel`] realizing this scenario's binding
-    /// adversary, or `None` when trials run the hard-wired omission
-    /// kernels (whose outputs must stay byte-identical) or a general
-    /// engine. The mapping mirrors the scalar adversary table: the flip
-    /// rule for (limited-)malicious MP and for limited-malicious Decay,
-    /// the lie-or-jam speaker rule for limited-malicious radio Simple.
-    fn fast_fault_model(&self) -> Option<Box<dyn FaultModel>> {
-        if self.scenario.fault.kind == FaultKind::Omission {
-            return None;
-        }
+    /// The fast-kernel [`FaultModel`] realizing this scenario's
+    /// malicious adversary, for the fast-path plans: the flip rule for
+    /// (limited-)malicious MP and for limited-malicious Decay, the
+    /// lie-or-jam speaker rule for limited-malicious radio Simple — the
+    /// mapping of the scalar adversary table. Omission faults run the
+    /// [`Omission`] instance directly.
+    fn malicious_model(&self) -> Box<dyn FaultModel> {
         let p = self.scenario.fault.p.get();
         match (&self.plan, self.scenario.model) {
-            (PlanKind::SimpleFast(_), Model::Radio) => Some(Box::new(LieOrJamFault::new(p))),
-            (PlanKind::SimpleFast(_) | PlanKind::FloodFast(_) | PlanKind::DecayFast(_), _) => {
-                Some(Box::new(FlipFault::new(p)))
-            }
-            _ => None,
+            (PlanKind::SimpleFast(_), Model::Radio) => Box::new(LieOrJamFault::new(p)),
+            _ => Box::new(FlipFault::new(p)),
         }
     }
 
@@ -979,9 +978,10 @@ impl PreparedScenario {
                 // metrics. Malicious kinds run the model kernel as
                 // lane 0 of block `seed`; omission keeps the scalar
                 // geometric-draw stream byte-stable.
-                let out = match self.fast_fault_model() {
-                    Some(model) => plan.run_lane_model(model.as_ref(), seed, 0),
-                    None => plan.run(fault.p.get(), seed),
+                let out = if malicious {
+                    plan.run_lane_model(self.malicious_model().as_ref(), seed, 0)
+                } else {
+                    plan.run(fault.p.get(), seed)
                 };
                 TrialOutcome::flooded(
                     out.completion_round(),
@@ -998,9 +998,10 @@ impl PreparedScenario {
                 // on the BFS schedule, corrupted values, correct-set
                 // reporting) as lane 0 of block `seed` — the same
                 // semantics the general flood's flip adversary has.
-                let out = match self.fast_fault_model() {
-                    Some(model) => plan.run_lane_model(model.as_ref(), &FaultTapes::new(seed), 0),
-                    None => plan.run(fault.p.get(), seed),
+                let out = if malicious {
+                    plan.run_lane_model(self.malicious_model().as_ref(), seed, 0)
+                } else {
+                    plan.run(fault.p.get(), seed)
                 };
                 TrialOutcome::flooded(
                     out.completion_round(),
@@ -1041,9 +1042,10 @@ impl PreparedScenario {
                 // limited-malicious runs the flip value pass (the
                 // fault-free participation schedule with corrupted
                 // values) as lane 0 of block `seed`.
-                let out = match self.fast_fault_model() {
-                    Some(model) => plan.run_lane_model(model.as_ref(), seed, 0),
-                    None => plan.run(fault.p.get(), seed),
+                let out = if malicious {
+                    plan.run_lane_model(self.malicious_model().as_ref(), seed, 0)
+                } else {
+                    plan.run(fault.p.get(), seed)
                 };
                 TrialOutcome::flooded(
                     out.completion_round(),
@@ -1054,10 +1056,13 @@ impl PreparedScenario {
         }
     }
 
-    /// The shard plan resolved from the scenario's [`ShardSpec`]:
-    /// `None` when batched trials run monolithic passes. Sharding is
-    /// outcome-neutral, so this is diagnostic only (e.g. for benches
-    /// reporting their shard-pass geometry).
+    /// The shard plan resolved from the scenario's [`ShardSpec`] — the
+    /// one the fast path's store is cut along: `None` when batched
+    /// trials run the monolithic (one-shard) passes. A resolved plan may
+    /// itself have one shard ([`ShardSpec::Auto`] on a graph within one
+    /// shard's budget). Sharding is outcome-neutral, so this is
+    /// diagnostic only (e.g. for benches reporting their shard-pass
+    /// geometry).
     #[must_use]
     pub fn shard_plan(&self) -> Option<&ShardPlan> {
         self.shard_plan.as_ref()
@@ -1089,13 +1094,12 @@ impl PreparedScenario {
         self.trial_block_threads(block_seed, 1)
     }
 
-    /// [`trial_block`](Self::trial_block) with the block's independent
-    /// shard passes fanned across up to `threads` scoped workers —
-    /// **byte-identical** to the single-threaded block for every thread
-    /// count (the engines' deferred-write merge guarantee; see
-    /// DESIGN.md, "Parallel shard passes"). Only sharded omission
-    /// flood/radio blocks have a parallel backend; every other
-    /// combination runs the sequential path unchanged.
+    /// [`trial_block`](Self::trial_block) with a thread budget for the
+    /// block's shard passes — **byte-identical** to the single-threaded
+    /// block for every thread count (the engines' deferred-write merge
+    /// guarantee; see DESIGN.md, "Parallel shard passes"). Only Decay
+    /// blocks over a multi-shard plan have a parallel backend; flood
+    /// and Simple blocks, and one-shard plans, run sequentially.
     ///
     /// # Panics
     ///
@@ -1103,18 +1107,27 @@ impl PreparedScenario {
     /// ([`supports_batch`](Self::supports_batch)).
     #[must_use]
     pub fn trial_block_threads(&self, block_seed: u64, threads: usize) -> Vec<TrialOutcome> {
-        let p = self.scenario.fault.p.get();
+        // Omission runs monomorphized, so its coins inline into the
+        // passes; a malicious model costs one dynamic call per coin.
+        if self.scenario.fault.kind == FaultKind::Omission {
+            let model = Omission::new(self.scenario.fault.p.get());
+            self.block_under(&model, block_seed, threads)
+        } else {
+            self.block_under(self.malicious_model().as_ref(), block_seed, threads)
+        }
+    }
+
+    /// The fast plan's block under `model`.
+    fn block_under<M: FaultModel + ?Sized>(
+        &self,
+        model: &M,
+        block_seed: u64,
+        threads: usize,
+    ) -> Vec<TrialOutcome> {
         let lanes = 0..LANES as u32;
-        let sp = self.shard_plan.as_ref();
-        let model = self.fast_fault_model();
         match &self.plan {
             PlanKind::SimpleFast(plan) => {
-                let out = match (&model, sp) {
-                    (Some(m), Some(sp)) => plan.run_batch_sharded_model(sp, m.as_ref(), block_seed),
-                    (Some(m), None) => plan.run_batch_model(m.as_ref(), block_seed),
-                    (None, Some(sp)) => plan.run_batch_sharded(sp, p, block_seed),
-                    (None, None) => plan.run_batch(p, block_seed),
-                };
+                let out = plan.run_batch_model(model, block_seed);
                 lanes
                     .map(|lane| {
                         TrialOutcome::flooded(
@@ -1126,16 +1139,7 @@ impl PreparedScenario {
                     .collect()
             }
             PlanKind::FloodFast(plan) => {
-                let out = match (&model, sp) {
-                    (Some(m), Some(sp)) => {
-                        plan.run_batch_sharded_model(sp, m.as_ref(), &FaultTapes::new(block_seed))
-                    }
-                    (Some(m), None) => {
-                        plan.run_batch_model(m.as_ref(), &FaultTapes::new(block_seed))
-                    }
-                    (None, Some(sp)) => plan.run_batch_sharded_threads(sp, p, block_seed, threads),
-                    (None, None) => plan.run_batch(p, block_seed),
-                };
+                let out = plan.run_batch_model(model, block_seed);
                 lanes
                     .map(|lane| {
                         TrialOutcome::flooded(
@@ -1147,12 +1151,7 @@ impl PreparedScenario {
                     .collect()
             }
             PlanKind::DecayFast(plan) => {
-                let out = match (&model, sp) {
-                    (Some(m), Some(sp)) => plan.run_batch_sharded_model(sp, m.as_ref(), block_seed),
-                    (Some(m), None) => plan.run_batch_model(m.as_ref(), block_seed),
-                    (None, Some(sp)) => plan.run_batch_sharded_threads(sp, p, block_seed, threads),
-                    (None, None) => plan.run_batch(p, block_seed),
-                };
+                let out = plan.run_batch_model(model, block_seed, threads);
                 lanes
                     .map(|lane| {
                         TrialOutcome::flooded(
@@ -1179,19 +1178,25 @@ impl PreparedScenario {
     #[must_use]
     pub fn trial_lane(&self, block_seed: u64, lane: u32) -> TrialOutcome {
         assert!((lane as usize) < LANES, "lane {lane} out of range");
-        let p = self.scenario.fault.p.get();
-        let sp = self.shard_plan.as_ref();
-        let model = self.fast_fault_model();
+        // Monomorphized omission, as in `trial_block_threads`.
+        if self.scenario.fault.kind == FaultKind::Omission {
+            let model = Omission::new(self.scenario.fault.p.get());
+            self.lane_under(&model, block_seed, lane)
+        } else {
+            self.lane_under(self.malicious_model().as_ref(), block_seed, lane)
+        }
+    }
+
+    /// The fast plan's lane under `model`.
+    fn lane_under<M: FaultModel + ?Sized>(
+        &self,
+        model: &M,
+        block_seed: u64,
+        lane: u32,
+    ) -> TrialOutcome {
         match &self.plan {
             PlanKind::SimpleFast(plan) => {
-                let out = match (&model, sp) {
-                    (Some(m), Some(sp)) => {
-                        plan.run_lane_sharded_model(sp, m.as_ref(), block_seed, lane)
-                    }
-                    (Some(m), None) => plan.run_lane_model(m.as_ref(), block_seed, lane),
-                    (None, Some(sp)) => plan.run_lane_sharded(sp, p, block_seed, lane),
-                    (None, None) => plan.run_lane(p, block_seed, lane),
-                };
+                let out = plan.run_lane_model(model, block_seed, lane);
                 TrialOutcome::flooded(
                     out.completion_round(),
                     out.correct_fraction(),
@@ -1199,19 +1204,7 @@ impl PreparedScenario {
                 )
             }
             PlanKind::FloodFast(plan) => {
-                let out = match (&model, sp) {
-                    (Some(m), Some(sp)) => plan.run_lane_sharded_model(
-                        sp,
-                        m.as_ref(),
-                        &FaultTapes::new(block_seed),
-                        lane,
-                    ),
-                    (Some(m), None) => {
-                        plan.run_lane_model(m.as_ref(), &FaultTapes::new(block_seed), lane)
-                    }
-                    (None, Some(sp)) => plan.run_lane_sharded(sp, p, block_seed, lane),
-                    (None, None) => plan.run_lane(p, block_seed, lane),
-                };
+                let out = plan.run_lane_model(model, block_seed, lane);
                 TrialOutcome::flooded(
                     out.completion_round(),
                     out.informed_fraction(),
@@ -1219,14 +1212,7 @@ impl PreparedScenario {
                 )
             }
             PlanKind::DecayFast(plan) => {
-                let out = match (&model, sp) {
-                    (Some(m), Some(sp)) => {
-                        plan.run_lane_sharded_model(sp, m.as_ref(), block_seed, lane)
-                    }
-                    (Some(m), None) => plan.run_lane_model(m.as_ref(), block_seed, lane),
-                    (None, Some(sp)) => plan.run_lane_sharded(sp, p, block_seed, lane),
-                    (None, None) => plan.run_lane(p, block_seed, lane),
-                };
+                let out = plan.run_lane_model(model, block_seed, lane);
                 TrialOutcome::flooded(
                     out.completion_round(),
                     out.informed_fraction(),

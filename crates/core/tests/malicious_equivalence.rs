@@ -9,7 +9,7 @@
 //!
 //! * at `p = 0` no corruption coin ever fires and the executions agree
 //!   **exactly** — the model kernels collapse byte-for-byte onto the
-//!   hard-wired omission lane replays, and the trait engines onto their
+//!   plain-`p` omission lane replays, and the trait engines onto their
 //!   fault-free runs;
 //! * at `p > 0`, 250 fixed-seed trials per engine per scenario compare
 //!   mean correct-node counts (Simple), correct informed counts at a
@@ -20,8 +20,8 @@
 //! * lane exactness: `run_batch_model` agrees lane for lane with
 //!   `run_lane_model`, for the i.i.d. instances and for preprocessed
 //!   [`WorstCasePlacement`] masks;
-//! * shard neutrality: the sharded model drivers reproduce their
-//!   unsharded twins byte-for-byte for shard counts 2, 3, and 7.
+//! * shard neutrality: kernels over 2-, 3- and 7-shard stores reproduce
+//!   their one-shard twins byte-for-byte under placement masks.
 //!
 //! [`FaultModel`]: randcast_engine::kernel::FaultModel
 //! [`WorstCasePlacement`]: randcast_engine::kernel::WorstCasePlacement
@@ -39,8 +39,7 @@ use randcast_engine::adversary::{FlipMpAdversary, LieOrJamAdversary};
 use randcast_engine::fault::FaultConfig;
 use randcast_engine::flood_fast::{FastFlood, FastFloodVariant};
 use randcast_engine::kernel::{
-    CorruptionKind, FaultModel, FaultTapes, FlipFault, LieOrJamFault, Omission, WorstCasePlacement,
-    LANES,
+    CorruptionKind, FaultModel, FlipFault, LieOrJamFault, Omission, WorstCasePlacement, LANES,
 };
 use randcast_engine::radio_fast::{FastRadio, FastRadioSchedule};
 use randcast_engine::simple_fast::FastSimple;
@@ -185,10 +184,7 @@ fn compare_flood_means(label: &str, g: &Graph, p: f64, variant: FloodVariant) {
         })
         .collect();
     let fast_counts: Vec<f64> = (0..TRIALS)
-        .map(|seed| {
-            fast.run_lane_model(&model, &FaultTapes::new(seed), 0)
-                .informed_count() as f64
-        })
+        .map(|seed| fast.run_lane_model(&model, seed, 0).informed_count() as f64)
         .collect();
     assert_means_close(label, &summarize(&trait_counts), &summarize(&fast_counts));
 }
@@ -248,7 +244,7 @@ fn decay_limited_malicious_means_agree() {
 #[test]
 fn omission_instance_is_byte_identical_to_the_wired_kernels() {
     // The trait layer's compatibility contract: running the `Omission`
-    // instance through the model drivers must reproduce the hard-wired
+    // instance through the model entry points must reproduce the plain-p
     // omission lane replays byte-for-byte, at any rate — the i.i.d.
     // Silent delegation plus site-addressed coin sharing make this
     // exact, not statistical.
@@ -274,7 +270,7 @@ fn omission_instance_is_byte_identical_to_the_wired_kernels() {
                     "simple p={p} seed {seed} lane {lane}"
                 );
                 assert_eq!(
-                    flood.run_lane_model(&model, &FaultTapes::new(seed), lane),
+                    flood.run_lane_model(&model, seed, lane),
                     flood.run_lane(p, seed, lane),
                     "flood p={p} seed {seed} lane {lane}"
                 );
@@ -291,7 +287,7 @@ fn omission_instance_is_byte_identical_to_the_wired_kernels() {
 #[test]
 fn malicious_kernels_agree_with_omission_lanes_at_p_zero() {
     // At p = 0 a malicious model never corrupts, so every model lane
-    // replay reaches the same correct set as the hard-wired omission
+    // replay reaches the same correct set as the plain-p omission
     // replay of the same block. Timing conventions legitimately differ
     // for Simple — a majority vote settles at the end of its phase
     // while an omission adoption lands on the first clean transmission
@@ -328,7 +324,7 @@ fn malicious_kernels_agree_with_omission_lanes_at_p_zero() {
                 }
             }
             assert_eq!(
-                flood.run_lane_model(&FlipFault::new(0.0), &FaultTapes::new(seed), lane),
+                flood.run_lane_model(&FlipFault::new(0.0), seed, lane),
                 flood.run_lane(0.0, seed, lane),
                 "flood seed {seed} lane {lane}"
             );
@@ -387,7 +383,7 @@ fn trait_and_fast_engines_agree_exactly_at_p_zero() {
     let fast_flood = FastFlood::new(CsrGraph::from(&g), source, horizon, FastFloodVariant::Tree);
     for seed in 0..5 {
         let reference = flood_plan.run(&g, FaultConfig::malicious(0.0), seed);
-        let out = fast_flood.run_lane_model(&FlipFault::new(0.0), &FaultTapes::new(seed), 0);
+        let out = fast_flood.run_lane_model(&FlipFault::new(0.0), seed, 0);
         assert_eq!(reference.completion_round(), out.completion_round());
         for v in g.nodes() {
             assert_eq!(
@@ -462,12 +458,11 @@ fn malicious_batches_agree_lane_for_lane() {
     let flood_models: [&dyn FaultModel; 2] = [&FlipFault::new(0.4), &flood_placed];
     for model in flood_models {
         for &bs in &seeds {
-            let tapes = FaultTapes::new(bs);
-            let batch = flood.run_batch_model(model, &tapes);
+            let batch = flood.run_batch_model(model, bs);
             for lane in 0..LANES as u32 {
                 assert_eq!(
                     batch.lane_outcome(lane),
-                    flood.run_lane_model(model, &tapes, lane),
+                    flood.run_lane_model(model, bs, lane),
                     "flood {} block {bs} lane {lane}",
                     model.name()
                 );
@@ -486,7 +481,7 @@ fn malicious_batches_agree_lane_for_lane() {
     let radio_models: [&dyn FaultModel; 2] = [&FlipFault::new(0.3), &radio_placed];
     for model in radio_models {
         for &bs in &seeds {
-            let batch = radio.run_batch_model(model, bs);
+            let batch = radio.run_batch_model(model, bs, 1);
             for lane in 0..LANES as u32 {
                 assert_eq!(
                     batch.lane_outcome(lane),
@@ -501,15 +496,17 @@ fn malicious_batches_agree_lane_for_lane() {
 
 #[test]
 fn malicious_shards_are_neutral() {
-    // Sharded execution is a traversal-order detail: for every shard
-    // count the sharded model drivers must reproduce the unsharded
-    // batch and lane replays byte-for-byte, including for placement
-    // masks whose corrupted set was pinned by preprocessing.
+    // Sharded execution is a traversal-order detail: a kernel over a
+    // k-shard store must reproduce the same kernel over a one-shard
+    // store byte-for-byte, including for placement masks whose
+    // corrupted set was pinned by preprocessing. (The i.i.d. malicious
+    // laws are pinned at the scenario level in shard_equivalence.rs.)
     let g = generators::grid(5, 6);
     let n = g.node_count();
     let csr = CsrGraph::from(&g);
     let bs = 2005u64;
     let lane = 5u32;
+    let decay = FastRadioSchedule::Decay { epoch_len: 6 };
 
     let simple = FastSimple::new(&csr, g.node(0), 9);
     let mut simple_placed = placed(0.25, CorruptionKind::Flip);
@@ -517,65 +514,49 @@ fn malicious_shards_are_neutral() {
     let flood = FastFlood::new(csr.clone(), g.node(0), 40, FastFloodVariant::Tree);
     let mut flood_placed = placed(0.25, CorruptionKind::Flip);
     flood.preprocess(&mut flood_placed);
-    let radio = FastRadio::new(
-        csr,
-        g.node(0),
-        180,
-        FastRadioSchedule::Decay { epoch_len: 6 },
-    );
-    let mut radio_placed = placed(0.3, CorruptionKind::Flip);
+    let radio = FastRadio::new(csr.clone(), g.node(0), 180, decay);
+    let mut radio_placed = placed(0.3, CorruptionKind::Silent);
     radio.preprocess(&mut radio_placed);
 
-    let flip = FlipFault::new(0.3);
-    let lie = LieOrJamFault::new(0.2);
     for shards in [2usize, 3, 7] {
         let plan = ShardPlan::uniform(n, shards);
-        let simple_models: [&dyn FaultModel; 3] = [&flip, &lie, &simple_placed];
-        for model in simple_models {
+        let sharded_simple = FastSimple::new(&csr, g.node(0), 9).with_shard_plan(plan.clone());
+        assert_eq!(
+            sharded_simple.run_batch_model(&simple_placed, bs),
+            simple.run_batch_model(&simple_placed, bs),
+            "simple shards {shards}"
+        );
+        assert_eq!(
+            sharded_simple.run_lane_model(&simple_placed, bs, lane),
+            simple.run_lane_model(&simple_placed, bs, lane),
+            "simple shards {shards} lane"
+        );
+        let sharded_flood = FastFlood::new(csr.clone(), g.node(0), 40, FastFloodVariant::Tree)
+            .with_shard_plan(plan.clone());
+        assert_eq!(
+            sharded_flood.run_batch_model(&flood_placed, bs),
+            flood.run_batch_model(&flood_placed, bs),
+            "flood shards {shards}"
+        );
+        assert_eq!(
+            sharded_flood.run_lane_model(&flood_placed, bs, lane),
+            flood.run_lane_model(&flood_placed, bs, lane),
+            "flood shards {shards} lane"
+        );
+        let sharded_radio =
+            FastRadio::new(csr.clone(), g.node(0), 180, decay).with_shard_plan(plan);
+        for threads in [1usize, 4] {
             assert_eq!(
-                simple.run_batch_sharded_model(&plan, model, bs),
-                simple.run_batch_model(model, bs),
-                "simple {} shards {shards}",
-                model.name()
-            );
-            assert_eq!(
-                simple.run_lane_sharded_model(&plan, model, bs, lane),
-                simple.run_lane_model(model, bs, lane),
-                "simple {} shards {shards} lane",
-                model.name()
-            );
-        }
-        let tapes = FaultTapes::new(bs);
-        let flood_models: [&dyn FaultModel; 2] = [&flip, &flood_placed];
-        for model in flood_models {
-            assert_eq!(
-                flood.run_batch_sharded_model(&plan, model, &tapes),
-                flood.run_batch_model(model, &tapes),
-                "flood {} shards {shards}",
-                model.name()
-            );
-            assert_eq!(
-                flood.run_lane_sharded_model(&plan, model, &tapes, lane),
-                flood.run_lane_model(model, &tapes, lane),
-                "flood {} shards {shards} lane",
-                model.name()
-            );
-        }
-        let radio_models: [&dyn FaultModel; 2] = [&flip, &radio_placed];
-        for model in radio_models {
-            assert_eq!(
-                radio.run_batch_sharded_model(&plan, model, bs),
-                radio.run_batch_model(model, bs),
-                "radio {} shards {shards}",
-                model.name()
-            );
-            assert_eq!(
-                radio.run_lane_sharded_model(&plan, model, bs, lane),
-                radio.run_lane_model(model, bs, lane),
-                "radio {} shards {shards} lane",
-                model.name()
+                sharded_radio.run_batch_model(&radio_placed, bs, threads),
+                radio.run_batch_model(&radio_placed, bs, 1),
+                "radio shards {shards} threads {threads}"
             );
         }
+        assert_eq!(
+            sharded_radio.run_lane_model(&radio_placed, bs, lane),
+            radio.run_lane_model(&radio_placed, bs, lane),
+            "radio shards {shards} lane"
+        );
     }
 }
 

@@ -4,19 +4,22 @@
 //! For 250 fixed block seeds per engine, a [`PreparedScenario`] with
 //! `shards: ShardSpec::Fixed(k)` (k ∈ {2, 3, 7}) must agree
 //! **element-wise, byte-for-byte** with the monolithic
-//! `ShardSpec::Fixed(1)` prepare of the same scenario — for both the
-//! batched [`trial_block`] entry point and the scalar [`trial_lane`]
-//! replay. This is the outcome-neutrality contract of the shard knob:
-//! coins are site-addressed pure functions and each round's evolution
-//! is set-based, so partitioning the frontier passes by node range can
-//! never change a bit (see `DESIGN.md`, *Shard-view substrate*).
+//! `ShardSpec::Fixed(1)` prepare of the same scenario — for the batched
+//! [`trial_block`] entry point at 1, 2 and 4 threads and for the scalar
+//! [`trial_lane`] replay. This is the outcome-neutrality contract of the
+//! shard knob: coins are site-addressed pure functions and each round's
+//! evolution is set-based, so partitioning the frontier passes by node
+//! range can never change a bit (see `DESIGN.md`, *Shard-view
+//! substrate*).
 //!
-//! The seeds cycle over graph family × failure probability × shard
-//! count cells (grid / G(n,p) / random-geometric × p ∈ {0, 0.3, 0.76,
-//! 0.9} × k ∈ {2, 3, 7}), so the suite covers the p = 0 exact curve,
-//! the heavy-failure corner, and a possibly-disconnected
+//! The seeds cycle over graph family × fault × failure probability ×
+//! shard count cells (grid / G(n,p) / random-geometric × p ∈ {0, 0.3,
+//! 0.76, 0.9} × k ∈ {2, 3, 7}), so the suite covers the p = 0 exact
+//! curve, the heavy-failure corner, and a possibly-disconnected
 //! random-geometric cell whose source component stops short of the
-//! shard bounds.
+//! shard bounds. Each engine runs omission cells plus the malicious
+//! cells of its `FaultModel`: flip flood and flip Simple in MP,
+//! limited-malicious (flip) Decay, and lie-or-jam Simple in radio.
 //!
 //! [`PreparedScenario`]: randcast_core::scenario::PreparedScenario
 //! [`trial_block`]: randcast_core::scenario::PreparedScenario::trial_block
@@ -28,7 +31,7 @@ use randcast_core::scenario::{
     Algorithm, GraphFamily, Model, PreparedScenario, Scenario, ShardSpec,
 };
 use randcast_core::sweep::BATCH_LANES;
-use randcast_engine::fault::FaultConfig;
+use randcast_engine::fault::{FaultConfig, FaultKind};
 use randcast_engine::flood_fast::ShardedFlood;
 use randcast_engine::radio_fast::{FastRadioSchedule, ShardedRadio};
 use randcast_engine::simple_fast::ShardedSimple;
@@ -42,6 +45,14 @@ use randcast_stats::seed::SeedSequence;
 const SEEDS: usize = 250;
 const PS: [f64; 4] = [0.0, 0.3, 0.76, 0.9];
 const SHARDS: [usize; 3] = [2, 3, 7];
+
+const FLOOD: Algorithm = Algorithm::FloodFast { horizon_scale: 1 };
+const DECAY: Algorithm = Algorithm::DecayFast { epoch_factor: 2 };
+const SIMPLE: Algorithm = Algorithm::SimpleFast { phase_len: None };
+/// Simple with an explicit phase length, so the votes stay defined at
+/// every p of [`PS`] (the Theorem 2.2 / 2.4 prescriptions reject p past
+/// their feasibility thresholds).
+const SIMPLE_VOTE: Algorithm = Algorithm::SimpleFast { phase_len: Some(9) };
 
 fn families() -> [GraphFamily; 3] {
     [
@@ -65,14 +76,14 @@ fn prepare(
     family: GraphFamily,
     algorithm: Algorithm,
     model: Model,
-    p: f64,
+    fault: FaultConfig,
     k: usize,
 ) -> PreparedScenario {
     let prepared = Scenario {
         graph: family,
         algorithm,
         model,
-        fault: FaultConfig::omission(p),
+        fault,
         shards: ShardSpec::Fixed(k),
     }
     .try_prepare()
@@ -85,15 +96,21 @@ fn prepare(
     prepared
 }
 
-fn check_engine(name: &str, algorithm: Algorithm, model: Model) {
+/// Runs the 250-seed comparison over every family × `faults` × p × k
+/// cell of one engine.
+fn check_engine(name: &str, faults: &[(Algorithm, Model, FaultKind)]) {
     let seeds = SeedSequence::new(0x07AD_0250);
     let mut cells = Vec::new();
     for family in families() {
-        for p in PS {
-            for k in SHARDS {
-                let mono = prepare(family, algorithm, model, p, 1);
-                let sharded = prepare(family, algorithm, model, p, k);
-                cells.push((family.label(), p, k, mono, sharded));
+        for &(algorithm, model, kind) in faults {
+            for p in PS {
+                let fault = FaultConfig::new(kind, p).expect("valid probability");
+                for k in SHARDS {
+                    let mono = prepare(family, algorithm, model, fault, 1);
+                    let sharded = prepare(family, algorithm, model, fault, k);
+                    let label = format!("{name} {model} {kind} on {}", family.label());
+                    cells.push((label, p, k, mono, sharded));
+                }
             }
         }
     }
@@ -101,25 +118,19 @@ fn check_engine(name: &str, algorithm: Algorithm, model: Model) {
         let (label, p, k, mono, sharded) = &cells[s % cells.len()];
         let block_seed = seeds.nth_seed(s as u64);
         let reference = mono.trial_block(block_seed);
-        let block = sharded.trial_block(block_seed);
-        assert_eq!(block.len(), BATCH_LANES);
-        assert_eq!(
-            block, reference,
-            "{name} on {label} at p={p}, {k} shards: seed #{s} batch diverged"
-        );
+        assert_eq!(reference.len(), BATCH_LANES);
+        for threads in [1usize, 2, 4] {
+            assert_eq!(
+                sharded.trial_block_threads(block_seed, threads),
+                reference,
+                "{label} at p={p}, {k} shards × {threads} threads: seed #{s} batch diverged"
+            );
+        }
         for lane in [0usize, 21, BATCH_LANES - 1] {
             assert_eq!(
                 sharded.trial_lane(block_seed, lane as u32),
                 mono.trial_lane(block_seed, lane as u32),
-                "{name} on {label} at p={p}, {k} shards: seed #{s} lane {lane} diverged"
-            );
-        }
-        for threads in [2usize, 4] {
-            assert_eq!(
-                sharded.trial_block_threads(block_seed, threads),
-                reference,
-                "{name} on {label} at p={p}, {k} shards × {threads} threads: \
-                 seed #{s} parallel batch diverged"
+                "{label} at p={p}, {k} shards: seed #{s} lane {lane} diverged"
             );
         }
     }
@@ -129,8 +140,10 @@ fn check_engine(name: &str, algorithm: Algorithm, model: Model) {
 fn sharded_flood_blocks_match_monolithic_element_wise() {
     check_engine(
         "flood",
-        Algorithm::FloodFast { horizon_scale: 1 },
-        Model::Mp,
+        &[
+            (FLOOD, Model::Mp, FaultKind::Omission),
+            (FLOOD, Model::Mp, FaultKind::Malicious),
+        ],
     );
 }
 
@@ -138,8 +151,10 @@ fn sharded_flood_blocks_match_monolithic_element_wise() {
 fn sharded_decay_blocks_match_monolithic_element_wise() {
     check_engine(
         "decay",
-        Algorithm::DecayFast { epoch_factor: 2 },
-        Model::Radio,
+        &[
+            (DECAY, Model::Radio, FaultKind::Omission),
+            (DECAY, Model::Radio, FaultKind::LimitedMalicious),
+        ],
     );
 }
 
@@ -147,8 +162,11 @@ fn sharded_decay_blocks_match_monolithic_element_wise() {
 fn sharded_simple_blocks_match_monolithic_element_wise() {
     check_engine(
         "simple",
-        Algorithm::SimpleFast { phase_len: None },
-        Model::Mp,
+        &[
+            (SIMPLE, Model::Mp, FaultKind::Omission),
+            (SIMPLE_VOTE, Model::Mp, FaultKind::Malicious),
+            (SIMPLE_VOTE, Model::Radio, FaultKind::LimitedMalicious),
+        ],
     );
 }
 
@@ -262,25 +280,14 @@ fn p_zero_sharded_curves_are_exact() {
     // reproduce the exact fault-free curve, not merely match another
     // stochastic run.
     let family = GraphFamily::Grid(5, 6);
-    let mono = prepare(
-        family,
-        Algorithm::FloodFast { horizon_scale: 1 },
-        Model::Mp,
-        0.0,
-        1,
-    );
+    let fault = FaultConfig::omission(0.0);
+    let mono = prepare(family, FLOOD, Model::Mp, fault, 1);
     let reference = mono.trial_block(12345);
     for out in &reference {
         assert!(out.success, "p = 0 flood must complete");
     }
     for k in SHARDS {
-        let sharded = prepare(
-            family,
-            Algorithm::FloodFast { horizon_scale: 1 },
-            Model::Mp,
-            0.0,
-            k,
-        );
+        let sharded = prepare(family, FLOOD, Model::Mp, fault, k);
         assert_eq!(sharded.trial_block(12345), reference, "{k} shards");
     }
 }

@@ -15,8 +15,8 @@
 //! * transmission targets are the flat `u32` CSR arrays of a
 //!   [`CsrGraph`] (the graph's adjacency, or its
 //!   [`bfs_tree`](CsrGraph::bfs_tree) child lists for the paper's
-//!   tree-flooding variant) — the engine builds no adjacency of its
-//!   own,
+//!   tree-flooding variant), held as an in-RAM [`ShardStore`] — the
+//!   engine builds no adjacency of its own,
 //! * fault sampling is the aggregate
 //!   [`FaultSampler`](crate::kernel::FaultSampler): one Bernoulli coin
 //!   per *frontier* node per round, or a geometric skip between
@@ -32,17 +32,19 @@
 //! differs, so per-seed outcomes differ while every distribution
 //! matches — `crates/core/tests/flood_equivalence.rs` pins this.
 //!
-//! Every entry point also has a `*_model` sibling parametric in a
+//! The seeded scalar-lane and 64-lane frontier passes are written once,
+//! against [`ShardStore`]: [`FastFlood`] runs them over its in-RAM store
+//! (one shard, or `k` node-range shards — outcome-neutral), and
+//! [`ShardedFlood`] runs the same passes over any store, disk segments
+//! included — the `n = 10⁸` path. Both passes are parametric in a
 //! [`FaultModel`](crate::kernel::FaultModel): `Silent` models (i.i.d.
-//! omission, throttled mixtures, worst-case placement) run the same
-//! frontier machinery with the model supplying the per-site corruption
-//! masks — the [`Omission`](crate::kernel::Omission) instance reads
-//! exactly the coin words the hard-wired path read, so the plain entry
-//! points stay byte-identical. Corrupted-*value* models (`Flip` /
-//! `Lie`, the paper's malicious transmitters) run a deterministic-
-//! timing value pass instead: every delivery succeeds, node `v` is
-//! informed at its BFS depth, and the outcome tracks which nodes end
-//! up *correctly* informed.
+//! omission, throttled mixtures, worst-case placement) supply the
+//! per-site suppression masks, and the plain-`p` entry points are the
+//! [`Omission`](crate::kernel::Omission) instance. Corrupted-*value*
+//! models (`Flip` / `Lie`, the paper's malicious transmitters) run a
+//! deterministic-timing value pass instead: every delivery succeeds,
+//! node `v` is informed at its BFS depth, and the outcome tracks which
+//! nodes end up *correctly* informed.
 //!
 //! Unlike the general engine, the fast path is **defined on graphs that
 //! are disconnected from the source**: it floods the source's component
@@ -54,20 +56,18 @@
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
-use randcast_graph::shard::{PassLoader, ShardError, ShardPlan, ShardStore, ShardView};
+use randcast_graph::shard::{PassLoader, RamShards, ShardError, ShardPlan, ShardStore};
 use randcast_graph::{CsrGraph, NodeId};
 
 use crate::kernel::{
     lane_popcounts, planes_add_one_masked, planes_assign, planes_eq_mask, planes_gt_mask,
-    planes_le_mask, range_passes, record_crossings, shard_passes, BatchedInformedSet,
-    CorruptionKind, FaultModel, FaultSampler, FaultTapes, InformedSet, LaneCounter, LaneMask,
-    Omission, ShardFrontier, LANES,
+    planes_le_mask, BatchedInformedSet, CorruptionKind, FaultModel, FaultSampler, FaultTapes,
+    InformedSet, LaneCounter, LaneMask, LaneRounds, Omission, ShardFrontier, LANES,
 };
 
 /// The fault-coin site of `(node, index)`: the index (a 1-based round
-/// for the graph-variant batch, a 0-based attempt number for the
-/// tree-variant batch) and a `u32` node id pack losslessly into one
-/// `u64`.
+/// for the graph-variant passes, a 0-based attempt number for the
+/// tree variant) and a `u32` node id pack losslessly into one `u64`.
 fn fault_site(index: usize, v: u32) -> u64 {
     (index as u64) << 32 | u64::from(v)
 }
@@ -84,18 +84,13 @@ pub enum FastFloodVariant {
     Graph,
 }
 
-/// A compiled fast-path flooding plan: flat CSR target lists plus a
-/// horizon. The target arrays come straight from the
-/// [`CsrGraph`] / [`CsrTree`](randcast_graph::CsrTree) substrate.
-#[derive(Clone, Debug)]
+/// A compiled fast-path flooding plan: the transmission targets as an
+/// in-RAM [`ShardStore`] plus a horizon. The target arrays come straight
+/// from the [`CsrGraph`] / [`CsrTree`](randcast_graph::CsrTree)
+/// substrate.
 pub struct FastFlood {
-    /// `targets[offsets[v]..offsets[v+1]]` are `v`'s transmission
-    /// targets.
-    offsets: Vec<u32>,
-    targets: Vec<u32>,
-    source: u32,
-    horizon: usize,
-    n: usize,
+    /// The store-backed frontier passes over the transmission targets.
+    passes: ShardedFlood,
     variant: FastFloodVariant,
     /// Nodes reachable from the source along transmission targets, in
     /// BFS order (parents before children) — computed once at plan
@@ -109,8 +104,8 @@ impl FastFlood {
     /// only the source informed); a graph disconnected from `source` is
     /// allowed (the flood covers the source's component). Takes the
     /// graph by value: the [`FastFloodVariant::Graph`] plan *is* the
-    /// CSR arrays, moved in without a copy (clone at the call site to
-    /// keep the graph).
+    /// CSR arrays, moved into a one-shard store without a copy (clone
+    /// at the call site to keep the graph).
     #[must_use]
     pub fn new(csr: CsrGraph, source: NodeId, horizon: usize, variant: FastFloodVariant) -> Self {
         let n = csr.node_count();
@@ -118,12 +113,9 @@ impl FastFlood {
             FastFloodVariant::Graph => csr.into_raw_parts(),
             FastFloodVariant::Tree => csr.bfs_tree(u32::from(source)).into_children_csr(),
         };
+        let store = ShardStore::Ram(RamShards::new(offsets, targets, ShardPlan::uniform(n, 1)));
         let mut plan = FastFlood {
-            offsets,
-            targets,
-            source: u32::from(source),
-            horizon,
-            n,
+            passes: ShardedFlood::new(store, u32::from(source), horizon),
             variant,
             order: Vec::new(),
         };
@@ -131,24 +123,46 @@ impl FastFlood {
         plan
     }
 
+    /// Re-cuts the target store along `plan`, so the frontier passes
+    /// walk one node-range shard at a time. Outcome-neutral: every
+    /// entry point returns the same bytes for every plan.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the plan covers a different node count.
+    #[must_use]
+    pub fn with_shard_plan(mut self, plan: ShardPlan) -> Self {
+        let ShardStore::Ram(ram) = self.passes.store else {
+            unreachable!("fast plans hold RAM stores")
+        };
+        self.passes.store = ShardStore::Ram(ram.with_plan(plan));
+        self
+    }
+
+    /// The shard plan the frontier passes follow.
+    #[must_use]
+    pub fn shard_plan(&self) -> &ShardPlan {
+        self.passes.store.plan()
+    }
+
     /// The horizon (maximum number of rounds executed).
     #[must_use]
     pub fn horizon(&self) -> usize {
-        self.horizon
+        self.passes.horizon
     }
 
     /// Number of nodes.
     #[must_use]
     pub fn node_count(&self) -> usize {
-        self.n
+        self.passes.node_count()
     }
 
-    fn targets_of(&self, v: usize) -> &[u32] {
-        &self.targets[self.offsets[v] as usize..self.offsets[v + 1] as usize]
-    }
-
-    fn has_uninformed_target(&self, v: usize, informed: &InformedSet) -> bool {
-        self.targets_of(v).iter().any(|&t| !informed.contains(t))
+    /// The whole target arrays, for the passes that read them in RAM.
+    fn ram(&self) -> &RamShards {
+        let ShardStore::Ram(ram) = &self.passes.store else {
+            unreachable!("fast plans hold RAM stores")
+        };
+        ram
     }
 
     /// Executes one seeded flood with per-(node, round) transmitter
@@ -161,22 +175,26 @@ impl FastFlood {
     #[must_use]
     pub fn run(&self, p: f64, seed: u64) -> FastFloodOutcome {
         let sampler = FaultSampler::new(p);
-        let n = self.n;
+        let ram = self.ram();
+        let (n, source, horizon) = (self.node_count(), self.passes.source, self.horizon());
+        let has_uninformed_target = |v: u32, informed: &InformedSet| {
+            ram.targets_of(v).iter().any(|&t| !informed.contains(t))
+        };
         let mut rng = SmallRng::seed_from_u64(seed);
         let mut informed = InformedSet::new(n);
-        informed.insert(self.source);
-        let mut informed_by_round = Vec::with_capacity(self.horizon.min(1024) + 1);
+        informed.insert(source);
+        let mut informed_by_round = Vec::with_capacity(horizon.min(1024) + 1);
         informed_by_round.push(1);
         let mut completion_round = (n == 1).then_some(0);
 
         let mut frontier: Vec<u32> = Vec::new();
-        if self.has_uninformed_target(self.source as usize, &informed) {
-            frontier.push(self.source);
+        if has_uninformed_target(source, &informed) {
+            frontier.push(source);
         }
         let mut next_frontier: Vec<u32> = Vec::new();
         let mut successes: Vec<u32> = Vec::new();
 
-        for round in 1..=self.horizon {
+        for round in 1..=horizon {
             if frontier.is_empty() {
                 break; // nothing can ever change again
             }
@@ -186,7 +204,7 @@ impl FastFlood {
             sampler.partition_into(&mut rng, &frontier, &mut successes, &mut next_frontier);
 
             for &u in &successes {
-                for &t in self.targets_of(u as usize) {
+                for &t in ram.targets_of(u) {
                     if informed.insert(t) {
                         // The newly informed node starts transmitting
                         // next round if it can inform anyone.
@@ -209,13 +227,13 @@ impl FastFlood {
                 next_frontier
                     .iter()
                     .copied()
-                    .filter(|&u| self.has_uninformed_target(u as usize, &informed)),
+                    .filter(|&u| has_uninformed_target(u, &informed)),
             );
         }
 
         FastFloodOutcome {
             n,
-            horizon: self.horizon,
+            horizon,
             completion_round,
             informed_by_round,
             informed,
@@ -239,109 +257,7 @@ impl FastFlood {
     /// Panics if `p ∉ [0, 1)` or `lane ≥ 64`.
     #[must_use]
     pub fn run_lane(&self, p: f64, block_seed: u64, lane: u32) -> FastFloodOutcome {
-        assert!((0.0..1.0).contains(&p), "failure probability out of range");
-        assert!((lane as usize) < LANES, "lane out of range");
-        self.run_lane_silent(&Omission::new(p), &FaultTapes::new(block_seed), lane)
-    }
-
-    /// The frontier replay of [`run_lane`](Self::run_lane) generalized
-    /// over any `Silent` [`FaultModel`]: a corrupted transmission is
-    /// suppressed, everything else is the omission algorithm. The
-    /// [`Omission`] instance reads exactly the coin words the hard-wired
-    /// path read before the refactor, so the omission entry points stay
-    /// byte-identical.
-    fn run_lane_silent<M: FaultModel + ?Sized>(
-        &self,
-        model: &M,
-        tapes: &FaultTapes,
-        lane: u32,
-    ) -> FastFloodOutcome {
-        let n = self.n;
-        let mut informed = InformedSet::new(n);
-        informed.insert(self.source);
-        let mut informed_round = vec![0u32; n];
-        let mut informed_by_round = Vec::with_capacity(self.horizon.min(1024) + 1);
-        informed_by_round.push(1);
-        let mut completion_round = (n == 1).then_some(0);
-
-        let mut frontier: Vec<u32> = Vec::new();
-        if self.has_uninformed_target(self.source as usize, &informed) {
-            frontier.push(self.source);
-        }
-        let mut next_frontier: Vec<u32> = Vec::new();
-
-        for round in 1..=self.horizon {
-            if frontier.is_empty() {
-                break;
-            }
-            next_frontier.clear();
-            for &u in &frontier {
-                let site = match self.variant {
-                    FastFloodVariant::Graph => fault_site(round, u),
-                    // u's first attempt happens the round after it was
-                    // informed; index attempts from 0.
-                    FastFloodVariant::Tree => {
-                        fault_site(round - 1 - informed_round[u as usize] as usize, u)
-                    }
-                };
-                if model.corrupt_lane(tapes, site, u, lane) {
-                    // Failed transmitter: stays in the frontier.
-                    next_frontier.push(u);
-                } else {
-                    for &t in self.targets_of(u as usize) {
-                        if informed.insert(t) {
-                            informed_round[t as usize] = round as u32;
-                            next_frontier.push(t);
-                        }
-                    }
-                }
-            }
-            informed_by_round.push(informed.count());
-            if completion_round.is_none() && informed.count() == n {
-                completion_round = Some(round);
-            }
-            frontier.clear();
-            frontier.extend(
-                next_frontier
-                    .iter()
-                    .copied()
-                    .filter(|&u| self.has_uninformed_target(u as usize, &informed)),
-            );
-        }
-
-        FastFloodOutcome {
-            n,
-            horizon: self.horizon,
-            completion_round,
-            informed_by_round,
-            informed,
-        }
-    }
-
-    /// The nodes reachable from the source along transmission targets,
-    /// in BFS order (parents before children for the tree variant).
-    /// A lane's frontier is empty exactly when its informed count has
-    /// reached this closure's size — the bit-sliced liveness test the
-    /// graph-variant batch uses in place of per-lane frontier tracking.
-    fn bfs_order(&self) -> &[u32] {
-        &self.order
-    }
-
-    fn compute_bfs_order(&self) -> Vec<u32> {
-        let mut seen = InformedSet::new(self.n);
-        seen.insert(self.source);
-        let mut order = vec![self.source];
-        let mut i = 0;
-        while i < order.len() {
-            let v = order[i];
-            i += 1;
-            for &t in self.targets_of(v as usize) {
-                if seen.insert(t) {
-                    order.push(t);
-                }
-            }
-        }
-        order
+        self.run_lane_model(&Omission::new(p), block_seed, lane)
     }
 
     /// Runs all 64 trial lanes of block `block_seed` at once: the
@@ -365,21 +281,120 @@ impl FastFlood {
     /// Panics if `p ∉ [0, 1)`.
     #[must_use]
     pub fn run_batch(&self, p: f64, block_seed: u64) -> FastFloodBatch {
-        assert!((0.0..1.0).contains(&p), "failure probability out of range");
-        let model = Omission::new(p);
-        let tapes = FaultTapes::new(block_seed);
+        self.run_batch_model(&Omission::new(p), block_seed)
+    }
+
+    /// Runs the model's placement preprocessing against this plan's CSR
+    /// arrays — the BFS-tree child lists for the tree variant, the full
+    /// adjacency for the graph variant. Call once per plan before any
+    /// `*_model` run of a placement-based model.
+    pub fn preprocess<M: FaultModel + ?Sized>(&self, model: &mut M) {
+        let ram = self.ram();
+        let source = self.passes.source;
         match self.variant {
-            FastFloodVariant::Tree => self.run_batch_tree(&model, &tapes, self.bfs_order()),
-            FastFloodVariant::Graph => self.run_batch_graph(&model, &tapes),
+            FastFloodVariant::Tree => {
+                model.preprocess_tree(ram.offsets(), ram.targets(), &self.order, source);
+            }
+            FastFloodVariant::Graph => model.preprocess_graph(ram.offsets(), ram.targets(), source),
         }
     }
 
-    /// Tree-variant batch backend: one pass over `order` (any
-    /// enumeration of the source component with parents before
-    /// children — the BFS order, or its shard-grouped permutation),
-    /// resolving every node's 64 inform rounds in bit-plane form.
-    /// Every output is a per-node value or a multiset statistic, so any
-    /// admissible `order` produces bit-identical results.
+    /// [`run_lane`](Self::run_lane) under an arbitrary [`FaultModel`].
+    /// `Silent` models run the frontier replay (byte-identical to the
+    /// plain entry point for [`Omission`]); corrupted-value models
+    /// (`Flip` / `Lie`) run the deterministic-timing value pass — every
+    /// transmission delivers, so node `v` is informed exactly at its
+    /// BFS depth, and the adversary decides which lanes receive the
+    /// *correct* value. The outcome's informed set and growth curve
+    /// then track the **correctly informed** nodes.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `lane ≥ 64`.
+    #[must_use]
+    pub fn run_lane_model<M: FaultModel + ?Sized>(
+        &self,
+        model: &M,
+        block_seed: u64,
+        lane: u32,
+    ) -> FastFloodOutcome {
+        assert!((lane as usize) < LANES, "lane out of range");
+        let tapes = FaultTapes::new(block_seed);
+        match model.kind() {
+            CorruptionKind::Silent => {
+                let attempt_sites = self.variant == FastFloodVariant::Tree;
+                self.passes
+                    .lane_pass(self.passes.views(), model, &tapes, lane, attempt_sites)
+                    .expect("RAM stores never fail a read")
+            }
+            _ => self.run_lane_values(model, &tapes, lane),
+        }
+    }
+
+    /// [`run_batch`](Self::run_batch) under an arbitrary
+    /// [`FaultModel`]; lane `k` is byte-identical to
+    /// [`run_lane_model`](Self::run_lane_model)`(model, block_seed, k)`.
+    /// See [`run_lane_model`](Self::run_lane_model) for the
+    /// corrupted-value semantics.
+    #[must_use]
+    pub fn run_batch_model<M: FaultModel + ?Sized>(
+        &self,
+        model: &M,
+        block_seed: u64,
+    ) -> FastFloodBatch {
+        let tapes = FaultTapes::new(block_seed);
+        match (model.kind(), self.variant) {
+            (CorruptionKind::Silent, FastFloodVariant::Tree) => self.run_batch_tree(model, &tapes),
+            (CorruptionKind::Silent, FastFloodVariant::Graph) => self
+                .passes
+                .batch_pass(self.passes.views(), model, &tapes, self.order.len())
+                .expect("RAM stores never fail a read"),
+            _ => self.run_batch_values(model, &tapes),
+        }
+    }
+
+    fn compute_bfs_order(&self) -> Vec<u32> {
+        let ram = self.ram();
+        let source = self.passes.source;
+        let mut seen = InformedSet::new(self.node_count());
+        seen.insert(source);
+        let mut order = vec![source];
+        let mut i = 0;
+        while i < order.len() {
+            let v = order[i];
+            i += 1;
+            for &t in ram.targets_of(v) {
+                if seen.insert(t) {
+                    order.push(t);
+                }
+            }
+        }
+        order
+    }
+
+    /// Per-node BFS depth along transmission targets (`u32::MAX` for
+    /// nodes unreachable from the source). First-write-wins over the
+    /// BFS order, so graph-variant cross edges cannot inflate a depth —
+    /// for trees this is simply the unique root distance.
+    fn bfs_levels(&self) -> Vec<u32> {
+        let ram = self.ram();
+        let mut level = vec![u32::MAX; self.node_count()];
+        level[self.passes.source as usize] = 0;
+        for &v in &self.order {
+            for &t in ram.targets_of(v) {
+                if level[t as usize] == u32::MAX {
+                    level[t as usize] = level[v as usize] + 1;
+                }
+            }
+        }
+        level
+    }
+
+    /// Tree-variant batch backend: one pass over the BFS order (parents
+    /// before children), resolving every node's 64 inform rounds in
+    /// bit-plane form. It reads the whole child lists in RAM; every
+    /// output is a per-node value or a multiset statistic, so the shard
+    /// plan cannot change a bit.
     ///
     /// Because tree edges have unique parents, all of a node's children
     /// share its success round, so every per-node statistic (informed
@@ -390,11 +405,11 @@ impl FastFlood {
         &self,
         model: &M,
         tapes: &FaultTapes,
-        order: &[u32],
     ) -> FastFloodBatch {
-        let n = self.n;
-        let h = self.horizon;
-        let reach = order.len();
+        let ram = self.ram();
+        let n = self.node_count();
+        let h = self.horizon();
+        let reach = self.order.len();
         // Sentinel inform round for "not informed within the horizon".
         let never = h as u64 + 1;
         let w = (64 - never.leading_zeros()) as usize;
@@ -408,7 +423,7 @@ impl FastFlood {
         for _ in 0..n {
             s_planes.extend_from_slice(&never_template);
         }
-        let src = self.source as usize;
+        let src = self.passes.source as usize;
         s_planes[src * w..(src + 1) * w].fill(0);
 
         // Lanes in which each node is informed (within the horizon):
@@ -438,9 +453,9 @@ impl FastFlood {
         let a_unroll = w.min(3);
 
         // Forward pass: resolve every internal node's 64 success rounds.
-        for &u in order {
+        for &u in &self.order {
             let ui = u as usize;
-            let kids = self.targets_of(ui);
+            let kids = ram.targets_of(u);
             if kids.is_empty() {
                 continue;
             }
@@ -556,7 +571,7 @@ impl FastFlood {
         let mut uninf1: LaneMask = 0;
         let mut uninf2: LaneMask = 0;
         for &u in groups.iter().rev() {
-            let kids = self.targets_of(u as usize);
+            let kids = ram.targets_of(u);
             let c0 = kids[0] as usize;
             let succ = informed_masks[c0];
             let miss = !succ;
@@ -632,900 +647,6 @@ impl FastFlood {
         }
     }
 
-    /// Graph-variant batch backend: the 64-lane union frontier advances
-    /// round by round; lanes whose informed count has reached the
-    /// source component's closure size stop contributing work, and a
-    /// stale frontier entry (a lane whose targets were covered by
-    /// someone else) only ever performs no-op transmissions before
-    /// washing out.
-    fn run_batch_graph<M: FaultModel + ?Sized>(
-        &self,
-        model: &M,
-        tapes: &FaultTapes,
-    ) -> FastFloodBatch {
-        let n = self.n;
-        let reach = self.bfs_order().len();
-        let mut informed = BatchedInformedSet::new(n);
-        informed.insert_masked(self.source, !0);
-        let almost_target = n.saturating_sub(1).max(1) as u64;
-
-        let mut completion_round: Vec<Option<usize>> = vec![None; LANES];
-        let mut almost_round: Vec<Option<usize>> = vec![None; LANES];
-        let mut completed: LaneMask = 0;
-        let mut almost_done: LaneMask = 0;
-        if n == 1 {
-            completed = !0;
-            completion_round.fill(Some(0));
-        }
-        if 1 >= almost_target {
-            almost_done = !0;
-            almost_round.fill(Some(0));
-        }
-
-        // Per-round snapshots of the count planes, in one flat arena.
-        let plane_width = (usize::BITS - n.leading_zeros()) as usize;
-        let mut count_arena: Vec<u64> = Vec::new();
-        let mut executed = 0usize;
-
-        // The union frontier: a list of nodes whose `frontier_mask` has
-        // at least one live lane in which the node may still transmit.
-        // Masks are supersets of the exact per-lane frontiers: a lane
-        // stays set after a failed round even if other transmitters
-        // informed all the node's targets meanwhile (a pure no-op), and
-        // is cleared on success, on lane death, or when the node drains.
-        let mut frontier: Vec<u32> = Vec::new();
-        let mut frontier_mask = vec![0u64; n];
-        let mut in_frontier = vec![false; n];
-        if !self.targets_of(self.source as usize).is_empty() {
-            frontier.push(self.source);
-            frontier_mask[self.source as usize] = !0;
-            in_frontier[self.source as usize] = true;
-        }
-        // Lanes newly informed this round join the frontier only for
-        // the *next* round; stage them here.
-        let mut pending = vec![0u64; n];
-        let mut pending_nodes: Vec<u32> = Vec::new();
-
-        // A lane is live (its replay still executes rounds) while its
-        // informed count is below the closure size.
-        let mut live: LaneMask = if reach > 1 { !0 } else { 0 };
-
-        for round in 1..=self.horizon {
-            if live == 0 {
-                break;
-            }
-            executed += 1;
-            pending_nodes.clear();
-            let mut changed = false;
-
-            let mut write = 0usize;
-            for i in 0..frontier.len() {
-                let v = frontier[i];
-                let fm = frontier_mask[v as usize] & live;
-                if fm == 0 {
-                    frontier_mask[v as usize] = 0;
-                    in_frontier[v as usize] = false;
-                    continue;
-                }
-                let fail = model.corrupt_mask(tapes, fault_site(round, v), v, fm);
-                let succ = fm & !fail;
-                if succ != 0 {
-                    for &t in self.targets_of(v as usize) {
-                        let newly = informed.insert_masked(t, succ);
-                        if newly != 0 {
-                            changed = true;
-                            if pending[t as usize] == 0 {
-                                pending_nodes.push(t);
-                            }
-                            pending[t as usize] |= newly;
-                        }
-                    }
-                }
-                // A successful lane informed all of v's targets: v
-                // leaves that lane's frontier. Failed lanes stay.
-                let keep = fm & fail;
-                frontier_mask[v as usize] = keep;
-                if keep != 0 {
-                    frontier[write] = v;
-                    write += 1;
-                } else {
-                    in_frontier[v as usize] = false;
-                }
-            }
-            frontier.truncate(write);
-            for &t in &pending_nodes {
-                frontier_mask[t as usize] |= pending[t as usize];
-                pending[t as usize] = 0;
-                if !in_frontier[t as usize] {
-                    in_frontier[t as usize] = true;
-                    frontier.push(t);
-                }
-            }
-
-            count_arena.extend_from_slice(informed.counts().planes());
-            count_arena.resize(executed * plane_width, 0);
-
-            if changed {
-                let comp = informed.counts().eq_mask(n as u64) & !completed;
-                record_crossings(comp, round, &mut completion_round);
-                completed |= comp;
-                if almost_done != !0 {
-                    let almost = informed.counts().ge_mask(almost_target) & !almost_done;
-                    record_crossings(almost, round, &mut almost_round);
-                    almost_done |= almost;
-                }
-                live &= !informed.counts().ge_mask(reach as u64);
-            }
-        }
-
-        FastFloodBatch {
-            n,
-            horizon: self.horizon,
-            informed,
-            completion_round,
-            almost_round,
-            curve: BatchCurve::Rounds {
-                reach,
-                plane_width,
-                count_arena,
-                executed,
-            },
-        }
-    }
-
-    /// Scalar lane replay executed shard-at-a-time: the algorithm of
-    /// [`run_lane`](Self::run_lane), with the frontier kept as one list
-    /// per shard of `plan` so each round touches one shard's CSR rows
-    /// at a time (through a [`ShardView`]), merging cross-shard
-    /// discoveries into the destination shard's staging list. Coins are
-    /// site-addressed pure functions, the round evolution is set-based,
-    /// and the round-boundary frontier filter runs against the same
-    /// end-of-round informed set — so the outcome is **bit-identical**
-    /// to [`run_lane`](Self::run_lane) for every plan
-    /// (`crates/core/tests/shard_equivalence.rs` pins it). The
-    /// sequential-RNG [`run`](Self::run) has no sharded sibling: its
-    /// draws are stream-positional, so any frontier reorder would
-    /// change them.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `p ∉ [0, 1)`, `lane ≥ 64`, or the plan covers a
-    /// different node count.
-    #[must_use]
-    pub fn run_lane_sharded(
-        &self,
-        plan: &ShardPlan,
-        p: f64,
-        block_seed: u64,
-        lane: u32,
-    ) -> FastFloodOutcome {
-        assert!((0.0..1.0).contains(&p), "failure probability out of range");
-        assert!((lane as usize) < LANES, "lane out of range");
-        self.run_lane_sharded_silent(plan, &Omission::new(p), &FaultTapes::new(block_seed), lane)
-    }
-
-    /// [`run_lane_sharded`](Self::run_lane_sharded) generalized over
-    /// any `Silent` [`FaultModel`] (see
-    /// [`run_lane_silent`](Self::run_lane_silent) for the
-    /// byte-identity argument).
-    fn run_lane_sharded_silent<M: FaultModel + ?Sized>(
-        &self,
-        plan: &ShardPlan,
-        model: &M,
-        tapes: &FaultTapes,
-        lane: u32,
-    ) -> FastFloodOutcome {
-        assert_eq!(plan.node_count(), self.n, "plan/graph node count mismatch");
-        let n = self.n;
-        let k = plan.shard_count();
-        let mut informed = InformedSet::new(n);
-        informed.insert(self.source);
-        let mut informed_round = vec![0u32; n];
-        let mut informed_by_round = Vec::with_capacity(self.horizon.min(1024) + 1);
-        informed_by_round.push(1);
-        let mut completion_round = (n == 1).then_some(0);
-
-        let mut frontier = ShardFrontier::new(k);
-        let mut staged = ShardFrontier::new(k);
-        if self.has_uninformed_target(self.source as usize, &informed) {
-            frontier.push(plan.shard_of(self.source), self.source);
-        }
-
-        for round in 1..=self.horizon {
-            if frontier.is_empty() {
-                break;
-            }
-            for s in 0..k {
-                if frontier.shard(s).is_empty() {
-                    continue;
-                }
-                let (start, end) = plan.range(s);
-                let view = ShardView::over(&self.offsets, &self.targets, start, end);
-                for &u in frontier.shard(s) {
-                    let site = match self.variant {
-                        FastFloodVariant::Graph => fault_site(round, u),
-                        FastFloodVariant::Tree => {
-                            fault_site(round - 1 - informed_round[u as usize] as usize, u)
-                        }
-                    };
-                    if model.corrupt_lane(tapes, site, u, lane) {
-                        staged.push(s, u);
-                    } else {
-                        for &t in view.targets_of(u) {
-                            if informed.insert(t) {
-                                informed_round[t as usize] = round as u32;
-                                staged.push(plan.shard_of(t), t);
-                            }
-                        }
-                    }
-                }
-            }
-            informed_by_round.push(informed.count());
-            if completion_round.is_none() && informed.count() == n {
-                completion_round = Some(round);
-            }
-            // The monolithic end-of-round filter, shard by shard, using
-            // the identical end-of-round informed set.
-            for s in 0..k {
-                if staged.shard(s).is_empty() {
-                    frontier.refill_from(&mut staged, s, |_| true);
-                    continue;
-                }
-                let (start, end) = plan.range(s);
-                let view = ShardView::over(&self.offsets, &self.targets, start, end);
-                frontier.refill_from(&mut staged, s, |u| {
-                    view.targets_of(u).iter().any(|&t| !informed.contains(t))
-                });
-            }
-        }
-
-        FastFloodOutcome {
-            n,
-            horizon: self.horizon,
-            completion_round,
-            informed_by_round,
-            informed,
-        }
-    }
-
-    /// The 64-lane batch executed shard-at-a-time; **bit-identical** to
-    /// [`run_batch`](Self::run_batch) for every plan. The graph variant
-    /// keeps the union frontier as one list per shard and merges the
-    /// staged cross-shard lane masks after each round's shard passes;
-    /// the tree variant replays the topological resolution over the
-    /// (BFS level, shard)-grouped order — parents still precede
-    /// children, and every batch output is a per-node value or multiset
-    /// statistic, so the grouping cannot change any bit.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `p ∉ [0, 1)` or the plan covers a different node
-    /// count.
-    #[must_use]
-    pub fn run_batch_sharded(&self, plan: &ShardPlan, p: f64, block_seed: u64) -> FastFloodBatch {
-        assert!((0.0..1.0).contains(&p), "failure probability out of range");
-        assert_eq!(plan.node_count(), self.n, "plan/graph node count mismatch");
-        let model = Omission::new(p);
-        let tapes = FaultTapes::new(block_seed);
-        match self.variant {
-            FastFloodVariant::Tree => {
-                self.run_batch_tree(&model, &tapes, &self.sharded_order(plan))
-            }
-            FastFloodVariant::Graph => self.run_batch_graph_sharded(plan, &model, &tapes),
-        }
-    }
-
-    /// The BFS order re-grouped by (level, shard): a stable re-sort
-    /// that keeps parents ahead of children (levels ascend) while
-    /// making each level's slice contiguous per shard — the
-    /// shard-at-a-time iteration of the sharded tree batch.
-    fn sharded_order(&self, plan: &ShardPlan) -> Vec<u32> {
-        let level = self.bfs_levels();
-        let mut order = self.order.clone();
-        order.sort_by_key(|&v| (level[v as usize], plan.shard_of(v)));
-        order
-    }
-
-    /// Per-node BFS depth along transmission targets (`u32::MAX` for
-    /// nodes unreachable from the source). First-write-wins over the
-    /// BFS order, so graph-variant cross edges cannot inflate a depth —
-    /// for trees this is simply the unique root distance.
-    fn bfs_levels(&self) -> Vec<u32> {
-        let mut level = vec![u32::MAX; self.n];
-        level[self.source as usize] = 0;
-        for &v in &self.order {
-            for &t in self.targets_of(v as usize) {
-                if level[t as usize] == u32::MAX {
-                    level[t as usize] = level[v as usize] + 1;
-                }
-            }
-        }
-        level
-    }
-
-    /// Graph-variant sharded batch backend: the
-    /// [`run_batch_graph`](Self::run_batch_graph) evolution with the
-    /// union frontier kept per shard. Lane-mask accumulation
-    /// (`insert_masked`, pending unions, count planes) is value-based,
-    /// so replaying a round's frontier shard-by-shard instead of in
-    /// push order leaves every word identical.
-    fn run_batch_graph_sharded<M: FaultModel + ?Sized>(
-        &self,
-        plan: &ShardPlan,
-        model: &M,
-        tapes: &FaultTapes,
-    ) -> FastFloodBatch {
-        let n = self.n;
-        let k = plan.shard_count();
-        let reach = self.bfs_order().len();
-        let mut informed = BatchedInformedSet::new(n);
-        informed.insert_masked(self.source, !0);
-        let almost_target = n.saturating_sub(1).max(1) as u64;
-
-        let mut completion_round: Vec<Option<usize>> = vec![None; LANES];
-        let mut almost_round: Vec<Option<usize>> = vec![None; LANES];
-        let mut completed: LaneMask = 0;
-        let mut almost_done: LaneMask = 0;
-        if n == 1 {
-            completed = !0;
-            completion_round.fill(Some(0));
-        }
-        if 1 >= almost_target {
-            almost_done = !0;
-            almost_round.fill(Some(0));
-        }
-
-        let plane_width = (usize::BITS - n.leading_zeros()) as usize;
-        let mut count_arena: Vec<u64> = Vec::new();
-        let mut executed = 0usize;
-
-        // The union frontier of the monolithic backend, as one list per
-        // shard; masks carry the same superset discipline.
-        let mut frontier: Vec<Vec<u32>> = vec![Vec::new(); k];
-        let mut frontier_mask = vec![0u64; n];
-        let mut in_frontier = vec![false; n];
-        if !self.targets_of(self.source as usize).is_empty() {
-            frontier[plan.shard_of(self.source)].push(self.source);
-            frontier_mask[self.source as usize] = !0;
-            in_frontier[self.source as usize] = true;
-        }
-        let mut pending = vec![0u64; n];
-        let mut pending_nodes: Vec<u32> = Vec::new();
-
-        let mut live: LaneMask = if reach > 1 { !0 } else { 0 };
-
-        for round in 1..=self.horizon {
-            if live == 0 {
-                break;
-            }
-            executed += 1;
-            pending_nodes.clear();
-            let mut changed = false;
-
-            for (s, list) in frontier.iter_mut().enumerate() {
-                if list.is_empty() {
-                    continue;
-                }
-                let (start, end) = plan.range(s);
-                let view = ShardView::over(&self.offsets, &self.targets, start, end);
-                let mut write = 0usize;
-                for i in 0..list.len() {
-                    let v = list[i];
-                    let fm = frontier_mask[v as usize] & live;
-                    if fm == 0 {
-                        frontier_mask[v as usize] = 0;
-                        in_frontier[v as usize] = false;
-                        continue;
-                    }
-                    let fail = model.corrupt_mask(tapes, fault_site(round, v), v, fm);
-                    let succ = fm & !fail;
-                    if succ != 0 {
-                        for &t in view.targets_of(v) {
-                            let newly = informed.insert_masked(t, succ);
-                            if newly != 0 {
-                                changed = true;
-                                if pending[t as usize] == 0 {
-                                    pending_nodes.push(t);
-                                }
-                                pending[t as usize] |= newly;
-                            }
-                        }
-                    }
-                    let keep = fm & fail;
-                    frontier_mask[v as usize] = keep;
-                    if keep != 0 {
-                        list[write] = v;
-                        write += 1;
-                    } else {
-                        in_frontier[v as usize] = false;
-                    }
-                }
-                list.truncate(write);
-            }
-            // Merge the staged cross-shard frontier masks after all of
-            // the round's shard passes, exactly as the monolithic
-            // backend merges after its single pass.
-            for &t in &pending_nodes {
-                frontier_mask[t as usize] |= pending[t as usize];
-                pending[t as usize] = 0;
-                if !in_frontier[t as usize] {
-                    in_frontier[t as usize] = true;
-                    frontier[plan.shard_of(t)].push(t);
-                }
-            }
-
-            count_arena.extend_from_slice(informed.counts().planes());
-            count_arena.resize(executed * plane_width, 0);
-
-            if changed {
-                let comp = informed.counts().eq_mask(n as u64) & !completed;
-                record_crossings(comp, round, &mut completion_round);
-                completed |= comp;
-                if almost_done != !0 {
-                    let almost = informed.counts().ge_mask(almost_target) & !almost_done;
-                    record_crossings(almost, round, &mut almost_round);
-                    almost_done |= almost;
-                }
-                live &= !informed.counts().ge_mask(reach as u64);
-            }
-        }
-
-        FastFloodBatch {
-            n,
-            horizon: self.horizon,
-            informed,
-            completion_round,
-            almost_round,
-            curve: BatchCurve::Rounds {
-                reach,
-                plane_width,
-                count_arena,
-                executed,
-            },
-        }
-    }
-
-    /// [`run_batch_sharded`](Self::run_batch_sharded) with the round's
-    /// independent shard passes fanned across up to `threads` scoped
-    /// workers; **byte-identical** to the single-threaded sharded batch
-    /// (and hence to the monolithic batch) for every `threads × plan`
-    /// combination. Workers only read the round's frozen state and
-    /// return their writes as data; the sequential ascending-shard
-    /// merge then replays the exact write sequence of the
-    /// single-threaded pass (see DESIGN.md, "Parallel shard passes").
-    ///
-    /// The tree variant's topological resolution is a sequential scan,
-    /// so it delegates to the sequential sharded batch unchanged.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `p ∉ [0, 1)` or the plan covers a different node
-    /// count.
-    #[must_use]
-    pub fn run_batch_sharded_threads(
-        &self,
-        plan: &ShardPlan,
-        p: f64,
-        block_seed: u64,
-        threads: usize,
-    ) -> FastFloodBatch {
-        assert!((0.0..1.0).contains(&p), "failure probability out of range");
-        let model = Omission::new(p);
-        let tapes = FaultTapes::new(block_seed);
-        self.run_batch_sharded_model_threads(plan, &model, &tapes, threads)
-    }
-
-    /// [`run_batch_sharded_model`](Self::run_batch_sharded_model) with
-    /// thread-parallel shard passes; byte-identical to it for every
-    /// thread count. Only the silent graph-variant pass parallelizes —
-    /// the tree resolution and the corrupted-value pass are sequential
-    /// scans and delegate unchanged.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the plan covers a different node count.
-    #[must_use]
-    pub fn run_batch_sharded_model_threads<M: FaultModel + Sync + ?Sized>(
-        &self,
-        plan: &ShardPlan,
-        model: &M,
-        tapes: &FaultTapes,
-        threads: usize,
-    ) -> FastFloodBatch {
-        assert_eq!(plan.node_count(), self.n, "plan/graph node count mismatch");
-        match model.kind() {
-            CorruptionKind::Silent => match self.variant {
-                FastFloodVariant::Tree => {
-                    self.run_batch_tree(model, tapes, &self.sharded_order(plan))
-                }
-                FastFloodVariant::Graph => {
-                    if threads <= 1 || plan.shard_count() <= 1 {
-                        self.run_batch_graph_sharded(plan, model, tapes)
-                    } else {
-                        self.run_batch_graph_sharded_threads(plan, model, tapes, threads)
-                    }
-                }
-            },
-            _ => self.run_batch_values(model, tapes, &self.sharded_order(plan)),
-        }
-    }
-
-    /// Thread-parallel evolution of
-    /// [`run_batch_graph_sharded`](Self::run_batch_graph_sharded).
-    /// Each worker runs whole shard passes against the round's frozen
-    /// state (`frontier_mask` rows of its own shards, the lane masks of
-    /// the start-of-round informed set, `live`) and returns deferred
-    /// writes: delivery events `(target, success mask)` in visit order,
-    /// the retained frontier nodes with their kept masks, and the
-    /// dropped nodes. The merge applies shard results in ascending
-    /// shard order, so every `insert_masked` and `pending_nodes` push
-    /// happens in exactly the single-threaded sequence.
-    fn run_batch_graph_sharded_threads<M: FaultModel + Sync + ?Sized>(
-        &self,
-        plan: &ShardPlan,
-        model: &M,
-        tapes: &FaultTapes,
-        threads: usize,
-    ) -> FastFloodBatch {
-        struct ShardPass {
-            /// Delivery events bucketed by the *listener's* shard, so
-            /// the merge fans out over listener ranges.
-            events: Vec<Vec<(u32, LaneMask)>>,
-            retained: Vec<(u32, LaneMask)>,
-            dropped: Vec<u32>,
-        }
-
-        /// One listener shard's slice of the merge state: the event
-        /// buckets addressed to it (transmit shards ascending), its
-        /// frontier list, and its `split_at_mut` windows of the shared
-        /// node-indexed planes.
-        struct MergeSlice<'a> {
-            buckets: Vec<Vec<(u32, LaneMask)>>,
-            retained: Vec<(u32, LaneMask)>,
-            dropped: Vec<u32>,
-            frontier: Vec<u32>,
-            masks: &'a mut [u64],
-            pending: &'a mut [u64],
-            frontier_mask: &'a mut [u64],
-            in_frontier: &'a mut [bool],
-        }
-
-        let n = self.n;
-        let k = plan.shard_count();
-        let reach = self.bfs_order().len();
-        let mut informed = BatchedInformedSet::new(n);
-        informed.insert_masked(self.source, !0);
-        let almost_target = n.saturating_sub(1).max(1) as u64;
-
-        let mut completion_round: Vec<Option<usize>> = vec![None; LANES];
-        let mut almost_round: Vec<Option<usize>> = vec![None; LANES];
-        let mut completed: LaneMask = 0;
-        let mut almost_done: LaneMask = 0;
-        if n == 1 {
-            completed = !0;
-            completion_round.fill(Some(0));
-        }
-        if 1 >= almost_target {
-            almost_done = !0;
-            almost_round.fill(Some(0));
-        }
-
-        let plane_width = (usize::BITS - n.leading_zeros()) as usize;
-        let mut count_arena: Vec<u64> = Vec::new();
-        let mut executed = 0usize;
-
-        let mut frontier: Vec<Vec<u32>> = vec![Vec::new(); k];
-        let mut frontier_mask = vec![0u64; n];
-        let mut in_frontier = vec![false; n];
-        if !self.targets_of(self.source as usize).is_empty() {
-            frontier[plan.shard_of(self.source)].push(self.source);
-            frontier_mask[self.source as usize] = !0;
-            in_frontier[self.source as usize] = true;
-        }
-        let mut pending = vec![0u64; n];
-
-        let mut live: LaneMask = if reach > 1 { !0 } else { 0 };
-
-        for round in 1..=self.horizon {
-            if live == 0 {
-                break;
-            }
-            executed += 1;
-            let mut changed = false;
-
-            // Parallel phase: every read is against state frozen for
-            // the round (workers write nothing shared), so shard
-            // results are independent of scheduling.
-            let passes = {
-                let frontier = &frontier;
-                let frontier_mask = &frontier_mask;
-                let informed = &informed;
-                shard_passes(k, threads, |s| {
-                    let mut pass = ShardPass {
-                        events: vec![Vec::new(); k],
-                        retained: Vec::new(),
-                        dropped: Vec::new(),
-                    };
-                    if frontier[s].is_empty() {
-                        return pass;
-                    }
-                    let (start, end) = plan.range(s);
-                    let view = ShardView::over(&self.offsets, &self.targets, start, end);
-                    for &v in &frontier[s] {
-                        let fm = frontier_mask[v as usize] & live;
-                        if fm == 0 {
-                            pass.dropped.push(v);
-                            continue;
-                        }
-                        let fail = model.corrupt_mask(tapes, fault_site(round, v), v, fm);
-                        let succ = fm & !fail;
-                        if succ != 0 {
-                            for &t in view.targets_of(v) {
-                                // Pre-filter against the frozen lanes:
-                                // the merge-time newly mask is a subset,
-                                // so a frozen-zero event writes nothing
-                                // in the single-threaded sequence
-                                // either.
-                                if succ & !informed.lanes(t) != 0 {
-                                    pass.events[plan.shard_of(t)].push((t, succ));
-                                }
-                            }
-                        }
-                        let keep = fm & fail;
-                        if keep != 0 {
-                            pass.retained.push((v, keep));
-                        } else {
-                            pass.dropped.push(v);
-                        }
-                    }
-                    pass
-                })
-            };
-
-            // Parallel merge over listener shards: shard `l`'s event
-            // stream (transmit shards ascending, emission order within
-            // each) is the restriction of the sequential merge order to
-            // listeners in `l`, and every plane it writes — informed
-            // masks, pending masks, frontier membership — is indexed by
-            // nodes of `l` alone, handed out via `split_at_mut`. Each
-            // worker accumulates its own LaneCounter delta; the
-            // ascending fold below replays the exact counter sums, and
-            // the counter is only *observed* after the fold.
-            let slices: Vec<MergeSlice> = {
-                let (masks, _) = informed.parts_mut();
-                let mut masks_rest: &mut [u64] = masks;
-                let mut pending_rest: &mut [u64] = &mut pending;
-                let mut fmask_rest: &mut [u64] = &mut frontier_mask;
-                let mut infr_rest: &mut [bool] = &mut in_frontier;
-                let mut slices: Vec<MergeSlice> = Vec::with_capacity(k);
-                for (s, list) in frontier.iter_mut().enumerate() {
-                    let (start, end) = plan.range(s);
-                    let rows = (end - start) as usize;
-                    let (masks, m_rest) = std::mem::take(&mut masks_rest).split_at_mut(rows);
-                    let (pending, p_rest) = std::mem::take(&mut pending_rest).split_at_mut(rows);
-                    let (frontier_mask, f_rest) =
-                        std::mem::take(&mut fmask_rest).split_at_mut(rows);
-                    let (in_frontier, i_rest) = std::mem::take(&mut infr_rest).split_at_mut(rows);
-                    masks_rest = m_rest;
-                    pending_rest = p_rest;
-                    fmask_rest = f_rest;
-                    infr_rest = i_rest;
-                    slices.push(MergeSlice {
-                        buckets: Vec::with_capacity(k),
-                        retained: Vec::new(),
-                        dropped: Vec::new(),
-                        frontier: std::mem::take(list),
-                        masks,
-                        pending,
-                        frontier_mask,
-                        in_frontier,
-                    });
-                }
-                for (s, pass) in passes.into_iter().enumerate() {
-                    for (l, bucket) in pass.events.into_iter().enumerate() {
-                        slices[l].buckets.push(bucket);
-                    }
-                    slices[s].retained = pass.retained;
-                    slices[s].dropped = pass.dropped;
-                }
-                slices
-            };
-            let merged = range_passes(slices, threads, |l, mut slice| {
-                let (start, _) = plan.range(l);
-                slice.frontier.clear();
-                for &(v, keep) in &slice.retained {
-                    slice.frontier_mask[(v - start) as usize] = keep;
-                    slice.frontier.push(v);
-                }
-                for &v in &slice.dropped {
-                    slice.frontier_mask[(v - start) as usize] = 0;
-                    slice.in_frontier[(v - start) as usize] = false;
-                }
-                let mut delta = LaneCounter::new();
-                let mut changed = false;
-                let mut pending_nodes: Vec<u32> = Vec::new();
-                for bucket in &slice.buckets {
-                    for &(t, succ) in bucket {
-                        let ti = (t - start) as usize;
-                        let newly = succ & !slice.masks[ti];
-                        if newly != 0 {
-                            slice.masks[ti] |= newly;
-                            delta.add_masked(newly, 1);
-                            changed = true;
-                            if slice.pending[ti] == 0 {
-                                pending_nodes.push(t);
-                            }
-                            slice.pending[ti] |= newly;
-                        }
-                    }
-                }
-                for &t in &pending_nodes {
-                    let ti = (t - start) as usize;
-                    slice.frontier_mask[ti] |= slice.pending[ti];
-                    slice.pending[ti] = 0;
-                    if !slice.in_frontier[ti] {
-                        slice.in_frontier[ti] = true;
-                        slice.frontier.push(t);
-                    }
-                }
-                (slice.frontier, delta, changed)
-            });
-            {
-                let (_, counts) = informed.parts_mut();
-                for (list, (new_list, delta, shard_changed)) in frontier.iter_mut().zip(merged) {
-                    *list = new_list;
-                    counts.add_counter(&delta);
-                    changed |= shard_changed;
-                }
-            }
-
-            count_arena.extend_from_slice(informed.counts().planes());
-            count_arena.resize(executed * plane_width, 0);
-
-            if changed {
-                let comp = informed.counts().eq_mask(n as u64) & !completed;
-                record_crossings(comp, round, &mut completion_round);
-                completed |= comp;
-                if almost_done != !0 {
-                    let almost = informed.counts().ge_mask(almost_target) & !almost_done;
-                    record_crossings(almost, round, &mut almost_round);
-                    almost_done |= almost;
-                }
-                live &= !informed.counts().ge_mask(reach as u64);
-            }
-        }
-
-        FastFloodBatch {
-            n,
-            horizon: self.horizon,
-            informed,
-            completion_round,
-            almost_round,
-            curve: BatchCurve::Rounds {
-                reach,
-                plane_width,
-                count_arena,
-                executed,
-            },
-        }
-    }
-
-    /// Runs the model's placement preprocessing against this plan's CSR
-    /// arrays — the BFS-tree child lists for the tree variant, the full
-    /// adjacency for the graph variant. Call once per plan before any
-    /// `*_model` run of a placement-based model.
-    pub fn preprocess<M: FaultModel + ?Sized>(&self, model: &mut M) {
-        match self.variant {
-            FastFloodVariant::Tree => {
-                model.preprocess_tree(&self.offsets, &self.targets, &self.order, self.source);
-            }
-            FastFloodVariant::Graph => {
-                model.preprocess_graph(&self.offsets, &self.targets, self.source);
-            }
-        }
-    }
-
-    /// [`run_lane`](Self::run_lane) under an arbitrary [`FaultModel`].
-    /// `Silent` models run the frontier replay (byte-identical to the
-    /// omission path for [`Omission`]); corrupted-value models
-    /// (`Flip` / `Lie`) run the deterministic-timing value pass — every
-    /// transmission delivers, so node `v` is informed exactly at its
-    /// BFS depth, and the adversary decides which lanes receive the
-    /// *correct* value. The outcome's informed set and growth curve
-    /// then track the **correctly informed** nodes.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lane ≥ 64`.
-    #[must_use]
-    pub fn run_lane_model<M: FaultModel + ?Sized>(
-        &self,
-        model: &M,
-        tapes: &FaultTapes,
-        lane: u32,
-    ) -> FastFloodOutcome {
-        assert!((lane as usize) < LANES, "lane out of range");
-        match model.kind() {
-            CorruptionKind::Silent => self.run_lane_silent(model, tapes, lane),
-            _ => self.run_lane_values(model, tapes, lane),
-        }
-    }
-
-    /// [`run_batch`](Self::run_batch) under an arbitrary
-    /// [`FaultModel`]; lane `k` is byte-identical to
-    /// [`run_lane_model`](Self::run_lane_model)`(model, tapes, k)`.
-    /// See [`run_lane_model`](Self::run_lane_model) for the
-    /// corrupted-value semantics.
-    #[must_use]
-    pub fn run_batch_model<M: FaultModel + ?Sized>(
-        &self,
-        model: &M,
-        tapes: &FaultTapes,
-    ) -> FastFloodBatch {
-        match model.kind() {
-            CorruptionKind::Silent => match self.variant {
-                FastFloodVariant::Tree => self.run_batch_tree(model, tapes, self.bfs_order()),
-                FastFloodVariant::Graph => self.run_batch_graph(model, tapes),
-            },
-            _ => self.run_batch_values(model, tapes, self.bfs_order()),
-        }
-    }
-
-    /// [`run_lane_sharded`](Self::run_lane_sharded) under an arbitrary
-    /// [`FaultModel`]; bit-identical to
-    /// [`run_lane_model`](Self::run_lane_model) for every plan. A
-    /// corrupted-value model has deterministic timing — the value pass
-    /// touches each CSR row once and its outputs are per-node values,
-    /// so there is nothing to shard and the plan only checks shape.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lane ≥ 64` or the plan covers a different node count.
-    #[must_use]
-    pub fn run_lane_sharded_model<M: FaultModel + ?Sized>(
-        &self,
-        plan: &ShardPlan,
-        model: &M,
-        tapes: &FaultTapes,
-        lane: u32,
-    ) -> FastFloodOutcome {
-        assert!((lane as usize) < LANES, "lane out of range");
-        assert_eq!(plan.node_count(), self.n, "plan/graph node count mismatch");
-        match model.kind() {
-            CorruptionKind::Silent => self.run_lane_sharded_silent(plan, model, tapes, lane),
-            _ => self.run_lane_values(model, tapes, lane),
-        }
-    }
-
-    /// [`run_batch_sharded`](Self::run_batch_sharded) under an
-    /// arbitrary [`FaultModel`]; bit-identical to
-    /// [`run_batch_model`](Self::run_batch_model) for every plan. The
-    /// corrupted-value pass replays over the (level, shard)-grouped
-    /// order: contributions compose by lane-mask AND and the counting
-    /// pass is per level, so the grouping cannot change any bit.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the plan covers a different node count.
-    #[must_use]
-    pub fn run_batch_sharded_model<M: FaultModel + ?Sized>(
-        &self,
-        plan: &ShardPlan,
-        model: &M,
-        tapes: &FaultTapes,
-    ) -> FastFloodBatch {
-        assert_eq!(plan.node_count(), self.n, "plan/graph node count mismatch");
-        match model.kind() {
-            CorruptionKind::Silent => match self.variant {
-                FastFloodVariant::Tree => {
-                    self.run_batch_tree(model, tapes, &self.sharded_order(plan))
-                }
-                FastFloodVariant::Graph => self.run_batch_graph_sharded(plan, model, tapes),
-            },
-            _ => self.run_batch_values(model, tapes, &self.sharded_order(plan)),
-        }
-    }
-
     /// Corrupted-value scalar backend: deliveries always succeed, so
     /// timing is the deterministic BFS schedule and only message
     /// *values* are at stake. Node `t` at depth `d` hears all of its
@@ -1536,21 +657,24 @@ impl FastFlood {
     /// only when uncorrupted and holding it. The returned informed set
     /// and growth curve track the correctly informed nodes (the
     /// quantity the paper's malicious feasibility results are about).
+    /// The pass touches each CSR row once and reads the whole arrays in
+    /// RAM, so the shard plan has nothing to change.
     fn run_lane_values<M: FaultModel + ?Sized>(
         &self,
         model: &M,
         tapes: &FaultTapes,
         lane: u32,
     ) -> FastFloodOutcome {
-        let n = self.n;
+        let ram = self.ram();
+        let n = self.node_count();
         let level = self.bfs_levels();
-        let order = self.bfs_order();
+        let order = &self.order;
         let max_depth = order
             .iter()
             .map(|&v| level[v as usize] as usize)
             .max()
             .unwrap_or(0);
-        let levels = max_depth.min(self.horizon);
+        let levels = max_depth.min(self.horizon());
 
         // Every reachable node within the horizon is informed at its
         // depth; values start true and parent contributions AND in.
@@ -1565,7 +689,7 @@ impl FastFlood {
             if du >= levels {
                 break; // order is level-sorted: no transmitters left
             }
-            let targets = self.targets_of(u as usize);
+            let targets = ram.targets_of(u);
             if targets.is_empty() {
                 continue;
             }
@@ -1582,7 +706,7 @@ impl FastFlood {
         }
 
         let mut informed = InformedSet::new(n);
-        informed.insert(self.source);
+        informed.insert(self.passes.source);
         let mut informed_by_round = Vec::with_capacity(levels + 1);
         informed_by_round.push(1);
         let mut completion_round = (n == 1).then_some(0);
@@ -1605,7 +729,7 @@ impl FastFlood {
 
         FastFloodOutcome {
             n,
-            horizon: self.horizon,
+            horizon: self.horizon(),
             completion_round,
             informed_by_round,
             informed,
@@ -1614,28 +738,27 @@ impl FastFlood {
 
     /// Corrupted-value batch backend: the 64-lane value pass of
     /// [`run_lane_values`](Self::run_lane_values). Contributions are
-    /// lane masks composed by AND — commutative, so any level-sorted
-    /// `order` (the BFS order or its shard-grouped permutation)
-    /// produces bit-identical results. The per-level counting pass
-    /// snapshots the correct-count planes in the same arena layout as
-    /// the graph-variant silent backend, so
+    /// lane masks composed by AND over the level-sorted BFS order. The
+    /// per-level counting pass snapshots the correct-count planes in
+    /// the same arena layout as the graph-variant silent pass, so
     /// [`FastFloodBatch::lane_outcome`] reconstructs each lane's
     /// correct-count curve unchanged.
     fn run_batch_values<M: FaultModel + ?Sized>(
         &self,
         model: &M,
         tapes: &FaultTapes,
-        order: &[u32],
     ) -> FastFloodBatch {
-        let n = self.n;
+        let ram = self.ram();
+        let n = self.node_count();
         let level = self.bfs_levels();
+        let order = &self.order;
         let reach = order.len();
         let max_depth = order
             .iter()
             .map(|&v| level[v as usize] as usize)
             .max()
             .unwrap_or(0);
-        let levels = max_depth.min(self.horizon);
+        let levels = max_depth.min(self.horizon());
 
         let mut value_masks = vec![0u64; n];
         for &v in order {
@@ -1648,7 +771,7 @@ impl FastFlood {
             if du >= levels {
                 break;
             }
-            let targets = self.targets_of(u as usize);
+            let targets = ram.targets_of(u);
             if targets.is_empty() {
                 continue;
             }
@@ -1664,22 +787,7 @@ impl FastFlood {
             }
         }
 
-        let almost_target = n.saturating_sub(1).max(1) as u64;
-        let mut completion_round: Vec<Option<usize>> = vec![None; LANES];
-        let mut almost_round: Vec<Option<usize>> = vec![None; LANES];
-        let mut completed: LaneMask = 0;
-        let mut almost_done: LaneMask = 0;
-        if n == 1 {
-            completed = !0;
-            completion_round.fill(Some(0));
-        }
-        if 1 >= almost_target {
-            almost_done = !0;
-            almost_round.fill(Some(0));
-        }
-
-        let plane_width = (usize::BITS - n.leading_zeros()) as usize;
-        let mut count_arena: Vec<u64> = Vec::with_capacity(levels * plane_width);
+        let mut rounds = LaneRounds::new(n);
         let mut counts = LaneCounter::new();
         counts.add_masked(!0, 1); // the source holds the true value everywhere
         let mut i = 1;
@@ -1688,45 +796,29 @@ impl FastFlood {
                 counts.add_masked(value_masks[order[i] as usize], 1);
                 i += 1;
             }
-            count_arena.extend_from_slice(counts.planes());
-            count_arena.resize(l * plane_width, 0);
-            let comp = counts.eq_mask(n as u64) & !completed;
-            record_crossings(comp, l, &mut completion_round);
-            completed |= comp;
-            if almost_done != !0 {
-                let almost = counts.ge_mask(almost_target) & !almost_done;
-                record_crossings(almost, l, &mut almost_round);
-                almost_done |= almost;
-            }
+            rounds.end_round(&counts, l, true);
         }
 
-        FastFloodBatch {
-            n,
-            horizon: self.horizon,
-            informed: BatchedInformedSet::from_parts(value_masks, counts),
-            completion_round,
-            almost_round,
-            curve: BatchCurve::Rounds {
-                reach,
-                plane_width,
-                count_arena,
-                executed: levels,
-            },
-        }
+        FastFloodBatch::from_rounds(
+            BatchedInformedSet::from_parts(value_masks, counts),
+            self.horizon(),
+            reach,
+            rounds,
+        )
     }
 }
 
-/// Out-of-core graph-variant flooding: the [`FastFlood::run_lane`]
-/// algorithm executed against a [`ShardStore`], loading one shard's
-/// CSR rows at a time through a reusable [`ShardScratch`] so peak RSS
-/// stays near one shard plus the node-level state — the `n = 10⁸`
-/// path. Outcomes are **bit-identical** to [`FastFlood::run_lane`]
-/// with [`FastFloodVariant::Graph`] on the same adjacency: the coin
-/// tape and sites are the same, and the round evolution is set-based.
+/// Flooding over a [`ShardStore`] — RAM or disk segments — loading one
+/// shard's CSR rows at a time, so peak RSS on disk stays near one shard
+/// plus the node-level state: the `n = 10⁸` path. Its scalar-lane and
+/// 64-lane passes are the ones [`FastFlood`] runs over its in-RAM store,
+/// so outcomes are **bit-identical** to [`FastFlood::run_lane`] /
+/// [`FastFlood::run_batch`] with [`FastFloodVariant::Graph`] on the same
+/// adjacency, for every store, plan and prefetch setting.
 ///
-/// Only the graph variant is offered out of core: the tree variant
-/// would first need a whole-graph BFS-tree construction, which defeats
-/// the bounded-memory point.
+/// Only the graph variant is offered over arbitrary stores: the tree
+/// variant would first need a whole-graph BFS-tree construction, which
+/// defeats the bounded-memory point.
 pub struct ShardedFlood {
     store: ShardStore,
     source: u32,
@@ -1790,14 +882,7 @@ impl ShardedFlood {
 
     /// Scalar lane replay over the shard store; bit-identical to
     /// [`FastFlood::run_lane`] with [`FastFloodVariant::Graph`] on the
-    /// same adjacency. Each round makes two shard-at-a-time passes:
-    /// one transmitting from the frontier, one re-filtering the staged
-    /// frontier against the end-of-round informed set (the monolithic
-    /// round-boundary filter, shard by shard). Disk-backed passes are
-    /// served by the [`PassLoader`]: full segment reads overlapped with
-    /// the previous shard's compute, or coalesced sparse row reads when
-    /// a pass touches a small fraction of a shard — both
-    /// outcome-invisible.
+    /// same adjacency.
     ///
     /// # Errors
     ///
@@ -1813,141 +898,13 @@ impl ShardedFlood {
         block_seed: u64,
         lane: u32,
     ) -> Result<FastFloodOutcome, ShardError> {
-        assert!((0.0..1.0).contains(&p), "failure probability out of range");
-        assert!((lane as usize) < LANES, "lane out of range");
-        self.run_lane_model(&Omission::new(p), &FaultTapes::new(block_seed), lane)
-    }
-
-    /// [`run_lane`](Self::run_lane) under an arbitrary `Silent`
-    /// [`FaultModel`]. Run [`FaultModel::preprocess_graph`] against the
-    /// in-core CSR before sharding if the model needs placement.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ShardError::SegmentIo`] (and friends) if a disk
-    /// segment cannot be read.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lane ≥ 64` or the model is not `Silent` — a
-    /// corrupted-value flood has deterministic timing and needs no
-    /// out-of-core frontier at all (use
-    /// [`FastFlood::run_lane_model`]).
-    pub fn run_lane_model<M: FaultModel + ?Sized>(
-        &self,
-        model: &M,
-        tapes: &FaultTapes,
-        lane: u32,
-    ) -> Result<FastFloodOutcome, ShardError> {
-        assert!((lane as usize) < LANES, "lane out of range");
-        assert!(
-            model.kind() == CorruptionKind::Silent,
-            "out-of-core flooding supports silent fault models only"
-        );
-        let plan = self.store.plan().clone();
-        let n = plan.node_count();
-        let k = plan.shard_count();
-        let mut loader = PassLoader::new(&self.store, self.prefetch);
-        let mut sorted: Vec<u32> = Vec::new();
-        let mut full_pass: Vec<usize> = Vec::new();
-        let mut informed = InformedSet::new(n);
-        informed.insert(self.source);
-        let mut informed_by_round = Vec::with_capacity(self.horizon.min(1024) + 1);
-        informed_by_round.push(1);
-        let mut completion_round = (n == 1).then_some(0);
-
-        let mut frontier = ShardFrontier::new(k);
-        let mut staged = ShardFrontier::new(k);
-        {
-            let src_shard = plan.shard_of(self.source);
-            let sparse = loader.use_sparse(src_shard, 1);
-            if !sparse {
-                loader.begin_pass(&[src_shard]);
-            }
-            sorted.clear();
-            sorted.push(self.source);
-            let view = loader.view_pass(src_shard, &sorted, sparse)?;
-            if view
-                .targets_of(self.source)
-                .iter()
-                .any(|&t| !informed.contains(t))
-            {
-                frontier.push(src_shard, self.source);
-            }
-        }
-
-        for round in 1..=self.horizon {
-            if frontier.is_empty() {
-                break;
-            }
-            full_pass.clear();
-            for s in 0..k {
-                let len = frontier.shard(s).len();
-                if len > 0 && !loader.use_sparse(s, len) {
-                    full_pass.push(s);
-                }
-            }
-            loader.begin_pass(&full_pass);
-            for s in 0..k {
-                if frontier.shard(s).is_empty() {
-                    continue;
-                }
-                let sparse = loader.use_sparse(s, frontier.shard(s).len());
-                if sparse {
-                    sorted.clear();
-                    sorted.extend_from_slice(frontier.shard(s));
-                    sorted.sort_unstable();
-                }
-                let view = loader.view_pass(s, &sorted, sparse)?;
-                for &u in frontier.shard(s) {
-                    if model.corrupt_lane(tapes, fault_site(round, u), u, lane) {
-                        staged.push(s, u);
-                    } else {
-                        for &t in view.targets_of(u) {
-                            if informed.insert(t) {
-                                staged.push(plan.shard_of(t), t);
-                            }
-                        }
-                    }
-                }
-            }
-            informed_by_round.push(informed.count());
-            if completion_round.is_none() && informed.count() == n {
-                completion_round = Some(round);
-            }
-            full_pass.clear();
-            for s in 0..k {
-                let len = staged.shard(s).len();
-                if len > 0 && !loader.use_sparse(s, len) {
-                    full_pass.push(s);
-                }
-            }
-            loader.begin_pass(&full_pass);
-            for s in 0..k {
-                if staged.shard(s).is_empty() {
-                    frontier.refill_from(&mut staged, s, |_| true);
-                    continue;
-                }
-                let sparse = loader.use_sparse(s, staged.shard(s).len());
-                if sparse {
-                    sorted.clear();
-                    sorted.extend_from_slice(staged.shard(s));
-                    sorted.sort_unstable();
-                }
-                let view = loader.view_pass(s, &sorted, sparse)?;
-                frontier.refill_from(&mut staged, s, |u| {
-                    view.targets_of(u).iter().any(|&t| !informed.contains(t))
-                });
-            }
-        }
-
-        Ok(FastFloodOutcome {
-            n,
-            horizon: self.horizon,
-            completion_round,
-            informed_by_round,
-            informed,
-        })
+        self.lane_pass(
+            self.views(),
+            &Omission::new(p),
+            &FaultTapes::new(block_seed),
+            lane,
+            false,
+        )
     }
 
     /// One batched 64-lane block over the shard store — the lane
@@ -1975,107 +932,190 @@ impl ShardedFlood {
         block_seed: u64,
         reach: usize,
     ) -> Result<FastFloodBatch, ShardError> {
-        assert!((0.0..1.0).contains(&p), "failure probability out of range");
-        self.run_batch_model(&Omission::new(p), &FaultTapes::new(block_seed), reach)
+        self.batch_pass(
+            self.views(),
+            &Omission::new(p),
+            &FaultTapes::new(block_seed),
+            reach,
+        )
     }
 
-    /// [`run_batch`](Self::run_batch) under an arbitrary `Silent`
-    /// [`FaultModel`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ShardError::SegmentIo`] (and friends) if a disk
-    /// segment cannot be read.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the model is not `Silent`.
-    pub fn run_batch_model<M: FaultModel + ?Sized>(
+    /// The per-pass segment reader over the store.
+    fn views(&self) -> PassLoader<'_> {
+        PassLoader::new(&self.store, self.prefetch)
+    }
+
+    /// The scalar lane pass under a `Silent` [`FaultModel`] (a
+    /// corrupted transmission is suppressed). Each round makes two
+    /// shard-at-a-time passes: one transmitting from the frontier, one
+    /// re-filtering the staged frontier against the end-of-round
+    /// informed set (the monolithic round-boundary filter, shard by
+    /// shard). Coins are site-addressed and the round evolution is
+    /// set-based, so the outcome is the same for every plan. Sites are
+    /// per-(node, round), or with `attempt_sites` per-(node, attempt) —
+    /// the tree variant's addressing, where a node's attempts count from
+    /// the round after it was informed. Disk passes are served by the
+    /// [`PassLoader`]: full segment reads overlapped with the previous
+    /// shard's compute, or coalesced sparse row reads when a pass
+    /// touches a small fraction of a shard — both outcome-invisible.
+    fn lane_pass<M: FaultModel + ?Sized>(
         &self,
+        mut views: PassLoader<'_>,
+        model: &M,
+        tapes: &FaultTapes,
+        lane: u32,
+        attempt_sites: bool,
+    ) -> Result<FastFloodOutcome, ShardError> {
+        assert!((lane as usize) < LANES, "lane out of range");
+        let plan = self.store.plan();
+        let n = plan.node_count();
+        let k = plan.shard_count();
+        let mut informed = InformedSet::new(n);
+        informed.insert(self.source);
+        // Each node's inform round, read only by attempt-indexed sites.
+        let mut informed_round = if attempt_sites {
+            vec![0u32; n]
+        } else {
+            Vec::new()
+        };
+        let mut informed_by_round = Vec::with_capacity(self.horizon.min(1024) + 1);
+        informed_by_round.push(1);
+        let mut completion_round = (n == 1).then_some(0);
+
+        let mut frontier = ShardFrontier::new(k);
+        let mut staged = ShardFrontier::new(k);
+        let src_shard = plan.shard_of(self.source);
+        if views
+            .view_list(src_shard, &[self.source])?
+            .targets_of(self.source)
+            .iter()
+            .any(|&t| !informed.contains(t))
+        {
+            frontier.push(src_shard, self.source);
+        }
+
+        for round in 1..=self.horizon {
+            if frontier.is_empty() {
+                break;
+            }
+            views.begin_lists((0..k).map(|s| frontier.shard(s)));
+            for s in 0..k {
+                let list = frontier.shard(s);
+                if list.is_empty() {
+                    continue;
+                }
+                let view = views.view_list(s, list)?;
+                for &u in list {
+                    let site = if attempt_sites {
+                        fault_site(round - 1 - informed_round[u as usize] as usize, u)
+                    } else {
+                        fault_site(round, u)
+                    };
+                    if model.corrupt_lane(tapes, site, u, lane) {
+                        // Failed transmitter: stays in the frontier.
+                        staged.push(s, u);
+                    } else {
+                        for &t in view.targets_of(u) {
+                            if informed.insert(t) {
+                                if attempt_sites {
+                                    informed_round[t as usize] = round as u32;
+                                }
+                                staged.push(plan.shard_of(t), t);
+                            }
+                        }
+                    }
+                }
+            }
+            informed_by_round.push(informed.count());
+            if completion_round.is_none() && informed.count() == n {
+                completion_round = Some(round);
+            }
+            views.begin_lists((0..k).map(|s| staged.shard(s)));
+            for s in 0..k {
+                if staged.shard(s).is_empty() {
+                    frontier.refill_from(&mut staged, s, |_| true);
+                    continue;
+                }
+                let view = views.view_list(s, staged.shard(s))?;
+                frontier.refill_from(&mut staged, s, |u| {
+                    view.targets_of(u).iter().any(|&t| !informed.contains(t))
+                });
+            }
+        }
+
+        Ok(FastFloodOutcome {
+            n,
+            horizon: self.horizon,
+            completion_round,
+            informed_by_round,
+            informed,
+        })
+    }
+
+    /// The 64-lane pass under a `Silent` [`FaultModel`]: the union
+    /// frontier advances round by round, one list per shard, retiring
+    /// lanes whose informed count has reached the closure size `reach`;
+    /// a stale frontier entry (a lane whose targets were covered by
+    /// someone else) only ever performs no-op transmissions before
+    /// washing out. Lane-mask accumulation (`insert_masked`, pending
+    /// unions, count planes) is value-based, so the shard order of a
+    /// round's passes leaves every word identical.
+    fn batch_pass<M: FaultModel + ?Sized>(
+        &self,
+        mut views: PassLoader<'_>,
         model: &M,
         tapes: &FaultTapes,
         reach: usize,
     ) -> Result<FastFloodBatch, ShardError> {
-        assert!(
-            model.kind() == CorruptionKind::Silent,
-            "out-of-core flooding supports silent fault models only"
-        );
-        let plan = self.store.plan().clone();
+        let plan = self.store.plan();
         let n = plan.node_count();
         let k = plan.shard_count();
-        let mut loader = PassLoader::new(&self.store, self.prefetch);
-        let mut sorted: Vec<u32> = Vec::new();
-        let mut full_pass: Vec<usize> = Vec::new();
         let mut informed = BatchedInformedSet::new(n);
         informed.insert_masked(self.source, !0);
-        let almost_target = n.saturating_sub(1).max(1) as u64;
+        let mut rounds = LaneRounds::new(n);
 
-        let mut completion_round: Vec<Option<usize>> = vec![None; LANES];
-        let mut almost_round: Vec<Option<usize>> = vec![None; LANES];
-        let mut completed: LaneMask = 0;
-        let mut almost_done: LaneMask = 0;
-        if n == 1 {
-            completed = !0;
-            completion_round.fill(Some(0));
-        }
-        if 1 >= almost_target {
-            almost_done = !0;
-            almost_round.fill(Some(0));
-        }
-
-        let plane_width = (usize::BITS - n.leading_zeros()) as usize;
-        let mut count_arena: Vec<u64> = Vec::new();
-        let mut executed = 0usize;
-
+        // The union frontier: per shard, the nodes whose
+        // `frontier_mask` has at least one live lane in which the node
+        // may still transmit. Masks are supersets of the exact per-lane
+        // frontiers: a lane stays set after a failed round even if
+        // other transmitters informed all the node's targets meanwhile
+        // (a pure no-op), and is cleared on success, on lane death, or
+        // when the node drains.
         let mut frontier: Vec<Vec<u32>> = vec![Vec::new(); k];
         let mut frontier_mask = vec![0u64; n];
         let mut in_frontier = vec![false; n];
+        let src_shard = plan.shard_of(self.source);
+        if !views
+            .view_list(src_shard, &[self.source])?
+            .targets_of(self.source)
+            .is_empty()
         {
-            let src_shard = plan.shard_of(self.source);
-            let sparse = loader.use_sparse(src_shard, 1);
-            if !sparse {
-                loader.begin_pass(&[src_shard]);
-            }
-            sorted.clear();
-            sorted.push(self.source);
-            let view = loader.view_pass(src_shard, &sorted, sparse)?;
-            if !view.targets_of(self.source).is_empty() {
-                frontier[src_shard].push(self.source);
-                frontier_mask[self.source as usize] = !0;
-                in_frontier[self.source as usize] = true;
-            }
+            frontier[src_shard].push(self.source);
+            frontier_mask[self.source as usize] = !0;
+            in_frontier[self.source as usize] = true;
         }
+        // Lanes newly informed this round join the frontier only for
+        // the *next* round; stage them here.
         let mut pending = vec![0u64; n];
         let mut pending_nodes: Vec<u32> = Vec::new();
 
+        // A lane is live (its replay still executes rounds) while its
+        // informed count is below the closure size.
         let mut live: LaneMask = if reach > 1 { !0 } else { 0 };
 
         for round in 1..=self.horizon {
             if live == 0 {
                 break;
             }
-            executed += 1;
             pending_nodes.clear();
             let mut changed = false;
 
-            full_pass.clear();
-            for (s, list) in frontier.iter().enumerate() {
-                if !list.is_empty() && !loader.use_sparse(s, list.len()) {
-                    full_pass.push(s);
-                }
-            }
-            loader.begin_pass(&full_pass);
+            views.begin_lists(frontier.iter().map(Vec::as_slice));
             for (s, list) in frontier.iter_mut().enumerate() {
                 if list.is_empty() {
                     continue;
                 }
-                let sparse = loader.use_sparse(s, list.len());
-                if sparse {
-                    sorted.clear();
-                    sorted.extend_from_slice(list);
-                    sorted.sort_unstable();
-                }
-                let view = loader.view_pass(s, &sorted, sparse)?;
+                let view = views.view_list(s, list)?;
                 let mut write = 0usize;
                 for i in 0..list.len() {
                     let v = list[i];
@@ -2099,6 +1139,8 @@ impl ShardedFlood {
                             }
                         }
                     }
+                    // A successful lane informed all of v's targets: v
+                    // leaves that lane's frontier. Failed lanes stay.
                     let keep = fm & fail;
                     frontier_mask[v as usize] = keep;
                     if keep != 0 {
@@ -2110,6 +1152,8 @@ impl ShardedFlood {
                 }
                 list.truncate(write);
             }
+            // Merge the staged frontier masks after all of the round's
+            // shard passes.
             for &t in &pending_nodes {
                 frontier_mask[t as usize] |= pending[t as usize];
                 pending[t as usize] = 0;
@@ -2119,35 +1163,18 @@ impl ShardedFlood {
                 }
             }
 
-            count_arena.extend_from_slice(informed.counts().planes());
-            count_arena.resize(executed * plane_width, 0);
-
+            rounds.end_round(informed.counts(), round, changed);
             if changed {
-                let comp = informed.counts().eq_mask(n as u64) & !completed;
-                record_crossings(comp, round, &mut completion_round);
-                completed |= comp;
-                if almost_done != !0 {
-                    let almost = informed.counts().ge_mask(almost_target) & !almost_done;
-                    record_crossings(almost, round, &mut almost_round);
-                    almost_done |= almost;
-                }
                 live &= !informed.counts().ge_mask(reach as u64);
             }
         }
 
-        Ok(FastFloodBatch {
-            n,
-            horizon: self.horizon,
+        Ok(FastFloodBatch::from_rounds(
             informed,
-            completion_round,
-            almost_round,
-            curve: BatchCurve::Rounds {
-                reach,
-                plane_width,
-                count_arena,
-                executed,
-            },
-        })
+            self.horizon,
+            reach,
+            rounds,
+        ))
     }
 }
 
@@ -2193,6 +1220,37 @@ pub struct FastFloodBatch {
 }
 
 impl FastFloodBatch {
+    /// A batch of a round-by-round pass: per-round count snapshots
+    /// over a source component of `reach` nodes.
+    fn from_rounds(
+        informed: BatchedInformedSet,
+        horizon: usize,
+        reach: usize,
+        rounds: LaneRounds,
+    ) -> Self {
+        let LaneRounds {
+            completion_round,
+            almost_round,
+            plane_width,
+            count_arena,
+            executed,
+            ..
+        } = rounds;
+        FastFloodBatch {
+            n: informed.n(),
+            horizon,
+            informed,
+            completion_round,
+            almost_round,
+            curve: BatchCurve::Rounds {
+                reach,
+                plane_width,
+                count_arena,
+                executed,
+            },
+        }
+    }
+
     /// Number of nodes in the graph.
     #[must_use]
     pub fn n(&self) -> usize {
@@ -2638,18 +1696,20 @@ mod tests {
         let csr = CsrGraph::from(&g);
         for variant in [FastFloodVariant::Tree, FastFloodVariant::Graph] {
             let ff = FastFlood::new(csr.clone(), g.node(0), 300, variant);
-            for shards in [1usize, 2, 3, 7] {
-                let plan = ShardPlan::uniform(csr.node_count(), shards);
+            for shards in [2usize, 3, 7] {
+                let sharded = FastFlood::new(csr.clone(), g.node(0), 300, variant)
+                    .with_shard_plan(ShardPlan::uniform(csr.node_count(), shards));
+                assert_eq!(sharded.shard_plan().shard_count(), shards);
                 for p in [0.0, 0.4, 0.9] {
                     let seed = 31 + shards as u64;
                     assert_eq!(
-                        ff.run_batch_sharded(&plan, p, seed),
+                        sharded.run_batch(p, seed),
                         ff.run_batch(p, seed),
                         "batch diverged: {variant:?} shards={shards} p={p}"
                     );
                     for lane in [0u32, 19, 63] {
                         assert_eq!(
-                            ff.run_lane_sharded(&plan, p, seed, lane),
+                            sharded.run_lane(p, seed, lane),
                             ff.run_lane(p, seed, lane),
                             "lane diverged: {variant:?} shards={shards} p={p} lane={lane}"
                         );
@@ -2660,38 +1720,15 @@ mod tests {
     }
 
     #[test]
-    fn thread_parallel_sharded_batch_matches_monolithic_exactly() {
-        let g = generators::gnp_connected(140, 0.03, &mut rand::rngs::SmallRng::seed_from_u64(6));
-        let csr = CsrGraph::from(&g);
-        for variant in [FastFloodVariant::Tree, FastFloodVariant::Graph] {
-            let ff = FastFlood::new(csr.clone(), g.node(0), 300, variant);
-            for shards in [1usize, 2, 3, 7] {
-                let plan = ShardPlan::uniform(csr.node_count(), shards);
-                for p in [0.0, 0.4, 0.9] {
-                    let seed = 131 + shards as u64;
-                    let mono = ff.run_batch(p, seed);
-                    for threads in [1usize, 2, 4, 9] {
-                        assert_eq!(
-                            ff.run_batch_sharded_threads(&plan, p, seed, threads),
-                            mono,
-                            "diverged: {variant:?} shards={shards} threads={threads} p={p}"
-                        );
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
     fn out_of_core_flood_matches_the_monolithic_lane_replay() {
-        use randcast_graph::shard::{default_scratch_dir, ShardStore, ShardedCsr, SpillSink};
+        use randcast_graph::shard::{default_scratch_dir, SpillSink};
         let g = generators::gnp_connected(130, 0.04, &mut rand::rngs::SmallRng::seed_from_u64(8));
         let csr = CsrGraph::from(&g);
         let ff = FastFlood::new(csr.clone(), g.node(0), 400, FastFloodVariant::Graph);
         let plan = ShardPlan::uniform(csr.node_count(), 3);
 
         let ram = ShardedFlood::new(
-            ShardStore::Ram(ShardedCsr::split(&csr, plan.clone())),
+            ShardStore::Ram(RamShards::from_csr(csr.clone(), plan.clone())),
             0,
             400,
         );
@@ -2716,14 +1753,14 @@ mod tests {
 
     #[test]
     fn out_of_core_flood_batch_and_prefetch_are_byte_invisible() {
-        use randcast_graph::shard::{default_scratch_dir, ShardStore, ShardedCsr, SpillSink};
+        use randcast_graph::shard::{default_scratch_dir, SpillSink};
         // Big enough that one-participant rounds go sparse on disk
         // while bulk rounds take full segment views.
         let g = generators::gnp_connected(900, 0.012, &mut rand::rngs::SmallRng::seed_from_u64(31));
         let csr = CsrGraph::from(&g);
         let n = csr.node_count();
         let ff = FastFlood::new(csr.clone(), g.node(0), 400, FastFloodVariant::Graph);
-        let reach = ff.bfs_order().len();
+        let reach = ff.order.len();
         let mono = ff.run_batch(0.3, 55);
         let plan = ShardPlan::uniform(n, 3);
         let mut sink = SpillSink::create(default_scratch_dir(), plan.clone()).unwrap();
@@ -2736,7 +1773,7 @@ mod tests {
         }
         let stores = [
             (
-                ShardStore::Ram(ShardedCsr::split(&csr, plan.clone())),
+                ShardStore::Ram(RamShards::from_csr(csr.clone(), plan.clone())),
                 "ram",
             ),
             (ShardStore::Disk(sink.finalize().unwrap()), "disk"),
@@ -2767,11 +1804,10 @@ mod tests {
         for variant in [FastFloodVariant::Tree, FastFloodVariant::Graph] {
             let ff = plan(&g, 250, variant);
             let model = Omission::new(0.4);
-            let tapes = FaultTapes::new(99);
-            assert_eq!(ff.run_batch_model(&model, &tapes), ff.run_batch(0.4, 99));
+            assert_eq!(ff.run_batch_model(&model, 99), ff.run_batch(0.4, 99));
             for lane in [0u32, 17, 63] {
                 assert_eq!(
-                    ff.run_lane_model(&model, &tapes, lane),
+                    ff.run_lane_model(&model, 99, lane),
                     ff.run_lane(0.4, 99, lane),
                     "{variant:?} lane={lane}"
                 );
@@ -2788,12 +1824,11 @@ mod tests {
             for p in [0.0, 0.3, 0.76] {
                 let models: [&dyn FaultModel; 2] = [&FlipFault::new(p), &LieOrJamFault::new(p)];
                 for model in models {
-                    let tapes = FaultTapes::new(41);
-                    let batch = ff.run_batch_model(model, &tapes);
+                    let batch = ff.run_batch_model(model, 41);
                     for lane in [0u32, 5, 31, 63] {
                         assert_eq!(
                             batch.lane_outcome(lane),
-                            ff.run_lane_model(model, &tapes, lane),
+                            ff.run_lane_model(model, 41, lane),
                             "{variant:?} {} p={p} lane={lane}",
                             model.name()
                         );
@@ -2819,7 +1854,7 @@ mod tests {
         let g = generators::grid(5, 7);
         let d = traversal::radius_from(&g, g.node(0));
         let ff = plan(&g, 100, FastFloodVariant::Graph);
-        let out = ff.run_lane_model(&FlipFault::new(0.0), &FaultTapes::new(1), 0);
+        let out = ff.run_lane_model(&FlipFault::new(0.0), 1, 0);
         assert_eq!(out.completion_round(), Some(d));
         let layers = traversal::bfs_layers(&g, g.node(0));
         let mut cumulative = 0;
@@ -2840,20 +1875,20 @@ mod tests {
             ff.preprocess(&mut placed);
             let flip = FlipFault::new(0.35);
             let models: [&dyn FaultModel; 2] = [&placed, &flip];
-            let tapes = FaultTapes::new(7);
             for model in models {
-                for shards in [1usize, 2, 3, 7] {
-                    let sp = ShardPlan::uniform(csr.node_count(), shards);
+                for shards in [2usize, 3, 7] {
+                    let sharded = FastFlood::new(csr.clone(), g.node(0), 250, variant)
+                        .with_shard_plan(ShardPlan::uniform(csr.node_count(), shards));
                     assert_eq!(
-                        ff.run_batch_sharded_model(&sp, model, &tapes),
-                        ff.run_batch_model(model, &tapes),
+                        sharded.run_batch_model(model, 7),
+                        ff.run_batch_model(model, 7),
                         "{variant:?} {} shards={shards}",
                         model.name()
                     );
                     for lane in [0u32, 9, 63] {
                         assert_eq!(
-                            ff.run_lane_sharded_model(&sp, model, &tapes, lane),
-                            ff.run_lane_model(model, &tapes, lane),
+                            sharded.run_lane_model(model, 7, lane),
+                            ff.run_lane_model(model, 7, lane),
                             "{variant:?} {} shards={shards} lane={lane}",
                             model.name()
                         );
@@ -2868,7 +1903,6 @@ mod tests {
         use crate::kernel::{CorruptionKind, WorstCasePlacement};
         let g = generators::path(4);
         let ff = plan(&g, 40, FastFloodVariant::Tree);
-        let tapes = FaultTapes::new(5);
 
         // frac 0.25 of the 4 non-source nodes pins node 1, the root of
         // the largest subtree on the path 0 → 1 → 2 → 3 → 4.
@@ -2876,7 +1910,7 @@ mod tests {
         ff.preprocess(&mut silent);
         assert_eq!(silent.placed_count(), 1);
         assert!(silent.is_placed(1));
-        let out = ff.run_lane_model(&silent, &tapes, 0);
+        let out = ff.run_lane_model(&silent, 5, 0);
         // Node 1 hears the source, but its own transmissions all fail:
         // everything behind it stays uninformed.
         assert_eq!(out.informed_count(), 2);
@@ -2884,7 +1918,7 @@ mod tests {
 
         let mut flip = WorstCasePlacement::new(0.25, CorruptionKind::Flip);
         ff.preprocess(&mut flip);
-        let out = ff.run_lane_model(&flip, &tapes, 0);
+        let out = ff.run_lane_model(&flip, 5, 0);
         // Deliveries all land on the BFS schedule, but everything
         // behind the flipping node hears the wrong value.
         assert_eq!(out.informed_count(), 2);

@@ -56,6 +56,7 @@ impl InformedSet {
     }
 
     /// Inserts node `v`; returns whether it was newly inserted.
+    #[inline]
     pub fn insert(&mut self, v: u32) -> bool {
         let (w, b) = (v as usize / 64, 1u64 << (v % 64));
         if self.words[w] & b == 0 {
@@ -68,12 +69,14 @@ impl InformedSet {
     }
 
     /// Whether node `v` is in the set.
+    #[inline]
     #[must_use]
     pub fn contains(&self, v: u32) -> bool {
         self.words[v as usize / 64] & (1u64 << (v % 64)) != 0
     }
 
     /// Number of nodes in the set.
+    #[inline]
     #[must_use]
     pub fn count(&self) -> usize {
         self.count
@@ -143,11 +146,13 @@ impl ShardFrontier {
     }
 
     /// Appends node `v` to shard `s`'s list.
+    #[inline]
     pub fn push(&mut self, s: usize, v: u32) {
         self.lists[s].push(v);
     }
 
     /// Shard `s`'s list, in push order.
+    #[inline]
     #[must_use]
     pub fn shard(&self, s: usize) -> &[u32] {
         &self.lists[s]
@@ -155,6 +160,7 @@ impl ShardFrontier {
 
     /// Whether every shard's list is empty — the sharded form of the
     /// monolithic frontier-drained check.
+    #[inline]
     #[must_use]
     pub fn is_empty(&self) -> bool {
         self.lists.iter().all(Vec::is_empty)
@@ -167,6 +173,7 @@ impl ShardFrontier {
     }
 
     /// Clears every shard's list (capacity retained).
+    #[inline]
     pub fn clear(&mut self) {
         for l in &mut self.lists {
             l.clear();
@@ -184,8 +191,10 @@ impl ShardFrontier {
         s: usize,
         mut keep: impl FnMut(u32) -> bool,
     ) {
-        self.lists[s].clear();
-        self.lists[s].extend(staged.lists[s].drain(..).filter(|&v| keep(v)));
+        let (list, from) = (&mut self.lists[s], &mut staged.lists[s]);
+        list.clear();
+        list.extend(from.iter().copied().filter(|&v| keep(v)));
+        from.clear();
     }
 }
 
@@ -430,6 +439,7 @@ impl CollisionCounter {
     }
 
     /// Records one transmission reaching listener `v`.
+    #[inline]
     pub fn add(&mut self, v: u32) {
         let vi = v as usize;
         if self.counts[vi] == 0 {
@@ -496,10 +506,15 @@ impl ShardedCollisions {
 
     /// Records one transmission reaching listener `v`. The shard lookup
     /// runs only on first touch.
+    #[inline]
     pub fn add(&mut self, v: u32) {
         let vi = v as usize;
         if self.counts[vi] == 0 {
-            let s = self.bounds.partition_point(|&b| b <= v) - 1;
+            let s = if self.touched.len() == 1 {
+                0
+            } else {
+                self.bounds.partition_point(|&b| b <= v) - 1
+            };
             self.touched[s].push(v);
         }
         self.counts[vi] = self.counts[vi].saturating_add(1);
@@ -626,6 +641,7 @@ impl BatchTape {
 
     /// The `plane`-th random word of `site`: bit `k` is one unbiased
     /// random bit of lane `k`.
+    #[inline]
     #[must_use]
     pub fn word(&self, site: u64, plane: u32) -> u64 {
         splitmix64(
@@ -635,6 +651,7 @@ impl BatchTape {
 
     /// All 64 lanes' fair coins at `site` (probability 1/2 each), as
     /// one word: bit `k` is lane `k`'s coin.
+    #[inline]
     #[must_use]
     pub fn fair_mask(&self, site: u64) -> LaneMask {
         self.word(site, 0)
@@ -642,6 +659,7 @@ impl BatchTape {
 
     /// Lane `k`'s fair coin at `site` — bit `k` of
     /// [`fair_mask`](Self::fair_mask), exactly.
+    #[inline]
     #[must_use]
     pub fn fair_lane(&self, site: u64, lane: u32) -> bool {
         self.fair_mask(site) >> lane & 1 == 1
@@ -650,6 +668,7 @@ impl BatchTape {
     /// Lane `k`'s 53-bit uniform at `site`, assembled MSB-first from the
     /// same plane words the bit-sliced threshold compare reads:
     /// `uniform53 / 2^53` is the lane's unit uniform.
+    #[inline]
     #[must_use]
     pub fn uniform53(&self, site: u64, lane: u32) -> u64 {
         let mut m = 0u64;
@@ -752,6 +771,7 @@ impl BatchBernoulli {
     /// Lane `k`'s coin at `site` — bit `k` of [`mask`](Self::mask),
     /// exactly, evaluated by reading single bits of the same plane
     /// words.
+    #[inline]
     #[must_use]
     pub fn lane(&self, tape: &BatchTape, site: u64, lane: u32) -> bool {
         if self.tint >= 1 << 53 {
@@ -809,11 +829,13 @@ impl LaneCounter {
     /// Resets every lane to zero, keeping the allocated planes — the
     /// per-phase vote counters of the malicious kernels reuse one
     /// counter across millions of phases.
+    #[inline]
     pub fn clear(&mut self) {
         self.planes.clear();
     }
 
     /// Adds `amount` to every lane selected by `mask`.
+    #[inline]
     pub fn add_masked(&mut self, mask: LaneMask, amount: u64) {
         if mask == 0 || amount == 0 {
             return;
@@ -867,6 +889,7 @@ impl LaneCounter {
 
     /// Lane `k`'s count in a plane snapshot previously taken from
     /// [`planes`](Self::planes).
+    #[inline]
     #[must_use]
     pub fn get_in(planes: &[u64], lane: u32) -> u64 {
         planes
@@ -877,6 +900,7 @@ impl LaneCounter {
     }
 
     /// The raw bit planes (for cheap per-round snapshots).
+    #[inline]
     #[must_use]
     pub fn planes(&self) -> &[u64] {
         &self.planes
@@ -884,6 +908,7 @@ impl LaneCounter {
 
     /// The mask of lanes whose count is `≥ threshold`, via one
     /// bit-sliced MSB-first comparison.
+    #[inline]
     #[must_use]
     pub fn ge_mask(&self, threshold: u64) -> LaneMask {
         let bits = self
@@ -905,6 +930,7 @@ impl LaneCounter {
     }
 
     /// The mask of lanes whose count is exactly `value`.
+    #[inline]
     #[must_use]
     pub fn eq_mask(&self, value: u64) -> LaneMask {
         let bits = self.planes.len().max(64 - value.leading_zeros() as usize);
@@ -924,12 +950,88 @@ impl LaneCounter {
 /// Records `round` as the crossing round for every lane set in `mask`
 /// (a shared helper of the batched engines' completion/almost
 /// bookkeeping).
+#[inline]
 pub(crate) fn record_crossings(mask: LaneMask, round: usize, rounds: &mut [Option<usize>]) {
     let mut m = mask;
     while m != 0 {
         let lane = m.trailing_zeros() as usize;
         rounds[lane] = Some(round);
         m &= m - 1;
+    }
+}
+
+/// The per-lane round record of a 64-lane pass that advances round by
+/// round: each lane's completion (count `= n`) and almost-complete
+/// (count `≥ n − 1`) crossing rounds, plus one snapshot of the count
+/// planes per executed round, from which a lane's growth curve is
+/// rebuilt.
+#[derive(Clone, PartialEq, Debug)]
+pub(crate) struct LaneRounds {
+    n: usize,
+    completed: LaneMask,
+    almost_done: LaneMask,
+    /// Each lane's completion round.
+    pub(crate) completion_round: Vec<Option<usize>>,
+    /// Each lane's almost-complete round.
+    pub(crate) almost_round: Vec<Option<usize>>,
+    /// Words per count snapshot.
+    pub(crate) plane_width: usize,
+    /// `executed × plane_width` words: the per-lane counts after each
+    /// executed round.
+    pub(crate) count_arena: Vec<u64>,
+    /// Rounds executed.
+    pub(crate) executed: usize,
+}
+
+impl LaneRounds {
+    /// The record of `n` nodes before round 1: a lone node is complete,
+    /// and with `n ≤ 2` the source alone is almost-complete, at round 0.
+    pub(crate) fn new(n: usize) -> Self {
+        let mut rounds = LaneRounds {
+            n,
+            completed: 0,
+            almost_done: 0,
+            completion_round: vec![None; LANES],
+            almost_round: vec![None; LANES],
+            plane_width: (usize::BITS - n.leading_zeros()) as usize,
+            count_arena: Vec::new(),
+            executed: 0,
+        };
+        if n == 1 {
+            rounds.completed = !0;
+            rounds.completion_round.fill(Some(0));
+        }
+        if n <= 2 {
+            rounds.almost_done = !0;
+            rounds.almost_round.fill(Some(0));
+        }
+        rounds
+    }
+
+    /// The lanes that have completed.
+    pub(crate) fn completed(&self) -> LaneMask {
+        self.completed
+    }
+
+    /// Ends executed round `round`: snapshots `counts` and, when
+    /// `changed` (a count moved this round), records the lanes whose
+    /// count first reached `n` or `n − 1`.
+    pub(crate) fn end_round(&mut self, counts: &LaneCounter, round: usize, changed: bool) {
+        self.executed += 1;
+        self.count_arena.extend_from_slice(counts.planes());
+        self.count_arena.resize(self.executed * self.plane_width, 0);
+        if !changed {
+            return;
+        }
+        let comp = counts.eq_mask(self.n as u64) & !self.completed;
+        record_crossings(comp, round, &mut self.completion_round);
+        self.completed |= comp;
+        if self.almost_done != !0 {
+            let target = self.n.saturating_sub(1).max(1) as u64;
+            let almost = counts.ge_mask(target) & !self.almost_done;
+            record_crossings(almost, round, &mut self.almost_round);
+            self.almost_done |= almost;
+        }
     }
 }
 
@@ -1153,19 +1255,9 @@ impl BatchedInformedSet {
         BatchedInformedSet { masks, counts, n }
     }
 
-    /// Splits the set into its raw mask words and size counter for a
-    /// parallel merge: workers mutate disjoint `masks` ranges (via
-    /// `split_at_mut` along shard bounds) and accumulate their own
-    /// [`LaneCounter`] deltas, which the caller folds back with
-    /// [`LaneCounter::add_counter`]. The counter is only *observed*
-    /// after the fold, so the split never exposes an inconsistent
-    /// `(masks, counts)` pair to readers.
-    pub(crate) fn parts_mut(&mut self) -> (&mut [u64], &mut LaneCounter) {
-        (&mut self.masks, &mut self.counts)
-    }
-
     /// Inserts node `v` into every lane of `lanes`; returns the lanes
     /// where it was newly inserted.
+    #[inline]
     pub fn insert_masked(&mut self, v: u32, lanes: LaneMask) -> LaneMask {
         let m = &mut self.masks[v as usize];
         let newly = lanes & !*m;
@@ -1177,18 +1269,21 @@ impl BatchedInformedSet {
     }
 
     /// The lanes containing node `v`.
+    #[inline]
     #[must_use]
     pub fn lanes(&self, v: u32) -> LaneMask {
         self.masks[v as usize]
     }
 
     /// Whether lane `k` contains node `v`.
+    #[inline]
     #[must_use]
     pub fn lane_contains(&self, v: u32, lane: u32) -> bool {
         self.masks[v as usize] >> lane & 1 == 1
     }
 
     /// Lane `k`'s set size.
+    #[inline]
     #[must_use]
     pub fn count(&self, lane: u32) -> usize {
         self.counts.get(lane) as usize
@@ -1196,6 +1291,7 @@ impl BatchedInformedSet {
 
     /// The per-lane size counter (for snapshots and bit-sliced
     /// threshold masks).
+    #[inline]
     #[must_use]
     pub fn counts(&self) -> &LaneCounter {
         &self.counts
@@ -1249,9 +1345,9 @@ pub enum CorruptionKind {
 }
 
 /// The coin tapes a [`FaultModel`] may read during a batched block:
-/// the fault coins (shared stream with the omission kernels, so the
-/// omission instance reads the very words the hard-wired kernels read)
-/// plus the throttle coins of [`ThrottledFault`].
+/// the fault coins (one stream for every model, so the omission
+/// instance reads the very words every silent pass reads) plus the
+/// throttle coins of [`ThrottledFault`].
 #[derive(Clone, Copy, Debug)]
 pub struct FaultTapes {
     /// Per-(site) corruption coins ([`FAULT_STREAM`]).
@@ -1316,7 +1412,10 @@ impl std::error::Error for ThrottleError {}
 /// [`preprocess_graph`](FaultModel::preprocess_graph) (default no-ops)
 /// before the first run; the placement then feeds `corrupt_mask`
 /// through the node argument `v`.
-pub trait FaultModel {
+///
+/// Models are read-only during a run, so they are `Sync`: thread-parallel
+/// shard passes share one instance across workers.
+pub trait FaultModel: Sync {
     /// What corruption does to the payload.
     fn kind(&self) -> CorruptionKind;
 
@@ -1364,9 +1463,9 @@ pub trait FaultModel {
 }
 
 /// The paper's omission faults (§2.1) as a [`FaultModel`]: i.i.d.
-/// Bernoulli(`p`) silent corruption, reading the [`FAULT_STREAM`] coins
-/// exactly as the hard-wired omission kernels do — the instance the
-/// byte-identity guarantee of the refactor is pinned against.
+/// Bernoulli(`p`) silent corruption on the [`FAULT_STREAM`] coins — the
+/// instance behind every kernel's plain-`p` lane and batch entry
+/// points.
 #[derive(Clone, Copy, Debug)]
 pub struct Omission {
     p: f64,
@@ -1402,9 +1501,11 @@ impl FaultModel for Omission {
     fn name(&self) -> &'static str {
         "omission"
     }
+    #[inline]
     fn corrupt_mask(&self, tapes: &FaultTapes, site: u64, _v: u32, active: LaneMask) -> LaneMask {
         self.bern.mask(&tapes.fault, site, active)
     }
+    #[inline]
     fn corrupt_lane(&self, tapes: &FaultTapes, site: u64, _v: u32, lane: u32) -> bool {
         self.bern.lane(&tapes.fault, site, lane)
     }
@@ -1450,9 +1551,11 @@ impl FaultModel for FlipFault {
     fn name(&self) -> &'static str {
         "flip"
     }
+    #[inline]
     fn corrupt_mask(&self, tapes: &FaultTapes, site: u64, _v: u32, active: LaneMask) -> LaneMask {
         self.bern.mask(&tapes.fault, site, active)
     }
+    #[inline]
     fn corrupt_lane(&self, tapes: &FaultTapes, site: u64, _v: u32, lane: u32) -> bool {
         self.bern.lane(&tapes.fault, site, lane)
     }
@@ -1501,9 +1604,11 @@ impl FaultModel for LieOrJamFault {
     fn name(&self) -> &'static str {
         "lie-or-jam"
     }
+    #[inline]
     fn corrupt_mask(&self, tapes: &FaultTapes, site: u64, _v: u32, active: LaneMask) -> LaneMask {
         self.bern.mask(&tapes.fault, site, active)
     }
+    #[inline]
     fn corrupt_lane(&self, tapes: &FaultTapes, site: u64, _v: u32, lane: u32) -> bool {
         self.bern.lane(&tapes.fault, site, lane)
     }
@@ -1571,6 +1676,7 @@ impl<M: FaultModel> FaultModel for ThrottledFault<M> {
     fn preprocess_graph(&mut self, offsets: &[u32], neighbors: &[u32], source: u32) {
         self.inner.preprocess_graph(offsets, neighbors, source);
     }
+    #[inline]
     fn corrupt_mask(&self, tapes: &FaultTapes, site: u64, v: u32, active: LaneMask) -> LaneMask {
         let hit = self.inner.corrupt_mask(tapes, site, v, active);
         self.keep.mask(&tapes.throttle, site, hit)
@@ -1690,6 +1796,7 @@ impl FaultModel for WorstCasePlacement {
         let weights: Vec<u64> = offsets.windows(2).map(|w| u64::from(w[1] - w[0])).collect();
         self.place_by_weights(&weights, source);
     }
+    #[inline]
     fn corrupt_mask(&self, _tapes: &FaultTapes, _site: u64, v: u32, active: LaneMask) -> LaneMask {
         if self.is_placed(v) {
             active
@@ -2220,7 +2327,7 @@ mod tests {
     #[test]
     fn omission_model_reads_the_omission_fault_words_exactly() {
         // The byte-identity anchor: the omission instance's corruption
-        // coins are the very FAULT_STREAM coins the hard-wired kernels
+        // coins are the very FAULT_STREAM coins of a plain Bernoulli
         // draw at the same sites.
         let tapes = FaultTapes::new(77);
         let reference_tape = BatchTape::new(77, FAULT_STREAM);

@@ -15,8 +15,8 @@
 //!
 //! * the informed set is a word-level
 //!   [`InformedSet`](crate::kernel::InformedSet) bitmask,
-//! * adjacency is the flat `u32` CSR of a [`CsrGraph`] — the engine
-//!   builds no adjacency of its own,
+//! * adjacency is the flat `u32` CSR of a [`CsrGraph`], held as an
+//!   in-RAM [`ShardStore`] — the engine builds no adjacency of its own,
 //! * per-round collision resolution is the
 //!   [`CollisionCounter`](crate::kernel::CollisionCounter): saturating
 //!   transmitter counts touched only at frontier neighborhoods (hear
@@ -44,32 +44,34 @@
 //! component and reports the informed *fraction* and the
 //! almost-complete (`1 − 1/n`) time.
 //!
-//! Every entry point has a `*_model` sibling parametric in a
-//! [`FaultModel`](crate::kernel::FaultModel). `Silent` models (i.i.d.
-//! omission, throttled mixtures, worst-case placement) run the same
-//! frontier machinery with the model supplying the per-site corruption
-//! masks — the [`Omission`](crate::kernel::Omission) instance reads
-//! exactly the coin words the hard-wired path read, so the plain entry
-//! points stay byte-identical. Corrupted-*value* models (`Flip` /
-//! `Lie`, the paper's limited-malicious transmitters) change what a
-//! fault does: a corrupted transmitter still transmits — it collides
-//! like any other — but the *message* it delivers is corrupted, a
-//! sole receiver adopts whatever its one audible neighbor sent, and
-//! wrong values propagate. The `*_model` outcome then tracks the
-//! **correctly informed** nodes. Full-malicious radio (lie *or jam*)
-//! still needs the adversary hooks of the general engine.
+//! The seeded scalar-lane and 64-lane frontier passes are written once,
+//! against [`ShardStore`]: [`FastRadio`] runs them over its in-RAM store
+//! (one shard, or `k` node-range shards — outcome-neutral), and
+//! [`ShardedRadio`] runs the same passes over any store, disk segments
+//! included. Only the 64-lane pass over an in-RAM store of `k > 1`
+//! shards fans its shard passes out across threads. Both passes are
+//! parametric in a `Silent` [`FaultModel`](crate::kernel::FaultModel)
+//! (the plain-`p` entry points are the
+//! [`Omission`](crate::kernel::Omission) instance). Corrupted-*value*
+//! models (`Flip` / `Lie`, the paper's limited-malicious transmitters)
+//! change what a fault does: a corrupted transmitter still transmits —
+//! it collides like any other — but the *message* it delivers is
+//! corrupted, a sole receiver adopts whatever its one audible neighbor
+//! sent, and wrong values propagate. Those run in-RAM value passes whose
+//! outcome tracks the **correctly informed** nodes. Full-malicious radio
+//! (lie *or jam*) still needs the adversary hooks of the general engine.
 
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
-use randcast_graph::shard::{PassLoader, ShardError, ShardPlan, ShardStore, ShardView};
+use randcast_graph::shard::{PassLoader, RamShards, ShardError, ShardPlan, ShardStore};
 use randcast_graph::{CsrGraph, NodeId};
 use randcast_stats::seed::{splitmix64, SeedSequence};
 
 use crate::kernel::{
     range_passes, record_crossings, shard_passes, BatchTape, BatchedInformedSet, CollisionCounter,
     CorruptionKind, FaultModel, FaultSampler, FaultTapes, InformedSet, LaneCounter, LaneMask,
-    Omission, ShardedCollisions, DECAY_STREAM, LANES,
+    LaneRounds, Omission, ShardedCollisions, DECAY_STREAM, LANES,
 };
 
 /// The coin site of `(0-based round, node)`: both the fault coin and
@@ -124,18 +126,42 @@ pub enum FastRadioSchedule {
     AllInformed,
 }
 
-/// A compiled fast-path radio plan: flat CSR adjacency plus a schedule
-/// and horizon. The adjacency arrays come straight from the
-/// [`CsrGraph`] substrate.
-#[derive(Clone, Debug)]
+impl FastRadioSchedule {
+    /// Whether active nodes thin out by Decay coins, and the epoch
+    /// length (every round is its own epoch for
+    /// [`AllInformed`](Self::AllInformed): everyone re-activates).
+    fn epochs(self) -> (bool, usize) {
+        match self {
+            FastRadioSchedule::Decay { epoch_len } => (true, epoch_len),
+            FastRadioSchedule::AllInformed => (false, 1),
+        }
+    }
+}
+
+/// Decay thinning after round `r0` of an epoch: each of `nodes` stays
+/// active in a lane iff its fair coin at `(r0, v)` is heads there
+/// (faults never touch the coin stream — a failed transmitter still
+/// decays).
+fn decay_thin<'a>(
+    act: &mut [LaneMask],
+    nodes: impl IntoIterator<Item = &'a u32>,
+    decay_tape: &BatchTape,
+    r0: usize,
+) {
+    for &v in nodes {
+        let vi = v as usize;
+        if act[vi] != 0 {
+            act[vi] &= decay_tape.fair_mask(radio_site(r0, v));
+        }
+    }
+}
+
+/// A compiled fast-path radio plan: the CSR adjacency as an in-RAM
+/// [`ShardStore`] plus a schedule and horizon. The adjacency arrays come
+/// straight from the [`CsrGraph`] substrate.
 pub struct FastRadio {
-    /// `neighbors[offsets[v]..offsets[v+1]]` are `v`'s neighbors.
-    offsets: Vec<u32>,
-    neighbors: Vec<u32>,
-    source: u32,
-    horizon: usize,
-    n: usize,
-    schedule: FastRadioSchedule,
+    /// The store-backed frontier passes over the adjacency.
+    passes: ShardedRadio,
 }
 
 impl FastRadio {
@@ -144,8 +170,8 @@ impl FastRadio {
     /// reports only the source informed); a graph disconnected from
     /// `source` is allowed (the broadcast covers the source's
     /// component). Takes the graph by value: the plan *is* the CSR
-    /// arrays, moved in without a copy (clone at the call site to keep
-    /// the graph).
+    /// arrays, moved into a one-shard store without a copy (clone at
+    /// the call site to keep the graph).
     ///
     /// # Panics
     ///
@@ -153,45 +179,60 @@ impl FastRadio {
     /// `epoch_len == 0`.
     #[must_use]
     pub fn new(csr: CsrGraph, source: NodeId, horizon: usize, schedule: FastRadioSchedule) -> Self {
-        if let FastRadioSchedule::Decay { epoch_len } = schedule {
-            assert!(epoch_len > 0, "decay epochs need at least one round");
-        }
-        let n = csr.node_count();
-        let (offsets, neighbors) = csr.into_raw_parts();
+        let plan = ShardPlan::uniform(csr.node_count(), 1);
+        let store = ShardStore::Ram(RamShards::from_csr(csr, plan));
         FastRadio {
-            offsets,
-            neighbors,
-            source: u32::from(source),
-            horizon,
-            n,
-            schedule,
+            passes: ShardedRadio::new(store, u32::from(source), horizon, schedule),
         }
+    }
+
+    /// Re-cuts the adjacency store along `plan`, so the frontier passes
+    /// walk one node-range shard at a time (and the 64-lane pass can
+    /// fan shards out across threads). Outcome-neutral: every entry
+    /// point returns the same bytes for every plan.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the plan covers a different node count.
+    #[must_use]
+    pub fn with_shard_plan(mut self, plan: ShardPlan) -> Self {
+        let ShardStore::Ram(ram) = self.passes.store else {
+            unreachable!("fast plans hold RAM stores")
+        };
+        self.passes.store = ShardStore::Ram(ram.with_plan(plan));
+        self
+    }
+
+    /// The shard plan the frontier passes follow.
+    #[must_use]
+    pub fn shard_plan(&self) -> &ShardPlan {
+        self.passes.store.plan()
     }
 
     /// The horizon (maximum number of rounds executed).
     #[must_use]
     pub fn horizon(&self) -> usize {
-        self.horizon
+        self.passes.horizon
     }
 
     /// Number of nodes.
     #[must_use]
     pub fn node_count(&self) -> usize {
-        self.n
+        self.passes.node_count()
     }
 
     /// The schedule this plan executes.
     #[must_use]
     pub fn schedule(&self) -> FastRadioSchedule {
-        self.schedule
+        self.passes.schedule
     }
 
-    fn neighbors_of(&self, v: usize) -> &[u32] {
-        &self.neighbors[self.offsets[v] as usize..self.offsets[v + 1] as usize]
-    }
-
-    fn has_uninformed_neighbor(&self, v: usize, informed: &InformedSet) -> bool {
-        self.neighbors_of(v).iter().any(|&t| !informed.contains(t))
+    /// The whole adjacency arrays, for the passes that read them in RAM.
+    fn ram(&self) -> &RamShards {
+        let ShardStore::Ram(ram) = &self.passes.store else {
+            unreachable!("fast plans hold RAM stores")
+        };
+        ram
     }
 
     /// Executes one seeded broadcast with per-(node, round) transmitter
@@ -204,12 +245,13 @@ impl FastRadio {
     #[must_use]
     pub fn run(&self, p: f64, seed: u64) -> FastRadioOutcome {
         let sampler = FaultSampler::new(p);
-        let n = self.n;
+        let ram = self.ram();
+        let (n, horizon) = (self.node_count(), self.horizon());
         let mut rng = SmallRng::seed_from_u64(seed);
         let tapes = decay_tapes(seed);
         let mut informed = InformedSet::new(n);
-        informed.insert(self.source);
-        let mut informed_by_round = Vec::with_capacity(self.horizon.min(1024) + 1);
+        informed.insert(self.passes.source);
+        let mut informed_by_round = Vec::with_capacity(horizon.min(1024) + 1);
         informed_by_round.push(1);
         let mut completion_round = (n == 1).then_some(0);
 
@@ -218,18 +260,13 @@ impl FastRadio {
         // kernel ever simulates (an informed node all of whose
         // neighbors are informed can neither inform nor collide at an
         // uninformed listener).
-        let mut participants: Vec<u32> = vec![self.source];
+        let mut participants: Vec<u32> = vec![self.passes.source];
         let mut active: Vec<u32> = Vec::new();
         let mut transmitters: Vec<u32> = Vec::new();
         let mut counter = CollisionCounter::new(n);
+        let (decay, epoch_len) = self.schedule().epochs();
 
-        let (decay, epoch_len) = match self.schedule {
-            FastRadioSchedule::Decay { epoch_len } => (true, epoch_len),
-            // Every round is its own epoch: everyone re-activates.
-            FastRadioSchedule::AllInformed => (false, 1),
-        };
-
-        for round in 1..=self.horizon {
+        for round in 1..=horizon {
             if completion_round.is_some() {
                 break; // everyone informed: nothing can change
             }
@@ -237,7 +274,7 @@ impl FastRadio {
             let r0 = round - 1;
             let j = r0 % epoch_len;
             if j == 0 {
-                participants.retain(|&u| self.has_uninformed_neighbor(u as usize, &informed));
+                participants.retain(|&u| ram.targets_of(u).iter().any(|&t| !informed.contains(t)));
                 if participants.is_empty() {
                     break; // the source component is exhausted
                 }
@@ -253,7 +290,7 @@ impl FastRadio {
             // Collision resolution: an uninformed listener hears iff
             // exactly one neighbor transmits.
             for &u in &transmitters {
-                for &v in self.neighbors_of(u as usize) {
+                for &v in ram.targets_of(u) {
                     if !informed.contains(v) {
                         counter.add(v);
                     }
@@ -281,7 +318,7 @@ impl FastRadio {
 
         FastRadioOutcome {
             n,
-            horizon: self.horizon,
+            horizon,
             completion_round,
             informed_by_round,
             informed,
@@ -304,101 +341,15 @@ impl FastRadio {
     /// Panics if `p ∉ [0, 1)` or `lane ≥ 64`.
     #[must_use]
     pub fn run_lane(&self, p: f64, block_seed: u64, lane: u32) -> FastRadioOutcome {
-        assert!((0.0..1.0).contains(&p), "failure probability out of range");
-        assert!((lane as usize) < LANES, "lane out of range");
-        self.run_lane_silent(
-            &Omission::new(p),
-            &FaultTapes::new(block_seed),
-            &BatchTape::new(block_seed, DECAY_STREAM),
-            lane,
-        )
+        self.run_lane_model(&Omission::new(p), block_seed, lane)
     }
 
-    /// The frontier replay of [`run_lane`](Self::run_lane) generalized
-    /// over any `Silent` [`FaultModel`]: a corrupted transmission is
-    /// silenced, everything else is the omission algorithm. The
-    /// [`Omission`] instance reads exactly the coin words the
-    /// hard-wired path read before the refactor, so the omission entry
-    /// points stay byte-identical.
-    fn run_lane_silent<M: FaultModel + ?Sized>(
-        &self,
-        model: &M,
-        tapes: &FaultTapes,
-        decay_tape: &BatchTape,
-        lane: u32,
-    ) -> FastRadioOutcome {
-        let n = self.n;
-        let mut informed = InformedSet::new(n);
-        informed.insert(self.source);
-        let mut informed_by_round = Vec::with_capacity(self.horizon.min(1024) + 1);
-        informed_by_round.push(1);
-        let mut completion_round = (n == 1).then_some(0);
-
-        let mut participants: Vec<u32> = vec![self.source];
-        let mut active: Vec<u32> = Vec::new();
-        let mut counter = CollisionCounter::new(n);
-
-        let (decay, epoch_len) = match self.schedule {
-            FastRadioSchedule::Decay { epoch_len } => (true, epoch_len),
-            FastRadioSchedule::AllInformed => (false, 1),
-        };
-
-        for round in 1..=self.horizon {
-            if completion_round.is_some() {
-                break;
-            }
-            let r0 = round - 1;
-            let j = r0 % epoch_len;
-            if j == 0 {
-                participants.retain(|&u| self.has_uninformed_neighbor(u as usize, &informed));
-                if participants.is_empty() {
-                    break;
-                }
-                active.clear();
-                active.extend_from_slice(&participants);
-            }
-
-            for &u in &active {
-                // The coin is an omission: `true` silences `u`.
-                if model.corrupt_lane(tapes, radio_site(r0, u), u, lane) {
-                    continue;
-                }
-                for &v in self.neighbors_of(u as usize) {
-                    if !informed.contains(v) {
-                        counter.add(v);
-                    }
-                }
-            }
-            counter.drain_sole_receivers(|v| {
-                informed.insert(v);
-                participants.push(v);
-            });
-
-            informed_by_round.push(informed.count());
-            if informed.count() == n {
-                completion_round = Some(round);
-            }
-
-            if decay && j + 1 < epoch_len {
-                active.retain(|&u| decay_tape.fair_lane(radio_site(r0, u), lane));
-            }
-        }
-
-        FastRadioOutcome {
-            n,
-            horizon: self.horizon,
-            completion_round,
-            informed_by_round,
-            informed,
-        }
-    }
-
-    /// Runs all 64 trial lanes of block `block_seed` at once: the
-    /// informed set is a lane word per node, fault coins are bit-sliced
-    /// Bernoulli masks, Decay participation coins are raw fair-coin
-    /// tape words, and collision resolution is a pair of saturating
-    /// lane masks (`≥ 1` / `≥ 2` transmitting neighbors) per touched
-    /// listener. Lane `k` of the result is byte-identical to
+    /// Runs all 64 trial lanes of block `block_seed` at once, on one
+    /// thread: the informed set is a lane word per node, fault coins are
+    /// bit-sliced Bernoulli masks, Decay participation coins are raw
+    /// fair-coin tape words, and collision resolution is a pair of
+    /// saturating lane masks (`≥ 1` / `≥ 2` transmitting neighbors) per
+    /// touched listener. Lane `k` of the result is byte-identical to
     /// [`run_lane`](Self::run_lane)`(p, block_seed, k)` — coins are
     /// site-addressed pure functions of the block seed, so the batched
     /// evolution reads exactly the bits the scalar replay reads.
@@ -414,76 +365,227 @@ impl FastRadio {
     /// Panics if `p ∉ [0, 1)`.
     #[must_use]
     pub fn run_batch(&self, p: f64, block_seed: u64) -> FastRadioBatch {
-        assert!((0.0..1.0).contains(&p), "failure probability out of range");
-        self.run_batch_silent(
-            &Omission::new(p),
-            &FaultTapes::new(block_seed),
-            &BatchTape::new(block_seed, DECAY_STREAM),
-        )
+        self.run_batch_model(&Omission::new(p), block_seed, 1)
     }
 
-    /// [`run_batch`](Self::run_batch) generalized over any `Silent`
-    /// [`FaultModel`] (see [`run_lane_silent`](Self::run_lane_silent)
-    /// for the byte-identity argument).
-    fn run_batch_silent<M: FaultModel + ?Sized>(
+    /// Runs the model's placement preprocessing against this plan's
+    /// CSR adjacency. Call once per plan before any `*_model` run of a
+    /// placement-based model.
+    pub fn preprocess<M: FaultModel + ?Sized>(&self, model: &mut M) {
+        let ram = self.ram();
+        model.preprocess_graph(ram.offsets(), ram.targets(), self.passes.source);
+    }
+
+    /// [`run_lane`](Self::run_lane) under an arbitrary [`FaultModel`].
+    /// `Silent` models run the frontier replay (byte-identical to the
+    /// plain entry point for [`Omission`]); corrupted-value models
+    /// (`Flip` / `Lie`) run the value-tracking replay — a corrupted
+    /// transmitter still transmits and collides, but delivers a
+    /// corrupted message, and the outcome's informed set and growth
+    /// curve track the **correctly informed** nodes.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `lane ≥ 64`.
+    #[must_use]
+    pub fn run_lane_model<M: FaultModel + ?Sized>(
         &self,
         model: &M,
-        tapes: &FaultTapes,
-        decay_tape: &BatchTape,
+        block_seed: u64,
+        lane: u32,
+    ) -> FastRadioOutcome {
+        match model.kind() {
+            CorruptionKind::Silent => self
+                .passes
+                .lane_pass(self.passes.views(), model, block_seed, lane, 1)
+                .expect("RAM stores never fail a read"),
+            _ => self.run_lane_values(model, block_seed, lane),
+        }
+    }
+
+    /// [`run_batch`](Self::run_batch) under an arbitrary
+    /// [`FaultModel`], with the shard passes of a `Silent` model fanned
+    /// across up to `threads` workers when the plan has more than one
+    /// shard — byte-identical for every thread count. Lane `k` is
+    /// byte-identical to
+    /// [`run_lane_model`](Self::run_lane_model)`(model, block_seed, k)`.
+    /// See [`run_lane_model`](Self::run_lane_model) for the
+    /// corrupted-value semantics.
+    #[must_use]
+    pub fn run_batch_model<M: FaultModel + ?Sized>(
+        &self,
+        model: &M,
+        block_seed: u64,
+        threads: usize,
     ) -> FastRadioBatch {
-        let n = self.n;
-        let mut informed = BatchedInformedSet::new(n);
-        informed.insert_masked(self.source, !0);
-        let almost_target = n.saturating_sub(1).max(1) as u64;
-
-        let mut completion_round: Vec<Option<usize>> = vec![None; LANES];
-        let mut almost_round: Vec<Option<usize>> = vec![None; LANES];
-        let mut completed: LaneMask = 0;
-        let mut almost_done: LaneMask = 0;
-        if n == 1 {
-            completed = !0;
-            completion_round.fill(Some(0));
+        match model.kind() {
+            CorruptionKind::Silent => self
+                .passes
+                .batch_pass(self.passes.views(), model, block_seed, threads)
+                .expect("RAM stores never fail a read"),
+            _ => self.run_batch_values(model, block_seed),
         }
-        if 1 >= almost_target {
-            almost_done = !0;
-            almost_round.fill(Some(0));
+    }
+
+    /// Corrupted-value scalar backend over the whole adjacency in RAM.
+    /// Faults never silence: every active node transmits, so the
+    /// collision process is the fault-free one and only message
+    /// *values* are at stake. A sole receiver adopts whatever its one
+    /// audible neighbor sent — a `Flip` transmitter sends its own value
+    /// XOR the corruption coin, a `Lie` transmitter sends the true value
+    /// only when uncorrupted and holding it — and retransmits that value
+    /// in later epochs. The returned informed set and growth curve track
+    /// the correctly informed nodes (the quantity the paper's malicious
+    /// feasibility results are about); participation and exhaustion
+    /// bookkeeping run on the heard set, exactly like the silent replay.
+    fn run_lane_values<M: FaultModel + ?Sized>(
+        &self,
+        model: &M,
+        block_seed: u64,
+        lane: u32,
+    ) -> FastRadioOutcome {
+        assert!((lane as usize) < LANES, "lane out of range");
+        let tapes = FaultTapes::new(block_seed);
+        let decay_tape = BatchTape::new(block_seed, DECAY_STREAM);
+        let ram = self.ram();
+        let (n, source, horizon) = (self.node_count(), self.passes.source, self.horizon());
+        let mut heard = InformedSet::new(n);
+        heard.insert(source);
+        let mut val = vec![false; n];
+        val[source as usize] = true;
+        let mut correct = InformedSet::new(n);
+        correct.insert(source);
+        let mut informed_by_round = Vec::with_capacity(horizon.min(1024) + 1);
+        informed_by_round.push(1);
+        let mut completion_round = (n == 1).then_some(0);
+
+        let mut participants: Vec<u32> = vec![source];
+        let mut active: Vec<u32> = Vec::new();
+        // Sole-receiver resolution carrying the first transmitter's
+        // value: `vonce[v]` is meaningful while `once[v]` is set.
+        let mut once = vec![false; n];
+        let mut twice = vec![false; n];
+        let mut vonce = vec![false; n];
+        let mut touched: Vec<u32> = Vec::new();
+        let (decay, epoch_len) = self.schedule().epochs();
+
+        for round in 1..=horizon {
+            if completion_round.is_some() {
+                break;
+            }
+            let r0 = round - 1;
+            let j = r0 % epoch_len;
+            if j == 0 {
+                participants.retain(|&u| ram.targets_of(u).iter().any(|&t| !heard.contains(t)));
+                if participants.is_empty() {
+                    break;
+                }
+                active.clear();
+                active.extend_from_slice(&participants);
+            }
+
+            for &u in &active {
+                let ui = u as usize;
+                // Coins are site-addressed pure functions, so skipping
+                // the draw for a transmission no listener can use
+                // leaves every other read untouched.
+                if !ram.targets_of(u).iter().any(|&t| !heard.contains(t)) {
+                    continue;
+                }
+                let corrupt = model.corrupt_lane(&tapes, radio_site(r0, u), u, lane);
+                let txval = match model.kind() {
+                    CorruptionKind::Flip => val[ui] ^ corrupt,
+                    _ => val[ui] && !corrupt,
+                };
+                for &v in ram.targets_of(u) {
+                    let vi = v as usize;
+                    if heard.contains(v) {
+                        continue;
+                    }
+                    if once[vi] {
+                        twice[vi] = true;
+                    } else {
+                        once[vi] = true;
+                        vonce[vi] = txval;
+                        touched.push(v);
+                    }
+                }
+            }
+            for &v in &touched {
+                let vi = v as usize;
+                if !twice[vi] {
+                    heard.insert(v);
+                    participants.push(v);
+                    val[vi] = vonce[vi];
+                    if val[vi] {
+                        correct.insert(v);
+                    }
+                }
+                once[vi] = false;
+                twice[vi] = false;
+            }
+            touched.clear();
+
+            informed_by_round.push(correct.count());
+            if correct.count() == n {
+                completion_round = Some(round);
+            }
+
+            if decay && j + 1 < epoch_len {
+                active.retain(|&u| decay_tape.fair_lane(radio_site(r0, u), lane));
+            }
         }
 
-        // Per-round snapshots of the count planes, in one flat arena.
-        let plane_width = (usize::BITS - n.leading_zeros()) as usize;
-        let mut count_arena: Vec<u64> = Vec::new();
-        let mut executed = 0usize;
+        FastRadioOutcome {
+            n,
+            horizon,
+            completion_round,
+            informed_by_round,
+            informed: correct,
+        }
+    }
 
+    /// Corrupted-value 64-lane batch backend over the whole adjacency in
+    /// RAM. The machinery of the silent batch with the fault application
+    /// moved from transmissions to values: `useful` lanes all transmit,
+    /// the `≥ 1` / `≥ 2` collision masks gain a first-transmitter value
+    /// mask, and a sole receiver adopts that value. Counts, crossings,
+    /// and the final informed set track the correctly informed nodes;
+    /// participation and exhaustion run on the heard set.
+    fn run_batch_values<M: FaultModel + ?Sized>(
+        &self,
+        model: &M,
+        block_seed: u64,
+    ) -> FastRadioBatch {
+        let tapes = FaultTapes::new(block_seed);
+        let decay_tape = BatchTape::new(block_seed, DECAY_STREAM);
+        let ram = self.ram();
+        let (n, source, horizon) = (self.node_count(), self.passes.source, self.horizon());
+        let mut heard = BatchedInformedSet::new(n);
+        heard.insert_masked(source, !0);
+        let mut value_masks = vec![0u64; n];
+        value_masks[source as usize] = !0;
+        let mut correct_counts = LaneCounter::new();
+        correct_counts.add_masked(!0, 1);
+        let mut rounds = LaneRounds::new(n);
         // Lanes whose replay broke at an epoch boundary with no
         // participants left, and the number of rounds each had executed.
         let mut exhausted: LaneMask = 0;
-        let mut exhaust_end = vec![0usize; LANES];
+        let mut exhaust_end: Vec<Option<usize>> = vec![None; LANES];
 
-        // Union participant list: nodes with a nonzero per-lane
-        // participation mask in some lane. `act` is the per-node lane
-        // mask of *currently transmitting* participants — rebuilt at
-        // every epoch boundary, thinned by Decay coins within an epoch.
-        // Nodes informed mid-epoch join the list with an empty mask and
-        // pick up their lanes at the next boundary, exactly as the
-        // scalar kernel's `participants` / `active` split.
-        let mut plist: Vec<u32> = vec![self.source];
+        let mut plist: Vec<u32> = vec![source];
         let mut in_plist = vec![false; n];
-        in_plist[self.source as usize] = true;
+        in_plist[source as usize] = true;
         let mut act: Vec<LaneMask> = vec![0; n];
 
-        // Collision accumulators per listener: lanes with ≥ 1 and ≥ 2
-        // transmitting neighbors this round, reset via the touched list.
         let mut once: Vec<LaneMask> = vec![0; n];
         let mut twice: Vec<LaneMask> = vec![0; n];
+        let mut vonce: Vec<LaneMask> = vec![0; n];
         let mut touched: Vec<u32> = Vec::new();
+        let (decay, epoch_len) = self.schedule().epochs();
 
-        let (decay, epoch_len) = match self.schedule {
-            FastRadioSchedule::Decay { epoch_len } => (true, epoch_len),
-            FastRadioSchedule::AllInformed => (false, 1),
-        };
-
-        for round in 1..=self.horizon {
-            let live = !(completed | exhausted);
+        for round in 1..=horizon {
+            let live = !(rounds.completed() | exhausted);
             if live == 0 {
                 break;
             }
@@ -493,13 +595,10 @@ impl FastRadio {
                 let mut any: LaneMask = 0;
                 plist.retain(|&v| {
                     let vi = v as usize;
-                    let inf_v = informed.lanes(v);
+                    let inf_v = heard.lanes(v);
                     let mut un: LaneMask = 0;
-                    for &t in self.neighbors_of(vi) {
-                        un |= !informed.lanes(t);
-                        // Once every lane `v` knows the message in has
-                        // an uninformed neighbor, more neighbors cannot
-                        // widen the participation mask.
+                    for &t in ram.targets_of(v) {
+                        un |= !heard.lanes(t);
                         if un & inf_v == inf_v {
                             break;
                         }
@@ -512,37 +611,22 @@ impl FastRadio {
                     }
                     m != 0
                 });
-                // Lanes with no participants anywhere break *before*
-                // executing this round, exactly like the scalar replay.
                 let newly_exhausted = live & !any;
-                if newly_exhausted != 0 {
-                    exhausted |= newly_exhausted;
-                    let mut bits = newly_exhausted;
-                    while bits != 0 {
-                        exhaust_end[bits.trailing_zeros() as usize] = executed;
-                        bits &= bits - 1;
-                    }
-                    if live & any == 0 {
-                        break;
-                    }
+                record_crossings(newly_exhausted, rounds.executed, &mut exhaust_end);
+                exhausted |= newly_exhausted;
+                if live & any == 0 {
+                    break;
                 }
             }
-            executed += 1;
 
             for &v in &plist {
                 let a = act[v as usize];
                 if a == 0 {
                     continue;
                 }
-                // Coins are site-addressed pure functions, so skipping
-                // the draw for a transmission no listener can use
-                // leaves every other lane read untouched. `useful`
-                // restricts the draw to lanes where some neighbor is
-                // still uninformed; the excluded lanes would contribute
-                // `need == 0` at every listener below.
                 let mut un_v: LaneMask = 0;
-                for &t in self.neighbors_of(v as usize) {
-                    un_v |= !informed.lanes(t);
+                for &t in ram.targets_of(v) {
+                    un_v |= !heard.lanes(t);
                     if un_v & a == a {
                         break;
                     }
@@ -551,26 +635,27 @@ impl FastRadio {
                 if useful == 0 {
                     continue;
                 }
-                let tx = useful & !model.corrupt_mask(tapes, radio_site(r0, v), v, useful);
-                if tx == 0 {
-                    continue;
-                }
-                for &t in self.neighbors_of(v as usize) {
+                // Every useful lane transmits; the coin corrupts the
+                // delivered value instead of the delivery.
+                let corrupt = model.corrupt_mask(&tapes, radio_site(r0, v), v, useful);
+                let txval = match model.kind() {
+                    CorruptionKind::Flip => (value_masks[v as usize] ^ corrupt) & useful,
+                    _ => value_masks[v as usize] & !corrupt & useful,
+                };
+                for &t in ram.targets_of(v) {
                     let ti = t as usize;
-                    // Restrict collision tracking to the lanes where `t`
-                    // is still uninformed — the scalar replay's
-                    // `!informed.contains(v)` guard, lane-sliced. Lanes
-                    // where `t` already knows the message can neither
-                    // hear nor collide usefully, and the informed words
-                    // are frozen until the drain, so dropping them here
-                    // leaves `hear` identical on every lane that counts.
-                    let need = tx & !informed.lanes(t);
+                    let need = useful & !heard.lanes(t);
                     if need == 0 {
                         continue;
                     }
                     if once[ti] | twice[ti] == 0 {
                         touched.push(t);
                     }
+                    // Lanes where `v` is the first transmitter at `t`
+                    // record `v`'s value; a second transmitter marks
+                    // the collision and the value is moot.
+                    let first = need & !once[ti];
+                    vonce[ti] |= txval & first;
                     twice[ti] |= once[ti] & need;
                     once[ti] |= need;
                 }
@@ -582,12 +667,16 @@ impl FastRadio {
                 let hear = once[ti] & !twice[ti];
                 once[ti] = 0;
                 twice[ti] = 0;
+                let adopted = vonce[ti] & hear;
+                vonce[ti] = 0;
                 if hear == 0 {
                     continue;
                 }
-                let newly = informed.insert_masked(t, hear);
+                let newly = heard.insert_masked(t, hear);
                 if newly != 0 {
                     changed = true;
+                    value_masks[ti] |= adopted & newly;
+                    correct_counts.add_masked(adopted & newly, 1);
                     if !in_plist[ti] {
                         in_plist[ti] = true;
                         act[ti] = 0;
@@ -597,93 +686,200 @@ impl FastRadio {
             }
             touched.clear();
 
-            count_arena.extend_from_slice(informed.counts().planes());
-            count_arena.resize(executed * plane_width, 0);
-
-            if changed {
-                let comp = informed.counts().eq_mask(n as u64) & !completed;
-                record_crossings(comp, round, &mut completion_round);
-                completed |= comp;
-                if almost_done != !0 {
-                    let almost = informed.counts().ge_mask(almost_target) & !almost_done;
-                    record_crossings(almost, round, &mut almost_round);
-                    almost_done |= almost;
-                }
-            }
+            rounds.end_round(&correct_counts, round, changed);
 
             if decay && j + 1 < epoch_len {
-                for &v in &plist {
-                    let vi = v as usize;
-                    if act[vi] != 0 {
-                        act[vi] &= decay_tape.fair_mask(radio_site(r0, v));
-                    }
-                }
+                decay_thin(&mut act, &plist, &decay_tape, r0);
             }
         }
 
         FastRadioBatch {
             n,
-            horizon: self.horizon,
-            informed,
-            completion_round,
-            almost_round,
-            exhausted,
+            horizon,
+            informed: BatchedInformedSet::from_parts(value_masks, correct_counts),
+            rounds,
             exhaust_end,
-            plane_width,
-            count_arena,
-            executed,
         }
     }
+}
 
-    /// Scalar lane replay executed shard-at-a-time: the algorithm of
-    /// [`run_lane`](Self::run_lane) with the participant and active
-    /// lists kept per shard of `plan`, so the epoch-boundary refilter,
-    /// the transmit pass, and the Decay thinning each touch one shard's
-    /// CSR rows at a time through a [`ShardView`]. Collision counts
-    /// accumulate in the *global* [`CollisionCounter`] across all of a
-    /// round's shard passes before the sole-receiver drain — exactly
-    /// one drain per round, as in the monolithic pass — and the
-    /// saturating per-listener counts are order-independent for a fixed
-    /// transmitter set, so the outcome is **bit-identical** to
-    /// [`run_lane`](Self::run_lane) for every plan.
+/// Radio broadcasting over a [`ShardStore`] — RAM or disk segments —
+/// loading one shard's CSR rows at a time, so peak RSS on disk stays
+/// near one shard plus the node-level state: the `n = 10⁸` path. Its
+/// scalar-lane and 64-lane passes are the ones [`FastRadio`] runs over
+/// its in-RAM store, so outcomes are **bit-identical** to
+/// [`FastRadio::run_lane`] / [`FastRadio::run_batch`] on the same
+/// adjacency: the coin tape and sites are the same, the collision
+/// counts accumulate across every shard's transmit pass before the
+/// round's single sole-receiver drain, and the epoch-exhaustion sweep
+/// reads the participation union only after every shard's refilter has
+/// been folded in — the same points in the round where a one-shard
+/// pass reads them.
+pub struct ShardedRadio {
+    store: ShardStore,
+    source: u32,
+    horizon: usize,
+    schedule: FastRadioSchedule,
+    threads: usize,
+    prefetch: bool,
+}
+
+impl ShardedRadio {
+    /// Wraps a shard store for radio broadcasting from `source` over
+    /// at most `horizon` rounds under `schedule`. Runs single-threaded
+    /// with segment prefetch on; both knobs
+    /// ([`with_threads`](Self::with_threads),
+    /// [`with_prefetch`](Self::with_prefetch)) are outcome-invisible.
     ///
     /// # Panics
     ///
-    /// Panics if `p ∉ [0, 1)`, `lane ≥ 64`, or the plan covers a
-    /// different node count.
+    /// Panics if `source` is out of range or the schedule is
+    /// [`FastRadioSchedule::Decay`] with `epoch_len == 0`.
     #[must_use]
-    pub fn run_lane_sharded(
+    pub fn new(
+        store: ShardStore,
+        source: u32,
+        horizon: usize,
+        schedule: FastRadioSchedule,
+    ) -> Self {
+        if let FastRadioSchedule::Decay { epoch_len } = schedule {
+            assert!(epoch_len > 0, "decay epochs need at least one round");
+        }
+        assert!(
+            (source as usize) < store.node_count(),
+            "source out of range"
+        );
+        ShardedRadio {
+            store,
+            source,
+            horizon,
+            schedule,
+            threads: 1,
+            prefetch: true,
+        }
+    }
+
+    /// Sets the worker count for the parallel collision drain and, over
+    /// an in-RAM store of several shards, the parallel 64-lane shard
+    /// passes (byte-outcome-invisible; clamped to at least 1).
+    #[must_use]
+    pub fn with_threads(mut self, threads: usize) -> Self {
+        self.threads = threads.max(1);
+        self
+    }
+
+    /// Enables or disables the background segment prefetcher
+    /// (byte-outcome-invisible; on by default).
+    #[must_use]
+    pub fn with_prefetch(mut self, prefetch: bool) -> Self {
+        self.prefetch = prefetch;
+        self
+    }
+
+    /// The underlying shard store.
+    #[must_use]
+    pub fn store(&self) -> &ShardStore {
+        &self.store
+    }
+
+    /// Unwraps the shard store, e.g. to hand the same on-disk segments
+    /// to another kernel without rebuilding them.
+    #[must_use]
+    pub fn into_store(self) -> ShardStore {
+        self.store
+    }
+
+    /// Number of nodes.
+    #[must_use]
+    pub fn node_count(&self) -> usize {
+        self.store.node_count()
+    }
+
+    /// The horizon (maximum number of rounds executed).
+    #[must_use]
+    pub fn horizon(&self) -> usize {
+        self.horizon
+    }
+
+    /// The transmission schedule.
+    #[must_use]
+    pub fn schedule(&self) -> FastRadioSchedule {
+        self.schedule
+    }
+
+    /// Scalar lane replay over the shard store; bit-identical to
+    /// [`FastRadio::run_lane`] on the same adjacency.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ShardError::SegmentIo`] (and friends) if a disk
+    /// segment cannot be read.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `p ∉ [0, 1)` or `lane ≥ 64`.
+    pub fn run_lane(
         &self,
-        plan: &ShardPlan,
         p: f64,
         block_seed: u64,
         lane: u32,
-    ) -> FastRadioOutcome {
-        assert!((0.0..1.0).contains(&p), "failure probability out of range");
-        assert!((lane as usize) < LANES, "lane out of range");
-        self.run_lane_sharded_silent(
-            plan,
+    ) -> Result<FastRadioOutcome, ShardError> {
+        self.lane_pass(
+            self.views(),
             &Omission::new(p),
-            &FaultTapes::new(block_seed),
-            &BatchTape::new(block_seed, DECAY_STREAM),
+            block_seed,
             lane,
+            self.threads,
         )
     }
 
-    /// [`run_lane_sharded`](Self::run_lane_sharded) generalized over
-    /// any `Silent` [`FaultModel`] (see
-    /// [`run_lane_silent`](Self::run_lane_silent) for the
-    /// byte-identity argument).
-    fn run_lane_sharded_silent<M: FaultModel + ?Sized>(
+    /// One batched 64-lane block over the shard store — the lane
+    /// semantics of [`FastRadio::run_batch`], with every segment read
+    /// amortized across all 64 trials. Per-lane outcomes are
+    /// byte-identical to 64 scalar [`run_lane`](Self::run_lane)
+    /// replays of the same block seed.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ShardError::SegmentIo`] (and friends) if a disk
+    /// segment cannot be read.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `p ∉ [0, 1)`.
+    pub fn run_batch(&self, p: f64, block_seed: u64) -> Result<FastRadioBatch, ShardError> {
+        self.batch_pass(self.views(), &Omission::new(p), block_seed, self.threads)
+    }
+
+    /// The per-pass segment reader over the store.
+    fn views(&self) -> PassLoader<'_> {
+        PassLoader::new(&self.store, self.prefetch)
+    }
+
+    /// The scalar lane pass under a `Silent` [`FaultModel`] (a
+    /// corrupted transmission is silenced). Each round makes one
+    /// shard-at-a-time transmit pass (plus, at epoch boundaries, one
+    /// refilter pass); collision counts accumulate across every shard
+    /// and drain once per round, on up to `threads` workers. For disk
+    /// stores each shard pass is served either by a full segment read
+    /// overlapped with the previous shard's compute (the [`PassLoader`]
+    /// prefetch pipeline) or, when the pass touches a small fraction of
+    /// the shard — the common case under Decay thinning — by coalesced
+    /// sparse row reads. Neither choice, nor the thread count, can
+    /// change a byte of the outcome.
+    fn lane_pass<M: FaultModel + ?Sized>(
         &self,
-        plan: &ShardPlan,
+        mut views: PassLoader<'_>,
         model: &M,
-        tapes: &FaultTapes,
-        decay_tape: &BatchTape,
+        block_seed: u64,
         lane: u32,
-    ) -> FastRadioOutcome {
-        assert_eq!(plan.node_count(), self.n, "plan/graph node count mismatch");
-        let n = self.n;
+        threads: usize,
+    ) -> Result<FastRadioOutcome, ShardError> {
+        assert!((lane as usize) < LANES, "lane out of range");
+        let tapes = FaultTapes::new(block_seed);
+        let decay_tape = BatchTape::new(block_seed, DECAY_STREAM);
+        let plan = self.store.plan();
+        let n = plan.node_count();
         let k = plan.shard_count();
         let mut informed = InformedSet::new(n);
         informed.insert(self.source);
@@ -694,12 +890,8 @@ impl FastRadio {
         let mut participants: Vec<Vec<u32>> = vec![Vec::new(); k];
         participants[plan.shard_of(self.source)].push(self.source);
         let mut active: Vec<Vec<u32>> = vec![Vec::new(); k];
-        let mut counter = CollisionCounter::new(n);
-
-        let (decay, epoch_len) = match self.schedule {
-            FastRadioSchedule::Decay { epoch_len } => (true, epoch_len),
-            FastRadioSchedule::AllInformed => (false, 1),
-        };
+        let mut counter = ShardedCollisions::new(plan.bounds());
+        let (decay, epoch_len) = self.schedule.epochs();
 
         for round in 1..=self.horizon {
             if completion_round.is_some() {
@@ -708,6 +900,7 @@ impl FastRadio {
             let r0 = round - 1;
             let j = r0 % epoch_len;
             if j == 0 {
+                views.begin_lists(participants.iter().map(Vec::as_slice));
                 let mut any = false;
                 for (s, (parts, act_list)) in
                     participants.iter_mut().zip(active.iter_mut()).enumerate()
@@ -716,8 +909,7 @@ impl FastRadio {
                     if parts.is_empty() {
                         continue;
                     }
-                    let (start, end) = plan.range(s);
-                    let view = ShardView::over(&self.offsets, &self.neighbors, start, end);
+                    let view = views.view_list(s, parts)?;
                     parts.retain(|&u| view.targets_of(u).iter().any(|&t| !informed.contains(t)));
                     act_list.extend_from_slice(parts);
                     any |= !parts.is_empty();
@@ -727,14 +919,15 @@ impl FastRadio {
                 }
             }
 
+            views.begin_lists(active.iter().map(Vec::as_slice));
             for (s, act_list) in active.iter().enumerate() {
                 if act_list.is_empty() {
                     continue;
                 }
-                let (start, end) = plan.range(s);
-                let view = ShardView::over(&self.offsets, &self.neighbors, start, end);
+                let view = views.view_list(s, act_list)?;
                 for &u in act_list {
-                    if model.corrupt_lane(tapes, radio_site(r0, u), u, lane) {
+                    // The coin is an omission: `true` silences `u`.
+                    if model.corrupt_lane(&tapes, radio_site(r0, u), u, lane) {
                         continue;
                     }
                     for &v in view.targets_of(u) {
@@ -744,9 +937,10 @@ impl FastRadio {
                     }
                 }
             }
-            counter.drain_sole_receivers(|v| {
+            counter.drain_sole_receivers(threads, |s, v| {
                 informed.insert(v);
-                participants[plan.shard_of(v)].push(v);
+                // Joins the transmitters at the next epoch start.
+                participants[s].push(v);
             });
 
             informed_by_round.push(informed.count());
@@ -761,116 +955,96 @@ impl FastRadio {
             }
         }
 
-        FastRadioOutcome {
+        Ok(FastRadioOutcome {
             n,
             horizon: self.horizon,
             completion_round,
             informed_by_round,
             informed,
-        }
+        })
     }
 
-    /// The 64-lane batch executed shard-at-a-time; **bit-identical** to
-    /// [`run_batch`](Self::run_batch) for every plan. The union
+    /// The 64-lane pass under a `Silent` [`FaultModel`]. The union
     /// participant list is kept per shard; per-node lane state (`act`,
     /// informed words, collision accumulators) stays global. Each round
     /// runs the epoch refilter and the transmit pass one shard at a
     /// time, accumulating the `≥ 1` / `≥ 2` collision masks across all
     /// shards before the single sole-receiver drain, and the
     /// lane-exhaustion bookkeeping fires only after *every* shard's
-    /// refilter has contributed to the round's participation union —
-    /// the same points in the round where the monolithic batch reads
-    /// them.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `p ∉ [0, 1)` or the plan covers a different node
-    /// count.
-    #[must_use]
-    pub fn run_batch_sharded(&self, plan: &ShardPlan, p: f64, block_seed: u64) -> FastRadioBatch {
-        assert!((0.0..1.0).contains(&p), "failure probability out of range");
-        self.run_batch_sharded_silent(
-            plan,
-            &Omission::new(p),
-            &FaultTapes::new(block_seed),
-            &BatchTape::new(block_seed, DECAY_STREAM),
-        )
-    }
-
-    /// [`run_batch_sharded`](Self::run_batch_sharded) generalized over
-    /// any `Silent` [`FaultModel`] (see
-    /// [`run_lane_silent`](Self::run_lane_silent) for the
-    /// byte-identity argument).
-    fn run_batch_sharded_silent<M: FaultModel + ?Sized>(
+    /// refilter has contributed to the round's participation union.
+    /// Over an in-RAM store of several shards with `threads > 1`, the
+    /// shard passes fan out across workers instead
+    /// ([`batch_pass_threads`](Self::batch_pass_threads)); disk stores
+    /// stay sequential.
+    fn batch_pass<M: FaultModel + ?Sized>(
         &self,
-        plan: &ShardPlan,
+        mut views: PassLoader<'_>,
         model: &M,
-        tapes: &FaultTapes,
-        decay_tape: &BatchTape,
-    ) -> FastRadioBatch {
-        assert_eq!(plan.node_count(), self.n, "plan/graph node count mismatch");
-        let n = self.n;
+        block_seed: u64,
+        threads: usize,
+    ) -> Result<FastRadioBatch, ShardError> {
+        let tapes = FaultTapes::new(block_seed);
+        let decay_tape = BatchTape::new(block_seed, DECAY_STREAM);
+        let plan = self.store.plan();
+        let n = plan.node_count();
         let k = plan.shard_count();
+        if threads > 1 && k > 1 {
+            if let ShardStore::Ram(ram) = &self.store {
+                return Ok(self.batch_pass_threads(ram, model, &tapes, &decay_tape, threads));
+            }
+        }
         let mut informed = BatchedInformedSet::new(n);
         informed.insert_masked(self.source, !0);
-        let almost_target = n.saturating_sub(1).max(1) as u64;
-
-        let mut completion_round: Vec<Option<usize>> = vec![None; LANES];
-        let mut almost_round: Vec<Option<usize>> = vec![None; LANES];
-        let mut completed: LaneMask = 0;
-        let mut almost_done: LaneMask = 0;
-        if n == 1 {
-            completed = !0;
-            completion_round.fill(Some(0));
-        }
-        if 1 >= almost_target {
-            almost_done = !0;
-            almost_round.fill(Some(0));
-        }
-
-        let plane_width = (usize::BITS - n.leading_zeros()) as usize;
-        let mut count_arena: Vec<u64> = Vec::new();
-        let mut executed = 0usize;
-
+        let mut rounds = LaneRounds::new(n);
+        // Lanes whose replay broke at an epoch boundary with no
+        // participants left, and the number of rounds each had executed.
         let mut exhausted: LaneMask = 0;
-        let mut exhaust_end = vec![0usize; LANES];
+        let mut exhaust_end: Vec<Option<usize>> = vec![None; LANES];
 
+        // Union participant lists: nodes with a nonzero per-lane
+        // participation mask in some lane. `act` is the per-node lane
+        // mask of *currently transmitting* participants — rebuilt at
+        // every epoch boundary, thinned by Decay coins within an epoch.
+        // Nodes informed mid-epoch join the list with an empty mask and
+        // pick up their lanes at the next boundary, exactly as the
+        // scalar pass's `participants` / `active` split.
         let mut plist: Vec<Vec<u32>> = vec![Vec::new(); k];
         plist[plan.shard_of(self.source)].push(self.source);
         let mut in_plist = vec![false; n];
         in_plist[self.source as usize] = true;
         let mut act: Vec<LaneMask> = vec![0; n];
 
+        // Collision accumulators per listener: lanes with ≥ 1 and ≥ 2
+        // transmitting neighbors this round, reset via the touched list.
         let mut once: Vec<LaneMask> = vec![0; n];
         let mut twice: Vec<LaneMask> = vec![0; n];
         let mut touched: Vec<u32> = Vec::new();
-
-        let (decay, epoch_len) = match self.schedule {
-            FastRadioSchedule::Decay { epoch_len } => (true, epoch_len),
-            FastRadioSchedule::AllInformed => (false, 1),
-        };
+        let (decay, epoch_len) = self.schedule.epochs();
 
         for round in 1..=self.horizon {
-            let live = !(completed | exhausted);
+            let live = !(rounds.completed() | exhausted);
             if live == 0 {
                 break;
             }
             let r0 = round - 1;
             let j = r0 % epoch_len;
             if j == 0 {
+                views.begin_lists(plist.iter().map(Vec::as_slice));
                 let mut any: LaneMask = 0;
                 for (s, list) in plist.iter_mut().enumerate() {
                     if list.is_empty() {
                         continue;
                     }
-                    let (start, end) = plan.range(s);
-                    let view = ShardView::over(&self.offsets, &self.neighbors, start, end);
+                    let view = views.view_list(s, list)?;
                     list.retain(|&v| {
                         let vi = v as usize;
                         let inf_v = informed.lanes(v);
                         let mut un: LaneMask = 0;
                         for &t in view.targets_of(v) {
                             un |= !informed.lanes(t);
+                            // Once every lane `v` knows the message in
+                            // has an uninformed neighbor, more
+                            // neighbors cannot widen the mask.
                             if un & inf_v == inf_v {
                                 break;
                             }
@@ -884,34 +1058,33 @@ impl FastRadio {
                         m != 0
                     });
                 }
-                // Exhaustion is a whole-round property: read it only
-                // after every shard's refilter has been folded in.
+                // Lanes with no participants anywhere break *before*
+                // executing this round, exactly like the scalar replay.
                 let newly_exhausted = live & !any;
-                if newly_exhausted != 0 {
-                    exhausted |= newly_exhausted;
-                    let mut bits = newly_exhausted;
-                    while bits != 0 {
-                        exhaust_end[bits.trailing_zeros() as usize] = executed;
-                        bits &= bits - 1;
-                    }
-                    if live & any == 0 {
-                        break;
-                    }
+                record_crossings(newly_exhausted, rounds.executed, &mut exhaust_end);
+                exhausted |= newly_exhausted;
+                if live & any == 0 {
+                    break;
                 }
             }
-            executed += 1;
 
+            views.begin_lists(plist.iter().map(Vec::as_slice));
             for (s, list) in plist.iter().enumerate() {
                 if list.is_empty() {
                     continue;
                 }
-                let (start, end) = plan.range(s);
-                let view = ShardView::over(&self.offsets, &self.neighbors, start, end);
+                let view = views.view_list(s, list)?;
                 for &v in list {
                     let a = act[v as usize];
                     if a == 0 {
                         continue;
                     }
+                    // Coins are site-addressed pure functions, so
+                    // skipping the draw for a transmission no listener
+                    // can use leaves every other lane read untouched.
+                    // `useful` restricts the draw to lanes where some
+                    // neighbor is still uninformed; the excluded lanes
+                    // would contribute `need == 0` at every listener.
                     let mut un_v: LaneMask = 0;
                     for &t in view.targets_of(v) {
                         un_v |= !informed.lanes(t);
@@ -923,12 +1096,18 @@ impl FastRadio {
                     if useful == 0 {
                         continue;
                     }
-                    let tx = useful & !model.corrupt_mask(tapes, radio_site(r0, v), v, useful);
+                    let tx = useful & !model.corrupt_mask(&tapes, radio_site(r0, v), v, useful);
                     if tx == 0 {
                         continue;
                     }
                     for &t in view.targets_of(v) {
                         let ti = t as usize;
+                        // Restrict collision tracking to the lanes where
+                        // `t` is still uninformed — the scalar replay's
+                        // `!informed.contains(v)` guard, lane-sliced.
+                        // The informed words are frozen until the
+                        // drain, so dropping the other lanes here leaves
+                        // `hear` identical on every lane that counts.
                         let need = tx & !informed.lanes(t);
                         if need == 0 {
                             continue;
@@ -963,120 +1142,38 @@ impl FastRadio {
             }
             touched.clear();
 
-            count_arena.extend_from_slice(informed.counts().planes());
-            count_arena.resize(executed * plane_width, 0);
-
-            if changed {
-                let comp = informed.counts().eq_mask(n as u64) & !completed;
-                record_crossings(comp, round, &mut completion_round);
-                completed |= comp;
-                if almost_done != !0 {
-                    let almost = informed.counts().ge_mask(almost_target) & !almost_done;
-                    record_crossings(almost, round, &mut almost_round);
-                    almost_done |= almost;
-                }
-            }
+            rounds.end_round(informed.counts(), round, changed);
 
             if decay && j + 1 < epoch_len {
-                for list in &plist {
-                    for &v in list {
-                        let vi = v as usize;
-                        if act[vi] != 0 {
-                            act[vi] &= decay_tape.fair_mask(radio_site(r0, v));
-                        }
-                    }
-                }
+                decay_thin(&mut act, plist.iter().flatten(), &decay_tape, r0);
             }
         }
 
-        FastRadioBatch {
+        Ok(FastRadioBatch {
             n,
             horizon: self.horizon,
             informed,
-            completion_round,
-            almost_round,
-            exhausted,
+            rounds,
             exhaust_end,
-            plane_width,
-            count_arena,
-            executed,
-        }
+        })
     }
 
-    /// [`run_batch_sharded`](Self::run_batch_sharded) with the round's
-    /// independent shard passes fanned across up to `threads` scoped
-    /// workers; **byte-identical** to the single-threaded sharded batch
-    /// (and hence to the monolithic batch) for every `threads × plan`
-    /// combination. Both the epoch refilter and the transmit pass read
-    /// only state frozen for the pass (the informed lane masks are not
-    /// written until the single sole-receiver drain), so workers return
-    /// their writes as data and the sequential ascending-shard merge
-    /// replays the exact single-threaded write sequence — including the
-    /// `touched` list order the drain visits (see DESIGN.md, "Parallel
-    /// shard passes").
-    ///
-    /// # Panics
-    ///
-    /// Panics if `p ∉ [0, 1)` or the plan covers a different node
-    /// count.
-    #[must_use]
-    pub fn run_batch_sharded_threads(
+    /// The 64-lane pass with each round's independent shard passes
+    /// fanned across up to `threads` scoped workers over the in-RAM
+    /// store's views — **byte-identical** to the sequential pass for
+    /// every `threads × plan` combination. Both the epoch refilter and
+    /// the transmit pass read only state frozen for the pass (the
+    /// informed lane masks are not written until the single
+    /// sole-receiver drain), so workers return their writes as data and
+    /// the ascending-shard merge replays the exact sequential write
+    /// sequence — including the `touched` order the drain visits (see
+    /// DESIGN.md, "Parallel shard passes"). Refilter workers return each
+    /// shard's surviving participants with their fresh activity masks
+    /// plus the shard's participation union; transmit workers return
+    /// `(target, need)` delivery events bucketed by listener shard.
+    fn batch_pass_threads<M: FaultModel + ?Sized>(
         &self,
-        plan: &ShardPlan,
-        p: f64,
-        block_seed: u64,
-        threads: usize,
-    ) -> FastRadioBatch {
-        assert!((0.0..1.0).contains(&p), "failure probability out of range");
-        let model = Omission::new(p);
-        self.run_batch_sharded_model_threads(plan, &model, block_seed, threads)
-    }
-
-    /// [`run_batch_sharded_model`](Self::run_batch_sharded_model) with
-    /// thread-parallel shard passes; byte-identical to it for every
-    /// thread count. Only the silent pass parallelizes — the
-    /// corrupted-value pass carries per-node heard values through a
-    /// sequential epoch walk and delegates unchanged.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the plan covers a different node count.
-    #[must_use]
-    pub fn run_batch_sharded_model_threads<M: FaultModel + Sync + ?Sized>(
-        &self,
-        plan: &ShardPlan,
-        model: &M,
-        block_seed: u64,
-        threads: usize,
-    ) -> FastRadioBatch {
-        let tapes = FaultTapes::new(block_seed);
-        let decay_tape = BatchTape::new(block_seed, DECAY_STREAM);
-        match model.kind() {
-            CorruptionKind::Silent => {
-                if threads <= 1 || plan.shard_count() <= 1 {
-                    self.run_batch_sharded_silent(plan, model, &tapes, &decay_tape)
-                } else {
-                    self.run_batch_sharded_silent_threads(plan, model, &tapes, &decay_tape, threads)
-                }
-            }
-            _ => self.run_batch_values_sharded(plan, model, &tapes, &decay_tape),
-        }
-    }
-
-    /// Thread-parallel evolution of
-    /// [`run_batch_sharded_silent`](Self::run_batch_sharded_silent).
-    /// Refilter workers return each shard's surviving participants with
-    /// their fresh activity masks plus the shard's participation union;
-    /// transmit workers return `(target, need)` delivery events
-    /// computed against the frozen informed masks — exactly the masks
-    /// the single-threaded pass reads, since `informed` is only written
-    /// in the drain. The ascending-shard merge then accumulates the
-    /// `≥ 1`/`≥ 2` collision words and the `touched` order identically
-    /// to the single-threaded pass, and the drain, crossing
-    /// bookkeeping, and Decay thinning run sequentially unchanged.
-    fn run_batch_sharded_silent_threads<M: FaultModel + Sync + ?Sized>(
-        &self,
-        plan: &ShardPlan,
+        ram: &RamShards,
         model: &M,
         tapes: &FaultTapes,
         decay_tape: &BatchTape,
@@ -1088,32 +1185,16 @@ impl FastRadio {
             any: LaneMask,
         }
 
-        assert_eq!(plan.node_count(), self.n, "plan/graph node count mismatch");
-        let n = self.n;
+        let plan = ram.plan();
+        let n = plan.node_count();
         let k = plan.shard_count();
         let mut informed = BatchedInformedSet::new(n);
         informed.insert_masked(self.source, !0);
-        let almost_target = n.saturating_sub(1).max(1) as u64;
-
-        let mut completion_round: Vec<Option<usize>> = vec![None; LANES];
-        let mut almost_round: Vec<Option<usize>> = vec![None; LANES];
-        let mut completed: LaneMask = 0;
-        let mut almost_done: LaneMask = 0;
-        if n == 1 {
-            completed = !0;
-            completion_round.fill(Some(0));
-        }
-        if 1 >= almost_target {
-            almost_done = !0;
-            almost_round.fill(Some(0));
-        }
-
-        let plane_width = (usize::BITS - n.leading_zeros()) as usize;
-        let mut count_arena: Vec<u64> = Vec::new();
-        let mut executed = 0usize;
-
+        let mut rounds = LaneRounds::new(n);
+        // Lanes whose replay broke at an epoch boundary with no
+        // participants left, and the number of rounds each had executed.
         let mut exhausted: LaneMask = 0;
-        let mut exhaust_end = vec![0usize; LANES];
+        let mut exhaust_end: Vec<Option<usize>> = vec![None; LANES];
 
         let mut plist: Vec<Vec<u32>> = vec![Vec::new(); k];
         plist[plan.shard_of(self.source)].push(self.source);
@@ -1123,14 +1204,10 @@ impl FastRadio {
 
         let mut once: Vec<LaneMask> = vec![0; n];
         let mut twice: Vec<LaneMask> = vec![0; n];
-
-        let (decay, epoch_len) = match self.schedule {
-            FastRadioSchedule::Decay { epoch_len } => (true, epoch_len),
-            FastRadioSchedule::AllInformed => (false, 1),
-        };
+        let (decay, epoch_len) = self.schedule.epochs();
 
         for round in 1..=self.horizon {
-            let live = !(completed | exhausted);
+            let live = !(rounds.completed() | exhausted);
             if live == 0 {
                 break;
             }
@@ -1148,11 +1225,7 @@ impl FastRadio {
                             dropped: Vec::new(),
                             any: 0,
                         };
-                        if plist[s].is_empty() {
-                            return pass;
-                        }
-                        let (start, end) = plan.range(s);
-                        let view = ShardView::over(&self.offsets, &self.neighbors, start, end);
+                        let view = ram.view(s);
                         for &v in &plist[s] {
                             let inf_v = informed.lanes(v);
                             let mut un: LaneMask = 0;
@@ -1191,36 +1264,25 @@ impl FastRadio {
                     }
                 }
                 let newly_exhausted = live & !any;
-                if newly_exhausted != 0 {
-                    exhausted |= newly_exhausted;
-                    let mut bits = newly_exhausted;
-                    while bits != 0 {
-                        exhaust_end[bits.trailing_zeros() as usize] = executed;
-                        bits &= bits - 1;
-                    }
-                    if live & any == 0 {
-                        break;
-                    }
+                record_crossings(newly_exhausted, rounds.executed, &mut exhaust_end);
+                exhausted |= newly_exhausted;
+                if live & any == 0 {
+                    break;
                 }
             }
-            executed += 1;
 
             // Parallel transmit: `informed` is frozen until the drain,
             // so the per-target `need` masks workers compute are the
-            // very masks the single-threaded pass reads. Events come
-            // back bucketed by the *listener's* shard so the merge can
-            // fan out too.
+            // very masks the sequential pass reads. Events come back
+            // bucketed by the *listener's* shard so the merge can fan
+            // out too.
             let events = {
                 let plist = &plist;
                 let act = &act;
                 let informed = &informed;
                 shard_passes(k, threads, |s| {
                     let mut events: Vec<Vec<(u32, LaneMask)>> = vec![Vec::new(); k];
-                    if plist[s].is_empty() {
-                        return events;
-                    }
-                    let (start, end) = plan.range(s);
-                    let view = ShardView::over(&self.offsets, &self.neighbors, start, end);
+                    let view = ram.view(s);
                     for &v in &plist[s] {
                         let a = act[v as usize];
                         if a == 0 {
@@ -1256,7 +1318,7 @@ impl FastRadio {
             // stream (transmit shards ascending, emission order within
             // each) is the restriction of the sequential merge order to
             // that shard, so folding it into that shard's slice of the
-            // once/twice planes replays the single-threaded first-touch
+            // once/twice planes replays the sequential first-touch
             // order exactly. Workers emit `(t, hear)` in first-touch
             // order and reset their slices; only the `informed` insert
             // stays sequential.
@@ -1332,29 +1394,10 @@ impl FastRadio {
                 }
             }
 
-            count_arena.extend_from_slice(informed.counts().planes());
-            count_arena.resize(executed * plane_width, 0);
-
-            if changed {
-                let comp = informed.counts().eq_mask(n as u64) & !completed;
-                record_crossings(comp, round, &mut completion_round);
-                completed |= comp;
-                if almost_done != !0 {
-                    let almost = informed.counts().ge_mask(almost_target) & !almost_done;
-                    record_crossings(almost, round, &mut almost_round);
-                    almost_done |= almost;
-                }
-            }
+            rounds.end_round(informed.counts(), round, changed);
 
             if decay && j + 1 < epoch_len {
-                for list in &plist {
-                    for &v in list {
-                        let vi = v as usize;
-                        if act[vi] != 0 {
-                            act[vi] &= decay_tape.fair_mask(radio_site(r0, v));
-                        }
-                    }
-                }
+                decay_thin(&mut act, plist.iter().flatten(), decay_tape, r0);
             }
         }
 
@@ -1362,1039 +1405,9 @@ impl FastRadio {
             n,
             horizon: self.horizon,
             informed,
-            completion_round,
-            almost_round,
-            exhausted,
+            rounds,
             exhaust_end,
-            plane_width,
-            count_arena,
-            executed,
         }
-    }
-
-    /// Runs the model's placement preprocessing against this plan's
-    /// CSR adjacency. Call once per plan before any `*_model` run of a
-    /// placement-based model.
-    pub fn preprocess<M: FaultModel + ?Sized>(&self, model: &mut M) {
-        model.preprocess_graph(&self.offsets, &self.neighbors, self.source);
-    }
-
-    /// [`run_lane`](Self::run_lane) under an arbitrary [`FaultModel`].
-    /// `Silent` models run the frontier replay (byte-identical to the
-    /// omission path for [`Omission`]); corrupted-value models
-    /// (`Flip` / `Lie`) run the value-tracking replay — a corrupted
-    /// transmitter still transmits and collides, but delivers a
-    /// corrupted message, and the outcome's informed set and growth
-    /// curve track the **correctly informed** nodes.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lane ≥ 64`.
-    #[must_use]
-    pub fn run_lane_model<M: FaultModel + ?Sized>(
-        &self,
-        model: &M,
-        block_seed: u64,
-        lane: u32,
-    ) -> FastRadioOutcome {
-        assert!((lane as usize) < LANES, "lane out of range");
-        let tapes = FaultTapes::new(block_seed);
-        let decay_tape = BatchTape::new(block_seed, DECAY_STREAM);
-        match model.kind() {
-            CorruptionKind::Silent => self.run_lane_silent(model, &tapes, &decay_tape, lane),
-            _ => self.run_lane_values_sharded(
-                &ShardPlan::uniform(self.n, 1),
-                model,
-                &tapes,
-                &decay_tape,
-                lane,
-            ),
-        }
-    }
-
-    /// [`run_batch`](Self::run_batch) under an arbitrary
-    /// [`FaultModel`]; lane `k` is byte-identical to
-    /// [`run_lane_model`](Self::run_lane_model)`(model, block_seed,
-    /// k)`. See [`run_lane_model`](Self::run_lane_model) for the
-    /// corrupted-value semantics.
-    #[must_use]
-    pub fn run_batch_model<M: FaultModel + ?Sized>(
-        &self,
-        model: &M,
-        block_seed: u64,
-    ) -> FastRadioBatch {
-        let tapes = FaultTapes::new(block_seed);
-        let decay_tape = BatchTape::new(block_seed, DECAY_STREAM);
-        match model.kind() {
-            CorruptionKind::Silent => self.run_batch_silent(model, &tapes, &decay_tape),
-            _ => self.run_batch_values_sharded(
-                &ShardPlan::uniform(self.n, 1),
-                model,
-                &tapes,
-                &decay_tape,
-            ),
-        }
-    }
-
-    /// [`run_lane_sharded`](Self::run_lane_sharded) under an arbitrary
-    /// [`FaultModel`]; bit-identical to
-    /// [`run_lane_model`](Self::run_lane_model) for every plan.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lane ≥ 64` or the plan covers a different node count.
-    #[must_use]
-    pub fn run_lane_sharded_model<M: FaultModel + ?Sized>(
-        &self,
-        plan: &ShardPlan,
-        model: &M,
-        block_seed: u64,
-        lane: u32,
-    ) -> FastRadioOutcome {
-        assert!((lane as usize) < LANES, "lane out of range");
-        let tapes = FaultTapes::new(block_seed);
-        let decay_tape = BatchTape::new(block_seed, DECAY_STREAM);
-        match model.kind() {
-            CorruptionKind::Silent => {
-                self.run_lane_sharded_silent(plan, model, &tapes, &decay_tape, lane)
-            }
-            _ => self.run_lane_values_sharded(plan, model, &tapes, &decay_tape, lane),
-        }
-    }
-
-    /// [`run_batch_sharded`](Self::run_batch_sharded) under an
-    /// arbitrary [`FaultModel`]; bit-identical to
-    /// [`run_batch_model`](Self::run_batch_model) for every plan.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the plan covers a different node count.
-    #[must_use]
-    pub fn run_batch_sharded_model<M: FaultModel + ?Sized>(
-        &self,
-        plan: &ShardPlan,
-        model: &M,
-        block_seed: u64,
-    ) -> FastRadioBatch {
-        let tapes = FaultTapes::new(block_seed);
-        let decay_tape = BatchTape::new(block_seed, DECAY_STREAM);
-        match model.kind() {
-            CorruptionKind::Silent => {
-                self.run_batch_sharded_silent(plan, model, &tapes, &decay_tape)
-            }
-            _ => self.run_batch_values_sharded(plan, model, &tapes, &decay_tape),
-        }
-    }
-
-    /// Corrupted-value scalar backend, executed shard-at-a-time (the
-    /// monolithic entry points pass a single-shard plan — same code,
-    /// same iteration order, bit-identical). Faults never silence:
-    /// every active node transmits, so the collision process is the
-    /// fault-free one and only message *values* are at stake. A sole
-    /// receiver adopts whatever its one audible neighbor sent — a
-    /// `Flip` transmitter sends its own value XOR the corruption coin,
-    /// a `Lie` transmitter sends the true value only when uncorrupted
-    /// and holding it — and retransmits that value in later epochs.
-    /// The returned informed set and growth curve track the correctly
-    /// informed nodes (the quantity the paper's malicious feasibility
-    /// results are about); participation and exhaustion bookkeeping
-    /// run on the heard set, exactly like the silent replay.
-    fn run_lane_values_sharded<M: FaultModel + ?Sized>(
-        &self,
-        plan: &ShardPlan,
-        model: &M,
-        tapes: &FaultTapes,
-        decay_tape: &BatchTape,
-        lane: u32,
-    ) -> FastRadioOutcome {
-        assert_eq!(plan.node_count(), self.n, "plan/graph node count mismatch");
-        let n = self.n;
-        let k = plan.shard_count();
-        let mut heard = InformedSet::new(n);
-        heard.insert(self.source);
-        let mut val = vec![false; n];
-        val[self.source as usize] = true;
-        let mut correct = InformedSet::new(n);
-        correct.insert(self.source);
-        let mut informed_by_round = Vec::with_capacity(self.horizon.min(1024) + 1);
-        informed_by_round.push(1);
-        let mut completion_round = (n == 1).then_some(0);
-
-        let mut participants: Vec<Vec<u32>> = vec![Vec::new(); k];
-        participants[plan.shard_of(self.source)].push(self.source);
-        let mut active: Vec<Vec<u32>> = vec![Vec::new(); k];
-        // Sole-receiver resolution carrying the first transmitter's
-        // value: `vonce[v]` is meaningful while `once[v]` is set.
-        let mut once = vec![false; n];
-        let mut twice = vec![false; n];
-        let mut vonce = vec![false; n];
-        let mut touched: Vec<u32> = Vec::new();
-
-        let (decay, epoch_len) = match self.schedule {
-            FastRadioSchedule::Decay { epoch_len } => (true, epoch_len),
-            FastRadioSchedule::AllInformed => (false, 1),
-        };
-
-        for round in 1..=self.horizon {
-            if completion_round.is_some() {
-                break;
-            }
-            let r0 = round - 1;
-            let j = r0 % epoch_len;
-            if j == 0 {
-                let mut any = false;
-                for (s, (parts, act_list)) in
-                    participants.iter_mut().zip(active.iter_mut()).enumerate()
-                {
-                    act_list.clear();
-                    if parts.is_empty() {
-                        continue;
-                    }
-                    let (start, end) = plan.range(s);
-                    let view = ShardView::over(&self.offsets, &self.neighbors, start, end);
-                    parts.retain(|&u| view.targets_of(u).iter().any(|&t| !heard.contains(t)));
-                    act_list.extend_from_slice(parts);
-                    any |= !parts.is_empty();
-                }
-                if !any {
-                    break;
-                }
-            }
-
-            for (s, act_list) in active.iter().enumerate() {
-                if act_list.is_empty() {
-                    continue;
-                }
-                let (start, end) = plan.range(s);
-                let view = ShardView::over(&self.offsets, &self.neighbors, start, end);
-                for &u in act_list {
-                    let ui = u as usize;
-                    // Coins are site-addressed pure functions, so
-                    // skipping the draw for a transmission no listener
-                    // can use leaves every other read untouched.
-                    if !view.targets_of(u).iter().any(|&t| !heard.contains(t)) {
-                        continue;
-                    }
-                    let corrupt = model.corrupt_lane(tapes, radio_site(r0, u), u, lane);
-                    let txval = match model.kind() {
-                        CorruptionKind::Flip => val[ui] ^ corrupt,
-                        _ => val[ui] && !corrupt,
-                    };
-                    for &v in view.targets_of(u) {
-                        let vi = v as usize;
-                        if heard.contains(v) {
-                            continue;
-                        }
-                        if once[vi] {
-                            twice[vi] = true;
-                        } else {
-                            once[vi] = true;
-                            vonce[vi] = txval;
-                            touched.push(v);
-                        }
-                    }
-                }
-            }
-            for &v in &touched {
-                let vi = v as usize;
-                if !twice[vi] {
-                    heard.insert(v);
-                    participants[plan.shard_of(v)].push(v);
-                    val[vi] = vonce[vi];
-                    if val[vi] {
-                        correct.insert(v);
-                    }
-                }
-                once[vi] = false;
-                twice[vi] = false;
-            }
-            touched.clear();
-
-            informed_by_round.push(correct.count());
-            if correct.count() == n {
-                completion_round = Some(round);
-            }
-
-            if decay && j + 1 < epoch_len {
-                for list in &mut active {
-                    list.retain(|&u| decay_tape.fair_lane(radio_site(r0, u), lane));
-                }
-            }
-        }
-
-        FastRadioOutcome {
-            n,
-            horizon: self.horizon,
-            completion_round,
-            informed_by_round,
-            informed: correct,
-        }
-    }
-
-    /// Corrupted-value 64-lane batch backend, executed shard-at-a-time
-    /// (the monolithic entry points pass a single-shard plan). The
-    /// machinery of the silent batch with the fault application moved
-    /// from transmissions to values: `useful` lanes all transmit, the
-    /// `≥ 1` / `≥ 2` collision masks gain a first-transmitter value
-    /// mask, and a sole receiver adopts that value. Counts, crossings,
-    /// and the final informed set track the correctly informed nodes;
-    /// participation and exhaustion run on the heard set.
-    fn run_batch_values_sharded<M: FaultModel + ?Sized>(
-        &self,
-        plan: &ShardPlan,
-        model: &M,
-        tapes: &FaultTapes,
-        decay_tape: &BatchTape,
-    ) -> FastRadioBatch {
-        assert_eq!(plan.node_count(), self.n, "plan/graph node count mismatch");
-        let n = self.n;
-        let k = plan.shard_count();
-        let mut heard = BatchedInformedSet::new(n);
-        heard.insert_masked(self.source, !0);
-        let mut value_masks = vec![0u64; n];
-        value_masks[self.source as usize] = !0;
-        let mut correct_counts = LaneCounter::new();
-        correct_counts.add_masked(!0, 1);
-        let almost_target = n.saturating_sub(1).max(1) as u64;
-
-        let mut completion_round: Vec<Option<usize>> = vec![None; LANES];
-        let mut almost_round: Vec<Option<usize>> = vec![None; LANES];
-        let mut completed: LaneMask = 0;
-        let mut almost_done: LaneMask = 0;
-        if n == 1 {
-            completed = !0;
-            completion_round.fill(Some(0));
-        }
-        if 1 >= almost_target {
-            almost_done = !0;
-            almost_round.fill(Some(0));
-        }
-
-        let plane_width = (usize::BITS - n.leading_zeros()) as usize;
-        let mut count_arena: Vec<u64> = Vec::new();
-        let mut executed = 0usize;
-
-        let mut exhausted: LaneMask = 0;
-        let mut exhaust_end = vec![0usize; LANES];
-
-        let mut plist: Vec<Vec<u32>> = vec![Vec::new(); k];
-        plist[plan.shard_of(self.source)].push(self.source);
-        let mut in_plist = vec![false; n];
-        in_plist[self.source as usize] = true;
-        let mut act: Vec<LaneMask> = vec![0; n];
-
-        let mut once: Vec<LaneMask> = vec![0; n];
-        let mut twice: Vec<LaneMask> = vec![0; n];
-        let mut vonce: Vec<LaneMask> = vec![0; n];
-        let mut touched: Vec<u32> = Vec::new();
-
-        let (decay, epoch_len) = match self.schedule {
-            FastRadioSchedule::Decay { epoch_len } => (true, epoch_len),
-            FastRadioSchedule::AllInformed => (false, 1),
-        };
-
-        for round in 1..=self.horizon {
-            let live = !(completed | exhausted);
-            if live == 0 {
-                break;
-            }
-            let r0 = round - 1;
-            let j = r0 % epoch_len;
-            if j == 0 {
-                let mut any: LaneMask = 0;
-                for (s, list) in plist.iter_mut().enumerate() {
-                    if list.is_empty() {
-                        continue;
-                    }
-                    let (start, end) = plan.range(s);
-                    let view = ShardView::over(&self.offsets, &self.neighbors, start, end);
-                    list.retain(|&v| {
-                        let vi = v as usize;
-                        let inf_v = heard.lanes(v);
-                        let mut un: LaneMask = 0;
-                        for &t in view.targets_of(v) {
-                            un |= !heard.lanes(t);
-                            if un & inf_v == inf_v {
-                                break;
-                            }
-                        }
-                        let m = inf_v & un;
-                        act[vi] = m;
-                        any |= m;
-                        if m == 0 {
-                            in_plist[vi] = false;
-                        }
-                        m != 0
-                    });
-                }
-                let newly_exhausted = live & !any;
-                if newly_exhausted != 0 {
-                    exhausted |= newly_exhausted;
-                    let mut bits = newly_exhausted;
-                    while bits != 0 {
-                        exhaust_end[bits.trailing_zeros() as usize] = executed;
-                        bits &= bits - 1;
-                    }
-                    if live & any == 0 {
-                        break;
-                    }
-                }
-            }
-            executed += 1;
-
-            for (s, list) in plist.iter().enumerate() {
-                if list.is_empty() {
-                    continue;
-                }
-                let (start, end) = plan.range(s);
-                let view = ShardView::over(&self.offsets, &self.neighbors, start, end);
-                for &v in list {
-                    let a = act[v as usize];
-                    if a == 0 {
-                        continue;
-                    }
-                    let mut un_v: LaneMask = 0;
-                    for &t in view.targets_of(v) {
-                        un_v |= !heard.lanes(t);
-                        if un_v & a == a {
-                            break;
-                        }
-                    }
-                    let useful = a & un_v;
-                    if useful == 0 {
-                        continue;
-                    }
-                    // Every useful lane transmits; the coin corrupts
-                    // the delivered value instead of the delivery.
-                    let corrupt = model.corrupt_mask(tapes, radio_site(r0, v), v, useful);
-                    let txval = match model.kind() {
-                        CorruptionKind::Flip => (value_masks[v as usize] ^ corrupt) & useful,
-                        _ => value_masks[v as usize] & !corrupt & useful,
-                    };
-                    for &t in view.targets_of(v) {
-                        let ti = t as usize;
-                        let need = useful & !heard.lanes(t);
-                        if need == 0 {
-                            continue;
-                        }
-                        if once[ti] | twice[ti] == 0 {
-                            touched.push(t);
-                        }
-                        // Lanes where `v` is the first transmitter at
-                        // `t` record `v`'s value; a second transmitter
-                        // marks the collision and the value is moot.
-                        let first = need & !once[ti];
-                        vonce[ti] |= txval & first;
-                        twice[ti] |= once[ti] & need;
-                        once[ti] |= need;
-                    }
-                }
-            }
-
-            let mut changed = false;
-            for &t in &touched {
-                let ti = t as usize;
-                let hear = once[ti] & !twice[ti];
-                once[ti] = 0;
-                twice[ti] = 0;
-                let adopted = vonce[ti] & hear;
-                vonce[ti] = 0;
-                if hear == 0 {
-                    continue;
-                }
-                let newly = heard.insert_masked(t, hear);
-                if newly != 0 {
-                    changed = true;
-                    value_masks[ti] |= adopted & newly;
-                    correct_counts.add_masked(adopted & newly, 1);
-                    if !in_plist[ti] {
-                        in_plist[ti] = true;
-                        act[ti] = 0;
-                        plist[plan.shard_of(t)].push(t);
-                    }
-                }
-            }
-            touched.clear();
-
-            count_arena.extend_from_slice(correct_counts.planes());
-            count_arena.resize(executed * plane_width, 0);
-
-            if changed {
-                let comp = correct_counts.eq_mask(n as u64) & !completed;
-                record_crossings(comp, round, &mut completion_round);
-                completed |= comp;
-                if almost_done != !0 {
-                    let almost = correct_counts.ge_mask(almost_target) & !almost_done;
-                    record_crossings(almost, round, &mut almost_round);
-                    almost_done |= almost;
-                }
-            }
-
-            if decay && j + 1 < epoch_len {
-                for list in &plist {
-                    for &v in list {
-                        let vi = v as usize;
-                        if act[vi] != 0 {
-                            act[vi] &= decay_tape.fair_mask(radio_site(r0, v));
-                        }
-                    }
-                }
-            }
-        }
-
-        FastRadioBatch {
-            n,
-            horizon: self.horizon,
-            informed: BatchedInformedSet::from_parts(value_masks, correct_counts),
-            completion_round,
-            almost_round,
-            exhausted,
-            exhaust_end,
-            plane_width,
-            count_arena,
-            executed,
-        }
-    }
-}
-
-/// Out-of-core radio broadcasting: the [`FastRadio::run_lane`]
-/// algorithm executed against a [`ShardStore`], loading one shard's
-/// CSR rows at a time through a reusable [`ShardScratch`] so peak RSS
-/// stays near one shard plus the node-level state — the `n = 10⁸`
-/// path. Outcomes are **bit-identical** to [`FastRadio::run_lane`] on
-/// the same adjacency: the coin tape and sites are the same, the
-/// global [`CollisionCounter`] accumulates across every shard's
-/// transmit pass before the round's single sole-receiver drain, and
-/// the epoch-exhaustion sweep reads the participation union only after
-/// every segment's refilter has been folded in — the same points in
-/// the round where the monolithic replay reads them.
-pub struct ShardedRadio {
-    store: ShardStore,
-    source: u32,
-    horizon: usize,
-    schedule: FastRadioSchedule,
-    threads: usize,
-    prefetch: bool,
-}
-
-impl ShardedRadio {
-    /// Wraps a shard store for radio broadcasting from `source` over
-    /// at most `horizon` rounds under `schedule`. Runs single-threaded
-    /// with segment prefetch on; both knobs
-    /// ([`with_threads`](Self::with_threads),
-    /// [`with_prefetch`](Self::with_prefetch)) are outcome-invisible.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `source` is out of range.
-    #[must_use]
-    pub fn new(
-        store: ShardStore,
-        source: u32,
-        horizon: usize,
-        schedule: FastRadioSchedule,
-    ) -> Self {
-        assert!(
-            (source as usize) < store.node_count(),
-            "source out of range"
-        );
-        ShardedRadio {
-            store,
-            source,
-            horizon,
-            schedule,
-            threads: 1,
-            prefetch: true,
-        }
-    }
-
-    /// Sets the worker count for the parallel collision drain
-    /// (byte-outcome-invisible; clamped to at least 1).
-    #[must_use]
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = threads.max(1);
-        self
-    }
-
-    /// Enables or disables the background segment prefetcher
-    /// (byte-outcome-invisible; on by default).
-    #[must_use]
-    pub fn with_prefetch(mut self, prefetch: bool) -> Self {
-        self.prefetch = prefetch;
-        self
-    }
-
-    /// The underlying shard store.
-    #[must_use]
-    pub fn store(&self) -> &ShardStore {
-        &self.store
-    }
-
-    /// Unwraps the shard store, e.g. to hand the same on-disk segments
-    /// to another kernel without rebuilding them.
-    #[must_use]
-    pub fn into_store(self) -> ShardStore {
-        self.store
-    }
-
-    /// Number of nodes.
-    #[must_use]
-    pub fn node_count(&self) -> usize {
-        self.store.node_count()
-    }
-
-    /// The horizon (maximum number of rounds executed).
-    #[must_use]
-    pub fn horizon(&self) -> usize {
-        self.horizon
-    }
-
-    /// The transmission schedule.
-    #[must_use]
-    pub fn schedule(&self) -> FastRadioSchedule {
-        self.schedule
-    }
-
-    /// Scalar lane replay over the shard store; bit-identical to
-    /// [`FastRadio::run_lane`] on the same adjacency. Each round makes
-    /// one shard-at-a-time transmit pass (plus, at epoch boundaries,
-    /// one refilter pass); for disk stores each shard pass is served
-    /// either by a full segment read overlapped with the previous
-    /// shard's compute (the [`PassLoader`] prefetch pipeline) or, when
-    /// the pass touches a small fraction of the shard — the common case
-    /// under Decay thinning — by coalesced sparse row reads that skip
-    /// the segment decode entirely. Neither choice, nor the
-    /// `threads`/`prefetch` knobs, can change a byte of the outcome.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ShardError::SegmentIo`] (and friends) if a disk
-    /// segment cannot be read.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `p ∉ [0, 1)` or `lane ≥ 64`.
-    pub fn run_lane(
-        &self,
-        p: f64,
-        block_seed: u64,
-        lane: u32,
-    ) -> Result<FastRadioOutcome, ShardError> {
-        assert!((0.0..1.0).contains(&p), "failure probability out of range");
-        assert!((lane as usize) < LANES, "lane out of range");
-        self.run_lane_model(&Omission::new(p), block_seed, lane)
-    }
-
-    /// [`run_lane`](Self::run_lane) under an arbitrary `Silent`
-    /// [`FaultModel`]. Run the model's preprocessing against the
-    /// in-core CSR before sharding if the model needs placement.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ShardError::SegmentIo`] (and friends) if a disk
-    /// segment cannot be read.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lane ≥ 64` or the model is not `Silent` — the
-    /// corrupted-value radio pass carries per-node heard values and is
-    /// served in core (use [`FastRadio::run_lane_model`]).
-    pub fn run_lane_model<M: FaultModel + ?Sized>(
-        &self,
-        model: &M,
-        block_seed: u64,
-        lane: u32,
-    ) -> Result<FastRadioOutcome, ShardError> {
-        assert!((lane as usize) < LANES, "lane out of range");
-        assert!(
-            model.kind() == CorruptionKind::Silent,
-            "out-of-core radio supports silent fault models only"
-        );
-        let tapes = FaultTapes::new(block_seed);
-        let decay_tape = BatchTape::new(block_seed, DECAY_STREAM);
-        let plan = self.store.plan().clone();
-        let n = plan.node_count();
-        let k = plan.shard_count();
-        let mut loader = PassLoader::new(&self.store, self.prefetch);
-        let mut sorted: Vec<u32> = Vec::new();
-        let mut full_pass: Vec<usize> = Vec::new();
-        let mut informed = InformedSet::new(n);
-        informed.insert(self.source);
-        let mut informed_by_round = Vec::with_capacity(self.horizon.min(1024) + 1);
-        informed_by_round.push(1);
-        let mut completion_round = (n == 1).then_some(0);
-
-        let mut participants: Vec<Vec<u32>> = vec![Vec::new(); k];
-        participants[plan.shard_of(self.source)].push(self.source);
-        let mut active: Vec<Vec<u32>> = vec![Vec::new(); k];
-        let mut counter = ShardedCollisions::new(plan.bounds());
-
-        let (decay, epoch_len) = match self.schedule {
-            FastRadioSchedule::Decay { epoch_len } => (true, epoch_len),
-            FastRadioSchedule::AllInformed => (false, 1),
-        };
-
-        for round in 1..=self.horizon {
-            if completion_round.is_some() {
-                break;
-            }
-            let r0 = round - 1;
-            let j = r0 % epoch_len;
-            if j == 0 {
-                // Announce the refilter pass's full-view shards before
-                // touching any of them, so the reader thread works
-                // ahead of the compute.
-                full_pass.clear();
-                for (s, parts) in participants.iter().enumerate() {
-                    if !parts.is_empty() && !loader.use_sparse(s, parts.len()) {
-                        full_pass.push(s);
-                    }
-                }
-                loader.begin_pass(&full_pass);
-                let mut any = false;
-                for (s, (parts, act_list)) in
-                    participants.iter_mut().zip(active.iter_mut()).enumerate()
-                {
-                    act_list.clear();
-                    if parts.is_empty() {
-                        continue;
-                    }
-                    let sparse = loader.use_sparse(s, parts.len());
-                    if sparse {
-                        sorted.clear();
-                        sorted.extend_from_slice(parts);
-                        sorted.sort_unstable();
-                    }
-                    let view = loader.view_pass(s, &sorted, sparse)?;
-                    parts.retain(|&u| view.targets_of(u).iter().any(|&t| !informed.contains(t)));
-                    act_list.extend_from_slice(parts);
-                    any |= !parts.is_empty();
-                }
-                if !any {
-                    break;
-                }
-            }
-
-            // The collision counter accumulates across every shard's
-            // transmit pass and drains exactly once per round, so
-            // cross-shard collisions block exactly as in the
-            // monolithic replay.
-            full_pass.clear();
-            for (s, act_list) in active.iter().enumerate() {
-                if !act_list.is_empty() && !loader.use_sparse(s, act_list.len()) {
-                    full_pass.push(s);
-                }
-            }
-            loader.begin_pass(&full_pass);
-            for (s, act_list) in active.iter().enumerate() {
-                if act_list.is_empty() {
-                    continue;
-                }
-                let sparse = loader.use_sparse(s, act_list.len());
-                if sparse {
-                    sorted.clear();
-                    sorted.extend_from_slice(act_list);
-                    sorted.sort_unstable();
-                }
-                let view = loader.view_pass(s, &sorted, sparse)?;
-                for &u in act_list {
-                    if model.corrupt_lane(&tapes, radio_site(r0, u), u, lane) {
-                        continue;
-                    }
-                    for &v in view.targets_of(u) {
-                        if !informed.contains(v) {
-                            counter.add(v);
-                        }
-                    }
-                }
-            }
-            counter.drain_sole_receivers(self.threads, |s, v| {
-                informed.insert(v);
-                participants[s].push(v);
-            });
-
-            informed_by_round.push(informed.count());
-            if informed.count() == n {
-                completion_round = Some(round);
-            }
-
-            if decay && j + 1 < epoch_len {
-                for list in &mut active {
-                    list.retain(|&u| decay_tape.fair_lane(radio_site(r0, u), lane));
-                }
-            }
-        }
-
-        Ok(FastRadioOutcome {
-            n,
-            horizon: self.horizon,
-            completion_round,
-            informed_by_round,
-            informed,
-        })
-    }
-
-    /// One batched 64-lane block over the shard store — the lane
-    /// semantics of [`FastRadio::run_batch_sharded`], with every
-    /// segment read amortized across all 64 trials. Per-lane outcomes
-    /// are byte-identical to 64 scalar [`run_lane`](Self::run_lane)
-    /// replays of the same block seed.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ShardError::SegmentIo`] (and friends) if a disk
-    /// segment cannot be read.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `p ∉ [0, 1)`.
-    pub fn run_batch(&self, p: f64, block_seed: u64) -> Result<FastRadioBatch, ShardError> {
-        assert!((0.0..1.0).contains(&p), "failure probability out of range");
-        self.run_batch_model(&Omission::new(p), block_seed)
-    }
-
-    /// [`run_batch`](Self::run_batch) under an arbitrary `Silent`
-    /// [`FaultModel`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ShardError::SegmentIo`] (and friends) if a disk
-    /// segment cannot be read.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the model is not `Silent`.
-    pub fn run_batch_model<M: FaultModel + ?Sized>(
-        &self,
-        model: &M,
-        block_seed: u64,
-    ) -> Result<FastRadioBatch, ShardError> {
-        assert!(
-            model.kind() == CorruptionKind::Silent,
-            "out-of-core radio supports silent fault models only"
-        );
-        let tapes = FaultTapes::new(block_seed);
-        let decay_tape = BatchTape::new(block_seed, DECAY_STREAM);
-        let plan = self.store.plan().clone();
-        let n = plan.node_count();
-        let k = plan.shard_count();
-        let mut loader = PassLoader::new(&self.store, self.prefetch);
-        let mut sorted: Vec<u32> = Vec::new();
-        let mut full_pass: Vec<usize> = Vec::new();
-        let mut informed = BatchedInformedSet::new(n);
-        informed.insert_masked(self.source, !0);
-        let almost_target = n.saturating_sub(1).max(1) as u64;
-
-        let mut completion_round: Vec<Option<usize>> = vec![None; LANES];
-        let mut almost_round: Vec<Option<usize>> = vec![None; LANES];
-        let mut completed: LaneMask = 0;
-        let mut almost_done: LaneMask = 0;
-        if n == 1 {
-            completed = !0;
-            completion_round.fill(Some(0));
-        }
-        if 1 >= almost_target {
-            almost_done = !0;
-            almost_round.fill(Some(0));
-        }
-
-        let plane_width = (usize::BITS - n.leading_zeros()) as usize;
-        let mut count_arena: Vec<u64> = Vec::new();
-        let mut executed = 0usize;
-
-        let mut exhausted: LaneMask = 0;
-        let mut exhaust_end = vec![0usize; LANES];
-
-        let mut plist: Vec<Vec<u32>> = vec![Vec::new(); k];
-        plist[plan.shard_of(self.source)].push(self.source);
-        let mut in_plist = vec![false; n];
-        in_plist[self.source as usize] = true;
-        let mut act: Vec<LaneMask> = vec![0; n];
-
-        let mut once: Vec<LaneMask> = vec![0; n];
-        let mut twice: Vec<LaneMask> = vec![0; n];
-        let mut touched: Vec<u32> = Vec::new();
-
-        let (decay, epoch_len) = match self.schedule {
-            FastRadioSchedule::Decay { epoch_len } => (true, epoch_len),
-            FastRadioSchedule::AllInformed => (false, 1),
-        };
-
-        for round in 1..=self.horizon {
-            let live = !(completed | exhausted);
-            if live == 0 {
-                break;
-            }
-            let r0 = round - 1;
-            let j = r0 % epoch_len;
-            if j == 0 {
-                full_pass.clear();
-                for (s, list) in plist.iter().enumerate() {
-                    if !list.is_empty() && !loader.use_sparse(s, list.len()) {
-                        full_pass.push(s);
-                    }
-                }
-                loader.begin_pass(&full_pass);
-                let mut any: LaneMask = 0;
-                for (s, list) in plist.iter_mut().enumerate() {
-                    if list.is_empty() {
-                        continue;
-                    }
-                    let sparse = loader.use_sparse(s, list.len());
-                    if sparse {
-                        sorted.clear();
-                        sorted.extend_from_slice(list);
-                        sorted.sort_unstable();
-                    }
-                    let view = loader.view_pass(s, &sorted, sparse)?;
-                    list.retain(|&v| {
-                        let vi = v as usize;
-                        let inf_v = informed.lanes(v);
-                        let mut un: LaneMask = 0;
-                        for &t in view.targets_of(v) {
-                            un |= !informed.lanes(t);
-                            if un & inf_v == inf_v {
-                                break;
-                            }
-                        }
-                        let m = inf_v & un;
-                        act[vi] = m;
-                        any |= m;
-                        if m == 0 {
-                            in_plist[vi] = false;
-                        }
-                        m != 0
-                    });
-                }
-                // Exhaustion is a whole-round property: read it only
-                // after every shard's refilter has been folded in.
-                let newly_exhausted = live & !any;
-                if newly_exhausted != 0 {
-                    exhausted |= newly_exhausted;
-                    let mut bits = newly_exhausted;
-                    while bits != 0 {
-                        exhaust_end[bits.trailing_zeros() as usize] = executed;
-                        bits &= bits - 1;
-                    }
-                    if live & any == 0 {
-                        break;
-                    }
-                }
-            }
-            executed += 1;
-
-            full_pass.clear();
-            for (s, list) in plist.iter().enumerate() {
-                if !list.is_empty() && !loader.use_sparse(s, list.len()) {
-                    full_pass.push(s);
-                }
-            }
-            loader.begin_pass(&full_pass);
-            for (s, list) in plist.iter().enumerate() {
-                if list.is_empty() {
-                    continue;
-                }
-                let sparse = loader.use_sparse(s, list.len());
-                if sparse {
-                    sorted.clear();
-                    sorted.extend_from_slice(list);
-                    sorted.sort_unstable();
-                }
-                let view = loader.view_pass(s, &sorted, sparse)?;
-                for &v in list {
-                    let a = act[v as usize];
-                    if a == 0 {
-                        continue;
-                    }
-                    let mut un_v: LaneMask = 0;
-                    for &t in view.targets_of(v) {
-                        un_v |= !informed.lanes(t);
-                        if un_v & a == a {
-                            break;
-                        }
-                    }
-                    let useful = a & un_v;
-                    if useful == 0 {
-                        continue;
-                    }
-                    let tx = useful & !model.corrupt_mask(&tapes, radio_site(r0, v), v, useful);
-                    if tx == 0 {
-                        continue;
-                    }
-                    for &t in view.targets_of(v) {
-                        let ti = t as usize;
-                        let need = tx & !informed.lanes(t);
-                        if need == 0 {
-                            continue;
-                        }
-                        if once[ti] | twice[ti] == 0 {
-                            touched.push(t);
-                        }
-                        twice[ti] |= once[ti] & need;
-                        once[ti] |= need;
-                    }
-                }
-            }
-
-            let mut changed = false;
-            for &t in &touched {
-                let ti = t as usize;
-                let hear = once[ti] & !twice[ti];
-                once[ti] = 0;
-                twice[ti] = 0;
-                if hear == 0 {
-                    continue;
-                }
-                let newly = informed.insert_masked(t, hear);
-                if newly != 0 {
-                    changed = true;
-                    if !in_plist[ti] {
-                        in_plist[ti] = true;
-                        act[ti] = 0;
-                        plist[plan.shard_of(t)].push(t);
-                    }
-                }
-            }
-            touched.clear();
-
-            count_arena.extend_from_slice(informed.counts().planes());
-            count_arena.resize(executed * plane_width, 0);
-
-            if changed {
-                let comp = informed.counts().eq_mask(n as u64) & !completed;
-                record_crossings(comp, round, &mut completion_round);
-                completed |= comp;
-                if almost_done != !0 {
-                    let almost = informed.counts().ge_mask(almost_target) & !almost_done;
-                    record_crossings(almost, round, &mut almost_round);
-                    almost_done |= almost;
-                }
-            }
-
-            if decay && j + 1 < epoch_len {
-                for list in &plist {
-                    for &v in list {
-                        let vi = v as usize;
-                        if act[vi] != 0 {
-                            act[vi] &= decay_tape.fair_mask(radio_site(r0, v));
-                        }
-                    }
-                }
-            }
-        }
-
-        Ok(FastRadioBatch {
-            n,
-            horizon: self.horizon,
-            informed,
-            completion_round,
-            almost_round,
-            exhausted,
-            exhaust_end,
-            plane_width,
-            count_arena,
-            executed,
-        })
     }
 }
 
@@ -2405,18 +1418,10 @@ pub struct FastRadioBatch {
     n: usize,
     horizon: usize,
     informed: BatchedInformedSet,
-    completion_round: Vec<Option<usize>>,
-    almost_round: Vec<Option<usize>>,
-    /// Lanes whose replay broke at an epoch boundary (participants
-    /// exhausted before the horizon).
-    exhausted: LaneMask,
-    /// Rounds executed by each exhausted lane before its break.
-    exhaust_end: Vec<usize>,
-    plane_width: usize,
-    /// `executed × plane_width` words: the per-lane informed counts
-    /// after each executed round.
-    count_arena: Vec<u64>,
-    executed: usize,
+    rounds: LaneRounds,
+    /// Rounds executed by each lane whose replay broke at an epoch
+    /// boundary (participants exhausted before the horizon).
+    exhaust_end: Vec<Option<usize>>,
 }
 
 impl FastRadioBatch {
@@ -2430,14 +1435,14 @@ impl FastRadioBatch {
     /// completed).
     #[must_use]
     pub fn completion_round(&self, lane: u32) -> Option<usize> {
-        self.completion_round[lane as usize]
+        self.rounds.completion_round[lane as usize]
     }
 
     /// Lane `k`'s first round with an almost-complete (`≥ n − 1`)
     /// informed set.
     #[must_use]
     pub fn almost_complete_round(&self, lane: u32) -> Option<usize> {
-        self.almost_round[lane as usize]
+        self.rounds.almost_round[lane as usize]
     }
 
     /// Lane `k`'s final informed count.
@@ -2452,18 +1457,6 @@ impl FastRadioBatch {
         self.informed.count(lane) as f64 / self.n as f64
     }
 
-    /// The number of rounds lane `k`'s replay executed before stopping
-    /// (completion, participant exhaustion, or the horizon).
-    fn lane_end(&self, lane: u32) -> usize {
-        if let Some(c) = self.completion_round[lane as usize] {
-            c
-        } else if self.exhausted >> lane & 1 == 1 {
-            self.exhaust_end[lane as usize]
-        } else {
-            self.executed
-        }
-    }
-
     /// Reconstructs lane `k`'s full scalar outcome — equal to
     /// [`FastRadio::run_lane`] with the same block seed and lane.
     #[must_use]
@@ -2474,17 +1467,22 @@ impl FastRadioBatch {
                 informed.insert(v);
             }
         }
-        let end = self.lane_end(lane);
+        // The replay stops at completion, at participant exhaustion,
+        // or at the last executed round.
+        let li = lane as usize;
+        let end = self.rounds.completion_round[li]
+            .or(self.exhaust_end[li])
+            .unwrap_or(self.rounds.executed);
+        let width = self.rounds.plane_width;
         let mut informed_by_round = Vec::with_capacity(end + 1);
         informed_by_round.push(1);
-        for r in 0..end {
-            let planes = &self.count_arena[r * self.plane_width..(r + 1) * self.plane_width];
+        for planes in self.rounds.count_arena.chunks_exact(width).take(end) {
             informed_by_round.push(LaneCounter::get_in(planes, lane) as usize);
         }
         FastRadioOutcome {
             n: self.n,
             horizon: self.horizon,
-            completion_round: self.completion_round[lane as usize],
+            completion_round: self.rounds.completion_round[li],
             informed_by_round,
             informed,
         }
@@ -2877,6 +1875,18 @@ mod tests {
         }
     }
 
+    /// The same plan re-cut into `shards` node-range shards.
+    fn resharded(
+        csr: &CsrGraph,
+        g: &Graph,
+        horizon: usize,
+        schedule: FastRadioSchedule,
+        shards: usize,
+    ) -> FastRadio {
+        FastRadio::new(csr.clone(), g.node(0), horizon, schedule)
+            .with_shard_plan(ShardPlan::uniform(csr.node_count(), shards))
+    }
+
     #[test]
     fn sharded_lane_and_batch_match_monolithic_exactly() {
         let g = generators::gnp_connected(120, 0.04, &mut rand::rngs::SmallRng::seed_from_u64(11));
@@ -2886,18 +1896,18 @@ mod tests {
             FastRadioSchedule::AllInformed,
         ] {
             let fr = FastRadio::new(csr.clone(), g.node(0), 600, schedule);
-            for shards in [1usize, 2, 3, 7] {
-                let plan = ShardPlan::uniform(csr.node_count(), shards);
+            for shards in [2usize, 3, 7] {
+                let sharded = resharded(&csr, &g, 600, schedule, shards);
                 for p in [0.0, 0.3, 0.8] {
                     let seed = 53 + shards as u64;
                     assert_eq!(
-                        fr.run_batch_sharded(&plan, p, seed),
+                        sharded.run_batch(p, seed),
                         fr.run_batch(p, seed),
                         "batch diverged: {schedule:?} shards={shards} p={p}"
                     );
                     for lane in [0u32, 19, 63] {
                         assert_eq!(
-                            fr.run_lane_sharded(&plan, p, seed, lane),
+                            sharded.run_lane(p, seed, lane),
                             fr.run_lane(p, seed, lane),
                             "lane diverged: {schedule:?} shards={shards} p={p} lane={lane}"
                         );
@@ -2917,13 +1927,14 @@ mod tests {
         ] {
             let fr = FastRadio::new(csr.clone(), g.node(0), 600, schedule);
             for shards in [1usize, 2, 3, 7] {
-                let plan = ShardPlan::uniform(csr.node_count(), shards);
+                let sharded = resharded(&csr, &g, 600, schedule, shards);
                 for p in [0.0, 0.3, 0.8] {
                     let seed = 213 + shards as u64;
+                    let model = Omission::new(p);
                     let mono = fr.run_batch(p, seed);
                     for threads in [1usize, 2, 4, 9] {
                         assert_eq!(
-                            fr.run_batch_sharded_threads(&plan, p, seed, threads),
+                            sharded.run_batch_model(&model, seed, threads),
                             mono,
                             "diverged: {schedule:?} shards={shards} threads={threads} p={p}"
                         );
@@ -2935,7 +1946,7 @@ mod tests {
 
     #[test]
     fn out_of_core_radio_matches_the_monolithic_lane_replay() {
-        use randcast_graph::shard::{default_scratch_dir, ShardStore, ShardedCsr, SpillSink};
+        use randcast_graph::shard::{default_scratch_dir, SpillSink};
         let g = generators::gnp_connected(110, 0.05, &mut rand::rngs::SmallRng::seed_from_u64(9));
         let csr = CsrGraph::from(&g);
         let n = csr.node_count();
@@ -2947,7 +1958,7 @@ mod tests {
         ] {
             let fr = FastRadio::new(csr.clone(), g.node(0), 900, schedule);
             let ram = ShardedRadio::new(
-                ShardStore::Ram(ShardedCsr::split(&csr, plan.clone())),
+                ShardStore::Ram(RamShards::from_csr(csr.clone(), plan.clone())),
                 0,
                 900,
                 schedule,
@@ -2982,7 +1993,7 @@ mod tests {
 
     #[test]
     fn out_of_core_batch_and_every_knob_are_byte_invisible() {
-        use randcast_graph::shard::{default_scratch_dir, ShardStore, ShardedCsr, SpillSink};
+        use randcast_graph::shard::{default_scratch_dir, SpillSink};
         // Big enough that early rounds (one or two participants per
         // shard) take the sparse row-read path while bulk rounds take
         // full segment views, so both loaders face the equality gate.
@@ -3007,7 +2018,7 @@ mod tests {
             }
             let stores = [
                 (
-                    ShardStore::Ram(ShardedCsr::split(&csr, plan.clone())),
+                    ShardStore::Ram(RamShards::from_csr(csr.clone(), plan.clone())),
                     "ram",
                 ),
                 (ShardStore::Disk(sink.finalize().unwrap()), "disk"),
@@ -3040,7 +2051,7 @@ mod tests {
         let g = generators::grid(6, 6);
         let fr = decay_plan(&g, 2000);
         let model = Omission::new(0.4);
-        assert_eq!(fr.run_batch_model(&model, 77), fr.run_batch(0.4, 77));
+        assert_eq!(fr.run_batch_model(&model, 77, 1), fr.run_batch(0.4, 77));
         for lane in [0u32, 17, 63] {
             assert_eq!(
                 fr.run_lane_model(&model, 77, lane),
@@ -3064,7 +2075,7 @@ mod tests {
             for p in [0.0, 0.3, 0.76] {
                 let models: [&dyn FaultModel; 2] = [&FlipFault::new(p), &LieOrJamFault::new(p)];
                 for model in models {
-                    let batch = fr.run_batch_model(model, 41);
+                    let batch = fr.run_batch_model(model, 41, 1);
                     for lane in [0u32, 5, 31, 63] {
                         assert_eq!(
                             batch.lane_outcome(lane),
@@ -3113,28 +2124,24 @@ mod tests {
         use crate::kernel::{CorruptionKind, FlipFault, WorstCasePlacement};
         let g = generators::gnp_connected(100, 0.05, &mut rand::rngs::SmallRng::seed_from_u64(23));
         let csr = CsrGraph::from(&g);
-        let fr = FastRadio::new(
-            csr.clone(),
-            g.node(0),
-            600,
-            FastRadioSchedule::Decay { epoch_len: 8 },
-        );
+        let schedule = FastRadioSchedule::Decay { epoch_len: 8 };
+        let fr = FastRadio::new(csr.clone(), g.node(0), 600, schedule);
         let mut placed = WorstCasePlacement::new(0.1, CorruptionKind::Silent);
         fr.preprocess(&mut placed);
         let flip = FlipFault::new(0.3);
         let models: [&dyn FaultModel; 2] = [&placed, &flip];
         for model in models {
-            for shards in [1usize, 2, 3, 7] {
-                let sp = ShardPlan::uniform(csr.node_count(), shards);
+            for shards in [2usize, 3, 7] {
+                let sharded = resharded(&csr, &g, 600, schedule, shards);
                 assert_eq!(
-                    fr.run_batch_sharded_model(&sp, model, 7),
-                    fr.run_batch_model(model, 7),
+                    sharded.run_batch_model(model, 7, 2),
+                    fr.run_batch_model(model, 7, 1),
                     "{} shards={shards}",
                     model.name()
                 );
                 for lane in [0u32, 9, 63] {
                     assert_eq!(
-                        fr.run_lane_sharded_model(&sp, model, 7, lane),
+                        sharded.run_lane_model(model, 7, lane),
                         fr.run_lane_model(model, 7, lane),
                         "{} shards={shards} lane={lane}",
                         model.name()

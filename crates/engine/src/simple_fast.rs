@@ -35,15 +35,19 @@
 //! fixed seed **shrinks monotonically in `p`** — a coupling the
 //! property tests exploit.
 //!
-//! The `*_model` entry points generalize the same collapse to any
-//! [`FaultModel`]: a malicious parent still owns its phase exclusively,
+//! The seeded scalar-lane and 64-lane passes are written once, against
+//! a [`ShardStore`] of the tree's child lists: [`FastSimple`] runs them
+//! over its in-RAM store, and [`ShardedSimple`] over any store, disk
+//! segments included. Both passes take a [`FaultModel`]: i.i.d. `Silent`
+//! models (the [`Omission`] instance behind the plain-`p` entry points)
+//! take the one-draw-per-phase collapse above, and every other model
+//! generalizes it — a malicious parent still owns its phase exclusively,
 //! so the child-side majority vote over the `m` (possibly corrupted)
-//! transmissions resolves from one per-phase corruption count — the
+//! transmissions resolves from one per-phase corruption count. The
 //! bit-sliced threshold counting runs Theorem 2.3's flip vote and
-//! Theorem 2.4's limited lie vote at the omission kernel's cost. The
-//! i.i.d. silent instance delegates to the hard-wired omission path
-//! (byte-identical outcomes); `crates/core/tests/malicious_equivalence.rs`
-//! pins the malicious instances against the trait engines.
+//! Theorem 2.4's limited lie vote at the omission kernel's cost;
+//! `crates/core/tests/malicious_equivalence.rs` pins the malicious
+//! instances against the trait engines.
 //!
 //! Like the other fast kernels, `FastSimple` is defined on graphs
 //! disconnected from the source: unreachable nodes simply never adopt,
@@ -57,16 +61,16 @@
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
-use randcast_graph::shard::{PassLoader, ShardError, ShardPlan, ShardStore, ShardView};
+use randcast_graph::shard::{PassLoader, RamShards, ShardError, ShardPlan, ShardStore};
 use randcast_graph::{CsrGraph, NodeId};
 
 use crate::kernel::{
     BatchBernoulli, BatchTape, BatchedInformedSet, CorruptionKind, FaultModel, FaultSampler,
-    FaultTapes, InformedSet, LaneCounter, LaneMask, FAULT_STREAM, LANES,
+    FaultTapes, InformedSet, LaneCounter, LaneMask, Omission, LANES,
 };
 
-/// The first-success index of one lane's phase draw, shared by
-/// [`FastSimple::run_lane`] and the batch extraction so both read the
+/// The first-success index of one lane's phase draw under the omission
+/// collapse, shared by the lane and batch passes so both read the
 /// identical value.
 ///
 /// The draw couples two stages to one 53-bit uniform `U` at site
@@ -86,28 +90,143 @@ fn phase_t(tape: &BatchTape, site: u64, lane: u32, ln_p: f64, m: usize) -> usize
     (((1.0 - u).ln() / ln_p) as usize).min(m - 1)
 }
 
-/// Site key of transmission `t` of `v`'s phase on the malicious fault
-/// tapes. Unlike the omission collapse (one site per phase), the vote
-/// kernels draw one corruption coin per *round* of the phase; each node
+/// Site key of transmission `t` of `v`'s phase on the fault tapes of
+/// the vote. Unlike the omission collapse (one site per phase), the vote
+/// draws one corruption coin per *round* of the phase; each node
 /// transmits during exactly one phase, so `(t, v)` never collides.
 fn vote_site(t: usize, v: u32) -> u64 {
     (t as u64) << 32 | u64::from(v)
 }
 
-/// A compiled fast-path Simple plan: the BFS spanning structure of the
-/// source component (from [`CsrGraph::bfs_tree`]) plus the phase length
-/// `m`.
-#[derive(Clone, Debug)]
-pub struct FastSimple {
-    /// The paper's `v1..vn` enumeration of the source component.
-    order: Vec<u32>,
-    /// `children[child_offsets[v]..child_offsets[v+1]]` are `v`'s tree
-    /// children.
-    child_offsets: Vec<u32>,
-    children: Vec<u32>,
-    source: u32,
-    n: usize,
+/// The sequence of shards a walk over `order` visits, one entry per
+/// maximal same-shard run — the pass announcement for the prefetch
+/// pipeline.
+fn shard_runs(order: &[u32], plan: &ShardPlan) -> Vec<usize> {
+    let mut runs = Vec::new();
+    for &u in order {
+        let s = plan.shard_of(u);
+        if runs.last() != Some(&s) {
+            runs.push(s);
+        }
+    }
+    runs
+}
+
+/// How one phase resolves under a [`FaultModel`], for a block's coin
+/// tapes: i.i.d. `Silent` models collapse to one adoption coin per
+/// phase, every other model votes over the phase's per-round
+/// corruption coins.
+struct Phases<'a, M: ?Sized> {
+    model: &'a M,
+    tapes: FaultTapes,
     m: usize,
+    /// The omission collapse: the Bernoulli(`1 − p^m`) adoption coin at
+    /// site = phase index, and `ln p` for the first-success index.
+    collapse: Option<(BatchBernoulli, f64)>,
+}
+
+impl<'a, M: FaultModel + ?Sized> Phases<'a, M> {
+    fn new(model: &'a M, block_seed: u64, m: usize) -> Self {
+        let collapse = match (model.kind(), model.iid_rate()) {
+            (CorruptionKind::Silent, Some(p)) => {
+                Some((BatchBernoulli::new(1.0 - p.powi(m as i32)), p.ln()))
+            }
+            _ => None,
+        };
+        Phases {
+            model,
+            tapes: FaultTapes::new(block_seed),
+            m,
+            collapse,
+        }
+    }
+
+    /// Resolves phase `phase` of parent `u` for all lanes at once:
+    /// returns the `(informed, correct)` child masks given the lanes
+    /// `act` where `u` is informed and `val` where it is correct. The
+    /// vote counts the phase's corrupt transmissions into `k` (one model
+    /// coin per round, at site `(t << 32) | u`, shared by the whole
+    /// sibling set — the trait engines draw one fault coin per
+    /// transmitter per round) and applies the child-side rule of the
+    /// model's [`CorruptionKind`]:
+    ///
+    /// * `Silent` — the child hears iff some transmission survives, and
+    ///   inherits the parent's value (omission semantics on arbitrary,
+    ///   e.g. placed, fault sites);
+    /// * `Flip` — all `m` bits arrive, `k` of them inverted; the
+    ///   majority vote keeps a true parent's value iff `k < m − ⌊m/2⌋`
+    ///   and fabricates truth from a false parent iff `k ≥ ⌊m/2⌋ + 1`
+    ///   (Theorem 2.3's opposite-behavior adversary);
+    /// * `Lie` — corrupt rounds deliver the constant lie `false`, so
+    ///   only a true parent with `k < m − ⌊m/2⌋` convinces the vote
+    ///   (Theorem 2.4's radio adversary under the limited clamp).
+    fn resolve(
+        &self,
+        k: &mut LaneCounter,
+        phase: usize,
+        u: u32,
+        act: LaneMask,
+        val: LaneMask,
+    ) -> (LaneMask, LaneMask) {
+        if let Some((adopt, _)) = &self.collapse {
+            let heard = adopt.mask(&self.tapes.fault, phase as u64, act);
+            return (heard, val & heard);
+        }
+        let m = self.m;
+        k.clear();
+        for t in 0..m {
+            k.add_masked(
+                self.model
+                    .corrupt_mask(&self.tapes, vote_site(t, u), u, act),
+                1,
+            );
+        }
+        let hi = (m - m / 2) as u64;
+        match self.model.kind() {
+            CorruptionKind::Silent => {
+                let heard = act & !k.ge_mask(m as u64);
+                (heard, val & heard)
+            }
+            CorruptionKind::Flip => {
+                let lo = (m / 2 + 1) as u64;
+                (act, (val & !k.ge_mask(hi)) | (act & !val & k.ge_mask(lo)))
+            }
+            CorruptionKind::Lie => (act, val & !k.ge_mask(hi)),
+        }
+    }
+
+    /// The round at which the children of `u`, the parent of phase
+    /// `phase`, settle in lane `lane`: a majority vote needs the whole
+    /// phase, while silent corruption adopts at the first clean
+    /// transmission. The coins are pure functions of (site, lane), so
+    /// resolving this lazily, after the walk, is exact.
+    fn round(&self, phase: usize, u: u32, lane: u32) -> usize {
+        let m = self.m;
+        match (&self.collapse, self.model.kind()) {
+            (Some((_, ln_p)), _) => {
+                phase * m + phase_t(&self.tapes.fault, phase as u64, lane, *ln_p, m) + 1
+            }
+            (None, CorruptionKind::Silent) => {
+                let t = (0..m)
+                    .find(|&t| {
+                        !self
+                            .model
+                            .corrupt_lane(&self.tapes, vote_site(t, u), u, lane)
+                    })
+                    .expect("an adopting phase has a clean transmission");
+                phase * m + t + 1
+            }
+            (None, _) => (phase + 1) * m,
+        }
+    }
+}
+
+/// A compiled fast-path Simple plan: the BFS spanning structure of the
+/// source component (from [`CsrGraph::bfs_tree`]) — its child lists as
+/// an in-RAM [`ShardStore`] — plus the phase length `m`.
+pub struct FastSimple {
+    /// The store-backed phase walks over the child lists.
+    passes: ShardedSimple,
 }
 
 impl FastSimple {
@@ -120,30 +239,53 @@ impl FastSimple {
     /// Panics if `m == 0`.
     #[must_use]
     pub fn new(csr: &CsrGraph, source: NodeId, m: usize) -> Self {
-        assert!(m > 0, "phase length must be positive");
+        let n = csr.node_count();
         let tree = csr.bfs_tree(u32::from(source));
         let order = tree.order().to_vec();
         let (child_offsets, children) = tree.into_children_csr();
-        FastSimple {
-            order,
+        let store = ShardStore::Ram(RamShards::new(
             child_offsets,
             children,
-            source: u32::from(source),
-            n: csr.node_count(),
-            m,
+            ShardPlan::uniform(n, 1),
+        ));
+        FastSimple {
+            passes: ShardedSimple::new(store, order, u32::from(source), m),
         }
+    }
+
+    /// Re-cuts the child-list store along `plan`, so the phase walks
+    /// visit one node-range shard at a time. Outcome-neutral: every
+    /// entry point returns the same bytes for every plan.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the plan covers a different node count.
+    #[must_use]
+    pub fn with_shard_plan(mut self, plan: ShardPlan) -> Self {
+        self.passes.runs = shard_runs(&self.passes.order, &plan);
+        let ShardStore::Ram(ram) = self.passes.store else {
+            unreachable!("fast plans hold RAM stores")
+        };
+        self.passes.store = ShardStore::Ram(ram.with_plan(plan));
+        self
+    }
+
+    /// The shard plan the phase walks follow.
+    #[must_use]
+    pub fn shard_plan(&self) -> &ShardPlan {
+        self.passes.store.plan()
     }
 
     /// The phase length `m`.
     #[must_use]
     pub fn phase_len(&self) -> usize {
-        self.m
+        self.passes.m
     }
 
     /// Number of nodes.
     #[must_use]
     pub fn node_count(&self) -> usize {
-        self.n
+        self.passes.n
     }
 
     /// Total rounds one execution takes: `n · m`, exactly as the
@@ -151,11 +293,15 @@ impl FastSimple {
     /// reachable or not).
     #[must_use]
     pub fn total_rounds(&self) -> usize {
-        self.n * self.m
+        self.passes.total_rounds()
     }
 
-    fn children_of(&self, v: usize) -> &[u32] {
-        &self.children[self.child_offsets[v] as usize..self.child_offsets[v + 1] as usize]
+    /// The whole child lists, for the passes that read them in RAM.
+    fn ram(&self) -> &RamShards {
+        let ShardStore::Ram(ram) = &self.passes.store else {
+            unreachable!("fast plans hold RAM stores")
+        };
+        ram
     }
 
     /// Executes one seeded broadcast with per-(node, round) transmitter
@@ -167,16 +313,17 @@ impl FastSimple {
     #[must_use]
     pub fn run(&self, p: f64, seed: u64) -> FastSimpleOutcome {
         let sampler = FaultSampler::new(p);
-        let n = self.n;
+        let ram = self.ram();
+        let (n, m) = (self.node_count(), self.phase_len());
         let mut rng = SmallRng::seed_from_u64(seed);
         let mut correct = InformedSet::new(n);
-        correct.insert(self.source);
+        correct.insert(self.passes.source);
         let almost_target = n.saturating_sub(1).max(1);
         let mut almost_round = (correct.count() >= almost_target).then_some(0);
         let mut last_adoption = 0usize;
 
-        for (phase, &u) in self.order.iter().enumerate() {
-            let kids = self.children_of(u as usize);
+        for (phase, &u) in self.passes.order.iter().enumerate() {
+            let kids = ram.targets_of(u);
             if kids.is_empty() {
                 continue;
             }
@@ -185,12 +332,12 @@ impl FastSimple {
             // on earlier outcomes, or the per-seed monotone coupling
             // (and determinism of the stream) would break.
             let t = sampler.first_success(&mut rng);
-            if t >= self.m || !correct.contains(u) {
+            if t >= m || !correct.contains(u) {
                 continue;
             }
             // All children hear the first working transmission of u's
             // phase simultaneously (rounds are 1-based).
-            let round = phase * self.m + t + 1;
+            let round = phase * m + t + 1;
             for &c in kids {
                 correct.insert(c);
             }
@@ -202,7 +349,7 @@ impl FastSimple {
 
         FastSimpleOutcome {
             n,
-            m: self.m,
+            m,
             almost_round,
             last_adoption,
             correct,
@@ -224,46 +371,7 @@ impl FastSimple {
     /// Panics if `p ∉ [0, 1)` or `lane ≥ 64`.
     #[must_use]
     pub fn run_lane(&self, p: f64, block_seed: u64, lane: u32) -> FastSimpleOutcome {
-        assert!((0.0..1.0).contains(&p), "failure probability out of range");
-        assert!((lane as usize) < LANES, "lane out of range");
-        let adopt = BatchBernoulli::new(1.0 - p.powi(self.m as i32));
-        let tape = BatchTape::new(block_seed, FAULT_STREAM);
-        let ln_p = p.ln();
-        let n = self.n;
-        let mut correct = InformedSet::new(n);
-        correct.insert(self.source);
-        let almost_target = n.saturating_sub(1).max(1);
-        let mut almost_round = (correct.count() >= almost_target).then_some(0);
-        let mut last_adoption = 0usize;
-
-        for (phase, &u) in self.order.iter().enumerate() {
-            let kids = self.children_of(u as usize);
-            if kids.is_empty() {
-                continue;
-            }
-            // Coins are pure functions of (site, lane): no draw-count
-            // discipline needed, skipping a dead subtree reads nothing.
-            if !correct.contains(u) || !adopt.lane(&tape, phase as u64, lane) {
-                continue;
-            }
-            let t = phase_t(&tape, phase as u64, lane, ln_p, self.m);
-            let round = phase * self.m + t + 1;
-            for &c in kids {
-                correct.insert(c);
-            }
-            last_adoption = round;
-            if almost_round.is_none() && correct.count() >= almost_target {
-                almost_round = Some(round);
-            }
-        }
-
-        FastSimpleOutcome {
-            n,
-            m: self.m,
-            almost_round,
-            last_adoption,
-            correct,
-        }
+        self.run_lane_model(&Omission::new(p), block_seed, lane)
     }
 
     /// Runs all 64 trial lanes of block `block_seed` at once: the
@@ -284,281 +392,7 @@ impl FastSimple {
     /// Panics if `p ∉ [0, 1)`.
     #[must_use]
     pub fn run_batch(&self, p: f64, block_seed: u64) -> FastSimpleBatch {
-        assert!((0.0..1.0).contains(&p), "failure probability out of range");
-        let adopt = BatchBernoulli::new(1.0 - p.powi(self.m as i32));
-        let tape = BatchTape::new(block_seed, FAULT_STREAM);
-        let ln_p = p.ln();
-        let n = self.n;
-        let mut correct_masks: Vec<LaneMask> = vec![0; n];
-        correct_masks[self.source as usize] = !0;
-        let mut counts = LaneCounter::new();
-        counts.add_masked(!0, 1);
-        let almost_target = n.saturating_sub(1).max(1) as u64;
-        let mut almost_done: LaneMask = 0;
-        let mut almost_phase = [0u32; LANES];
-        let mut almost_round: Vec<Option<usize>> = vec![None; LANES];
-        if 1 >= almost_target {
-            almost_done = !0;
-            almost_round.fill(Some(0));
-        }
-
-        // Forward pass: resolve every internal node's 64 adoption coins.
-        for (phase, &u) in self.order.iter().enumerate() {
-            let kids = self.children_of(u as usize);
-            if kids.is_empty() {
-                continue;
-            }
-            let eff = adopt.mask(&tape, phase as u64, correct_masks[u as usize]);
-            if eff == 0 {
-                continue;
-            }
-            // Tree children have unique parents: each child's mask is
-            // written exactly once, by its own parent's phase.
-            for &c in kids {
-                correct_masks[c as usize] = eff;
-            }
-            counts.add_masked(eff, kids.len() as u64);
-            if almost_done != !0 {
-                let crossed = counts.ge_mask(almost_target) & !almost_done;
-                if crossed != 0 {
-                    let mut bits = crossed;
-                    while bits != 0 {
-                        almost_phase[bits.trailing_zeros() as usize] = phase as u32;
-                        bits &= bits - 1;
-                    }
-                    almost_done |= crossed;
-                }
-            }
-        }
-
-        // Backward scan: each lane's last effective phase (adoption
-        // rounds grow with the phase, so the last effective phase holds
-        // the last adoption).
-        let mut last_phase = [0u32; LANES];
-        let mut adopted: LaneMask = 0;
-        for (phase, &u) in self.order.iter().enumerate().rev() {
-            let kids = self.children_of(u as usize);
-            if kids.is_empty() {
-                continue;
-            }
-            let hit = correct_masks[kids[0] as usize] & !adopted;
-            if hit != 0 {
-                let mut bits = hit;
-                while bits != 0 {
-                    last_phase[bits.trailing_zeros() as usize] = phase as u32;
-                    bits &= bits - 1;
-                }
-                adopted |= hit;
-                if adopted == !0 {
-                    break;
-                }
-            }
-        }
-
-        // Lazy `t` extraction for the at most two stat-relevant phases
-        // per lane.
-        let mut last_adoption = vec![0usize; LANES];
-        for lane in 0..LANES as u32 {
-            let li = lane as usize;
-            if adopted >> lane & 1 == 1 {
-                let ph = last_phase[li] as usize;
-                last_adoption[li] = ph * self.m + phase_t(&tape, ph as u64, lane, ln_p, self.m) + 1;
-            }
-            if almost_done >> lane & 1 == 1 && almost_round[li].is_none() {
-                let ph = almost_phase[li] as usize;
-                almost_round[li] =
-                    Some(ph * self.m + phase_t(&tape, ph as u64, lane, ln_p, self.m) + 1);
-            }
-        }
-
-        FastSimpleBatch {
-            n,
-            m: self.m,
-            correct: BatchedInformedSet::from_parts(correct_masks, counts),
-            almost_round,
-            last_adoption,
-        }
-    }
-
-    /// Scalar lane replay executed shard-at-a-time. The enumeration
-    /// `order` is (BFS level, id)-sorted, so walking it in maximal
-    /// same-shard runs — acquiring one [`ShardView`] of the
-    /// children CSR per run — visits *exactly the monolithic phase
-    /// sequence*: sharding the Simple algorithm is a pure access-path
-    /// change, and the outcome is trivially **bit-identical** to
-    /// [`run_lane`](Self::run_lane) (each phase index stays the node's
-    /// global position in `order`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `p ∉ [0, 1)`, `lane ≥ 64`, or the plan covers a
-    /// different node count.
-    #[must_use]
-    pub fn run_lane_sharded(
-        &self,
-        plan: &ShardPlan,
-        p: f64,
-        block_seed: u64,
-        lane: u32,
-    ) -> FastSimpleOutcome {
-        assert!((0.0..1.0).contains(&p), "failure probability out of range");
-        assert!((lane as usize) < LANES, "lane out of range");
-        assert_eq!(plan.node_count(), self.n, "plan/graph node count mismatch");
-        let adopt = BatchBernoulli::new(1.0 - p.powi(self.m as i32));
-        let tape = BatchTape::new(block_seed, FAULT_STREAM);
-        let ln_p = p.ln();
-        let n = self.n;
-        let mut correct = InformedSet::new(n);
-        correct.insert(self.source);
-        let almost_target = n.saturating_sub(1).max(1);
-        let mut almost_round = (correct.count() >= almost_target).then_some(0);
-        let mut last_adoption = 0usize;
-
-        let len = self.order.len();
-        let mut phase = 0usize;
-        while phase < len {
-            let s = plan.shard_of(self.order[phase]);
-            let (start, end) = plan.range(s);
-            let view = ShardView::over(&self.child_offsets, &self.children, start, end);
-            while phase < len && view.contains(self.order[phase]) {
-                let u = self.order[phase];
-                let kids = view.targets_of(u);
-                if !kids.is_empty() && correct.contains(u) && adopt.lane(&tape, phase as u64, lane)
-                {
-                    let t = phase_t(&tape, phase as u64, lane, ln_p, self.m);
-                    let round = phase * self.m + t + 1;
-                    for &c in kids {
-                        correct.insert(c);
-                    }
-                    last_adoption = round;
-                    if almost_round.is_none() && correct.count() >= almost_target {
-                        almost_round = Some(round);
-                    }
-                }
-                phase += 1;
-            }
-        }
-
-        FastSimpleOutcome {
-            n,
-            m: self.m,
-            almost_round,
-            last_adoption,
-            correct,
-        }
-    }
-
-    /// The 64-lane batch with its forward pass executed shard-at-a-time
-    /// (same maximal same-shard run walk as
-    /// [`run_lane_sharded`](Self::run_lane_sharded)); **bit-identical**
-    /// to [`run_batch`](Self::run_batch) for every plan. The backward
-    /// last-phase scan and the lazy `t` extraction read only per-node
-    /// values already in memory, so they stay monolithic.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `p ∉ [0, 1)` or the plan covers a different node
-    /// count.
-    #[must_use]
-    pub fn run_batch_sharded(&self, plan: &ShardPlan, p: f64, block_seed: u64) -> FastSimpleBatch {
-        assert!((0.0..1.0).contains(&p), "failure probability out of range");
-        assert_eq!(plan.node_count(), self.n, "plan/graph node count mismatch");
-        let adopt = BatchBernoulli::new(1.0 - p.powi(self.m as i32));
-        let tape = BatchTape::new(block_seed, FAULT_STREAM);
-        let ln_p = p.ln();
-        let n = self.n;
-        let mut correct_masks: Vec<LaneMask> = vec![0; n];
-        correct_masks[self.source as usize] = !0;
-        let mut counts = LaneCounter::new();
-        counts.add_masked(!0, 1);
-        let almost_target = n.saturating_sub(1).max(1) as u64;
-        let mut almost_done: LaneMask = 0;
-        let mut almost_phase = [0u32; LANES];
-        let mut almost_round: Vec<Option<usize>> = vec![None; LANES];
-        if 1 >= almost_target {
-            almost_done = !0;
-            almost_round.fill(Some(0));
-        }
-
-        let len = self.order.len();
-        let mut phase = 0usize;
-        while phase < len {
-            let s = plan.shard_of(self.order[phase]);
-            let (start, end) = plan.range(s);
-            let view = ShardView::over(&self.child_offsets, &self.children, start, end);
-            while phase < len && view.contains(self.order[phase]) {
-                let u = self.order[phase];
-                let kids = view.targets_of(u);
-                if kids.is_empty() {
-                    phase += 1;
-                    continue;
-                }
-                let eff = adopt.mask(&tape, phase as u64, correct_masks[u as usize]);
-                if eff == 0 {
-                    phase += 1;
-                    continue;
-                }
-                for &c in kids {
-                    correct_masks[c as usize] = eff;
-                }
-                counts.add_masked(eff, kids.len() as u64);
-                if almost_done != !0 {
-                    let crossed = counts.ge_mask(almost_target) & !almost_done;
-                    if crossed != 0 {
-                        let mut bits = crossed;
-                        while bits != 0 {
-                            almost_phase[bits.trailing_zeros() as usize] = phase as u32;
-                            bits &= bits - 1;
-                        }
-                        almost_done |= crossed;
-                    }
-                }
-                phase += 1;
-            }
-        }
-
-        let mut last_phase = [0u32; LANES];
-        let mut adopted: LaneMask = 0;
-        for (phase, &u) in self.order.iter().enumerate().rev() {
-            let kids = self.children_of(u as usize);
-            if kids.is_empty() {
-                continue;
-            }
-            let hit = correct_masks[kids[0] as usize] & !adopted;
-            if hit != 0 {
-                let mut bits = hit;
-                while bits != 0 {
-                    last_phase[bits.trailing_zeros() as usize] = phase as u32;
-                    bits &= bits - 1;
-                }
-                adopted |= hit;
-                if adopted == !0 {
-                    break;
-                }
-            }
-        }
-
-        let mut last_adoption = vec![0usize; LANES];
-        for lane in 0..LANES as u32 {
-            let li = lane as usize;
-            if adopted >> lane & 1 == 1 {
-                let ph = last_phase[li] as usize;
-                last_adoption[li] = ph * self.m + phase_t(&tape, ph as u64, lane, ln_p, self.m) + 1;
-            }
-            if almost_done >> lane & 1 == 1 && almost_round[li].is_none() {
-                let ph = almost_phase[li] as usize;
-                almost_round[li] =
-                    Some(ph * self.m + phase_t(&tape, ph as u64, lane, ln_p, self.m) + 1);
-            }
-        }
-
-        FastSimpleBatch {
-            n,
-            m: self.m,
-            correct: BatchedInformedSet::from_parts(correct_masks, counts),
-            almost_round,
-            last_adoption,
-        }
+        self.run_batch_model(&Omission::new(p), block_seed)
     }
 
     /// Hands `model` the plan's broadcast-tree topology — call once
@@ -566,90 +400,19 @@ impl FastSimple {
     /// ([`crate::kernel::WorstCasePlacement`]) can pin their node set;
     /// a no-op for the coin-only instances.
     pub fn preprocess<M: FaultModel + ?Sized>(&self, model: &mut M) {
+        let ram = self.ram();
         model.preprocess_tree(
-            &self.child_offsets,
-            &self.children,
-            &self.order,
-            self.source,
+            ram.offsets(),
+            ram.targets(),
+            &self.passes.order,
+            self.passes.source,
         );
     }
 
-    /// Resolves one phase of parent `u` for all 64 lanes at once:
-    /// counts the corrupt transmissions of the phase into `k` (one
-    /// model coin per round, at site `(t << 32) | u`, shared by the
-    /// whole sibling set — the trait engines draw one fault coin per
-    /// transmitter per round) and applies the child-side rule of the
-    /// model's [`CorruptionKind`]. Returns the `(informed, correct)`
-    /// child masks given parent-informed lanes `act` and
-    /// parent-correct lanes `val`:
-    ///
-    /// * `Silent` — the child hears iff some transmission survives, and
-    ///   inherits the parent's value (omission semantics on arbitrary,
-    ///   e.g. placed, fault sites);
-    /// * `Flip` — all `m` bits arrive, `k` of them inverted; the
-    ///   majority vote keeps a true parent's value iff `k < m − ⌊m/2⌋`
-    ///   and fabricates truth from a false parent iff `k ≥ ⌊m/2⌋ + 1`
-    ///   (Theorem 2.3's opposite-behavior adversary);
-    /// * `Lie` — corrupt rounds deliver the constant lie `false`, so
-    ///   only a true parent with `k < m − ⌊m/2⌋` convinces the vote
-    ///   (Theorem 2.4's radio adversary under the limited clamp).
-    fn resolve_phase_model<M: FaultModel + ?Sized>(
-        &self,
-        model: &M,
-        tapes: &FaultTapes,
-        k: &mut LaneCounter,
-        u: u32,
-        act: LaneMask,
-        val: LaneMask,
-    ) -> (LaneMask, LaneMask) {
-        let m = self.m;
-        k.clear();
-        for t in 0..m {
-            k.add_masked(model.corrupt_mask(tapes, vote_site(t, u), u, act), 1);
-        }
-        let hi = (m - m / 2) as u64;
-        match model.kind() {
-            CorruptionKind::Silent => {
-                let heard = act & !k.ge_mask(m as u64);
-                (heard, val & heard)
-            }
-            CorruptionKind::Flip => {
-                let lo = (m / 2 + 1) as u64;
-                (act, (val & !k.ge_mask(hi)) | (act & !val & k.ge_mask(lo)))
-            }
-            CorruptionKind::Lie => (act, val & !k.ge_mask(hi)),
-        }
-    }
-
-    /// The round at which the children of `order[phase]` settle in lane
-    /// `lane`: a majority vote needs the whole phase, while `Silent`
-    /// corruption adopts at the first clean transmission. The coins are
-    /// pure functions of (site, lane), so this lazy re-read is exact.
-    fn model_round<M: FaultModel + ?Sized>(
-        &self,
-        model: &M,
-        tapes: &FaultTapes,
-        phase: usize,
-        lane: u32,
-    ) -> usize {
-        match model.kind() {
-            CorruptionKind::Silent => {
-                let u = self.order[phase];
-                let t = (0..self.m)
-                    .find(|&t| !model.corrupt_lane(tapes, vote_site(t, u), u, lane))
-                    .expect("an adopting phase has a clean transmission");
-                phase * self.m + t + 1
-            }
-            _ => (phase + 1) * self.m,
-        }
-    }
-
     /// Scalar replay of lane `lane` of batched block `block_seed` under
-    /// an arbitrary [`FaultModel`] — see
-    /// [`resolve_phase_model`](Self::resolve_phase_model) for the vote
-    /// rules. I.i.d. `Silent` instances delegate to
-    /// [`run_lane`](Self::run_lane) and stay byte-identical with the
-    /// omission kernel.
+    /// an arbitrary [`FaultModel`] — see the vote rules of the phase
+    /// resolution. I.i.d. `Silent` instances take the omission collapse
+    /// and stay byte-identical with [`run_lane`](Self::run_lane).
     ///
     /// The outcome's `correct` set holds the nodes whose final value is
     /// the source bit: under malicious corruption a node can be
@@ -666,56 +429,9 @@ impl FastSimple {
         block_seed: u64,
         lane: u32,
     ) -> FastSimpleOutcome {
-        assert!((lane as usize) < LANES, "lane out of range");
-        if model.kind() == CorruptionKind::Silent {
-            if let Some(p) = model.iid_rate() {
-                return self.run_lane(p, block_seed, lane);
-            }
-        }
-        let tapes = FaultTapes::new(block_seed);
-        let bit: LaneMask = 1u64 << lane;
-        let mut k = LaneCounter::new();
-        let n = self.n;
-        let mut informed = InformedSet::new(n);
-        let mut correct = InformedSet::new(n);
-        informed.insert(self.source);
-        correct.insert(self.source);
-        let almost_target = n.saturating_sub(1).max(1);
-        let mut almost_round = (correct.count() >= almost_target).then_some(0);
-        let mut last_adoption = 0usize;
-
-        for (phase, &u) in self.order.iter().enumerate() {
-            let kids = self.children_of(u as usize);
-            if kids.is_empty() || !informed.contains(u) {
-                continue;
-            }
-            let val = if correct.contains(u) { bit } else { 0 };
-            let (inf_eff, val_eff) = self.resolve_phase_model(model, &tapes, &mut k, u, bit, val);
-            if inf_eff == 0 {
-                continue;
-            }
-            for &c in kids {
-                informed.insert(c);
-                if val_eff != 0 {
-                    correct.insert(c);
-                }
-            }
-            if val_eff != 0 {
-                let round = self.model_round(model, &tapes, phase, lane);
-                last_adoption = round;
-                if almost_round.is_none() && correct.count() >= almost_target {
-                    almost_round = Some(round);
-                }
-            }
-        }
-
-        FastSimpleOutcome {
-            n,
-            m: self.m,
-            almost_round,
-            last_adoption,
-            correct,
-        }
+        self.passes
+            .lane_pass(self.passes.views(), model, block_seed, lane)
+            .expect("RAM stores never fail a read")
     }
 
     /// Runs all 64 trial lanes of block `block_seed` under an arbitrary
@@ -723,7 +439,7 @@ impl FastSimple {
     /// the `m` transmission coins resolves every lane's majority vote
     /// at once. Lane `k` of the result is byte-identical to
     /// [`run_lane_model`](Self::run_lane_model)`(model, block_seed, k)`;
-    /// i.i.d. `Silent` instances delegate to
+    /// i.i.d. `Silent` instances take the omission collapse of
     /// [`run_batch`](Self::run_batch).
     #[must_use]
     pub fn run_batch_model<M: FaultModel + ?Sized>(
@@ -731,316 +447,23 @@ impl FastSimple {
         model: &M,
         block_seed: u64,
     ) -> FastSimpleBatch {
-        if model.kind() == CorruptionKind::Silent {
-            if let Some(p) = model.iid_rate() {
-                return self.run_batch(p, block_seed);
-            }
-        }
-        let tapes = FaultTapes::new(block_seed);
-        let n = self.n;
-        let mut informed_masks: Vec<LaneMask> = vec![0; n];
-        let mut value_masks: Vec<LaneMask> = vec![0; n];
-        informed_masks[self.source as usize] = !0;
-        value_masks[self.source as usize] = !0;
-        let mut counts = LaneCounter::new();
-        counts.add_masked(!0, 1);
-        let almost_target = n.saturating_sub(1).max(1) as u64;
-        let mut almost_done: LaneMask = 0;
-        let mut almost_phase = [0u32; LANES];
-        let mut almost_round: Vec<Option<usize>> = vec![None; LANES];
-        if 1 >= almost_target {
-            almost_done = !0;
-            almost_round.fill(Some(0));
-        }
-        let mut k = LaneCounter::new();
-
-        for (phase, &u) in self.order.iter().enumerate() {
-            let kids = self.children_of(u as usize);
-            if kids.is_empty() {
-                continue;
-            }
-            let act = informed_masks[u as usize];
-            if act == 0 {
-                continue;
-            }
-            let val = value_masks[u as usize];
-            let (inf_eff, val_eff) = self.resolve_phase_model(model, &tapes, &mut k, u, act, val);
-            if inf_eff == 0 {
-                continue;
-            }
-            for &c in kids {
-                informed_masks[c as usize] = inf_eff;
-                value_masks[c as usize] = val_eff;
-            }
-            counts.add_masked(val_eff, kids.len() as u64);
-            if almost_done != !0 {
-                let crossed = counts.ge_mask(almost_target) & !almost_done;
-                if crossed != 0 {
-                    let mut bits = crossed;
-                    while bits != 0 {
-                        almost_phase[bits.trailing_zeros() as usize] = phase as u32;
-                        bits &= bits - 1;
-                    }
-                    almost_done |= crossed;
-                }
-            }
-        }
-
-        self.finish_batch_model(
-            model,
-            &tapes,
-            value_masks,
-            counts,
-            almost_done,
-            &almost_phase,
-            almost_round,
-        )
-    }
-
-    /// Scalar model-lane replay executed shard-at-a-time — the same
-    /// maximal same-shard run walk as
-    /// [`run_lane_sharded`](Self::run_lane_sharded), and bit-identical
-    /// to [`run_lane_model`](Self::run_lane_model) for every plan (the
-    /// corruption coins key on the node's *global* phase position, so
-    /// the access path cannot move them).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lane ≥ 64` or the plan covers a different node count.
-    #[must_use]
-    pub fn run_lane_sharded_model<M: FaultModel + ?Sized>(
-        &self,
-        plan: &ShardPlan,
-        model: &M,
-        block_seed: u64,
-        lane: u32,
-    ) -> FastSimpleOutcome {
-        assert!((lane as usize) < LANES, "lane out of range");
-        assert_eq!(plan.node_count(), self.n, "plan/graph node count mismatch");
-        if model.kind() == CorruptionKind::Silent {
-            if let Some(p) = model.iid_rate() {
-                return self.run_lane_sharded(plan, p, block_seed, lane);
-            }
-        }
-        let tapes = FaultTapes::new(block_seed);
-        let bit: LaneMask = 1u64 << lane;
-        let mut k = LaneCounter::new();
-        let n = self.n;
-        let mut informed = InformedSet::new(n);
-        let mut correct = InformedSet::new(n);
-        informed.insert(self.source);
-        correct.insert(self.source);
-        let almost_target = n.saturating_sub(1).max(1);
-        let mut almost_round = (correct.count() >= almost_target).then_some(0);
-        let mut last_adoption = 0usize;
-
-        let len = self.order.len();
-        let mut phase = 0usize;
-        while phase < len {
-            let s = plan.shard_of(self.order[phase]);
-            let (start, end) = plan.range(s);
-            let view = ShardView::over(&self.child_offsets, &self.children, start, end);
-            while phase < len && view.contains(self.order[phase]) {
-                let u = self.order[phase];
-                let kids = view.targets_of(u);
-                if kids.is_empty() || !informed.contains(u) {
-                    phase += 1;
-                    continue;
-                }
-                let val = if correct.contains(u) { bit } else { 0 };
-                let (inf_eff, val_eff) =
-                    self.resolve_phase_model(model, &tapes, &mut k, u, bit, val);
-                if inf_eff != 0 {
-                    for &c in kids {
-                        informed.insert(c);
-                        if val_eff != 0 {
-                            correct.insert(c);
-                        }
-                    }
-                    if val_eff != 0 {
-                        let round = self.model_round(model, &tapes, phase, lane);
-                        last_adoption = round;
-                        if almost_round.is_none() && correct.count() >= almost_target {
-                            almost_round = Some(round);
-                        }
-                    }
-                }
-                phase += 1;
-            }
-        }
-
-        FastSimpleOutcome {
-            n,
-            m: self.m,
-            almost_round,
-            last_adoption,
-            correct,
-        }
-    }
-
-    /// The 64-lane model batch with its forward pass executed
-    /// shard-at-a-time; bit-identical to
-    /// [`run_batch_model`](Self::run_batch_model) for every plan.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the plan covers a different node count.
-    #[must_use]
-    pub fn run_batch_sharded_model<M: FaultModel + ?Sized>(
-        &self,
-        plan: &ShardPlan,
-        model: &M,
-        block_seed: u64,
-    ) -> FastSimpleBatch {
-        assert_eq!(plan.node_count(), self.n, "plan/graph node count mismatch");
-        if model.kind() == CorruptionKind::Silent {
-            if let Some(p) = model.iid_rate() {
-                return self.run_batch_sharded(plan, p, block_seed);
-            }
-        }
-        let tapes = FaultTapes::new(block_seed);
-        let n = self.n;
-        let mut informed_masks: Vec<LaneMask> = vec![0; n];
-        let mut value_masks: Vec<LaneMask> = vec![0; n];
-        informed_masks[self.source as usize] = !0;
-        value_masks[self.source as usize] = !0;
-        let mut counts = LaneCounter::new();
-        counts.add_masked(!0, 1);
-        let almost_target = n.saturating_sub(1).max(1) as u64;
-        let mut almost_done: LaneMask = 0;
-        let mut almost_phase = [0u32; LANES];
-        let mut almost_round: Vec<Option<usize>> = vec![None; LANES];
-        if 1 >= almost_target {
-            almost_done = !0;
-            almost_round.fill(Some(0));
-        }
-        let mut k = LaneCounter::new();
-
-        let len = self.order.len();
-        let mut phase = 0usize;
-        while phase < len {
-            let s = plan.shard_of(self.order[phase]);
-            let (start, end) = plan.range(s);
-            let view = ShardView::over(&self.child_offsets, &self.children, start, end);
-            while phase < len && view.contains(self.order[phase]) {
-                let u = self.order[phase];
-                let kids = view.targets_of(u);
-                if kids.is_empty() {
-                    phase += 1;
-                    continue;
-                }
-                let act = informed_masks[u as usize];
-                if act == 0 {
-                    phase += 1;
-                    continue;
-                }
-                let val = value_masks[u as usize];
-                let (inf_eff, val_eff) =
-                    self.resolve_phase_model(model, &tapes, &mut k, u, act, val);
-                if inf_eff == 0 {
-                    phase += 1;
-                    continue;
-                }
-                for &c in kids {
-                    informed_masks[c as usize] = inf_eff;
-                    value_masks[c as usize] = val_eff;
-                }
-                counts.add_masked(val_eff, kids.len() as u64);
-                if almost_done != !0 {
-                    let crossed = counts.ge_mask(almost_target) & !almost_done;
-                    if crossed != 0 {
-                        let mut bits = crossed;
-                        while bits != 0 {
-                            almost_phase[bits.trailing_zeros() as usize] = phase as u32;
-                            bits &= bits - 1;
-                        }
-                        almost_done |= crossed;
-                    }
-                }
-                phase += 1;
-            }
-        }
-
-        self.finish_batch_model(
-            model,
-            &tapes,
-            value_masks,
-            counts,
-            almost_done,
-            &almost_phase,
-            almost_round,
-        )
-    }
-
-    /// Shared tail of the model batches: the backward last-correct-
-    /// adoption scan over the value masks plus the lazy per-lane round
-    /// resolution (both read only per-node values already in memory, so
-    /// they stay monolithic even for the sharded forward pass).
-    #[allow(clippy::too_many_arguments)]
-    fn finish_batch_model<M: FaultModel + ?Sized>(
-        &self,
-        model: &M,
-        tapes: &FaultTapes,
-        value_masks: Vec<LaneMask>,
-        counts: LaneCounter,
-        almost_done: LaneMask,
-        almost_phase: &[u32; LANES],
-        mut almost_round: Vec<Option<usize>>,
-    ) -> FastSimpleBatch {
-        let mut last_phase = [0u32; LANES];
-        let mut adopted: LaneMask = 0;
-        for (phase, &u) in self.order.iter().enumerate().rev() {
-            let kids = self.children_of(u as usize);
-            if kids.is_empty() {
-                continue;
-            }
-            let hit = value_masks[kids[0] as usize] & !adopted;
-            if hit != 0 {
-                let mut bits = hit;
-                while bits != 0 {
-                    last_phase[bits.trailing_zeros() as usize] = phase as u32;
-                    bits &= bits - 1;
-                }
-                adopted |= hit;
-                if adopted == !0 {
-                    break;
-                }
-            }
-        }
-
-        let mut last_adoption = vec![0usize; LANES];
-        for lane in 0..LANES as u32 {
-            let li = lane as usize;
-            if adopted >> lane & 1 == 1 {
-                last_adoption[li] = self.model_round(model, tapes, last_phase[li] as usize, lane);
-            }
-            if almost_done >> lane & 1 == 1 && almost_round[li].is_none() {
-                almost_round[li] =
-                    Some(self.model_round(model, tapes, almost_phase[li] as usize, lane));
-            }
-        }
-
-        FastSimpleBatch {
-            n: self.n,
-            m: self.m,
-            correct: BatchedInformedSet::from_parts(value_masks, counts),
-            almost_round,
-            last_adoption,
-        }
+        self.passes
+            .batch_pass(self.passes.views(), model, block_seed)
+            .expect("RAM stores never fail a read")
     }
 }
 
-/// Out-of-core Simple broadcasting: the [`FastSimple::run_lane`]
-/// algorithm executed against a [`ShardStore`] holding the BFS tree's
-/// **child lists** as directed segments (built by
+/// Simple broadcasting over a [`ShardStore`] holding the BFS tree's
+/// **child lists** — in RAM, or as directed disk segments built by
 /// `randcast_graph::shard::ShardedBfsTree` without ever materializing
-/// the monolithic tree), walking the (level, id)-sorted phase order in
-/// maximal same-shard runs — the walk is already segment-ordered, so
-/// sharding is a pure access-path change and outcomes are
-/// **bit-identical** to [`FastSimple::run_lane`] on the same tree.
-/// Vote state (the correct set, the almost-complete crossing, the last
-/// adoption round) is node-level and stays resident; only one shard's
-/// child rows are in memory at a time.
+/// the monolithic tree. The walk follows the (level, id)-sorted phase
+/// order in maximal same-shard runs — the order is already
+/// segment-ordered, so sharding is a pure access-path change and
+/// outcomes are **bit-identical** to [`FastSimple::run_lane`] /
+/// [`FastSimple::run_batch`] on the same tree. Vote state (the correct
+/// set, the almost-complete crossing, the last adoption phase) is
+/// node-level and stays resident; only one shard's child rows are in
+/// memory at a time.
 pub struct ShardedSimple {
     store: ShardStore,
     order: Vec<u32>,
@@ -1048,12 +471,13 @@ pub struct ShardedSimple {
     n: usize,
     m: usize,
     prefetch: bool,
+    /// The shards the phase walk visits, one per same-shard run.
+    runs: Vec<usize>,
 }
 
 impl ShardedSimple {
-    /// Wraps a child-segment store and its (level, id)-sorted phase
-    /// order for Simple broadcasting from `source` with `m`-round
-    /// phases.
+    /// Wraps a child-list store and its (level, id)-sorted phase order
+    /// for Simple broadcasting from `source` with `m`-round phases.
     ///
     /// # Panics
     ///
@@ -1067,6 +491,7 @@ impl ShardedSimple {
         let n = store.node_count();
         assert!((source as usize) < n, "source out of range");
         assert_eq!(order.first(), Some(&source), "order must start at source");
+        let runs = shard_runs(&order, store.plan());
         ShardedSimple {
             store,
             order,
@@ -1074,6 +499,7 @@ impl ShardedSimple {
             n,
             m,
             prefetch: true,
+            runs,
         }
     }
 
@@ -1085,21 +511,7 @@ impl ShardedSimple {
         self
     }
 
-    /// The sequence of shards the (level, id)-sorted phase walk visits,
-    /// one entry per maximal same-shard run — the full pass
-    /// announcement for the prefetch pipeline.
-    fn pass_shards(&self, plan: &ShardPlan) -> Vec<usize> {
-        let mut shards = Vec::new();
-        for &u in &self.order {
-            let s = plan.shard_of(u);
-            if shards.last() != Some(&s) {
-                shards.push(s);
-            }
-        }
-        shards
-    }
-
-    /// The underlying child-segment store.
+    /// The underlying child-list store.
     #[must_use]
     pub fn store(&self) -> &ShardStore {
         &self.store
@@ -1124,12 +536,7 @@ impl ShardedSimple {
     }
 
     /// Scalar lane replay over the shard store; bit-identical to
-    /// [`FastSimple::run_lane`] on the same tree. Each maximal
-    /// same-shard run of the phase order acquires one segment view;
-    /// on disk stores the whole run sequence is announced to the
-    /// [`PassLoader`] up front, so the next run's segment read overlaps
-    /// the current run's compute. The walk touches every row of every
-    /// visited segment, so there is no sparse path here.
+    /// [`FastSimple::run_lane`] on the same tree.
     ///
     /// # Errors
     ///
@@ -1145,52 +552,7 @@ impl ShardedSimple {
         block_seed: u64,
         lane: u32,
     ) -> Result<FastSimpleOutcome, ShardError> {
-        assert!((0.0..1.0).contains(&p), "failure probability out of range");
-        assert!((lane as usize) < LANES, "lane out of range");
-        let adopt = BatchBernoulli::new(1.0 - p.powi(self.m as i32));
-        let tape = BatchTape::new(block_seed, FAULT_STREAM);
-        let ln_p = p.ln();
-        let n = self.n;
-        let plan = self.store.plan().clone();
-        let mut loader = PassLoader::new(&self.store, self.prefetch);
-        loader.begin_pass(&self.pass_shards(&plan));
-        let mut correct = InformedSet::new(n);
-        correct.insert(self.source);
-        let almost_target = n.saturating_sub(1).max(1);
-        let mut almost_round = (correct.count() >= almost_target).then_some(0);
-        let mut last_adoption = 0usize;
-
-        let len = self.order.len();
-        let mut phase = 0usize;
-        while phase < len {
-            let s = plan.shard_of(self.order[phase]);
-            let view = loader.view_full(s)?;
-            while phase < len && view.contains(self.order[phase]) {
-                let u = self.order[phase];
-                let kids = view.targets_of(u);
-                if !kids.is_empty() && correct.contains(u) && adopt.lane(&tape, phase as u64, lane)
-                {
-                    let t = phase_t(&tape, phase as u64, lane, ln_p, self.m);
-                    let round = phase * self.m + t + 1;
-                    for &c in kids {
-                        correct.insert(c);
-                    }
-                    last_adoption = round;
-                    if almost_round.is_none() && correct.count() >= almost_target {
-                        almost_round = Some(round);
-                    }
-                }
-                phase += 1;
-            }
-        }
-
-        Ok(FastSimpleOutcome {
-            n,
-            m: self.m,
-            almost_round,
-            last_adoption,
-            correct,
-        })
+        self.lane_pass(self.views(), &Omission::new(p), block_seed, lane)
     }
 
     /// One batched 64-lane block over the shard store — the lane
@@ -1198,16 +560,6 @@ impl ShardedSimple {
     /// amortized across all 64 trials. Per-lane outcomes are
     /// byte-identical to 64 scalar [`run_lane`](Self::run_lane) replays
     /// of the same block seed.
-    ///
-    /// The monolithic batch finds each lane's last adoption with a
-    /// *backward* scan over the phase order; out of core that would
-    /// re-read every segment in reverse. This walk instead overwrites
-    /// `last_phase[lane] = phase` at every effective phase during the
-    /// forward pass — the backward scan returns the *maximum* phase
-    /// whose `eff` mask has the lane set (children are written exactly
-    /// once, by their own parent's phase, so the child mask it reads
-    /// *is* that phase's `eff`), and a forward overwrite computes the
-    /// same maximum.
     ///
     /// # Errors
     ///
@@ -1218,94 +570,204 @@ impl ShardedSimple {
     ///
     /// Panics if `p ∉ [0, 1)`.
     pub fn run_batch(&self, p: f64, block_seed: u64) -> Result<FastSimpleBatch, ShardError> {
-        assert!((0.0..1.0).contains(&p), "failure probability out of range");
-        let adopt = BatchBernoulli::new(1.0 - p.powi(self.m as i32));
-        let tape = BatchTape::new(block_seed, FAULT_STREAM);
-        let ln_p = p.ln();
-        let n = self.n;
-        let plan = self.store.plan().clone();
-        let mut loader = PassLoader::new(&self.store, self.prefetch);
-        loader.begin_pass(&self.pass_shards(&plan));
-        let mut correct_masks: Vec<LaneMask> = vec![0; n];
-        correct_masks[self.source as usize] = !0;
-        let mut counts = LaneCounter::new();
-        counts.add_masked(!0, 1);
-        let almost_target = n.saturating_sub(1).max(1) as u64;
-        let mut almost_done: LaneMask = 0;
-        let mut almost_phase = [0u32; LANES];
-        let mut almost_round: Vec<Option<usize>> = vec![None; LANES];
-        if 1 >= almost_target {
-            almost_done = !0;
-            almost_round.fill(Some(0));
-        }
+        self.batch_pass(self.views(), &Omission::new(p), block_seed)
+    }
 
-        let mut last_phase = [0u32; LANES];
-        let mut adopted: LaneMask = 0;
+    /// The per-pass segment reader over the store.
+    fn views(&self) -> PassLoader<'_> {
+        PassLoader::new(&self.store, self.prefetch)
+    }
+
+    /// The scalar lane pass: walks the phase order in same-shard runs,
+    /// one segment view per run (on disk stores the whole run sequence
+    /// is announced to the [`PassLoader`] up front, so the next run's
+    /// segment read overlaps the current run's compute; the walk
+    /// touches every row of every visited segment, so there is no
+    /// sparse path). Rounds resolve after the walk, for the last
+    /// correct adoption and the almost-complete crossing only.
+    fn lane_pass<M: FaultModel + ?Sized>(
+        &self,
+        mut views: PassLoader<'_>,
+        model: &M,
+        block_seed: u64,
+        lane: u32,
+    ) -> Result<FastSimpleOutcome, ShardError> {
+        assert!((lane as usize) < LANES, "lane out of range");
+        let phases = Phases::new(model, block_seed, self.m);
+        let bit: LaneMask = 1u64 << lane;
+        let mut k = LaneCounter::new();
+        let n = self.n;
+        let plan = self.store.plan();
+        views.begin_pass(&self.runs);
+        let mut informed = InformedSet::new(n);
+        let mut correct = InformedSet::new(n);
+        informed.insert(self.source);
+        correct.insert(self.source);
+        let almost_target = n.saturating_sub(1).max(1);
+        let mut last_phase = None;
+        let mut almost_phase = None;
 
         let len = self.order.len();
         let mut phase = 0usize;
         while phase < len {
             let s = plan.shard_of(self.order[phase]);
-            let view = loader.view_full(s)?;
-            while phase < len && view.contains(self.order[phase]) {
+            let (start, end) = plan.range(s);
+            let view = views.view_full(s)?;
+            while phase < len && (start..end).contains(&self.order[phase]) {
                 let u = self.order[phase];
                 let kids = view.targets_of(u);
-                if kids.is_empty() {
-                    phase += 1;
-                    continue;
-                }
-                let eff = adopt.mask(&tape, phase as u64, correct_masks[u as usize]);
-                if eff == 0 {
-                    phase += 1;
-                    continue;
-                }
-                // Tree children have unique parents: each child's mask
-                // is written exactly once, by its own parent's phase.
-                for &c in kids {
-                    correct_masks[c as usize] = eff;
-                }
-                counts.add_masked(eff, kids.len() as u64);
-                let mut bits = eff;
-                while bits != 0 {
-                    last_phase[bits.trailing_zeros() as usize] = phase as u32;
-                    bits &= bits - 1;
-                }
-                adopted |= eff;
-                if almost_done != !0 {
-                    let crossed = counts.ge_mask(almost_target) & !almost_done;
-                    if crossed != 0 {
-                        let mut bits = crossed;
-                        while bits != 0 {
-                            almost_phase[bits.trailing_zeros() as usize] = phase as u32;
-                            bits &= bits - 1;
+                // Coins are pure functions of (site, lane): skipping a
+                // dead subtree reads nothing.
+                if !kids.is_empty() && informed.contains(u) {
+                    let val = if correct.contains(u) { bit } else { 0 };
+                    let (heard, right) = phases.resolve(&mut k, phase, u, bit, val);
+                    for &c in kids.iter().filter(|_| heard != 0) {
+                        informed.insert(c);
+                        if right != 0 {
+                            correct.insert(c);
                         }
-                        almost_done |= crossed;
+                    }
+                    // A correct adoption implies a heard one.
+                    if right != 0 {
+                        last_phase = Some(phase);
+                        if almost_phase.is_none() && correct.count() >= almost_target {
+                            almost_phase = Some(phase);
+                        }
                     }
                 }
                 phase += 1;
             }
         }
 
-        // Lazy `t` extraction for the at most two stat-relevant phases
-        // per lane.
+        let round = |phase: usize| phases.round(phase, self.order[phase], lane);
+        Ok(FastSimpleOutcome {
+            n,
+            m: self.m,
+            almost_round: if 1 >= almost_target {
+                Some(0)
+            } else {
+                almost_phase.map(round)
+            },
+            last_adoption: last_phase.map_or(0, round),
+            correct,
+        })
+    }
+
+    /// The 64-lane pass: the lane pass's walk with every phase resolved
+    /// for all lanes at once (restricted to lanes whose parent is
+    /// informed). Each lane's last correct adoption phase is tracked
+    /// forward — a phase adopting in all 64 lanes sets one shared mark,
+    /// the others mark lane by lane — so no segment is read twice, and
+    /// the rounds of the at most two stat-relevant phases per lane
+    /// resolve lazily after the walk.
+    fn batch_pass<M: FaultModel + ?Sized>(
+        &self,
+        mut views: PassLoader<'_>,
+        model: &M,
+        block_seed: u64,
+    ) -> Result<FastSimpleBatch, ShardError> {
+        let phases = Phases::new(model, block_seed, self.m);
+        let n = self.n;
+        let plan = self.store.plan();
+        views.begin_pass(&self.runs);
+        // Silent corruption never delivers a wrong value, so there a
+        // node is informed exactly where it is correct and the value
+        // masks track both.
+        let silent = model.kind() == CorruptionKind::Silent;
+        let mut value_masks: Vec<LaneMask> = vec![0; n];
+        let mut heard_masks: Vec<LaneMask> = if silent { Vec::new() } else { vec![0; n] };
+        value_masks[self.source as usize] = !0;
+        if !silent {
+            heard_masks[self.source as usize] = !0;
+        }
+        let mut counts = LaneCounter::new();
+        counts.add_masked(!0, 1);
+        let almost_target = n.saturating_sub(1).max(1) as u64;
+        let mut almost_done: LaneMask = if 1 >= almost_target { !0 } else { 0 };
+        let mut almost_phase = [0u32; LANES];
+        let mut last_phase = [0u32; LANES];
+        let mut last_shared = 0u32;
+        let mut adopted: LaneMask = 0;
+        let mut k = LaneCounter::new();
+
+        let len = self.order.len();
+        let mut phase = 0usize;
+        while phase < len {
+            let s = plan.shard_of(self.order[phase]);
+            let (start, end) = plan.range(s);
+            let view = views.view_full(s)?;
+            while phase < len && (start..end).contains(&self.order[phase]) {
+                let u = self.order[phase] as usize;
+                let kids = view.targets_of(u as u32);
+                let act = if silent {
+                    value_masks[u]
+                } else {
+                    heard_masks[u]
+                };
+                if kids.is_empty() || act == 0 {
+                    phase += 1;
+                    continue;
+                }
+                let (heard, right) = phases.resolve(&mut k, phase, u as u32, act, value_masks[u]);
+                if heard == 0 {
+                    phase += 1;
+                    continue;
+                }
+                // Tree children have unique parents: each child's mask
+                // is written exactly once, by its own parent's phase.
+                for &c in kids {
+                    value_masks[c as usize] = right;
+                    if !silent {
+                        heard_masks[c as usize] = heard;
+                    }
+                }
+                counts.add_masked(right, kids.len() as u64);
+                if right == !0 {
+                    last_shared = phase as u32;
+                } else {
+                    let mut bits = right;
+                    while bits != 0 {
+                        last_phase[bits.trailing_zeros() as usize] = phase as u32;
+                        bits &= bits - 1;
+                    }
+                }
+                adopted |= right;
+                if almost_done != !0 {
+                    let mut bits = counts.ge_mask(almost_target) & !almost_done;
+                    almost_done |= bits;
+                    while bits != 0 {
+                        almost_phase[bits.trailing_zeros() as usize] = phase as u32;
+                        bits &= bits - 1;
+                    }
+                }
+                phase += 1;
+            }
+        }
+
+        let round = |phase: u32, lane: u32| {
+            let phase = phase as usize;
+            phases.round(phase, self.order[phase], lane)
+        };
         let mut last_adoption = vec![0usize; LANES];
+        let mut almost_round: Vec<Option<usize>> = vec![None; LANES];
         for lane in 0..LANES as u32 {
             let li = lane as usize;
             if adopted >> lane & 1 == 1 {
-                let ph = last_phase[li] as usize;
-                last_adoption[li] = ph * self.m + phase_t(&tape, ph as u64, lane, ln_p, self.m) + 1;
+                last_adoption[li] = round(last_phase[li].max(last_shared), lane);
             }
-            if almost_done >> lane & 1 == 1 && almost_round[li].is_none() {
-                let ph = almost_phase[li] as usize;
-                almost_round[li] =
-                    Some(ph * self.m + phase_t(&tape, ph as u64, lane, ln_p, self.m) + 1);
-            }
+            almost_round[li] = if 1 >= almost_target {
+                Some(0)
+            } else if almost_done >> lane & 1 == 1 {
+                Some(round(almost_phase[li], lane))
+            } else {
+                None
+            };
         }
 
         Ok(FastSimpleBatch {
             n,
             m: self.m,
-            correct: BatchedInformedSet::from_parts(correct_masks, counts),
+            correct: BatchedInformedSet::from_parts(value_masks, counts),
             almost_round,
             last_adoption,
         })
@@ -1735,18 +1197,19 @@ mod tests {
         let csr = CsrGraph::from(&g);
         for m in [1usize, 3] {
             let fs = FastSimple::new(&csr, g.node(0), m);
-            for shards in [1usize, 2, 3, 7] {
-                let plan = ShardPlan::uniform(csr.node_count(), shards);
+            for shards in [2usize, 3, 7] {
+                let sharded = FastSimple::new(&csr, g.node(0), m)
+                    .with_shard_plan(ShardPlan::uniform(csr.node_count(), shards));
                 for p in [0.0, 0.4, 0.9] {
                     let seed = 17 + shards as u64;
                     assert_eq!(
-                        fs.run_batch_sharded(&plan, p, seed),
+                        sharded.run_batch(p, seed),
                         fs.run_batch(p, seed),
                         "batch diverged: m={m} shards={shards} p={p}"
                     );
                     for lane in [0u32, 19, 63] {
                         assert_eq!(
-                            fs.run_lane_sharded(&plan, p, seed, lane),
+                            sharded.run_lane(p, seed, lane),
                             fs.run_lane(p, seed, lane),
                             "lane diverged: m={m} shards={shards} p={p} lane={lane}"
                         );
@@ -1758,7 +1221,7 @@ mod tests {
 
     #[test]
     fn out_of_core_simple_matches_the_monolithic_lane_replay() {
-        use randcast_graph::shard::{default_scratch_dir, ShardedBfsTree, ShardedCsr, SpillSink};
+        use randcast_graph::shard::{default_scratch_dir, ShardedBfsTree, SpillSink};
         let g = generators::gnp_connected(130, 0.04, &mut rand::rngs::SmallRng::seed_from_u64(12));
         let csr = CsrGraph::from(&g);
         let n = csr.node_count();
@@ -1766,7 +1229,7 @@ mod tests {
         let fs = FastSimple::new(&csr, g.node(0), m);
         let plan = ShardPlan::uniform(n, 3);
         // Ram adjacency → disk child segments.
-        let adj = ShardStore::Ram(ShardedCsr::split(&csr, plan.clone()));
+        let adj = ShardStore::Ram(RamShards::from_csr(csr.clone(), plan.clone()));
         let tree = ShardedBfsTree::build(&adj, 0, default_scratch_dir()).expect("tree");
         let (order, children) = tree.into_parts();
         let ram_tree = ShardedSimple::new(ShardStore::Disk(children), order, 0, m);
@@ -1803,14 +1266,14 @@ mod tests {
 
     #[test]
     fn out_of_core_simple_batch_and_prefetch_are_byte_invisible() {
-        use randcast_graph::shard::{default_scratch_dir, ShardedBfsTree, ShardedCsr};
+        use randcast_graph::shard::{default_scratch_dir, ShardedBfsTree};
         let g = generators::gnp_connected(400, 0.02, &mut rand::rngs::SmallRng::seed_from_u64(17));
         let csr = CsrGraph::from(&g);
         let n = csr.node_count();
         let m = 3usize;
         let fs = FastSimple::new(&csr, g.node(0), m);
         let plan = ShardPlan::uniform(n, 3);
-        let adj = ShardStore::Ram(ShardedCsr::split(&csr, plan.clone()));
+        let adj = ShardStore::Ram(RamShards::from_csr(csr.clone(), plan.clone()));
         let tree = ShardedBfsTree::build(&adj, 0, default_scratch_dir()).expect("tree");
         let (order, children) = tree.into_parts();
         let mut simple = ShardedSimple::new(ShardStore::Disk(children), order, 0, m);
@@ -1969,19 +1432,20 @@ mod tests {
         let flip = FlipFault::new(0.4);
         let lie = LieOrJamFault::new(0.2);
         let models: [&dyn FaultModel; 2] = [&flip, &lie];
-        for shards in [1usize, 2, 3, 7] {
-            let plan = ShardPlan::uniform(csr.node_count(), shards);
+        for shards in [2usize, 3, 7] {
+            let sharded = FastSimple::new(&csr, g.node(0), 3)
+                .with_shard_plan(ShardPlan::uniform(csr.node_count(), shards));
             for model in models {
                 let seed = 17 + shards as u64;
                 assert_eq!(
-                    fs.run_batch_sharded_model(&plan, model, seed),
+                    sharded.run_batch_model(model, seed),
                     fs.run_batch_model(model, seed),
                     "batch diverged: {} shards={shards}",
                     model.name()
                 );
                 for lane in [0u32, 19, 63] {
                     assert_eq!(
-                        fs.run_lane_sharded_model(&plan, model, seed, lane),
+                        sharded.run_lane_model(model, seed, lane),
                         fs.run_lane_model(model, seed, lane),
                         "lane diverged: {} shards={shards} lane={lane}",
                         model.name()

@@ -4,18 +4,15 @@
 //! [`Graph`] already stores CSR internally, but with `usize` offsets and
 //! a validating, edge-list-buffering builder that was designed for
 //! correctness at experiment sizes, not for `n = 10⁶` construction.
-//! [`Csr`] is the lean sibling, parameterized by the target word width
-//! [`CsrWidth`]: [`CsrGraph`] (`Csr<u32>`) is the default every engine
-//! consumes — `u32` ids address 4 × 10⁹ nodes, which covers the 10⁸
-//! scale tier with room to spare — while [`CsrGraph64`] (`Csr<u64>`)
-//! exists for adjacency volumes past `u32`. Both are built either
-//! losslessly from a [`Graph`] (both directions preserve adjacency
-//! exactly, `u32` only) or *directly* from an edge list by counting
-//! sort — the path the scalable generators
-//! ([`crate::generators::gnp_csr`] and friends) use to skip the
-//! 16-byte-per-edge builder buffer and roughly halve peak build memory.
+//! [`CsrGraph`] is the lean sibling over `u32` words — `u32` ids address
+//! 4 × 10⁹ nodes, which covers the 10⁸ scale tier with room to spare. It
+//! is built either losslessly from a [`Graph`] (both directions preserve
+//! adjacency exactly) or *directly* from an edge list by counting sort —
+//! the path the scalable generators ([`crate::generators::gnp_csr`] and
+//! friends) use to skip the 16-byte-per-edge builder buffer and roughly
+//! halve peak build memory.
 //!
-//! Edge endpoints wider than the target word are a **typed error**
+//! Edge endpoints wider than the `u32` word are a **typed error**
 //! ([`CsrError::EndpointOverflow`]), never a silent truncation: the
 //! width check runs before the range check, so a `u64` endpoint that
 //! cannot fit the word is reported as exactly that.
@@ -27,61 +24,13 @@
 //! regime).
 
 use std::fmt;
-use std::hash::Hash;
 
 use crate::{Graph, NodeId};
 
-/// The target word of a [`Csr`]: the integer type storing node ids and
-/// row offsets. Implemented for `u32` (the default, via [`CsrGraph`])
-/// and `u64` ([`CsrGraph64`]).
-///
-/// The all-ones value (`u32::MAX` / `u64::MAX`) is reserved as a
-/// sentinel by the traversal kernels, so the largest usable node id or
-/// adjacency length is `MAX_INDEX`.
-pub trait CsrWidth: Copy + Ord + Eq + Hash + fmt::Debug + Send + Sync + 'static {
-    /// Human-readable word name for error messages (`"u32"`).
-    const NAME: &'static str;
-    /// Largest usable index: one below the all-ones sentinel.
-    const MAX_INDEX: u64;
-    /// The zero word.
-    const ZERO: Self;
-    /// Converts from `u64`, `None` when the value doesn't fit the word.
-    fn from_u64(x: u64) -> Option<Self>;
-    /// Widens to `u64` (always exact).
-    fn to_u64(self) -> u64;
-    /// Narrow to `usize` for indexing (always exact on 64-bit hosts).
-    fn to_usize(self) -> usize;
-}
-
-impl CsrWidth for u32 {
-    const NAME: &'static str = "u32";
-    const MAX_INDEX: u64 = (u32::MAX as u64) - 1;
-    const ZERO: Self = 0;
-    fn from_u64(x: u64) -> Option<Self> {
-        u32::try_from(x).ok()
-    }
-    fn to_u64(self) -> u64 {
-        u64::from(self)
-    }
-    fn to_usize(self) -> usize {
-        self as usize
-    }
-}
-
-impl CsrWidth for u64 {
-    const NAME: &'static str = "u64";
-    const MAX_INDEX: u64 = u64::MAX - 1;
-    const ZERO: Self = 0;
-    fn from_u64(x: u64) -> Option<Self> {
-        Some(x)
-    }
-    fn to_u64(self) -> u64 {
-        self
-    }
-    fn to_usize(self) -> usize {
-        usize::try_from(self).expect("index exceeds usize")
-    }
-}
+/// Largest usable node id or adjacency length of the `u32` word: the
+/// all-ones value `u32::MAX` is reserved as a sentinel by the traversal
+/// kernels.
+pub(crate) const MAX_INDEX: u64 = (u32::MAX as u64) - 1;
 
 /// A typed rejection from the CSR builders.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -147,29 +96,23 @@ impl fmt::Display for CsrError {
 
 impl std::error::Error for CsrError {}
 
-/// An undirected simple graph as flat CSR arrays over the word `W`.
+/// An undirected simple graph as flat `u32` CSR arrays — the substrate
+/// of the fast-path engines. `u32` ids and offsets bound it at
+/// ~4 × 10⁹ nodes and adjacency entries, far beyond the
+/// 10⁸ scale tier.
 ///
 /// Node ids are dense `0..n`; `targets[offsets[v]..offsets[v+1]]` are
-/// `v`'s neighbors in ascending order. [`CsrGraph`] (`W = u32`) is the
-/// width every engine consumes; see [`CsrWidth`] for the bounds.
+/// `v`'s neighbors in ascending order.
 #[derive(Clone, PartialEq, Eq, Debug)]
-pub struct Csr<W: CsrWidth> {
+pub struct CsrGraph {
     /// `n + 1` row boundaries into `targets`.
-    offsets: Vec<W>,
+    offsets: Vec<u32>,
     /// Concatenated sorted neighbor lists (each undirected edge appears
     /// twice).
-    targets: Vec<W>,
+    targets: Vec<u32>,
 }
 
-/// The default `u32` CSR graph — the substrate of the fast-path
-/// engines. `u32` ids and offsets bound it at ~4 × 10⁹ nodes and
-/// adjacency entries, far beyond the 10⁸ scale tier.
-pub type CsrGraph = Csr<u32>;
-
-/// A `u64`-word CSR graph for adjacency volumes past `u32`.
-pub type CsrGraph64 = Csr<u64>;
-
-impl<W: CsrWidth> Csr<W> {
+impl CsrGraph {
     /// Builds the CSR adjacency for the undirected simple graph on `n`
     /// nodes with the given edges, by counting sort: degree pass,
     /// prefix sums, scatter, then per-row sort + dedup. Duplicate edges
@@ -180,7 +123,7 @@ impl<W: CsrWidth> Csr<W> {
     /// Panics on any [`CsrError`] (see [`try_from_edges`](Self::try_from_edges)
     /// for the non-panicking entry point).
     #[must_use]
-    pub fn from_edges(n: usize, edges: &[(W, W)]) -> Self {
+    pub fn from_edges(n: usize, edges: &[(u32, u32)]) -> Self {
         Self::try_from_edges(n, edges).unwrap_or_else(|e| panic!("{e}"))
     }
 
@@ -192,16 +135,18 @@ impl<W: CsrWidth> Csr<W> {
     /// Returns [`CsrError`] on an empty graph, a node count or
     /// adjacency volume beyond the word, self-loops, or out-of-range
     /// endpoints.
-    pub fn try_from_edges(n: usize, edges: &[(W, W)]) -> Result<Self, CsrError> {
-        Self::build(n, || edges.iter().map(|&(u, v)| (u.to_u64(), v.to_u64())))
+    pub fn try_from_edges(n: usize, edges: &[(u32, u32)]) -> Result<Self, CsrError> {
+        Self::build(n, || {
+            edges.iter().map(|&(u, v)| (u64::from(u), u64::from(v)))
+        })
     }
 
     /// Builds from `(u64, u64)` edge runs — the streaming-generator
-    /// format — rejecting endpoints that don't fit the target word with
+    /// format — rejecting endpoints that don't fit the `u32` word with
     /// the typed [`CsrError::EndpointOverflow`] (**never** silently
     /// truncating). The width check runs before the range check, so an
-    /// endpoint `>= u32::MAX` on a `u32` CSR reports as overflow even
-    /// when it is also `>= n`.
+    /// endpoint `>= u32::MAX` reports as overflow even when it is also
+    /// `>= n`.
     ///
     /// # Errors
     ///
@@ -222,17 +167,17 @@ impl<W: CsrWidth> Csr<W> {
             return Err(CsrError::EmptyGraph);
         }
         let n64 = n as u64;
-        if n64 > W::MAX_INDEX {
+        if n64 > MAX_INDEX {
             return Err(CsrError::TooManyNodes {
                 n: n64,
-                max: W::MAX_INDEX,
+                max: MAX_INDEX,
             });
         }
         let check = |e: u64| -> Result<(), CsrError> {
-            if e > W::MAX_INDEX {
+            if e > MAX_INDEX {
                 return Err(CsrError::EndpointOverflow {
                     endpoint: e,
-                    max: W::MAX_INDEX,
+                    max: MAX_INDEX,
                 });
             }
             if e >= n64 {
@@ -253,37 +198,37 @@ impl<W: CsrWidth> Csr<W> {
             degree[u as usize] += 1;
             degree[v as usize] += 1;
         }
-        let mut offsets: Vec<W> = Vec::with_capacity(n + 1);
+        let mut offsets: Vec<u32> = Vec::with_capacity(n + 1);
         let mut acc = 0u64;
-        offsets.push(W::ZERO);
+        offsets.push(0);
         for &d in &degree {
             acc += d;
-            if acc > W::MAX_INDEX {
-                return Err(CsrError::AdjacencyOverflow { max: W::MAX_INDEX });
+            if acc > MAX_INDEX {
+                return Err(CsrError::AdjacencyOverflow { max: MAX_INDEX });
             }
-            offsets.push(W::from_u64(acc).expect("checked against MAX_INDEX"));
+            offsets.push(acc as u32);
         }
         drop(degree);
-        let mut targets = vec![W::ZERO; acc as usize];
-        let mut cursor: Vec<W> = offsets.clone();
+        // Endpoints and cursors are checked against MAX_INDEX above, so
+        // every narrowing below is exact.
+        let mut targets = vec![0u32; acc as usize];
+        let mut cursor: Vec<u32> = offsets.clone();
         for (u, v) in runs() {
             let (u, v) = (u as usize, v as usize);
-            let cu = cursor[u].to_usize();
-            targets[cu] = W::from_u64(v as u64).expect("endpoint checked");
-            cursor[u] = W::from_u64(cu as u64 + 1).expect("within adjacency");
-            let cv = cursor[v].to_usize();
-            targets[cv] = W::from_u64(u as u64).expect("endpoint checked");
-            cursor[v] = W::from_u64(cv as u64 + 1).expect("within adjacency");
+            targets[cursor[u] as usize] = v as u32;
+            cursor[u] += 1;
+            targets[cursor[v] as usize] = u as u32;
+            cursor[v] += 1;
         }
         drop(cursor);
         // Sort each row, drop duplicate edges, and compact in place.
         let mut write = 0usize;
-        let mut compact_offsets: Vec<W> = Vec::with_capacity(n + 1);
-        compact_offsets.push(W::ZERO);
+        let mut compact_offsets: Vec<u32> = Vec::with_capacity(n + 1);
+        compact_offsets.push(0);
         for v in 0..n {
-            let (start, end) = (offsets[v].to_usize(), offsets[v + 1].to_usize());
+            let (start, end) = (offsets[v] as usize, offsets[v + 1] as usize);
             targets[start..end].sort_unstable();
-            let mut prev: Option<W> = None;
+            let mut prev: Option<u32> = None;
             for i in start..end {
                 let t = targets[i];
                 if prev != Some(t) {
@@ -292,10 +237,10 @@ impl<W: CsrWidth> Csr<W> {
                     prev = Some(t);
                 }
             }
-            compact_offsets.push(W::from_u64(write as u64).expect("within adjacency"));
+            compact_offsets.push(write as u32);
         }
         targets.truncate(write);
-        Ok(Csr {
+        Ok(CsrGraph {
             offsets: compact_offsets,
             targets,
         })
@@ -319,8 +264,8 @@ impl<W: CsrWidth> Csr<W> {
     ///
     /// Panics if `v >= n`.
     #[must_use]
-    pub fn neighbors_of(&self, v: usize) -> &[W] {
-        &self.targets[self.offsets[v].to_usize()..self.offsets[v + 1].to_usize()]
+    pub fn neighbors_of(&self, v: usize) -> &[u32] {
+        &self.targets[self.offsets[v] as usize..self.offsets[v + 1] as usize]
     }
 
     /// The degree of node `v`.
@@ -331,25 +276,23 @@ impl<W: CsrWidth> Csr<W> {
 
     /// The row-boundary array (`n + 1` entries).
     #[must_use]
-    pub fn offsets(&self) -> &[W] {
+    pub fn offsets(&self) -> &[u32] {
         &self.offsets
     }
 
     /// The concatenated neighbor lists.
     #[must_use]
-    pub fn targets(&self) -> &[W] {
+    pub fn targets(&self) -> &[u32] {
         &self.targets
     }
 
     /// Consumes the graph into its `(offsets, targets)` CSR arrays, so
     /// engines that own their adjacency can take it without copying.
     #[must_use]
-    pub fn into_raw_parts(self) -> (Vec<W>, Vec<W>) {
+    pub fn into_raw_parts(self) -> (Vec<u32>, Vec<u32>) {
         (self.offsets, self.targets)
     }
-}
 
-impl Csr<u32> {
     /// The BFS spanning structure rooted at `source`: level order and
     /// per-parent child lists over the source's component only, so the
     /// graph may be disconnected.
@@ -535,7 +478,7 @@ mod tests {
     /// truncated into) an in-range id.
     #[test]
     fn u64_endpoints_past_the_u32_word_are_typed_overflow() {
-        let max = (u32::MAX as u64) - 1;
+        let max = MAX_INDEX;
         for endpoint in [u32::MAX as u64, u32::MAX as u64 + 1, 1u64 << 40, u64::MAX] {
             assert_eq!(
                 CsrGraph::try_from_edges64(10, &[(0, endpoint)]),
@@ -558,14 +501,6 @@ mod tests {
                 n: 10
             })
         );
-        // The same endpoints are fine for the u64 word (range aside).
-        assert_eq!(
-            CsrGraph64::try_from_edges64(10, &[(0, u32::MAX as u64)]),
-            Err(CsrError::OutOfRange {
-                endpoint: u32::MAX as u64,
-                n: 10
-            })
-        );
     }
 
     #[test]
@@ -578,10 +513,11 @@ mod tests {
         );
     }
 
+    /// Edge runs of the `u64` streaming width build the `u32` CSR and
+    /// read back unchanged.
     #[test]
     fn u64_width_builds_and_reads_back() {
-        let csr =
-            CsrGraph64::try_from_edges64(4, &[(0, 1), (1, 2), (2, 3), (0, 3)]).expect("valid");
+        let csr = CsrGraph::try_from_edges64(4, &[(0, 1), (1, 2), (2, 3), (0, 3)]).expect("valid");
         assert_eq!(csr.node_count(), 4);
         assert_eq!(csr.edge_count(), 4);
         assert_eq!(csr.neighbors_of(0), &[1, 3]);

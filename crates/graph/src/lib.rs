@@ -8,10 +8,9 @@
 //! * [`Graph`] — a compact adjacency-list representation with a validating
 //!   [`GraphBuilder`],
 //! * [`CsrGraph`] / [`CsrTree`] — the flat `u32` CSR substrate shared by
-//!   the large-`n` fast-path engines (width-parameterized as [`Csr`] over
-//!   a [`CsrWidth`] word), with lossless `Graph ↔ CsrGraph` conversion
-//!   and direct construction from edge lists (the memory-lean path the
-//!   scalable generators use),
+//!   the large-`n` fast-path engines, with lossless `Graph ↔ CsrGraph`
+//!   conversion and direct construction from edge lists (the memory-lean
+//!   path the scalable generators use),
 //! * [`shard`] — node-range shard plans, views, and the out-of-core
 //!   spill/segment store that carry one trial to `n = 10⁸` under a fixed
 //!   RAM budget,
@@ -55,7 +54,7 @@ pub mod generators;
 pub mod shard;
 pub mod traversal;
 
-pub use csr::{Csr, CsrError, CsrGraph, CsrGraph64, CsrTree, CsrWidth};
+pub use csr::{CsrError, CsrGraph, CsrTree};
 pub use graph::{Graph, GraphBuilder, GraphError};
 pub use node::NodeId;
 pub use tree::SpanningTree;

@@ -1,25 +1,22 @@
 //! Node-range sharding of the CSR substrate, in RAM and out of core.
 //!
 //! A [`ShardPlan`] cuts the node range `0..n` into contiguous shards.
-//! Three consumers build on it:
+//! A [`ShardStore`] holds adjacency along a plan, in one of two places:
 //!
-//! * [`ShardView`] — a borrowed window over one shard's CSR rows. The
-//!   same view type serves slices of a monolithic in-RAM [`CsrGraph`]
-//!   (offsets kept absolute, `base = offsets[start]`) and rebased
-//!   segments streamed back from disk (`base = 0`), so the engine
-//!   frontier passes are written once against it.
-//! * [`ShardedCsr`] — an owned in-RAM split of a [`CsrGraph`]: each
-//!   shard owns its rebased offsets/targets slice plus the cut-edge
-//!   lists into every other shard (edges whose source is in the shard
-//!   and whose target is not, bucketed by destination shard).
+//! * [`RamShards`] — one owned CSR array pair in RAM, handed out shard
+//!   by shard as zero-copy [`ShardView`] windows (offsets kept absolute,
+//!   `base = offsets[start]`). A one-shard plan is the monolithic case.
 //! * [`SpillSink`] / [`DiskShards`] — the out-of-core path. Generators
 //!   stream `(u64, u64)` edge runs into per-shard spill files under a
 //!   scratch directory (each undirected edge written once per endpoint
-//!   shard, so cross-shard edges appear in both buckets — the on-disk
-//!   cut-edge lists); `finalize` counting-sorts each bucket into a
-//!   rebased CSR segment file, shard by shard in ascending index order,
-//!   and [`DiskShards::load`] reads one segment at a time into a
-//!   reusable [`ShardScratch`] so peak RSS stays near one shard.
+//!   shard, so cross-shard edges appear in both buckets); `finalize`
+//!   counting-sorts each bucket into a rebased CSR segment file, shard
+//!   by shard in ascending index order, and [`DiskShards::load`] reads
+//!   one segment at a time into a reusable [`ShardScratch`] (`base = 0`)
+//!   so peak RSS stays near one shard.
+//!
+//! Both serve the same [`ShardView`] type, so the engine frontier passes
+//! are written once against [`ShardStore`] and its [`PassLoader`].
 //!
 //! Sharding never changes outcomes: the engines' coin tapes address
 //! coins by `(site, lane)` — pure functions of the trial seed — so the
@@ -36,7 +33,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc;
 use std::thread;
 
-use crate::csr::{CsrError, CsrGraph, CsrWidth};
+use crate::csr::{CsrError, CsrGraph, MAX_INDEX};
 
 /// A failure while building or reading sharded adjacency: either the
 /// edge stream was invalid (typed [`CsrError`]) or the spill/segment IO
@@ -170,10 +167,7 @@ impl ShardPlan {
     #[must_use]
     pub fn uniform(n: usize, shards: usize) -> Self {
         assert!(n > 0, "graph must have at least one node");
-        assert!(
-            n as u64 <= <u32 as CsrWidth>::MAX_INDEX,
-            "node count exceeds u32"
-        );
+        assert!(n as u64 <= MAX_INDEX, "node count exceeds u32");
         let k = shards.clamp(1, n);
         let mut bounds = Vec::with_capacity(k + 1);
         for s in 0..=k {
@@ -217,6 +211,7 @@ impl ShardPlan {
     /// # Panics
     ///
     /// Panics if `s >= shard_count()`.
+    #[inline]
     #[must_use]
     pub fn range(&self, s: usize) -> (u32, u32) {
         (self.bounds[s], self.bounds[s + 1])
@@ -227,9 +222,13 @@ impl ShardPlan {
     /// # Panics
     ///
     /// Panics if `v >= n`.
+    #[inline]
     #[must_use]
     pub fn shard_of(&self, v: u32) -> usize {
         assert!((v as usize) < self.node_count(), "node out of range");
+        if self.bounds.len() == 2 {
+            return 0;
+        }
         self.bounds.partition_point(|&b| b <= v) - 1
     }
 
@@ -265,6 +264,7 @@ impl<'a> ShardView<'a> {
     /// # Panics
     ///
     /// Panics if the parts are inconsistent.
+    #[inline]
     #[must_use]
     pub fn from_parts(
         start: u32,
@@ -295,6 +295,7 @@ impl<'a> ShardView<'a> {
     /// # Panics
     ///
     /// Panics if the range is out of bounds.
+    #[inline]
     #[must_use]
     pub fn over(offsets: &'a [u32], targets: &'a [u32], start: u32, end: u32) -> Self {
         let base = offsets[start as usize];
@@ -332,6 +333,7 @@ impl<'a> ShardView<'a> {
     }
 
     /// Whether node `v` belongs to this shard.
+    #[inline]
     #[must_use]
     pub fn contains(&self, v: u32) -> bool {
         self.start <= v && v < self.end
@@ -343,6 +345,7 @@ impl<'a> ShardView<'a> {
     /// # Panics
     ///
     /// Panics if `v` is outside the shard.
+    #[inline]
     #[must_use]
     pub fn targets_of(&self, v: u32) -> &'a [u32] {
         let local = (v - self.start) as usize;
@@ -368,142 +371,107 @@ impl<'a> ShardView<'a> {
     }
 }
 
-/// One owned shard of a [`ShardedCsr`]: rebased CSR rows plus the
-/// cut-edge lists into every other shard.
+/// The in-RAM store: one owned CSR array pair, viewed shard by shard
+/// through zero-copy [`ShardView::over`] windows. The arrays may be
+/// undirected adjacency or directed child lists (a BFS tree's), and a
+/// one-shard plan is the monolithic case — re-planning only swaps the
+/// plan, never the arrays.
 #[derive(Clone, PartialEq, Eq, Debug)]
-struct Segment {
-    /// Rebased row boundaries (`rows + 1` entries, first `0`).
-    offsets: Vec<u32>,
-    /// Concatenated sorted neighbor lists (global ids).
-    targets: Vec<u32>,
-    /// `shard_count + 1` boundaries into `cut_edges`, bucketing by
-    /// destination shard (own-shard bucket is empty).
-    cut_offsets: Vec<usize>,
-    /// `(source, target)` pairs with the source in this shard and the
-    /// target elsewhere, grouped by the target's shard.
-    cut_edges: Vec<(u32, u32)>,
-}
-
-/// An owned in-RAM node-range split of a [`CsrGraph`]: each shard owns
-/// its rebased offsets/targets slice plus the cut-edge lists into the
-/// other shards. Views are handed out as [`ShardView`]s, identical in
-/// shape to what the out-of-core path streams from disk.
-#[derive(Clone, PartialEq, Eq, Debug)]
-pub struct ShardedCsr {
+pub struct RamShards {
     plan: ShardPlan,
-    segments: Vec<Segment>,
-    edge_count: usize,
+    /// `n + 1` row boundaries into `targets`.
+    offsets: Vec<u32>,
+    /// Concatenated sorted target lists (global ids).
+    targets: Vec<u32>,
 }
 
-impl ShardedCsr {
-    /// Splits a monolithic CSR graph along `plan`.
+impl RamShards {
+    /// Wraps the CSR arrays `(offsets, targets)` under `plan`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the plan covers a different node count or `targets`
+    /// does not end at the last offset.
+    #[must_use]
+    pub fn new(offsets: Vec<u32>, targets: Vec<u32>, plan: ShardPlan) -> Self {
+        assert_eq!(
+            offsets.len(),
+            plan.node_count() + 1,
+            "plan/graph node count mismatch"
+        );
+        assert_eq!(
+            offsets[offsets.len() - 1] as usize,
+            targets.len(),
+            "targets length"
+        );
+        RamShards {
+            plan,
+            offsets,
+            targets,
+        }
+    }
+
+    /// Takes a CSR graph's arrays, without copying, under `plan`.
     ///
     /// # Panics
     ///
     /// Panics if the plan covers a different node count.
     #[must_use]
-    pub fn split(csr: &CsrGraph, plan: ShardPlan) -> Self {
-        assert_eq!(plan.node_count(), csr.node_count(), "plan/graph mismatch");
-        let k = plan.shard_count();
-        let mut segments = Vec::with_capacity(k);
-        for s in 0..k {
-            let (start, end) = plan.range(s);
-            let base = csr.offsets()[start as usize];
-            let offsets: Vec<u32> = csr.offsets()[start as usize..=end as usize]
-                .iter()
-                .map(|&o| o - base)
-                .collect();
-            let targets: Vec<u32> =
-                csr.targets()[base as usize..csr.offsets()[end as usize] as usize].to_vec();
-            // Bucket the out-going cut edges by destination shard.
-            let mut counts = vec![0usize; k];
-            for v in start..end {
-                for &t in csr.neighbors_of(v as usize) {
-                    let d = plan.shard_of(t);
-                    if d != s {
-                        counts[d] += 1;
-                    }
-                }
-            }
-            let mut cut_offsets = Vec::with_capacity(k + 1);
-            let mut acc = 0usize;
-            cut_offsets.push(0);
-            for &c in &counts {
-                acc += c;
-                cut_offsets.push(acc);
-            }
-            let mut cut_edges = vec![(0u32, 0u32); acc];
-            let mut cursor = cut_offsets.clone();
-            for v in start..end {
-                for &t in csr.neighbors_of(v as usize) {
-                    let d = plan.shard_of(t);
-                    if d != s {
-                        cut_edges[cursor[d]] = (v, t);
-                        cursor[d] += 1;
-                    }
-                }
-            }
-            segments.push(Segment {
-                offsets,
-                targets,
-                cut_offsets,
-                cut_edges,
-            });
-        }
-        ShardedCsr {
-            plan,
-            segments,
-            edge_count: csr.edge_count(),
-        }
+    pub fn from_csr(csr: CsrGraph, plan: ShardPlan) -> Self {
+        let (offsets, targets) = csr.into_raw_parts();
+        RamShards::new(offsets, targets, plan)
     }
 
-    /// The shard plan this split follows.
+    /// The same arrays under another plan over the same nodes.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the plan covers a different node count.
+    #[must_use]
+    pub fn with_plan(self, plan: ShardPlan) -> Self {
+        RamShards::new(self.offsets, self.targets, plan)
+    }
+
+    /// The shard plan the views follow.
     #[must_use]
     pub fn plan(&self) -> &ShardPlan {
         &self.plan
     }
 
-    /// Number of nodes across all shards.
-    #[must_use]
-    pub fn node_count(&self) -> usize {
-        self.plan.node_count()
-    }
-
-    /// Number of undirected edges across all shards.
-    #[must_use]
-    pub fn edge_count(&self) -> usize {
-        self.edge_count
-    }
-
-    /// A borrowed view of shard `s`.
+    /// A zero-copy view of shard `s`.
     ///
     /// # Panics
     ///
     /// Panics if `s >= shard_count()`.
+    #[inline]
     #[must_use]
     pub fn view(&self, s: usize) -> ShardView<'_> {
         let (start, end) = self.plan.range(s);
-        let seg = &self.segments[s];
-        ShardView::from_parts(start, end, &seg.offsets, 0, &seg.targets)
+        ShardView::over(&self.offsets, &self.targets, start, end)
     }
 
-    /// The cut edges leaving shard `s` for shard `dest`: `(source,
-    /// target)` pairs, source in `s`, target in `dest`.
+    /// The target list of node `v`, read from the whole arrays.
     ///
     /// # Panics
     ///
-    /// Panics if either index is out of range.
+    /// Panics if `v >= n`.
+    #[inline]
     #[must_use]
-    pub fn cut_edges(&self, s: usize, dest: usize) -> &[(u32, u32)] {
-        let seg = &self.segments[s];
-        &seg.cut_edges[seg.cut_offsets[dest]..seg.cut_offsets[dest + 1]]
+    pub fn targets_of(&self, v: u32) -> &[u32] {
+        let v = v as usize;
+        &self.targets[self.offsets[v] as usize..self.offsets[v + 1] as usize]
     }
 
-    /// Total cut edges leaving shard `s` (both directions of an
-    /// undirected cross-shard edge count once from each side).
+    /// The row-boundary array (`n + 1` entries).
     #[must_use]
-    pub fn cut_degree(&self, s: usize) -> usize {
-        self.segments[s].cut_edges.len()
+    pub fn offsets(&self) -> &[u32] {
+        &self.offsets
+    }
+
+    /// The concatenated target lists.
+    #[must_use]
+    pub fn targets(&self) -> &[u32] {
+        &self.targets
     }
 }
 
@@ -690,10 +658,10 @@ impl SpillSink {
     pub fn push(&mut self, u: u64, v: u64) -> Result<(), ShardError> {
         let n = self.plan.node_count() as u64;
         for e in [u, v] {
-            if e > <u32 as CsrWidth>::MAX_INDEX {
+            if e > MAX_INDEX {
                 return Err(CsrError::EndpointOverflow {
                     endpoint: e,
-                    max: <u32 as CsrWidth>::MAX_INDEX,
+                    max: MAX_INDEX,
                 }
                 .into());
             }
@@ -757,11 +725,8 @@ impl SpillSink {
             let (start, end) = plan.range(s);
             let rows = (end - start) as usize;
             let spill = dir.join(format!("spill_{s}.bin"));
-            if shard_half_edges > <u32 as CsrWidth>::MAX_INDEX {
-                return Err(CsrError::AdjacencyOverflow {
-                    max: <u32 as CsrWidth>::MAX_INDEX,
-                }
-                .into());
+            if shard_half_edges > MAX_INDEX {
+                return Err(CsrError::AdjacencyOverflow { max: MAX_INDEX }.into());
             }
             // Pass 1: per-row degree from the bucket stream.
             let mut degree = vec![0u32; rows];
@@ -1083,22 +1048,23 @@ impl Drop for DiskShards {
     }
 }
 
-/// Where sharded adjacency lives: split in RAM or streamed from disk.
-/// One accessor serves both, so the out-of-core flood runner is written
-/// once.
+/// Where sharded adjacency lives: one CSR in RAM, or segments streamed
+/// from disk. One accessor serves both, so each engine pass is written
+/// once against the store.
 pub enum ShardStore {
-    /// All segments resident (mid-scale and equivalence testing).
-    Ram(ShardedCsr),
+    /// One owned CSR viewed by node range (monolithic = one shard).
+    Ram(RamShards),
     /// Segments streamed one at a time (the 10⁸ tier).
     Disk(DiskShards),
 }
 
 impl ShardStore {
     /// The shard plan of the underlying store.
+    #[inline]
     #[must_use]
     pub fn plan(&self) -> &ShardPlan {
         match self {
-            ShardStore::Ram(s) => s.plan(),
+            ShardStore::Ram(r) => r.plan(),
             ShardStore::Disk(d) => d.plan(),
         }
     }
@@ -1122,7 +1088,7 @@ impl ShardStore {
         scratch: &'a mut ShardScratch,
     ) -> Result<ShardView<'a>, ShardError> {
         match self {
-            ShardStore::Ram(store) => Ok(store.view(s)),
+            ShardStore::Ram(r) => Ok(r.view(s)),
             ShardStore::Disk(d) => d.load(s, scratch),
         }
     }
@@ -1381,6 +1347,7 @@ impl RowSetView<'_> {
     /// # Panics
     ///
     /// Panics if `v` was not in the requested row set.
+    #[inline]
     #[must_use]
     pub fn targets_of(&self, v: u32) -> &[u32] {
         match self.rows.binary_search(&v) {
@@ -1554,6 +1521,10 @@ pub struct PassLoader<'s> {
     store: &'s ShardStore,
     prefetch: PrefetchingStore<'s>,
     sparse: SparseLoader<'s>,
+    /// The sorted row list of the current sparse view.
+    sorted: Vec<u32>,
+    /// The full-view shards of the announced pass.
+    full: Vec<usize>,
 }
 
 impl<'s> PassLoader<'s> {
@@ -1565,6 +1536,8 @@ impl<'s> PassLoader<'s> {
             store,
             prefetch: PrefetchingStore::new(store, prefetch),
             sparse: SparseLoader::new(store),
+            sorted: Vec::new(),
+            full: Vec::new(),
         }
     }
 
@@ -1587,62 +1560,71 @@ impl<'s> PassLoader<'s> {
         requested.saturating_mul(SPARSE_RATIO) < (end - start) as usize
     }
 
-    /// Announces the upcoming pass's *full-view* segment sequence to
-    /// the prefetcher (sparse shards are not announced — they never
-    /// cost a segment read).
+    /// Announces an explicit full-view shard sequence (prefetch hint).
     pub fn begin_pass(&mut self, full: &[usize]) {
         self.prefetch.begin_pass(full);
     }
 
-    /// A full view of shard `s` through the prefetch pipeline.
-    ///
-    /// # Errors
-    ///
-    /// Exactly [`ShardStore::view`]'s errors.
-    pub fn view_full(&mut self, s: usize) -> Result<ShardView<'_>, ShardError> {
-        self.prefetch.view(s)
+    /// Announces a pass over per-shard row lists (`lists[s]` for shard
+    /// `s`): every shard with a non-empty list too large for sparse
+    /// reads is queued for prefetch, ascending. Sparse shards are not
+    /// announced — they never cost a segment read.
+    pub fn begin_lists<'l>(&mut self, lists: impl IntoIterator<Item = &'l [u32]>) {
+        let mut full = std::mem::take(&mut self.full);
+        full.clear();
+        for (s, list) in lists.into_iter().enumerate() {
+            if !list.is_empty() && !self.use_sparse(s, list.len()) {
+                full.push(s);
+            }
+        }
+        self.prefetch.begin_pass(&full);
+        self.full = full;
     }
 
-    /// A sparse view over `rows` (sorted, unique, within shard `s`).
+    /// A view of all of shard `s`: a disk segment through the prefetch
+    /// pipeline, or a RAM store's whole arrays (rows are read straight
+    /// from the one CSR, so a RAM pass costs what a monolithic one does).
     ///
     /// # Errors
     ///
     /// Exactly [`ShardStore::view`]'s errors.
-    pub fn view_rows<'a>(
-        &'a mut self,
-        s: usize,
-        rows: &'a [u32],
-    ) -> Result<RowSetView<'a>, ShardError> {
-        self.sparse.load_rows(s, rows)
+    #[inline]
+    pub fn view_full(&mut self, s: usize) -> Result<PassView<'_>, ShardError> {
+        match self.store {
+            ShardStore::Ram(ram) => Ok(PassView::Ram(ram)),
+            ShardStore::Disk(_) => Ok(PassView::Full(self.prefetch.view(s)?)),
+        }
     }
 
-    /// One pass view of shard `s`: the sparse row view over
-    /// `rows_sorted` when `sparse` holds, the full prefetched segment
-    /// otherwise. `rows_sorted` is ignored on the full path, so callers
-    /// only pay for sorting when the shard actually goes sparse.
+    /// A view of shard `s` covering the rows in `list` (any order, all
+    /// in the shard): coalesced sparse row reads when the list is a
+    /// small fraction of a disk shard, the full prefetched segment
+    /// otherwise.
     ///
     /// # Errors
     ///
     /// Exactly [`ShardStore::view`]'s errors.
-    pub fn view_pass<'a>(
-        &'a mut self,
-        s: usize,
-        rows_sorted: &'a [u32],
-        sparse: bool,
-    ) -> Result<PassView<'a>, ShardError> {
-        if sparse {
-            Ok(PassView::Rows(self.sparse.load_rows(s, rows_sorted)?))
+    #[inline]
+    pub fn view_list(&mut self, s: usize, list: &[u32]) -> Result<PassView<'_>, ShardError> {
+        if self.use_sparse(s, list.len()) {
+            self.sorted.clear();
+            self.sorted.extend_from_slice(list);
+            self.sorted.sort_unstable();
+            Ok(PassView::Rows(self.sparse.load_rows(s, &self.sorted)?))
         } else {
-            Ok(PassView::Full(self.prefetch.view(s)?))
+            self.view_full(s)
         }
     }
 }
 
-/// Either kind of per-pass shard view — full segment or explicit row
-/// subset — behind the one accessor the engine passes use. Both kinds
-/// serve exactly the bytes the plain [`ShardStore::view`] would, so
-/// which one a pass got is invisible in outcomes.
+/// Any kind of per-pass shard view — a RAM store's arrays, a full disk
+/// segment, or an explicit row subset — behind the one accessor the
+/// engine passes use. Every kind serves exactly the rows the plain
+/// [`ShardStore::view`] would, so which one a pass got is invisible in
+/// outcomes.
 pub enum PassView<'a> {
+    /// A RAM store's whole arrays (every shard is resident).
+    Ram(&'a RamShards),
     /// A full segment view (prefetched or synchronously loaded).
     Full(ShardView<'a>),
     /// A sparse row-subset view.
@@ -1650,15 +1632,17 @@ pub enum PassView<'a> {
 }
 
 impl PassView<'_> {
-    /// The adjacency of row `v`.
+    /// The target list of row `v` (global ids).
     ///
     /// # Panics
     ///
-    /// Panics if `v` is outside the view (or, for a sparse view, was
-    /// not in the requested row set).
+    /// Panics if `v` is outside the store (for a disk segment: outside
+    /// the shard; for a sparse view: not in the requested row set).
+    #[inline]
     #[must_use]
     pub fn targets_of(&self, v: u32) -> &[u32] {
         match self {
+            PassView::Ram(ram) => ram.targets_of(v),
             PassView::Full(view) => view.targets_of(v),
             PassView::Rows(view) => view.targets_of(v),
         }
@@ -1856,16 +1840,19 @@ mod tests {
         let n = 100u32;
         let csr = CsrGraph::from_edges(n as usize, &ring_edges(n));
         for k in [1, 2, 3, 7] {
-            let sharded = ShardedCsr::split(&csr, ShardPlan::uniform(n as usize, k));
-            assert_eq!(sharded.edge_count(), csr.edge_count());
-            for s in 0..sharded.plan().shard_count() {
-                let view = sharded.view(s);
+            let ram = RamShards::from_csr(csr.clone(), ShardPlan::uniform(n as usize, k));
+            let mut entries = 0;
+            for s in 0..ram.plan().shard_count() {
+                let view = ram.view(s);
+                entries += view.entry_count();
                 for v in view.start()..view.end() {
                     assert!(view.contains(v));
                     assert_eq!(view.targets_of(v), csr.neighbors_of(v as usize));
                     assert_eq!(view.degree(v), csr.degree(v as usize));
+                    assert_eq!(ram.targets_of(v), csr.neighbors_of(v as usize));
                 }
             }
+            assert_eq!(entries, 2 * csr.edge_count());
         }
     }
 
@@ -1874,49 +1861,19 @@ mod tests {
         let n = 64u32;
         let csr = CsrGraph::from_edges(n as usize, &ring_edges(n));
         let plan = ShardPlan::uniform(n as usize, 5);
-        let sharded = ShardedCsr::split(&csr, plan.clone());
+        // Re-planning keeps the arrays: a one-shard store re-cut into
+        // five serves the same rows as direct windows over the CSR.
+        let ram = RamShards::from_csr(csr.clone(), ShardPlan::uniform(n as usize, 1))
+            .with_plan(plan.clone());
         for s in 0..plan.shard_count() {
             let (start, end) = plan.range(s);
             let direct = ShardView::over(csr.offsets(), csr.targets(), start, end);
-            let owned = sharded.view(s);
+            let owned = ram.view(s);
             assert_eq!(direct.entry_count(), owned.entry_count());
             for v in start..end {
                 assert_eq!(direct.targets_of(v), owned.targets_of(v));
             }
         }
-    }
-
-    #[test]
-    fn cut_edges_are_exactly_the_cross_shard_adjacency() {
-        let n = 60u32;
-        let csr = CsrGraph::from_edges(n as usize, &ring_edges(n));
-        let plan = ShardPlan::uniform(n as usize, 4);
-        let sharded = ShardedCsr::split(&csr, plan.clone());
-        let mut listed = 0usize;
-        for s in 0..4 {
-            for d in 0..4 {
-                for &(u, v) in sharded.cut_edges(s, d) {
-                    assert_eq!(plan.shard_of(u), s);
-                    assert_eq!(plan.shard_of(v), d);
-                    assert_ne!(s, d, "own-shard cut bucket must be empty");
-                    assert!(csr.neighbors_of(u as usize).contains(&v));
-                    listed += 1;
-                }
-            }
-            assert_eq!(
-                sharded.cut_degree(s),
-                (0..4).map(|d| sharded.cut_edges(s, d).len()).sum::<usize>()
-            );
-        }
-        let expect: usize = (0..n)
-            .map(|v| {
-                csr.neighbors_of(v as usize)
-                    .iter()
-                    .filter(|&&t| plan.shard_of(t) != plan.shard_of(v))
-                    .count()
-            })
-            .sum();
-        assert_eq!(listed, expect);
     }
 
     #[test]
@@ -2000,7 +1957,7 @@ mod tests {
         let (ref_offsets, ref_children) = reference.clone().into_children_csr();
         for k in [1usize, 2, 3, 7] {
             let plan = ShardPlan::uniform(n, k);
-            let ram = ShardStore::Ram(ShardedCsr::split(&csr, plan.clone()));
+            let ram = ShardStore::Ram(RamShards::from_csr(csr.clone(), plan.clone()));
             let tree = ShardedBfsTree::build(&ram, 0, default_scratch_dir()).expect("build");
             assert_eq!(tree.order(), reference.order(), "order diverged at k={k}");
             assert_eq!(tree.reachable(), reference.order().len());
@@ -2160,7 +2117,7 @@ mod tests {
         sink.push(0, 1).expect("push");
         // Fake an overflowing bucket count: writing 2^32 real edges in
         // a unit test is not an option.
-        sink.half_edges[0] = <u32 as CsrWidth>::MAX_INDEX + 1;
+        sink.half_edges[0] = MAX_INDEX + 1;
         match sink.finalize().map(|_| ()) {
             Err(ShardError::Graph(CsrError::AdjacencyOverflow { .. })) => {}
             other => panic!("expected AdjacencyOverflow, got {other:?}"),
@@ -2271,18 +2228,24 @@ mod tests {
         assert!(loader.use_sparse(0, 3));
         assert!(!loader.use_sparse(0, 3_000));
         assert!(!loader.use_sparse(0, 0));
-        loader.begin_pass(&[0, 1]);
-        let full_entries = loader.view_full(0).expect("full").entry_count();
-        assert!(full_entries > 0);
-        let rows = [0u32, 17, 290];
-        let sparse = loader.view_rows(0, &rows).expect("sparse");
-        assert!(sparse.entry_count() > 0);
+        loader.begin_lists([&[0u32; 3000][..], &[]]);
+        let full = loader.view_full(0).expect("full");
+        assert!(matches!(full, PassView::Full(ref v) if v.entry_count() > 0));
+        let rows = [290u32, 0, 17];
+        let sparse = loader.view_list(0, &rows).expect("sparse");
+        assert!(matches!(sparse, PassView::Rows(_)));
+        for v in rows {
+            assert!(!sparse.targets_of(v).is_empty());
+        }
 
         let edges = chord_edges(64);
         let csr = CsrGraph::from_edges(64, &edges);
-        let ram = ShardStore::Ram(ShardedCsr::split(&csr, ShardPlan::uniform(64, 2)));
-        let ram_loader = PassLoader::new(&ram, true);
+        let ram = ShardStore::Ram(RamShards::from_csr(csr.clone(), ShardPlan::uniform(64, 2)));
+        let mut ram_loader = PassLoader::new(&ram, true);
         assert!(!ram_loader.use_sparse(0, 1));
+        let view = ram_loader.view_list(1, &[40]).expect("ram view");
+        assert!(matches!(view, PassView::Ram(_)));
+        assert_eq!(view.targets_of(40), csr.neighbors_of(40));
     }
 
     #[test]
@@ -2291,7 +2254,7 @@ mod tests {
         let edges = ring_edges(n as u32);
         let csr = CsrGraph::from_edges(n, &edges);
         let plan = ShardPlan::uniform(n, 4);
-        let ram = ShardStore::Ram(ShardedCsr::split(&csr, plan.clone()));
+        let ram = ShardStore::Ram(RamShards::from_csr(csr.clone(), plan.clone()));
         let dir = default_scratch_dir();
         let mut sink = SpillSink::create(&dir, plan).expect("create sink");
         for &(u, v) in &edges {

@@ -12,6 +12,7 @@ use rand::SeedableRng;
 /// This is the standard finalizer from Steele, Lea & Flood (2014); it is a
 /// bijection on `u64` with excellent avalanche behaviour, making it a good
 /// key-derivation function for RNG seeds.
+#[inline]
 #[must_use]
 pub fn splitmix64(state: u64) -> u64 {
     let mut z = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
