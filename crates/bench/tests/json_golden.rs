@@ -1,23 +1,30 @@
-//! Golden-file and CLI-contract tests against a real experiment binary.
+//! Golden-file and CLI-contract tests against real experiment binaries.
 //!
-//! Runs `exp_e4_datalink --quick --threads 2 --seed 2005 --json …` as a
-//! subprocess and checks that the emitted JSON (with the one
-//! nondeterministic field, `wall_ms`, normalized to zero) is
-//! byte-identical to the committed golden file — locking in the schema,
+//! Runs an experiment binary with `--quick --threads 2 --seed 2005
+//! --json …` as a subprocess and checks that the emitted JSON (with the
+//! one nondeterministic field, `wall_ms`, normalized to zero) is
+//! byte-identical to a committed golden file — locking in the schema,
 //! the writer's format, and the determinism of the sweep outcomes from
-//! the root seed. E4 is the cheapest Monte-Carlo binary, so this stays
-//! fast enough for `cargo test`.
+//! the root seed. Two binaries are pinned:
+//!
+//! * `exp_e4_datalink`, the cheapest Monte-Carlo binary, through the
+//!   trait-object engines;
+//! * `exp_scale_radio --trials 64`, six one-block cells of the batched
+//!   Decay kernel, so a change that moves a 64-lane block and its lane
+//!   replay together still fails a test.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::Command;
 
 use randcast_stats::report::SweepReport;
 
-fn run_binary(args: &[&str]) -> std::process::Output {
-    Command::new(env!("CARGO_BIN_EXE_exp_e4_datalink"))
+const E4: &str = env!("CARGO_BIN_EXE_exp_e4_datalink");
+
+fn run_binary(bin: &str, args: &[&str]) -> std::process::Output {
+    Command::new(bin)
         .args(args)
         .output()
-        .expect("spawn exp_e4_datalink")
+        .unwrap_or_else(|e| panic!("spawn {bin}: {e}"))
 }
 
 fn normalized(mut report: SweepReport) -> SweepReport {
@@ -27,24 +34,45 @@ fn normalized(mut report: SweepReport) -> SweepReport {
     report
 }
 
-#[test]
-fn quick_json_output_matches_the_golden_file() {
-    let json_path =
-        std::env::temp_dir().join(format!("randcast_golden_{}.json", std::process::id()));
-    let out = run_binary(&[
-        "--quick",
-        "--threads",
-        "2",
-        "--seed",
-        "2005",
-        "--json",
-        json_path.to_str().unwrap(),
-    ]);
+/// Runs `bin --quick --threads 2 --seed 2005 <extra> --json <tmp>` and
+/// parses the report it wrote.
+fn quick_report(bin: &str, extra: &[&str]) -> SweepReport {
+    let json_path = std::env::temp_dir().join(format!(
+        "randcast_golden_{}_{}.json",
+        Path::new(bin).file_name().unwrap().to_string_lossy(),
+        std::process::id()
+    ));
+    let mut args = vec!["--quick", "--threads", "2", "--seed", "2005"];
+    args.extend_from_slice(extra);
+    args.extend_from_slice(&["--json", json_path.to_str().unwrap()]);
+    let out = run_binary(bin, &args);
     assert!(out.status.success(), "binary failed: {out:?}");
 
     let text = std::fs::read_to_string(&json_path).expect("read emitted json");
     let _ = std::fs::remove_file(&json_path);
-    let report = SweepReport::from_json(&text).expect("emitted JSON parses");
+    SweepReport::from_json(&text).expect("emitted JSON parses")
+}
+
+/// Asserts `report` equals `tests/golden/<golden>` with `wall_ms`
+/// zeroed on both sides.
+fn assert_matches_golden(report: SweepReport, golden: &str) {
+    let golden_path = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+        .join("tests/golden")
+        .join(golden);
+    let golden_text = std::fs::read_to_string(&golden_path).expect("read golden file");
+    let expected = SweepReport::from_json(&golden_text).expect("golden JSON parses");
+
+    assert_eq!(
+        normalized(report).to_json(),
+        normalized(expected).to_json(),
+        "emitted report diverged from tests/golden/{golden} \
+         (if the change is intentional, regenerate the golden file)"
+    );
+}
+
+#[test]
+fn quick_json_output_matches_the_golden_file() {
+    let report = quick_report(E4, &[]);
 
     // Schema sanity before byte comparison.
     assert_eq!(report.experiment, "e4_datalink");
@@ -56,22 +84,26 @@ fn quick_json_output_matches_the_golden_file() {
         assert!(cell.successes <= cell.trials);
     }
 
-    let golden_path =
-        PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden/exp_e4_quick.json");
-    let golden_text = std::fs::read_to_string(&golden_path).expect("read golden file");
-    let golden = SweepReport::from_json(&golden_text).expect("golden JSON parses");
+    assert_matches_golden(report, "exp_e4_quick.json");
+}
 
-    assert_eq!(
-        normalized(report).to_json(),
-        normalized(golden).to_json(),
-        "emitted report diverged from tests/golden/exp_e4_quick.json \
-         (if the change is intentional, regenerate the golden file)"
-    );
+#[test]
+fn batched_radio_quick_json_matches_the_golden_file() {
+    let report = quick_report(env!("CARGO_BIN_EXE_exp_scale_radio"), &["--trials", "64"]);
+
+    assert_eq!(report.experiment, "scale_radio");
+    assert_eq!(report.cells.len(), 6, "3 families × 2 sizes");
+    for cell in &report.cells {
+        assert_eq!(cell.trials, 64, "one whole 64-lane block per cell");
+        assert!(cell.successes <= cell.trials);
+    }
+
+    assert_matches_golden(report, "exp_scale_radio_quick_t64.json");
 }
 
 #[test]
 fn unknown_flags_abort_with_usage_before_any_work() {
-    let out = run_binary(&["--qiuck"]);
+    let out = run_binary(E4, &["--qiuck"]);
     assert_eq!(out.status.code(), Some(2));
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("unknown argument"), "{stderr}");
@@ -84,7 +116,7 @@ fn unknown_flags_abort_with_usage_before_any_work() {
 
 #[test]
 fn help_exits_zero_with_usage() {
-    let out = run_binary(&["--help"]);
+    let out = run_binary(E4, &["--help"]);
     assert_eq!(out.status.code(), Some(0));
     assert!(String::from_utf8_lossy(&out.stdout).contains("usage:"));
 }

@@ -138,22 +138,18 @@ impl FastRadioSchedule {
     }
 }
 
-/// Decay thinning after round `r0` of an epoch: each of `nodes` stays
-/// active in a lane iff its fair coin at `(r0, v)` is heads there
-/// (faults never touch the coin stream — a failed transmitter still
-/// decays).
-fn decay_thin<'a>(
-    act: &mut [LaneMask],
-    nodes: impl IntoIterator<Item = &'a u32>,
-    decay_tape: &BatchTape,
-    r0: usize,
-) {
-    for &v in nodes {
-        let vi = v as usize;
-        if act[vi] != 0 {
-            act[vi] &= decay_tape.fair_mask(radio_site(r0, v));
-        }
-    }
+/// Decay thinning after round `r0` of an epoch: each node of the active
+/// list stays active in a lane iff its fair coin at `(r0, v)` is heads
+/// there (faults never touch the coin stream — a failed transmitter
+/// still decays). Nodes whose mask empties leave the list, so the
+/// epoch's later walks visit only nodes that can still transmit; the
+/// survivors keep their order.
+fn decay_thin(act: &mut [LaneMask], active: &mut Vec<u32>, decay_tape: &BatchTape, r0: usize) {
+    active.retain(|&v| {
+        let a = &mut act[v as usize];
+        *a &= decay_tape.fair_mask(radio_site(r0, v));
+        *a != 0
+    });
 }
 
 /// A compiled fast-path radio plan: the CSR adjacency as an in-RAM
@@ -476,6 +472,7 @@ impl FastRadio {
             let r0 = round - 1;
             let j = r0 % epoch_len;
             if j == 0 {
+                participants.sort_unstable();
                 participants.retain(|&u| ram.targets_of(u).iter().any(|&t| !heard.contains(t)));
                 if participants.is_empty() {
                     break;
@@ -577,6 +574,7 @@ impl FastRadio {
         let mut in_plist = vec![false; n];
         in_plist[source as usize] = true;
         let mut act: Vec<LaneMask> = vec![0; n];
+        let mut active: Vec<u32> = Vec::new();
 
         let mut once: Vec<LaneMask> = vec![0; n];
         let mut twice: Vec<LaneMask> = vec![0; n];
@@ -593,6 +591,7 @@ impl FastRadio {
             let j = r0 % epoch_len;
             if j == 0 {
                 let mut any: LaneMask = 0;
+                plist.sort_unstable();
                 plist.retain(|&v| {
                     let vi = v as usize;
                     let inf_v = heard.lanes(v);
@@ -611,6 +610,7 @@ impl FastRadio {
                     }
                     m != 0
                 });
+                active.clone_from(&plist);
                 let newly_exhausted = live & !any;
                 record_crossings(newly_exhausted, rounds.executed, &mut exhaust_end);
                 exhausted |= newly_exhausted;
@@ -619,11 +619,8 @@ impl FastRadio {
                 }
             }
 
-            for &v in &plist {
+            for &v in &active {
                 let a = act[v as usize];
-                if a == 0 {
-                    continue;
-                }
                 let mut un_v: LaneMask = 0;
                 for &t in ram.targets_of(v) {
                     un_v |= !heard.lanes(t);
@@ -689,7 +686,7 @@ impl FastRadio {
             rounds.end_round(&correct_counts, round, changed);
 
             if decay && j + 1 < epoch_len {
-                decay_thin(&mut act, &plist, &decay_tape, r0);
+                decay_thin(&mut act, &mut active, &decay_tape, r0);
             }
         }
 
@@ -859,14 +856,15 @@ impl ShardedRadio {
     /// The scalar lane pass under a `Silent` [`FaultModel`] (a
     /// corrupted transmission is silenced). Each round makes one
     /// shard-at-a-time transmit pass (plus, at epoch boundaries, one
-    /// refilter pass); collision counts accumulate across every shard
-    /// and drain once per round, on up to `threads` workers. For disk
-    /// stores each shard pass is served either by a full segment read
-    /// overlapped with the previous shard's compute (the [`PassLoader`]
-    /// prefetch pipeline) or, when the pass touches a small fraction of
-    /// the shard — the common case under Decay thinning — by coalesced
-    /// sparse row reads. Neither choice, nor the thread count, can
-    /// change a byte of the outcome.
+    /// refilter pass over participant lists first sorted into node
+    /// order, as in [`batch_pass`](Self::batch_pass)); collision counts
+    /// accumulate across every shard and drain once per round, on up to
+    /// `threads` workers. For disk stores each shard pass is served
+    /// either by a full segment read overlapped with the previous
+    /// shard's compute (the [`PassLoader`] prefetch pipeline) or, when
+    /// the pass touches a small fraction of the shard — the common case
+    /// under Decay thinning — by coalesced sparse row reads. Neither
+    /// choice, nor the thread count, can change a byte of the outcome.
     fn lane_pass<M: FaultModel + ?Sized>(
         &self,
         mut views: PassLoader<'_>,
@@ -909,6 +907,7 @@ impl ShardedRadio {
                     if parts.is_empty() {
                         continue;
                     }
+                    parts.sort_unstable();
                     let view = views.view_list(s, parts)?;
                     parts.retain(|&u| view.targets_of(u).iter().any(|&t| !informed.contains(t)));
                     act_list.extend_from_slice(parts);
@@ -972,8 +971,15 @@ impl ShardedRadio {
     /// shards before the single sole-receiver drain, and the
     /// lane-exhaustion bookkeeping fires only after *every* shard's
     /// refilter has contributed to the round's participation union.
-    /// Over an in-RAM store of several shards with `threads > 1`, the
-    /// shard passes fan out across workers instead
+    /// Each epoch boundary sorts the participant lists into node order
+    /// before the refilter, so every walk of the epoch reads CSR rows
+    /// and lane words in ascending address order, and the transmit walk
+    /// and Decay thinning visit only the active lists — participants
+    /// whose mask is still nonzero. Walk order cannot change an
+    /// outcome: coins are site-addressed and the once/twice/informed
+    /// updates commute (DESIGN.md, "Outcome-neutrality is a theorem
+    /// here"). Over an in-RAM store of several shards with
+    /// `threads > 1`, the shard passes fan out across workers instead
     /// ([`batch_pass_threads`](Self::batch_pass_threads)); disk stores
     /// stay sequential.
     fn batch_pass<M: FaultModel + ?Sized>(
@@ -1007,12 +1013,14 @@ impl ShardedRadio {
         // every epoch boundary, thinned by Decay coins within an epoch.
         // Nodes informed mid-epoch join the list with an empty mask and
         // pick up their lanes at the next boundary, exactly as the
-        // scalar pass's `participants` / `active` split.
+        // scalar pass's `participants` / `active` split. `active` holds,
+        // per shard, the participants whose mask is nonzero.
         let mut plist: Vec<Vec<u32>> = vec![Vec::new(); k];
         plist[plan.shard_of(self.source)].push(self.source);
         let mut in_plist = vec![false; n];
         in_plist[self.source as usize] = true;
         let mut act: Vec<LaneMask> = vec![0; n];
+        let mut active: Vec<Vec<u32>> = vec![Vec::new(); k];
 
         // Collision accumulators per listener: lanes with ≥ 1 and ≥ 2
         // transmitting neighbors this round, reset via the touched list.
@@ -1031,10 +1039,12 @@ impl ShardedRadio {
             if j == 0 {
                 views.begin_lists(plist.iter().map(Vec::as_slice));
                 let mut any: LaneMask = 0;
-                for (s, list) in plist.iter_mut().enumerate() {
+                for (s, (list, act_list)) in plist.iter_mut().zip(&mut active).enumerate() {
+                    act_list.clear();
                     if list.is_empty() {
                         continue;
                     }
+                    list.sort_unstable();
                     let view = views.view_list(s, list)?;
                     list.retain(|&v| {
                         let vi = v as usize;
@@ -1057,6 +1067,7 @@ impl ShardedRadio {
                         }
                         m != 0
                     });
+                    act_list.extend_from_slice(list);
                 }
                 // Lanes with no participants anywhere break *before*
                 // executing this round, exactly like the scalar replay.
@@ -1068,17 +1079,14 @@ impl ShardedRadio {
                 }
             }
 
-            views.begin_lists(plist.iter().map(Vec::as_slice));
-            for (s, list) in plist.iter().enumerate() {
+            views.begin_lists(active.iter().map(Vec::as_slice));
+            for (s, list) in active.iter().enumerate() {
                 if list.is_empty() {
                     continue;
                 }
                 let view = views.view_list(s, list)?;
                 for &v in list {
                     let a = act[v as usize];
-                    if a == 0 {
-                        continue;
-                    }
                     // Coins are site-addressed pure functions, so
                     // skipping the draw for a transmission no listener
                     // can use leaves every other lane read untouched.
@@ -1145,7 +1153,9 @@ impl ShardedRadio {
             rounds.end_round(informed.counts(), round, changed);
 
             if decay && j + 1 < epoch_len {
-                decay_thin(&mut act, plist.iter().flatten(), &decay_tape, r0);
+                for list in &mut active {
+                    decay_thin(&mut act, list, &decay_tape, r0);
+                }
             }
         }
 
@@ -1168,9 +1178,11 @@ impl ShardedRadio {
     /// the ascending-shard merge replays the exact sequential write
     /// sequence — including the `touched` order the drain visits (see
     /// DESIGN.md, "Parallel shard passes"). Refilter workers return each
-    /// shard's surviving participants with their fresh activity masks
-    /// plus the shard's participation union; transmit workers return
-    /// `(target, need)` delivery events bucketed by listener shard.
+    /// shard's surviving participants, in the node order the boundary
+    /// sorted them into, with their fresh activity masks plus the
+    /// shard's participation union; transmit workers walk the shard's
+    /// active list and return `(target, need)` delivery events bucketed
+    /// by listener shard.
     fn batch_pass_threads<M: FaultModel + ?Sized>(
         &self,
         ram: &RamShards,
@@ -1201,6 +1213,7 @@ impl ShardedRadio {
         let mut in_plist = vec![false; n];
         in_plist[self.source as usize] = true;
         let mut act: Vec<LaneMask> = vec![0; n];
+        let mut active: Vec<Vec<u32>> = vec![Vec::new(); k];
 
         let mut once: Vec<LaneMask> = vec![0; n];
         let mut twice: Vec<LaneMask> = vec![0; n];
@@ -1214,6 +1227,9 @@ impl ShardedRadio {
             let r0 = round - 1;
             let j = r0 % epoch_len;
             if j == 0 {
+                for list in &mut plist {
+                    list.sort_unstable();
+                }
                 // Parallel refilter: workers read the frozen informed
                 // masks and their own shard's frozen participant list.
                 let passes = {
@@ -1258,6 +1274,7 @@ impl ShardedRadio {
                         act[v as usize] = m;
                         list.push(v);
                     }
+                    active[s].clone_from(list);
                     for v in pass.dropped {
                         act[v as usize] = 0;
                         in_plist[v as usize] = false;
@@ -1277,17 +1294,14 @@ impl ShardedRadio {
             // bucketed by the *listener's* shard so the merge can fan
             // out too.
             let events = {
-                let plist = &plist;
+                let active = &active;
                 let act = &act;
                 let informed = &informed;
                 shard_passes(k, threads, |s| {
                     let mut events: Vec<Vec<(u32, LaneMask)>> = vec![Vec::new(); k];
                     let view = ram.view(s);
-                    for &v in &plist[s] {
+                    for &v in &active[s] {
                         let a = act[v as usize];
-                        if a == 0 {
-                            continue;
-                        }
                         let mut un_v: LaneMask = 0;
                         for &t in view.targets_of(v) {
                             un_v |= !informed.lanes(t);
@@ -1397,7 +1411,9 @@ impl ShardedRadio {
             rounds.end_round(informed.counts(), round, changed);
 
             if decay && j + 1 < epoch_len {
-                decay_thin(&mut act, plist.iter().flatten(), decay_tape, r0);
+                for list in &mut active {
+                    decay_thin(&mut act, list, decay_tape, r0);
+                }
             }
         }
 

@@ -30,7 +30,7 @@ use std::io::{self, BufWriter, Read, Write};
 use std::mem;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::mpsc;
+use std::sync::{mpsc, Once};
 use std::thread;
 
 use crate::csr::{CsrError, CsrGraph, MAX_INDEX};
@@ -561,17 +561,56 @@ impl EdgeSink for SpillSink {
 /// scratch directory.
 static SCRATCH_SEQ: AtomicU64 = AtomicU64::new(0);
 
+/// The parent of every [`default_scratch_dir`].
+const SCRATCH_ROOT: &str = "out/shard-scratch";
+
+/// Guards the once-per-process [`sweep_dead_scratch`] of
+/// [`SCRATCH_ROOT`].
+static SCRATCH_SWEEP: Once = Once::new();
+
 /// A process-unique scratch directory under `out/` for spill and
 /// segment files (not created yet). Spill artifacts are transient: the
-/// whole `out/` tree is gitignored.
+/// whole `out/` tree is gitignored. `Drop` removes a store's directory
+/// on unwind, but a killed process leaves its directories behind, so
+/// the first call in a process also removes the `pid<P>-<k>` siblings
+/// of processes that no longer exist (see [`sweep_dead_scratch`]).
 #[must_use]
 pub fn default_scratch_dir() -> PathBuf {
+    SCRATCH_SWEEP.call_once(|| sweep_dead_scratch(Path::new(SCRATCH_ROOT)));
     let seq = SCRATCH_SEQ.fetch_add(1, Ordering::Relaxed);
-    PathBuf::from(format!(
-        "out/shard-scratch/pid{}-{}",
-        std::process::id(),
-        seq
-    ))
+    Path::new(SCRATCH_ROOT).join(format!("pid{}-{}", std::process::id(), seq))
+}
+
+/// Removes every `pid<P>-<k>` directory directly under `root` whose
+/// process `P` is gone, judged by `/proc/<P>`. Entries of live
+/// processes and entries of any other name are left alone, and nothing
+/// is removed where `/proc/self` is absent (no procfs to ask). A
+/// process in another pid namespace looks dead from here, so scratch
+/// roots must not be shared across containers. Errors are ignored: an
+/// entry that cannot be read or removed is left for the next sweep.
+fn sweep_dead_scratch(root: &Path) {
+    let proc = Path::new("/proc");
+    if !proc.join("self").exists() {
+        return;
+    }
+    let Ok(entries) = fs::read_dir(root) else {
+        return;
+    };
+    for entry in entries.flatten() {
+        let Some(pid) = entry.file_name().to_str().and_then(scratch_dir_pid) else {
+            continue;
+        };
+        if !proc.join(pid.to_string()).exists() {
+            let _ = fs::remove_dir_all(entry.path());
+        }
+    }
+}
+
+/// The pid `P` of a `pid<P>-<k>` scratch directory name.
+fn scratch_dir_pid(name: &str) -> Option<u32> {
+    let (pid, seq) = name.strip_prefix("pid")?.split_once('-')?;
+    seq.parse::<u64>().ok()?;
+    pid.parse().ok()
 }
 
 /// The streaming edge collector of the out-of-core path.
@@ -2272,5 +2311,45 @@ mod tests {
                 assert_eq!(a.targets_of(v), b.targets_of(v));
             }
         }
+    }
+
+    #[test]
+    fn scratch_sweep_removes_only_dead_pid_directories() {
+        // A private root: the sweep must never be pointed at the shared
+        // `out/` tree from a test.
+        let root = std::env::temp_dir().join(format!("randcast-sweep-{}", std::process::id()));
+        let _ = fs::remove_dir_all(&root);
+        // No pid reaches `pid_max`, so one above it is always dead.
+        let pid_max: u32 = fs::read_to_string("/proc/sys/kernel/pid_max")
+            .ok()
+            .and_then(|s| s.trim().parse().ok())
+            .unwrap_or(1 << 22);
+        let live = root.join(format!("pid{}-0", std::process::id()));
+        let dead = root.join(format!("pid{}-3", pid_max + 1));
+        let other = root.join("pidless-notes");
+        for dir in [&live, &dead, &other] {
+            fs::create_dir_all(dir).expect("create dir");
+            fs::write(dir.join("seg-0.bin"), b"segment").expect("write file");
+        }
+
+        sweep_dead_scratch(&root);
+
+        let procfs = Path::new("/proc/self").exists();
+        assert!(live.exists(), "a live process keeps its scratch");
+        assert_eq!(
+            dead.exists(),
+            !procfs,
+            "a dead pid's scratch goes iff procfs can tell"
+        );
+        assert!(
+            other.exists(),
+            "names not of the form pid<P>-<k> are left alone"
+        );
+        fs::remove_dir_all(&root).expect("clean up");
+
+        assert_eq!(scratch_dir_pid("pid42-7"), Some(42));
+        assert_eq!(scratch_dir_pid("pid42"), None);
+        assert_eq!(scratch_dir_pid("pid-7"), None);
+        assert_eq!(scratch_dir_pid("pidless-notes"), None);
     }
 }
