@@ -5,13 +5,16 @@
 //! one nondeterministic field, `wall_ms`, normalized to zero) is
 //! byte-identical to a committed golden file — locking in the schema,
 //! the writer's format, and the determinism of the sweep outcomes from
-//! the root seed. Two binaries are pinned:
+//! the root seed. Three binaries are pinned:
 //!
 //! * `exp_e4_datalink`, the cheapest Monte-Carlo binary, through the
 //!   trait-object engines;
 //! * `exp_scale_radio --trials 64`, six one-block cells of the batched
 //!   Decay kernel, so a change that moves a 64-lane block and its lane
-//!   replay together still fails a test.
+//!   replay together still fails a test;
+//! * `exp_scale_xl`, whose out-of-core rows run a scalar lane and a
+//!   64-lane block of every kernel over a 3-segment disk store — the
+//!   only pin on the graph-variant flood passes.
 
 use std::path::{Path, PathBuf};
 use std::process::Command;
@@ -99,6 +102,20 @@ fn batched_radio_quick_json_matches_the_golden_file() {
     }
 
     assert_matches_golden(report, "exp_scale_radio_quick_t64.json");
+}
+
+#[test]
+fn out_of_core_quick_json_matches_the_golden_file() {
+    let report = quick_report(env!("CARGO_BIN_EXE_exp_scale_xl"), &[]);
+
+    assert_eq!(report.experiment, "scale_xl");
+    assert_eq!(
+        report.cells.len(),
+        9,
+        "3 sweep rows + a lane and a block per kernel out of core"
+    );
+
+    assert_matches_golden(report, "exp_scale_xl_quick.json");
 }
 
 #[test]

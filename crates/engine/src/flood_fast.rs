@@ -946,18 +946,25 @@ impl ShardedFlood {
     }
 
     /// The scalar lane pass under a `Silent` [`FaultModel`] (a
-    /// corrupted transmission is suppressed). Each round makes two
-    /// shard-at-a-time passes: one transmitting from the frontier, one
-    /// re-filtering the staged frontier against the end-of-round
-    /// informed set (the monolithic round-boundary filter, shard by
-    /// shard). Coins are site-addressed and the round evolution is
-    /// set-based, so the outcome is the same for every plan. Sites are
-    /// per-(node, round), or with `attempt_sites` per-(node, attempt) —
-    /// the tree variant's addressing, where a node's attempts count from
-    /// the round after it was informed. Disk passes are served by the
-    /// [`PassLoader`]: full segment reads overlapped with the previous
-    /// shard's compute, or coalesced sparse row reads when a pass
-    /// touches a small fraction of a shard — both outcome-invisible.
+    /// corrupted transmission is suppressed). Each round makes one
+    /// shard-at-a-time pass over the frontier, in the loader's shard
+    /// order, reading each frontier row once: a node transmits only
+    /// while it still has an uninformed target in the live informed
+    /// set, a failed transmitter stays for the next round, and a node
+    /// whose targets are all informed leaves without drawing its coin.
+    /// That test drops only no-ops, so the evolution is the monolithic
+    /// one with its round-boundary filter: until the first node of a
+    /// round transmits, the live set *is* the end-of-round set, so a
+    /// round runs exactly when some node would pass that filter. Coins
+    /// are site-addressed and the round evolution is set-based, so the
+    /// outcome is the same for every plan and every shard order. Sites
+    /// are per-(node, round), or with `attempt_sites` per-(node,
+    /// attempt) — the tree variant's addressing, where a node's attempts
+    /// count from the round after it was informed. Disk passes are
+    /// served by the [`PassLoader`]: held segments without a read, full
+    /// segment reads overlapped with the previous shard's compute, or
+    /// coalesced sparse row reads when a pass touches a small fraction
+    /// of a shard — all outcome-invisible.
     fn lane_pass<M: FaultModel + ?Sized>(
         &self,
         mut views: PassLoader<'_>,
@@ -984,28 +991,25 @@ impl ShardedFlood {
 
         let mut frontier = ShardFrontier::new(k);
         let mut staged = ShardFrontier::new(k);
-        let src_shard = plan.shard_of(self.source);
-        if views
-            .view_list(src_shard, &[self.source])?
-            .targets_of(self.source)
-            .iter()
-            .any(|&t| !informed.contains(t))
-        {
-            frontier.push(src_shard, self.source);
-        }
+        frontier.push(plan.shard_of(self.source), self.source);
 
         for round in 1..=self.horizon {
             if frontier.is_empty() {
                 break;
             }
-            views.begin_lists((0..k).map(|s| frontier.shard(s)));
-            for s in 0..k {
+            let mut ran = false;
+            for s in views.begin_lists((0..k).map(|s| frontier.shard(s))) {
                 let list = frontier.shard(s);
                 if list.is_empty() {
                     continue;
                 }
                 let view = views.view_list(s, list)?;
                 for &u in list {
+                    let targets = view.targets_of(u);
+                    if targets.iter().all(|&t| informed.contains(t)) {
+                        continue;
+                    }
+                    ran = true;
                     let site = if attempt_sites {
                         fault_site(round - 1 - informed_round[u as usize] as usize, u)
                     } else {
@@ -1014,33 +1018,27 @@ impl ShardedFlood {
                     if model.corrupt_lane(tapes, site, u, lane) {
                         // Failed transmitter: stays in the frontier.
                         staged.push(s, u);
-                    } else {
-                        for &t in view.targets_of(u) {
-                            if informed.insert(t) {
-                                if attempt_sites {
-                                    informed_round[t as usize] = round as u32;
-                                }
-                                staged.push(plan.shard_of(t), t);
+                        continue;
+                    }
+                    for &t in targets {
+                        if informed.insert(t) {
+                            if attempt_sites {
+                                informed_round[t as usize] = round as u32;
                             }
+                            staged.push(plan.shard_of(t), t);
                         }
                     }
                 }
+            }
+            if !ran {
+                break;
             }
             informed_by_round.push(informed.count());
             if completion_round.is_none() && informed.count() == n {
                 completion_round = Some(round);
             }
-            views.begin_lists((0..k).map(|s| staged.shard(s)));
-            for s in 0..k {
-                if staged.shard(s).is_empty() {
-                    frontier.refill_from(&mut staged, s, |_| true);
-                    continue;
-                }
-                let view = views.view_list(s, staged.shard(s))?;
-                frontier.refill_from(&mut staged, s, |u| {
-                    view.targets_of(u).iter().any(|&t| !informed.contains(t))
-                });
-            }
+            std::mem::swap(&mut frontier, &mut staged);
+            staged.clear();
         }
 
         Ok(FastFloodOutcome {
@@ -1054,12 +1052,16 @@ impl ShardedFlood {
 
     /// The 64-lane pass under a `Silent` [`FaultModel`]: the union
     /// frontier advances round by round, one list per shard, retiring
-    /// lanes whose informed count has reached the closure size `reach`;
-    /// a stale frontier entry (a lane whose targets were covered by
-    /// someone else) only ever performs no-op transmissions before
-    /// washing out. Lane-mask accumulation (`insert_masked`, pending
-    /// unions, count planes) is value-based, so the shard order of a
-    /// round's passes leaves every word identical.
+    /// lanes whose informed count has reached the closure size `reach`.
+    /// Each round sorts every shard's list into node order and walks the
+    /// shards in the loader's order. Before its coin, a node drops the
+    /// lanes in which every target is already informed — the scalar
+    /// pass's transmit-time test, lane by lane — and leaves the frontier
+    /// when no lane is left. Restricting a coin mask to fewer lanes never
+    /// changes an included lane's bit, and a dropped lane could only
+    /// have made no-op transmissions. Lane-mask accumulation
+    /// (`insert_masked`, pending unions, count planes) is value-based, so
+    /// neither the shard order nor the walk order changes a word.
     fn batch_pass<M: FaultModel + ?Sized>(
         &self,
         mut views: PassLoader<'_>,
@@ -1079,21 +1081,14 @@ impl ShardedFlood {
         // may still transmit. Masks are supersets of the exact per-lane
         // frontiers: a lane stays set after a failed round even if
         // other transmitters informed all the node's targets meanwhile
-        // (a pure no-op), and is cleared on success, on lane death, or
-        // when the node drains.
+        // (cleared by the next round's test), and is cleared on success,
+        // on lane death, or when the node drains.
         let mut frontier: Vec<Vec<u32>> = vec![Vec::new(); k];
         let mut frontier_mask = vec![0u64; n];
         let mut in_frontier = vec![false; n];
-        let src_shard = plan.shard_of(self.source);
-        if !views
-            .view_list(src_shard, &[self.source])?
-            .targets_of(self.source)
-            .is_empty()
-        {
-            frontier[src_shard].push(self.source);
-            frontier_mask[self.source as usize] = !0;
-            in_frontier[self.source as usize] = true;
-        }
+        frontier[plan.shard_of(self.source)].push(self.source);
+        frontier_mask[self.source as usize] = !0;
+        in_frontier[self.source as usize] = true;
         // Lanes newly informed this round join the frontier only for
         // the *next* round; stage them here.
         let mut pending = vec![0u64; n];
@@ -1110,16 +1105,29 @@ impl ShardedFlood {
             pending_nodes.clear();
             let mut changed = false;
 
-            views.begin_lists(frontier.iter().map(Vec::as_slice));
-            for (s, list) in frontier.iter_mut().enumerate() {
+            for s in views.begin_lists(frontier.iter().map(Vec::as_slice)) {
+                let list = &mut frontier[s];
                 if list.is_empty() {
                     continue;
                 }
+                list.sort_unstable();
                 let view = views.view_list(s, list)?;
                 let mut write = 0usize;
                 for i in 0..list.len() {
                     let v = list[i];
-                    let fm = frontier_mask[v as usize] & live;
+                    let targets = view.targets_of(v);
+                    let mut fm = frontier_mask[v as usize] & live;
+                    if fm != 0 {
+                        // Keep only the lanes with an uninformed target.
+                        let mut open: LaneMask = 0;
+                        for &t in targets {
+                            open |= !informed.lanes(t);
+                            if open & fm == fm {
+                                break;
+                            }
+                        }
+                        fm &= open;
+                    }
                     if fm == 0 {
                         frontier_mask[v as usize] = 0;
                         in_frontier[v as usize] = false;
@@ -1128,7 +1136,7 @@ impl ShardedFlood {
                     let fail = model.corrupt_mask(tapes, fault_site(round, v), v, fm);
                     let succ = fm & !fail;
                     if succ != 0 {
-                        for &t in view.targets_of(v) {
+                        for &t in targets {
                             let newly = informed.insert_masked(t, succ);
                             if newly != 0 {
                                 changed = true;
@@ -1925,5 +1933,165 @@ mod tests {
         assert!(!out.complete());
         assert!(out.is_informed(g.node(1)));
         assert!(!out.is_informed(g.node(2)));
+    }
+
+    /// The lane round before the transmit-time test, kept as the
+    /// reference: a transmit pass over the frontier, then a refilter of
+    /// the staged frontier against the end-of-round informed set, both
+    /// in ascending shard order through plain [`ShardStore::view`] loads.
+    fn two_pass_lane(
+        store: &ShardStore,
+        source: u32,
+        horizon: usize,
+        (p, block_seed, lane): (f64, u64, u32),
+        attempt_sites: bool,
+    ) -> FastFloodOutcome {
+        use randcast_graph::shard::ShardScratch;
+        let model = Omission::new(p);
+        let tapes = FaultTapes::new(block_seed);
+        let plan = store.plan();
+        let (n, k) = (plan.node_count(), plan.shard_count());
+        let mut scratch = ShardScratch::new();
+        let mut informed = InformedSet::new(n);
+        informed.insert(source);
+        let mut informed_round = vec![0u32; n];
+        let mut informed_by_round = vec![1];
+        let mut completion_round = (n == 1).then_some(0);
+        let mut frontier: Vec<Vec<u32>> = vec![Vec::new(); k];
+        let mut staged: Vec<Vec<u32>> = vec![Vec::new(); k];
+        let src = plan.shard_of(source);
+        let view = store.view(src, &mut scratch).unwrap();
+        if view
+            .targets_of(source)
+            .iter()
+            .any(|&t| !informed.contains(t))
+        {
+            frontier[src].push(source);
+        }
+        for round in 1..=horizon {
+            if frontier.iter().all(Vec::is_empty) {
+                break;
+            }
+            for s in 0..k {
+                let view = store.view(s, &mut scratch).unwrap();
+                for &u in &frontier[s] {
+                    let site = if attempt_sites {
+                        fault_site(round - 1 - informed_round[u as usize] as usize, u)
+                    } else {
+                        fault_site(round, u)
+                    };
+                    if model.corrupt_lane(&tapes, site, u, lane) {
+                        staged[s].push(u);
+                        continue;
+                    }
+                    for &t in view.targets_of(u) {
+                        if informed.insert(t) {
+                            informed_round[t as usize] = round as u32;
+                            staged[plan.shard_of(t)].push(t);
+                        }
+                    }
+                }
+            }
+            informed_by_round.push(informed.count());
+            if completion_round.is_none() && informed.count() == n {
+                completion_round = Some(round);
+            }
+            for s in 0..k {
+                let view = store.view(s, &mut scratch).unwrap();
+                frontier[s] = staged[s]
+                    .drain(..)
+                    .filter(|&u| view.targets_of(u).iter().any(|&t| !informed.contains(t)))
+                    .collect();
+            }
+        }
+        FastFloodOutcome {
+            n,
+            horizon,
+            completion_round,
+            informed_by_round,
+            informed,
+        }
+    }
+
+    /// `ram`'s target lists spilled to a `k`-segment disk store: every
+    /// entry for a directed (tree) store, each edge once otherwise.
+    fn disk_copy(ram: &RamShards, k: usize, directed: bool) -> ShardStore {
+        use randcast_graph::shard::{default_scratch_dir, SpillSink};
+        let n = ram.plan().node_count();
+        let plan = ShardPlan::uniform(n, k);
+        let mut sink = if directed {
+            SpillSink::create_directed(default_scratch_dir(), plan)
+        } else {
+            SpillSink::create(default_scratch_dir(), plan)
+        }
+        .unwrap();
+        for v in 0..n as u32 {
+            for &t in ram.targets_of(v) {
+                if directed || v < t {
+                    sink.push(u64::from(v), u64::from(t)).unwrap();
+                }
+            }
+        }
+        ShardStore::Disk(sink.finalize().unwrap())
+    }
+
+    #[test]
+    fn one_pass_lane_rounds_match_the_two_pass_reference() {
+        // Families where transmitters turn into no-ops mid-round: every
+        // node of a clique is covered by the first success, a star's
+        // leaves by the hub, and G(n, p) mixes both.
+        let mut rng = rand::rngs::SmallRng::seed_from_u64(15);
+        let families = [
+            generators::complete(14),
+            generators::star(24),
+            generators::gnp_connected(70, 0.07, &mut rng),
+        ];
+        let horizon = 60;
+        for g in &families {
+            let csr = CsrGraph::from(g);
+            let n = csr.node_count();
+            // A leaf of the star: the hub is then informed in round one.
+            let source = g.node(n - 1);
+            let src = u32::from(source);
+            for variant in [FastFloodVariant::Graph, FastFloodVariant::Tree] {
+                let tree = variant == FastFloodVariant::Tree;
+                let one = FastFlood::new(csr.clone(), source, horizon, variant);
+                let three = FastFlood::new(csr.clone(), source, horizon, variant)
+                    .with_shard_plan(ShardPlan::uniform(n, 3));
+                let disk = ShardedFlood::new(disk_copy(one.ram(), 3, tree), src, horizon);
+                let reference = |p: f64, seed: u64, lane: u32| {
+                    two_pass_lane(&one.passes.store, src, horizon, (p, seed, lane), tree)
+                };
+                for seed in 0..250u64 {
+                    for p in [0.2, 0.6] {
+                        let lane = (seed % 64) as u32;
+                        let want = reference(p, seed, lane);
+                        let label = format!("{variant:?} n={n} p={p} seed={seed}");
+                        assert_eq!(one.run_lane(p, seed, lane), want, "{label} k=1");
+                        assert_eq!(three.run_lane(p, seed, lane), want, "{label} k=3");
+                        let tapes = FaultTapes::new(seed);
+                        let model = Omission::new(p);
+                        let got = disk.lane_pass(disk.views(), &model, &tapes, lane, tree);
+                        assert_eq!(got.unwrap(), want, "{label} disk");
+                    }
+                }
+                for seed in 0..3u64 {
+                    let p = 0.5;
+                    let blocks = [one.run_batch(p, seed), three.run_batch(p, seed)];
+                    for lane in 0..LANES as u32 {
+                        let want = reference(p, seed, lane);
+                        for block in &blocks {
+                            assert_eq!(block.lane_outcome(lane), want, "{variant:?} lane={lane}");
+                        }
+                    }
+                    if !tree {
+                        let block = disk.run_batch(p, seed, one.order.len()).unwrap();
+                        for lane in 0..LANES as u32 {
+                            assert_eq!(block.lane_outcome(lane), reference(p, seed, lane));
+                        }
+                    }
+                }
+            }
+        }
     }
 }

@@ -118,8 +118,7 @@ impl InformedSet {
 /// kernel stays independent of the graph crate.
 ///
 /// Engines typically hold two — the current round's frontier and the
-/// next round's staging lists — and swap per-shard contents through
-/// [`refill_from`](Self::refill_from) at each round boundary.
+/// next round's staging lists — and swap them at each round boundary.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct ShardFrontier {
     lists: Vec<Vec<u32>>,
@@ -178,23 +177,6 @@ impl ShardFrontier {
         for l in &mut self.lists {
             l.clear();
         }
-    }
-
-    /// Replaces shard `s`'s list with the nodes of `staged`'s shard `s`
-    /// that pass `keep`, draining the staged list — the round-boundary
-    /// filter of a sharded frontier pass (`keep` is the monolithic
-    /// has-uninformed-target predicate, evaluated against one shard
-    /// view).
-    pub fn refill_from(
-        &mut self,
-        staged: &mut ShardFrontier,
-        s: usize,
-        mut keep: impl FnMut(u32) -> bool,
-    ) {
-        let (list, from) = (&mut self.lists[s], &mut staged.lists[s]);
-        list.clear();
-        list.extend(from.iter().copied().filter(|&v| keep(v)));
-        from.clear();
     }
 }
 
@@ -462,6 +444,11 @@ impl CollisionCounter {
     }
 }
 
+/// Touched listeners below which [`ShardedCollisions`] drains a round on
+/// the calling thread: spawning the workers would cost more than the
+/// scan they split (at `n = 10⁵` a round touches a few thousand).
+const PARALLEL_DRAIN_MIN: usize = 1 << 16;
+
 /// A [`CollisionCounter`] partitioned by listener shard, so the
 /// per-round sole-receiver extraction fans out across
 /// [`shard_passes`] workers while replaying the sequential drain
@@ -525,13 +512,14 @@ impl ShardedCollisions {
     /// order the monolithic [`CollisionCounter`] produces restricted
     /// per shard — then resets the counter for the next round.
     ///
-    /// With `threads > 1` the per-shard sole-receiver lists are
-    /// extracted concurrently (a read-only scan of the counts); `hear`
-    /// and the reset still run sequentially, so the callback sees a
+    /// With `threads > 1` and at least 2¹⁶ touched listeners
+    /// (`PARALLEL_DRAIN_MIN`), the per-shard sole-receiver lists are extracted
+    /// concurrently (a read-only scan of the counts); `hear` and the
+    /// reset still run sequentially, so the callback sees a
     /// thread-count-independent sequence.
     pub fn drain_sole_receivers(&mut self, threads: usize, mut hear: impl FnMut(usize, u32)) {
         let k = self.touched.len();
-        if threads <= 1 || k <= 1 {
+        if threads <= 1 || k <= 1 || self.touched_len() < PARALLEL_DRAIN_MIN {
             for s in 0..k {
                 for i in 0..self.touched[s].len() {
                     let v = self.touched[s][i];
@@ -1852,25 +1840,19 @@ mod tests {
     }
 
     #[test]
-    fn shard_frontier_routes_and_refills() {
+    fn shard_frontier_routes_and_clears() {
         let mut cur = ShardFrontier::new(3);
-        let mut nxt = ShardFrontier::new(3);
         assert!(cur.is_empty());
         cur.push(0, 5);
         cur.push(2, 9);
         cur.push(2, 11);
         assert_eq!(cur.total_len(), 3);
         assert_eq!(cur.shard(2), &[9, 11]);
-        nxt.push(1, 7);
-        nxt.push(1, 8);
-        cur.refill_from(&mut nxt, 1, |v| v != 7);
-        assert_eq!(cur.shard(1), &[8]);
-        assert!(nxt.shard(1).is_empty(), "staged list drained");
-        // Refilling from an empty staged shard clears the target list.
-        cur.refill_from(&mut nxt, 2, |_| true);
-        assert!(cur.shard(2).is_empty());
+        assert!(cur.shard(1).is_empty());
+        assert!(!cur.is_empty());
         cur.clear();
         assert!(cur.is_empty());
+        assert_eq!(cur.shard_count(), 3);
     }
 
     #[test]
@@ -1912,6 +1894,34 @@ mod tests {
                 sharded.drain_sole_receivers(1, |_, v| seen.push(v));
                 assert_eq!(seen, vec![3]);
             }
+        }
+
+        // One round above the serial cutoff, so the parallel extraction
+        // runs: every listener of 0..n is touched once, every third one
+        // twice, in a scattered order.
+        let bounds = [0u32, 30_000, 71_000, 100_000];
+        let n = 100_000u32;
+        let shard_of = |v: u32| bounds.partition_point(|&b| b <= v) - 1;
+        let adds: Vec<u32> = (0..n)
+            .map(|i| (i * 7919) % n)
+            .chain((0..n).step_by(3))
+            .collect();
+        let mut mono = CollisionCounter::new(n as usize);
+        for &v in &adds {
+            mono.add(v);
+        }
+        let mut want: Vec<Vec<u32>> = vec![Vec::new(); 3];
+        mono.drain_sole_receivers(|v| want[shard_of(v)].push(v));
+        for threads in [1usize, 2, 8] {
+            let mut sharded = ShardedCollisions::new(&bounds);
+            for &v in &adds {
+                sharded.add(v);
+            }
+            assert!(sharded.touched_len() >= PARALLEL_DRAIN_MIN);
+            let mut got: Vec<Vec<u32>> = vec![Vec::new(); 3];
+            sharded.drain_sole_receivers(threads, |s, v| got[s].push(v));
+            assert_eq!(got, want, "large round, threads {threads}");
+            assert_eq!(sharded.touched_len(), 0);
         }
     }
 

@@ -857,14 +857,18 @@ impl ShardedRadio {
     /// corrupted transmission is silenced). Each round makes one
     /// shard-at-a-time transmit pass (plus, at epoch boundaries, one
     /// refilter pass over participant lists first sorted into node
-    /// order, as in [`batch_pass`](Self::batch_pass)); collision counts
-    /// accumulate across every shard and drain once per round, on up to
-    /// `threads` workers. For disk stores each shard pass is served
-    /// either by a full segment read overlapped with the previous
-    /// shard's compute (the [`PassLoader`] prefetch pipeline) or, when
-    /// the pass touches a small fraction of the shard — the common case
-    /// under Decay thinning — by coalesced sparse row reads. Neither
-    /// choice, nor the thread count, can change a byte of the outcome.
+    /// order, as in [`batch_pass`](Self::batch_pass)), walking the shards
+    /// in the [`PassLoader`]'s order; collision counts accumulate across
+    /// every shard and drain once per round in listener-shard order,
+    /// whatever the transmit order, on up to `threads` workers. For disk
+    /// stores each shard pass is served by a segment the loader still
+    /// holds, by a full segment read overlapped with the previous
+    /// shard's compute (the prefetch pipeline) or, when the pass touches
+    /// a small fraction of the shard — the common case under Decay
+    /// thinning — by coalesced sparse row reads. Neither choice, nor the
+    /// shard order or the thread count, can change a byte of the
+    /// outcome: the drain's order within a shard reaches only the
+    /// participant lists, which the next epoch boundary sorts.
     fn lane_pass<M: FaultModel + ?Sized>(
         &self,
         mut views: PassLoader<'_>,
@@ -898,11 +902,9 @@ impl ShardedRadio {
             let r0 = round - 1;
             let j = r0 % epoch_len;
             if j == 0 {
-                views.begin_lists(participants.iter().map(Vec::as_slice));
                 let mut any = false;
-                for (s, (parts, act_list)) in
-                    participants.iter_mut().zip(active.iter_mut()).enumerate()
-                {
+                for s in views.begin_lists(participants.iter().map(Vec::as_slice)) {
+                    let (parts, act_list) = (&mut participants[s], &mut active[s]);
                     act_list.clear();
                     if parts.is_empty() {
                         continue;
@@ -918,8 +920,8 @@ impl ShardedRadio {
                 }
             }
 
-            views.begin_lists(active.iter().map(Vec::as_slice));
-            for (s, act_list) in active.iter().enumerate() {
+            for s in views.begin_lists(active.iter().map(Vec::as_slice)) {
+                let act_list = &active[s];
                 if act_list.is_empty() {
                     continue;
                 }
@@ -975,10 +977,11 @@ impl ShardedRadio {
     /// before the refilter, so every walk of the epoch reads CSR rows
     /// and lane words in ascending address order, and the transmit walk
     /// and Decay thinning visit only the active lists — participants
-    /// whose mask is still nonzero. Walk order cannot change an
-    /// outcome: coins are site-addressed and the once/twice/informed
-    /// updates commute (DESIGN.md, "Outcome-neutrality is a theorem
-    /// here"). Over an in-RAM store of several shards with
+    /// whose mask is still nonzero. Both walks take the shards in the
+    /// [`PassLoader`]'s order. Neither order can change an outcome:
+    /// coins are site-addressed and the once/twice/informed updates
+    /// commute (DESIGN.md, "Outcome-neutrality is a theorem here").
+    /// Over an in-RAM store of several shards with
     /// `threads > 1`, the shard passes fan out across workers instead
     /// ([`batch_pass_threads`](Self::batch_pass_threads)); disk stores
     /// stay sequential.
@@ -1037,9 +1040,9 @@ impl ShardedRadio {
             let r0 = round - 1;
             let j = r0 % epoch_len;
             if j == 0 {
-                views.begin_lists(plist.iter().map(Vec::as_slice));
                 let mut any: LaneMask = 0;
-                for (s, (list, act_list)) in plist.iter_mut().zip(&mut active).enumerate() {
+                for s in views.begin_lists(plist.iter().map(Vec::as_slice)) {
+                    let (list, act_list) = (&mut plist[s], &mut active[s]);
                     act_list.clear();
                     if list.is_empty() {
                         continue;
@@ -1079,8 +1082,8 @@ impl ShardedRadio {
                 }
             }
 
-            views.begin_lists(active.iter().map(Vec::as_slice));
-            for (s, list) in active.iter().enumerate() {
+            for s in views.begin_lists(active.iter().map(Vec::as_slice)) {
+                let list = &active[s];
                 if list.is_empty() {
                     continue;
                 }

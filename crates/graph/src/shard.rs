@@ -1149,62 +1149,161 @@ fn read_exact_at(file: &mut File, pos: u64, buf: &mut [u8]) -> io::Result<()> {
     }
 }
 
-/// What the prefetch worker sends back: the segment it read and either
-/// the filled scratch or the typed error the read produced.
-type FetchResult = (usize, Result<ShardScratch, ShardError>);
+/// What the prefetch reader sends back: the segment it read, the
+/// buffer it read into, and whether the read succeeded. A failed read
+/// still returns its buffer, so the pipe never loses one.
+type FetchResult = (usize, ShardScratch, Result<(), ShardError>);
 
 /// The background half of the prefetch pipeline: one reader thread that
 /// owns a clone of the segment catalog, a command channel carrying
-/// `(segment, empty scratch)` requests, and a result channel carrying
-/// the filled scratch back. Exactly two [`ShardScratch`] buffers
-/// circulate (`cur` + the one in flight or `spare`), so the pipeline's
-/// RSS contribution is two segments — the double-buffering the
-/// out-of-core budget story is built on.
-struct Pipe {
-    catalog: SegmentCatalog,
+/// `(segment, buffer)` requests, and a result channel carrying the
+/// filled buffer back.
+struct Reader {
     cmd: Option<mpsc::Sender<(usize, ShardScratch)>>,
     res: mpsc::Receiver<FetchResult>,
     worker: Option<thread::JoinHandle<()>>,
-    /// Holds the most recently served segment (what live views point
-    /// into between `view` calls).
+}
+
+impl Reader {
+    fn spawn(catalog: SegmentCatalog) -> Self {
+        let (cmd_tx, cmd_rx) = mpsc::channel::<(usize, ShardScratch)>();
+        let (res_tx, res_rx) = mpsc::channel();
+        let worker = thread::Builder::new()
+            .name("segment-prefetch".into())
+            .spawn(move || {
+                while let Ok((s, mut buf)) = cmd_rx.recv() {
+                    let loaded = catalog.load(s, &mut buf).map(|_| ());
+                    if res_tx.send((s, buf, loaded)).is_err() {
+                        break;
+                    }
+                }
+            })
+            .expect("spawn segment-prefetch worker");
+        Reader {
+            cmd: Some(cmd_tx),
+            res: res_rx,
+            worker: Some(worker),
+        }
+    }
+}
+
+impl Drop for Reader {
+    fn drop(&mut self) {
+        // Closing the command channel ends the worker's recv loop; the
+        // join waits out any read still in flight.
+        drop(self.cmd.take());
+        while self.res.try_recv().is_ok() {}
+        if let Some(worker) = self.worker.take() {
+            let _ = worker.join();
+        }
+    }
+}
+
+/// The segment buffers of a disk-backed [`PrefetchingStore`]: `cur`,
+/// the buffer served last (what live views point into between `view`
+/// calls), and with prefetch on a second buffer that the background
+/// [`Reader`] fills while the caller computes over `cur`. At most two
+/// [`ShardScratch`] buffers exist, so the pipe's RSS contribution is two
+/// segments (one with prefetch off) — the double-buffering the
+/// out-of-core budget story is built on.
+///
+/// Each buffer is tagged with the segment it holds, or for a buffer out
+/// with the reader, the segment being read into it. A request for a
+/// tagged segment is served without a read. A failed read leaves its
+/// buffer untagged, so the next request for that segment reads it again
+/// and raises the same typed error.
+struct Pipe {
+    catalog: SegmentCatalog,
+    /// The background reader; `None` with prefetch off (or after the
+    /// reader died), when every read is synchronous.
+    reader: Option<Reader>,
     cur: ShardScratch,
-    /// The idle second buffer, handed to the worker on the next
-    /// prefetch command.
+    cur_seg: Option<usize>,
+    /// The second buffer while idle: `None` while the reader fills it,
+    /// and always with prefetch off.
     spare: Option<ShardScratch>,
-    /// Segment the worker is currently reading, if any.
-    inflight: Option<usize>,
+    spare_seg: Option<usize>,
+    /// Whether the reader holds the second buffer.
+    reading: bool,
     /// Segments the current pass will still ask for, in order.
     queue: VecDeque<usize>,
+    /// Full segment reads issued, synchronous or prefetched.
+    reads: u64,
 }
 
 impl Pipe {
-    fn recv(&mut self) -> Result<FetchResult, ShardError> {
-        let got = self
-            .res
-            .recv()
-            .map_err(|_| ShardError::Io(io::Error::other("segment prefetch worker exited")))?;
-        self.inflight = None;
-        Ok(got)
+    fn new(catalog: SegmentCatalog, prefetch: bool) -> Self {
+        Pipe {
+            reader: prefetch.then(|| Reader::spawn(catalog.clone())),
+            catalog,
+            cur: ShardScratch::new(),
+            cur_seg: None,
+            spare: prefetch.then(ShardScratch::new),
+            spare_seg: None,
+            reading: false,
+            queue: VecDeque::new(),
+            reads: 0,
+        }
     }
 
-    /// Issues the next announced segment to the worker if it is idle
-    /// and a buffer is free.
+    /// Whether a buffer holds segment `s`, or the reader is reading it.
+    fn holds(&self, s: usize) -> bool {
+        self.cur_seg == Some(s) || self.spare_seg == Some(s)
+    }
+
+    /// Takes the second buffer back from the reader, if it has it. The
+    /// read's error is returned only when `s` is the segment that
+    /// failed: a speculative read's error is dropped with its tag, and
+    /// the on-demand read of that segment raises it again.
+    fn collect(&mut self, s: usize) -> Result<(), ShardError> {
+        let Some(reader) = self.reader.as_ref().filter(|_| self.reading) else {
+            return Ok(());
+        };
+        self.reading = false;
+        let Ok((seg, buf, loaded)) = reader.res.recv() else {
+            self.spare_seg = None;
+            return Err(ShardError::Io(io::Error::other(
+                "segment prefetch worker exited",
+            )));
+        };
+        self.spare = Some(buf);
+        if let Err(e) = loaded {
+            self.spare_seg = None;
+            if seg == s {
+                return Err(e);
+            }
+        }
+        Ok(())
+    }
+
+    /// Hands the idle second buffer to the reader for the first queued
+    /// segment neither buffer holds — unless the pass asks for the
+    /// buffer's own segment before that one.
     fn pump(&mut self) {
-        if self.inflight.is_some() {
+        if self.reader.is_none() || self.spare.is_none() {
             return;
         }
-        let Some(&next) = self.queue.front() else {
+        let Some(i) = self.queue.iter().position(|&q| !self.holds(q)) else {
             return;
         };
-        let Some(buf) = self.spare.take() else {
+        if self.queue.range(..i).any(|&q| Some(q) == self.spare_seg) {
             return;
-        };
-        match &self.cmd {
-            Some(cmd) if cmd.send((next, buf)).is_ok() => {
-                self.inflight = Some(next);
+        }
+        let next = self.queue[i];
+        let buf = self.spare.take().expect("checked above");
+        let cmd = self.reader.as_ref().and_then(|r| r.cmd.as_ref());
+        match cmd.map(|cmd| cmd.send((next, buf))) {
+            Some(Ok(())) => {
+                self.reading = true;
+                self.spare_seg = Some(next);
+                self.reads += 1;
             }
-            // A dead worker degrades to synchronous loads in `view`.
-            _ => {}
+            // A dead reader degrades to synchronous loads in `view`.
+            Some(Err(mpsc::SendError((_, buf)))) => {
+                self.spare = Some(buf);
+                self.reader = None;
+            }
+            None => unreachable!("a live reader has a command channel"),
         }
     }
 
@@ -1212,23 +1311,17 @@ impl Pipe {
         if self.queue.front() == Some(&s) {
             self.queue.pop_front();
         }
-        if self.inflight == Some(s) {
-            let (_seg, res) = self.recv()?;
-            let filled = res?;
-            let old = mem::replace(&mut self.cur, filled);
-            self.spare = Some(old);
-        } else {
-            if self.inflight.is_some() {
-                // Misprediction: retire the in-flight read, keep its
-                // buffer. A speculative read's error is dropped here —
-                // if the segment is genuinely unreadable the on-demand
-                // load below surfaces the same typed error.
-                let (_seg, res) = self.recv()?;
-                if let Ok(buf) = res {
-                    self.spare = Some(buf);
-                }
+        if self.cur_seg != Some(s) {
+            self.collect(s)?;
+            if let Some(spare) = self.spare.as_mut().filter(|_| self.spare_seg == Some(s)) {
+                mem::swap(&mut self.cur, spare);
+                mem::swap(&mut self.cur_seg, &mut self.spare_seg);
+            } else {
+                self.cur_seg = None;
+                self.reads += 1;
+                self.catalog.load(s, &mut self.cur)?;
+                self.cur_seg = Some(s);
             }
-            self.catalog.load(s, &mut self.cur).map(|_| ())?;
         }
         self.pump();
         let (start, end) = self.catalog.plan.range(s);
@@ -1242,40 +1335,29 @@ impl Pipe {
     }
 }
 
-impl Drop for Pipe {
-    fn drop(&mut self) {
-        // Closing the command channel ends the worker's recv loop; the
-        // join waits out any read still in flight.
-        drop(self.cmd.take());
-        while self.res.try_recv().is_ok() {}
-        if let Some(worker) = self.worker.take() {
-            let _ = worker.join();
-        }
-    }
-}
-
 /// A pipelined reader over a [`ShardStore`]: segment reads for disk
-/// stores overlap the caller's compute pass on the previous segment.
+/// stores overlap the caller's compute pass on the previous segment, and
+/// a segment one of the two buffers still holds is served without a
+/// read.
 ///
 /// The caller announces each pass's segment sequence up front with
 /// [`begin_pass`](Self::begin_pass); [`view`](Self::view) then serves
-/// announced segments from the background reader (blocking only for
-/// the part of the read that has not finished yet) and anything else
-/// by a synchronous load. Prefetching is pure plumbing: the views
-/// returned are byte-identical to [`ShardStore::view`]'s for every
-/// request sequence, announced or not, so the `--prefetch` knob cannot
-/// change outcomes. RAM stores and `enabled = false` degrade to the
-/// plain synchronous path with no worker thread.
+/// held segments from their buffer, announced ones from the background
+/// reader (blocking only for the part of the read that has not finished
+/// yet), and anything else by a synchronous load. Prefetching is pure
+/// plumbing: the views returned are byte-identical to
+/// [`ShardStore::view`]'s for every request sequence, announced or not,
+/// so the `--prefetch` knob cannot change outcomes. With
+/// `enabled = false` there is no reader thread and one buffer; RAM
+/// stores read nothing.
 ///
 /// Typed [`ShardError`]s cross the thread boundary intact: a truncated
 /// or corrupt segment read in the background surfaces from the `view`
 /// call that asks for that segment.
 pub struct PrefetchingStore<'s> {
     store: &'s ShardStore,
+    /// The segment buffers of a disk store (`None` over RAM).
     pipe: Option<Pipe>,
-    /// Scratch for the passthrough path (RAM store, prefetch off, or
-    /// unannounced requests after a worker death).
-    sync_scratch: ShardScratch,
 }
 
 impl<'s> PrefetchingStore<'s> {
@@ -1284,44 +1366,10 @@ impl<'s> PrefetchingStore<'s> {
     #[must_use]
     pub fn new(store: &'s ShardStore, enabled: bool) -> Self {
         let pipe = match store {
-            ShardStore::Disk(d) if enabled => {
-                let catalog = d.catalog.clone();
-                let worker_catalog = catalog.clone();
-                let (cmd_tx, cmd_rx) = mpsc::channel::<(usize, ShardScratch)>();
-                let (res_tx, res_rx) = mpsc::channel();
-                let worker = thread::Builder::new()
-                    .name("segment-prefetch".into())
-                    .spawn(move || {
-                        while let Ok((s, mut scratch)) = cmd_rx.recv() {
-                            let loaded = worker_catalog.load(s, &mut scratch).map(|_| ());
-                            let msg = match loaded {
-                                Ok(()) => (s, Ok(scratch)),
-                                Err(e) => (s, Err(e)),
-                            };
-                            if res_tx.send(msg).is_err() {
-                                break;
-                            }
-                        }
-                    })
-                    .expect("spawn segment-prefetch worker");
-                Some(Pipe {
-                    catalog,
-                    cmd: Some(cmd_tx),
-                    res: res_rx,
-                    worker: Some(worker),
-                    cur: ShardScratch::new(),
-                    spare: Some(ShardScratch::new()),
-                    inflight: None,
-                    queue: VecDeque::new(),
-                })
-            }
-            _ => None,
+            ShardStore::Disk(d) => Some(Pipe::new(d.catalog.clone(), enabled)),
+            ShardStore::Ram(_) => None,
         };
-        PrefetchingStore {
-            store,
-            pipe,
-            sync_scratch: ShardScratch::new(),
-        }
+        PrefetchingStore { store, pipe }
     }
 
     /// The wrapped store.
@@ -1340,11 +1388,11 @@ impl<'s> PrefetchingStore<'s> {
     /// prefetch enabled).
     #[must_use]
     pub fn is_pipelined(&self) -> bool {
-        self.pipe.is_some()
+        self.pipe.as_ref().is_some_and(|p| p.reader.is_some())
     }
 
     /// Announces the segments the upcoming pass will `view`, in order.
-    /// Replaces any previous announcement; a no-op without a pipeline.
+    /// Replaces any previous announcement; a no-op over RAM.
     pub fn begin_pass(&mut self, upcoming: &[usize]) {
         if let Some(pipe) = &mut self.pipe {
             pipe.queue.clear();
@@ -1353,19 +1401,38 @@ impl<'s> PrefetchingStore<'s> {
         }
     }
 
-    /// A view of shard `s` — from the background reader when `s` was
-    /// announced and is in flight, by synchronous load otherwise.
+    /// A view of shard `s` — from a buffer that holds it, from the
+    /// background reader when `s` was announced, by synchronous load
+    /// otherwise.
     ///
     /// # Errors
     ///
     /// Exactly [`ShardStore::view`]'s errors, including those raised on
     /// the reader thread.
     pub fn view(&mut self, s: usize) -> Result<ShardView<'_>, ShardError> {
-        let store = self.store;
-        match &mut self.pipe {
-            None => store.view(s, &mut self.sync_scratch),
-            Some(pipe) => pipe.view(s),
+        match (&mut self.pipe, self.store) {
+            (Some(pipe), _) => pipe.view(s),
+            (None, ShardStore::Ram(ram)) => Ok(ram.view(s)),
+            (None, ShardStore::Disk(_)) => unreachable!("disk stores have a pipe"),
         }
+    }
+
+    /// Whether a buffer holds segment `s` (or the reader is reading
+    /// it), so that a request for it costs no read.
+    fn holds(&self, s: usize) -> bool {
+        self.pipe.as_ref().is_some_and(|p| p.holds(s))
+    }
+
+    /// Full segment reads issued so far, synchronous or prefetched.
+    fn segment_reads(&self) -> u64 {
+        self.pipe.as_ref().map_or(0, |p| p.reads)
+    }
+
+    /// The shards the buffers hold, the one served last first.
+    fn held(&self) -> [Option<usize>; 2] {
+        self.pipe
+            .as_ref()
+            .map_or([None, None], |p| [p.cur_seg, p.spare_seg])
     }
 }
 
@@ -1554,15 +1621,17 @@ const SPARSE_RATIO: usize = 256;
 /// small fraction of a shard, behind one adaptive threshold.
 ///
 /// Both paths return exactly the bytes [`ShardStore::view`] would, so
-/// the full/sparse choice — like prefetching and like the shard count —
-/// is invisible in outcomes.
+/// the full/sparse choice — like prefetching, the shard order of a pass
+/// and the shard count — is invisible in outcomes.
 pub struct PassLoader<'s> {
     store: &'s ShardStore,
     prefetch: PrefetchingStore<'s>,
     sparse: SparseLoader<'s>,
     /// The sorted row list of the current sparse view.
     sorted: Vec<u32>,
-    /// The full-view shards of the announced pass.
+    /// The list length of each shard in the announced pass.
+    lens: Vec<usize>,
+    /// The full-view shards of the announced pass, in pass order.
     full: Vec<usize>,
 }
 
@@ -1576,6 +1645,7 @@ impl<'s> PassLoader<'s> {
             prefetch: PrefetchingStore::new(store, prefetch),
             sparse: SparseLoader::new(store),
             sorted: Vec::new(),
+            lens: Vec::new(),
             full: Vec::new(),
         }
     }
@@ -1586,10 +1656,17 @@ impl<'s> PassLoader<'s> {
         self.store.plan()
     }
 
+    /// Full segment reads issued so far, synchronous or prefetched
+    /// (sparse row reads are not counted; always 0 over RAM).
+    #[must_use]
+    pub fn segment_reads(&self) -> u64 {
+        self.prefetch.segment_reads()
+    }
+
     /// Whether a pass touching `requested` rows of shard `s` should use
-    /// sparse row loads. Always false for RAM stores (everything is
-    /// already resident) and for empty requests (the caller skips the
-    /// shard outright).
+    /// sparse row loads when the segment is not already held. Always
+    /// false for RAM stores (everything is already resident) and for
+    /// empty requests (the caller skips the shard outright).
     #[must_use]
     pub fn use_sparse(&self, s: usize, requested: usize) -> bool {
         if !matches!(self.store, ShardStore::Disk(_)) || requested == 0 {
@@ -1605,19 +1682,29 @@ impl<'s> PassLoader<'s> {
     }
 
     /// Announces a pass over per-shard row lists (`lists[s]` for shard
-    /// `s`): every shard with a non-empty list too large for sparse
-    /// reads is queued for prefetch, ascending. Sparse shards are not
-    /// announced — they never cost a segment read.
-    pub fn begin_lists<'l>(&mut self, lists: impl IntoIterator<Item = &'l [u32]>) {
-        let mut full = std::mem::take(&mut self.full);
+    /// `s`, one per shard of the plan) and returns the order to walk the
+    /// shards in: the shards
+    /// whose segments the loader holds first, then the rest ascending.
+    /// Every shard with a non-empty list that is held or too large for
+    /// sparse reads is queued for prefetch in that order; sparse shards
+    /// are not announced — they never cost a segment read.
+    pub fn begin_lists<'l>(&mut self, lists: impl IntoIterator<Item = &'l [u32]>) -> PassOrder {
+        self.lens.clear();
+        self.lens.extend(lists.into_iter().map(<[u32]>::len));
+        let order = PassOrder {
+            held: self.prefetch.held(),
+            next: 0,
+            shards: self.lens.len(),
+        };
+        let mut full = mem::take(&mut self.full);
         full.clear();
-        for (s, list) in lists.into_iter().enumerate() {
-            if !list.is_empty() && !self.use_sparse(s, list.len()) {
-                full.push(s);
-            }
-        }
+        full.extend(order.filter(|&s| {
+            let len = self.lens[s];
+            len > 0 && (self.prefetch.holds(s) || !self.use_sparse(s, len))
+        }));
         self.prefetch.begin_pass(&full);
         self.full = full;
+        order
     }
 
     /// A view of all of shard `s`: a disk segment through the prefetch
@@ -1636,16 +1723,16 @@ impl<'s> PassLoader<'s> {
     }
 
     /// A view of shard `s` covering the rows in `list` (any order, all
-    /// in the shard): coalesced sparse row reads when the list is a
-    /// small fraction of a disk shard, the full prefetched segment
-    /// otherwise.
+    /// in the shard): the held segment when a buffer has it, coalesced
+    /// sparse row reads when the list is a small fraction of a disk
+    /// shard, the full prefetched segment otherwise.
     ///
     /// # Errors
     ///
     /// Exactly [`ShardStore::view`]'s errors.
     #[inline]
     pub fn view_list(&mut self, s: usize, list: &[u32]) -> Result<PassView<'_>, ShardError> {
-        if self.use_sparse(s, list.len()) {
+        if !self.prefetch.holds(s) && self.use_sparse(s, list.len()) {
             self.sorted.clear();
             self.sorted.extend_from_slice(list);
             self.sorted.sort_unstable();
@@ -1653,6 +1740,35 @@ impl<'s> PassLoader<'s> {
         } else {
             self.view_full(s)
         }
+    }
+}
+
+/// The shard order of one pass, from [`PassLoader::begin_lists`]: the
+/// shards whose segments the loader holds (the one served last, then
+/// the other), then every other shard ascending. Over a RAM store it is
+/// plain ascending order.
+#[derive(Clone, Copy, Debug)]
+pub struct PassOrder {
+    /// The held shards (distinct: two buffers never hold one segment).
+    held: [Option<usize>; 2],
+    /// Position in `held`, then `2 + s` for shard `s`.
+    next: usize,
+    shards: usize,
+}
+
+impl Iterator for PassOrder {
+    type Item = usize;
+
+    fn next(&mut self) -> Option<usize> {
+        while self.next < 2 + self.shards {
+            let i = self.next;
+            self.next += 1;
+            let s = if i < 2 { self.held[i] } else { Some(i - 2) };
+            if s.is_some_and(|s| i < 2 || !self.held.contains(&Some(s))) {
+                return s;
+            }
+        }
+        None
     }
 }
 
@@ -2270,12 +2386,18 @@ mod tests {
         loader.begin_lists([&[0u32; 3000][..], &[]]);
         let full = loader.view_full(0).expect("full");
         assert!(matches!(full, PassView::Full(ref v) if v.entry_count() > 0));
-        let rows = [290u32, 0, 17];
-        let sparse = loader.view_list(0, &rows).expect("sparse");
+        // Shard 1's segment is not held: a small request reads rows.
+        let rows = [5290u32, 5000, 5017];
+        let sparse = loader.view_list(1, &rows).expect("sparse");
         assert!(matches!(sparse, PassView::Rows(_)));
         for v in rows {
             assert!(!sparse.targets_of(v).is_empty());
         }
+        // Shard 0's segment is held: the same small request reads nothing.
+        let reads = loader.segment_reads();
+        let held = loader.view_list(0, &[290, 0, 17]).expect("held");
+        assert!(matches!(held, PassView::Full(_)));
+        assert_eq!(loader.segment_reads(), reads);
 
         let edges = chord_edges(64);
         let csr = CsrGraph::from_edges(64, &edges);
@@ -2285,6 +2407,175 @@ mod tests {
         let view = ram_loader.view_list(1, &[40]).expect("ram view");
         assert!(matches!(view, PassView::Ram(_)));
         assert_eq!(view.targets_of(40), csr.neighbors_of(40));
+    }
+
+    /// Every row of every shard, as per-shard row lists.
+    fn whole_shards(store: &ShardStore) -> Vec<Vec<u32>> {
+        let plan = store.plan();
+        (0..plan.shard_count())
+            .map(|s| {
+                let (start, end) = plan.range(s);
+                (start..end).collect()
+            })
+            .collect()
+    }
+
+    /// Walks one pass over `lists` the way the engines do — announce,
+    /// then request the shards in the returned order — checks every view
+    /// against [`ShardStore::view`], and returns the pass's shard order
+    /// and the segment reads it issued.
+    fn walk_pass(
+        loader: &mut PassLoader<'_>,
+        store: &ShardStore,
+        lists: &[Vec<u32>],
+    ) -> (Vec<usize>, u64) {
+        let before = loader.segment_reads();
+        let order: Vec<usize> = loader
+            .begin_lists(lists.iter().map(Vec::as_slice))
+            .collect();
+        let mut sorted = order.clone();
+        sorted.sort_unstable();
+        assert_eq!(
+            sorted,
+            (0..lists.len()).collect::<Vec<_>>(),
+            "a permutation"
+        );
+        let mut direct = ShardScratch::new();
+        for &s in &order {
+            if lists[s].is_empty() {
+                continue;
+            }
+            let got = loader.view_list(s, &lists[s]).expect("pass view");
+            let want = store.view(s, &mut direct).expect("direct view");
+            for &v in &lists[s] {
+                assert_eq!(got.targets_of(v), want.targets_of(v), "shard {s} row {v}");
+            }
+        }
+        (order, loader.segment_reads() - before)
+    }
+
+    #[test]
+    fn resident_segments_lead_the_pass_and_are_not_read_again() {
+        let n = 4000u32;
+        let four = disk_store(n, 4);
+        let lists = whole_shards(&four);
+        let mut loader = PassLoader::new(&four, true);
+        assert_eq!(walk_pass(&mut loader, &four, &lists), (vec![0, 1, 2, 3], 4));
+        // The buffers hold 3 (served last) and 2: they lead, the other
+        // two are read.
+        assert_eq!(walk_pass(&mut loader, &four, &lists), (vec![3, 2, 0, 1], 2));
+        for _ in 0..4 {
+            assert_eq!(walk_pass(&mut loader, &four, &lists).1, 2);
+        }
+        // Prefetch off keeps one buffer, so one segment stays held.
+        let mut sync = PassLoader::new(&four, false);
+        assert_eq!(walk_pass(&mut sync, &four, &lists).1, 4);
+        for _ in 0..3 {
+            assert_eq!(walk_pass(&mut sync, &four, &lists).1, 3);
+        }
+
+        // Two shards fit the two buffers: nothing is read after pass one.
+        let two = disk_store(n, 2);
+        let lists = whole_shards(&two);
+        let mut loader = PassLoader::new(&two, true);
+        assert_eq!(walk_pass(&mut loader, &two, &lists).1, 2);
+        for _ in 0..3 {
+            assert_eq!(walk_pass(&mut loader, &two, &lists).1, 0);
+        }
+
+        // A RAM store never reads and keeps ascending order.
+        let csr = CsrGraph::from_edges(n as usize, &chord_edges(n));
+        let ram = ShardStore::Ram(RamShards::from_csr(csr, ShardPlan::uniform(n as usize, 4)));
+        let lists = whole_shards(&ram);
+        let mut loader = PassLoader::new(&ram, true);
+        for _ in 0..3 {
+            assert_eq!(walk_pass(&mut loader, &ram, &lists), (vec![0, 1, 2, 3], 0));
+        }
+    }
+
+    #[test]
+    fn held_segments_serve_identical_bytes_through_mispredictions_and_sparse_shards() {
+        let n = 4000u32;
+        let store = disk_store(n, 4);
+        let whole = whole_shards(&store);
+        // Three rows of a 1000-row shard: a sparse request unless held.
+        let few: Vec<Vec<u32>> = whole.iter().map(|l| vec![l[5], l[1], l[300]]).collect();
+        let mixed = vec![
+            few[0].clone(),
+            whole[1].clone(),
+            few[2].clone(),
+            whole[3].clone(),
+        ];
+        let mut direct = ShardScratch::new();
+        for prefetch in [true, false] {
+            let mut loader = PassLoader::new(&store, prefetch);
+            walk_pass(&mut loader, &store, &mixed);
+            walk_pass(&mut loader, &store, &few);
+            walk_pass(&mut loader, &store, &whole);
+            walk_pass(&mut loader, &store, &mixed);
+            // Mispredicted: announce one order, request the reverse, then
+            // a shard twice and one outside the announcement.
+            let order: Vec<usize> = loader
+                .begin_lists(whole.iter().map(Vec::as_slice))
+                .collect();
+            for s in order.into_iter().rev().chain([1, 1]) {
+                let got = loader.view_list(s, &whole[s]).expect("mispredicted view");
+                let want = store.view(s, &mut direct).expect("direct view");
+                for &v in &whole[s] {
+                    assert_eq!(got.targets_of(v), want.targets_of(v));
+                }
+            }
+            loader.begin_lists([&whole[0][..], &[], &[], &[]]);
+            let got = loader.view_full(2).expect("unannounced view");
+            let want = store.view(2, &mut direct).expect("direct view");
+            for &v in &whole[2] {
+                assert_eq!(got.targets_of(v), want.targets_of(v));
+            }
+            walk_pass(&mut loader, &store, &few);
+        }
+    }
+
+    #[test]
+    fn a_truncated_segment_fails_the_pass_that_needs_it() {
+        for prefetch in [true, false] {
+            let store = disk_store(4000, 4);
+            let ShardStore::Disk(d) = &store else {
+                unreachable!()
+            };
+            let lists = whole_shards(&store);
+            let mut loader = PassLoader::new(&store, prefetch);
+            walk_pass(&mut loader, &store, &lists);
+            // Shard 0 is not held after an ascending pass.
+            let seg = d.catalog.seg_path(0);
+            let len = fs::metadata(&seg).expect("metadata").len();
+            fs::OpenOptions::new()
+                .write(true)
+                .open(&seg)
+                .expect("open")
+                .set_len(len - 4)
+                .expect("truncate");
+            let order: Vec<usize> = loader
+                .begin_lists(lists.iter().map(Vec::as_slice))
+                .collect();
+            for s in order {
+                let got = loader.view_list(s, &lists[s]).map(|_| ());
+                match (s, got) {
+                    (0, Err(ShardError::SegmentTruncated { shard: 0, path })) => {
+                        assert_eq!(path, seg);
+                    }
+                    (0, other) => panic!("expected SegmentTruncated, got {other:?}"),
+                    (_, got) => got.expect("intact segment"),
+                }
+            }
+            // The failed buffer holds nothing: asking again reads again
+            // and fails the same way.
+            let reads = loader.segment_reads();
+            assert!(matches!(
+                loader.view_list(0, &lists[0]).map(|_| ()),
+                Err(ShardError::SegmentTruncated { shard: 0, .. })
+            ));
+            assert_eq!(loader.segment_reads(), reads + 1);
+        }
     }
 
     #[test]
