@@ -5,13 +5,17 @@
 //! one nondeterministic field, `wall_ms`, normalized to zero) is
 //! byte-identical to a committed golden file — locking in the schema,
 //! the writer's format, and the determinism of the sweep outcomes from
-//! the root seed. Three binaries are pinned:
+//! the root seed. Four binaries are pinned:
 //!
 //! * `exp_e4_datalink`, the cheapest Monte-Carlo binary, through the
 //!   trait-object engines;
 //! * `exp_scale_radio --trials 64`, six one-block cells of the batched
 //!   Decay kernel, so a change that moves a 64-lane block and its lane
 //!   replay together still fails a test;
+//! * `exp_scale_malicious --trials 72`, whose fast cells each run one
+//!   64-lane block plus 8 tail lanes under malicious fault models, so
+//!   radio's value-plane passes and flood's and Simple's malicious
+//!   blocks and lanes are all in the report;
 //! * `exp_scale_xl`, whose out-of-core rows run a scalar lane and a
 //!   64-lane block of every kernel over a 3-segment disk store — the
 //!   only pin on the graph-variant flood passes.
@@ -102,6 +106,22 @@ fn batched_radio_quick_json_matches_the_golden_file() {
     }
 
     assert_matches_golden(report, "exp_scale_radio_quick_t64.json");
+}
+
+#[test]
+fn malicious_quick_json_matches_the_golden_file() {
+    let report = quick_report(
+        env!("CARGO_BIN_EXE_exp_scale_malicious"),
+        &["--trials", "72"],
+    );
+
+    assert_eq!(report.experiment, "scale_malicious");
+    for cell in &report.cells {
+        assert_eq!(cell.trials, 72, "one 64-lane block plus 8 tail lanes");
+        assert!(cell.successes <= cell.trials);
+    }
+
+    assert_matches_golden(report, "exp_scale_malicious_quick_t72.json");
 }
 
 #[test]

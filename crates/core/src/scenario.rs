@@ -951,9 +951,14 @@ impl PreparedScenario {
     /// adversary for the scenario's (model, fault-kind) pair.
     #[must_use]
     pub fn trial(&self, seed: u64) -> TrialOutcome {
-        let g = self.graph.as_ref();
         let fault = self.scenario.fault;
         let malicious = fault.kind != FaultKind::Omission;
+        if malicious && self.uses_fast_path() {
+            // Malicious fast trials run the model kernel as lane 0 of
+            // block `seed`.
+            return self.trial_lane(seed, 0);
+        }
+        let g = self.graph.as_ref();
         let bit = SOURCE_BIT;
         match &self.plan {
             PlanKind::Simple(plan) => match self.scenario.model {
@@ -975,14 +980,9 @@ impl PreparedScenario {
             PlanKind::SimpleFast(plan) => {
                 // Success iff every node holds the source bit; the
                 // fraction and almost-complete round mirror the flood
-                // metrics. Malicious kinds run the model kernel as
-                // lane 0 of block `seed`; omission keeps the scalar
-                // geometric-draw stream byte-stable.
-                let out = if malicious {
-                    plan.run_lane_model(self.malicious_model().as_ref(), seed, 0)
-                } else {
-                    plan.run(fault.p.get(), seed)
-                };
+                // metrics. Omission keeps the scalar geometric-draw
+                // stream byte-stable.
+                let out = plan.run(fault.p.get(), seed);
                 TrialOutcome::flooded(
                     out.completion_round(),
                     out.correct_fraction(),
@@ -993,16 +993,8 @@ impl PreparedScenario {
                 TrialOutcome::completed(plan.run(g, fault, seed).completion_round())
             }
             PlanKind::FloodFast(plan) => {
-                // Omission runs the byte-stable silent-fault frontier;
-                // malicious kinds run the flip value pass (deliveries
-                // on the BFS schedule, corrupted values, correct-set
-                // reporting) as lane 0 of block `seed` — the same
-                // semantics the general flood's flip adversary has.
-                let out = if malicious {
-                    plan.run_lane_model(self.malicious_model().as_ref(), seed, 0)
-                } else {
-                    plan.run(fault.p.get(), seed)
-                };
+                // Omission runs the byte-stable silent-fault frontier.
+                let out = plan.run(fault.p.get(), seed);
                 TrialOutcome::flooded(
                     out.completion_round(),
                     out.informed_fraction(),
@@ -1038,15 +1030,8 @@ impl PreparedScenario {
                 run_decay(g, g.node(0), *cfg, fault, seed).completion_round(),
             ),
             PlanKind::DecayFast(plan) => {
-                // Omission keeps the byte-stable collision frontier;
-                // limited-malicious runs the flip value pass (the
-                // fault-free participation schedule with corrupted
-                // values) as lane 0 of block `seed`.
-                let out = if malicious {
-                    plan.run_lane_model(self.malicious_model().as_ref(), seed, 0)
-                } else {
-                    plan.run(fault.p.get(), seed)
-                };
+                // Omission keeps the byte-stable collision frontier.
+                let out = plan.run(fault.p.get(), seed);
                 TrialOutcome::flooded(
                     out.completion_round(),
                     out.informed_fraction(),
@@ -1091,39 +1076,31 @@ impl PreparedScenario {
     /// ([`supports_batch`](Self::supports_batch)).
     #[must_use]
     pub fn trial_block(&self, block_seed: u64) -> Vec<TrialOutcome> {
-        self.trial_block_threads(block_seed, 1)
+        // Omission runs monomorphized, so its coins inline into the
+        // passes; a malicious model costs one dynamic call per coin.
+        if self.scenario.fault.kind == FaultKind::Omission {
+            let model = Omission::new(self.scenario.fault.p.get());
+            self.block_under(&model, block_seed)
+        } else {
+            self.block_under(self.malicious_model().as_ref(), block_seed)
+        }
     }
 
-    /// [`trial_block`](Self::trial_block) with a thread budget for the
-    /// block's shard passes — **byte-identical** to the single-threaded
-    /// block for every thread count (the engines' deferred-write merge
-    /// guarantee; see DESIGN.md, "Parallel shard passes"). Only Decay
-    /// blocks over a multi-shard plan have a parallel backend; flood
-    /// and Simple blocks, and one-shard plans, run sequentially.
+    /// [`trial_block`](Self::trial_block), which it calls: every block
+    /// runs on one thread, so `threads` is ignored. Kept for callers
+    /// written against the thread-budget signature.
     ///
     /// # Panics
     ///
     /// Panics when the plan is not batch-capable
     /// ([`supports_batch`](Self::supports_batch)).
     #[must_use]
-    pub fn trial_block_threads(&self, block_seed: u64, threads: usize) -> Vec<TrialOutcome> {
-        // Omission runs monomorphized, so its coins inline into the
-        // passes; a malicious model costs one dynamic call per coin.
-        if self.scenario.fault.kind == FaultKind::Omission {
-            let model = Omission::new(self.scenario.fault.p.get());
-            self.block_under(&model, block_seed, threads)
-        } else {
-            self.block_under(self.malicious_model().as_ref(), block_seed, threads)
-        }
+    pub fn trial_block_threads(&self, block_seed: u64, _threads: usize) -> Vec<TrialOutcome> {
+        self.trial_block(block_seed)
     }
 
     /// The fast plan's block under `model`.
-    fn block_under<M: FaultModel + ?Sized>(
-        &self,
-        model: &M,
-        block_seed: u64,
-        threads: usize,
-    ) -> Vec<TrialOutcome> {
+    fn block_under<M: FaultModel + ?Sized>(&self, model: &M, block_seed: u64) -> Vec<TrialOutcome> {
         let lanes = 0..LANES as u32;
         match &self.plan {
             PlanKind::SimpleFast(plan) => {
@@ -1151,7 +1128,7 @@ impl PreparedScenario {
                     .collect()
             }
             PlanKind::DecayFast(plan) => {
-                let out = plan.run_batch_model(model, block_seed, threads);
+                let out = plan.run_batch_model(model, block_seed);
                 lanes
                     .map(|lane| {
                         TrialOutcome::flooded(
@@ -1178,7 +1155,7 @@ impl PreparedScenario {
     #[must_use]
     pub fn trial_lane(&self, block_seed: u64, lane: u32) -> TrialOutcome {
         assert!((lane as usize) < LANES, "lane {lane} out of range");
-        // Monomorphized omission, as in `trial_block_threads`.
+        // Monomorphized omission, as in `trial_block`.
         if self.scenario.fault.kind == FaultKind::Omission {
             let model = Omission::new(self.scenario.fault.p.get());
             self.lane_under(&model, block_seed, lane)

@@ -518,13 +518,6 @@ impl<'a> Sweep<'a> {
                 start += len;
             }
         }
-        // Threads left idle by the task fan-out go to intra-trial
-        // shard parallelism: with fewer tasks than workers, each
-        // batched block fans its independent shard passes across the
-        // spare threads. The parallel merge is byte-identical to the
-        // sequential pass, so outcome vectors still cannot depend on
-        // the thread count.
-        let intra = (threads / tasks.len().max(1)).max(1);
         let outcomes: Vec<Mutex<Vec<Option<TrialOutcome>>>> = cells
             .iter()
             .map(|c| Mutex::new(vec![None; c.trials]))
@@ -552,12 +545,7 @@ impl<'a> Sweep<'a> {
                         let block_seed = block_seeds.nth_seed((j / BATCH_LANES) as u64);
                         let remaining = task.start + task.len - j;
                         if remaining >= BATCH_LANES {
-                            local.extend(
-                                prepared
-                                    .trial_block_threads(block_seed, intra)
-                                    .into_iter()
-                                    .map(Some),
-                            );
+                            local.extend(prepared.trial_block(block_seed).into_iter().map(Some));
                             j += BATCH_LANES;
                         } else {
                             for lane in 0..remaining {

@@ -481,7 +481,7 @@ fn malicious_batches_agree_lane_for_lane() {
     let radio_models: [&dyn FaultModel; 2] = [&FlipFault::new(0.3), &radio_placed];
     for model in radio_models {
         for &bs in &seeds {
-            let batch = radio.run_batch_model(model, bs, 1);
+            let batch = radio.run_batch_model(model, bs);
             for lane in 0..LANES as u32 {
                 assert_eq!(
                     batch.lane_outcome(lane),
@@ -499,8 +499,9 @@ fn malicious_shards_are_neutral() {
     // Sharded execution is a traversal-order detail: a kernel over a
     // k-shard store must reproduce the same kernel over a one-shard
     // store byte-for-byte, including for placement masks whose
-    // corrupted set was pinned by preprocessing. (The i.i.d. malicious
-    // laws are pinned at the scenario level in shard_equivalence.rs.)
+    // corrupted set was pinned by preprocessing, and for radio's
+    // value-plane models. (The i.i.d. malicious laws are pinned at the
+    // scenario level in shard_equivalence.rs.)
     let g = generators::grid(5, 6);
     let n = g.node_count();
     let csr = CsrGraph::from(&g);
@@ -517,6 +518,9 @@ fn malicious_shards_are_neutral() {
     let radio = FastRadio::new(csr.clone(), g.node(0), 180, decay);
     let mut radio_placed = placed(0.3, CorruptionKind::Silent);
     radio.preprocess(&mut radio_placed);
+    let radio_flip = FlipFault::new(0.3);
+    let radio_lie = LieOrJamFault::new(0.3);
+    let radio_models: [&dyn FaultModel; 3] = [&radio_placed, &radio_flip, &radio_lie];
 
     for shards in [2usize, 3, 7] {
         let plan = ShardPlan::uniform(n, shards);
@@ -545,18 +549,20 @@ fn malicious_shards_are_neutral() {
         );
         let sharded_radio =
             FastRadio::new(csr.clone(), g.node(0), 180, decay).with_shard_plan(plan);
-        for threads in [1usize, 4] {
+        for model in radio_models {
             assert_eq!(
-                sharded_radio.run_batch_model(&radio_placed, bs, threads),
-                radio.run_batch_model(&radio_placed, bs, 1),
-                "radio shards {shards} threads {threads}"
+                sharded_radio.run_batch_model(model, bs),
+                radio.run_batch_model(model, bs),
+                "radio {} shards {shards}",
+                model.name()
+            );
+            assert_eq!(
+                sharded_radio.run_lane_model(model, bs, lane),
+                radio.run_lane_model(model, bs, lane),
+                "radio {} shards {shards} lane",
+                model.name()
             );
         }
-        assert_eq!(
-            sharded_radio.run_lane_model(&radio_placed, bs, lane),
-            radio.run_lane_model(&radio_placed, bs, lane),
-            "radio shards {shards} lane"
-        );
     }
 }
 

@@ -5,12 +5,11 @@
 //! `shards: ShardSpec::Fixed(k)` (k ∈ {2, 3, 7}) must agree
 //! **element-wise, byte-for-byte** with the monolithic
 //! `ShardSpec::Fixed(1)` prepare of the same scenario — for the batched
-//! [`trial_block`] entry point at 1, 2 and 4 threads and for the scalar
-//! [`trial_lane`] replay. This is the outcome-neutrality contract of the
-//! shard knob: coins are site-addressed pure functions and each round's
-//! evolution is set-based, so partitioning the frontier passes by node
-//! range can never change a bit (see `DESIGN.md`, *Shard-view
-//! substrate*).
+//! [`trial_block`] entry point and for the scalar [`trial_lane`] replay.
+//! This is the outcome-neutrality contract of the shard knob: coins are
+//! site-addressed pure functions and each round's evolution is
+//! set-based, so partitioning the frontier passes by node range can
+//! never change a bit (see `DESIGN.md`, *Shard-view substrate*).
 //!
 //! The seeds cycle over graph family × fault × failure probability ×
 //! shard count cells (grid / G(n,p) / random-geometric × p ∈ {0, 0.3,
@@ -119,13 +118,11 @@ fn check_engine(name: &str, faults: &[(Algorithm, Model, FaultKind)]) {
         let block_seed = seeds.nth_seed(s as u64);
         let reference = mono.trial_block(block_seed);
         assert_eq!(reference.len(), BATCH_LANES);
-        for threads in [1usize, 2, 4] {
-            assert_eq!(
-                sharded.trial_block_threads(block_seed, threads),
-                reference,
-                "{label} at p={p}, {k} shards × {threads} threads: seed #{s} batch diverged"
-            );
-        }
+        assert_eq!(
+            sharded.trial_block(block_seed),
+            reference,
+            "{label} at p={p}, {k} shards: seed #{s} batch diverged"
+        );
         for lane in [0usize, 21, BATCH_LANES - 1] {
             assert_eq!(
                 sharded.trial_lane(block_seed, lane as u32),

@@ -185,15 +185,13 @@ impl ShardFrontier {
 /// results **in ascending shard order** regardless of which worker ran
 /// which shard or in what wall-clock order they finished.
 ///
-/// This is the engine-side primitive behind the thread-parallel batched
-/// round: `pass` must only *read* shared round state (the frozen
-/// frontier, informed masks, activity words) and return the writes it
-/// would have performed as data — delivery events, retained node lists,
-/// per-node mask updates. The caller then applies the returned shard
-/// results sequentially in ascending shard order, which replays the
-/// exact write sequence of the single-threaded sharded pass, so
-/// outcomes are byte-identical for every thread count (see DESIGN.md,
-/// "Parallel shard passes").
+/// This is the primitive behind the parallel collision drain of
+/// [`ShardedCollisions`]: `pass` must only *read* shared round state
+/// (there, the frozen counts and touched lists) and return what it
+/// found as data. The caller then applies the returned shard results
+/// sequentially in ascending shard order, which replays the exact
+/// sequence of the single-threaded scan, so outcomes are byte-identical
+/// for every thread count (see DESIGN.md, "Parallel collision drain").
 ///
 /// With `threads <= 1` (or a single shard) no threads are spawned and
 /// `pass` runs inline, shard by shard.
@@ -218,60 +216,6 @@ where
             .collect();
         for h in handles {
             per_worker.push(h.join().expect("shard worker panicked"));
-        }
-    });
-    let mut out = Vec::with_capacity(shards);
-    for chunk in per_worker {
-        out.extend(chunk);
-    }
-    out
-}
-
-/// [`shard_passes`] for passes that need *owned mutable* per-shard
-/// state: each element of `state` is moved into its shard's pass, and
-/// the results come back in ascending shard order. This is the merge
-/// side of a deferred-write round — per-listener-shard event buckets
-/// or split mask ranges fan out to workers, each worker folds its
-/// shard's events in the ascending-transmit-shard order the sequential
-/// merge uses, and the caller applies the returned results
-/// sequentially, exactly as with [`shard_passes`].
-///
-/// With `threads <= 1` (or a single shard) no threads are spawned.
-pub fn range_passes<S, R, F>(state: Vec<S>, threads: usize, pass: F) -> Vec<R>
-where
-    S: Send,
-    R: Send,
-    F: Fn(usize, S) -> R + Sync,
-{
-    let shards = state.len();
-    let workers = threads.clamp(1, shards.max(1));
-    if workers <= 1 {
-        return state
-            .into_iter()
-            .enumerate()
-            .map(|(s, st)| pass(s, st))
-            .collect();
-    }
-    let mut per_worker: Vec<Vec<R>> = Vec::with_capacity(workers);
-    std::thread::scope(|scope| {
-        let mut state = state.into_iter();
-        let handles: Vec<_> = (0..workers)
-            .map(|w| {
-                let lo = w * shards / workers;
-                let hi = (w + 1) * shards / workers;
-                let chunk: Vec<S> = state.by_ref().take(hi - lo).collect();
-                let pass = &pass;
-                scope.spawn(move || {
-                    chunk
-                        .into_iter()
-                        .enumerate()
-                        .map(|(i, st)| pass(lo + i, st))
-                        .collect::<Vec<R>>()
-                })
-            })
-            .collect();
-        for h in handles {
-            per_worker.push(h.join().expect("range worker panicked"));
         }
     });
     let mut out = Vec::with_capacity(shards);
@@ -1401,8 +1345,8 @@ impl std::error::Error for ThrottleError {}
 /// before the first run; the placement then feeds `corrupt_mask`
 /// through the node argument `v`.
 ///
-/// Models are read-only during a run, so they are `Sync`: thread-parallel
-/// shard passes share one instance across workers.
+/// Models are read-only during a run, so they are `Sync`: one instance
+/// can serve runs on several threads at once.
 pub trait FaultModel: Sync {
     /// What corruption does to the payload.
     fn kind(&self) -> CorruptionKind;
@@ -1923,17 +1867,6 @@ mod tests {
             assert_eq!(got, want, "large round, threads {threads}");
             assert_eq!(sharded.touched_len(), 0);
         }
-    }
-
-    #[test]
-    fn range_passes_move_state_and_keep_ascending_order() {
-        for threads in [1usize, 2, 3, 16] {
-            let state: Vec<String> = (0..7).map(|i| format!("s{i}")).collect();
-            let out = range_passes(state, threads, |s, owned: String| format!("{s}:{owned}"));
-            let want: Vec<String> = (0..7).map(|i| format!("{i}:s{i}")).collect();
-            assert_eq!(out, want, "threads {threads}");
-        }
-        assert!(range_passes(Vec::<u8>::new(), 4, |_, x| x).is_empty());
     }
 
     #[test]

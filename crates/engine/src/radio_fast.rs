@@ -48,18 +48,22 @@
 //! against [`ShardStore`]: [`FastRadio`] runs them over its in-RAM store
 //! (one shard, or `k` node-range shards — outcome-neutral), and
 //! [`ShardedRadio`] runs the same passes over any store, disk segments
-//! included. Only the 64-lane pass over an in-RAM store of `k > 1`
-//! shards fans its shard passes out across threads. Both passes are
-//! parametric in a `Silent` [`FaultModel`](crate::kernel::FaultModel)
-//! (the plain-`p` entry points are the
-//! [`Omission`](crate::kernel::Omission) instance). Corrupted-*value*
-//! models (`Flip` / `Lie`, the paper's limited-malicious transmitters)
-//! change what a fault does: a corrupted transmitter still transmits —
-//! it collides like any other — but the *message* it delivers is
+//! included. Both passes are parametric in a
+//! [`FaultModel`](crate::kernel::FaultModel) (the plain-`p` entry points
+//! are the [`Omission`](crate::kernel::Omission) instance). A `Silent`
+//! model's coin silences the transmitter. Corrupted-*value* models
+//! (`Flip` / `Lie`, the paper's limited-malicious transmitters) change
+//! what a fault does: a corrupted transmitter still transmits — it
+//! collides like any other — but the *message* it delivers is
 //! corrupted, a sole receiver adopts whatever its one audible neighbor
-//! sent, and wrong values propagate. Those run in-RAM value passes whose
-//! outcome tracks the **correctly informed** nodes. Full-malicious radio
-//! (lie *or jam*) still needs the adversary hooks of the general engine.
+//! sent, and wrong values propagate. For those the passes carry a value
+//! plane — the set of **correctly informed** nodes, whose membership is
+//! also the value a node holds, plus the value sent to each listener
+//! this round, read only where it heard exactly one transmitter — and
+//! the outcome tracks that set, while participation and exhaustion
+//! still run on the heard set.
+//! Full-malicious radio (lie *or jam*) still needs the adversary hooks
+//! of the general engine.
 
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -69,9 +73,9 @@ use randcast_graph::{CsrGraph, NodeId};
 use randcast_stats::seed::{splitmix64, SeedSequence};
 
 use crate::kernel::{
-    range_passes, record_crossings, shard_passes, BatchTape, BatchedInformedSet, CollisionCounter,
-    CorruptionKind, FaultModel, FaultSampler, FaultTapes, InformedSet, LaneCounter, LaneMask,
-    LaneRounds, Omission, ShardedCollisions, DECAY_STREAM, LANES,
+    record_crossings, BatchTape, BatchedInformedSet, CollisionCounter, CorruptionKind, FaultModel,
+    FaultSampler, FaultTapes, InformedSet, LaneCounter, LaneMask, LaneRounds, Omission,
+    ShardedCollisions, DECAY_STREAM, LANES,
 };
 
 /// The coin site of `(0-based round, node)`: both the fault coin and
@@ -183,8 +187,7 @@ impl FastRadio {
     }
 
     /// Re-cuts the adjacency store along `plan`, so the frontier passes
-    /// walk one node-range shard at a time (and the 64-lane pass can
-    /// fan shards out across threads). Outcome-neutral: every entry
+    /// walk one node-range shard at a time. Outcome-neutral: every entry
     /// point returns the same bytes for every plan.
     ///
     /// # Panics
@@ -361,7 +364,7 @@ impl FastRadio {
     /// Panics if `p ∉ [0, 1)`.
     #[must_use]
     pub fn run_batch(&self, p: f64, block_seed: u64) -> FastRadioBatch {
-        self.run_batch_model(&Omission::new(p), block_seed, 1)
+        self.run_batch_model(&Omission::new(p), block_seed)
     }
 
     /// Runs the model's placement preprocessing against this plan's
@@ -372,13 +375,12 @@ impl FastRadio {
         model.preprocess_graph(ram.offsets(), ram.targets(), self.passes.source);
     }
 
-    /// [`run_lane`](Self::run_lane) under an arbitrary [`FaultModel`].
-    /// `Silent` models run the frontier replay (byte-identical to the
-    /// plain entry point for [`Omission`]); corrupted-value models
-    /// (`Flip` / `Lie`) run the value-tracking replay — a corrupted
-    /// transmitter still transmits and collides, but delivers a
-    /// corrupted message, and the outcome's informed set and growth
-    /// curve track the **correctly informed** nodes.
+    /// [`run_lane`](Self::run_lane) under an arbitrary [`FaultModel`]
+    /// (byte-identical to the plain entry point for [`Omission`]). Under
+    /// a corrupted-value model (`Flip` / `Lie`) a corrupted transmitter
+    /// still transmits and collides, but delivers a corrupted message,
+    /// and the outcome's informed set and growth curve track the
+    /// **correctly informed** nodes.
     ///
     /// # Panics
     ///
@@ -390,20 +392,13 @@ impl FastRadio {
         block_seed: u64,
         lane: u32,
     ) -> FastRadioOutcome {
-        match model.kind() {
-            CorruptionKind::Silent => self
-                .passes
-                .lane_pass(self.passes.views(), model, block_seed, lane, 1)
-                .expect("RAM stores never fail a read"),
-            _ => self.run_lane_values(model, block_seed, lane),
-        }
+        self.passes
+            .lane_pass(self.passes.views(), model, block_seed, lane, 1)
+            .expect("RAM stores never fail a read")
     }
 
     /// [`run_batch`](Self::run_batch) under an arbitrary
-    /// [`FaultModel`], with the shard passes of a `Silent` model fanned
-    /// across up to `threads` workers when the plan has more than one
-    /// shard — byte-identical for every thread count. Lane `k` is
-    /// byte-identical to
+    /// [`FaultModel`], on one thread. Lane `k` is byte-identical to
     /// [`run_lane_model`](Self::run_lane_model)`(model, block_seed, k)`.
     /// See [`run_lane_model`](Self::run_lane_model) for the
     /// corrupted-value semantics.
@@ -412,291 +407,10 @@ impl FastRadio {
         &self,
         model: &M,
         block_seed: u64,
-        threads: usize,
     ) -> FastRadioBatch {
-        match model.kind() {
-            CorruptionKind::Silent => self
-                .passes
-                .batch_pass(self.passes.views(), model, block_seed, threads)
-                .expect("RAM stores never fail a read"),
-            _ => self.run_batch_values(model, block_seed),
-        }
-    }
-
-    /// Corrupted-value scalar backend over the whole adjacency in RAM.
-    /// Faults never silence: every active node transmits, so the
-    /// collision process is the fault-free one and only message
-    /// *values* are at stake. A sole receiver adopts whatever its one
-    /// audible neighbor sent — a `Flip` transmitter sends its own value
-    /// XOR the corruption coin, a `Lie` transmitter sends the true value
-    /// only when uncorrupted and holding it — and retransmits that value
-    /// in later epochs. The returned informed set and growth curve track
-    /// the correctly informed nodes (the quantity the paper's malicious
-    /// feasibility results are about); participation and exhaustion
-    /// bookkeeping run on the heard set, exactly like the silent replay.
-    fn run_lane_values<M: FaultModel + ?Sized>(
-        &self,
-        model: &M,
-        block_seed: u64,
-        lane: u32,
-    ) -> FastRadioOutcome {
-        assert!((lane as usize) < LANES, "lane out of range");
-        let tapes = FaultTapes::new(block_seed);
-        let decay_tape = BatchTape::new(block_seed, DECAY_STREAM);
-        let ram = self.ram();
-        let (n, source, horizon) = (self.node_count(), self.passes.source, self.horizon());
-        let mut heard = InformedSet::new(n);
-        heard.insert(source);
-        let mut val = vec![false; n];
-        val[source as usize] = true;
-        let mut correct = InformedSet::new(n);
-        correct.insert(source);
-        let mut informed_by_round = Vec::with_capacity(horizon.min(1024) + 1);
-        informed_by_round.push(1);
-        let mut completion_round = (n == 1).then_some(0);
-
-        let mut participants: Vec<u32> = vec![source];
-        let mut active: Vec<u32> = Vec::new();
-        // Sole-receiver resolution carrying the first transmitter's
-        // value: `vonce[v]` is meaningful while `once[v]` is set.
-        let mut once = vec![false; n];
-        let mut twice = vec![false; n];
-        let mut vonce = vec![false; n];
-        let mut touched: Vec<u32> = Vec::new();
-        let (decay, epoch_len) = self.schedule().epochs();
-
-        for round in 1..=horizon {
-            if completion_round.is_some() {
-                break;
-            }
-            let r0 = round - 1;
-            let j = r0 % epoch_len;
-            if j == 0 {
-                participants.sort_unstable();
-                participants.retain(|&u| ram.targets_of(u).iter().any(|&t| !heard.contains(t)));
-                if participants.is_empty() {
-                    break;
-                }
-                active.clear();
-                active.extend_from_slice(&participants);
-            }
-
-            for &u in &active {
-                let ui = u as usize;
-                // Coins are site-addressed pure functions, so skipping
-                // the draw for a transmission no listener can use
-                // leaves every other read untouched.
-                if !ram.targets_of(u).iter().any(|&t| !heard.contains(t)) {
-                    continue;
-                }
-                let corrupt = model.corrupt_lane(&tapes, radio_site(r0, u), u, lane);
-                let txval = match model.kind() {
-                    CorruptionKind::Flip => val[ui] ^ corrupt,
-                    _ => val[ui] && !corrupt,
-                };
-                for &v in ram.targets_of(u) {
-                    let vi = v as usize;
-                    if heard.contains(v) {
-                        continue;
-                    }
-                    if once[vi] {
-                        twice[vi] = true;
-                    } else {
-                        once[vi] = true;
-                        vonce[vi] = txval;
-                        touched.push(v);
-                    }
-                }
-            }
-            for &v in &touched {
-                let vi = v as usize;
-                if !twice[vi] {
-                    heard.insert(v);
-                    participants.push(v);
-                    val[vi] = vonce[vi];
-                    if val[vi] {
-                        correct.insert(v);
-                    }
-                }
-                once[vi] = false;
-                twice[vi] = false;
-            }
-            touched.clear();
-
-            informed_by_round.push(correct.count());
-            if correct.count() == n {
-                completion_round = Some(round);
-            }
-
-            if decay && j + 1 < epoch_len {
-                active.retain(|&u| decay_tape.fair_lane(radio_site(r0, u), lane));
-            }
-        }
-
-        FastRadioOutcome {
-            n,
-            horizon,
-            completion_round,
-            informed_by_round,
-            informed: correct,
-        }
-    }
-
-    /// Corrupted-value 64-lane batch backend over the whole adjacency in
-    /// RAM. The machinery of the silent batch with the fault application
-    /// moved from transmissions to values: `useful` lanes all transmit,
-    /// the `≥ 1` / `≥ 2` collision masks gain a first-transmitter value
-    /// mask, and a sole receiver adopts that value. Counts, crossings,
-    /// and the final informed set track the correctly informed nodes;
-    /// participation and exhaustion run on the heard set.
-    fn run_batch_values<M: FaultModel + ?Sized>(
-        &self,
-        model: &M,
-        block_seed: u64,
-    ) -> FastRadioBatch {
-        let tapes = FaultTapes::new(block_seed);
-        let decay_tape = BatchTape::new(block_seed, DECAY_STREAM);
-        let ram = self.ram();
-        let (n, source, horizon) = (self.node_count(), self.passes.source, self.horizon());
-        let mut heard = BatchedInformedSet::new(n);
-        heard.insert_masked(source, !0);
-        let mut value_masks = vec![0u64; n];
-        value_masks[source as usize] = !0;
-        let mut correct_counts = LaneCounter::new();
-        correct_counts.add_masked(!0, 1);
-        let mut rounds = LaneRounds::new(n);
-        // Lanes whose replay broke at an epoch boundary with no
-        // participants left, and the number of rounds each had executed.
-        let mut exhausted: LaneMask = 0;
-        let mut exhaust_end: Vec<Option<usize>> = vec![None; LANES];
-
-        let mut plist: Vec<u32> = vec![source];
-        let mut in_plist = vec![false; n];
-        in_plist[source as usize] = true;
-        let mut act: Vec<LaneMask> = vec![0; n];
-        let mut active: Vec<u32> = Vec::new();
-
-        let mut once: Vec<LaneMask> = vec![0; n];
-        let mut twice: Vec<LaneMask> = vec![0; n];
-        let mut vonce: Vec<LaneMask> = vec![0; n];
-        let mut touched: Vec<u32> = Vec::new();
-        let (decay, epoch_len) = self.schedule().epochs();
-
-        for round in 1..=horizon {
-            let live = !(rounds.completed() | exhausted);
-            if live == 0 {
-                break;
-            }
-            let r0 = round - 1;
-            let j = r0 % epoch_len;
-            if j == 0 {
-                let mut any: LaneMask = 0;
-                plist.sort_unstable();
-                plist.retain(|&v| {
-                    let vi = v as usize;
-                    let inf_v = heard.lanes(v);
-                    let mut un: LaneMask = 0;
-                    for &t in ram.targets_of(v) {
-                        un |= !heard.lanes(t);
-                        if un & inf_v == inf_v {
-                            break;
-                        }
-                    }
-                    let m = inf_v & un;
-                    act[vi] = m;
-                    any |= m;
-                    if m == 0 {
-                        in_plist[vi] = false;
-                    }
-                    m != 0
-                });
-                active.clone_from(&plist);
-                let newly_exhausted = live & !any;
-                record_crossings(newly_exhausted, rounds.executed, &mut exhaust_end);
-                exhausted |= newly_exhausted;
-                if live & any == 0 {
-                    break;
-                }
-            }
-
-            for &v in &active {
-                let a = act[v as usize];
-                let mut un_v: LaneMask = 0;
-                for &t in ram.targets_of(v) {
-                    un_v |= !heard.lanes(t);
-                    if un_v & a == a {
-                        break;
-                    }
-                }
-                let useful = a & un_v;
-                if useful == 0 {
-                    continue;
-                }
-                // Every useful lane transmits; the coin corrupts the
-                // delivered value instead of the delivery.
-                let corrupt = model.corrupt_mask(&tapes, radio_site(r0, v), v, useful);
-                let txval = match model.kind() {
-                    CorruptionKind::Flip => (value_masks[v as usize] ^ corrupt) & useful,
-                    _ => value_masks[v as usize] & !corrupt & useful,
-                };
-                for &t in ram.targets_of(v) {
-                    let ti = t as usize;
-                    let need = useful & !heard.lanes(t);
-                    if need == 0 {
-                        continue;
-                    }
-                    if once[ti] | twice[ti] == 0 {
-                        touched.push(t);
-                    }
-                    // Lanes where `v` is the first transmitter at `t`
-                    // record `v`'s value; a second transmitter marks
-                    // the collision and the value is moot.
-                    let first = need & !once[ti];
-                    vonce[ti] |= txval & first;
-                    twice[ti] |= once[ti] & need;
-                    once[ti] |= need;
-                }
-            }
-
-            let mut changed = false;
-            for &t in &touched {
-                let ti = t as usize;
-                let hear = once[ti] & !twice[ti];
-                once[ti] = 0;
-                twice[ti] = 0;
-                let adopted = vonce[ti] & hear;
-                vonce[ti] = 0;
-                if hear == 0 {
-                    continue;
-                }
-                let newly = heard.insert_masked(t, hear);
-                if newly != 0 {
-                    changed = true;
-                    value_masks[ti] |= adopted & newly;
-                    correct_counts.add_masked(adopted & newly, 1);
-                    if !in_plist[ti] {
-                        in_plist[ti] = true;
-                        act[ti] = 0;
-                        plist.push(t);
-                    }
-                }
-            }
-            touched.clear();
-
-            rounds.end_round(&correct_counts, round, changed);
-
-            if decay && j + 1 < epoch_len {
-                decay_thin(&mut act, &mut active, &decay_tape, r0);
-            }
-        }
-
-        FastRadioBatch {
-            n,
-            horizon,
-            informed: BatchedInformedSet::from_parts(value_masks, correct_counts),
-            rounds,
-            exhaust_end,
-        }
+        self.passes
+            .batch_pass(self.passes.views(), model, block_seed)
+            .expect("RAM stores never fail a read")
     }
 }
 
@@ -756,9 +470,10 @@ impl ShardedRadio {
         }
     }
 
-    /// Sets the worker count for the parallel collision drain and, over
-    /// an in-RAM store of several shards, the parallel 64-lane shard
-    /// passes (byte-outcome-invisible; clamped to at least 1).
+    /// Sets the worker count for the scalar lane pass's collision drain,
+    /// which goes parallel from 2¹⁶ touched listeners in one round
+    /// (byte-outcome-invisible; clamped to at least 1). The 64-lane pass
+    /// runs on one thread.
     #[must_use]
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = threads.max(1);
@@ -845,7 +560,7 @@ impl ShardedRadio {
     ///
     /// Panics if `p ∉ [0, 1)`.
     pub fn run_batch(&self, p: f64, block_seed: u64) -> Result<FastRadioBatch, ShardError> {
-        self.batch_pass(self.views(), &Omission::new(p), block_seed, self.threads)
+        self.batch_pass(self.views(), &Omission::new(p), block_seed)
     }
 
     /// The per-pass segment reader over the store.
@@ -853,14 +568,17 @@ impl ShardedRadio {
         PassLoader::new(&self.store, self.prefetch)
     }
 
-    /// The scalar lane pass under a `Silent` [`FaultModel`] (a
-    /// corrupted transmission is silenced). Each round makes one
-    /// shard-at-a-time transmit pass (plus, at epoch boundaries, one
-    /// refilter pass over participant lists first sorted into node
-    /// order, as in [`batch_pass`](Self::batch_pass)), walking the shards
-    /// in the [`PassLoader`]'s order; collision counts accumulate across
-    /// every shard and drain once per round in listener-shard order,
-    /// whatever the transmit order, on up to `threads` workers. For disk
+    /// The scalar lane pass under any [`FaultModel`]: a `Silent` coin
+    /// silences the transmitter, and a `Flip` / `Lie` coin corrupts the
+    /// value it sends, which the pass tracks in a value plane (see the
+    /// module docs) that a `Silent` model never allocates. Each round
+    /// makes one shard-at-a-time transmit pass (plus, at epoch
+    /// boundaries, one refilter pass over participant lists first sorted
+    /// into node order, as in [`batch_pass`](Self::batch_pass)), walking
+    /// the shards in the [`PassLoader`]'s order; collision counts
+    /// accumulate across every shard and drain once per round in
+    /// listener-shard order, whatever the transmit order, on up to
+    /// `threads` workers. For disk
     /// stores each shard pass is served by a segment the loader still
     /// holds, by a full segment read overlapped with the previous
     /// shard's compute (the prefetch pipeline) or, when the pass touches
@@ -888,6 +606,19 @@ impl ShardedRadio {
         let mut informed_by_round = Vec::with_capacity(self.horizon.min(1024) + 1);
         informed_by_round.push(1);
         let mut completion_round = (n == 1).then_some(0);
+        // The value plane of a `Flip` / `Lie` model: `correct` holds the
+        // correctly informed nodes (membership is also the value a heard
+        // node holds) and `sent_to[v]` the value sent to `v` this round,
+        // read only when `v` heard exactly one transmitter. `Silent`
+        // models leave both empty.
+        let kind = model.kind();
+        let values = kind != CorruptionKind::Silent;
+        let value_n = if values { n } else { 0 };
+        let mut correct = InformedSet::new(value_n);
+        let mut sent_to = vec![false; value_n];
+        if values {
+            correct.insert(self.source);
+        }
 
         let mut participants: Vec<Vec<u32>> = vec![Vec::new(); k];
         participants[plan.shard_of(self.source)].push(self.source);
@@ -927,25 +658,40 @@ impl ShardedRadio {
                 }
                 let view = views.view_list(s, act_list)?;
                 for &u in act_list {
-                    // The coin is an omission: `true` silences `u`.
-                    if model.corrupt_lane(&tapes, radio_site(r0, u), u, lane) {
-                        continue;
-                    }
+                    let coin = model.corrupt_lane(&tapes, radio_site(r0, u), u, lane);
+                    let sent = match kind {
+                        CorruptionKind::Silent if coin => continue,
+                        CorruptionKind::Silent => false,
+                        CorruptionKind::Flip => correct.contains(u) ^ coin,
+                        CorruptionKind::Lie => correct.contains(u) && !coin,
+                    };
                     for &v in view.targets_of(u) {
                         if !informed.contains(v) {
                             counter.add(v);
+                            if values {
+                                sent_to[v as usize] = sent;
+                            }
                         }
                     }
                 }
             }
             counter.drain_sole_receivers(threads, |s, v| {
                 informed.insert(v);
+                // A sole receiver adopts its one transmitter's value.
+                if values && sent_to[v as usize] {
+                    correct.insert(v);
+                }
                 // Joins the transmitters at the next epoch start.
                 participants[s].push(v);
             });
 
-            informed_by_round.push(informed.count());
-            if informed.count() == n {
+            let count = if values {
+                correct.count()
+            } else {
+                informed.count()
+            };
+            informed_by_round.push(count);
+            if count == n {
                 completion_round = Some(round);
             }
 
@@ -961,13 +707,15 @@ impl ShardedRadio {
             horizon: self.horizon,
             completion_round,
             informed_by_round,
-            informed,
+            informed: if values { correct } else { informed },
         })
     }
 
-    /// The 64-lane pass under a `Silent` [`FaultModel`]. The union
-    /// participant list is kept per shard; per-node lane state (`act`,
-    /// informed words, collision accumulators) stays global. Each round
+    /// The 64-lane pass under any [`FaultModel`], on one thread, with
+    /// the lane pass's fault semantics and a lane-sliced value plane for
+    /// `Flip` / `Lie` models. The union participant list is kept per
+    /// shard; per-node lane state (`act`, informed words, collision
+    /// accumulators) stays global. Each round
     /// runs the epoch refilter and the transmit pass one shard at a
     /// time, accumulating the `≥ 1` / `≥ 2` collision masks across all
     /// shards before the single sole-receiver drain, and the
@@ -980,30 +728,35 @@ impl ShardedRadio {
     /// whose mask is still nonzero. Both walks take the shards in the
     /// [`PassLoader`]'s order. Neither order can change an outcome:
     /// coins are site-addressed and the once/twice/informed updates
-    /// commute (DESIGN.md, "Outcome-neutrality is a theorem here").
-    /// Over an in-RAM store of several shards with
-    /// `threads > 1`, the shard passes fan out across workers instead
-    /// ([`batch_pass_threads`](Self::batch_pass_threads)); disk stores
-    /// stay sequential.
+    /// commute (DESIGN.md, "Outcome-neutrality is a theorem here"); the
+    /// values sent to a listener are read only on lanes where exactly one
+    /// neighbor transmitted.
     fn batch_pass<M: FaultModel + ?Sized>(
         &self,
         mut views: PassLoader<'_>,
         model: &M,
         block_seed: u64,
-        threads: usize,
     ) -> Result<FastRadioBatch, ShardError> {
         let tapes = FaultTapes::new(block_seed);
         let decay_tape = BatchTape::new(block_seed, DECAY_STREAM);
         let plan = self.store.plan();
         let n = plan.node_count();
         let k = plan.shard_count();
-        if threads > 1 && k > 1 {
-            if let ShardStore::Ram(ram) = &self.store {
-                return Ok(self.batch_pass_threads(ram, model, &tapes, &decay_tape, threads));
-            }
-        }
         let mut informed = BatchedInformedSet::new(n);
         informed.insert_masked(self.source, !0);
+        // The lane-sliced value plane of a `Flip` / `Lie` model, as in
+        // the lane pass: `correct` holds each node's correctly informed
+        // lanes and `sent_to[t]` the OR of the values sent to `t` this
+        // round, read only on lanes where `t` heard exactly one
+        // transmitter. `Silent` models leave both empty.
+        let kind = model.kind();
+        let values = kind != CorruptionKind::Silent;
+        let value_n = if values { n } else { 0 };
+        let mut correct = BatchedInformedSet::new(value_n);
+        let mut sent_to: Vec<LaneMask> = vec![0; value_n];
+        if values {
+            correct.insert_masked(self.source, !0);
+        }
         let mut rounds = LaneRounds::new(n);
         // Lanes whose replay broke at an epoch boundary with no
         // participants left, and the number of rounds each had executed.
@@ -1107,7 +860,15 @@ impl ShardedRadio {
                     if useful == 0 {
                         continue;
                     }
-                    let tx = useful & !model.corrupt_mask(&tapes, radio_site(r0, v), v, useful);
+                    let coin = model.corrupt_mask(&tapes, radio_site(r0, v), v, useful);
+                    // A `Silent` coin silences its lanes; under a value
+                    // model every useful lane transmits and the coin
+                    // corrupts the value it sends.
+                    let (tx, sent) = match kind {
+                        CorruptionKind::Silent => (useful & !coin, 0),
+                        CorruptionKind::Flip => (useful, correct.lanes(v) ^ coin),
+                        CorruptionKind::Lie => (useful, correct.lanes(v) & !coin),
+                    };
                     if tx == 0 {
                         continue;
                     }
@@ -1126,6 +887,9 @@ impl ShardedRadio {
                         if once[ti] | twice[ti] == 0 {
                             touched.push(t);
                         }
+                        if values {
+                            sent_to[ti] |= sent & need;
+                        }
                         twice[ti] |= once[ti] & need;
                         once[ti] |= need;
                     }
@@ -1138,12 +902,22 @@ impl ShardedRadio {
                 let hear = once[ti] & !twice[ti];
                 once[ti] = 0;
                 twice[ti] = 0;
+                let value = if values {
+                    std::mem::take(&mut sent_to[ti])
+                } else {
+                    0
+                };
                 if hear == 0 {
                     continue;
                 }
                 let newly = informed.insert_masked(t, hear);
                 if newly != 0 {
                     changed = true;
+                    if values {
+                        // A sole receiver adopts its one transmitter's
+                        // value.
+                        correct.insert_masked(t, value & newly);
+                    }
                     if !in_plist[ti] {
                         in_plist[ti] = true;
                         act[ti] = 0;
@@ -1153,7 +927,8 @@ impl ShardedRadio {
             }
             touched.clear();
 
-            rounds.end_round(informed.counts(), round, changed);
+            let counted = if values { &correct } else { &informed };
+            rounds.end_round(counted.counts(), round, changed);
 
             if decay && j + 1 < epoch_len {
                 for list in &mut active {
@@ -1165,268 +940,10 @@ impl ShardedRadio {
         Ok(FastRadioBatch {
             n,
             horizon: self.horizon,
-            informed,
+            informed: if values { correct } else { informed },
             rounds,
             exhaust_end,
         })
-    }
-
-    /// The 64-lane pass with each round's independent shard passes
-    /// fanned across up to `threads` scoped workers over the in-RAM
-    /// store's views — **byte-identical** to the sequential pass for
-    /// every `threads × plan` combination. Both the epoch refilter and
-    /// the transmit pass read only state frozen for the pass (the
-    /// informed lane masks are not written until the single
-    /// sole-receiver drain), so workers return their writes as data and
-    /// the ascending-shard merge replays the exact sequential write
-    /// sequence — including the `touched` order the drain visits (see
-    /// DESIGN.md, "Parallel shard passes"). Refilter workers return each
-    /// shard's surviving participants, in the node order the boundary
-    /// sorted them into, with their fresh activity masks plus the
-    /// shard's participation union; transmit workers walk the shard's
-    /// active list and return `(target, need)` delivery events bucketed
-    /// by listener shard.
-    fn batch_pass_threads<M: FaultModel + ?Sized>(
-        &self,
-        ram: &RamShards,
-        model: &M,
-        tapes: &FaultTapes,
-        decay_tape: &BatchTape,
-        threads: usize,
-    ) -> FastRadioBatch {
-        struct RefilterPass {
-            retained: Vec<(u32, LaneMask)>,
-            dropped: Vec<u32>,
-            any: LaneMask,
-        }
-
-        let plan = ram.plan();
-        let n = plan.node_count();
-        let k = plan.shard_count();
-        let mut informed = BatchedInformedSet::new(n);
-        informed.insert_masked(self.source, !0);
-        let mut rounds = LaneRounds::new(n);
-        // Lanes whose replay broke at an epoch boundary with no
-        // participants left, and the number of rounds each had executed.
-        let mut exhausted: LaneMask = 0;
-        let mut exhaust_end: Vec<Option<usize>> = vec![None; LANES];
-
-        let mut plist: Vec<Vec<u32>> = vec![Vec::new(); k];
-        plist[plan.shard_of(self.source)].push(self.source);
-        let mut in_plist = vec![false; n];
-        in_plist[self.source as usize] = true;
-        let mut act: Vec<LaneMask> = vec![0; n];
-        let mut active: Vec<Vec<u32>> = vec![Vec::new(); k];
-
-        let mut once: Vec<LaneMask> = vec![0; n];
-        let mut twice: Vec<LaneMask> = vec![0; n];
-        let (decay, epoch_len) = self.schedule.epochs();
-
-        for round in 1..=self.horizon {
-            let live = !(rounds.completed() | exhausted);
-            if live == 0 {
-                break;
-            }
-            let r0 = round - 1;
-            let j = r0 % epoch_len;
-            if j == 0 {
-                for list in &mut plist {
-                    list.sort_unstable();
-                }
-                // Parallel refilter: workers read the frozen informed
-                // masks and their own shard's frozen participant list.
-                let passes = {
-                    let plist = &plist;
-                    let informed = &informed;
-                    shard_passes(k, threads, |s| {
-                        let mut pass = RefilterPass {
-                            retained: Vec::new(),
-                            dropped: Vec::new(),
-                            any: 0,
-                        };
-                        let view = ram.view(s);
-                        for &v in &plist[s] {
-                            let inf_v = informed.lanes(v);
-                            let mut un: LaneMask = 0;
-                            for &t in view.targets_of(v) {
-                                un |= !informed.lanes(t);
-                                if un & inf_v == inf_v {
-                                    break;
-                                }
-                            }
-                            let m = inf_v & un;
-                            pass.any |= m;
-                            if m == 0 {
-                                pass.dropped.push(v);
-                            } else {
-                                pass.retained.push((v, m));
-                            }
-                        }
-                        pass
-                    })
-                };
-                let mut any: LaneMask = 0;
-                for (s, pass) in passes.into_iter().enumerate() {
-                    any |= pass.any;
-                    if pass.retained.is_empty() && pass.dropped.is_empty() {
-                        continue;
-                    }
-                    let list = &mut plist[s];
-                    list.clear();
-                    for (v, m) in pass.retained {
-                        act[v as usize] = m;
-                        list.push(v);
-                    }
-                    active[s].clone_from(list);
-                    for v in pass.dropped {
-                        act[v as usize] = 0;
-                        in_plist[v as usize] = false;
-                    }
-                }
-                let newly_exhausted = live & !any;
-                record_crossings(newly_exhausted, rounds.executed, &mut exhaust_end);
-                exhausted |= newly_exhausted;
-                if live & any == 0 {
-                    break;
-                }
-            }
-
-            // Parallel transmit: `informed` is frozen until the drain,
-            // so the per-target `need` masks workers compute are the
-            // very masks the sequential pass reads. Events come back
-            // bucketed by the *listener's* shard so the merge can fan
-            // out too.
-            let events = {
-                let active = &active;
-                let act = &act;
-                let informed = &informed;
-                shard_passes(k, threads, |s| {
-                    let mut events: Vec<Vec<(u32, LaneMask)>> = vec![Vec::new(); k];
-                    let view = ram.view(s);
-                    for &v in &active[s] {
-                        let a = act[v as usize];
-                        let mut un_v: LaneMask = 0;
-                        for &t in view.targets_of(v) {
-                            un_v |= !informed.lanes(t);
-                            if un_v & a == a {
-                                break;
-                            }
-                        }
-                        let useful = a & un_v;
-                        if useful == 0 {
-                            continue;
-                        }
-                        let tx = useful & !model.corrupt_mask(tapes, radio_site(r0, v), v, useful);
-                        if tx == 0 {
-                            continue;
-                        }
-                        for &t in view.targets_of(v) {
-                            let need = tx & !informed.lanes(t);
-                            if need != 0 {
-                                events[plan.shard_of(t)].push((t, need));
-                            }
-                        }
-                    }
-                    events
-                })
-            };
-
-            // Parallel merge + drain: each listener shard's event
-            // stream (transmit shards ascending, emission order within
-            // each) is the restriction of the sequential merge order to
-            // that shard, so folding it into that shard's slice of the
-            // once/twice planes replays the sequential first-touch
-            // order exactly. Workers emit `(t, hear)` in first-touch
-            // order and reset their slices; only the `informed` insert
-            // stays sequential.
-            let mut regrouped: Vec<Vec<Vec<(u32, LaneMask)>>> = vec![Vec::with_capacity(k); k];
-            for per_tx in events {
-                for (l, bucket) in per_tx.into_iter().enumerate() {
-                    regrouped[l].push(bucket);
-                }
-            }
-            // One listener shard's drain state: its event buckets (one
-            // per transmit shard, ascending) plus its slices of the
-            // once/twice hearing planes.
-            type ListenerDrain<'a> = (
-                Vec<Vec<(u32, LaneMask)>>,
-                &'a mut [LaneMask],
-                &'a mut [LaneMask],
-            );
-            let state: Vec<ListenerDrain> = {
-                let mut state = Vec::with_capacity(k);
-                let mut once_rest: &mut [LaneMask] = &mut once;
-                let mut twice_rest: &mut [LaneMask] = &mut twice;
-                let mut prev = 0u32;
-                for (l, buckets) in regrouped.into_iter().enumerate() {
-                    let (_, end) = plan.range(l);
-                    let (once_l, o_rest) = once_rest.split_at_mut((end - prev) as usize);
-                    let (twice_l, t_rest) = twice_rest.split_at_mut((end - prev) as usize);
-                    once_rest = o_rest;
-                    twice_rest = t_rest;
-                    prev = end;
-                    state.push((buckets, once_l, twice_l));
-                }
-                state
-            };
-            let drained = range_passes(state, threads, |l, (buckets, once_l, twice_l)| {
-                let (start, _) = plan.range(l);
-                let mut local_touched: Vec<u32> = Vec::new();
-                for bucket in &buckets {
-                    for &(t, need) in bucket {
-                        let ti = (t - start) as usize;
-                        if once_l[ti] | twice_l[ti] == 0 {
-                            local_touched.push(t);
-                        }
-                        twice_l[ti] |= once_l[ti] & need;
-                        once_l[ti] |= need;
-                    }
-                }
-                let mut heard: Vec<(u32, LaneMask)> = Vec::with_capacity(local_touched.len());
-                for t in local_touched {
-                    let ti = (t - start) as usize;
-                    let hear = once_l[ti] & !twice_l[ti];
-                    once_l[ti] = 0;
-                    twice_l[ti] = 0;
-                    if hear != 0 {
-                        heard.push((t, hear));
-                    }
-                }
-                heard
-            });
-
-            let mut changed = false;
-            for heard in drained {
-                for (t, hear) in heard {
-                    let ti = t as usize;
-                    let newly = informed.insert_masked(t, hear);
-                    if newly != 0 {
-                        changed = true;
-                        if !in_plist[ti] {
-                            in_plist[ti] = true;
-                            act[ti] = 0;
-                            plist[plan.shard_of(t)].push(t);
-                        }
-                    }
-                }
-            }
-
-            rounds.end_round(informed.counts(), round, changed);
-
-            if decay && j + 1 < epoch_len {
-                for list in &mut active {
-                    decay_thin(&mut act, list, decay_tape, r0);
-                }
-            }
-        }
-
-        FastRadioBatch {
-            n,
-            horizon: self.horizon,
-            informed,
-            rounds,
-            exhaust_end,
-        }
     }
 }
 
@@ -1936,36 +1453,380 @@ mod tests {
         }
     }
 
-    #[test]
-    fn thread_parallel_sharded_batch_matches_monolithic_exactly() {
-        let g = generators::gnp_connected(120, 0.04, &mut rand::rngs::SmallRng::seed_from_u64(11));
-        let csr = CsrGraph::from(&g);
-        for schedule in [
-            FastRadioSchedule::Decay { epoch_len: 8 },
-            FastRadioSchedule::AllInformed,
-        ] {
-            let fr = FastRadio::new(csr.clone(), g.node(0), 600, schedule);
-            for shards in [1usize, 2, 3, 7] {
-                let sharded = resharded(&csr, &g, 600, schedule, shards);
-                for p in [0.0, 0.3, 0.8] {
-                    let seed = 213 + shards as u64;
-                    let model = Omission::new(p);
-                    let mono = fr.run_batch(p, seed);
-                    for threads in [1usize, 2, 4, 9] {
-                        assert_eq!(
-                            sharded.run_batch_model(&model, seed, threads),
-                            mono,
-                            "diverged: {schedule:?} shards={shards} threads={threads} p={p}"
-                        );
+    impl FastRadio {
+        /// The corrupted-value scalar pass the lane pass's value plane
+        /// replaced, kept as the reference: the whole adjacency in RAM.
+        /// Faults never silence: every active node transmits, so the
+        /// collision process is the fault-free one and only message
+        /// *values* are at stake. A sole receiver adopts whatever its one
+        /// audible neighbor sent — a `Flip` transmitter sends its own value
+        /// XOR the corruption coin, a `Lie` transmitter sends the true value
+        /// only when uncorrupted and holding it — and retransmits that value
+        /// in later epochs. The returned informed set and growth curve track
+        /// the correctly informed nodes (the quantity the paper's malicious
+        /// feasibility results are about); participation and exhaustion
+        /// bookkeeping run on the heard set, exactly like the silent replay.
+        fn run_lane_values<M: FaultModel + ?Sized>(
+            &self,
+            model: &M,
+            block_seed: u64,
+            lane: u32,
+        ) -> FastRadioOutcome {
+            assert!((lane as usize) < LANES, "lane out of range");
+            let tapes = FaultTapes::new(block_seed);
+            let decay_tape = BatchTape::new(block_seed, DECAY_STREAM);
+            let ram = self.ram();
+            let (n, source, horizon) = (self.node_count(), self.passes.source, self.horizon());
+            let mut heard = InformedSet::new(n);
+            heard.insert(source);
+            let mut val = vec![false; n];
+            val[source as usize] = true;
+            let mut correct = InformedSet::new(n);
+            correct.insert(source);
+            let mut informed_by_round = Vec::with_capacity(horizon.min(1024) + 1);
+            informed_by_round.push(1);
+            let mut completion_round = (n == 1).then_some(0);
+
+            let mut participants: Vec<u32> = vec![source];
+            let mut active: Vec<u32> = Vec::new();
+            // Sole-receiver resolution carrying the first transmitter's
+            // value: `vonce[v]` is meaningful while `once[v]` is set.
+            let mut once = vec![false; n];
+            let mut twice = vec![false; n];
+            let mut vonce = vec![false; n];
+            let mut touched: Vec<u32> = Vec::new();
+            let (decay, epoch_len) = self.schedule().epochs();
+
+            for round in 1..=horizon {
+                if completion_round.is_some() {
+                    break;
+                }
+                let r0 = round - 1;
+                let j = r0 % epoch_len;
+                if j == 0 {
+                    participants.sort_unstable();
+                    participants.retain(|&u| ram.targets_of(u).iter().any(|&t| !heard.contains(t)));
+                    if participants.is_empty() {
+                        break;
+                    }
+                    active.clear();
+                    active.extend_from_slice(&participants);
+                }
+
+                for &u in &active {
+                    let ui = u as usize;
+                    // Coins are site-addressed pure functions, so skipping
+                    // the draw for a transmission no listener can use
+                    // leaves every other read untouched.
+                    if !ram.targets_of(u).iter().any(|&t| !heard.contains(t)) {
+                        continue;
+                    }
+                    let corrupt = model.corrupt_lane(&tapes, radio_site(r0, u), u, lane);
+                    let txval = match model.kind() {
+                        CorruptionKind::Flip => val[ui] ^ corrupt,
+                        _ => val[ui] && !corrupt,
+                    };
+                    for &v in ram.targets_of(u) {
+                        let vi = v as usize;
+                        if heard.contains(v) {
+                            continue;
+                        }
+                        if once[vi] {
+                            twice[vi] = true;
+                        } else {
+                            once[vi] = true;
+                            vonce[vi] = txval;
+                            touched.push(v);
+                        }
                     }
                 }
+                for &v in &touched {
+                    let vi = v as usize;
+                    if !twice[vi] {
+                        heard.insert(v);
+                        participants.push(v);
+                        val[vi] = vonce[vi];
+                        if val[vi] {
+                            correct.insert(v);
+                        }
+                    }
+                    once[vi] = false;
+                    twice[vi] = false;
+                }
+                touched.clear();
+
+                informed_by_round.push(correct.count());
+                if correct.count() == n {
+                    completion_round = Some(round);
+                }
+
+                if decay && j + 1 < epoch_len {
+                    active.retain(|&u| decay_tape.fair_lane(radio_site(r0, u), lane));
+                }
+            }
+
+            FastRadioOutcome {
+                n,
+                horizon,
+                completion_round,
+                informed_by_round,
+                informed: correct,
+            }
+        }
+
+        /// The corrupted-value 64-lane pass the batch pass's value plane
+        /// replaced, kept as the reference: the whole adjacency in RAM, and
+        /// the machinery of the silent batch with the fault application
+        /// moved from transmissions to values: `useful` lanes all transmit,
+        /// the `≥ 1` / `≥ 2` collision masks gain a first-transmitter value
+        /// mask, and a sole receiver adopts that value. Counts, crossings,
+        /// and the final informed set track the correctly informed nodes;
+        /// participation and exhaustion run on the heard set.
+        fn run_batch_values<M: FaultModel + ?Sized>(
+            &self,
+            model: &M,
+            block_seed: u64,
+        ) -> FastRadioBatch {
+            let tapes = FaultTapes::new(block_seed);
+            let decay_tape = BatchTape::new(block_seed, DECAY_STREAM);
+            let ram = self.ram();
+            let (n, source, horizon) = (self.node_count(), self.passes.source, self.horizon());
+            let mut heard = BatchedInformedSet::new(n);
+            heard.insert_masked(source, !0);
+            let mut value_masks = vec![0u64; n];
+            value_masks[source as usize] = !0;
+            let mut correct_counts = LaneCounter::new();
+            correct_counts.add_masked(!0, 1);
+            let mut rounds = LaneRounds::new(n);
+            // Lanes whose replay broke at an epoch boundary with no
+            // participants left, and the number of rounds each had executed.
+            let mut exhausted: LaneMask = 0;
+            let mut exhaust_end: Vec<Option<usize>> = vec![None; LANES];
+
+            let mut plist: Vec<u32> = vec![source];
+            let mut in_plist = vec![false; n];
+            in_plist[source as usize] = true;
+            let mut act: Vec<LaneMask> = vec![0; n];
+            let mut active: Vec<u32> = Vec::new();
+
+            let mut once: Vec<LaneMask> = vec![0; n];
+            let mut twice: Vec<LaneMask> = vec![0; n];
+            let mut vonce: Vec<LaneMask> = vec![0; n];
+            let mut touched: Vec<u32> = Vec::new();
+            let (decay, epoch_len) = self.schedule().epochs();
+
+            for round in 1..=horizon {
+                let live = !(rounds.completed() | exhausted);
+                if live == 0 {
+                    break;
+                }
+                let r0 = round - 1;
+                let j = r0 % epoch_len;
+                if j == 0 {
+                    let mut any: LaneMask = 0;
+                    plist.sort_unstable();
+                    plist.retain(|&v| {
+                        let vi = v as usize;
+                        let inf_v = heard.lanes(v);
+                        let mut un: LaneMask = 0;
+                        for &t in ram.targets_of(v) {
+                            un |= !heard.lanes(t);
+                            if un & inf_v == inf_v {
+                                break;
+                            }
+                        }
+                        let m = inf_v & un;
+                        act[vi] = m;
+                        any |= m;
+                        if m == 0 {
+                            in_plist[vi] = false;
+                        }
+                        m != 0
+                    });
+                    active.clone_from(&plist);
+                    let newly_exhausted = live & !any;
+                    record_crossings(newly_exhausted, rounds.executed, &mut exhaust_end);
+                    exhausted |= newly_exhausted;
+                    if live & any == 0 {
+                        break;
+                    }
+                }
+
+                for &v in &active {
+                    let a = act[v as usize];
+                    let mut un_v: LaneMask = 0;
+                    for &t in ram.targets_of(v) {
+                        un_v |= !heard.lanes(t);
+                        if un_v & a == a {
+                            break;
+                        }
+                    }
+                    let useful = a & un_v;
+                    if useful == 0 {
+                        continue;
+                    }
+                    // Every useful lane transmits; the coin corrupts the
+                    // delivered value instead of the delivery.
+                    let corrupt = model.corrupt_mask(&tapes, radio_site(r0, v), v, useful);
+                    let txval = match model.kind() {
+                        CorruptionKind::Flip => (value_masks[v as usize] ^ corrupt) & useful,
+                        _ => value_masks[v as usize] & !corrupt & useful,
+                    };
+                    for &t in ram.targets_of(v) {
+                        let ti = t as usize;
+                        let need = useful & !heard.lanes(t);
+                        if need == 0 {
+                            continue;
+                        }
+                        if once[ti] | twice[ti] == 0 {
+                            touched.push(t);
+                        }
+                        // Lanes where `v` is the first transmitter at `t`
+                        // record `v`'s value; a second transmitter marks
+                        // the collision and the value is moot.
+                        let first = need & !once[ti];
+                        vonce[ti] |= txval & first;
+                        twice[ti] |= once[ti] & need;
+                        once[ti] |= need;
+                    }
+                }
+
+                let mut changed = false;
+                for &t in &touched {
+                    let ti = t as usize;
+                    let hear = once[ti] & !twice[ti];
+                    once[ti] = 0;
+                    twice[ti] = 0;
+                    let adopted = vonce[ti] & hear;
+                    vonce[ti] = 0;
+                    if hear == 0 {
+                        continue;
+                    }
+                    let newly = heard.insert_masked(t, hear);
+                    if newly != 0 {
+                        changed = true;
+                        value_masks[ti] |= adopted & newly;
+                        correct_counts.add_masked(adopted & newly, 1);
+                        if !in_plist[ti] {
+                            in_plist[ti] = true;
+                            act[ti] = 0;
+                            plist.push(t);
+                        }
+                    }
+                }
+                touched.clear();
+
+                rounds.end_round(&correct_counts, round, changed);
+
+                if decay && j + 1 < epoch_len {
+                    decay_thin(&mut act, &mut active, &decay_tape, r0);
+                }
+            }
+
+            FastRadioBatch {
+                n,
+                horizon,
+                informed: BatchedInformedSet::from_parts(value_masks, correct_counts),
+                rounds,
+                exhaust_end,
+            }
+        }
+    }
+
+    /// `csr`'s edges spilled to a `k`-segment disk store.
+    fn disk_copy(csr: &CsrGraph, k: usize) -> ShardStore {
+        use randcast_graph::shard::{default_scratch_dir, SpillSink};
+        let plan = ShardPlan::uniform(csr.node_count(), k);
+        let mut sink = SpillSink::create(default_scratch_dir(), plan).unwrap();
+        for v in 0..csr.node_count() {
+            for &t in csr.neighbors_of(v) {
+                if (v as u32) < t {
+                    sink.push(v as u64, u64::from(t)).unwrap();
+                }
+            }
+        }
+        ShardStore::Disk(sink.finalize().unwrap())
+    }
+
+    #[test]
+    fn value_plane_passes_match_the_value_reference() {
+        use crate::kernel::{FlipFault, LieOrJamFault, WorstCasePlacement};
+        // 250 seeds cycle over family × schedule × p × model cells. Each
+        // seed runs one block and one lane of the folded passes over a
+        // one-shard and a 3-shard RAM store and a 3-segment disk store
+        // (prefetch on and off), and compares them with the reference.
+        let mut rng = rand::rngs::SmallRng::seed_from_u64(16);
+        let families = [
+            generators::grid(6, 7),
+            generators::star(12),
+            generators::complete(9),
+            generators::gnp_connected(150, 0.04, &mut rng),
+            generators::path(20),
+        ];
+        let horizon = 300;
+        let mut setups = Vec::new();
+        for g in &families {
+            let csr = CsrGraph::from(g);
+            let epoch_len = (csr.node_count() as f64).log2().ceil() as usize + 1;
+            for schedule in [
+                FastRadioSchedule::Decay { epoch_len },
+                FastRadioSchedule::AllInformed,
+            ] {
+                let one = FastRadio::new(csr.clone(), g.node(0), horizon, schedule);
+                let three = resharded(&csr, g, horizon, schedule, 3);
+                let disk = ShardedRadio::new(disk_copy(&csr, 3), 0, horizon, schedule);
+                let label = format!("n={} {schedule:?}", csr.node_count());
+                setups.push((label, one, three, disk));
+            }
+        }
+        let ps = [0.0, 0.1, 0.3, 0.6, 0.9];
+        let mut cells = Vec::new();
+        for setup in &setups {
+            for p in ps {
+                for model in 0..4 {
+                    cells.push((setup, p, model));
+                }
+            }
+        }
+        for s in 0..250usize {
+            let ((label, one, three, disk), p, m) = cells[s % cells.len()];
+            let model: Box<dyn FaultModel> = match m {
+                0 => Box::new(FlipFault::new(p)),
+                1 => Box::new(LieOrJamFault::new(p)),
+                _ => {
+                    let kind = [CorruptionKind::Flip, CorruptionKind::Lie][m - 2];
+                    let mut placed = WorstCasePlacement::new(p, kind);
+                    one.preprocess(&mut placed);
+                    Box::new(placed)
+                }
+            };
+            let model = model.as_ref();
+            let seed = 0x0DEC_A000 + s as u64;
+            let lane = (s % LANES) as u32;
+            let label = format!("{label} {} #{m} p={p} seed #{s}", model.name());
+            let want_lane = one.run_lane_values(model, seed, lane);
+            let want_block = one.run_batch_values(model, seed);
+            for (plan, k) in [(one, 1), (three, 3)] {
+                let lane_out = plan.run_lane_model(model, seed, lane);
+                assert_eq!(lane_out, want_lane, "{label} k={k} lane {lane}");
+                assert_eq!(
+                    plan.run_batch_model(model, seed),
+                    want_block,
+                    "{label} k={k}"
+                );
+            }
+            for prefetch in [true, false] {
+                let views = || PassLoader::new(&disk.store, prefetch);
+                let lane_out = disk.lane_pass(views(), model, seed, lane, 1).unwrap();
+                assert_eq!(lane_out, want_lane, "{label} disk {prefetch} lane {lane}");
+                let block = disk.batch_pass(views(), model, seed).unwrap();
+                assert_eq!(block, want_block, "{label} disk prefetch={prefetch}");
             }
         }
     }
 
     #[test]
     fn out_of_core_radio_matches_the_monolithic_lane_replay() {
-        use randcast_graph::shard::{default_scratch_dir, SpillSink};
         let g = generators::gnp_connected(110, 0.05, &mut rand::rngs::SmallRng::seed_from_u64(9));
         let csr = CsrGraph::from(&g);
         let n = csr.node_count();
@@ -1982,16 +1843,7 @@ mod tests {
                 900,
                 schedule,
             );
-            let mut sink = SpillSink::create(default_scratch_dir(), plan.clone()).unwrap();
-            for v in 0..n {
-                for &t in csr.neighbors_of(v) {
-                    if (v as u32) < t {
-                        sink.push(v as u64, u64::from(t)).unwrap();
-                    }
-                }
-            }
-            let disk =
-                ShardedRadio::new(ShardStore::Disk(sink.finalize().unwrap()), 0, 900, schedule);
+            let disk = ShardedRadio::new(disk_copy(&csr, 3), 0, 900, schedule);
             for p in [0.0, 0.5] {
                 for lane in [0u32, 7, 63] {
                     let mono = fr.run_lane(p, 77, lane);
@@ -2012,7 +1864,6 @@ mod tests {
 
     #[test]
     fn out_of_core_batch_and_every_knob_are_byte_invisible() {
-        use randcast_graph::shard::{default_scratch_dir, SpillSink};
         // Big enough that early rounds (one or two participants per
         // shard) take the sparse row-read path while bulk rounds take
         // full segment views, so both loaders face the equality gate.
@@ -2027,20 +1878,12 @@ mod tests {
         ] {
             let fr = FastRadio::new(csr.clone(), g.node(0), 1200, schedule);
             let mono = fr.run_batch(0.3, 91);
-            let mut sink = SpillSink::create(default_scratch_dir(), plan.clone()).unwrap();
-            for v in 0..n {
-                for &t in csr.neighbors_of(v) {
-                    if (v as u32) < t {
-                        sink.push(v as u64, u64::from(t)).unwrap();
-                    }
-                }
-            }
             let stores = [
                 (
                     ShardStore::Ram(RamShards::from_csr(csr.clone(), plan.clone())),
                     "ram",
                 ),
-                (ShardStore::Disk(sink.finalize().unwrap()), "disk"),
+                (disk_copy(&csr, 3), "disk"),
             ];
             for (store, what) in stores {
                 let mut radio = ShardedRadio::new(store, 0, 1200, schedule);
@@ -2070,7 +1913,7 @@ mod tests {
         let g = generators::grid(6, 6);
         let fr = decay_plan(&g, 2000);
         let model = Omission::new(0.4);
-        assert_eq!(fr.run_batch_model(&model, 77, 1), fr.run_batch(0.4, 77));
+        assert_eq!(fr.run_batch_model(&model, 77), fr.run_batch(0.4, 77));
         for lane in [0u32, 17, 63] {
             assert_eq!(
                 fr.run_lane_model(&model, 77, lane),
@@ -2094,7 +1937,7 @@ mod tests {
             for p in [0.0, 0.3, 0.76] {
                 let models: [&dyn FaultModel; 2] = [&FlipFault::new(p), &LieOrJamFault::new(p)];
                 for model in models {
-                    let batch = fr.run_batch_model(model, 41, 1);
+                    let batch = fr.run_batch_model(model, 41);
                     for lane in [0u32, 5, 31, 63] {
                         assert_eq!(
                             batch.lane_outcome(lane),
@@ -2153,8 +1996,8 @@ mod tests {
             for shards in [2usize, 3, 7] {
                 let sharded = resharded(&csr, &g, 600, schedule, shards);
                 assert_eq!(
-                    sharded.run_batch_model(model, 7, 2),
-                    fr.run_batch_model(model, 7, 1),
+                    sharded.run_batch_model(model, 7),
+                    fr.run_batch_model(model, 7),
                     "{} shards={shards}",
                     model.name()
                 );
