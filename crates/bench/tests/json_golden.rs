@@ -5,10 +5,14 @@
 //! one nondeterministic field, `wall_ms`, normalized to zero) is
 //! byte-identical to a committed golden file — locking in the schema,
 //! the writer's format, and the determinism of the sweep outcomes from
-//! the root seed. Four binaries are pinned:
+//! the root seed. Six binaries are pinned:
 //!
 //! * `exp_e4_datalink`, the cheapest Monte-Carlo binary, through the
-//!   trait-object engines;
+//!   trait-object message-passing engine;
+//! * `exp_decay_baseline`, whose Decay cells run on the trait-object
+//!   radio engine, so every reception moves their `mean_rounds`;
+//! * `exp_e5_radio_threshold`, whose near-threshold cells run the
+//!   trait-object radio engine under the lie-or-jam adversary;
 //! * `exp_scale_radio --trials 64`, six one-block cells of the batched
 //!   Decay kernel, so a change that moves a 64-lane block and its lane
 //!   replay together still fails a test;
@@ -92,6 +96,37 @@ fn quick_json_output_matches_the_golden_file() {
     }
 
     assert_matches_golden(report, "exp_e4_quick.json");
+}
+
+#[test]
+fn decay_baseline_quick_json_matches_the_golden_file() {
+    let report = quick_report(env!("CARGO_BIN_EXE_exp_decay_baseline"), &[]);
+
+    assert_eq!(report.experiment, "decay_baseline");
+    assert_eq!(report.cells.len(), 12);
+    for cell in &report.cells {
+        assert_eq!(cell.trials, 60);
+        assert!(cell.successes <= cell.trials);
+    }
+
+    assert_matches_golden(report, "exp_decay_baseline_quick.json");
+}
+
+#[test]
+fn radio_threshold_quick_json_matches_the_golden_file() {
+    let report = quick_report(env!("CARGO_BIN_EXE_exp_e5_radio_threshold"), &[]);
+
+    assert_eq!(report.experiment, "e5_radio_threshold");
+    assert_eq!(
+        report.cells.len(),
+        39,
+        "6 analytic + 30 threshold + 3 Simple cells"
+    );
+    for cell in &report.cells {
+        assert!(cell.successes <= cell.trials);
+    }
+
+    assert_matches_golden(report, "exp_e5_quick.json");
 }
 
 #[test]

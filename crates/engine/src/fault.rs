@@ -163,18 +163,10 @@ impl FaultConfig {
         FaultConfig::new(FaultKind::Malicious, p).expect("invalid probability")
     }
 
-    /// Samples the set of failed transmitters for one step: `result[v]`
-    /// is `true` iff node `v`'s transmitter fails. One independent coin
-    /// per node, exactly as in the paper.
-    pub fn sample_step(&self, nodes: usize, rng: &mut SmallRng) -> Vec<bool> {
-        let mut mask = Vec::with_capacity(nodes);
-        self.sample_step_into(nodes, rng, &mut mask);
-        mask
-    }
-
-    /// Allocation-free variant of [`sample_step`](Self::sample_step):
-    /// clears and refills `mask` so per-round engines can reuse one
-    /// buffer. Draws the same RNG stream as `sample_step`.
+    /// Samples the set of failed transmitters for one step into `mask`:
+    /// `mask[v]` is `true` iff node `v`'s transmitter fails. One
+    /// independent coin per node, exactly as in the paper. The mask is
+    /// cleared and refilled, so per-round engines reuse one buffer.
     pub fn sample_step_into(&self, nodes: usize, rng: &mut SmallRng, mask: &mut Vec<bool>) {
         mask.clear();
         let p = self.p.get();
@@ -210,7 +202,10 @@ mod tests {
     fn fault_free_samples_nothing() {
         let mut rng = SmallRng::seed_from_u64(1);
         let f = FaultConfig::fault_free();
-        assert!(f.sample_step(100, &mut rng).iter().all(|&b| !b));
+        let mut mask = vec![true; 3];
+        f.sample_step_into(100, &mut rng, &mut mask);
+        assert_eq!(mask.len(), 100);
+        assert!(mask.iter().all(|&b| !b));
     }
 
     #[test]
@@ -220,12 +215,11 @@ mod tests {
         let mut failures = 0usize;
         let steps = 2000;
         let nodes = 10;
+        let mut mask = Vec::new();
         for _ in 0..steps {
-            failures += f
-                .sample_step(nodes, &mut rng)
-                .iter()
-                .filter(|&&b| b)
-                .count();
+            f.sample_step_into(nodes, &mut rng, &mut mask);
+            assert_eq!(mask.len(), nodes);
+            failures += mask.iter().filter(|&&b| b).count();
         }
         let rate = failures as f64 / (steps * nodes) as f64;
         assert!((rate - 0.3).abs() < 0.02, "rate={rate}");

@@ -134,11 +134,13 @@ pub struct MpNetwork<'g, P: MpNode, A = SilentMpAdversary> {
     stats: MpStats,
     // Reusable per-step scratch buffers. Cleared and refilled every
     // round so the steady-state delivery path allocates nothing beyond
-    // what the automata themselves hand out.
+    // what the automata and the adversary hand out. `intended` holds
+    // the actual behaviors once the faults are resolved, and `senders`
+    // the nodes that may deliver, ascending.
     intended: Vec<Outgoing<P::Msg>>,
     fault_mask: Vec<bool>,
     faulty: Vec<NodeId>,
-    overrides: Vec<(NodeId, Outgoing<P::Msg>)>,
+    senders: Vec<NodeId>,
 }
 
 impl<'g, P: MpNode> MpNetwork<'g, P, SilentMpAdversary> {
@@ -180,7 +182,7 @@ impl<'g, P: MpNode, A: MpAdversary<P::Msg>> MpNetwork<'g, P, A> {
             intended: Vec::with_capacity(n),
             fault_mask: Vec::with_capacity(n),
             faulty: Vec::new(),
-            overrides: Vec::new(),
+            senders: Vec::new(),
         }
     }
 
@@ -228,10 +230,16 @@ impl<'g, P: MpNode, A: MpAdversary<P::Msg>> MpNetwork<'g, P, A> {
         let n = self.graph.node_count();
         let round = self.round;
 
-        // 1. Collect intentions (into the reusable buffer).
+        // 1. Collect intentions (into the reusable buffer), noting the
+        //    nodes that mean to send.
         self.intended.clear();
-        for node in &mut self.nodes {
-            self.intended.push(node.send(round));
+        self.senders.clear();
+        for (u, node) in self.nodes.iter_mut().enumerate() {
+            let out = node.send(round);
+            if !out.is_silent() {
+                self.senders.push(NodeId::new(u));
+            }
+            self.intended.push(out);
         }
 
         // 2. Sample transmitter faults (one coin per node).
@@ -242,12 +250,15 @@ impl<'g, P: MpNode, A: MpAdversary<P::Msg>> MpNetwork<'g, P, A> {
             .extend((0..n).filter(|&i| self.fault_mask[i]).map(NodeId::new));
         self.stats.faults += self.faulty.len() as u64;
 
-        // 3. Resolve actual behavior of faulty transmitters. Faulty
-        //    nodes are silent unless the adversary supplies a
-        //    replacement; replacements are kept in a sorted side table
-        //    (last one per node wins) instead of cloning the whole
-        //    intention vector.
-        self.overrides.clear();
+        // 3. Resolve actual behavior of faulty transmitters. The
+        //    adversary reads the intentions before anything changes, and
+        //    its replacements are clamped against them. Only then is
+        //    every faulty node silenced in place and the replacements
+        //    written over it, in order, so the last one per node wins.
+        //    A replacement may send out of turn, so after one the senders
+        //    are listed again from the actual behaviors: one scan, like
+        //    the fault coins, where merging them in would cost a sort.
+        let mut overrides = Vec::new();
         if self.fault.kind != FaultKind::Omission && !self.faulty.is_empty() {
             let ctx = MpRoundCtx {
                 round,
@@ -255,44 +266,40 @@ impl<'g, P: MpNode, A: MpAdversary<P::Msg>> MpNetwork<'g, P, A> {
                 faulty: &self.faulty,
                 intended: &self.intended,
             };
-            let replacements = self.adversary.corrupt_round(ctx, &mut self.rng);
-            for (v, behavior) in replacements {
+            overrides = self.adversary.corrupt_round(ctx, &mut self.rng);
+            for (v, behavior) in &mut overrides {
                 assert!(
                     self.fault_mask[v.index()],
                     "adversary tried to control non-faulty node {v}"
                 );
-                let behavior = if self.fault.kind == FaultKind::LimitedMalicious {
-                    clamp_to_intended(self.graph, v, &self.intended[v.index()], behavior)
-                } else {
-                    behavior
-                };
-                self.overrides.push((v, behavior));
-            }
-            self.overrides.sort_by_key(|&(v, _)| v);
-            self.overrides.dedup_by(|later, earlier| {
-                if later.0 == earlier.0 {
-                    // Keep the later replacement, matching sequential
-                    // overwrite semantics.
-                    std::mem::swap(later, earlier);
-                    true
-                } else {
-                    false
+                if self.fault.kind == FaultKind::LimitedMalicious {
+                    let replacement = std::mem::replace(behavior, Outgoing::Silent);
+                    *behavior =
+                        clamp_to_intended(self.graph, *v, &self.intended[v.index()], replacement);
                 }
-            });
+            }
+        }
+        for &v in &self.faulty {
+            self.intended[v.index()] = Outgoing::Silent;
+        }
+        if !overrides.is_empty() {
+            for (v, behavior) in overrides {
+                self.intended[v.index()] = behavior;
+            }
+            self.senders.clear();
+            self.senders.extend(
+                (0..n)
+                    .filter(|&u| !self.intended[u].is_silent())
+                    .map(NodeId::new),
+            );
         }
 
-        // 4. Deliver, in deterministic (sender, target) order.
+        // 4. Deliver, in deterministic (sender, target) order. Only the
+        //    senders can deliver, and none of them holds an empty list; a
+        //    faulty one without a replacement has been silenced.
         let graph = self.graph;
-        for u in graph.nodes() {
-            let out = if self.fault_mask[u.index()] {
-                match self.overrides.binary_search_by_key(&u, |&(v, _)| v) {
-                    Ok(i) => std::mem::replace(&mut self.overrides[i].1, Outgoing::Silent),
-                    Err(_) => Outgoing::Silent,
-                }
-            } else {
-                std::mem::replace(&mut self.intended[u.index()], Outgoing::Silent)
-            };
-            match out {
+        for &u in &self.senders {
+            match std::mem::replace(&mut self.intended[u.index()], Outgoing::Silent) {
                 Outgoing::Silent => {}
                 Outgoing::Broadcast(m) => {
                     self.stats.transmissions += 1;
@@ -302,9 +309,6 @@ impl<'g, P: MpNode, A: MpAdversary<P::Msg>> MpNetwork<'g, P, A> {
                     }
                 }
                 Outgoing::Directed(mut list) => {
-                    if list.is_empty() {
-                        continue;
-                    }
                     self.stats.transmissions += 1;
                     // Deliver in ascending-target order with last-wins
                     // duplicate handling, in place (no per-node map).
@@ -375,7 +379,10 @@ fn clamp_to_intended<M: Clone>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::adversary::{AntiTruthMpAdversary, FlipMpAdversary, RandomBitMpAdversary};
+    use crate::trace::{TraceLog, Traced};
     use rand::rngs::SmallRng;
+    use rand::Rng;
     use randcast_graph::generators;
 
     /// Floods `true` once informed; counts received messages.
@@ -734,5 +741,261 @@ mod tests {
         let s = net.stats();
         let rate = s.faults as f64 / (500.0 * 4.0);
         assert!((rate - 0.25).abs() < 0.05, "rate={rate}");
+    }
+
+    /// The step as first written, visiting every node in the delivery
+    /// loop and looking faulty ones up in a sorted replacement table:
+    /// the oracle for `step_matches_the_reference_step`. The body is
+    /// kept as it was, except that the table is a local instead of a
+    /// field.
+    impl<P: MpNode, A: MpAdversary<P::Msg>> MpNetwork<'_, P, A> {
+        fn reference_step(&mut self) {
+            let n = self.graph.node_count();
+            let round = self.round;
+            let mut overrides: Vec<(NodeId, Outgoing<P::Msg>)> = Vec::new();
+
+            // 1. Collect intentions (into the reusable buffer).
+            self.intended.clear();
+            for node in &mut self.nodes {
+                self.intended.push(node.send(round));
+            }
+
+            // 2. Sample transmitter faults (one coin per node).
+            self.fault
+                .sample_step_into(n, &mut self.rng, &mut self.fault_mask);
+            self.faulty.clear();
+            self.faulty
+                .extend((0..n).filter(|&i| self.fault_mask[i]).map(NodeId::new));
+            self.stats.faults += self.faulty.len() as u64;
+
+            // 3. Resolve actual behavior of faulty transmitters. Faulty
+            //    nodes are silent unless the adversary supplies a
+            //    replacement; replacements are kept in a sorted side table
+            //    (last one per node wins) instead of cloning the whole
+            //    intention vector.
+            overrides.clear();
+            if self.fault.kind != FaultKind::Omission && !self.faulty.is_empty() {
+                let ctx = MpRoundCtx {
+                    round,
+                    graph: self.graph,
+                    faulty: &self.faulty,
+                    intended: &self.intended,
+                };
+                let replacements = self.adversary.corrupt_round(ctx, &mut self.rng);
+                for (v, behavior) in replacements {
+                    assert!(
+                        self.fault_mask[v.index()],
+                        "adversary tried to control non-faulty node {v}"
+                    );
+                    let behavior = if self.fault.kind == FaultKind::LimitedMalicious {
+                        clamp_to_intended(self.graph, v, &self.intended[v.index()], behavior)
+                    } else {
+                        behavior
+                    };
+                    overrides.push((v, behavior));
+                }
+                overrides.sort_by_key(|&(v, _)| v);
+                overrides.dedup_by(|later, earlier| {
+                    if later.0 == earlier.0 {
+                        // Keep the later replacement, matching sequential
+                        // overwrite semantics.
+                        std::mem::swap(later, earlier);
+                        true
+                    } else {
+                        false
+                    }
+                });
+            }
+
+            // 4. Deliver, in deterministic (sender, target) order.
+            let graph = self.graph;
+            for u in graph.nodes() {
+                let out = if self.fault_mask[u.index()] {
+                    match overrides.binary_search_by_key(&u, |&(v, _)| v) {
+                        Ok(i) => std::mem::replace(&mut overrides[i].1, Outgoing::Silent),
+                        Err(_) => Outgoing::Silent,
+                    }
+                } else {
+                    std::mem::replace(&mut self.intended[u.index()], Outgoing::Silent)
+                };
+                match out {
+                    Outgoing::Silent => {}
+                    Outgoing::Broadcast(m) => {
+                        self.stats.transmissions += 1;
+                        for &v in graph.neighbors(u) {
+                            self.stats.deliveries += 1;
+                            self.nodes[v.index()].recv(round, u, m.clone());
+                        }
+                    }
+                    Outgoing::Directed(mut list) => {
+                        if list.is_empty() {
+                            continue;
+                        }
+                        self.stats.transmissions += 1;
+                        // Deliver in ascending-target order with last-wins
+                        // duplicate handling, in place (no per-node map).
+                        list.sort_by_key(|&(v, _)| v);
+                        list.dedup_by(|later, earlier| {
+                            if later.0 == earlier.0 {
+                                std::mem::swap(later, earlier);
+                                true
+                            } else {
+                                false
+                            }
+                        });
+                        for (v, m) in list {
+                            assert!(graph.has_edge(u, v), "node {u} sent to non-neighbor {v}");
+                            self.stats.deliveries += 1;
+                            self.nodes[v.index()].recv(round, u, m);
+                        }
+                    }
+                }
+            }
+
+            self.round += 1;
+            self.stats.rounds += 1;
+        }
+    }
+
+    /// Pseudo-random bits from three counters (a splitmix64 finalizer),
+    /// so the test automata's choices depend on what they have received.
+    fn mix(a: usize, b: usize, c: usize) -> u64 {
+        let mut x = ((a as u64) << 40) ^ ((b as u64) << 20) ^ c as u64;
+        x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        x ^ (x >> 31)
+    }
+
+    /// Each round, by its history, stays silent, broadcasts its bit,
+    /// sends an empty list, or sends a directed list with duplicate
+    /// targets and conflicting bits in either target order. Every
+    /// message received is folded into the bit.
+    #[derive(Clone, PartialEq, Eq, Debug)]
+    struct Chatter {
+        me: NodeId,
+        neighbors: Vec<NodeId>,
+        bit: bool,
+        inbox: Vec<(usize, NodeId, bool)>,
+    }
+
+    impl MpNode for Chatter {
+        type Msg = bool;
+        fn send(&mut self, round: usize) -> Outgoing<bool> {
+            let h = mix(self.me.index(), round, self.inbox.len());
+            match h % 5 {
+                0 | 1 => Outgoing::Silent,
+                2 => Outgoing::Broadcast(self.bit),
+                3 => Outgoing::Directed(Vec::new()),
+                _ => {
+                    let mut list = Vec::new();
+                    for (k, &t) in self.neighbors.iter().enumerate() {
+                        let pick = mix(k, round, h as usize);
+                        if pick & 1 == 1 {
+                            list.push((t, self.bit));
+                        }
+                        if pick & 2 == 2 {
+                            list.push((t, !self.bit));
+                        }
+                    }
+                    if h & 8 == 8 {
+                        list.reverse();
+                    }
+                    Outgoing::Directed(list)
+                }
+            }
+        }
+        fn recv(&mut self, round: usize, from: NodeId, msg: bool) {
+            self.bit ^= msg;
+            self.inbox.push((round, from, msg));
+        }
+    }
+
+    /// Replaces every faulty node twice, in descending node order: first
+    /// with silence, then with a random broadcast. The second one must
+    /// win.
+    #[derive(Clone)]
+    struct Twice;
+    impl MpAdversary<bool> for Twice {
+        fn corrupt_round(
+            &mut self,
+            ctx: MpRoundCtx<'_, bool>,
+            rng: &mut SmallRng,
+        ) -> Vec<(NodeId, Outgoing<bool>)> {
+            ctx.faulty
+                .iter()
+                .rev()
+                .flat_map(|&v| {
+                    let bit = rng.gen_bool(0.5);
+                    [(v, Outgoing::Silent), (v, Outgoing::Broadcast(bit))]
+                })
+                .collect()
+        }
+    }
+
+    /// One small graph per seed, cycling through six families.
+    fn test_family(seed: u64) -> Graph {
+        let mut rng = SmallRng::seed_from_u64(seed);
+        match seed % 6 {
+            0 => generators::path(6 + (seed % 5) as usize),
+            1 => generators::star(6),
+            2 => generators::grid(3, 4),
+            3 => generators::hypercube(3),
+            4 => generators::random_tree(12, &mut rng),
+            _ => generators::gnp(12, 0.3, &mut rng),
+        }
+    }
+
+    /// Runs `step` and `reference_step` side by side and compares the
+    /// stats, the traced send/recv log and every automaton's final state.
+    fn assert_matches_reference<A: MpAdversary<bool> + Clone>(
+        g: &Graph,
+        fault: FaultConfig,
+        adversary: A,
+        seed: u64,
+    ) {
+        let run = |reference: bool| {
+            let log = TraceLog::new();
+            let mut net = MpNetwork::with_adversary(g, fault, adversary.clone(), seed, |v| {
+                let chatter = Chatter {
+                    me: v,
+                    neighbors: g.neighbors(v).to_vec(),
+                    bit: v.index() == 0,
+                    inbox: Vec::new(),
+                };
+                Traced::new(v, chatter, log.clone())
+            });
+            for _ in 0..24 {
+                if reference {
+                    net.reference_step();
+                } else {
+                    net.step();
+                }
+            }
+            let states: Vec<Chatter> = net.nodes().map(|t| t.inner().clone()).collect();
+            (net.stats(), log.events(), states)
+        };
+        assert_eq!(run(false), run(true), "seed {seed}, {fault:?}");
+    }
+
+    #[test]
+    fn step_matches_the_reference_step() {
+        let faults = [
+            FaultConfig::fault_free(),
+            FaultConfig::omission(0.3),
+            FaultConfig::omission(0.9),
+            FaultConfig::malicious(0.4),
+            FaultConfig::limited_malicious(0.4),
+        ];
+        for seed in 0..300u64 {
+            let g = test_family(seed);
+            let fault = faults[(seed / 6 % 5) as usize];
+            match seed / 30 % 5 {
+                0 => assert_matches_reference(&g, fault, SilentMpAdversary, seed),
+                1 => assert_matches_reference(&g, fault, AntiTruthMpAdversary::new(true), seed),
+                2 => assert_matches_reference(&g, fault, RandomBitMpAdversary, seed),
+                3 => assert_matches_reference(&g, fault, FlipMpAdversary, seed),
+                _ => assert_matches_reference(&g, fault, Twice, seed),
+            }
+        }
     }
 }

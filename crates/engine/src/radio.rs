@@ -35,6 +35,14 @@ impl<M> RadioAction<M> {
     pub fn is_transmit(&self) -> bool {
         matches!(self, RadioAction::Transmit(_))
     }
+
+    /// The transmitted message, if any.
+    fn message(&self) -> Option<&M> {
+        match self {
+            RadioAction::Listen => None,
+            RadioAction::Transmit(m) => Some(m),
+        }
+    }
 }
 
 /// A node automaton in the radio model.
@@ -167,6 +175,18 @@ pub struct RadioNetwork<'g, P: RadioNode, A = SilentRadioAdversary> {
     rng: SmallRng,
     round: usize,
     stats: RadioStats,
+    // Reusable per-step buffers, cleared and refilled every round, so a
+    // round allocates nothing beyond what the automata and the
+    // adversary hand out. `actions` holds the intended actions until the
+    // faults are resolved and the actual actions after.
+    actions: Vec<RadioAction<P::Msg>>,
+    fault_mask: Vec<bool>,
+    faulty: Vec<NodeId>,
+    // Per node: its transmitting neighbors this round, saturating at 2
+    // (reset to 0 as the outcomes are reported), and the last of them,
+    // which is the only one when the count is 1.
+    tx_neighbors: Vec<u8>,
+    last_sender: Vec<NodeId>,
 }
 
 impl<'g, P: RadioNode> RadioNetwork<'g, P, SilentRadioAdversary> {
@@ -192,7 +212,8 @@ impl<'g, P: RadioNode, A: RadioAdversary<P::Msg>> RadioNetwork<'g, P, A> {
     where
         F: FnMut(NodeId) -> P,
     {
-        let nodes = graph.nodes().map(&mut factory).collect();
+        let nodes: Vec<P> = graph.nodes().map(&mut factory).collect();
+        let n = nodes.len();
         RadioNetwork {
             graph,
             nodes,
@@ -201,6 +222,11 @@ impl<'g, P: RadioNode, A: RadioAdversary<P::Msg>> RadioNetwork<'g, P, A> {
             rng: SmallRng::seed_from_u64(seed),
             round: 0,
             stats: RadioStats::default(),
+            actions: Vec::with_capacity(n),
+            fault_mask: Vec::with_capacity(n),
+            faulty: Vec::new(),
+            tx_neighbors: vec![0; n],
+            last_sender: vec![NodeId::default(); n],
         }
     }
 
@@ -248,76 +274,88 @@ impl<'g, P: RadioNode, A: RadioAdversary<P::Msg>> RadioNetwork<'g, P, A> {
         let round = self.round;
 
         // 1. Collect intended actions.
-        let intended: Vec<RadioAction<P::Msg>> =
-            self.nodes.iter_mut().map(|p| p.act(round)).collect();
+        self.actions.clear();
+        for node in &mut self.nodes {
+            self.actions.push(node.act(round));
+        }
 
         // 2. Sample transmitter faults.
-        let fault_mask = self.fault.sample_step(n, &mut self.rng);
-        let faulty: Vec<NodeId> = (0..n).filter(|&i| fault_mask[i]).map(NodeId::new).collect();
-        self.stats.faults += faulty.len() as u64;
+        self.fault
+            .sample_step_into(n, &mut self.rng, &mut self.fault_mask);
+        self.faulty.clear();
+        self.faulty
+            .extend((0..n).filter(|&i| self.fault_mask[i]).map(NodeId::new));
+        self.stats.faults += self.faulty.len() as u64;
 
-        // 3. Resolve actual actions of faulty transmitters.
-        let mut actual = intended.clone();
-        for &v in &faulty {
-            actual[v.index()] = RadioAction::Listen;
-        }
-        if self.fault.kind != FaultKind::Omission && !faulty.is_empty() {
+        // 3. Resolve actual actions of faulty transmitters. The adversary
+        //    reads the intentions before anything changes, and its
+        //    replacements are clamped against them. Only then is every
+        //    faulty node silenced in place and the replacements written
+        //    over it, in order, so the last one per node wins.
+        let mut overrides = Vec::new();
+        if self.fault.kind != FaultKind::Omission && !self.faulty.is_empty() {
             let ctx = RadioRoundCtx {
                 round,
                 graph: self.graph,
-                faulty: &faulty,
-                intended: &intended,
+                faulty: &self.faulty,
+                intended: &self.actions,
             };
-            let overrides = self.adversary.corrupt_round(ctx, &mut self.rng);
-            for (v, action) in overrides {
+            overrides = self.adversary.corrupt_round(ctx, &mut self.rng);
+            for (v, action) in &mut overrides {
                 assert!(
-                    fault_mask[v.index()],
+                    self.fault_mask[v.index()],
                     "adversary tried to control non-faulty node {v}"
                 );
-                let clamped = if self.fault.kind == FaultKind::LimitedMalicious
-                    && !intended[v.index()].is_transmit()
+                if self.fault.kind == FaultKind::LimitedMalicious
+                    && !self.actions[v.index()].is_transmit()
                 {
-                    RadioAction::Listen // cannot speak out of turn
-                } else {
-                    action
-                };
-                actual[v.index()] = clamped;
+                    *action = RadioAction::Listen; // cannot speak out of turn
+                }
+            }
+        }
+        for &v in &self.faulty {
+            self.actions[v.index()] = RadioAction::Listen;
+        }
+        for (v, action) in overrides {
+            self.actions[v.index()] = action;
+        }
+
+        // 4. Count receptions from the senders' side: each transmitter,
+        //    in ascending order, bumps its neighbors' counts.
+        let graph = self.graph;
+        for (u, action) in self.actions.iter().enumerate() {
+            if action.is_transmit() {
+                self.stats.transmissions += 1;
+                let u = NodeId::new(u);
+                for &v in graph.neighbors(u) {
+                    let count = &mut self.tx_neighbors[v.index()];
+                    *count = (*count + 1).min(2);
+                    self.last_sender[v.index()] = u;
+                }
             }
         }
 
-        // 4. Resolve receptions: a silent node hears the unique
-        //    transmitting neighbor, if any; collisions are silence.
-        self.stats.transmissions += actual.iter().filter(|a| a.is_transmit()).count() as u64;
-        let outcomes: Vec<Option<P::Msg>> = (0..n)
-            .map(|i| {
-                if actual[i].is_transmit() {
-                    return None; // a transmitter hears nothing
-                }
-                let v = NodeId::new(i);
-                let mut heard: Option<&P::Msg> = None;
-                let mut count = 0usize;
-                for &u in self.graph.neighbors(v) {
-                    if let RadioAction::Transmit(m) = &actual[u.index()] {
-                        count += 1;
-                        heard = Some(m);
-                    }
-                }
+        // 5. Report every node's outcome in node order: a silent node
+        //    hears its unique transmitting neighbor, if any; collisions
+        //    are silence, and a transmitter hears nothing.
+        for (i, node) in self.nodes.iter_mut().enumerate() {
+            let count = std::mem::take(&mut self.tx_neighbors[i]);
+            let heard = if self.actions[i].is_transmit() {
+                None
+            } else {
                 match count {
+                    0 => None,
                     1 => {
                         self.stats.receptions += 1;
-                        heard.cloned()
+                        self.actions[self.last_sender[i].index()].message().cloned()
                     }
-                    0 => None,
                     _ => {
                         self.stats.collisions += 1;
                         None
                     }
                 }
-            })
-            .collect();
-
-        for (i, heard) in outcomes.into_iter().enumerate() {
-            self.nodes[i].recv(round, heard);
+            };
+            node.recv(round, heard);
         }
 
         self.round += 1;
@@ -335,6 +373,9 @@ impl<'g, P: RadioNode, A: RadioAdversary<P::Msg>> RadioNetwork<'g, P, A> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::adversary::{FlipRadioAdversary, JamRadioAdversary, LieOrJamAdversary};
+    use crate::trace::{TraceLog, Traced};
+    use rand::Rng;
     use randcast_graph::generators;
 
     /// Transmits `msg` on rounds in `when`; records everything heard.
@@ -530,6 +571,227 @@ mod tests {
         net.run(7);
         for v in g.nodes() {
             assert_eq!(net.node(v).heard.len(), 7);
+        }
+    }
+
+    /// The step as first written, resolving receptions by scanning every
+    /// listener's whole neighborhood over a fresh copy of the actions:
+    /// the oracle for `step_matches_the_reference_step`. The body is
+    /// kept as it was, except that the fault mask is drawn by
+    /// `sample_step_into`, which draws the same coins.
+    impl<P: RadioNode, A: RadioAdversary<P::Msg>> RadioNetwork<'_, P, A> {
+        fn reference_step(&mut self) {
+            let n = self.graph.node_count();
+            let round = self.round;
+
+            // 1. Collect intended actions.
+            let intended: Vec<RadioAction<P::Msg>> =
+                self.nodes.iter_mut().map(|p| p.act(round)).collect();
+
+            // 2. Sample transmitter faults.
+            let mut fault_mask = Vec::new();
+            self.fault
+                .sample_step_into(n, &mut self.rng, &mut fault_mask);
+            let faulty: Vec<NodeId> = (0..n).filter(|&i| fault_mask[i]).map(NodeId::new).collect();
+            self.stats.faults += faulty.len() as u64;
+
+            // 3. Resolve actual actions of faulty transmitters.
+            let mut actual = intended.clone();
+            for &v in &faulty {
+                actual[v.index()] = RadioAction::Listen;
+            }
+            if self.fault.kind != FaultKind::Omission && !faulty.is_empty() {
+                let ctx = RadioRoundCtx {
+                    round,
+                    graph: self.graph,
+                    faulty: &faulty,
+                    intended: &intended,
+                };
+                let overrides = self.adversary.corrupt_round(ctx, &mut self.rng);
+                for (v, action) in overrides {
+                    assert!(
+                        fault_mask[v.index()],
+                        "adversary tried to control non-faulty node {v}"
+                    );
+                    let clamped = if self.fault.kind == FaultKind::LimitedMalicious
+                        && !intended[v.index()].is_transmit()
+                    {
+                        RadioAction::Listen // cannot speak out of turn
+                    } else {
+                        action
+                    };
+                    actual[v.index()] = clamped;
+                }
+            }
+
+            // 4. Resolve receptions: a silent node hears the unique
+            //    transmitting neighbor, if any; collisions are silence.
+            self.stats.transmissions += actual.iter().filter(|a| a.is_transmit()).count() as u64;
+            let outcomes: Vec<Option<P::Msg>> = (0..n)
+                .map(|i| {
+                    if actual[i].is_transmit() {
+                        return None; // a transmitter hears nothing
+                    }
+                    let v = NodeId::new(i);
+                    let mut heard: Option<&P::Msg> = None;
+                    let mut count = 0usize;
+                    for &u in self.graph.neighbors(v) {
+                        if let RadioAction::Transmit(m) = &actual[u.index()] {
+                            count += 1;
+                            heard = Some(m);
+                        }
+                    }
+                    match count {
+                        1 => {
+                            self.stats.receptions += 1;
+                            heard.cloned()
+                        }
+                        0 => None,
+                        _ => {
+                            self.stats.collisions += 1;
+                            None
+                        }
+                    }
+                })
+                .collect();
+
+            for (i, heard) in outcomes.into_iter().enumerate() {
+                self.nodes[i].recv(round, heard);
+            }
+
+            self.round += 1;
+            self.stats.rounds += 1;
+        }
+    }
+
+    /// Pseudo-random bits from three counters (a splitmix64 finalizer),
+    /// so the test automata's choices depend on what they have heard.
+    fn mix(a: usize, b: usize, c: usize) -> u64 {
+        let mut x = ((a as u64) << 40) ^ ((b as u64) << 20) ^ c as u64;
+        x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        x ^ (x >> 31)
+    }
+
+    /// Even rounds have one scheduled speaker (as in Simple), odd rounds
+    /// a history-dependent third of the nodes. Each clean reception is
+    /// folded into the node's bit, which is what it transmits.
+    #[derive(Clone, PartialEq, Eq, Debug)]
+    struct Relay {
+        id: usize,
+        n: usize,
+        bit: bool,
+        heard: Vec<Option<bool>>,
+    }
+
+    impl RadioNode for Relay {
+        type Msg = bool;
+        fn act(&mut self, round: usize) -> RadioAction<bool> {
+            let receptions = self.heard.iter().flatten().count();
+            let speaks = if round.is_multiple_of(2) {
+                (round / 2) % self.n == self.id
+            } else {
+                mix(self.id, round, receptions).is_multiple_of(3)
+            };
+            if speaks {
+                RadioAction::Transmit(self.bit)
+            } else {
+                RadioAction::Listen
+            }
+        }
+        fn recv(&mut self, _round: usize, heard: Option<bool>) {
+            if let Some(b) = heard {
+                self.bit ^= b;
+            }
+            self.heard.push(heard);
+        }
+    }
+
+    /// Replaces every faulty node twice, in descending node order: first
+    /// with silence, then with a random bit. The second one must win.
+    #[derive(Clone)]
+    struct Twice;
+    impl RadioAdversary<bool> for Twice {
+        fn corrupt_round(
+            &mut self,
+            ctx: RadioRoundCtx<'_, bool>,
+            rng: &mut SmallRng,
+        ) -> Vec<(NodeId, RadioAction<bool>)> {
+            ctx.faulty
+                .iter()
+                .rev()
+                .flat_map(|&v| {
+                    let bit = rng.gen_bool(0.5);
+                    [(v, RadioAction::Listen), (v, RadioAction::Transmit(bit))]
+                })
+                .collect()
+        }
+    }
+
+    /// One small graph per seed, cycling through six families.
+    fn test_family(seed: u64) -> Graph {
+        let mut rng = SmallRng::seed_from_u64(seed);
+        match seed % 6 {
+            0 => generators::path(6 + (seed % 5) as usize),
+            1 => generators::star(6),
+            2 => generators::grid(3, 4),
+            3 => generators::hypercube(3),
+            4 => generators::random_tree(12, &mut rng),
+            _ => generators::gnp(12, 0.3, &mut rng),
+        }
+    }
+
+    /// Runs `step` and `reference_step` side by side and compares the
+    /// stats, the traced act/recv log and every automaton's final state.
+    fn assert_matches_reference<A: RadioAdversary<bool> + Clone>(
+        g: &Graph,
+        fault: FaultConfig,
+        adversary: A,
+        seed: u64,
+    ) {
+        let run = |reference: bool| {
+            let log = TraceLog::new();
+            let mut net = RadioNetwork::with_adversary(g, fault, adversary.clone(), seed, |v| {
+                let relay = Relay {
+                    id: v.index(),
+                    n: g.node_count(),
+                    bit: v.index() == 0,
+                    heard: Vec::new(),
+                };
+                Traced::new(v, relay, log.clone())
+            });
+            for _ in 0..24 {
+                if reference {
+                    net.reference_step();
+                } else {
+                    net.step();
+                }
+            }
+            let states: Vec<Relay> = net.nodes().map(|t| t.inner().clone()).collect();
+            (net.stats(), log.events(), states)
+        };
+        assert_eq!(run(false), run(true), "seed {seed}, {fault:?}");
+    }
+
+    #[test]
+    fn step_matches_the_reference_step() {
+        let faults = [
+            FaultConfig::fault_free(),
+            FaultConfig::omission(0.3),
+            FaultConfig::omission(0.9),
+            FaultConfig::malicious(0.4),
+            FaultConfig::limited_malicious(0.4),
+        ];
+        for seed in 0..300u64 {
+            let g = test_family(seed);
+            let fault = faults[(seed / 6 % 5) as usize];
+            match seed / 30 % 5 {
+                0 => assert_matches_reference(&g, fault, SilentRadioAdversary, seed),
+                1 => assert_matches_reference(&g, fault, JamRadioAdversary::new(true), seed),
+                2 => assert_matches_reference(&g, fault, LieOrJamAdversary::new(true), seed),
+                3 => assert_matches_reference(&g, fault, FlipRadioAdversary, seed),
+                _ => assert_matches_reference(&g, fault, Twice, seed),
+            }
         }
     }
 }

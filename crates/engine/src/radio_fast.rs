@@ -3,9 +3,9 @@
 //! per-node automata.
 //!
 //! The general [`RadioNetwork`](crate::radio::RadioNetwork) pays for
-//! its generality every round: one `act` dispatch per node, an
-//! intention vector of `n` enum values, a fault coin for all `n` nodes,
-//! and a full reception scan of every listener's neighborhood.
+//! its generality every round: one `act` and one `recv` call per node,
+//! an intention vector of `n` enum values, a fault coin for all `n`
+//! nodes, and a reception count at every neighbor of every transmitter.
 //! Informed-set dynamics need none of that. An uninformed node hears
 //! iff **exactly one** of its neighbors transmits, and the only nodes
 //! whose transmissions an uninformed node can hear are informed nodes

@@ -8,7 +8,9 @@ use randcast_engine::fault::FaultConfig;
 use randcast_engine::flood_fast::{FastFlood, FastFloodVariant};
 use randcast_engine::kernel::{BatchBernoulli, BatchTape, FAULT_STREAM, LANES};
 use randcast_engine::mp::{MpAdversary, MpNetwork, MpNode, MpRoundCtx, Outgoing};
-use randcast_engine::radio::{RadioAction, RadioAdversary, RadioNetwork, RadioNode, RadioRoundCtx};
+use randcast_engine::radio::{
+    RadioAction, RadioAdversary, RadioNetwork, RadioNode, RadioRoundCtx, RadioStats,
+};
 use randcast_engine::radio_fast::{FastRadio, FastRadioSchedule};
 use randcast_engine::simple_fast::FastSimple;
 use randcast_graph::{CsrGraph, Graph, GraphBuilder, NodeId};
@@ -54,8 +56,10 @@ impl MpNode for Flood {
     }
 }
 
-/// Radio automaton: transmits on a fixed round, records everything heard.
+/// Radio automaton: transmits its own id on a fixed round, records
+/// everything heard.
 struct Script {
+    id: u8,
     transmit_round: Option<usize>,
     heard: Vec<Option<u8>>,
 }
@@ -64,7 +68,7 @@ impl RadioNode for Script {
     type Msg = u8;
     fn act(&mut self, round: usize) -> RadioAction<u8> {
         if self.transmit_round == Some(round) {
-            RadioAction::Transmit(7)
+            RadioAction::Transmit(self.id)
         } else {
             RadioAction::Listen
         }
@@ -147,28 +151,39 @@ proptest! {
         g in connected_graph(),
         transmitters in proptest::collection::vec(0usize..20, 1..6),
     ) {
-        // All chosen transmitters fire in round 0; fault-free. Verify the
-        // exact reception predicate for every node.
+        // All chosen transmitters fire in round 0, each sending its own
+        // id; fault-free. Verify the exact reception predicate, the
+        // sender heard, and the counters for every node.
         let tx: Vec<usize> = transmitters.iter().map(|t| t % g.node_count()).collect();
         let mut net = RadioNetwork::new(&g, FaultConfig::fault_free(), 0, |v| Script {
+            id: v.index() as u8,
             transmit_round: tx.contains(&v.index()).then_some(0),
             heard: Vec::new(),
         });
         net.step();
+        let mut expect_stats = RadioStats { rounds: 1, ..RadioStats::default() };
         for v in g.nodes() {
             let transmitting = tx.contains(&v.index());
-            let tx_neighbors = g
+            let tx_neighbors: Vec<NodeId> = g
                 .neighbors(v)
                 .iter()
+                .copied()
                 .filter(|u| tx.contains(&u.index()))
-                .count();
-            let expect = if !transmitting && tx_neighbors == 1 {
-                Some(7u8)
-            } else {
-                None
+                .collect();
+            let expect = match tx_neighbors[..] {
+                [u] if !transmitting => Some(u.index() as u8),
+                _ => None,
             };
             prop_assert_eq!(net.node(v).heard[0], expect, "node {}", v);
+            if transmitting {
+                expect_stats.transmissions += 1;
+            } else if tx_neighbors.len() == 1 {
+                expect_stats.receptions += 1;
+            } else if tx_neighbors.len() > 1 {
+                expect_stats.collisions += 1;
+            }
         }
+        prop_assert_eq!(net.stats(), expect_stats);
     }
 
     #[test]
@@ -179,6 +194,7 @@ proptest! {
     ) {
         let run = || {
             let mut net = RadioNetwork::new(&g, FaultConfig::omission(p), seed, |v| Script {
+                id: v.index() as u8,
                 transmit_round: Some(v.index() % 5),
                 heard: Vec::new(),
             });
@@ -259,6 +275,7 @@ proptest! {
             LoudR,
             seed,
             |_| Script {
+                id: 0,
                 transmit_round: None,
                 heard: Vec::new(),
             },
