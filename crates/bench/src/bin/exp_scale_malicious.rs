@@ -229,7 +229,7 @@ fn placement_study(blocks: u64, seed: u64) {
         let mean_frac = |model: &dyn FaultModel| {
             let mut informed = 0usize;
             for block in 0..blocks {
-                let batch = flood.run_batch_model(model, seed.wrapping_add(block));
+                let batch = flood.run_batch_model(model, seed.wrapping_add(block), !0);
                 for lane in 0..LANES as u32 {
                     informed += batch.informed_count(lane);
                 }

@@ -5,7 +5,7 @@
 //! one nondeterministic field, `wall_ms`, normalized to zero) is
 //! byte-identical to a committed golden file — locking in the schema,
 //! the writer's format, and the determinism of the sweep outcomes from
-//! the root seed. Six binaries are pinned:
+//! the root seed. Nine reports are pinned:
 //!
 //! * `exp_e4_datalink`, the cheapest Monte-Carlo binary, through the
 //!   trait-object message-passing engine;
@@ -16,6 +16,10 @@
 //! * `exp_scale_radio --trials 64`, six one-block cells of the batched
 //!   Decay kernel, so a change that moves a 64-lane block and its lane
 //!   replay together still fails a test;
+//! * `exp_scale_flood`, `exp_scale_radio` and `exp_scale_simple` at
+//!   `--trials 72`, whose cells each run one 64-lane block plus an
+//!   8-lane tail block under omission, so the masked tail of every
+//!   kernel's omission pass is in a report;
 //! * `exp_scale_malicious --trials 72`, whose fast cells each run one
 //!   64-lane block plus 8 tail lanes under malicious fault models, so
 //!   radio's value-plane passes and flood's and Simple's malicious
@@ -143,19 +147,44 @@ fn batched_radio_quick_json_matches_the_golden_file() {
     assert_matches_golden(report, "exp_scale_radio_quick_t64.json");
 }
 
-#[test]
-fn malicious_quick_json_matches_the_golden_file() {
-    let report = quick_report(
-        env!("CARGO_BIN_EXE_exp_scale_malicious"),
-        &["--trials", "72"],
-    );
-
-    assert_eq!(report.experiment, "scale_malicious");
+/// The `--trials 72` report of a scale binary: every cell is one
+/// 64-lane block plus an 8-lane tail block.
+fn tail_report(bin: &str, experiment: &str, cells: usize) -> SweepReport {
+    let report = quick_report(bin, &["--trials", "72"]);
+    assert_eq!(report.experiment, experiment);
+    assert_eq!(report.cells.len(), cells);
     for cell in &report.cells {
         assert_eq!(cell.trials, 72, "one 64-lane block plus 8 tail lanes");
         assert!(cell.successes <= cell.trials);
     }
+    report
+}
 
+#[test]
+fn flood_tail_quick_json_matches_the_golden_file() {
+    let report = tail_report(env!("CARGO_BIN_EXE_exp_scale_flood"), "scale_flood", 6);
+    assert_matches_golden(report, "exp_scale_flood_quick_t72.json");
+}
+
+#[test]
+fn radio_tail_quick_json_matches_the_golden_file() {
+    let report = tail_report(env!("CARGO_BIN_EXE_exp_scale_radio"), "scale_radio", 6);
+    assert_matches_golden(report, "exp_scale_radio_quick_t72.json");
+}
+
+#[test]
+fn simple_tail_quick_json_matches_the_golden_file() {
+    let report = tail_report(env!("CARGO_BIN_EXE_exp_scale_simple"), "scale_simple", 11);
+    assert_matches_golden(report, "exp_scale_simple_quick_t72.json");
+}
+
+#[test]
+fn malicious_quick_json_matches_the_golden_file() {
+    let report = tail_report(
+        env!("CARGO_BIN_EXE_exp_scale_malicious"),
+        "scale_malicious",
+        11,
+    );
     assert_matches_golden(report, "exp_scale_malicious_quick_t72.json");
 }
 

@@ -244,7 +244,7 @@ fn batched_block_at_n_1e5_fits_the_block_budget() {
     assert!(prep.supports_batch());
 
     let block_start = Instant::now();
-    let block = prep.trial_block(42);
+    let block = prep.trial_block(42, !0);
     let block_time = block_start.elapsed();
 
     assert_eq!(block.len(), BATCH_LANES);

@@ -28,7 +28,9 @@ use rand::SeedableRng as _;
 use randcast_engine::adversary::{FlipMpAdversary, LieOrJamAdversary};
 use randcast_engine::fault::{FaultConfig, FaultKind};
 use randcast_engine::flood_fast::{FastFlood, FastFloodVariant};
-use randcast_engine::kernel::{FaultModel, FlipFault, LieOrJamFault, Omission, LANES};
+use randcast_engine::kernel::{
+    mask_lanes, FaultModel, FlipFault, LaneMask, LieOrJamFault, Omission, LANES,
+};
 use randcast_engine::mp::SilentMpAdversary;
 use randcast_engine::radio::SilentRadioAdversary;
 use randcast_engine::radio_fast::{FastRadio, FastRadioSchedule};
@@ -1062,33 +1064,35 @@ impl PreparedScenario {
         self.uses_fast_path()
     }
 
-    /// Runs one bit-sliced block of [`LANES`] trials rooted at
-    /// `block_seed` and returns the outcomes in lane order. Element
-    /// `k` is byte-identical to
-    /// [`trial_lane`](Self::trial_lane)`(block_seed, k)` — the
-    /// engines' lane-coupling guarantee — and each lane is distributed
-    /// exactly like a scalar [`trial`](Self::trial) from an
-    /// independent seed.
+    /// Runs the live lanes `lanes` of the bit-sliced block of
+    /// [`LANES`] trials rooted at `block_seed` in one pass and returns
+    /// their outcomes in lane order (one per set bit). The outcome of
+    /// lane `k` is byte-identical to
+    /// [`trial_lane`](Self::trial_lane)`(block_seed, k)` whatever the
+    /// mask — the engines' lane-coupling guarantee — and each lane is
+    /// distributed exactly like a scalar [`trial`](Self::trial) from an
+    /// independent seed. Lanes outside the mask cost nothing: the pass
+    /// seeds the source in the live lanes only.
     ///
     /// # Panics
     ///
     /// Panics when the plan is not batch-capable
     /// ([`supports_batch`](Self::supports_batch)).
     #[must_use]
-    pub fn trial_block(&self, block_seed: u64) -> Vec<TrialOutcome> {
+    pub fn trial_block(&self, block_seed: u64, lanes: LaneMask) -> Vec<TrialOutcome> {
         // Omission runs monomorphized, so its coins inline into the
         // passes; a malicious model costs one dynamic call per coin.
         if self.scenario.fault.kind == FaultKind::Omission {
             let model = Omission::new(self.scenario.fault.p.get());
-            self.block_under(&model, block_seed)
+            self.block_under(&model, block_seed, lanes)
         } else {
-            self.block_under(self.malicious_model().as_ref(), block_seed)
+            self.block_under(self.malicious_model().as_ref(), block_seed, lanes)
         }
     }
 
-    /// [`trial_block`](Self::trial_block), which it calls: every block
-    /// runs on one thread, so `threads` is ignored. Kept for callers
-    /// written against the thread-budget signature.
+    /// All 64 lanes of [`trial_block`](Self::trial_block), which it
+    /// calls: every block runs on one thread, so `threads` is ignored.
+    /// Kept for callers written against the thread-budget signature.
     ///
     /// # Panics
     ///
@@ -1096,16 +1100,22 @@ impl PreparedScenario {
     /// ([`supports_batch`](Self::supports_batch)).
     #[must_use]
     pub fn trial_block_threads(&self, block_seed: u64, _threads: usize) -> Vec<TrialOutcome> {
-        self.trial_block(block_seed)
+        self.trial_block(block_seed, !0)
     }
 
-    /// The fast plan's block under `model`.
-    fn block_under<M: FaultModel + ?Sized>(&self, model: &M, block_seed: u64) -> Vec<TrialOutcome> {
-        let lanes = 0..LANES as u32;
+    /// The fast plan's live lanes under `model`.
+    fn block_under<M: FaultModel + ?Sized>(
+        &self,
+        model: &M,
+        block_seed: u64,
+        lanes: LaneMask,
+    ) -> Vec<TrialOutcome> {
+        // A batch's views of a lane outside `lanes` are unspecified, so
+        // only the live lanes are converted.
         match &self.plan {
             PlanKind::SimpleFast(plan) => {
-                let out = plan.run_batch_model(model, block_seed);
-                lanes
+                let out = plan.run_batch_model(model, block_seed, lanes);
+                mask_lanes(lanes)
                     .map(|lane| {
                         TrialOutcome::flooded(
                             out.completion_round(lane),
@@ -1116,8 +1126,8 @@ impl PreparedScenario {
                     .collect()
             }
             PlanKind::FloodFast(plan) => {
-                let out = plan.run_batch_model(model, block_seed);
-                lanes
+                let out = plan.run_batch_model(model, block_seed, lanes);
+                mask_lanes(lanes)
                     .map(|lane| {
                         TrialOutcome::flooded(
                             out.completion_round(lane),
@@ -1128,8 +1138,8 @@ impl PreparedScenario {
                     .collect()
             }
             PlanKind::DecayFast(plan) => {
-                let out = plan.run_batch_model(model, block_seed);
-                lanes
+                let out = plan.run_batch_model(model, block_seed, lanes);
+                mask_lanes(lanes)
                     .map(|lane| {
                         TrialOutcome::flooded(
                             out.completion_round(lane),
@@ -1145,8 +1155,7 @@ impl PreparedScenario {
 
     /// Runs lane `lane` of block `block_seed` as one scalar trial —
     /// the reference semantics [`trial_block`](Self::trial_block)
-    /// reproduces bit-for-bit, and the entry point for the tail of a
-    /// partial block.
+    /// reproduces bit-for-bit.
     ///
     /// # Panics
     ///
@@ -1804,7 +1813,7 @@ mod tests {
             shards: ShardSpec::Auto,
         }
         .prepare();
-        let _ = prep.trial_block(1);
+        let _ = prep.trial_block(1, !0);
     }
 
     #[test]
@@ -2180,7 +2189,7 @@ mod tests {
                 shards: ShardSpec::Auto,
             };
             let prep = base.prepare();
-            let block = prep.trial_block(9);
+            let block = prep.trial_block(9, !0);
             for lane in [0u32, 7, 63] {
                 assert_eq!(
                     block[lane as usize],
@@ -2195,7 +2204,7 @@ mod tests {
                 ..base
             }
             .prepare();
-            assert_eq!(sharded.trial_block(9), block, "{}", algorithm.name());
+            assert_eq!(sharded.trial_block(9, !0), block, "{}", algorithm.name());
         }
     }
 

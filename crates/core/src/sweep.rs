@@ -43,10 +43,13 @@
 //! `j % `[`BATCH_LANES`] of block `j / `[`BATCH_LANES`], whose seed is
 //! the pure function `child.child(BATCH_LABEL).nth_seed(block)` of the
 //! root seed, the cell index, and the block index. Chunks are aligned
-//! to block boundaries and the engines pin
-//! `run_batch` ≡ `run_lane` per lane, so the batched outcome vector is
+//! to block boundaries, and a partial tail block (`trials %
+//! `[`BATCH_LANES`]` != 0`) runs as one block masked to its occupied
+//! lanes: the pass seeds only those lanes, so the tail costs what its
+//! live lanes cost. The engines pin every live lane of a block, masked
+//! or not, to its scalar lane replay, so the batched outcome vector is
 //! also thread-count independent (`crates/core/tests/batch_equivalence.rs`
-//! pins the lane-exact agreement; the sweep property test covers the
+//! pins the lane-exact agreement; the sweep tests cover the
 //! scheduling).
 //!
 //! # Example
@@ -75,6 +78,7 @@ use std::time::Instant;
 use rand::rngs::SmallRng;
 use rand::Rng as _;
 
+use randcast_engine::kernel::lane_mask_first;
 use randcast_graph::Graph;
 use randcast_stats::aggregate::OutcomeSummary;
 use randcast_stats::estimate::SuccessEstimate;
@@ -91,8 +95,9 @@ pub const BATCH_LANES: usize = randcast_engine::kernel::LANES;
 
 /// Minimum trial count at which a batch-capable scenario cell runs in
 /// bit-sliced blocks of [`BATCH_LANES`] trials instead of scalar
-/// trials. One block is the smallest batched unit of work, so below a
-/// full block the scalar path is never slower.
+/// trials. Cells below one full block keep the per-trial
+/// [`PreparedScenario::trial`] stream, so their outcome bytes stay
+/// those of the scalar `run()` paths until those paths are retired.
 pub const BATCH_MIN_TRIALS: usize = BATCH_LANES;
 
 /// Seed-tree label under which a cell derives its block seeds: block
@@ -484,8 +489,8 @@ impl<'a> Sweep<'a> {
         // with at least one full block run bit-sliced: trial j is lane
         // j % BATCH_LANES of block j / BATCH_LANES, chunks are aligned
         // to block boundaries so whole blocks go to one worker, and a
-        // partial tail block replays its occupied lanes scalar-style
-        // (the engines pin lane-exact agreement between the two).
+        // partial tail block runs masked to its occupied lanes (the
+        // engines pin each live lane to its scalar lane replay).
         struct Task {
             cell: usize,
             start: usize,
@@ -534,25 +539,22 @@ impl<'a> Sweep<'a> {
             let mut local = Vec::with_capacity(task.len);
             match &resolved.exec {
                 CellExec::Scenario(prepared) if task.batched => {
-                    // Whole blocks in one bit-sliced pass; the tail
-                    // block (when trials % BATCH_LANES != 0) replays
-                    // its occupied lanes through the scalar lane path,
-                    // which the engines pin to agree lane-for-lane.
+                    // One bit-sliced pass per block; the tail block
+                    // (when trials % BATCH_LANES != 0) is masked to its
+                    // occupied lanes, which are then the only lanes the
+                    // pass seeds.
                     let block_seeds = cell_seeds.child(BATCH_LABEL);
-                    let mut j = task.start;
-                    while j < task.start + task.len {
+                    let end = task.start + task.len;
+                    for j in (task.start..end).step_by(BATCH_LANES) {
                         debug_assert_eq!(j % BATCH_LANES, 0, "tasks are block-aligned");
                         let block_seed = block_seeds.nth_seed((j / BATCH_LANES) as u64);
-                        let remaining = task.start + task.len - j;
-                        if remaining >= BATCH_LANES {
-                            local.extend(prepared.trial_block(block_seed).into_iter().map(Some));
-                            j += BATCH_LANES;
-                        } else {
-                            for lane in 0..remaining {
-                                local.push(Some(prepared.trial_lane(block_seed, lane as u32)));
-                            }
-                            j += remaining;
-                        }
+                        let lanes = lane_mask_first(end - j);
+                        local.extend(
+                            prepared
+                                .trial_block(block_seed, lanes)
+                                .into_iter()
+                                .map(Some),
+                        );
                     }
                 }
                 _ => {
@@ -894,30 +896,66 @@ mod tests {
         }
     }
 
-    /// A forced-fast-path cell: batch-capable at any size.
-    fn batch_scenario() -> Scenario {
-        Scenario {
+    /// Forced-fast-path cells, batch-capable at any size: flood, Decay
+    /// and Simple under omission, and Simple-Malicious under the flip
+    /// adversary.
+    fn batch_scenarios() -> [Scenario; 4] {
+        let cell = |algorithm, model, fault| Scenario {
             graph: GraphFamily::Grid(6, 6),
-            algorithm: Algorithm::FloodFast { horizon_scale: 2 },
-            model: Model::Mp,
-            fault: FaultConfig::omission(0.3),
+            algorithm,
+            model,
+            fault,
             shards: ShardSpec::Auto,
-        }
+        };
+        let simple = Algorithm::SimpleFast { phase_len: None };
+        [
+            cell(
+                Algorithm::FloodFast { horizon_scale: 2 },
+                Model::Mp,
+                FaultConfig::omission(0.3),
+            ),
+            cell(
+                Algorithm::DecayFast { epoch_factor: 1 },
+                Model::Radio,
+                FaultConfig::omission(0.3),
+            ),
+            cell(simple, Model::Mp, FaultConfig::omission(0.3)),
+            cell(simple, Model::Mp, FaultConfig::malicious(0.1)),
+        ]
     }
 
-    fn batch_cell_outcomes(trials: usize, threads: usize) -> Vec<TrialOutcome> {
+    /// The flood omission cell of [`batch_scenarios`].
+    fn batch_scenario() -> Scenario {
+        batch_scenarios()[0]
+    }
+
+    /// Trial counts whose tail blocks hold 1, 8 and 63 lanes behind one
+    /// full block, and 2 lanes behind two.
+    const TAIL_TRIALS: [usize; 4] = [65, 72, 127, 130];
+
+    fn batch_cell_outcomes(scenario: Scenario, trials: usize, threads: usize) -> Vec<TrialOutcome> {
         let mut sweep = Sweep::new("b", SeedSequence::new(21)).with_threads(threads);
-        sweep.scenario(batch_scenario(), trials);
+        sweep.scenario(scenario, trials);
         sweep.run().cells.remove(0).outcomes
     }
 
     #[test]
     fn batched_scenario_outcomes_are_thread_count_independent() {
-        // 130 trials = two full blocks plus a two-lane tail, so this
-        // exercises block-aligned chunking and the tail replay.
-        let base = batch_cell_outcomes(130, 1);
-        for threads in [2, 3, 8] {
-            assert_eq!(batch_cell_outcomes(130, threads), base, "threads={threads}");
+        // Full blocks plus a masked tail block of 1, 8, 63 or 2 lanes,
+        // so this exercises block-aligned chunking and the tail.
+        for scenario in batch_scenarios() {
+            for trials in TAIL_TRIALS {
+                let base = batch_cell_outcomes(scenario, trials, 1);
+                for threads in [2, 3, 8] {
+                    assert_eq!(
+                        batch_cell_outcomes(scenario, trials, threads),
+                        base,
+                        "{} {} trials={trials} threads={threads}",
+                        scenario.algorithm.name(),
+                        scenario.fault.kind
+                    );
+                }
+            }
         }
     }
 
@@ -926,16 +964,26 @@ mod tests {
         // Trial j of a batched cell must be lane j % BATCH_LANES of
         // block j / BATCH_LANES under the cell's BATCH_LABEL child
         // sequence — the documented addressing, pinned against the
-        // scalar lane replay.
-        let trials = 130;
-        let outcomes = batch_cell_outcomes(trials, 4);
-        let prepared = batch_scenario().try_prepare().expect("valid scenario");
-        assert!(prepared.supports_batch());
+        // scalar lane replay, masked tail lanes included.
         let block_seeds = SeedSequence::new(21).child(0).child(BATCH_LABEL);
-        for (j, out) in outcomes.iter().enumerate() {
-            let block_seed = block_seeds.nth_seed((j / BATCH_LANES) as u64);
-            let expected = prepared.trial_lane(block_seed, (j % BATCH_LANES) as u32);
-            assert_eq!(*out, expected, "trial {j}");
+        for scenario in batch_scenarios() {
+            let prepared = scenario.try_prepare().expect("valid scenario");
+            assert!(prepared.supports_batch());
+            for trials in TAIL_TRIALS {
+                let outcomes = batch_cell_outcomes(scenario, trials, 3);
+                assert_eq!(outcomes.len(), trials);
+                for (j, out) in outcomes.iter().enumerate() {
+                    let block_seed = block_seeds.nth_seed((j / BATCH_LANES) as u64);
+                    let expected = prepared.trial_lane(block_seed, (j % BATCH_LANES) as u32);
+                    assert_eq!(
+                        *out,
+                        expected,
+                        "{} {} trials={trials} trial {j}",
+                        scenario.algorithm.name(),
+                        scenario.fault.kind
+                    );
+                }
+            }
         }
     }
 
@@ -946,16 +994,16 @@ mod tests {
         let cell_seeds = SeedSequence::new(21).child(0);
         // Below a full block the cell runs the scalar (cell, trial)
         // RNG stream unchanged.
-        let below = batch_cell_outcomes(BATCH_MIN_TRIALS - 1, 2);
+        let below = batch_cell_outcomes(batch_scenario(), BATCH_MIN_TRIALS - 1, 2);
         for (j, out) in below.iter().enumerate() {
             let mut rng = cell_seeds.nth_rng(j as u64);
             let seed = rng.gen::<u64>();
             assert_eq!(*out, prepared.trial(seed), "scalar trial {j}");
         }
         // From one full block on, the bit-sliced lane stream.
-        let at = batch_cell_outcomes(BATCH_MIN_TRIALS, 2);
+        let at = batch_cell_outcomes(batch_scenario(), BATCH_MIN_TRIALS, 2);
         let block_seed = cell_seeds.child(BATCH_LABEL).nth_seed(0);
-        assert_eq!(at, prepared.trial_block(block_seed));
+        assert_eq!(at, prepared.trial_block(block_seed, !0));
     }
 
     #[test]

@@ -58,7 +58,7 @@ fn check_engine(name: &str, algorithm: Algorithm, model: Model) {
     for s in 0..SEEDS {
         let (label, p, prepared) = &cells[s % cells.len()];
         let block_seed = seeds.nth_seed(s as u64);
-        let block = prepared.trial_block(block_seed);
+        let block = prepared.trial_block(block_seed, !0);
         assert_eq!(block.len(), BATCH_LANES);
         for (lane, out) in block.iter().enumerate() {
             let scalar = prepared.trial_lane(block_seed, lane as u32);

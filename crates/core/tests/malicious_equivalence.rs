@@ -440,7 +440,7 @@ fn malicious_batches_agree_lane_for_lane() {
     ];
     for model in simple_models {
         for &bs in &seeds {
-            let batch = simple.run_batch_model(model, bs);
+            let batch = simple.run_batch_model(model, bs, !0);
             for lane in 0..LANES as u32 {
                 assert_eq!(
                     batch.lane_outcome(lane),
@@ -458,7 +458,7 @@ fn malicious_batches_agree_lane_for_lane() {
     let flood_models: [&dyn FaultModel; 2] = [&FlipFault::new(0.4), &flood_placed];
     for model in flood_models {
         for &bs in &seeds {
-            let batch = flood.run_batch_model(model, bs);
+            let batch = flood.run_batch_model(model, bs, !0);
             for lane in 0..LANES as u32 {
                 assert_eq!(
                     batch.lane_outcome(lane),
@@ -481,7 +481,7 @@ fn malicious_batches_agree_lane_for_lane() {
     let radio_models: [&dyn FaultModel; 2] = [&FlipFault::new(0.3), &radio_placed];
     for model in radio_models {
         for &bs in &seeds {
-            let batch = radio.run_batch_model(model, bs);
+            let batch = radio.run_batch_model(model, bs, !0);
             for lane in 0..LANES as u32 {
                 assert_eq!(
                     batch.lane_outcome(lane),
@@ -526,8 +526,8 @@ fn malicious_shards_are_neutral() {
         let plan = ShardPlan::uniform(n, shards);
         let sharded_simple = FastSimple::new(&csr, g.node(0), 9).with_shard_plan(plan.clone());
         assert_eq!(
-            sharded_simple.run_batch_model(&simple_placed, bs),
-            simple.run_batch_model(&simple_placed, bs),
+            sharded_simple.run_batch_model(&simple_placed, bs, !0),
+            simple.run_batch_model(&simple_placed, bs, !0),
             "simple shards {shards}"
         );
         assert_eq!(
@@ -538,8 +538,8 @@ fn malicious_shards_are_neutral() {
         let sharded_flood = FastFlood::new(csr.clone(), g.node(0), 40, FastFloodVariant::Tree)
             .with_shard_plan(plan.clone());
         assert_eq!(
-            sharded_flood.run_batch_model(&flood_placed, bs),
-            flood.run_batch_model(&flood_placed, bs),
+            sharded_flood.run_batch_model(&flood_placed, bs, !0),
+            flood.run_batch_model(&flood_placed, bs, !0),
             "flood shards {shards}"
         );
         assert_eq!(
@@ -551,8 +551,8 @@ fn malicious_shards_are_neutral() {
             FastRadio::new(csr.clone(), g.node(0), 180, decay).with_shard_plan(plan);
         for model in radio_models {
             assert_eq!(
-                sharded_radio.run_batch_model(model, bs),
-                radio.run_batch_model(model, bs),
+                sharded_radio.run_batch_model(model, bs, !0),
+                radio.run_batch_model(model, bs, !0),
                 "radio {} shards {shards}",
                 model.name()
             );

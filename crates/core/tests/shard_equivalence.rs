@@ -116,10 +116,10 @@ fn check_engine(name: &str, faults: &[(Algorithm, Model, FaultKind)]) {
     for s in 0..SEEDS {
         let (label, p, k, mono, sharded) = &cells[s % cells.len()];
         let block_seed = seeds.nth_seed(s as u64);
-        let reference = mono.trial_block(block_seed);
+        let reference = mono.trial_block(block_seed, !0);
         assert_eq!(reference.len(), BATCH_LANES);
         assert_eq!(
-            sharded.trial_block(block_seed),
+            sharded.trial_block(block_seed, !0),
             reference,
             "{label} at p={p}, {k} shards: seed #{s} batch diverged"
         );
@@ -279,12 +279,12 @@ fn p_zero_sharded_curves_are_exact() {
     let family = GraphFamily::Grid(5, 6);
     let fault = FaultConfig::omission(0.0);
     let mono = prepare(family, FLOOD, Model::Mp, fault, 1);
-    let reference = mono.trial_block(12345);
+    let reference = mono.trial_block(12345, !0);
     for out in &reference {
         assert!(out.success, "p = 0 flood must complete");
     }
     for k in SHARDS {
         let sharded = prepare(family, FLOOD, Model::Mp, fault, k);
-        assert_eq!(sharded.trial_block(12345), reference, "{k} shards");
+        assert_eq!(sharded.trial_block(12345, !0), reference, "{k} shards");
     }
 }

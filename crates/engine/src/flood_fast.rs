@@ -281,7 +281,7 @@ impl FastFlood {
     /// Panics if `p ∉ [0, 1)`.
     #[must_use]
     pub fn run_batch(&self, p: f64, block_seed: u64) -> FastFloodBatch {
-        self.run_batch_model(&Omission::new(p), block_seed)
+        self.run_batch_model(&Omission::new(p), block_seed, !0)
     }
 
     /// Runs the model's placement preprocessing against this plan's CSR
@@ -332,24 +332,30 @@ impl FastFlood {
     }
 
     /// [`run_batch`](Self::run_batch) under an arbitrary
-    /// [`FaultModel`]; lane `k` is byte-identical to
-    /// [`run_lane_model`](Self::run_lane_model)`(model, block_seed, k)`.
-    /// See [`run_lane_model`](Self::run_lane_model) for the
-    /// corrupted-value semantics.
+    /// [`FaultModel`], over the live lanes `lanes` only: the source is
+    /// seeded in those lanes alone, so a lane outside the mask is never
+    /// informed and no walk, coin or count visits it, and the batch's
+    /// views of it are unspecified. Live lane `k` is byte-identical to
+    /// [`run_lane_model`](Self::run_lane_model)`(model, block_seed, k)`
+    /// whatever the mask. See [`run_lane_model`](Self::run_lane_model)
+    /// for the corrupted-value semantics.
     #[must_use]
     pub fn run_batch_model<M: FaultModel + ?Sized>(
         &self,
         model: &M,
         block_seed: u64,
+        lanes: LaneMask,
     ) -> FastFloodBatch {
         let tapes = FaultTapes::new(block_seed);
         match (model.kind(), self.variant) {
-            (CorruptionKind::Silent, FastFloodVariant::Tree) => self.run_batch_tree(model, &tapes),
+            (CorruptionKind::Silent, FastFloodVariant::Tree) => {
+                self.run_batch_tree(model, &tapes, lanes)
+            }
             (CorruptionKind::Silent, FastFloodVariant::Graph) => self
                 .passes
-                .batch_pass(self.passes.views(), model, &tapes, self.order.len())
+                .batch_pass(self.passes.views(), model, &tapes, self.order.len(), lanes)
                 .expect("RAM stores never fail a read"),
-            _ => self.run_batch_values(model, &tapes),
+            _ => self.run_batch_values(model, &tapes, lanes),
         }
     }
 
@@ -392,7 +398,8 @@ impl FastFlood {
 
     /// Tree-variant batch backend: one pass over the BFS order (parents
     /// before children), resolving every node's 64 inform rounds in
-    /// bit-plane form. It reads the whole child lists in RAM; every
+    /// bit-plane form (the source is seeded in `lanes` only, so no other
+    /// lane resolves a round). It reads the whole child lists in RAM; every
     /// output is a per-node value or a multiset statistic, so the shard
     /// plan cannot change a bit.
     ///
@@ -405,6 +412,7 @@ impl FastFlood {
         &self,
         model: &M,
         tapes: &FaultTapes,
+        lanes: LaneMask,
     ) -> FastFloodBatch {
         let ram = self.ram();
         let n = self.node_count();
@@ -430,7 +438,7 @@ impl FastFlood {
         // exactly its parent's success mask, so it is free to maintain
         // and replaces every `≤ horizon` plane comparison downstream.
         let mut informed_masks = vec![0u64; n];
-        informed_masks[src] = !0;
+        informed_masks[src] = lanes;
         // Lanes where some eligible node attempted through the horizon
         // without success: their frontier stayed occupied to the end.
         let mut unfinished: LaneMask = 0;
@@ -742,11 +750,13 @@ impl FastFlood {
     /// per-level counting pass snapshots the correct-count planes in
     /// the same arena layout as the graph-variant silent pass, so
     /// [`FastFloodBatch::lane_outcome`] reconstructs each lane's
-    /// correct-count curve unchanged.
+    /// correct-count curve unchanged. Values and coins cover `lanes`
+    /// only.
     fn run_batch_values<M: FaultModel + ?Sized>(
         &self,
         model: &M,
         tapes: &FaultTapes,
+        lanes: LaneMask,
     ) -> FastFloodBatch {
         let ram = self.ram();
         let n = self.node_count();
@@ -763,7 +773,7 @@ impl FastFlood {
         let mut value_masks = vec![0u64; n];
         for &v in order {
             if (level[v as usize] as usize) <= levels {
-                value_masks[v as usize] = !0;
+                value_masks[v as usize] = lanes;
             }
         }
         for &u in order {
@@ -775,7 +785,7 @@ impl FastFlood {
             if targets.is_empty() {
                 continue;
             }
-            let corrupt = model.corrupt_mask(tapes, fault_site(du + 1, u), u, !0);
+            let corrupt = model.corrupt_mask(tapes, fault_site(du + 1, u), u, lanes);
             let c = match model.kind() {
                 CorruptionKind::Flip => value_masks[u as usize] ^ corrupt,
                 _ => value_masks[u as usize] & !corrupt,
@@ -789,7 +799,7 @@ impl FastFlood {
 
         let mut rounds = LaneRounds::new(n);
         let mut counts = LaneCounter::new();
-        counts.add_masked(!0, 1); // the source holds the true value everywhere
+        counts.add_masked(lanes, 1); // the source holds the true value in every live lane
         let mut i = 1;
         for l in 1..=levels {
             while i < order.len() && level[order[i] as usize] as usize == l {
@@ -937,6 +947,7 @@ impl ShardedFlood {
             &Omission::new(p),
             &FaultTapes::new(block_seed),
             reach,
+            !0,
         )
     }
 
@@ -1061,19 +1072,21 @@ impl ShardedFlood {
     /// changes an included lane's bit, and a dropped lane could only
     /// have made no-op transmissions. Lane-mask accumulation
     /// (`insert_masked`, pending unions, count planes) is value-based, so
-    /// neither the shard order nor the walk order changes a word.
+    /// neither the shard order nor the walk order changes a word. The
+    /// source is seeded in `lanes` only; the other lanes never join.
     fn batch_pass<M: FaultModel + ?Sized>(
         &self,
         mut views: PassLoader<'_>,
         model: &M,
         tapes: &FaultTapes,
         reach: usize,
+        lanes: LaneMask,
     ) -> Result<FastFloodBatch, ShardError> {
         let plan = self.store.plan();
         let n = plan.node_count();
         let k = plan.shard_count();
         let mut informed = BatchedInformedSet::new(n);
-        informed.insert_masked(self.source, !0);
+        informed.insert_masked(self.source, lanes);
         let mut rounds = LaneRounds::new(n);
 
         // The union frontier: per shard, the nodes whose
@@ -1087,7 +1100,7 @@ impl ShardedFlood {
         let mut frontier_mask = vec![0u64; n];
         let mut in_frontier = vec![false; n];
         frontier[plan.shard_of(self.source)].push(self.source);
-        frontier_mask[self.source as usize] = !0;
+        frontier_mask[self.source as usize] = lanes;
         in_frontier[self.source as usize] = true;
         // Lanes newly informed this round join the frontier only for
         // the *next* round; stage them here.
@@ -1095,8 +1108,8 @@ impl ShardedFlood {
         let mut pending_nodes: Vec<u32> = Vec::new();
 
         // A lane is live (its replay still executes rounds) while its
-        // informed count is below the closure size.
-        let mut live: LaneMask = if reach > 1 { !0 } else { 0 };
+        // informed count is below the closure size; only `lanes` start.
+        let mut live: LaneMask = if reach > 1 { lanes } else { 0 };
 
         for round in 1..=self.horizon {
             if live == 0 {
@@ -1292,7 +1305,10 @@ impl FastFloodBatch {
     }
 
     /// Reconstructs lane `k`'s full scalar outcome — equal to
-    /// [`FastFlood::run_lane`] with the same block seed and lane.
+    /// [`FastFlood::run_lane`] with the same block seed and lane. For a
+    /// lane outside the live mask of a
+    /// [`run_batch_model`](FastFlood::run_batch_model) call this and every
+    /// other per-lane view are unspecified.
     #[must_use]
     pub fn lane_outcome(&self, lane: u32) -> FastFloodOutcome {
         let mut informed = InformedSet::new(self.n);
@@ -1682,19 +1698,93 @@ mod tests {
         }
     }
 
+    /// Asserts every live lane of `masked` (run over `lanes`) equals the
+    /// full block's lane and the scalar replay `want`, through
+    /// `lane_outcome` and the per-lane accessors the scenario layer
+    /// reads.
+    fn assert_live_lanes(
+        masked: &FastFloodBatch,
+        full: &FastFloodBatch,
+        lanes: LaneMask,
+        want: impl Fn(u32) -> FastFloodOutcome,
+        label: &str,
+    ) {
+        for lane in crate::kernel::mask_lanes(lanes) {
+            let want = want(lane);
+            let label = format!("{label} lanes={lanes:#x} lane={lane}");
+            assert_eq!(full.lane_outcome(lane), want, "{label} full block");
+            assert_eq!(masked.lane_outcome(lane), want, "{label}");
+            assert_eq!(
+                masked.completion_round(lane),
+                want.completion_round(),
+                "{label}"
+            );
+            assert_eq!(
+                masked.almost_complete_round(lane),
+                want.almost_complete_round(),
+                "{label}"
+            );
+            assert_eq!(
+                masked.informed_count(lane),
+                want.informed_count(),
+                "{label}"
+            );
+        }
+    }
+
     #[test]
-    fn batch_lane_outcomes_are_independent_of_sibling_lanes() {
-        // A lane's coins are site-addressed, so its outcome cannot
-        // depend on how many other lanes run or what they do. Compare
-        // lane k across two *different* plans' batches sharing the same
-        // block seed — the lane replay only depends on (plan, p, seed,
-        // lane), which is the same thing run_lane computes.
-        let g = generators::grid(6, 6);
-        let ff = plan(&g, 120, FastFloodVariant::Graph);
-        for lane in [0u32, 13, 63] {
-            let a = ff.run_batch(0.4, 77).lane_outcome(lane);
-            let b = ff.run_lane(0.4, 77, lane);
-            assert_eq!(a, b);
+    fn masked_blocks_match_full_blocks_and_lane_replays() {
+        // A live lane's coins are site-addressed and its updates
+        // lane-wise, so masking its siblings out of the pass — which
+        // changes what they do, not just whether they are read — must
+        // leave it byte-identical, for every pass: the round-free tree
+        // batch, the graph frontier pass on one, three and three disk
+        // shards, and the corrupted-value pass.
+        use crate::kernel::{FlipFault, LieOrJamFault, TEST_LANE_MASKS};
+        let g = generators::gnp_connected(120, 0.03, &mut rand::rngs::SmallRng::seed_from_u64(4));
+        let csr = CsrGraph::from(&g);
+        let n = csr.node_count();
+        let p = 0.35;
+        let (omission, flip, lie) = (Omission::new(p), FlipFault::new(p), LieOrJamFault::new(p));
+        let models: [&dyn FaultModel; 3] = [&omission, &flip, &lie];
+        for variant in [FastFloodVariant::Tree, FastFloodVariant::Graph] {
+            let one = FastFlood::new(csr.clone(), g.node(0), 300, variant);
+            let three = FastFlood::new(csr.clone(), g.node(0), 300, variant)
+                .with_shard_plan(ShardPlan::uniform(n, 3));
+            for model in models {
+                for seed in [5u64, 6] {
+                    let full = one.run_batch_model(model, seed, !0);
+                    for lanes in TEST_LANE_MASKS {
+                        for (plan, k) in [(&one, 1), (&three, 3)] {
+                            assert_live_lanes(
+                                &plan.run_batch_model(model, seed, lanes),
+                                &full,
+                                lanes,
+                                |lane| one.run_lane_model(model, seed, lane),
+                                &format!("{variant:?} {} k={k} seed={seed}", model.name()),
+                            );
+                        }
+                    }
+                }
+            }
+        }
+
+        let one = FastFlood::new(csr.clone(), g.node(0), 300, FastFloodVariant::Graph);
+        let disk = ShardedFlood::new(disk_copy(one.ram(), 3, false), 0, 300);
+        for seed in [5u64, 6] {
+            let full = one.run_batch(p, seed);
+            for lanes in TEST_LANE_MASKS {
+                let tapes = FaultTapes::new(seed);
+                let masked =
+                    disk.batch_pass(disk.views(), &omission, &tapes, one.order.len(), lanes);
+                assert_live_lanes(
+                    &masked.unwrap(),
+                    &full,
+                    lanes,
+                    |lane| one.run_lane(p, seed, lane),
+                    &format!("disk seed={seed}"),
+                );
+            }
         }
     }
 
@@ -1812,7 +1902,7 @@ mod tests {
         for variant in [FastFloodVariant::Tree, FastFloodVariant::Graph] {
             let ff = plan(&g, 250, variant);
             let model = Omission::new(0.4);
-            assert_eq!(ff.run_batch_model(&model, 99), ff.run_batch(0.4, 99));
+            assert_eq!(ff.run_batch_model(&model, 99, !0), ff.run_batch(0.4, 99));
             for lane in [0u32, 17, 63] {
                 assert_eq!(
                     ff.run_lane_model(&model, 99, lane),
@@ -1832,7 +1922,7 @@ mod tests {
             for p in [0.0, 0.3, 0.76] {
                 let models: [&dyn FaultModel; 2] = [&FlipFault::new(p), &LieOrJamFault::new(p)];
                 for model in models {
-                    let batch = ff.run_batch_model(model, 41);
+                    let batch = ff.run_batch_model(model, 41, !0);
                     for lane in [0u32, 5, 31, 63] {
                         assert_eq!(
                             batch.lane_outcome(lane),
@@ -1888,8 +1978,8 @@ mod tests {
                     let sharded = FastFlood::new(csr.clone(), g.node(0), 250, variant)
                         .with_shard_plan(ShardPlan::uniform(csr.node_count(), shards));
                     assert_eq!(
-                        sharded.run_batch_model(model, 7),
-                        ff.run_batch_model(model, 7),
+                        sharded.run_batch_model(model, 7, !0),
+                        ff.run_batch_model(model, 7, !0),
                         "{variant:?} {} shards={shards}",
                         model.name()
                     );

@@ -522,6 +522,17 @@ pub fn lane_mask_first(count: usize) -> LaneMask {
     }
 }
 
+/// The lanes set in `mask`, in ascending order.
+pub fn mask_lanes(mask: LaneMask) -> impl Iterator<Item = u32> {
+    (0..LANES as u32).filter(move |&lane| mask >> lane & 1 == 1)
+}
+
+/// The live-lane masks the kernels' masked-block tests run: lane 0,
+/// lane 63, a first-8 and a first-63 tail, and a sparse set.
+#[cfg(test)]
+pub(crate) const TEST_LANE_MASKS: [LaneMask; 5] =
+    [1, 1 << 63, 0xFF, !0 >> 1, 0x0420_0091_0024_1850];
+
 /// Seed-tree stream label for per-(site) fault coins of a batched
 /// block.
 pub const FAULT_STREAM: u64 = 0xFA01;
@@ -2028,6 +2039,10 @@ mod tests {
         assert_eq!(lane_mask_first(5), 0b11111);
         assert_eq!(lane_mask_first(64), !0);
         assert_eq!(lane_mask_first(1000), !0);
+        assert_eq!(mask_lanes(0).count(), 0);
+        assert_eq!(mask_lanes(0b1010).collect::<Vec<_>>(), [1, 3]);
+        assert_eq!(mask_lanes(1 << 63).collect::<Vec<_>>(), [63]);
+        assert!(mask_lanes(!0).eq(0..64));
     }
 
     #[test]

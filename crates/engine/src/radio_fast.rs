@@ -364,7 +364,7 @@ impl FastRadio {
     /// Panics if `p ∉ [0, 1)`.
     #[must_use]
     pub fn run_batch(&self, p: f64, block_seed: u64) -> FastRadioBatch {
-        self.run_batch_model(&Omission::new(p), block_seed)
+        self.run_batch_model(&Omission::new(p), block_seed, !0)
     }
 
     /// Runs the model's placement preprocessing against this plan's
@@ -398,18 +398,23 @@ impl FastRadio {
     }
 
     /// [`run_batch`](Self::run_batch) under an arbitrary
-    /// [`FaultModel`], on one thread. Lane `k` is byte-identical to
-    /// [`run_lane_model`](Self::run_lane_model)`(model, block_seed, k)`.
-    /// See [`run_lane_model`](Self::run_lane_model) for the
-    /// corrupted-value semantics.
+    /// [`FaultModel`], on one thread, over the live lanes `lanes` only:
+    /// the source is seeded in those lanes alone, so a lane outside the
+    /// mask is never informed and no walk, coin or count visits it, and
+    /// the batch's views of it are unspecified. Live lane `k` is
+    /// byte-identical to
+    /// [`run_lane_model`](Self::run_lane_model)`(model, block_seed, k)`
+    /// whatever the mask. See [`run_lane_model`](Self::run_lane_model)
+    /// for the corrupted-value semantics.
     #[must_use]
     pub fn run_batch_model<M: FaultModel + ?Sized>(
         &self,
         model: &M,
         block_seed: u64,
+        lanes: LaneMask,
     ) -> FastRadioBatch {
         self.passes
-            .batch_pass(self.passes.views(), model, block_seed)
+            .batch_pass(self.passes.views(), model, block_seed, lanes)
             .expect("RAM stores never fail a read")
     }
 }
@@ -560,7 +565,7 @@ impl ShardedRadio {
     ///
     /// Panics if `p ∉ [0, 1)`.
     pub fn run_batch(&self, p: f64, block_seed: u64) -> Result<FastRadioBatch, ShardError> {
-        self.batch_pass(self.views(), &Omission::new(p), block_seed)
+        self.batch_pass(self.views(), &Omission::new(p), block_seed, !0)
     }
 
     /// The per-pass segment reader over the store.
@@ -730,12 +735,14 @@ impl ShardedRadio {
     /// coins are site-addressed and the once/twice/informed updates
     /// commute (DESIGN.md, "Outcome-neutrality is a theorem here"); the
     /// values sent to a listener are read only on lanes where exactly one
-    /// neighbor transmitted.
+    /// neighbor transmitted. The source is seeded in `lanes` only; every
+    /// other lane has no participant and retires at the first refilter.
     fn batch_pass<M: FaultModel + ?Sized>(
         &self,
         mut views: PassLoader<'_>,
         model: &M,
         block_seed: u64,
+        lanes: LaneMask,
     ) -> Result<FastRadioBatch, ShardError> {
         let tapes = FaultTapes::new(block_seed);
         let decay_tape = BatchTape::new(block_seed, DECAY_STREAM);
@@ -743,7 +750,7 @@ impl ShardedRadio {
         let n = plan.node_count();
         let k = plan.shard_count();
         let mut informed = BatchedInformedSet::new(n);
-        informed.insert_masked(self.source, !0);
+        informed.insert_masked(self.source, lanes);
         // The lane-sliced value plane of a `Flip` / `Lie` model, as in
         // the lane pass: `correct` holds each node's correctly informed
         // lanes and `sent_to[t]` the OR of the values sent to `t` this
@@ -755,7 +762,7 @@ impl ShardedRadio {
         let mut correct = BatchedInformedSet::new(value_n);
         let mut sent_to: Vec<LaneMask> = vec![0; value_n];
         if values {
-            correct.insert_masked(self.source, !0);
+            correct.insert_masked(self.source, lanes);
         }
         let mut rounds = LaneRounds::new(n);
         // Lanes whose replay broke at an epoch boundary with no
@@ -994,7 +1001,10 @@ impl FastRadioBatch {
     }
 
     /// Reconstructs lane `k`'s full scalar outcome — equal to
-    /// [`FastRadio::run_lane`] with the same block seed and lane.
+    /// [`FastRadio::run_lane`] with the same block seed and lane. For a
+    /// lane outside the live mask of a
+    /// [`run_batch_model`](FastRadio::run_batch_model) call this and every
+    /// other per-lane view are unspecified.
     #[must_use]
     pub fn lane_outcome(&self, lane: u32) -> FastRadioOutcome {
         let mut informed = InformedSet::new(self.n);
@@ -1810,7 +1820,7 @@ mod tests {
                 let lane_out = plan.run_lane_model(model, seed, lane);
                 assert_eq!(lane_out, want_lane, "{label} k={k} lane {lane}");
                 assert_eq!(
-                    plan.run_batch_model(model, seed),
+                    plan.run_batch_model(model, seed, !0),
                     want_block,
                     "{label} k={k}"
                 );
@@ -1819,7 +1829,7 @@ mod tests {
                 let views = || PassLoader::new(&disk.store, prefetch);
                 let lane_out = disk.lane_pass(views(), model, seed, lane, 1).unwrap();
                 assert_eq!(lane_out, want_lane, "{label} disk {prefetch} lane {lane}");
-                let block = disk.batch_pass(views(), model, seed).unwrap();
+                let block = disk.batch_pass(views(), model, seed, !0).unwrap();
                 assert_eq!(block, want_block, "{label} disk prefetch={prefetch}");
             }
         }
@@ -1913,7 +1923,7 @@ mod tests {
         let g = generators::grid(6, 6);
         let fr = decay_plan(&g, 2000);
         let model = Omission::new(0.4);
-        assert_eq!(fr.run_batch_model(&model, 77), fr.run_batch(0.4, 77));
+        assert_eq!(fr.run_batch_model(&model, 77, !0), fr.run_batch(0.4, 77));
         for lane in [0u32, 17, 63] {
             assert_eq!(
                 fr.run_lane_model(&model, 77, lane),
@@ -1937,7 +1947,7 @@ mod tests {
             for p in [0.0, 0.3, 0.76] {
                 let models: [&dyn FaultModel; 2] = [&FlipFault::new(p), &LieOrJamFault::new(p)];
                 for model in models {
-                    let batch = fr.run_batch_model(model, 41);
+                    let batch = fr.run_batch_model(model, 41, !0);
                     for lane in [0u32, 5, 31, 63] {
                         assert_eq!(
                             batch.lane_outcome(lane),
@@ -1956,6 +1966,80 @@ mod tests {
                             "n={} {} p={p} lane={lane}",
                             g.node_count(),
                             model.name()
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    /// Asserts every live lane of `masked` (run over `lanes`) equals the
+    /// full block's lane and the scalar replay `want`, through
+    /// `lane_outcome` and the per-lane accessors the scenario layer
+    /// reads.
+    fn assert_live_lanes(
+        masked: &FastRadioBatch,
+        full: &FastRadioBatch,
+        lanes: LaneMask,
+        want: impl Fn(u32) -> FastRadioOutcome,
+        label: &str,
+    ) {
+        for lane in crate::kernel::mask_lanes(lanes) {
+            let want = want(lane);
+            let label = format!("{label} lanes={lanes:#x} lane={lane}");
+            assert_eq!(full.lane_outcome(lane), want, "{label} full block");
+            assert_eq!(masked.lane_outcome(lane), want, "{label}");
+            assert_eq!(
+                masked.completion_round(lane),
+                want.completion_round(),
+                "{label}"
+            );
+            assert_eq!(
+                masked.almost_complete_round(lane),
+                want.almost_complete_round(),
+                "{label}"
+            );
+            assert_eq!(
+                masked.informed_count(lane),
+                want.informed_count(),
+                "{label}"
+            );
+        }
+    }
+
+    #[test]
+    fn masked_blocks_match_full_blocks_and_lane_replays() {
+        // Masked-out lanes never transmit, collide or thin, so each live
+        // lane of a masked Decay block must equal its full-block lane
+        // and its lane replay under every model the pass serves, on
+        // one, three and three disk shards.
+        use crate::kernel::{FlipFault, LieOrJamFault, TEST_LANE_MASKS};
+        let g = generators::gnp_connected(90, 0.05, &mut rand::rngs::SmallRng::seed_from_u64(27));
+        let csr = CsrGraph::from(&g);
+        let schedule = FastRadioSchedule::Decay { epoch_len: 8 };
+        let one = FastRadio::new(csr.clone(), g.node(0), 600, schedule);
+        let three = resharded(&csr, &g, 600, schedule, 3);
+        let disk = ShardedRadio::new(disk_copy(&csr, 3), 0, 600, schedule);
+        let p = 0.35;
+        let (omission, flip, lie) = (Omission::new(p), FlipFault::new(p), LieOrJamFault::new(p));
+        let models: [&dyn FaultModel; 3] = [&omission, &flip, &lie];
+        for model in models {
+            for seed in [5u64, 6] {
+                let full = one.run_batch_model(model, seed, !0);
+                for lanes in TEST_LANE_MASKS {
+                    let disk_block = disk.batch_pass(disk.views(), model, seed, lanes).unwrap();
+                    let blocks = [
+                        (one.run_batch_model(model, seed, lanes), "k=1"),
+                        (three.run_batch_model(model, seed, lanes), "k=3"),
+                        (disk_block, "disk k=3"),
+                    ];
+                    for (masked, what) in &blocks {
+                        assert_live_lanes(
+                            masked,
+                            &full,
+                            lanes,
+                            |lane| one.run_lane_model(model, seed, lane),
+                            &format!("{} {what} seed={seed}", model.name()),
                         );
                     }
                 }
@@ -1996,8 +2080,8 @@ mod tests {
             for shards in [2usize, 3, 7] {
                 let sharded = resharded(&csr, &g, 600, schedule, shards);
                 assert_eq!(
-                    sharded.run_batch_model(model, 7),
-                    fr.run_batch_model(model, 7),
+                    sharded.run_batch_model(model, 7, !0),
+                    fr.run_batch_model(model, 7, !0),
                     "{} shards={shards}",
                     model.name()
                 );

@@ -392,7 +392,7 @@ impl FastSimple {
     /// Panics if `p ∉ [0, 1)`.
     #[must_use]
     pub fn run_batch(&self, p: f64, block_seed: u64) -> FastSimpleBatch {
-        self.run_batch_model(&Omission::new(p), block_seed)
+        self.run_batch_model(&Omission::new(p), block_seed, !0)
     }
 
     /// Hands `model` the plan's broadcast-tree topology — call once
@@ -434,21 +434,25 @@ impl FastSimple {
             .expect("RAM stores never fail a read")
     }
 
-    /// Runs all 64 trial lanes of block `block_seed` under an arbitrary
-    /// [`FaultModel`]: per phase, one bit-sliced corruption count over
-    /// the `m` transmission coins resolves every lane's majority vote
-    /// at once. Lane `k` of the result is byte-identical to
-    /// [`run_lane_model`](Self::run_lane_model)`(model, block_seed, k)`;
-    /// i.i.d. `Silent` instances take the omission collapse of
-    /// [`run_batch`](Self::run_batch).
+    /// Runs the live lanes `lanes` of block `block_seed` under an
+    /// arbitrary [`FaultModel`]: per phase, one bit-sliced corruption
+    /// count over the `m` transmission coins resolves every live lane's
+    /// majority vote at once. The source is seeded in the live lanes
+    /// alone, so a lane outside the mask never adopts and no walk, coin
+    /// or count visits it, and the batch's views of it are unspecified.
+    /// Live lane `k` of the result is byte-identical to
+    /// [`run_lane_model`](Self::run_lane_model)`(model, block_seed, k)`
+    /// whatever the mask; i.i.d. `Silent` instances take the omission
+    /// collapse of [`run_batch`](Self::run_batch).
     #[must_use]
     pub fn run_batch_model<M: FaultModel + ?Sized>(
         &self,
         model: &M,
         block_seed: u64,
+        lanes: LaneMask,
     ) -> FastSimpleBatch {
         self.passes
-            .batch_pass(self.passes.views(), model, block_seed)
+            .batch_pass(self.passes.views(), model, block_seed, lanes)
             .expect("RAM stores never fail a read")
     }
 }
@@ -570,7 +574,7 @@ impl ShardedSimple {
     ///
     /// Panics if `p ∉ [0, 1)`.
     pub fn run_batch(&self, p: f64, block_seed: u64) -> Result<FastSimpleBatch, ShardError> {
-        self.batch_pass(self.views(), &Omission::new(p), block_seed)
+        self.batch_pass(self.views(), &Omission::new(p), block_seed, !0)
     }
 
     /// The per-pass segment reader over the store.
@@ -659,12 +663,14 @@ impl ShardedSimple {
     /// forward — a phase adopting in all 64 lanes sets one shared mark,
     /// the others mark lane by lane — so no segment is read twice, and
     /// the rounds of the at most two stat-relevant phases per lane
-    /// resolve lazily after the walk.
+    /// resolve lazily after the walk. The source is seeded in `lanes`
+    /// only, so no phase resolves another lane.
     fn batch_pass<M: FaultModel + ?Sized>(
         &self,
         mut views: PassLoader<'_>,
         model: &M,
         block_seed: u64,
+        lanes: LaneMask,
     ) -> Result<FastSimpleBatch, ShardError> {
         let phases = Phases::new(model, block_seed, self.m);
         let n = self.n;
@@ -676,12 +682,12 @@ impl ShardedSimple {
         let silent = model.kind() == CorruptionKind::Silent;
         let mut value_masks: Vec<LaneMask> = vec![0; n];
         let mut heard_masks: Vec<LaneMask> = if silent { Vec::new() } else { vec![0; n] };
-        value_masks[self.source as usize] = !0;
+        value_masks[self.source as usize] = lanes;
         if !silent {
-            heard_masks[self.source as usize] = !0;
+            heard_masks[self.source as usize] = lanes;
         }
         let mut counts = LaneCounter::new();
-        counts.add_masked(!0, 1);
+        counts.add_masked(lanes, 1);
         let almost_target = n.saturating_sub(1).max(1) as u64;
         let mut almost_done: LaneMask = if 1 >= almost_target { !0 } else { 0 };
         let mut almost_phase = [0u32; LANES];
@@ -838,7 +844,10 @@ impl FastSimpleBatch {
     }
 
     /// Reconstructs lane `k`'s full scalar outcome — equal to
-    /// [`FastSimple::run_lane`] with the same block seed and lane.
+    /// [`FastSimple::run_lane`] with the same block seed and lane. For a
+    /// lane outside the live mask of a
+    /// [`run_batch_model`](FastSimple::run_batch_model) call this and every
+    /// other per-lane view are unspecified.
     #[must_use]
     pub fn lane_outcome(&self, lane: u32) -> FastSimpleOutcome {
         let mut correct = InformedSet::new(self.n);
@@ -1318,7 +1327,7 @@ mod tests {
                     let models: [&dyn FaultModel; 2] = [&flip, &lie];
                     for model in models {
                         let seed = 3000 + (p * 100.0) as u64 + m as u64;
-                        let batch = fs.run_batch_model(model, seed);
+                        let batch = fs.run_batch_model(model, seed, !0);
                         for lane in [0u32, 1, 17, 40, 63] {
                             let scalar = fs.run_lane_model(model, seed, lane);
                             assert_eq!(
@@ -1345,12 +1354,12 @@ mod tests {
         assert!((eff - 0.6).abs() < 1e-12, "effective rate {eff}");
         for seed in 0..2 {
             assert_eq!(
-                fs.run_batch_model(&throttled, seed),
+                fs.run_batch_model(&throttled, seed, !0),
                 fs.run_batch(eff, seed)
             );
         }
         for seed in 0..4 {
-            assert_eq!(fs.run_batch_model(&om, seed), fs.run_batch(0.6, seed));
+            assert_eq!(fs.run_batch_model(&om, seed, !0), fs.run_batch(0.6, seed));
             for lane in [0u32, 33] {
                 assert_eq!(
                     fs.run_lane_model(&om, seed, lane),
@@ -1380,8 +1389,8 @@ mod tests {
         let throttled = ThrottledFault::try_new(inner, 0.4).expect("feasible");
         for seed in 0..4 {
             assert_eq!(
-                fs.run_batch_model(&inner, seed),
-                fs.run_batch_model(&throttled, seed)
+                fs.run_batch_model(&inner, seed, !0),
+                fs.run_batch_model(&throttled, seed, !0)
             );
         }
     }
@@ -1404,7 +1413,7 @@ mod tests {
             assert!(!out.is_correct(g.node(2)));
             // Clean parents adopt at the first round of the phase.
             assert_eq!(out.last_adoption_round() % 3, 1);
-            let batch = fs.run_batch_model(&model, seed);
+            let batch = fs.run_batch_model(&model, seed, !0);
             assert_eq!(batch.lane_outcome(17), fs.run_lane_model(&model, seed, 17));
         }
     }
@@ -1424,6 +1433,85 @@ mod tests {
         assert!(!out.is_correct(g.node(4)));
     }
 
+    /// Asserts every live lane of `masked` (run over `lanes`) equals the
+    /// full block's lane and the scalar replay `want`, through
+    /// `lane_outcome` and the per-lane accessors the scenario layer
+    /// reads.
+    fn assert_live_lanes(
+        masked: &FastSimpleBatch,
+        full: &FastSimpleBatch,
+        lanes: LaneMask,
+        want: impl Fn(u32) -> FastSimpleOutcome,
+        label: &str,
+    ) {
+        for lane in crate::kernel::mask_lanes(lanes) {
+            let want = want(lane);
+            let label = format!("{label} lanes={lanes:#x} lane={lane}");
+            assert_eq!(full.lane_outcome(lane), want, "{label} full block");
+            assert_eq!(masked.lane_outcome(lane), want, "{label}");
+            assert_eq!(
+                masked.completion_round(lane),
+                want.completion_round(),
+                "{label}"
+            );
+            assert_eq!(
+                masked.almost_complete_round(lane),
+                want.almost_complete_round(),
+                "{label}"
+            );
+            assert_eq!(masked.correct_count(lane), want.correct_count(), "{label}");
+        }
+    }
+
+    #[test]
+    fn masked_blocks_match_full_blocks_and_lane_replays() {
+        // A masked-out lane never adopts, so no phase resolves it; each
+        // live lane of a masked block must equal its full-block lane and
+        // its lane replay under the omission collapse, the Flip and Lie
+        // votes and a (throttled, so lane-varying) placed model, on
+        // one, three and three disk shards.
+        use crate::kernel::TEST_LANE_MASKS;
+        use randcast_graph::shard::{default_scratch_dir, ShardedBfsTree};
+        let g = generators::gnp_connected(150, 0.03, &mut rand::rngs::SmallRng::seed_from_u64(29));
+        let csr = CsrGraph::from(&g);
+        let n = csr.node_count();
+        let m = 4;
+        let one = FastSimple::new(&csr, g.node(0), m);
+        let three = FastSimple::new(&csr, g.node(0), m).with_shard_plan(ShardPlan::uniform(n, 3));
+        let adj = ShardStore::Ram(RamShards::from_csr(csr.clone(), ShardPlan::uniform(n, 3)));
+        let tree = ShardedBfsTree::build(&adj, 0, default_scratch_dir()).expect("tree");
+        let (order, children) = tree.into_parts();
+        let disk = ShardedSimple::new(ShardStore::Disk(children), order, 0, m);
+        let p = 0.35;
+        let mut placed = WorstCasePlacement::new(0.2, CorruptionKind::Silent);
+        one.preprocess(&mut placed);
+        let throttled = ThrottledFault::try_new(placed, 0.1).unwrap();
+        let (omission, flip, lie) = (Omission::new(p), FlipFault::new(p), LieOrJamFault::new(p));
+        let models: [&dyn FaultModel; 4] = [&omission, &flip, &lie, &throttled];
+        for model in models {
+            for seed in [5u64, 6] {
+                let full = one.run_batch_model(model, seed, !0);
+                for lanes in TEST_LANE_MASKS {
+                    let disk_block = disk.batch_pass(disk.views(), model, seed, lanes).unwrap();
+                    let blocks = [
+                        (one.run_batch_model(model, seed, lanes), "k=1"),
+                        (three.run_batch_model(model, seed, lanes), "k=3"),
+                        (disk_block, "disk k=3"),
+                    ];
+                    for (masked, what) in &blocks {
+                        assert_live_lanes(
+                            masked,
+                            &full,
+                            lanes,
+                            |lane| one.run_lane_model(model, seed, lane),
+                            &format!("{} {what} seed={seed}", model.name()),
+                        );
+                    }
+                }
+            }
+        }
+    }
+
     #[test]
     fn sharded_model_runs_match_monolithic_exactly() {
         let g = generators::gnp_connected(150, 0.03, &mut rand::rngs::SmallRng::seed_from_u64(13));
@@ -1438,8 +1526,8 @@ mod tests {
             for model in models {
                 let seed = 17 + shards as u64;
                 assert_eq!(
-                    sharded.run_batch_model(model, seed),
-                    fs.run_batch_model(model, seed),
+                    sharded.run_batch_model(model, seed, !0),
+                    fs.run_batch_model(model, seed, !0),
                     "batch diverged: {} shards={shards}",
                     model.name()
                 );

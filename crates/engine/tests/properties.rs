@@ -6,7 +6,10 @@ use rand::rngs::SmallRng;
 
 use randcast_engine::fault::FaultConfig;
 use randcast_engine::flood_fast::{FastFlood, FastFloodVariant};
-use randcast_engine::kernel::{BatchBernoulli, BatchTape, FAULT_STREAM, LANES};
+use randcast_engine::kernel::{
+    mask_lanes, BatchBernoulli, BatchTape, FaultModel, FlipFault, LieOrJamFault, Omission,
+    FAULT_STREAM, LANES,
+};
 use randcast_engine::mp::{MpAdversary, MpNetwork, MpNode, MpRoundCtx, Outgoing};
 use randcast_engine::radio::{
     RadioAction, RadioAdversary, RadioNetwork, RadioNode, RadioRoundCtx, RadioStats,
@@ -563,6 +566,43 @@ proptest! {
                 prop_assert_eq!(short.completion_round(lane), long.completion_round(lane));
                 prop_assert_eq!(short.almost_complete_round(lane), long.almost_complete_round(lane));
                 prop_assert_eq!(short.informed_count(lane), long.informed_count(lane));
+            }
+        }
+    }
+
+    #[test]
+    fn masked_block_lanes_match_lane_replays(
+        g in connected_graph(),
+        p in 0.0f64..0.95,
+        block_seed in any::<u64>(),
+        lanes in 1u64..=u64::MAX,
+    ) {
+        // Masking a block to any live-lane set must leave every live
+        // lane byte-identical to its scalar replay, for every kernel's
+        // 64-lane pass under omission and both corrupted-value models.
+        let csr = CsrGraph::from(&g);
+        let src = g.node(0);
+        let n = g.node_count();
+        let (omission, flip, lie) = (Omission::new(p), FlipFault::new(p), LieOrJamFault::new(p));
+        let models: [&dyn FaultModel; 3] = [&omission, &flip, &lie];
+        let tree = FastFlood::new(csr.clone(), src, 2 * n + 20, FastFloodVariant::Tree);
+        let graph = FastFlood::new(csr.clone(), src, 2 * n + 20, FastFloodVariant::Graph);
+        let radio = FastRadio::new(csr.clone(), src, 8 * n + 30, FastRadioSchedule::Decay { epoch_len: 4 });
+        let simple = FastSimple::new(&csr, src, 3);
+        for model in models {
+            for ff in [&tree, &graph] {
+                let masked = ff.run_batch_model(model, block_seed, lanes);
+                for lane in mask_lanes(lanes) {
+                    prop_assert_eq!(masked.lane_outcome(lane), ff.run_lane_model(model, block_seed, lane));
+                }
+            }
+            let masked = radio.run_batch_model(model, block_seed, lanes);
+            for lane in mask_lanes(lanes) {
+                prop_assert_eq!(masked.lane_outcome(lane), radio.run_lane_model(model, block_seed, lane));
+            }
+            let masked = simple.run_batch_model(model, block_seed, lanes);
+            for lane in mask_lanes(lanes) {
+                prop_assert_eq!(masked.lane_outcome(lane), simple.run_lane_model(model, block_seed, lane));
             }
         }
     }
