@@ -22,7 +22,7 @@ use randcast_engine::simple_fast::{FastSimple, ShardedSimple};
 use randcast_graph::shard::{
     default_scratch_dir, ShardPlan, ShardStore, ShardedBfsTree, SpillSink,
 };
-use randcast_graph::{generators, traversal, CsrGraph, Graph, NodeId};
+use randcast_graph::{generators, traversal, Graph, NodeId};
 use randcast_stats::chernoff::phase_len_omission;
 
 /// Flooding automaton (the engine stress case: every informed node sends
@@ -125,7 +125,7 @@ fn bench_mp_directed(c: &mut Criterion) {
                         let mut net =
                             MpNetwork::new(&g, FaultConfig::omission(p), 7, |v| DirectedGossip {
                                 informed: v.index() == 0,
-                                neighbors: g.neighbors(v).to_vec(),
+                                neighbors: g.neighbors(v).collect(),
                             });
                         net.run(rounds);
                         net.stats().deliveries
@@ -165,7 +165,7 @@ fn bench_flood_fast_vs_mp(c: &mut Criterion) {
                     .informed_count()
             })
         });
-        let fast_plan = FastFlood::new(CsrGraph::from(g), source, horizon, FastFloodVariant::Tree);
+        let fast_plan = FastFlood::new(g, source, horizon, FastFloodVariant::Tree);
         group.bench_with_input(BenchmarkId::new("fast", label), &p, |b, _| {
             let mut seed = 0u64;
             b.iter(|| {
@@ -242,7 +242,7 @@ fn bench_simple_fast_vs_trait(c: &mut Criterion) {
                     .correct_count(true)
             })
         });
-        let fast = FastSimple::new(&CsrGraph::from(g), source, plan.phase_len());
+        let fast = FastSimple::new(g, source, plan.phase_len());
         group.bench_with_input(BenchmarkId::new("fast", label), &p, |b, &p| {
             let mut seed = 0u64;
             b.iter(|| {
@@ -277,7 +277,7 @@ fn bench_simple_fast_vs_trait(c: &mut Criterion) {
                         .correct_count(true)
                 })
             });
-            let fast_mal = FastSimple::new(&CsrGraph::from(g), source, mal_plan.phase_len());
+            let fast_mal = FastSimple::new(g, source, mal_plan.phase_len());
             let model = FlipFault::new(p);
             group.bench_with_input(BenchmarkId::new("fast-mal", label), &p, |b, _| {
                 let mut seed = 0u64;
@@ -327,7 +327,7 @@ fn bench_radio_fast_vs_trait(c: &mut Criterion) {
             })
         });
         let fast_plan = FastRadio::new(
-            CsrGraph::from(g),
+            g,
             source,
             cfg.total_rounds(),
             FastRadioSchedule::Decay {
@@ -386,13 +386,12 @@ fn bench_oc_engines(c: &mut Criterion) {
     group.sample_size(10);
     let label = "gnp4096-d8";
     let g = generators::gnp_connected(4096, 8.0 / 4095.0, &mut SmallRng::seed_from_u64(7));
-    let csr = CsrGraph::from(&g);
-    let n = csr.node_count();
+    let n = g.node_count();
     let plan = ShardPlan::uniform(n, 3);
     let disk_store = || {
         let mut sink = SpillSink::create(default_scratch_dir(), plan.clone()).expect("spill sink");
         for v in 0..n {
-            for &t in csr.neighbors_of(v) {
+            for &t in g.targets_of(v as u32) {
                 if (v as u32) < t {
                     sink.push(v as u64, u64::from(t)).expect("spill edge");
                 }

@@ -10,7 +10,7 @@
 //!
 //! Reads the bench transcript from stdin, keeps the benchmarks of the
 //! requested criterion groups, writes the distilled
-//! [`BenchReport`](randcast_stats::report::BenchReport) to `--out`, and
+//! [`BenchReport`] to `--out`, and
 //! — when `--baseline` is given — **fails (exit 1) if any baseline
 //! benchmark is missing or slower than `--max-ratio` (default 2×)**.
 //! New benchmarks are allowed; the trajectory grows. Without

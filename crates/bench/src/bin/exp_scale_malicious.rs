@@ -37,7 +37,7 @@ use randcast_core::scenario::{fmt_p, Algorithm, GraphFamily, Model, Scenario, Sh
 use randcast_engine::fault::{FaultConfig, FaultKind};
 use randcast_engine::flood_fast::{FastFlood, FastFloodVariant};
 use randcast_engine::kernel::{CorruptionKind, FaultModel, Omission, WorstCasePlacement, LANES};
-use randcast_graph::{generators, CsrGraph};
+use randcast_graph::generators;
 use randcast_stats::table::{fmt_f2, Table};
 
 fn main() {
@@ -215,8 +215,7 @@ fn main() {
 fn placement_study(blocks: u64, seed: u64) {
     let g = generators::grid(64, 64);
     let n = g.node_count();
-    let csr = CsrGraph::from(&g);
-    let flood = FastFlood::new(csr, g.node(0), 256, FastFloodVariant::Tree);
+    let flood = FastFlood::new(&g, g.node(0), 256, FastFloodVariant::Tree);
 
     let mut table = Table::new(["budget", "iid informed frac", "placed informed frac"]);
     for &p in &[0.01, 0.03, 0.1] {

@@ -53,10 +53,9 @@ use randcast_engine::radio_fast::{FastRadioSchedule, ShardedRadio};
 use randcast_engine::simple_fast::ShardedSimple;
 use randcast_graph::generators::gnp_edges;
 use randcast_graph::shard::{
-    default_scratch_dir, EdgeSink, RamShards, ShardError, ShardPlan, ShardStore, ShardedBfsTree,
-    SpillSink,
+    default_scratch_dir, RamShards, ShardPlan, ShardStore, ShardedBfsTree, SpillSink,
 };
-use randcast_graph::CsrGraph;
+use randcast_graph::Graph;
 use randcast_stats::chernoff::phase_len_omission;
 use randcast_stats::estimate::SuccessEstimate;
 use randcast_stats::quantile::QuantileSummary;
@@ -158,20 +157,6 @@ fn main() {
     write_json(&cli, &result);
 }
 
-/// The in-RAM [`EdgeSink`] for `--store ram`: collects the same edge
-/// stream the disk path spills, for a monolithic CSR build split along
-/// the identical shard plan.
-struct CollectSink(Vec<(u32, u32)>);
-
-impl EdgeSink for CollectSink {
-    fn edge(&mut self, u: u64, v: u64) -> Result<(), ShardError> {
-        debug_assert!(u < u64::from(u32::MAX) && v < u64::from(u32::MAX));
-        #[allow(clippy::cast_possible_truncation)]
-        self.0.push((u as u32, v as u32));
-        Ok(())
-    }
-}
-
 /// Streams a `G(n, 8/n)` edge run into the store `--store` selects,
 /// builds the sharded BFS tree for Simple, then runs one trial per
 /// kernel against the same adjacency store — flood first, then radio
@@ -213,13 +198,15 @@ fn out_of_core_trials(cli: &Cli, n: usize, quick: bool, cells: &mut Vec<CellResu
             (ShardStore::Disk(disk), edges)
         }
         StoreKind::Ram => {
-            let mut sink = CollectSink(Vec::new());
+            // The same edge stream the disk path spills, collected for a
+            // monolithic CSR build split along the identical shard plan.
+            let mut sink: Vec<(u32, u32)> = Vec::new();
             gnp_edges(&mut sink, n, q, &mut rng)
                 .unwrap_or_else(|e| panic!("edge stream failed: {e}"));
-            let csr = CsrGraph::from_edges(n, &sink.0);
+            let graph = Graph::from_edges(n, &sink);
             drop(sink);
-            let edges = csr.edge_count() as u64;
-            (ShardStore::Ram(RamShards::from_csr(csr, plan)), edges)
+            let edges = graph.edge_count() as u64;
+            (ShardStore::Ram(RamShards::from_graph(graph, plan)), edges)
         }
     };
     let build_wall = build_start.elapsed();

@@ -11,6 +11,9 @@
 //! --trials N     Monte-Carlo trials per cell (overrides --quick's count)
 //! --threads N    worker threads (default: one per CPU)
 //! --shards K     frontier shards per trial (default: auto by graph size)
+//! --store KIND   out-of-core store backend, `disk` (default) or `ram`
+//! --prefetch V   overlap segment reads with compute, `on` (default) or `off`
+//! --sweep-only   skip the out-of-core part of binaries that have one
 //! --seed S       root seed; all cell/trial randomness derives from it
 //! --json PATH    also write the structured JSON report to PATH
 //! ```
@@ -41,7 +44,8 @@ pub const QUICK_TRIALS: usize = 60;
 
 /// CLI usage text shared by all experiment binaries.
 pub const USAGE: &str =
-    "usage: exp_* [--quick] [--trials N] [--threads N] [--shards K] [--store ram|disk] [--seed S] [--json PATH]
+    "usage: exp_* [--quick] [--trials N] [--threads N] [--shards K] [--store ram|disk]
+             [--prefetch on|off] [--sweep-only] [--seed S] [--json PATH] [--help]
 
   --quick        reduced trial counts and sweep extents (smoke runs)
   --trials N     Monte-Carlo trials per table cell (default 400; 60 with --quick)
@@ -614,6 +618,60 @@ mod tests {
         let sweep = cli.sweep("x");
         assert_eq!(sweep.threads(), 2);
         assert_eq!(cli.seeds(), SeedSequence::new(5));
+    }
+
+    /// Every flag `Cli::parse` matches on — read from its own source, so
+    /// a new match arm cannot skip the help text — parses with a sample
+    /// value and appears in both `USAGE`'s synopsis and its flag table.
+    #[test]
+    fn usage_lists_every_accepted_flag() {
+        let samples = [
+            ("--help", None),
+            ("--quick", None),
+            ("--trials", Some("3")),
+            ("--threads", Some("2")),
+            ("--shards", Some("2")),
+            ("--store", Some("ram")),
+            ("--prefetch", Some("off")),
+            ("--sweep-only", None),
+            ("--seed", Some("7")),
+            ("--json", Some("out.json")),
+        ];
+        let src = include_str!("lib.rs");
+        let parse_fn =
+            &src[src.find("pub fn parse<I>").unwrap()..src.find("pub fn cell_trials").unwrap()];
+        let mut accepted: Vec<&str> = parse_fn
+            .split('"')
+            .filter(|t| {
+                t.starts_with("--") && t[2..].chars().all(|c| c.is_ascii_lowercase() || c == '-')
+            })
+            .collect();
+        accepted.sort_unstable();
+        accepted.dedup();
+        let mut listed: Vec<&str> = samples.iter().map(|&(flag, _)| flag).collect();
+        listed.sort_unstable();
+        assert_eq!(accepted, listed, "sample every flag Cli::parse accepts");
+
+        let (synopsis, table) = USAGE
+            .split_once("\n\n")
+            .expect("synopsis, blank line, table");
+        for (flag, value) in samples {
+            let args: Vec<&str> = std::iter::once(flag).chain(value).collect();
+            let parsed = parse(&args);
+            if flag == "--help" {
+                assert_eq!(parsed, Err(CliError::Help));
+            } else {
+                assert!(parsed.is_ok(), "{flag}: {parsed:?}");
+            }
+            assert!(
+                synopsis.contains(&format!("[{flag}")),
+                "{flag} missing from the synopsis"
+            );
+            assert!(
+                table.lines().any(|l| l.trim_start().starts_with(flag)),
+                "{flag} missing from the flag table"
+            );
+        }
     }
 
     /// An explicit `--trials` beats the floors/caps binaries apply to

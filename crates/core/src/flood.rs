@@ -123,7 +123,10 @@ impl FloodPlan {
         let tree = SpanningTree::bfs(graph, source);
         FloodPlan {
             children: graph.nodes().map(|v| tree.children(v).to_vec()).collect(),
-            neighbors: graph.nodes().map(|v| graph.neighbors(v).to_vec()).collect(),
+            neighbors: graph
+                .nodes()
+                .map(|v| graph.neighbors(v).collect())
+                .collect(),
             source,
             horizon,
             variant,

@@ -120,8 +120,6 @@ impl RadioSchedule {
                 }
                 let heard: Vec<NodeId> = graph
                     .neighbors(v)
-                    .iter()
-                    .copied()
                     .filter(|u| transmitting[u.index()])
                     .collect();
                 if heard.len() == 1 && informed_at[heard[0].index()].is_some() {
@@ -168,7 +166,6 @@ impl RadioSchedule {
                 }
                 let count = graph
                     .neighbors(v)
-                    .iter()
                     .filter(|u| transmitting[u.index()])
                     .count();
                 if count == 1 {
@@ -208,8 +205,6 @@ impl RadioSchedule {
                 }
                 let heard: Vec<NodeId> = graph
                     .neighbors(v)
-                    .iter()
-                    .copied()
                     .filter(|u| transmitting[u.index()])
                     .collect();
                 if heard.len() == 1 && informed[heard[0].index()] {
@@ -252,26 +247,18 @@ pub fn greedy_schedule(graph: &Graph, source: NodeId) -> RadioSchedule {
             let clean_cover = |round: &[NodeId]| -> usize {
                 uncovered
                     .iter()
-                    .filter(|v| {
-                        graph
-                            .neighbors(**v)
-                            .iter()
-                            .filter(|u| round.contains(u))
-                            .count()
-                            == 1
-                    })
+                    .filter(|v| graph.neighbors(**v).filter(|u| round.contains(u)).count() == 1)
                     .count()
             };
             // Candidates sorted by raw coverage, descending (ties by id).
             let mut candidates: Vec<NodeId> = senders
                 .iter()
                 .copied()
-                .filter(|u| graph.neighbors(*u).iter().any(|v| uncovered.contains(v)))
+                .filter(|u| graph.neighbors(*u).any(|v| uncovered.contains(&v)))
                 .collect();
             candidates.sort_by_key(|u| {
                 let cov = graph
                     .neighbors(*u)
-                    .iter()
                     .filter(|v| uncovered.contains(v))
                     .count();
                 (usize::MAX - cov, u.index())
@@ -290,14 +277,7 @@ pub fn greedy_schedule(graph: &Graph, source: NodeId) -> RadioSchedule {
             let newly: Vec<NodeId> = uncovered
                 .iter()
                 .copied()
-                .filter(|v| {
-                    graph
-                        .neighbors(*v)
-                        .iter()
-                        .filter(|u| round.contains(u))
-                        .count()
-                        == 1
-                })
+                .filter(|v| graph.neighbors(*v).filter(|u| round.contains(u)).count() == 1)
                 .collect();
             for v in &newly {
                 covered[v.index()] = true;
@@ -347,7 +327,6 @@ pub fn optimal_schedule(graph: &Graph, source: NodeId, max_rounds: usize) -> Opt
         .map(|i| {
             graph
                 .neighbors(NodeId::new(i))
-                .iter()
                 .fold(0u32, |acc, v| acc | (1 << v.index()))
         })
         .collect();

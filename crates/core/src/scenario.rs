@@ -36,7 +36,7 @@ use randcast_engine::radio::SilentRadioAdversary;
 use randcast_engine::radio_fast::{FastRadio, FastRadioSchedule};
 use randcast_engine::simple_fast::FastSimple;
 use randcast_graph::shard::ShardPlan;
-use randcast_graph::{generators, CsrGraph, Graph};
+use randcast_graph::{generators, Graph};
 use randcast_stats::chernoff;
 
 use crate::decay::{run_decay, DecayConfig};
@@ -676,7 +676,7 @@ impl Scenario {
                 if graph.node_count() >= FLOOD_FAST_MIN_N {
                     // Statistically equivalent fast path for large n.
                     PlanKind::FloodFast(FastFlood::new(
-                        CsrGraph::from(graph.as_ref()),
+                        &graph,
                         source,
                         horizon,
                         FastFloodVariant::Tree,
@@ -693,7 +693,7 @@ impl Scenario {
             (Algorithm::FloodFast { horizon_scale }, Model::Mp) => {
                 let horizon = theorem_horizon(&graph, source, p) * horizon_scale;
                 PlanKind::FloodFast(FastFlood::new(
-                    CsrGraph::from(graph.as_ref()),
+                    &graph,
                     source,
                     horizon,
                     FastFloodVariant::Tree,
@@ -812,7 +812,7 @@ impl Scenario {
 /// source is always node 0).
 fn decay_fast_plan(graph: &Graph, cfg: DecayConfig) -> FastRadio {
     FastRadio::new(
-        CsrGraph::from(graph),
+        graph,
         graph.node(0),
         cfg.total_rounds(),
         FastRadioSchedule::Decay {
@@ -845,7 +845,7 @@ fn simple_fast_plan(
             (_, Model::Radio) => chernoff::phase_len_malicious_radio(n, p, graph.max_degree()),
         }
     });
-    FastSimple::new(&CsrGraph::from(graph), graph.node(0), m)
+    FastSimple::new(graph, graph.node(0), m)
 }
 
 impl PreparedScenario {
@@ -1241,10 +1241,7 @@ mod tests {
         let f = GraphFamily::RandomTree { n: 20, seed: 9 };
         let a = f.build();
         let b = f.build();
-        assert_eq!(a.node_count(), b.node_count());
-        for v in a.nodes() {
-            assert_eq!(a.neighbors(v), b.neighbors(v));
-        }
+        assert_eq!(a, b);
     }
 
     #[test]
@@ -1557,10 +1554,7 @@ mod tests {
             let g = family.build();
             assert_eq!(g.node_count(), 200);
             // Deterministic per seed.
-            let h = family.build();
-            for v in g.nodes() {
-                assert_eq!(g.neighbors(v), h.neighbors(v), "{label}");
-            }
+            assert_eq!(g, family.build(), "{label}");
         }
         // Gnp and PA are connected by construction.
         assert!(randcast_graph::traversal::is_connected(

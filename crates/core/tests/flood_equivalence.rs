@@ -20,7 +20,7 @@ use randcast_core::scenario::{
 };
 use randcast_engine::fault::FaultConfig;
 use randcast_engine::flood_fast::{FastFlood, FastFloodVariant};
-use randcast_graph::{generators, CsrGraph, Graph};
+use randcast_graph::{generators, Graph};
 
 const TRIALS: u64 = 250;
 
@@ -61,7 +61,7 @@ fn compare_engines(label: &str, g: &Graph, p: f64, variant: FloodVariant) {
         FloodVariant::Tree => FastFloodVariant::Tree,
         FloodVariant::Graph => FastFloodVariant::Graph,
     };
-    let fast_plan = FastFlood::new(CsrGraph::from(g), source, horizon, fast_variant);
+    let fast_plan = FastFlood::new(g, source, horizon, fast_variant);
 
     let mp_rounds: Vec<f64> = (0..TRIALS)
         .map(|seed| {
@@ -123,7 +123,7 @@ fn fault_free_engines_agree_exactly() {
         let mp = FloodPlan::with_horizon(&g, source, horizon, FloodVariant::Tree)
             .run(&g, FaultConfig::fault_free(), 3)
             .completion_round();
-        let fast = FastFlood::new(CsrGraph::from(&g), source, horizon, FastFloodVariant::Tree)
+        let fast = FastFlood::new(&g, source, horizon, FastFloodVariant::Tree)
             .run(0.0, 3)
             .completion_round();
         assert_eq!(mp, fast);

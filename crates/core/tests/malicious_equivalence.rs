@@ -44,7 +44,7 @@ use randcast_engine::kernel::{
 use randcast_engine::radio_fast::{FastRadio, FastRadioSchedule};
 use randcast_engine::simple_fast::FastSimple;
 use randcast_graph::shard::ShardPlan;
-use randcast_graph::{generators, traversal, CsrGraph, Graph};
+use randcast_graph::{generators, traversal, Graph};
 
 const TRIALS: u64 = 250;
 const SOURCE_BIT: bool = true;
@@ -87,7 +87,7 @@ fn compare_simple_means<M: FaultModel>(
     model: Model,
     fast_model: &M,
 ) {
-    let fast = FastSimple::new(&CsrGraph::from(g), g.node(0), plan.phase_len());
+    let fast = FastSimple::new(g, g.node(0), plan.phase_len());
     assert_eq!(fast.total_rounds(), plan.total_rounds(), "{label}");
     let trait_counts: Vec<f64> = (0..TRIALS)
         .map(|seed| {
@@ -171,7 +171,7 @@ fn compare_flood_means(label: &str, g: &Graph, p: f64, variant: FloodVariant) {
         FloodVariant::Tree => FastFloodVariant::Tree,
         FloodVariant::Graph => FastFloodVariant::Graph,
     };
-    let fast = FastFlood::new(CsrGraph::from(g), source, horizon, fast_variant);
+    let fast = FastFlood::new(g, source, horizon, fast_variant);
     let model = FlipFault::new(p);
     let trait_counts: Vec<f64> = (0..TRIALS)
         .map(|seed| {
@@ -214,7 +214,7 @@ fn decay_limited_malicious_means_agree() {
     let mut cfg = DecayConfig::classical(g.node_count(), traversal::radius_from(&g, g.node(0)));
     cfg.epochs *= 2;
     let fast = FastRadio::new(
-        CsrGraph::from(&g),
+        &g,
         g.node(0),
         cfg.total_rounds(),
         FastRadioSchedule::Decay {
@@ -250,12 +250,11 @@ fn omission_instance_is_byte_identical_to_the_wired_kernels() {
     // exact, not statistical.
     let lanes = [0u32, 31, 63];
     let g = generators::grid(5, 6);
-    let csr = CsrGraph::from(&g);
 
-    let simple = FastSimple::new(&csr, g.node(0), 9);
-    let flood = FastFlood::new(csr.clone(), g.node(0), 40, FastFloodVariant::Tree);
+    let simple = FastSimple::new(&g, g.node(0), 9);
+    let flood = FastFlood::new(&g, g.node(0), 40, FastFloodVariant::Tree);
     let radio = FastRadio::new(
-        csr,
+        &g,
         g.node(0),
         180,
         FastRadioSchedule::Decay { epoch_len: 6 },
@@ -295,12 +294,11 @@ fn malicious_kernels_agree_with_omission_lanes_at_p_zero() {
     // schedules are round-exact and must match byte-for-byte.
     let lanes = [0u32, 31, 63];
     let g = generators::grid(5, 6);
-    let csr = CsrGraph::from(&g);
 
-    let simple = FastSimple::new(&csr, g.node(0), 9);
-    let flood = FastFlood::new(csr.clone(), g.node(0), 40, FastFloodVariant::Tree);
+    let simple = FastSimple::new(&g, g.node(0), 9);
+    let flood = FastFlood::new(&g, g.node(0), 40, FastFloodVariant::Tree);
     let radio = FastRadio::new(
-        csr,
+        &g,
         g.node(0),
         180,
         FastRadioSchedule::Decay { epoch_len: 6 },
@@ -354,7 +352,7 @@ fn trait_and_fast_engines_agree_exactly_at_p_zero() {
             Model::Mp => SimplePlan::malicious_mp(&g, source, 0.0),
             Model::Radio => SimplePlan::malicious_radio(&g, source, 0.0),
         };
-        let fast = FastSimple::new(&CsrGraph::from(&g), source, plan.phase_len());
+        let fast = FastSimple::new(&g, source, plan.phase_len());
         for seed in 0..5 {
             let out = match model {
                 Model::Mp => plan.run_mp(&g, fault, FlipMpAdversary, seed, SOURCE_BIT),
@@ -380,7 +378,7 @@ fn trait_and_fast_engines_agree_exactly_at_p_zero() {
 
     let horizon = theorem_horizon(&g, source, 0.0);
     let flood_plan = FloodPlan::with_horizon(&g, source, horizon, FloodVariant::Tree);
-    let fast_flood = FastFlood::new(CsrGraph::from(&g), source, horizon, FastFloodVariant::Tree);
+    let fast_flood = FastFlood::new(&g, source, horizon, FastFloodVariant::Tree);
     for seed in 0..5 {
         let reference = flood_plan.run(&g, FaultConfig::malicious(0.0), seed);
         let out = fast_flood.run_lane_model(&FlipFault::new(0.0), seed, 0);
@@ -396,7 +394,7 @@ fn trait_and_fast_engines_agree_exactly_at_p_zero() {
 
     let cfg = DecayConfig::classical(g.node_count(), traversal::radius_from(&g, source));
     let fast_decay = FastRadio::new(
-        CsrGraph::from(&g),
+        &g,
         source,
         cfg.total_rounds(),
         FastRadioSchedule::Decay {
@@ -427,10 +425,9 @@ fn placed(frac: f64, kind: CorruptionKind) -> WorstCasePlacement {
 #[test]
 fn malicious_batches_agree_lane_for_lane() {
     let g = generators::grid(5, 6);
-    let csr = CsrGraph::from(&g);
     let seeds = [3u64, 77, 2005];
 
-    let simple = FastSimple::new(&csr, g.node(0), 9);
+    let simple = FastSimple::new(&g, g.node(0), 9);
     let mut simple_placed = placed(0.25, CorruptionKind::Flip);
     simple.preprocess(&mut simple_placed);
     let simple_models: [&dyn FaultModel; 3] = [
@@ -452,7 +449,7 @@ fn malicious_batches_agree_lane_for_lane() {
         }
     }
 
-    let flood = FastFlood::new(csr.clone(), g.node(0), 40, FastFloodVariant::Graph);
+    let flood = FastFlood::new(&g, g.node(0), 40, FastFloodVariant::Graph);
     let mut flood_placed = placed(0.25, CorruptionKind::Lie);
     flood.preprocess(&mut flood_placed);
     let flood_models: [&dyn FaultModel; 2] = [&FlipFault::new(0.4), &flood_placed];
@@ -471,7 +468,7 @@ fn malicious_batches_agree_lane_for_lane() {
     }
 
     let radio = FastRadio::new(
-        csr,
+        &g,
         g.node(0),
         180,
         FastRadioSchedule::Decay { epoch_len: 6 },
@@ -504,18 +501,17 @@ fn malicious_shards_are_neutral() {
     // scenario level in shard_equivalence.rs.)
     let g = generators::grid(5, 6);
     let n = g.node_count();
-    let csr = CsrGraph::from(&g);
     let bs = 2005u64;
     let lane = 5u32;
     let decay = FastRadioSchedule::Decay { epoch_len: 6 };
 
-    let simple = FastSimple::new(&csr, g.node(0), 9);
+    let simple = FastSimple::new(&g, g.node(0), 9);
     let mut simple_placed = placed(0.25, CorruptionKind::Flip);
     simple.preprocess(&mut simple_placed);
-    let flood = FastFlood::new(csr.clone(), g.node(0), 40, FastFloodVariant::Tree);
+    let flood = FastFlood::new(&g, g.node(0), 40, FastFloodVariant::Tree);
     let mut flood_placed = placed(0.25, CorruptionKind::Flip);
     flood.preprocess(&mut flood_placed);
-    let radio = FastRadio::new(csr.clone(), g.node(0), 180, decay);
+    let radio = FastRadio::new(&g, g.node(0), 180, decay);
     let mut radio_placed = placed(0.3, CorruptionKind::Silent);
     radio.preprocess(&mut radio_placed);
     let radio_flip = FlipFault::new(0.3);
@@ -524,7 +520,7 @@ fn malicious_shards_are_neutral() {
 
     for shards in [2usize, 3, 7] {
         let plan = ShardPlan::uniform(n, shards);
-        let sharded_simple = FastSimple::new(&csr, g.node(0), 9).with_shard_plan(plan.clone());
+        let sharded_simple = FastSimple::new(&g, g.node(0), 9).with_shard_plan(plan.clone());
         assert_eq!(
             sharded_simple.run_batch_model(&simple_placed, bs, !0),
             simple.run_batch_model(&simple_placed, bs, !0),
@@ -535,8 +531,8 @@ fn malicious_shards_are_neutral() {
             simple.run_lane_model(&simple_placed, bs, lane),
             "simple shards {shards} lane"
         );
-        let sharded_flood = FastFlood::new(csr.clone(), g.node(0), 40, FastFloodVariant::Tree)
-            .with_shard_plan(plan.clone());
+        let sharded_flood =
+            FastFlood::new(&g, g.node(0), 40, FastFloodVariant::Tree).with_shard_plan(plan.clone());
         assert_eq!(
             sharded_flood.run_batch_model(&flood_placed, bs, !0),
             flood.run_batch_model(&flood_placed, bs, !0),
@@ -547,8 +543,7 @@ fn malicious_shards_are_neutral() {
             flood.run_lane_model(&flood_placed, bs, lane),
             "flood shards {shards} lane"
         );
-        let sharded_radio =
-            FastRadio::new(csr.clone(), g.node(0), 180, decay).with_shard_plan(plan);
+        let sharded_radio = FastRadio::new(&g, g.node(0), 180, decay).with_shard_plan(plan);
         for model in radio_models {
             assert_eq!(
                 sharded_radio.run_batch_model(model, bs, !0),

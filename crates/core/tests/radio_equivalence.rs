@@ -25,7 +25,7 @@ use randcast_core::scenario::{
 };
 use randcast_engine::fault::FaultConfig;
 use randcast_engine::radio_fast::{FastRadio, FastRadioSchedule};
-use randcast_graph::{generators, traversal, CsrGraph, Graph};
+use randcast_graph::{generators, traversal, Graph};
 
 const TRIALS: u64 = 250;
 
@@ -64,7 +64,7 @@ fn classical_scaled(g: &Graph, factor: usize) -> DecayConfig {
 
 fn fast_plan(g: &Graph, cfg: DecayConfig) -> FastRadio {
     FastRadio::new(
-        CsrGraph::from(g),
+        g,
         g.node(0),
         cfg.total_rounds(),
         FastRadioSchedule::Decay {

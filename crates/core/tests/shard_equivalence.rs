@@ -38,7 +38,7 @@ use randcast_graph::generators::gnp_connected;
 use randcast_graph::shard::{
     default_scratch_dir, ShardPlan, ShardStore, ShardedBfsTree, SpillSink,
 };
-use randcast_graph::CsrGraph;
+use randcast_graph::Graph;
 use randcast_stats::seed::SeedSequence;
 
 const SEEDS: usize = 250;
@@ -167,12 +167,12 @@ fn sharded_simple_blocks_match_monolithic_element_wise() {
     );
 }
 
-/// Builds a disk-backed copy of `csr` under `plan` (segment files in
+/// Builds a disk-backed copy of `g` under `plan` (segment files in
 /// the scratch dir, freed when the returned store drops).
-fn disk_store(csr: &CsrGraph, plan: ShardPlan) -> ShardStore {
+fn disk_store(g: &Graph, plan: ShardPlan) -> ShardStore {
     let mut sink = SpillSink::create(default_scratch_dir(), plan).expect("spill sink");
-    for v in 0..csr.node_count() {
-        for &t in csr.neighbors_of(v) {
+    for v in 0..g.node_count() {
+        for &t in g.targets_of(v as u32) {
             if (v as u32) < t {
                 sink.push(v as u64, u64::from(t)).expect("spill edge");
             }
@@ -192,20 +192,19 @@ fn disk_store(csr: &CsrGraph, plan: ShardPlan) -> ShardStore {
 fn prefetch_toggle_is_byte_invisible_on_disk_stores() {
     let n = 400;
     let g = gnp_connected(n, 0.018, &mut SmallRng::seed_from_u64(0x0F0E));
-    let csr = CsrGraph::from(&g);
     let plan = ShardPlan::uniform(n, 3);
     let seeds = SeedSequence::new(0x07AD_0251);
 
     #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
     let epoch_len = (n as f64).log2().ceil() as usize + 1;
-    let mut flood = ShardedFlood::new(disk_store(&csr, plan.clone()), 0, 600);
+    let mut flood = ShardedFlood::new(disk_store(&g, plan.clone()), 0, 600);
     let mut radio = ShardedRadio::new(
-        disk_store(&csr, plan.clone()),
+        disk_store(&g, plan.clone()),
         0,
         1200,
         FastRadioSchedule::Decay { epoch_len },
     );
-    let simple_base = disk_store(&csr, plan);
+    let simple_base = disk_store(&g, plan);
     let tree = ShardedBfsTree::build(&simple_base, 0, default_scratch_dir()).expect("BFS tree");
     assert_eq!(tree.reachable(), n, "gnp_connected source component");
     let (order, children) = tree.into_parts();

@@ -29,7 +29,7 @@ use randcast_engine::fault::FaultConfig;
 use randcast_engine::mp::SilentMpAdversary;
 use randcast_engine::radio::SilentRadioAdversary;
 use randcast_engine::simple_fast::FastSimple;
-use randcast_graph::{generators, CsrGraph, Graph};
+use randcast_graph::{generators, Graph};
 use randcast_stats::chernoff;
 
 const TRIALS: u64 = 250;
@@ -66,7 +66,7 @@ fn assert_means_close(label: &str, a: &Sample, b: &Sample) {
 /// vs `FastSimple`, both with the Theorem 2.1 phase length for `p`.
 fn compare_correct_count_means(label: &str, g: &Graph, p: f64, model: Model) {
     let plan = SimplePlan::omission_with_p(g, g.node(0), p);
-    let fast = FastSimple::new(&CsrGraph::from(g), g.node(0), plan.phase_len());
+    let fast = FastSimple::new(g, g.node(0), plan.phase_len());
     assert_eq!(fast.total_rounds(), plan.total_rounds(), "{label}");
     let trait_counts: Vec<f64> = (0..TRIALS)
         .map(|seed| {
@@ -143,7 +143,7 @@ fn fault_free_engines_agree_exactly() {
         let m = chernoff::phase_len_omission(g.node_count().max(2), 0.0);
         let plan = SimplePlan::omission_with_p(&g, g.node(0), 0.0);
         assert_eq!(plan.phase_len(), m);
-        let fast = FastSimple::new(&CsrGraph::from(&g), g.node(0), m);
+        let fast = FastSimple::new(&g, g.node(0), m);
         for seed in 0..10 {
             let out = fast.run(0.0, seed);
             assert!(out.complete());

@@ -11,14 +11,14 @@
 //! shared [`kernel`](crate::kernel) substrate:
 //!
 //! * the informed set is a word-level
-//!   [`InformedSet`](crate::kernel::InformedSet) bitmask,
+//!   [`InformedSet`] bitmask,
 //! * transmission targets are the flat `u32` CSR arrays of a
-//!   [`CsrGraph`] (the graph's adjacency, or its
-//!   [`bfs_tree`](CsrGraph::bfs_tree) child lists for the paper's
+//!   [`Graph`] (the graph's adjacency, or its
+//!   [`bfs_tree`](Graph::bfs_tree) child lists for the paper's
 //!   tree-flooding variant), held as an in-RAM [`ShardStore`] — the
 //!   engine builds no adjacency of its own,
 //! * fault sampling is the aggregate
-//!   [`FaultSampler`](crate::kernel::FaultSampler): one Bernoulli coin
+//!   [`FaultSampler`]: one Bernoulli coin
 //!   per *frontier* node per round, or a geometric skip between
 //!   successful transmitters when `p > 0.75`,
 //! * a transmitter leaves the frontier the moment it can no longer
@@ -37,10 +37,10 @@
 //! (one shard, or `k` node-range shards — outcome-neutral), and
 //! [`ShardedFlood`] runs the same passes over any store, disk segments
 //! included — the `n = 10⁸` path. Both passes are parametric in a
-//! [`FaultModel`](crate::kernel::FaultModel): `Silent` models (i.i.d.
+//! [`FaultModel`]: `Silent` models (i.i.d.
 //! omission, throttled mixtures, worst-case placement) supply the
 //! per-site suppression masks, and the plain-`p` entry points are the
-//! [`Omission`](crate::kernel::Omission) instance. Corrupted-*value*
+//! [`Omission`] instance. Corrupted-*value*
 //! models (`Flip` / `Lie`, the paper's malicious transmitters) run a
 //! deterministic-timing value pass instead: every delivery succeeds,
 //! node `v` is informed at its BFS depth, and the outcome tracks which
@@ -57,7 +57,7 @@ use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
 use randcast_graph::shard::{PassLoader, RamShards, ShardError, ShardPlan, ShardStore};
-use randcast_graph::{CsrGraph, NodeId};
+use randcast_graph::{Graph, NodeId};
 
 use crate::kernel::{
     lane_popcounts, planes_add_one_masked, planes_assign, planes_eq_mask, planes_gt_mask,
@@ -86,7 +86,7 @@ pub enum FastFloodVariant {
 
 /// A compiled fast-path flooding plan: the transmission targets as an
 /// in-RAM [`ShardStore`] plus a horizon. The target arrays come straight
-/// from the [`CsrGraph`] / [`CsrTree`](randcast_graph::CsrTree)
+/// from the [`Graph`] / [`CsrTree`](randcast_graph::CsrTree)
 /// substrate.
 pub struct FastFlood {
     /// The store-backed frontier passes over the transmission targets.
@@ -102,16 +102,16 @@ impl FastFlood {
     /// Compiles a plan transmitting along the given variant's edges for
     /// `horizon` rounds. A `horizon` of 0 is allowed (the run reports
     /// only the source informed); a graph disconnected from `source` is
-    /// allowed (the flood covers the source's component). Takes the
-    /// graph by value: the [`FastFloodVariant::Graph`] plan *is* the
-    /// CSR arrays, moved into a one-shard store without a copy (clone
-    /// at the call site to keep the graph).
+    /// allowed (the flood covers the source's component). The
+    /// [`FastFloodVariant::Graph`] plan copies the graph's CSR arrays
+    /// into a one-shard store; the tree variant builds its BFS child
+    /// lists straight from the borrowed graph.
     #[must_use]
-    pub fn new(csr: CsrGraph, source: NodeId, horizon: usize, variant: FastFloodVariant) -> Self {
-        let n = csr.node_count();
+    pub fn new(graph: &Graph, source: NodeId, horizon: usize, variant: FastFloodVariant) -> Self {
+        let n = graph.node_count();
         let (offsets, targets) = match variant {
-            FastFloodVariant::Graph => csr.into_raw_parts(),
-            FastFloodVariant::Tree => csr.bfs_tree(u32::from(source)).into_children_csr(),
+            FastFloodVariant::Graph => graph.clone().into_raw_parts(),
+            FastFloodVariant::Tree => graph.bfs_tree(u32::from(source)).into_children_csr(),
         };
         let store = ShardStore::Ram(RamShards::new(offsets, targets, ShardPlan::uniform(n, 1)));
         let mut plan = FastFlood {
@@ -921,8 +921,9 @@ impl ShardedFlood {
     /// semantics of [`FastFlood::run_batch`] with
     /// [`FastFloodVariant::Graph`], with every segment read amortized
     /// across all 64 trials. `reach` is the size of the source's
-    /// component (e.g. [`ShardedBfsTree::reachable`]
-    /// (randcast_graph::shard::ShardedBfsTree::reachable)): the batch
+    /// component (e.g.
+    /// [`ShardedBfsTree::reachable`](randcast_graph::shard::ShardedBfsTree::reachable)):
+    /// the batch
     /// needs it to retire lanes whose replay can no longer change,
     /// exactly as the in-RAM batch derives it from its own BFS order.
     /// Per-lane outcomes are byte-identical to 64 scalar
@@ -1479,7 +1480,7 @@ mod tests {
     use randcast_graph::{generators, traversal, Graph, GraphBuilder};
 
     fn plan(g: &Graph, horizon: usize, variant: FastFloodVariant) -> FastFlood {
-        FastFlood::new(CsrGraph::from(g), g.node(0), horizon, variant)
+        FastFlood::new(g, g.node(0), horizon, variant)
     }
 
     #[test]
@@ -1535,13 +1536,15 @@ mod tests {
 
     #[test]
     fn csr_and_graph_construction_agree() {
-        // The CSR-direct generator path must compile to the same plan
-        // (and hence bit-identical runs) as Graph conversion.
-        let csr =
-            generators::gnp_connected_csr(200, 0.03, &mut rand::rngs::SmallRng::seed_from_u64(9));
-        let g = Graph::from(&csr);
+        // A generated graph and its copy frozen through the chainable
+        // `GraphBuilder` compile to the same plan (and hence
+        // bit-identical runs).
+        let g = generators::gnp_connected(200, 0.03, &mut rand::rngs::SmallRng::seed_from_u64(9));
+        let mut b = GraphBuilder::new(g.node_count());
+        b.edges(g.edges().map(|(u, v)| (u.index(), v.index())));
+        let built = b.finish().expect("valid");
         for variant in [FastFloodVariant::Tree, FastFloodVariant::Graph] {
-            let a = FastFlood::new(csr.clone(), g.node(0), 300, variant);
+            let a = FastFlood::new(&built, g.node(0), 300, variant);
             let b = plan(&g, 300, variant);
             for seed in 0..5 {
                 assert_eq!(a.run(0.4, seed), b.run(0.4, seed), "{variant:?}");
@@ -1624,7 +1627,7 @@ mod tests {
     #[test]
     fn high_p_completes_eventually() {
         let g = generators::star(8);
-        let ff = FastFlood::new(CsrGraph::from(&g), g.node(1), 4000, FastFloodVariant::Graph);
+        let ff = FastFlood::new(&g, g.node(1), 4000, FastFloodVariant::Graph);
         let mut completed = 0;
         for seed in 0..20 {
             completed += usize::from(ff.run(0.95, seed).complete());
@@ -1636,7 +1639,7 @@ mod tests {
     fn tree_variant_from_non_source_root() {
         // Source at a leaf: the BFS tree re-roots there.
         let g = generators::star(5);
-        let ff = FastFlood::new(CsrGraph::from(&g), g.node(3), 50, FastFloodVariant::Tree);
+        let ff = FastFlood::new(&g, g.node(3), 50, FastFloodVariant::Tree);
         let out = ff.run(0.0, 0);
         assert_eq!(out.completion_round(), Some(2));
     }
@@ -1742,14 +1745,13 @@ mod tests {
         // shards, and the corrupted-value pass.
         use crate::kernel::{FlipFault, LieOrJamFault, TEST_LANE_MASKS};
         let g = generators::gnp_connected(120, 0.03, &mut rand::rngs::SmallRng::seed_from_u64(4));
-        let csr = CsrGraph::from(&g);
-        let n = csr.node_count();
+        let n = g.node_count();
         let p = 0.35;
         let (omission, flip, lie) = (Omission::new(p), FlipFault::new(p), LieOrJamFault::new(p));
         let models: [&dyn FaultModel; 3] = [&omission, &flip, &lie];
         for variant in [FastFloodVariant::Tree, FastFloodVariant::Graph] {
-            let one = FastFlood::new(csr.clone(), g.node(0), 300, variant);
-            let three = FastFlood::new(csr.clone(), g.node(0), 300, variant)
+            let one = FastFlood::new(&g, g.node(0), 300, variant);
+            let three = FastFlood::new(&g, g.node(0), 300, variant)
                 .with_shard_plan(ShardPlan::uniform(n, 3));
             for model in models {
                 for seed in [5u64, 6] {
@@ -1769,7 +1771,7 @@ mod tests {
             }
         }
 
-        let one = FastFlood::new(csr.clone(), g.node(0), 300, FastFloodVariant::Graph);
+        let one = FastFlood::new(&g, g.node(0), 300, FastFloodVariant::Graph);
         let disk = ShardedFlood::new(disk_copy(one.ram(), 3, false), 0, 300);
         for seed in [5u64, 6] {
             let full = one.run_batch(p, seed);
@@ -1791,12 +1793,11 @@ mod tests {
     #[test]
     fn sharded_lane_and_batch_match_monolithic_exactly() {
         let g = generators::gnp_connected(140, 0.03, &mut rand::rngs::SmallRng::seed_from_u64(6));
-        let csr = CsrGraph::from(&g);
         for variant in [FastFloodVariant::Tree, FastFloodVariant::Graph] {
-            let ff = FastFlood::new(csr.clone(), g.node(0), 300, variant);
+            let ff = FastFlood::new(&g, g.node(0), 300, variant);
             for shards in [2usize, 3, 7] {
-                let sharded = FastFlood::new(csr.clone(), g.node(0), 300, variant)
-                    .with_shard_plan(ShardPlan::uniform(csr.node_count(), shards));
+                let sharded = FastFlood::new(&g, g.node(0), 300, variant)
+                    .with_shard_plan(ShardPlan::uniform(g.node_count(), shards));
                 assert_eq!(sharded.shard_plan().shard_count(), shards);
                 for p in [0.0, 0.4, 0.9] {
                     let seed = 31 + shards as u64;
@@ -1821,18 +1822,17 @@ mod tests {
     fn out_of_core_flood_matches_the_monolithic_lane_replay() {
         use randcast_graph::shard::{default_scratch_dir, SpillSink};
         let g = generators::gnp_connected(130, 0.04, &mut rand::rngs::SmallRng::seed_from_u64(8));
-        let csr = CsrGraph::from(&g);
-        let ff = FastFlood::new(csr.clone(), g.node(0), 400, FastFloodVariant::Graph);
-        let plan = ShardPlan::uniform(csr.node_count(), 3);
+        let ff = FastFlood::new(&g, g.node(0), 400, FastFloodVariant::Graph);
+        let plan = ShardPlan::uniform(g.node_count(), 3);
 
         let ram = ShardedFlood::new(
-            ShardStore::Ram(RamShards::from_csr(csr.clone(), plan.clone())),
+            ShardStore::Ram(RamShards::from_graph(g.clone(), plan.clone())),
             0,
             400,
         );
         let mut sink = SpillSink::create(default_scratch_dir(), plan).unwrap();
-        for v in 0..csr.node_count() {
-            for &t in csr.neighbors_of(v) {
+        for v in 0..g.node_count() {
+            for &t in g.targets_of(v as u32) {
                 if (v as u32) < t {
                     sink.push(v as u64, u64::from(t)).unwrap();
                 }
@@ -1855,15 +1855,14 @@ mod tests {
         // Big enough that one-participant rounds go sparse on disk
         // while bulk rounds take full segment views.
         let g = generators::gnp_connected(900, 0.012, &mut rand::rngs::SmallRng::seed_from_u64(31));
-        let csr = CsrGraph::from(&g);
-        let n = csr.node_count();
-        let ff = FastFlood::new(csr.clone(), g.node(0), 400, FastFloodVariant::Graph);
+        let n = g.node_count();
+        let ff = FastFlood::new(&g, g.node(0), 400, FastFloodVariant::Graph);
         let reach = ff.order.len();
         let mono = ff.run_batch(0.3, 55);
         let plan = ShardPlan::uniform(n, 3);
         let mut sink = SpillSink::create(default_scratch_dir(), plan.clone()).unwrap();
         for v in 0..n {
-            for &t in csr.neighbors_of(v) {
+            for &t in g.targets_of(v as u32) {
                 if (v as u32) < t {
                     sink.push(v as u64, u64::from(t)).unwrap();
                 }
@@ -1871,7 +1870,7 @@ mod tests {
         }
         let stores = [
             (
-                ShardStore::Ram(RamShards::from_csr(csr.clone(), plan.clone())),
+                ShardStore::Ram(RamShards::from_graph(g.clone(), plan.clone())),
                 "ram",
             ),
             (ShardStore::Disk(sink.finalize().unwrap()), "disk"),
@@ -1966,17 +1965,16 @@ mod tests {
     fn sharded_model_runs_match_monolithic_exactly() {
         use crate::kernel::{CorruptionKind, FlipFault, WorstCasePlacement};
         let g = generators::gnp_connected(110, 0.04, &mut rand::rngs::SmallRng::seed_from_u64(21));
-        let csr = CsrGraph::from(&g);
         for variant in [FastFloodVariant::Tree, FastFloodVariant::Graph] {
-            let ff = FastFlood::new(csr.clone(), g.node(0), 250, variant);
+            let ff = FastFlood::new(&g, g.node(0), 250, variant);
             let mut placed = WorstCasePlacement::new(0.1, CorruptionKind::Silent);
             ff.preprocess(&mut placed);
             let flip = FlipFault::new(0.35);
             let models: [&dyn FaultModel; 2] = [&placed, &flip];
             for model in models {
                 for shards in [2usize, 3, 7] {
-                    let sharded = FastFlood::new(csr.clone(), g.node(0), 250, variant)
-                        .with_shard_plan(ShardPlan::uniform(csr.node_count(), shards));
+                    let sharded = FastFlood::new(&g, g.node(0), 250, variant)
+                        .with_shard_plan(ShardPlan::uniform(g.node_count(), shards));
                     assert_eq!(
                         sharded.run_batch_model(model, 7, !0),
                         ff.run_batch_model(model, 7, !0),
@@ -2138,15 +2136,14 @@ mod tests {
         ];
         let horizon = 60;
         for g in &families {
-            let csr = CsrGraph::from(g);
-            let n = csr.node_count();
+            let n = g.node_count();
             // A leaf of the star: the hub is then informed in round one.
             let source = g.node(n - 1);
             let src = u32::from(source);
             for variant in [FastFloodVariant::Graph, FastFloodVariant::Tree] {
                 let tree = variant == FastFloodVariant::Tree;
-                let one = FastFlood::new(csr.clone(), source, horizon, variant);
-                let three = FastFlood::new(csr.clone(), source, horizon, variant)
+                let one = FastFlood::new(g, source, horizon, variant);
+                let three = FastFlood::new(g, source, horizon, variant)
                     .with_shard_plan(ShardPlan::uniform(n, 3));
                 let disk = ShardedFlood::new(disk_copy(one.ram(), 3, tree), src, horizon);
                 let reference = |p: f64, seed: u64, lane: u32| {

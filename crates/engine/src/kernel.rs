@@ -81,39 +81,12 @@ impl InformedSet {
     pub fn count(&self) -> usize {
         self.count
     }
-
-    /// Number of set nodes inside the node range `start..end` — the
-    /// per-shard informed count of a sharded pass (one popcount per
-    /// word, edge words masked).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `start > end` or `end` exceeds the set's node range.
-    #[must_use]
-    pub fn count_range(&self, start: u32, end: u32) -> usize {
-        assert!(start <= end, "inverted range");
-        let (start, end) = (start as usize, end as usize);
-        if start == end {
-            return 0;
-        }
-        let (w0, w1) = (start / 64, (end - 1) / 64);
-        let lo_mask = !0u64 << (start % 64);
-        let hi_mask = !0u64 >> (63 - (end - 1) % 64);
-        if w0 == w1 {
-            return (self.words[w0] & lo_mask & hi_mask).count_ones() as usize;
-        }
-        let mut total = (self.words[w0] & lo_mask).count_ones() as usize;
-        for &w in &self.words[w0 + 1..w1] {
-            total += w.count_ones() as usize;
-        }
-        total + (self.words[w1] & hi_mask).count_ones() as usize
-    }
 }
 
 /// Per-shard frontier (or participant) lists: the node queue of a
 /// sharded pass, kept as one list per shard so a round can be replayed
-/// shard-at-a-time against one resident [`ShardView`] at a time
-/// (`randcast_graph::shard::ShardView`). Routing is the caller's
+/// shard-at-a-time against one resident
+/// [`ShardView`](randcast_graph::shard::ShardView) at a time. Routing is the caller's
 /// (`ShardPlan::shard_of`); this type only owns the lists, so the
 /// kernel stays independent of the graph crate.
 ///
@@ -138,12 +111,6 @@ impl ShardFrontier {
         }
     }
 
-    /// Number of shards.
-    #[must_use]
-    pub fn shard_count(&self) -> usize {
-        self.lists.len()
-    }
-
     /// Appends node `v` to shard `s`'s list.
     #[inline]
     pub fn push(&mut self, s: usize, v: u32) {
@@ -163,12 +130,6 @@ impl ShardFrontier {
     #[must_use]
     pub fn is_empty(&self) -> bool {
         self.lists.iter().all(Vec::is_empty)
-    }
-
-    /// Total nodes across all shards.
-    #[must_use]
-    pub fn total_len(&self) -> usize {
-        self.lists.iter().map(Vec::len).sum()
     }
 
     /// Clears every shard's list (capacity retained).
@@ -802,28 +763,6 @@ impl LaneCounter {
         }
     }
 
-    /// Adds another counter's per-lane values to this one — the
-    /// bit-sliced addition of two plane sets, used to fold per-worker
-    /// count deltas back into the global counter. Lane-wise addition is
-    /// commutative and associative, so the fold order cannot change the
-    /// resulting counts.
-    pub fn add_counter(&mut self, other: &LaneCounter) {
-        let width = self.planes.len().max(other.planes.len());
-        let mut carry = 0u64;
-        let mut bit = 0usize;
-        while bit < width || carry != 0 {
-            if self.planes.len() == bit {
-                self.planes.push(0);
-            }
-            let a = self.planes[bit];
-            let b = other.planes.get(bit).copied().unwrap_or(0);
-            let partial = a ^ b;
-            self.planes[bit] = partial ^ carry;
-            carry = (a & b) | (partial & carry);
-            bit += 1;
-        }
-    }
-
     /// Lane `k`'s current count.
     #[must_use]
     pub fn get(&self, lane: u32) -> u64 {
@@ -1049,40 +988,6 @@ pub fn planes_eq_mask(planes: &[u64], k: u64) -> LaneMask {
     eq
 }
 
-/// Both [`planes_le_mask`]`(planes, k_lo)` and
-/// [`planes_le_mask`]`(planes, k_hi)` in one scan over the planes
-/// (`k_lo ≤ k_hi`). Batched engines use this for the paired
-/// "eligible before the horizon" / "safe from the horizon for a while"
-/// thresholds drawn from the same value.
-#[must_use]
-pub fn planes_le2_mask(planes: &[u64], k_lo: u64, k_hi: u64) -> (LaneMask, LaneMask) {
-    debug_assert!(k_lo <= k_hi);
-    if planes.len() < 64 && k_lo >> planes.len() != 0 {
-        return (!0, !0);
-    }
-    if planes.len() < 64 && k_hi >> planes.len() != 0 {
-        return (planes_le_mask(planes, k_lo), !0);
-    }
-    let mut gt_lo = 0u64;
-    let mut und_lo = !0u64;
-    let mut gt_hi = 0u64;
-    let mut und_hi = !0u64;
-    for (i, &pl) in planes.iter().enumerate().rev() {
-        let (lo_bit, hi_bit) = if i < 64 {
-            (k_lo >> i & 1, k_hi >> i & 1)
-        } else {
-            (0, 0)
-        };
-        let lb = 0u64.wrapping_sub(lo_bit);
-        let hb = 0u64.wrapping_sub(hi_bit);
-        gt_lo |= und_lo & pl & !lb;
-        und_lo &= !(pl ^ lb);
-        gt_hi |= und_hi & pl & !hb;
-        und_hi &= !(pl ^ hb);
-    }
-    (!gt_lo, !gt_hi)
-}
-
 /// The mask of lanes where `a`'s bit-plane value exceeds `b`'s. The two
 /// slices must have equal width.
 #[must_use]
@@ -1104,21 +1009,6 @@ pub fn planes_assign(dst: &mut [u64], src: &[u64], m: LaneMask) {
     for (d, &s) in dst.iter_mut().zip(src) {
         *d = (*d & !m) | (s & m);
     }
-}
-
-/// Sets `dst`'s value to `base + c` in every lane of `m` (bit-plane
-/// form, equal widths); other lanes of `dst` are untouched. The sum
-/// must fit the plane width for every selected lane.
-pub fn planes_add_const(dst: &mut [u64], base: &[u64], c: u64, m: LaneMask) {
-    debug_assert_eq!(dst.len(), base.len());
-    let mut carry = 0u64;
-    for (i, (d, &a)) in dst.iter_mut().zip(base).enumerate() {
-        let cb = 0u64.wrapping_sub(if i < 64 { c >> i & 1 } else { 0 });
-        let sum = a ^ cb ^ carry;
-        *d = (*d & !m) | (sum & m);
-        carry = (a & cb) | (a & carry) | (cb & carry);
-    }
-    debug_assert_eq!(carry & m, 0, "bit-plane addition overflowed");
 }
 
 /// Sets `dst`'s value to `base + addend + 1` in every lane of `m` and
@@ -1244,21 +1134,6 @@ impl BatchedInformedSet {
     #[must_use]
     pub fn n(&self) -> usize {
         self.n
-    }
-
-    /// Lane `k`'s set size inside the node range `start..end` — the
-    /// batched sibling of [`InformedSet::count_range`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if the range is inverted or out of bounds.
-    #[must_use]
-    pub fn count_range(&self, lane: u32, start: u32, end: u32) -> usize {
-        assert!(start <= end, "inverted range");
-        self.masks[start as usize..end as usize]
-            .iter()
-            .filter(|&&m| m >> lane & 1 == 1)
-            .count()
     }
 }
 
@@ -1768,46 +1643,17 @@ mod tests {
     }
 
     #[test]
-    fn count_range_sums_to_the_total_over_any_partition() {
-        let mut s = InformedSet::new(300);
-        for v in [0u32, 1, 63, 64, 65, 128, 199, 200, 255, 299] {
-            s.insert(v);
-        }
-        for bounds in [
-            vec![0u32, 300],
-            vec![0, 100, 200, 300],
-            vec![0, 7, 64, 65, 130, 300],
-        ] {
-            let total: usize = bounds.windows(2).map(|w| s.count_range(w[0], w[1])).sum();
-            assert_eq!(total, s.count(), "bounds {bounds:?}");
-        }
-        assert_eq!(s.count_range(0, 0), 0);
-        assert_eq!(s.count_range(64, 66), 2);
-        assert_eq!(s.count_range(65, 128), 1);
-        // Batched sibling: lane-sliced range counts partition the same way.
-        let mut b = BatchedInformedSet::new(300);
-        b.insert_masked(3, 0b101);
-        b.insert_masked(299, 0b001);
-        assert_eq!(b.count_range(0, 0, 300), 2);
-        assert_eq!(b.count_range(2, 0, 300), 1);
-        assert_eq!(b.count_range(0, 4, 300), 1);
-        assert_eq!(b.count_range(1, 0, 300), 0);
-    }
-
-    #[test]
     fn shard_frontier_routes_and_clears() {
         let mut cur = ShardFrontier::new(3);
         assert!(cur.is_empty());
         cur.push(0, 5);
         cur.push(2, 9);
         cur.push(2, 11);
-        assert_eq!(cur.total_len(), 3);
         assert_eq!(cur.shard(2), &[9, 11]);
         assert!(cur.shard(1).is_empty());
         assert!(!cur.is_empty());
         cur.clear();
         assert!(cur.is_empty());
-        assert_eq!(cur.shard_count(), 3);
     }
 
     #[test]
@@ -1878,29 +1724,6 @@ mod tests {
             assert_eq!(got, want, "large round, threads {threads}");
             assert_eq!(sharded.touched_len(), 0);
         }
-    }
-
-    #[test]
-    fn add_counter_matches_per_lane_scalar_addition() {
-        let mut rng = SmallRng::seed_from_u64(11);
-        use rand::Rng;
-        for _ in 0..50 {
-            let a_counts: [u32; LANES] = std::array::from_fn(|_| rng.gen_range(0..500));
-            let b_counts: [u32; LANES] = std::array::from_fn(|_| rng.gen_range(0..500));
-            let mut a = LaneCounter::from_counts(&a_counts);
-            let b = LaneCounter::from_counts(&b_counts);
-            a.add_counter(&b);
-            for lane in 0..LANES as u32 {
-                assert_eq!(
-                    a.get(lane),
-                    u64::from(a_counts[lane as usize]) + u64::from(b_counts[lane as usize])
-                );
-            }
-        }
-        // Adding an empty counter is the identity.
-        let mut c = LaneCounter::from_counts(&[3u32; LANES]);
-        c.add_counter(&LaneCounter::new());
-        assert_eq!(c.get(0), 3);
     }
 
     #[test]
@@ -2239,11 +2062,6 @@ mod tests {
                 assert_eq!(eq >> lane & 1 == 1, av == k, "k={k} lane={lane}");
             }
         }
-        for (lo, hi) in [(0u64, 5u64), (17, 42), (199, 255), (250, 300)] {
-            let (le_lo, le_hi) = planes_le2_mask(&pa, lo, hi);
-            assert_eq!(le_lo, planes_le_mask(&pa, lo), "lo={lo}");
-            assert_eq!(le_hi, planes_le_mask(&pa, hi), "hi={hi}");
-        }
 
         let m = 0xAAAA_5555_0F0F_F0F0u64;
         let mut dst = pb.clone();
@@ -2251,17 +2069,6 @@ mod tests {
         for lane in 0..64u32 {
             let expect = if m >> lane & 1 == 1 { a } else { b };
             assert_eq!(LaneCounter::get_in(&dst, lane), expect[lane as usize]);
-        }
-
-        let mut sum = pb.clone();
-        planes_add_const(&mut sum, &pa, 37, m);
-        for lane in 0..64u32 {
-            let expect = if m >> lane & 1 == 1 {
-                a[lane as usize] + 37
-            } else {
-                b[lane as usize]
-            };
-            assert_eq!(LaneCounter::get_in(&sum, lane), expect, "lane={lane}");
         }
 
         // base + addend + 1, with a narrower addend (top planes zero).

@@ -303,7 +303,7 @@ impl<'g, P: MpNode, A: MpAdversary<P::Msg>> MpNetwork<'g, P, A> {
                 Outgoing::Silent => {}
                 Outgoing::Broadcast(m) => {
                     self.stats.transmissions += 1;
-                    for &v in graph.neighbors(u) {
+                    for v in graph.neighbors(u) {
                         self.stats.deliveries += 1;
                         self.nodes[v.index()].recv(round, u, m.clone());
                     }
@@ -353,7 +353,7 @@ fn clamp_to_intended<M: Clone>(
 ) -> Outgoing<M> {
     let allowed: Vec<NodeId> = match intended {
         Outgoing::Silent => Vec::new(),
-        Outgoing::Broadcast(_) => graph.neighbors(v).to_vec(),
+        Outgoing::Broadcast(_) => graph.neighbors(v).collect(),
         Outgoing::Directed(list) => list.iter().map(|&(t, _)| t).collect(),
     };
     if allowed.is_empty() {
@@ -822,7 +822,7 @@ mod tests {
                     Outgoing::Silent => {}
                     Outgoing::Broadcast(m) => {
                         self.stats.transmissions += 1;
-                        for &v in graph.neighbors(u) {
+                        for v in graph.neighbors(u) {
                             self.stats.deliveries += 1;
                             self.nodes[v.index()].recv(round, u, m.clone());
                         }
@@ -958,7 +958,7 @@ mod tests {
             let mut net = MpNetwork::with_adversary(g, fault, adversary.clone(), seed, |v| {
                 let chatter = Chatter {
                     me: v,
-                    neighbors: g.neighbors(v).to_vec(),
+                    neighbors: g.neighbors(v).collect(),
                     bit: v.index() == 0,
                     inbox: Vec::new(),
                 };

@@ -327,7 +327,7 @@ impl<'g, P: RadioNode, A: RadioAdversary<P::Msg>> RadioNetwork<'g, P, A> {
             if action.is_transmit() {
                 self.stats.transmissions += 1;
                 let u = NodeId::new(u);
-                for &v in graph.neighbors(u) {
+                for v in graph.neighbors(u) {
                     let count = &mut self.tx_neighbors[v.index()];
                     *count = (*count + 1).min(2);
                     self.last_sender[v.index()] = u;
@@ -635,7 +635,7 @@ mod tests {
                     let v = NodeId::new(i);
                     let mut heard: Option<&P::Msg> = None;
                     let mut count = 0usize;
-                    for &u in self.graph.neighbors(v) {
+                    for u in self.graph.neighbors(v) {
                         if let RadioAction::Transmit(m) = &actual[u.index()] {
                             count += 1;
                             heard = Some(m);

@@ -14,16 +14,16 @@
 //! [`kernel`](crate::kernel) substrate:
 //!
 //! * the informed set is a word-level
-//!   [`InformedSet`](crate::kernel::InformedSet) bitmask,
-//! * adjacency is the flat `u32` CSR of a [`CsrGraph`], held as an
+//!   [`InformedSet`] bitmask,
+//! * adjacency is the flat `u32` CSR of a [`Graph`], held as an
 //!   in-RAM [`ShardStore`] — the engine builds no adjacency of its own,
 //! * per-round collision resolution is the
-//!   [`CollisionCounter`](crate::kernel::CollisionCounter): saturating
+//!   [`CollisionCounter`]: saturating
 //!   transmitter counts touched only at frontier neighborhoods (hear
 //!   iff the count is exactly one), so a round costs `O(m_frontier)`,
 //!   not `O(n + m)`,
 //! * omission faults are sampled by the aggregate
-//!   [`FaultSampler`](crate::kernel::FaultSampler) — one Bernoulli coin
+//!   [`FaultSampler`] — one Bernoulli coin
 //!   per participant, or a geometric skip between successful
 //!   transmitters when `p > 0.75`,
 //! * the run stops as soon as no informed node can ever inform anyone
@@ -49,8 +49,8 @@
 //! (one shard, or `k` node-range shards — outcome-neutral), and
 //! [`ShardedRadio`] runs the same passes over any store, disk segments
 //! included. Both passes are parametric in a
-//! [`FaultModel`](crate::kernel::FaultModel) (the plain-`p` entry points
-//! are the [`Omission`](crate::kernel::Omission) instance). A `Silent`
+//! [`FaultModel`] (the plain-`p` entry points
+//! are the [`Omission`] instance). A `Silent`
 //! model's coin silences the transmitter. Corrupted-*value* models
 //! (`Flip` / `Lie`, the paper's limited-malicious transmitters) change
 //! what a fault does: a corrupted transmitter still transmits — it
@@ -69,7 +69,7 @@ use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
 use randcast_graph::shard::{PassLoader, RamShards, ShardError, ShardPlan, ShardStore};
-use randcast_graph::{CsrGraph, NodeId};
+use randcast_graph::{Graph, NodeId};
 use randcast_stats::seed::{splitmix64, SeedSequence};
 
 use crate::kernel::{
@@ -157,8 +157,8 @@ fn decay_thin(act: &mut [LaneMask], active: &mut Vec<u32>, decay_tape: &BatchTap
 }
 
 /// A compiled fast-path radio plan: the CSR adjacency as an in-RAM
-/// [`ShardStore`] plus a schedule and horizon. The adjacency arrays come
-/// straight from the [`CsrGraph`] substrate.
+/// [`ShardStore`] plus a schedule and horizon. The adjacency arrays are
+/// a copy of the [`Graph`]'s.
 pub struct FastRadio {
     /// The store-backed frontier passes over the adjacency.
     passes: ShardedRadio,
@@ -169,18 +169,17 @@ impl FastRadio {
     /// rounds under `schedule`. A `horizon` of 0 is allowed (the run
     /// reports only the source informed); a graph disconnected from
     /// `source` is allowed (the broadcast covers the source's
-    /// component). Takes the graph by value: the plan *is* the CSR
-    /// arrays, moved into a one-shard store without a copy (clone at
-    /// the call site to keep the graph).
+    /// component). The plan copies the graph's CSR arrays into a
+    /// one-shard store.
     ///
     /// # Panics
     ///
     /// Panics if the schedule is [`FastRadioSchedule::Decay`] with
     /// `epoch_len == 0`.
     #[must_use]
-    pub fn new(csr: CsrGraph, source: NodeId, horizon: usize, schedule: FastRadioSchedule) -> Self {
-        let plan = ShardPlan::uniform(csr.node_count(), 1);
-        let store = ShardStore::Ram(RamShards::from_csr(csr, plan));
+    pub fn new(graph: &Graph, source: NodeId, horizon: usize, schedule: FastRadioSchedule) -> Self {
+        let plan = ShardPlan::uniform(graph.node_count(), 1);
+        let store = ShardStore::Ram(RamShards::from_graph(graph.clone(), plan));
         FastRadio {
             passes: ShardedRadio::new(store, u32::from(source), horizon, schedule),
         }
@@ -1136,7 +1135,7 @@ mod tests {
     use randcast_graph::{generators, Graph, GraphBuilder};
 
     fn plan(g: &Graph, horizon: usize, schedule: FastRadioSchedule) -> FastRadio {
-        FastRadio::new(CsrGraph::from(g), g.node(0), horizon, schedule)
+        FastRadio::new(g, g.node(0), horizon, schedule)
     }
 
     fn decay_plan(g: &Graph, horizon: usize) -> FastRadio {
@@ -1233,15 +1232,20 @@ mod tests {
 
     #[test]
     fn csr_and_graph_construction_agree() {
-        let csr = generators::preferential_attachment_csr(
+        // A generated graph and its copy frozen through the chainable
+        // `GraphBuilder` compile to the same plan (and hence
+        // bit-identical runs).
+        let g = generators::preferential_attachment(
             180,
             3,
             &mut rand::rngs::SmallRng::seed_from_u64(4),
         );
-        let g = Graph::from(&csr);
+        let mut b = GraphBuilder::new(g.node_count());
+        b.edges(g.edges().map(|(u, v)| (u.index(), v.index())));
+        let built = b.finish().expect("valid");
         let epoch_len = 9;
         let a = FastRadio::new(
-            csr.clone(),
+            &built,
             g.node(0),
             900,
             FastRadioSchedule::Decay { epoch_len },
@@ -1423,27 +1427,25 @@ mod tests {
 
     /// The same plan re-cut into `shards` node-range shards.
     fn resharded(
-        csr: &CsrGraph,
         g: &Graph,
         horizon: usize,
         schedule: FastRadioSchedule,
         shards: usize,
     ) -> FastRadio {
-        FastRadio::new(csr.clone(), g.node(0), horizon, schedule)
-            .with_shard_plan(ShardPlan::uniform(csr.node_count(), shards))
+        FastRadio::new(g, g.node(0), horizon, schedule)
+            .with_shard_plan(ShardPlan::uniform(g.node_count(), shards))
     }
 
     #[test]
     fn sharded_lane_and_batch_match_monolithic_exactly() {
         let g = generators::gnp_connected(120, 0.04, &mut rand::rngs::SmallRng::seed_from_u64(11));
-        let csr = CsrGraph::from(&g);
         for schedule in [
             FastRadioSchedule::Decay { epoch_len: 8 },
             FastRadioSchedule::AllInformed,
         ] {
-            let fr = FastRadio::new(csr.clone(), g.node(0), 600, schedule);
+            let fr = FastRadio::new(&g, g.node(0), 600, schedule);
             for shards in [2usize, 3, 7] {
-                let sharded = resharded(&csr, &g, 600, schedule, shards);
+                let sharded = resharded(&g, 600, schedule, shards);
                 for p in [0.0, 0.3, 0.8] {
                     let seed = 53 + shards as u64;
                     assert_eq!(
@@ -1743,13 +1745,13 @@ mod tests {
         }
     }
 
-    /// `csr`'s edges spilled to a `k`-segment disk store.
-    fn disk_copy(csr: &CsrGraph, k: usize) -> ShardStore {
+    /// `g`'s edges spilled to a `k`-segment disk store.
+    fn disk_copy(g: &Graph, k: usize) -> ShardStore {
         use randcast_graph::shard::{default_scratch_dir, SpillSink};
-        let plan = ShardPlan::uniform(csr.node_count(), k);
+        let plan = ShardPlan::uniform(g.node_count(), k);
         let mut sink = SpillSink::create(default_scratch_dir(), plan).unwrap();
-        for v in 0..csr.node_count() {
-            for &t in csr.neighbors_of(v) {
+        for v in 0..g.node_count() {
+            for &t in g.targets_of(v as u32) {
                 if (v as u32) < t {
                     sink.push(v as u64, u64::from(t)).unwrap();
                 }
@@ -1776,16 +1778,15 @@ mod tests {
         let horizon = 300;
         let mut setups = Vec::new();
         for g in &families {
-            let csr = CsrGraph::from(g);
-            let epoch_len = (csr.node_count() as f64).log2().ceil() as usize + 1;
+            let epoch_len = (g.node_count() as f64).log2().ceil() as usize + 1;
             for schedule in [
                 FastRadioSchedule::Decay { epoch_len },
                 FastRadioSchedule::AllInformed,
             ] {
-                let one = FastRadio::new(csr.clone(), g.node(0), horizon, schedule);
-                let three = resharded(&csr, g, horizon, schedule, 3);
-                let disk = ShardedRadio::new(disk_copy(&csr, 3), 0, horizon, schedule);
-                let label = format!("n={} {schedule:?}", csr.node_count());
+                let one = FastRadio::new(g, g.node(0), horizon, schedule);
+                let three = resharded(g, horizon, schedule, 3);
+                let disk = ShardedRadio::new(disk_copy(g, 3), 0, horizon, schedule);
+                let label = format!("n={} {schedule:?}", g.node_count());
                 setups.push((label, one, three, disk));
             }
         }
@@ -1838,22 +1839,21 @@ mod tests {
     #[test]
     fn out_of_core_radio_matches_the_monolithic_lane_replay() {
         let g = generators::gnp_connected(110, 0.05, &mut rand::rngs::SmallRng::seed_from_u64(9));
-        let csr = CsrGraph::from(&g);
-        let n = csr.node_count();
+        let n = g.node_count();
         let epoch_len = (n.max(2) as f64).log2().ceil() as usize + 1;
         let plan = ShardPlan::uniform(n, 3);
         for schedule in [
             FastRadioSchedule::Decay { epoch_len },
             FastRadioSchedule::AllInformed,
         ] {
-            let fr = FastRadio::new(csr.clone(), g.node(0), 900, schedule);
+            let fr = FastRadio::new(&g, g.node(0), 900, schedule);
             let ram = ShardedRadio::new(
-                ShardStore::Ram(RamShards::from_csr(csr.clone(), plan.clone())),
+                ShardStore::Ram(RamShards::from_graph(g.clone(), plan.clone())),
                 0,
                 900,
                 schedule,
             );
-            let disk = ShardedRadio::new(disk_copy(&csr, 3), 0, 900, schedule);
+            let disk = ShardedRadio::new(disk_copy(&g, 3), 0, 900, schedule);
             for p in [0.0, 0.5] {
                 for lane in [0u32, 7, 63] {
                     let mono = fr.run_lane(p, 77, lane);
@@ -1878,22 +1878,21 @@ mod tests {
         // shard) take the sparse row-read path while bulk rounds take
         // full segment views, so both loaders face the equality gate.
         let g = generators::gnp_connected(900, 0.012, &mut rand::rngs::SmallRng::seed_from_u64(21));
-        let csr = CsrGraph::from(&g);
-        let n = csr.node_count();
+        let n = g.node_count();
         let epoch_len = (n.max(2) as f64).log2().ceil() as usize + 1;
         let plan = ShardPlan::uniform(n, 3);
         for schedule in [
             FastRadioSchedule::Decay { epoch_len },
             FastRadioSchedule::AllInformed,
         ] {
-            let fr = FastRadio::new(csr.clone(), g.node(0), 1200, schedule);
+            let fr = FastRadio::new(&g, g.node(0), 1200, schedule);
             let mono = fr.run_batch(0.3, 91);
             let stores = [
                 (
-                    ShardStore::Ram(RamShards::from_csr(csr.clone(), plan.clone())),
+                    ShardStore::Ram(RamShards::from_graph(g.clone(), plan.clone())),
                     "ram",
                 ),
-                (disk_copy(&csr, 3), "disk"),
+                (disk_copy(&g, 3), "disk"),
             ];
             for (store, what) in stores {
                 let mut radio = ShardedRadio::new(store, 0, 1200, schedule);
@@ -2015,11 +2014,10 @@ mod tests {
         // one, three and three disk shards.
         use crate::kernel::{FlipFault, LieOrJamFault, TEST_LANE_MASKS};
         let g = generators::gnp_connected(90, 0.05, &mut rand::rngs::SmallRng::seed_from_u64(27));
-        let csr = CsrGraph::from(&g);
         let schedule = FastRadioSchedule::Decay { epoch_len: 8 };
-        let one = FastRadio::new(csr.clone(), g.node(0), 600, schedule);
-        let three = resharded(&csr, &g, 600, schedule, 3);
-        let disk = ShardedRadio::new(disk_copy(&csr, 3), 0, 600, schedule);
+        let one = FastRadio::new(&g, g.node(0), 600, schedule);
+        let three = resharded(&g, 600, schedule, 3);
+        let disk = ShardedRadio::new(disk_copy(&g, 3), 0, 600, schedule);
         let p = 0.35;
         let (omission, flip, lie) = (Omission::new(p), FlipFault::new(p), LieOrJamFault::new(p));
         let models: [&dyn FaultModel; 3] = [&omission, &flip, &lie];
@@ -2069,16 +2067,15 @@ mod tests {
     fn sharded_model_runs_match_monolithic_exactly() {
         use crate::kernel::{CorruptionKind, FlipFault, WorstCasePlacement};
         let g = generators::gnp_connected(100, 0.05, &mut rand::rngs::SmallRng::seed_from_u64(23));
-        let csr = CsrGraph::from(&g);
         let schedule = FastRadioSchedule::Decay { epoch_len: 8 };
-        let fr = FastRadio::new(csr.clone(), g.node(0), 600, schedule);
+        let fr = FastRadio::new(&g, g.node(0), 600, schedule);
         let mut placed = WorstCasePlacement::new(0.1, CorruptionKind::Silent);
         fr.preprocess(&mut placed);
         let flip = FlipFault::new(0.3);
         let models: [&dyn FaultModel; 2] = [&placed, &flip];
         for model in models {
             for shards in [2usize, 3, 7] {
-                let sharded = resharded(&csr, &g, 600, schedule, shards);
+                let sharded = resharded(&g, 600, schedule, shards);
                 assert_eq!(
                     sharded.run_batch_model(model, 7, !0),
                     fr.run_batch_model(model, 7, !0),

@@ -23,7 +23,7 @@
 //! [`FastSimple`] draws exactly that: one uniform per internal node of
 //! the BFS spanning tree, in the paper's `v1..vn` enumeration order,
 //! mapped through the inverse geometric CDF by the shared
-//! [`FaultSampler`](crate::kernel::FaultSampler). A node ends *correct*
+//! [`FaultSampler`]. A node ends *correct*
 //! iff its whole ancestor chain relayed successfully. The outcome
 //! distribution (correct set, success indicator) is exactly that of
 //! `SimplePlan` under the silent omission adversary in either model —
@@ -62,7 +62,7 @@ use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
 use randcast_graph::shard::{PassLoader, RamShards, ShardError, ShardPlan, ShardStore};
-use randcast_graph::{CsrGraph, NodeId};
+use randcast_graph::{Graph, NodeId};
 
 use crate::kernel::{
     BatchBernoulli, BatchTape, BatchedInformedSet, CorruptionKind, FaultModel, FaultSampler,
@@ -222,7 +222,7 @@ impl<'a, M: FaultModel + ?Sized> Phases<'a, M> {
 }
 
 /// A compiled fast-path Simple plan: the BFS spanning structure of the
-/// source component (from [`CsrGraph::bfs_tree`]) — its child lists as
+/// source component (from [`Graph::bfs_tree`]) — its child lists as
 /// an in-RAM [`ShardStore`] — plus the phase length `m`.
 pub struct FastSimple {
     /// The store-backed phase walks over the child lists.
@@ -238,9 +238,9 @@ impl FastSimple {
     ///
     /// Panics if `m == 0`.
     #[must_use]
-    pub fn new(csr: &CsrGraph, source: NodeId, m: usize) -> Self {
-        let n = csr.node_count();
-        let tree = csr.bfs_tree(u32::from(source));
+    pub fn new(graph: &Graph, source: NodeId, m: usize) -> Self {
+        let n = graph.node_count();
+        let tree = graph.bfs_tree(u32::from(source));
         let order = tree.order().to_vec();
         let (child_offsets, children) = tree.into_children_csr();
         let store = ShardStore::Ram(RamShards::new(
@@ -360,7 +360,7 @@ impl FastSimple {
     /// same per-internal-node resolution as [`run`](Self::run), but the
     /// phase draw is lane `lane` of the site-addressed batch tape (site
     /// = phase index) instead of a draw from a sequential RNG — see
-    /// [`phase_t`] for the two-stage coupling. The sampled process is
+    /// `phase_t` for the two-stage coupling. The sampled process is
     /// statistically identical to [`run`](Self::run), and the site
     /// addressing is what lets [`run_batch`](Self::run_batch) reproduce
     /// this outcome *exactly*, lane for lane — see
@@ -954,7 +954,7 @@ mod tests {
     use randcast_graph::{generators, Graph, GraphBuilder};
 
     fn plan(g: &Graph, m: usize) -> FastSimple {
-        FastSimple::new(&CsrGraph::from(g), g.node(0), m)
+        FastSimple::new(g, g.node(0), m)
     }
 
     #[test]
@@ -1091,9 +1091,14 @@ mod tests {
 
     #[test]
     fn csr_and_graph_construction_agree() {
-        let csr = generators::gnp_connected_csr(150, 0.03, &mut SmallRng::seed_from_u64(3));
-        let g = Graph::from(&csr);
-        let a = FastSimple::new(&csr, g.node(0), 3);
+        // A generated graph and its copy frozen through the chainable
+        // `GraphBuilder` compile to the same plan (and hence
+        // bit-identical runs).
+        let g = generators::gnp_connected(150, 0.03, &mut SmallRng::seed_from_u64(3));
+        let mut b = GraphBuilder::new(g.node_count());
+        b.edges(g.edges().map(|(u, v)| (u.index(), v.index())));
+        let built = b.finish().expect("valid");
+        let a = FastSimple::new(&built, g.node(0), 3);
         let b = plan(&g, 3);
         for seed in 0..5 {
             assert_eq!(a.run(0.5, seed), b.run(0.5, seed));
@@ -1203,12 +1208,11 @@ mod tests {
     #[test]
     fn sharded_lane_and_batch_match_monolithic_exactly() {
         let g = generators::gnp_connected(150, 0.03, &mut rand::rngs::SmallRng::seed_from_u64(13));
-        let csr = CsrGraph::from(&g);
         for m in [1usize, 3] {
-            let fs = FastSimple::new(&csr, g.node(0), m);
+            let fs = FastSimple::new(&g, g.node(0), m);
             for shards in [2usize, 3, 7] {
-                let sharded = FastSimple::new(&csr, g.node(0), m)
-                    .with_shard_plan(ShardPlan::uniform(csr.node_count(), shards));
+                let sharded = FastSimple::new(&g, g.node(0), m)
+                    .with_shard_plan(ShardPlan::uniform(g.node_count(), shards));
                 for p in [0.0, 0.4, 0.9] {
                     let seed = 17 + shards as u64;
                     assert_eq!(
@@ -1232,13 +1236,12 @@ mod tests {
     fn out_of_core_simple_matches_the_monolithic_lane_replay() {
         use randcast_graph::shard::{default_scratch_dir, ShardedBfsTree, SpillSink};
         let g = generators::gnp_connected(130, 0.04, &mut rand::rngs::SmallRng::seed_from_u64(12));
-        let csr = CsrGraph::from(&g);
-        let n = csr.node_count();
+        let n = g.node_count();
         let m = 4usize;
-        let fs = FastSimple::new(&csr, g.node(0), m);
+        let fs = FastSimple::new(&g, g.node(0), m);
         let plan = ShardPlan::uniform(n, 3);
         // Ram adjacency → disk child segments.
-        let adj = ShardStore::Ram(RamShards::from_csr(csr.clone(), plan.clone()));
+        let adj = ShardStore::Ram(RamShards::from_graph(g.clone(), plan.clone()));
         let tree = ShardedBfsTree::build(&adj, 0, default_scratch_dir()).expect("tree");
         let (order, children) = tree.into_parts();
         let ram_tree = ShardedSimple::new(ShardStore::Disk(children), order, 0, m);
@@ -1246,7 +1249,7 @@ mod tests {
         // spill pipeline end to end.
         let mut sink = SpillSink::create(default_scratch_dir(), plan).expect("sink");
         for v in 0..n {
-            for &t in csr.neighbors_of(v) {
+            for &t in g.targets_of(v as u32) {
                 if (v as u32) < t {
                     sink.push(v as u64, u64::from(t)).expect("push");
                 }
@@ -1277,12 +1280,11 @@ mod tests {
     fn out_of_core_simple_batch_and_prefetch_are_byte_invisible() {
         use randcast_graph::shard::{default_scratch_dir, ShardedBfsTree};
         let g = generators::gnp_connected(400, 0.02, &mut rand::rngs::SmallRng::seed_from_u64(17));
-        let csr = CsrGraph::from(&g);
-        let n = csr.node_count();
+        let n = g.node_count();
         let m = 3usize;
-        let fs = FastSimple::new(&csr, g.node(0), m);
+        let fs = FastSimple::new(&g, g.node(0), m);
         let plan = ShardPlan::uniform(n, 3);
-        let adj = ShardStore::Ram(RamShards::from_csr(csr.clone(), plan.clone()));
+        let adj = ShardStore::Ram(RamShards::from_graph(g.clone(), plan.clone()));
         let tree = ShardedBfsTree::build(&adj, 0, default_scratch_dir()).expect("tree");
         let (order, children) = tree.into_parts();
         let mut simple = ShardedSimple::new(ShardStore::Disk(children), order, 0, m);
@@ -1473,12 +1475,11 @@ mod tests {
         use crate::kernel::TEST_LANE_MASKS;
         use randcast_graph::shard::{default_scratch_dir, ShardedBfsTree};
         let g = generators::gnp_connected(150, 0.03, &mut rand::rngs::SmallRng::seed_from_u64(29));
-        let csr = CsrGraph::from(&g);
-        let n = csr.node_count();
+        let n = g.node_count();
         let m = 4;
-        let one = FastSimple::new(&csr, g.node(0), m);
-        let three = FastSimple::new(&csr, g.node(0), m).with_shard_plan(ShardPlan::uniform(n, 3));
-        let adj = ShardStore::Ram(RamShards::from_csr(csr.clone(), ShardPlan::uniform(n, 3)));
+        let one = FastSimple::new(&g, g.node(0), m);
+        let three = FastSimple::new(&g, g.node(0), m).with_shard_plan(ShardPlan::uniform(n, 3));
+        let adj = ShardStore::Ram(RamShards::from_graph(g.clone(), ShardPlan::uniform(n, 3)));
         let tree = ShardedBfsTree::build(&adj, 0, default_scratch_dir()).expect("tree");
         let (order, children) = tree.into_parts();
         let disk = ShardedSimple::new(ShardStore::Disk(children), order, 0, m);
@@ -1515,14 +1516,13 @@ mod tests {
     #[test]
     fn sharded_model_runs_match_monolithic_exactly() {
         let g = generators::gnp_connected(150, 0.03, &mut rand::rngs::SmallRng::seed_from_u64(13));
-        let csr = CsrGraph::from(&g);
-        let fs = FastSimple::new(&csr, g.node(0), 3);
+        let fs = FastSimple::new(&g, g.node(0), 3);
         let flip = FlipFault::new(0.4);
         let lie = LieOrJamFault::new(0.2);
         let models: [&dyn FaultModel; 2] = [&flip, &lie];
         for shards in [2usize, 3, 7] {
-            let sharded = FastSimple::new(&csr, g.node(0), 3)
-                .with_shard_plan(ShardPlan::uniform(csr.node_count(), shards));
+            let sharded = FastSimple::new(&g, g.node(0), 3)
+                .with_shard_plan(ShardPlan::uniform(g.node_count(), shards));
             for model in models {
                 let seed = 17 + shards as u64;
                 assert_eq!(

@@ -16,7 +16,7 @@ use randcast_engine::radio::{
 };
 use randcast_engine::radio_fast::{FastRadio, FastRadioSchedule};
 use randcast_engine::simple_fast::FastSimple;
-use randcast_graph::{CsrGraph, Graph, GraphBuilder, NodeId};
+use randcast_graph::{Graph, GraphBuilder, NodeId};
 
 fn connected_graph() -> impl Strategy<Value = Graph> {
     (
@@ -169,8 +169,6 @@ proptest! {
             let transmitting = tx.contains(&v.index());
             let tx_neighbors: Vec<NodeId> = g
                 .neighbors(v)
-                .iter()
-                .copied()
                 .filter(|u| tx.contains(&u.index()))
                 .collect();
             let expect = match tx_neighbors[..] {
@@ -321,7 +319,7 @@ proptest! {
         } else {
             FastFloodVariant::Graph
         };
-        let ff = FastFlood::new(CsrGraph::from(&g), g.node(0), 4 * g.node_count() + 40, variant);
+        let ff = FastFlood::new(&g, g.node(0), 4 * g.node_count() + 40, variant);
         let out = ff.run(p, seed);
         let counts = out.informed_by_round();
         prop_assert_eq!(counts[0], 1);
@@ -341,7 +339,7 @@ proptest! {
     ) {
         let d = randcast_graph::traversal::radius_from(&g, g.node(0));
         for variant in [FastFloodVariant::Tree, FastFloodVariant::Graph] {
-            let ff = FastFlood::new(CsrGraph::from(&g), g.node(0), g.node_count() + 1, variant);
+            let ff = FastFlood::new(&g, g.node(0), g.node_count() + 1, variant);
             let out = ff.run(0.0, seed);
             prop_assert_eq!(out.completion_round(), Some(d));
             prop_assert!((out.informed_fraction() - 1.0).abs() < 1e-12);
@@ -354,7 +352,7 @@ proptest! {
         p in 0.0f64..0.95,
         seed in any::<u64>(),
     ) {
-        let ff = FastFlood::new(CsrGraph::from(&g), g.node(0), 50, FastFloodVariant::Graph);
+        let ff = FastFlood::new(&g, g.node(0), 50, FastFloodVariant::Graph);
         prop_assert_eq!(ff.run(p, seed), ff.run(p, seed));
     }
 
@@ -371,7 +369,7 @@ proptest! {
         } else {
             FastRadioSchedule::AllInformed
         };
-        let plan = FastRadio::new(CsrGraph::from(&g), g.node(0), 30 * g.node_count() + 60, schedule);
+        let plan = FastRadio::new(&g, g.node(0), 30 * g.node_count() + 60, schedule);
         let out = plan.run(p, seed);
         let counts = out.informed_by_round();
         prop_assert_eq!(counts[0], 1);
@@ -400,7 +398,7 @@ proptest! {
         } else {
             FastRadioSchedule::AllInformed
         };
-        let plan = FastRadio::new(CsrGraph::from(&g), g.node(0), 60, schedule);
+        let plan = FastRadio::new(&g, g.node(0), 60, schedule);
         prop_assert_eq!(plan.run(p, seed), plan.run(p, seed));
     }
 
@@ -411,7 +409,7 @@ proptest! {
         seed in any::<u64>(),
         m in 1usize..6,
     ) {
-        let fs = FastSimple::new(&CsrGraph::from(&g), g.node(0), m);
+        let fs = FastSimple::new(&g, g.node(0), m);
         let out = fs.run(p, seed);
         prop_assert_eq!(&out, &fs.run(p, seed));
         // The correct bitset always agrees with the count, and the
@@ -429,7 +427,7 @@ proptest! {
     ) {
         // Simple is a fixed-length schedule: at p = 0 the broadcast is
         // fully correct and completes in exactly n · m rounds.
-        let fs = FastSimple::new(&CsrGraph::from(&g), g.node(0), m);
+        let fs = FastSimple::new(&g, g.node(0), m);
         let out = fs.run(0.0, seed);
         prop_assert!(out.complete());
         prop_assert_eq!(out.total_rounds(), g.node_count() * m);
@@ -446,7 +444,7 @@ proptest! {
     ) {
         // The per-(seed, node) uniform is mapped monotonically through
         // p, so the correct set can only shrink as p grows.
-        let fs = FastSimple::new(&CsrGraph::from(&g), g.node(0), m);
+        let fs = FastSimple::new(&g, g.node(0), m);
         let mut prev = usize::MAX;
         for p in [0.0, 0.15, 0.35, 0.55, 0.75, 0.9, 0.99] {
             let c = fs.run(p, seed).correct_count();
@@ -489,7 +487,7 @@ proptest! {
         } else {
             FastFloodVariant::Graph
         };
-        let ff = FastFlood::new(CsrGraph::from(&g), g.node(0), 4 * g.node_count() + 40, variant);
+        let ff = FastFlood::new(&g, g.node(0), 4 * g.node_count() + 40, variant);
         let batch = ff.run_batch(p, block_seed);
         for lane in [0u32, 1, 17, 40, 63] {
             let out = batch.lane_outcome(lane);
@@ -509,23 +507,22 @@ proptest! {
         // The batched per-node lane words aggregate by popcount: the
         // informed total over all 64 lanes must equal the sum of the 64
         // independent scalar lane replays, for every engine.
-        let csr = CsrGraph::from(&g);
         let src = g.node(0);
-        let ff = FastFlood::new(csr.clone(), src, 2 * g.node_count() + 20, FastFloodVariant::Graph);
+        let ff = FastFlood::new(&g, src, 2 * g.node_count() + 20, FastFloodVariant::Graph);
         let fb = ff.run_batch(p, block_seed);
         let batched: usize = (0..LANES as u32).map(|l| fb.informed_count(l)).sum();
         let scalar: usize = (0..LANES as u32)
             .map(|l| ff.run_lane(p, block_seed, l).informed_count())
             .sum();
         prop_assert_eq!(batched, scalar, "flood");
-        let fr = FastRadio::new(csr.clone(), src, 8 * g.node_count() + 30, FastRadioSchedule::Decay { epoch_len: 4 });
+        let fr = FastRadio::new(&g, src, 8 * g.node_count() + 30, FastRadioSchedule::Decay { epoch_len: 4 });
         let rb = fr.run_batch(p, block_seed);
         let batched: usize = (0..LANES as u32).map(|l| rb.informed_count(l)).sum();
         let scalar: usize = (0..LANES as u32)
             .map(|l| fr.run_lane(p, block_seed, l).informed_count())
             .sum();
         prop_assert_eq!(batched, scalar, "radio");
-        let fs = FastSimple::new(&csr, src, 2);
+        let fs = FastSimple::new(&g, src, 2);
         let sb = fs.run_batch(p, block_seed);
         let batched: usize = (0..LANES as u32).map(|l| sb.correct_count(l)).sum();
         let scalar: usize = (0..LANES as u32)
@@ -545,11 +542,10 @@ proptest! {
         // short horizon reports identical metrics under a horizon three
         // times as long, because coin sites are addressed by (round,
         // node), never by horizon or by which lanes are still live.
-        let csr = CsrGraph::from(&g);
         let src = g.node(0);
         let h = 2 * g.node_count() + 20;
-        let short = FastFlood::new(csr.clone(), src, h, FastFloodVariant::Graph).run_batch(p, block_seed);
-        let long = FastFlood::new(csr.clone(), src, 3 * h, FastFloodVariant::Graph).run_batch(p, block_seed);
+        let short = FastFlood::new(&g, src, h, FastFloodVariant::Graph).run_batch(p, block_seed);
+        let long = FastFlood::new(&g, src, 3 * h, FastFloodVariant::Graph).run_batch(p, block_seed);
         for lane in 0..LANES as u32 {
             if short.completion_round(lane).is_some() {
                 prop_assert_eq!(short.completion_round(lane), long.completion_round(lane));
@@ -559,8 +555,8 @@ proptest! {
         }
         let hr = 6 * g.node_count() + 24;
         let schedule = FastRadioSchedule::Decay { epoch_len: 4 };
-        let short = FastRadio::new(csr.clone(), src, hr, schedule).run_batch(p, block_seed);
-        let long = FastRadio::new(csr, src, 3 * hr, schedule).run_batch(p, block_seed);
+        let short = FastRadio::new(&g, src, hr, schedule).run_batch(p, block_seed);
+        let long = FastRadio::new(&g, src, 3 * hr, schedule).run_batch(p, block_seed);
         for lane in 0..LANES as u32 {
             if short.completion_round(lane).is_some() {
                 prop_assert_eq!(short.completion_round(lane), long.completion_round(lane));
@@ -580,15 +576,14 @@ proptest! {
         // Masking a block to any live-lane set must leave every live
         // lane byte-identical to its scalar replay, for every kernel's
         // 64-lane pass under omission and both corrupted-value models.
-        let csr = CsrGraph::from(&g);
         let src = g.node(0);
         let n = g.node_count();
         let (omission, flip, lie) = (Omission::new(p), FlipFault::new(p), LieOrJamFault::new(p));
         let models: [&dyn FaultModel; 3] = [&omission, &flip, &lie];
-        let tree = FastFlood::new(csr.clone(), src, 2 * n + 20, FastFloodVariant::Tree);
-        let graph = FastFlood::new(csr.clone(), src, 2 * n + 20, FastFloodVariant::Graph);
-        let radio = FastRadio::new(csr.clone(), src, 8 * n + 30, FastRadioSchedule::Decay { epoch_len: 4 });
-        let simple = FastSimple::new(&csr, src, 3);
+        let tree = FastFlood::new(&g, src, 2 * n + 20, FastFloodVariant::Tree);
+        let graph = FastFlood::new(&g, src, 2 * n + 20, FastFloodVariant::Graph);
+        let radio = FastRadio::new(&g, src, 8 * n + 30, FastRadioSchedule::Decay { epoch_len: 4 });
+        let simple = FastSimple::new(&g, src, 3);
         for model in models {
             for ff in [&tree, &graph] {
                 let masked = ff.run_batch_model(model, block_seed, lanes);

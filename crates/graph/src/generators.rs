@@ -15,26 +15,18 @@ use rand::seq::SliceRandom;
 use rand::Rng;
 
 use crate::shard::{EdgeSink, ShardError};
-use crate::{CsrGraph, Graph, GraphBuilder, NodeId};
+use crate::{Graph, GraphBuilder, NodeId};
 
-/// The in-RAM [`EdgeSink`]: collects into a `(u32, u32)` edge list for
-/// the buffered `_csr` build path. Infallible — the streamed cores
-/// never emit endpoints `>= n`, and the `_csr` entry points already
-/// bound `n` to the `u32` word.
-struct VecSink<'a>(&'a mut Vec<(u32, u32)>);
-
-impl EdgeSink for VecSink<'_> {
-    fn edge(&mut self, u: u64, v: u64) -> Result<(), ShardError> {
-        debug_assert!(u < u64::from(u32::MAX) && v < u64::from(u32::MAX));
-        self.0.push((u as u32, v as u32));
-        Ok(())
-    }
-}
-
-/// Unwraps a streamed-core result for the in-RAM path, where the sink
-/// cannot fail.
-fn infallible(result: Result<(), ShardError>) {
-    result.expect("in-memory edge sink cannot fail");
+/// Builds a [`Graph`] straight from a streamed `_edges` core, collected
+/// into an in-RAM `(u32, u32)` list of initial `capacity`.
+fn from_stream(
+    n: usize,
+    capacity: usize,
+    stream: impl FnOnce(&mut Vec<(u32, u32)>) -> Result<(), ShardError>,
+) -> Graph {
+    let mut edges = Vec::with_capacity(capacity);
+    stream(&mut edges).unwrap_or_else(|e| panic!("{e}"));
+    Graph::from_edges(n, &edges)
 }
 
 /// A path (the paper's "line") with `len` edges and `len + 1` nodes
@@ -350,32 +342,17 @@ fn sample_gnp_edges_into<S: EdgeSink, R: Rng + ?Sized>(
 /// Panics if `n == 0` or `q` is not in `[0, 1]`.
 #[must_use]
 pub fn gnp<R: Rng + ?Sized>(n: usize, q: f64, rng: &mut R) -> Graph {
-    Graph::from(&gnp_csr(n, q, rng))
+    from_stream(n, 0, |sink| gnp_edges(sink, n, q, rng))
 }
 
-/// [`gnp`], built directly as a [`CsrGraph`] — no `Graph` conversion,
-/// so peak build memory is the 8-byte-per-edge sample list plus the
-/// `u32` CSR arrays (roughly half the validating-builder path). Draws
-/// the same RNG stream as [`gnp`] and produces the identical graph.
-///
-/// # Panics
-///
-/// Panics if `n == 0` or `q` is not in `[0, 1]`.
-#[must_use]
-pub fn gnp_csr<R: Rng + ?Sized>(n: usize, q: f64, rng: &mut R) -> CsrGraph {
-    let mut edges = Vec::new();
-    infallible(gnp_edges(&mut VecSink(&mut edges), n, q, rng));
-    CsrGraph::from_edges(n, &edges)
-}
-
-/// Streams the `G(n, q)` edge run of [`gnp_csr`] into `sink` — the
+/// Streams the `G(n, q)` edge run of [`gnp`] into `sink` — the
 /// identical RNG stream and edge sequence, without ever materializing
 /// the edge list. With a [`crate::shard::SpillSink`] this is the
 /// out-of-core build path: bounded RAM regardless of `m`.
 ///
 /// # Errors
 ///
-/// Propagates the sink's [`ShardError`]s (in-RAM sinks are infallible).
+/// Propagates the sink's [`ShardError`]s.
 ///
 /// # Panics
 ///
@@ -405,31 +382,19 @@ pub fn gnp_edges<S: EdgeSink, R: Rng + ?Sized>(
 /// Panics if `n == 0` or `q` is not in `[0, 1]`.
 #[must_use]
 pub fn gnp_connected<R: Rng + ?Sized>(n: usize, q: f64, rng: &mut R) -> Graph {
-    Graph::from(&gnp_connected_csr(n, q, rng))
+    from_stream(n, n.saturating_sub(1), |sink| {
+        gnp_connected_edges(sink, n, q, rng)
+    })
 }
 
-/// [`gnp_connected`], built directly as a [`CsrGraph`] (see
-/// [`gnp_csr`] for the memory story). Draws the same RNG stream as
-/// [`gnp_connected`] and produces the identical graph.
-///
-/// # Panics
-///
-/// Panics if `n == 0` or `q` is not in `[0, 1]`.
-#[must_use]
-pub fn gnp_connected_csr<R: Rng + ?Sized>(n: usize, q: f64, rng: &mut R) -> CsrGraph {
-    let mut edges = Vec::with_capacity(n.saturating_sub(1));
-    infallible(gnp_connected_edges(&mut VecSink(&mut edges), n, q, rng));
-    CsrGraph::from_edges(n, &edges)
-}
-
-/// Streams the edge run of [`gnp_connected_csr`] into `sink` —
+/// Streams the edge run of [`gnp_connected`] into `sink` —
 /// identical RNG stream and edge sequence (skeleton first, then the
 /// `G(n, q)` overlay; duplicates merge downstream), without
 /// materializing the edge list.
 ///
 /// # Errors
 ///
-/// Propagates the sink's [`ShardError`]s (in-RAM sinks are infallible).
+/// Propagates the sink's [`ShardError`]s.
 ///
 /// # Panics
 ///
@@ -466,36 +431,17 @@ pub fn gnp_connected_edges<S: EdgeSink, R: Rng + ?Sized>(
 /// Panics if `n == 0` or `radius` is not a positive finite number.
 #[must_use]
 pub fn random_geometric<R: Rng + ?Sized>(n: usize, radius: f64, rng: &mut R) -> Graph {
-    Graph::from(&random_geometric_csr(n, radius, rng))
+    from_stream(n, 0, |sink| random_geometric_edges(sink, n, radius, rng))
 }
 
-/// [`random_geometric`], built directly as a [`CsrGraph`] (see
-/// [`gnp_csr`] for the memory story). Draws the same RNG stream as
-/// [`random_geometric`] and produces the identical graph.
-///
-/// # Panics
-///
-/// Panics if `n == 0` or `radius` is not a positive finite number.
-#[must_use]
-pub fn random_geometric_csr<R: Rng + ?Sized>(n: usize, radius: f64, rng: &mut R) -> CsrGraph {
-    let mut edges = Vec::new();
-    infallible(random_geometric_edges(
-        &mut VecSink(&mut edges),
-        n,
-        radius,
-        rng,
-    ));
-    CsrGraph::from_edges(n, &edges)
-}
-
-/// Streams the edge run of [`random_geometric_csr`] into `sink` —
+/// Streams the edge run of [`random_geometric`] into `sink` —
 /// identical RNG stream and edge sequence. Retains the `O(n)` point
 /// and bucket state (16 bytes per node) but never the edge list, so the
 /// out-of-core build is bounded by nodes, not edges.
 ///
 /// # Errors
 ///
-/// Propagates the sink's [`ShardError`]s (in-RAM sinks are infallible).
+/// Propagates the sink's [`ShardError`]s.
 ///
 /// # Panics
 ///
@@ -557,36 +503,19 @@ pub fn random_geometric_edges<S: EdgeSink, R: Rng + ?Sized>(
 /// Panics if `n == 0` or `m == 0`.
 #[must_use]
 pub fn preferential_attachment<R: Rng + ?Sized>(n: usize, m: usize, rng: &mut R) -> Graph {
-    Graph::from(&preferential_attachment_csr(n, m, rng))
+    from_stream(n, m * n.saturating_sub(1), |sink| {
+        preferential_attachment_edges(sink, n, m, rng)
+    })
 }
 
-/// [`preferential_attachment`], built directly as a [`CsrGraph`] (see
-/// [`gnp_csr`] for the memory story). Draws the same RNG stream as
-/// [`preferential_attachment`] and produces the identical graph.
-///
-/// # Panics
-///
-/// Panics if `n == 0` or `m == 0`.
-#[must_use]
-pub fn preferential_attachment_csr<R: Rng + ?Sized>(n: usize, m: usize, rng: &mut R) -> CsrGraph {
-    let mut edges: Vec<(u32, u32)> = Vec::with_capacity(m * n.saturating_sub(1));
-    infallible(preferential_attachment_edges(
-        &mut VecSink(&mut edges),
-        n,
-        m,
-        rng,
-    ));
-    CsrGraph::from_edges(n, &edges)
-}
-
-/// Streams the edge run of [`preferential_attachment_csr`] into `sink`
+/// Streams the edge run of [`preferential_attachment`] into `sink`
 /// — identical RNG stream and edge sequence. The degree-proportional
 /// endpoint list (`2m` entries per node) is inherent to the model and
 /// stays resident, but the edge list itself is never buffered.
 ///
 /// # Errors
 ///
-/// Propagates the sink's [`ShardError`]s (in-RAM sinks are infallible).
+/// Propagates the sink's [`ShardError`]s.
 ///
 /// # Panics
 ///
@@ -1080,29 +1009,29 @@ mod tests {
         use crate::shard::{ShardPlan, ShardScratch, SpillSink};
         let n = 220usize;
         type StreamFn = Box<dyn Fn(&mut SpillSink, &mut SmallRng) -> Result<(), ShardError>>;
-        let cases: Vec<(&str, u64, CsrGraph, StreamFn)> = vec![
+        let cases: Vec<(&str, u64, Graph, StreamFn)> = vec![
             (
                 "gnp",
                 61,
-                gnp_csr(n, 0.03, &mut SmallRng::seed_from_u64(61)),
+                gnp(n, 0.03, &mut SmallRng::seed_from_u64(61)),
                 Box::new(move |sink, rng| gnp_edges(sink, n, 0.03, rng)),
             ),
             (
                 "gnp_connected",
                 62,
-                gnp_connected_csr(n, 0.02, &mut SmallRng::seed_from_u64(62)),
+                gnp_connected(n, 0.02, &mut SmallRng::seed_from_u64(62)),
                 Box::new(move |sink, rng| gnp_connected_edges(sink, n, 0.02, rng)),
             ),
             (
                 "rgg",
                 63,
-                random_geometric_csr(n, 0.12, &mut SmallRng::seed_from_u64(63)),
+                random_geometric(n, 0.12, &mut SmallRng::seed_from_u64(63)),
                 Box::new(move |sink, rng| random_geometric_edges(sink, n, 0.12, rng)),
             ),
             (
                 "pa",
                 64,
-                preferential_attachment_csr(n, 3, &mut SmallRng::seed_from_u64(64)),
+                preferential_attachment(n, 3, &mut SmallRng::seed_from_u64(64)),
                 Box::new(move |sink, rng| preferential_attachment_edges(sink, n, 3, rng)),
             ),
         ];
@@ -1120,41 +1049,46 @@ mod tests {
             for s in 0..disk.plan().shard_count() {
                 let view = disk.load(s, &mut scratch).expect("load");
                 for v in view.start()..view.end() {
-                    assert_eq!(
-                        view.targets_of(v),
-                        expect.neighbors_of(v as usize),
-                        "{name} node {v}"
-                    );
+                    assert_eq!(view.targets_of(v), expect.targets_of(v), "{name} node {v}");
                 }
             }
         }
     }
 
     #[test]
-    fn csr_generators_match_their_graph_twins() {
-        // Each `_csr` generator must draw the same RNG stream and
-        // produce the identical graph as the `Graph`-returning wrapper.
-        let cases: Vec<(Graph, CsrGraph)> = vec![
+    fn graph_generators_match_their_edge_streams() {
+        // Each generator's graph is its `_edges` stream, collected by the
+        // in-RAM sink and frozen through `GraphBuilder`.
+        type StreamFn = Box<dyn Fn(&mut Vec<(u32, u32)>, &mut SmallRng) -> Result<(), ShardError>>;
+        let n = 250usize;
+        let cases: Vec<(Graph, u64, StreamFn)> = vec![
             (
-                gnp(250, 0.03, &mut SmallRng::seed_from_u64(51)),
-                gnp_csr(250, 0.03, &mut SmallRng::seed_from_u64(51)),
+                gnp(n, 0.03, &mut SmallRng::seed_from_u64(51)),
+                51,
+                Box::new(move |sink, rng| gnp_edges(sink, n, 0.03, rng)),
             ),
             (
-                gnp_connected(250, 0.02, &mut SmallRng::seed_from_u64(52)),
-                gnp_connected_csr(250, 0.02, &mut SmallRng::seed_from_u64(52)),
+                gnp_connected(n, 0.02, &mut SmallRng::seed_from_u64(52)),
+                52,
+                Box::new(move |sink, rng| gnp_connected_edges(sink, n, 0.02, rng)),
             ),
             (
-                random_geometric(250, 0.12, &mut SmallRng::seed_from_u64(53)),
-                random_geometric_csr(250, 0.12, &mut SmallRng::seed_from_u64(53)),
+                random_geometric(n, 0.12, &mut SmallRng::seed_from_u64(53)),
+                53,
+                Box::new(move |sink, rng| random_geometric_edges(sink, n, 0.12, rng)),
             ),
             (
-                preferential_attachment(250, 3, &mut SmallRng::seed_from_u64(54)),
-                preferential_attachment_csr(250, 3, &mut SmallRng::seed_from_u64(54)),
+                preferential_attachment(n, 3, &mut SmallRng::seed_from_u64(54)),
+                54,
+                Box::new(move |sink, rng| preferential_attachment_edges(sink, n, 3, rng)),
             ),
         ];
-        for (g, csr) in cases {
-            assert_eq!(Graph::from(&csr), g);
-            assert_eq!(CsrGraph::from(&g), csr);
+        for (g, seed, stream) in cases {
+            let mut edges = Vec::new();
+            stream(&mut edges, &mut SmallRng::seed_from_u64(seed)).expect("in-RAM sink");
+            let mut b = GraphBuilder::new(n);
+            b.edges(edges.iter().map(|&(u, v)| (u as usize, v as usize)));
+            assert_eq!(b.finish().expect("valid"), g, "seed {seed}");
         }
     }
 
@@ -1216,7 +1150,7 @@ mod tests {
         assert_eq!(g.degree(lb::root()), m);
         // Value node 0b1010 (=10) adjacent to b_2 and b_4.
         let v = lb::value_node(m, 0b1010);
-        let nb: Vec<_> = g.neighbors(v).to_vec();
+        let nb: Vec<_> = g.neighbors(v).collect();
         assert_eq!(nb, vec![lb::bit_node(m, 2), lb::bit_node(m, 4)]);
         // Bit node b_i adjacent to root plus 2^{m-1} - ? value nodes:
         // values with bit i set: 2^{m-1} of them, minus none (value 0 absent

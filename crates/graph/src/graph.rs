@@ -1,41 +1,5 @@
-use std::error::Error;
-use std::fmt;
-
+use crate::csr::{self, CsrError, CsrTree};
 use crate::NodeId;
-
-/// Errors produced while building a [`Graph`].
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum GraphError {
-    /// An edge endpoint referred to a node index `>= n`.
-    NodeOutOfRange {
-        /// The offending endpoint.
-        node: usize,
-        /// Number of nodes in the graph under construction.
-        nodes: usize,
-    },
-    /// An edge connected a node to itself; the network model has no
-    /// self-loops (a node always hears itself in neither model).
-    SelfLoop {
-        /// The node with the attempted self-loop.
-        node: usize,
-    },
-    /// A graph must have at least one node (the source).
-    Empty,
-}
-
-impl fmt::Display for GraphError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match *self {
-            GraphError::NodeOutOfRange { node, nodes } => {
-                write!(f, "edge endpoint {node} out of range for {nodes} nodes")
-            }
-            GraphError::SelfLoop { node } => write!(f, "self-loop at node {node}"),
-            GraphError::Empty => write!(f, "graph must have at least one node"),
-        }
-    }
-}
-
-impl Error for GraphError {}
 
 /// Incremental, validating builder for [`Graph`].
 ///
@@ -81,76 +45,31 @@ impl GraphBuilder {
         self
     }
 
-    /// Validates and freezes the graph.
+    /// Validates and freezes the graph with the same counting sort as
+    /// [`Graph::from_edges`].
     ///
     /// # Errors
     ///
-    /// Returns [`GraphError::Empty`] for zero nodes,
-    /// [`GraphError::SelfLoop`] for an edge `{u, u}` and
-    /// [`GraphError::NodeOutOfRange`] for endpoints `>= nodes`.
-    pub fn finish(&self) -> Result<Graph, GraphError> {
-        if self.nodes == 0 {
-            return Err(GraphError::Empty);
-        }
-        for &(u, v) in &self.edges {
-            if u == v {
-                return Err(GraphError::SelfLoop { node: u });
-            }
-            for e in [u, v] {
-                if e >= self.nodes {
-                    return Err(GraphError::NodeOutOfRange {
-                        node: e,
-                        nodes: self.nodes,
-                    });
-                }
-            }
-        }
-        // Deduplicate into sorted normalized edge list.
-        let mut norm: Vec<(usize, usize)> = self
-            .edges
-            .iter()
-            .map(|&(u, v)| if u < v { (u, v) } else { (v, u) })
-            .collect();
-        norm.sort_unstable();
-        norm.dedup();
-
-        // CSR layout.
-        let mut degree = vec![0usize; self.nodes];
-        for &(u, v) in &norm {
-            degree[u] += 1;
-            degree[v] += 1;
-        }
-        let mut offsets = Vec::with_capacity(self.nodes + 1);
-        let mut acc = 0usize;
-        offsets.push(0);
-        for d in &degree {
-            acc += d;
-            offsets.push(acc);
-        }
-        let mut cursor = offsets.clone();
-        let mut adjacency = vec![NodeId::default(); acc];
-        for &(u, v) in &norm {
-            adjacency[cursor[u]] = NodeId::new(v);
-            cursor[u] += 1;
-            adjacency[cursor[v]] = NodeId::new(u);
-            cursor[v] += 1;
-        }
-        // Neighbor lists sorted for determinism.
-        for u in 0..self.nodes {
-            adjacency[offsets[u]..offsets[u + 1]].sort_unstable();
-        }
-        Ok(Graph {
-            offsets,
-            adjacency,
-            edge_count: norm.len(),
+    /// Returns [`CsrError::EmptyGraph`] for zero nodes,
+    /// [`CsrError::SelfLoop`] for an edge `{u, u}`,
+    /// [`CsrError::OutOfRange`] for endpoints `>= nodes`, and the
+    /// word-width variants for graphs beyond the `u32` CSR.
+    pub fn finish(&self) -> Result<Graph, CsrError> {
+        Graph::build(self.nodes, || {
+            self.edges.iter().map(|&(u, v)| (u as u64, v as u64))
         })
     }
 }
 
-/// An undirected simple graph in compressed sparse row (CSR) form.
+/// An undirected simple graph as flat `u32` compressed-sparse-row
+/// arrays — the one adjacency type of the trait-object engines and the
+/// fast kernels alike. `u32` ids and offsets bound it at ~4 × 10⁹ nodes
+/// and adjacency entries, far beyond the 10⁸ scale tier.
 ///
-/// Nodes are identified by dense [`NodeId`]s `0..n`. The representation is
-/// immutable after construction via [`GraphBuilder`], which keeps every
+/// Nodes are identified by dense [`NodeId`]s `0..n`;
+/// `targets[offsets[v]..offsets[v+1]]` are `v`'s neighbors in ascending
+/// order. The representation is immutable after construction (through
+/// [`GraphBuilder`] or [`Graph::from_edges`]), which keeps every
 /// simulation run free of accidental topology mutation.
 ///
 /// # Example
@@ -165,30 +84,66 @@ impl GraphBuilder {
 /// ```
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct Graph {
-    /// `offsets[u]..offsets[u+1]` indexes `adjacency` for node `u`.
-    offsets: Vec<usize>,
-    adjacency: Vec<NodeId>,
-    edge_count: usize,
+    /// `n + 1` row boundaries into `targets`.
+    offsets: Vec<u32>,
+    /// Concatenated sorted neighbor lists (each undirected edge appears
+    /// twice).
+    targets: Vec<u32>,
 }
 
 impl Graph {
-    /// Assembles a graph from already-validated CSR parts: `offsets`
-    /// has `n + 1` entries, `adjacency` rows are sorted, deduplicated,
-    /// self-loop free and symmetric, and `edge_count` is the undirected
-    /// edge count. Used by the lossless [`CsrGraph`](crate::CsrGraph)
-    /// conversion, which upholds those invariants by construction.
-    pub(crate) fn from_csr_parts(
-        offsets: Vec<usize>,
-        adjacency: Vec<NodeId>,
-        edge_count: usize,
-    ) -> Self {
-        debug_assert!(!offsets.is_empty());
-        debug_assert_eq!(*offsets.last().unwrap(), adjacency.len());
-        Graph {
-            offsets,
-            adjacency,
-            edge_count,
-        }
+    /// Builds the graph on `n` nodes with the given edges by counting
+    /// sort: degree pass, prefix sums, scatter, then per-row sort +
+    /// dedup. Duplicate edges merge; peak memory is the edge list plus
+    /// the arrays themselves.
+    ///
+    /// # Panics
+    ///
+    /// Panics on any [`CsrError`] (see [`try_from_edges`](Self::try_from_edges)
+    /// for the non-panicking entry point).
+    #[must_use]
+    pub fn from_edges(n: usize, edges: &[(u32, u32)]) -> Self {
+        Self::try_from_edges(n, edges).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// [`from_edges`](Self::from_edges), rejecting invalid input with a
+    /// typed [`CsrError`] instead of panicking.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CsrError`] on an empty graph, a node count or
+    /// adjacency volume beyond the word, self-loops, or out-of-range
+    /// endpoints.
+    pub fn try_from_edges(n: usize, edges: &[(u32, u32)]) -> Result<Self, CsrError> {
+        Self::build(n, || {
+            edges.iter().map(|&(u, v)| (u64::from(u), u64::from(v)))
+        })
+    }
+
+    /// Builds from `(u64, u64)` edge runs — the streaming-generator
+    /// format — rejecting endpoints that don't fit the `u32` word with
+    /// the typed [`CsrError::EndpointOverflow`] (**never** silently
+    /// truncating). The width check runs before the range check, so an
+    /// endpoint `>= u32::MAX` reports as overflow even when it is also
+    /// `>= n`.
+    ///
+    /// # Errors
+    ///
+    /// As [`try_from_edges`](Self::try_from_edges), plus
+    /// [`CsrError::EndpointOverflow`].
+    pub fn try_from_edges64(n: usize, edges: &[(u64, u64)]) -> Result<Self, CsrError> {
+        Self::build(n, || edges.iter().copied())
+    }
+
+    /// The one counting sort behind every constructor: `runs()` must yield
+    /// the same edge sequence on both of `csr::build`'s passes.
+    fn build<I, F>(n: usize, runs: F) -> Result<Self, CsrError>
+    where
+        F: Fn() -> I,
+        I: Iterator<Item = (u64, u64)>,
+    {
+        let (offsets, targets) = csr::build(n, runs)?;
+        Ok(Graph { offsets, targets })
     }
 
     /// Number of nodes `n`.
@@ -200,7 +155,7 @@ impl Graph {
     /// Number of undirected edges.
     #[must_use]
     pub fn edge_count(&self) -> usize {
-        self.edge_count
+        self.targets.len() / 2
     }
 
     /// The [`NodeId`] for dense index `index`.
@@ -219,25 +174,39 @@ impl Graph {
         (0..self.node_count()).map(NodeId::new)
     }
 
-    /// The sorted neighbor list of `v`.
+    /// The neighbors of `v`, in ascending order.
+    pub fn neighbors(&self, v: NodeId) -> impl ExactSizeIterator<Item = NodeId> + '_ {
+        self.targets_of(u32::from(v))
+            .iter()
+            .map(|&t| NodeId::from(t))
+    }
+
+    /// The sorted neighbor row of node `v` as raw `u32` ids — the
+    /// kernels' view of [`neighbors`](Self::neighbors).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `v >= n`.
+    #[inline]
     #[must_use]
-    pub fn neighbors(&self, v: NodeId) -> &[NodeId] {
-        let i = v.index();
-        &self.adjacency[self.offsets[i]..self.offsets[i + 1]]
+    pub fn targets_of(&self, v: u32) -> &[u32] {
+        let v = v as usize;
+        &self.targets[self.offsets[v] as usize..self.offsets[v + 1] as usize]
     }
 
     /// The degree of `v`.
     #[must_use]
     pub fn degree(&self, v: NodeId) -> usize {
-        self.neighbors(v).len()
+        self.targets_of(u32::from(v)).len()
     }
 
     /// The maximum degree `Δ` of the graph — the parameter of the radio
     /// feasibility threshold `p < (1 − p)^{Δ+1}` (Theorem 2.4).
     #[must_use]
     pub fn max_degree(&self) -> usize {
-        (0..self.node_count())
-            .map(|i| self.offsets[i + 1] - self.offsets[i])
+        self.offsets
+            .windows(2)
+            .map(|w| (w[1] - w[0]) as usize)
             .max()
             .unwrap_or(0)
     }
@@ -245,18 +214,49 @@ impl Graph {
     /// Whether `{u, v}` is an edge.
     #[must_use]
     pub fn has_edge(&self, u: NodeId, v: NodeId) -> bool {
-        self.neighbors(u).binary_search(&v).is_ok()
+        self.targets_of(u32::from(u))
+            .binary_search(&u32::from(v))
+            .is_ok()
     }
 
     /// Iterates over all undirected edges as `(u, v)` with `u < v`.
     pub fn edges(&self) -> impl Iterator<Item = (NodeId, NodeId)> + '_ {
         self.nodes().flat_map(move |u| {
             self.neighbors(u)
-                .iter()
-                .copied()
                 .filter(move |&v| u < v)
                 .map(move |v| (u, v))
         })
+    }
+
+    /// The row-boundary array (`n + 1` entries).
+    #[must_use]
+    pub fn offsets(&self) -> &[u32] {
+        &self.offsets
+    }
+
+    /// The concatenated neighbor rows.
+    #[must_use]
+    pub fn targets(&self) -> &[u32] {
+        &self.targets
+    }
+
+    /// Consumes the graph into its `(offsets, targets)` CSR arrays, so
+    /// engines that own their adjacency can take it without copying.
+    #[must_use]
+    pub fn into_raw_parts(self) -> (Vec<u32>, Vec<u32>) {
+        (self.offsets, self.targets)
+    }
+
+    /// The BFS spanning structure rooted at `source`: level order and
+    /// per-parent child lists over the source's component only, so the
+    /// graph may be disconnected.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `source >= n`.
+    #[must_use]
+    pub fn bfs_tree(&self, source: u32) -> CsrTree {
+        CsrTree::bfs(self, source)
     }
 }
 
@@ -266,24 +266,21 @@ mod tests {
 
     #[test]
     fn builder_rejects_empty() {
-        assert_eq!(GraphBuilder::new(0).finish(), Err(GraphError::Empty));
+        assert_eq!(GraphBuilder::new(0).finish(), Err(CsrError::EmptyGraph));
     }
 
     #[test]
     fn builder_rejects_self_loop() {
         let mut b = GraphBuilder::new(2);
         b.edge(1, 1);
-        assert_eq!(b.finish(), Err(GraphError::SelfLoop { node: 1 }));
+        assert_eq!(b.finish(), Err(CsrError::SelfLoop { node: 1 }));
     }
 
     #[test]
     fn builder_rejects_out_of_range() {
         let mut b = GraphBuilder::new(2);
         b.edge(0, 2);
-        assert_eq!(
-            b.finish(),
-            Err(GraphError::NodeOutOfRange { node: 2, nodes: 2 })
-        );
+        assert_eq!(b.finish(), Err(CsrError::OutOfRange { endpoint: 2, n: 2 }));
     }
 
     #[test]
@@ -302,7 +299,7 @@ mod tests {
         let mut b = GraphBuilder::new(5);
         b.edge(2, 4).edge(2, 0).edge(2, 3).edge(2, 1);
         let g = b.finish().unwrap();
-        let nb: Vec<usize> = g.neighbors(g.node(2)).iter().map(|v| v.index()).collect();
+        let nb: Vec<usize> = g.neighbors(g.node(2)).map(|v| v.index()).collect();
         assert_eq!(nb, vec![0, 1, 3, 4]);
     }
 
@@ -328,9 +325,9 @@ mod tests {
 
     #[test]
     fn error_display_is_informative() {
-        let e = GraphError::NodeOutOfRange { node: 9, nodes: 3 };
+        let e = CsrError::OutOfRange { endpoint: 9, n: 3 };
         assert!(e.to_string().contains('9'));
-        assert!(GraphError::SelfLoop { node: 2 }.to_string().contains('2'));
-        assert!(!GraphError::Empty.to_string().is_empty());
+        assert!(CsrError::SelfLoop { node: 2 }.to_string().contains('2'));
+        assert!(!CsrError::EmptyGraph.to_string().is_empty());
     }
 }

@@ -5,12 +5,12 @@
 //! complexity of broadcasting with random transmission failures"*
 //! (PODC 2005 / TCS 2007), operate:
 //!
-//! * [`Graph`] — a compact adjacency-list representation with a validating
-//!   [`GraphBuilder`],
-//! * [`CsrGraph`] / [`CsrTree`] — the flat `u32` CSR substrate shared by
-//!   the large-`n` fast-path engines, with lossless `Graph ↔ CsrGraph`
-//!   conversion and direct construction from edge lists (the memory-lean
-//!   path the scalable generators use),
+//! * [`Graph`] — the one adjacency type: flat `u32` CSR arrays that the
+//!   trait-object engines read as typed [`NodeId`] neighbors and the
+//!   large-`n` fast-path kernels read as raw rows, built by one
+//!   counting sort from a validating [`GraphBuilder`] or straight from
+//!   an edge list (the memory-lean path the scalable generators use),
+//! * [`CsrTree`] — the BFS child-list structure the fast kernels share,
 //! * [`shard`] — node-range shard plans, views, and the out-of-core
 //!   spill/segment store that carry one trial to `n = 10⁸` under a fixed
 //!   RAM budget,
@@ -54,7 +54,7 @@ pub mod generators;
 pub mod shard;
 pub mod traversal;
 
-pub use csr::{CsrError, CsrGraph, CsrTree};
-pub use graph::{Graph, GraphBuilder, GraphError};
+pub use csr::{CsrError, CsrTree};
+pub use graph::{Graph, GraphBuilder};
 pub use node::NodeId;
 pub use tree::SpanningTree;

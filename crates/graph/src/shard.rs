@@ -33,7 +33,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Once};
 use std::thread;
 
-use crate::csr::{CsrError, CsrGraph, MAX_INDEX};
+use crate::csr::{CsrError, MAX_INDEX};
+use crate::Graph;
 
 /// A failure while building or reading sharded adjacency: either the
 /// edge stream was invalid (typed [`CsrError`]) or the spill/segment IO
@@ -411,14 +412,14 @@ impl RamShards {
         }
     }
 
-    /// Takes a CSR graph's arrays, without copying, under `plan`.
+    /// Takes a graph's CSR arrays, without copying, under `plan`.
     ///
     /// # Panics
     ///
     /// Panics if the plan covers a different node count.
     #[must_use]
-    pub fn from_csr(csr: CsrGraph, plan: ShardPlan) -> Self {
-        let (offsets, targets) = csr.into_raw_parts();
+    pub fn from_graph(graph: Graph, plan: ShardPlan) -> Self {
+        let (offsets, targets) = graph.into_raw_parts();
         RamShards::new(offsets, targets, plan)
     }
 
@@ -537,7 +538,7 @@ fn read_u64(reader: &mut impl Read) -> io::Result<u64> {
 
 /// A consumer of streamed undirected edges — the seam between the
 /// random-graph generators and whatever holds the edges: an in-RAM
-/// `(u32, u32)` list for the buffered `_csr` path, or a [`SpillSink`]
+/// `(u32, u32)` list for [`Graph::from_edges`], or a [`SpillSink`]
 /// for the out-of-core path. Generators emit each unordered pair
 /// exactly once (duplicates from overlaying families are allowed and
 /// merge downstream).
@@ -557,6 +558,22 @@ impl EdgeSink for SpillSink {
     }
 }
 
+/// The in-RAM sink: an endpoint past the `u32` word is the typed
+/// [`CsrError::EndpointOverflow`], never a truncation.
+impl EdgeSink for Vec<(u32, u32)> {
+    fn edge(&mut self, u: u64, v: u64) -> Result<(), ShardError> {
+        if let Some(endpoint) = [u, v].into_iter().find(|&e| e > MAX_INDEX) {
+            return Err(ShardError::Graph(CsrError::EndpointOverflow {
+                endpoint,
+                max: MAX_INDEX,
+            }));
+        }
+        // Both endpoints fit the word, so the narrowing is exact.
+        self.push((u as u32, v as u32));
+        Ok(())
+    }
+}
+
 /// Monotonic suffix so concurrent sinks in one process never share a
 /// scratch directory.
 static SCRATCH_SEQ: AtomicU64 = AtomicU64::new(0);
@@ -573,7 +590,7 @@ static SCRATCH_SWEEP: Once = Once::new();
 /// whole `out/` tree is gitignored. `Drop` removes a store's directory
 /// on unwind, but a killed process leaves its directories behind, so
 /// the first call in a process also removes the `pid<P>-<k>` siblings
-/// of processes that no longer exist (see [`sweep_dead_scratch`]).
+/// of processes that no longer exist (see `sweep_dead_scratch`).
 #[must_use]
 pub fn default_scratch_dir() -> PathBuf {
     SCRATCH_SWEEP.call_once(|| sweep_dead_scratch(Path::new(SCRATCH_ROOT)));
@@ -737,7 +754,7 @@ impl SpillSink {
     /// Counting-sorts every spill bucket into its rebased CSR segment
     /// file (ascending shard order — the fixed merge order the readers
     /// rely on), deleting each bucket once consumed. Duplicate pushed
-    /// edges merge, exactly like [`CsrGraph::from_edges`].
+    /// edges merge, exactly like [`Graph::from_edges`].
     ///
     /// # Errors
     ///
@@ -1810,7 +1827,7 @@ impl PassView<'_> {
 /// lists as directed [`DiskShards`] segments — the inputs the fast
 /// Simple kernel needs, at `n = 10⁸` scale.
 ///
-/// The builder reproduces [`CsrGraph::bfs_tree`] **exactly**:
+/// The builder reproduces [`Graph::bfs_tree`] **exactly**:
 ///
 /// * In FIFO BFS every discoverer of a level-`L + 1` node is a level-`L`
 ///   node, and the recorded parent is the *first* FIFO discoverer —
@@ -1827,7 +1844,7 @@ impl PassView<'_> {
 ///   [`SpillSink::finalize`]'s per-row sort produces from the directed
 ///   `(parent, child)` spill.
 ///
-/// `crates/graph` pins the equivalence against [`CsrGraph::bfs_tree`]
+/// `crates/graph` pins the equivalence against [`Graph::bfs_tree`]
 /// on random graphs for both store backends.
 pub struct ShardedBfsTree {
     order: Vec<u32>,
@@ -1993,18 +2010,18 @@ mod tests {
     #[test]
     fn split_views_reproduce_the_monolith() {
         let n = 100u32;
-        let csr = CsrGraph::from_edges(n as usize, &ring_edges(n));
+        let csr = Graph::from_edges(n as usize, &ring_edges(n));
         for k in [1, 2, 3, 7] {
-            let ram = RamShards::from_csr(csr.clone(), ShardPlan::uniform(n as usize, k));
+            let ram = RamShards::from_graph(csr.clone(), ShardPlan::uniform(n as usize, k));
             let mut entries = 0;
             for s in 0..ram.plan().shard_count() {
                 let view = ram.view(s);
                 entries += view.entry_count();
                 for v in view.start()..view.end() {
                     assert!(view.contains(v));
-                    assert_eq!(view.targets_of(v), csr.neighbors_of(v as usize));
-                    assert_eq!(view.degree(v), csr.degree(v as usize));
-                    assert_eq!(ram.targets_of(v), csr.neighbors_of(v as usize));
+                    assert_eq!(view.targets_of(v), csr.targets_of(v));
+                    assert_eq!(view.degree(v), csr.targets_of(v).len());
+                    assert_eq!(ram.targets_of(v), csr.targets_of(v));
                 }
             }
             assert_eq!(entries, 2 * csr.edge_count());
@@ -2014,11 +2031,11 @@ mod tests {
     #[test]
     fn over_and_split_views_agree() {
         let n = 64u32;
-        let csr = CsrGraph::from_edges(n as usize, &ring_edges(n));
+        let csr = Graph::from_edges(n as usize, &ring_edges(n));
         let plan = ShardPlan::uniform(n as usize, 5);
         // Re-planning keeps the arrays: a one-shard store re-cut into
         // five serves the same rows as direct windows over the CSR.
-        let ram = RamShards::from_csr(csr.clone(), ShardPlan::uniform(n as usize, 1))
+        let ram = RamShards::from_graph(csr.clone(), ShardPlan::uniform(n as usize, 1))
             .with_plan(plan.clone());
         for s in 0..plan.shard_count() {
             let (start, end) = plan.range(s);
@@ -2040,7 +2057,7 @@ mod tests {
             edges.push((v, v + (n as u32) / 2));
             edges.push((v + (n as u32) / 2, v));
         }
-        let reference = CsrGraph::from_edges(n, &edges);
+        let reference = Graph::from_edges(n, &edges);
         let dir = default_scratch_dir();
         let plan = ShardPlan::uniform(n, 3);
         let mut sink = SpillSink::create(&dir, plan).expect("create sink");
@@ -2055,7 +2072,7 @@ mod tests {
         for s in 0..disk.plan().shard_count() {
             let view = disk.load(s, &mut scratch).expect("load");
             for v in view.start()..view.end() {
-                assert_eq!(view.targets_of(v), reference.neighbors_of(v as usize));
+                assert_eq!(view.targets_of(v), reference.targets_of(v));
             }
         }
         let kept = disk.catalog.dir.clone();
@@ -2107,12 +2124,12 @@ mod tests {
     fn sharded_bfs_tree_matches_in_ram_bfs_tree() {
         let n = 150usize;
         let edges = chord_edges(n as u32);
-        let csr = CsrGraph::from_edges(n, &edges);
+        let csr = Graph::from_edges(n, &edges);
         let reference = csr.bfs_tree(0);
         let (ref_offsets, ref_children) = reference.clone().into_children_csr();
         for k in [1usize, 2, 3, 7] {
             let plan = ShardPlan::uniform(n, k);
-            let ram = ShardStore::Ram(RamShards::from_csr(csr.clone(), plan.clone()));
+            let ram = ShardStore::Ram(RamShards::from_graph(csr.clone(), plan.clone()));
             let tree = ShardedBfsTree::build(&ram, 0, default_scratch_dir()).expect("build");
             assert_eq!(tree.order(), reference.order(), "order diverged at k={k}");
             assert_eq!(tree.reachable(), reference.order().len());
@@ -2144,7 +2161,7 @@ mod tests {
         for v in 100..(n as u32) {
             edges.push((v, if v + 1 < n as u32 { v + 1 } else { 100 }));
         }
-        let csr = CsrGraph::from_edges(n, &edges);
+        let csr = Graph::from_edges(n, &edges);
         let reference = csr.bfs_tree(0);
         let plan = ShardPlan::uniform(n, 5);
         let mut sink = SpillSink::create(default_scratch_dir(), plan).expect("sink");
@@ -2400,13 +2417,16 @@ mod tests {
         assert_eq!(loader.segment_reads(), reads);
 
         let edges = chord_edges(64);
-        let csr = CsrGraph::from_edges(64, &edges);
-        let ram = ShardStore::Ram(RamShards::from_csr(csr.clone(), ShardPlan::uniform(64, 2)));
+        let csr = Graph::from_edges(64, &edges);
+        let ram = ShardStore::Ram(RamShards::from_graph(
+            csr.clone(),
+            ShardPlan::uniform(64, 2),
+        ));
         let mut ram_loader = PassLoader::new(&ram, true);
         assert!(!ram_loader.use_sparse(0, 1));
         let view = ram_loader.view_list(1, &[40]).expect("ram view");
         assert!(matches!(view, PassView::Ram(_)));
-        assert_eq!(view.targets_of(40), csr.neighbors_of(40));
+        assert_eq!(view.targets_of(40), csr.targets_of(40));
     }
 
     /// Every row of every shard, as per-shard row lists.
@@ -2484,8 +2504,11 @@ mod tests {
         }
 
         // A RAM store never reads and keeps ascending order.
-        let csr = CsrGraph::from_edges(n as usize, &chord_edges(n));
-        let ram = ShardStore::Ram(RamShards::from_csr(csr, ShardPlan::uniform(n as usize, 4)));
+        let csr = Graph::from_edges(n as usize, &chord_edges(n));
+        let ram = ShardStore::Ram(RamShards::from_graph(
+            csr,
+            ShardPlan::uniform(n as usize, 4),
+        ));
         let lists = whole_shards(&ram);
         let mut loader = PassLoader::new(&ram, true);
         for _ in 0..3 {
@@ -2582,9 +2605,9 @@ mod tests {
     fn ram_store_views_match_disk_store_views() {
         let n = 80usize;
         let edges = ring_edges(n as u32);
-        let csr = CsrGraph::from_edges(n, &edges);
+        let csr = Graph::from_edges(n, &edges);
         let plan = ShardPlan::uniform(n, 4);
-        let ram = ShardStore::Ram(RamShards::from_csr(csr.clone(), plan.clone()));
+        let ram = ShardStore::Ram(RamShards::from_graph(csr.clone(), plan.clone()));
         let dir = default_scratch_dir();
         let mut sink = SpillSink::create(&dir, plan).expect("create sink");
         for &(u, v) in &edges {

@@ -34,7 +34,7 @@ pub fn bfs_distances(graph: &Graph, source: NodeId) -> Vec<usize> {
     queue.push_back(source);
     while let Some(u) = queue.pop_front() {
         let du = dist[u.index()];
-        for &v in graph.neighbors(u) {
+        for v in graph.neighbors(u) {
             if dist[v.index()] == UNREACHABLE {
                 dist[v.index()] = du + 1;
                 queue.push_back(v);
@@ -208,7 +208,7 @@ mod tests {
         let dist = bfs_distances(&g, g.node(0));
         for (d, layer) in layers.iter().enumerate().skip(1) {
             for &v in layer {
-                assert!(g.neighbors(v).iter().any(|&u| dist[u.index()] == d - 1));
+                assert!(g.neighbors(v).any(|u| dist[u.index()] == d - 1));
             }
         }
     }

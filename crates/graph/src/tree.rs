@@ -61,7 +61,7 @@ impl SpanningTree {
         queue.push_back(root);
         let mut depth = 0;
         while let Some(u) = queue.pop_front() {
-            for &v in graph.neighbors(u) {
+            for v in graph.neighbors(u) {
                 if parent[v.index()].is_none() {
                     parent[v.index()] = Some(u);
                     level[v.index()] = level[u.index()] + 1;

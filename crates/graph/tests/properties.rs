@@ -1,7 +1,7 @@
 //! Property-based tests for graph invariants.
 
 use proptest::prelude::*;
-use randcast_graph::{generators, traversal, CsrGraph, Graph, GraphBuilder, NodeId, SpanningTree};
+use randcast_graph::{generators, traversal, Graph, GraphBuilder, NodeId, SpanningTree};
 
 /// Strategy: a random connected graph as (n, extra edge pairs).
 fn connected_graph() -> impl Strategy<Value = randcast_graph::Graph> {
@@ -35,7 +35,7 @@ proptest! {
     #[test]
     fn neighbors_are_sorted_and_unique(g in connected_graph()) {
         for v in g.nodes() {
-            let nb = g.neighbors(v);
+            let nb = g.targets_of(u32::from(v));
             for w in nb.windows(2) {
                 prop_assert!(w[0] < w[1]);
             }
@@ -45,7 +45,7 @@ proptest! {
     #[test]
     fn adjacency_is_symmetric(g in connected_graph()) {
         for u in g.nodes() {
-            for &v in g.neighbors(u) {
+            for v in g.neighbors(u) {
                 prop_assert!(g.has_edge(v, u));
             }
         }
@@ -64,7 +64,6 @@ proptest! {
         for v in g.nodes().skip(1) {
             prop_assert!(g
                 .neighbors(v)
-                .iter()
                 .any(|u| d[u.index()] + 1 == d[v.index()]));
         }
     }
@@ -173,9 +172,7 @@ proptest! {
         prop_assert!(g.edge_count() <= n * (n - 1) / 2);
         // Determinism per seed: identical adjacency.
         let h = build();
-        for v in g.nodes() {
-            prop_assert_eq!(g.neighbors(v), h.neighbors(v));
-        }
+        prop_assert_eq!(g, h);
     }
 
     #[test]
@@ -193,9 +190,7 @@ proptest! {
         prop_assert_eq!(g.node_count(), n);
         prop_assert!(g.max_degree() < n);
         let h = build();
-        for v in g.nodes() {
-            prop_assert_eq!(g.neighbors(v), h.neighbors(v));
-        }
+        prop_assert_eq!(g, h);
     }
 
     #[test]
@@ -220,29 +215,27 @@ proptest! {
             prop_assert!(g.degree(g.node(v)) >= m.min(v));
         }
         let h = build();
-        for v in g.nodes() {
-            prop_assert_eq!(g.neighbors(v), h.neighbors(v));
-        }
+        prop_assert_eq!(g, h);
     }
 
     #[test]
     fn csr_round_trip_preserves_adjacency(g in connected_graph()) {
-        // Graph → CsrGraph → Graph must be lossless on arbitrary graphs.
-        let csr = CsrGraph::from(&g);
-        prop_assert_eq!(csr.node_count(), g.node_count());
-        prop_assert_eq!(csr.edge_count(), g.edge_count());
+        // Graph → `u32` edge list → Graph must be lossless on arbitrary
+        // graphs, and the typed and raw rows must agree.
+        let edges: Vec<(u32, u32)> =
+            g.edges().map(|(u, v)| (u32::from(u), u32::from(v))).collect();
+        prop_assert_eq!(edges.len(), g.edge_count());
         for v in g.nodes() {
-            let expect: Vec<u32> = g.neighbors(v).iter().map(|&t| u32::from(t)).collect();
-            prop_assert_eq!(csr.neighbors_of(v.index()), expect.as_slice());
+            let typed: Vec<u32> = g.neighbors(v).map(u32::from).collect();
+            prop_assert_eq!(g.targets_of(u32::from(v)), typed.as_slice());
         }
-        let back = Graph::from(&csr);
+        let back = Graph::from_edges(g.node_count(), &edges);
         prop_assert_eq!(back, g);
     }
 
     #[test]
     fn csr_bfs_tree_matches_spanning_tree(g in connected_graph()) {
-        let csr = CsrGraph::from(&g);
-        let tree = csr.bfs_tree(0);
+        let tree = g.bfs_tree(0);
         let reference = SpanningTree::bfs(&g, g.node(0));
         let ref_order: Vec<u32> =
             reference.level_order().iter().map(|&v| u32::from(v)).collect();
