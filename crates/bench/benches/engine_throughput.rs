@@ -14,7 +14,7 @@ use randcast_core::simple::SimplePlan;
 use randcast_engine::adversary::FlipMpAdversary;
 use randcast_engine::fault::FaultConfig;
 use randcast_engine::flood_fast::{FastFlood, FastFloodVariant, ShardedFlood};
-use randcast_engine::kernel::FlipFault;
+use randcast_engine::kernel::{FlipFault, Omission};
 use randcast_engine::mp::{MpNetwork, MpNode, Outgoing, SilentMpAdversary};
 use randcast_engine::radio::{RadioAction, RadioNetwork, RadioNode};
 use randcast_engine::radio_fast::{FastRadio, FastRadioSchedule, ShardedRadio};
@@ -179,7 +179,9 @@ fn bench_flood_fast_vs_mp(c: &mut Criterion) {
             let mut seed = 0u64;
             b.iter(|| {
                 seed += 1;
-                fast_plan.run_batch(p, seed).informed_count(0)
+                fast_plan
+                    .run_batch_model(&Omission::new(p), seed, !0)
+                    .informed_count(0)
             })
         });
         // Malicious rows: the flip adversary through `MpNetwork` vs the
@@ -255,7 +257,8 @@ fn bench_simple_fast_vs_trait(c: &mut Criterion) {
             let mut seed = 0u64;
             b.iter(|| {
                 seed += 1;
-                fast.run_batch(p, seed).correct_count(0)
+                fast.run_batch_model(&Omission::new(p), seed, !0)
+                    .correct_count(0)
             })
         });
         // Malicious rows: the same Theorem 2.2 majority-vote workload
@@ -346,7 +349,9 @@ fn bench_radio_fast_vs_trait(c: &mut Criterion) {
             let mut seed = 0u64;
             b.iter(|| {
                 seed += 1;
-                fast_plan.run_batch(p, seed).informed_count(0)
+                fast_plan
+                    .run_batch_model(&Omission::new(p), seed, !0)
+                    .informed_count(0)
             })
         });
         // Malicious rows: limited-malicious Decay through the

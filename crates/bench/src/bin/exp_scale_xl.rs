@@ -49,11 +49,12 @@ use randcast_core::scenario::{Algorithm, GraphFamily, Model, Scenario, ShardSpec
 use randcast_core::sweep::{CellKind, CellResult, TrialOutcome};
 use randcast_engine::fault::FaultConfig;
 use randcast_engine::flood_fast::ShardedFlood;
+use randcast_engine::growth::{GrowthBatch, GrowthOutcome};
 use randcast_engine::radio_fast::{FastRadioSchedule, ShardedRadio};
 use randcast_engine::simple_fast::ShardedSimple;
 use randcast_graph::generators::gnp_edges;
 use randcast_graph::shard::{
-    default_scratch_dir, RamShards, ShardPlan, ShardStore, ShardedBfsTree, SpillSink,
+    default_scratch_dir, RamShards, ShardError, ShardPlan, ShardStore, ShardedBfsTree, SpillSink,
 };
 use randcast_graph::Graph;
 use randcast_stats::chernoff::phase_len_omission;
@@ -248,69 +249,38 @@ fn out_of_core_trials(cli: &Cli, n: usize, quick: bool, cells: &mut Vec<CellResu
         .row(["peak RSS so far", &fmt_gib(peak_rss_bytes())]);
     println!("{}", setup.render());
 
-    let mut trials = Table::new([
-        "kernel",
-        "rounds budget",
-        "wall",
-        "per-trial wall",
-        "prefetch",
-        "completed round",
-        "informed frac",
-        "almost-complete",
-        "peak RSS so far",
-    ]);
-    let fmt_round = |r: Option<usize>| r.map_or_else(|| "-".into(), |r| r.to_string());
-
-    // Flood: the store moves in and comes back out for radio.
-    let flood = ShardedFlood::new(store, 0, horizon).with_prefetch(cli.prefetch);
-    let flood_start = Instant::now();
-    let fout = flood
-        .run_lane(P, cli.seeds().nth_seed(0), 0)
-        .unwrap_or_else(|e| panic!("out-of-core flood trial failed: {e}"));
-    let flood_wall = flood_start.elapsed();
-    trials.row([
-        "flood".into(),
-        format!("{horizon}"),
-        format!("{:.1}s", flood_wall.as_secs_f64()),
-        format!("{:.2}s", flood_wall.as_secs_f64()),
-        prefetch_label.into(),
-        fmt_round(fout.completion_round()),
-        format!("{:.6}", fout.informed_fraction()),
-        fmt_round(fout.almost_complete_round()),
-        fmt_gib(peak_rss_bytes()),
-    ]);
-    cells.push(oc_cell(
-        "flood",
+    let mut oc = OutOfCoreRows {
+        table: Table::new([
+            "kernel",
+            "rounds budget",
+            "wall",
+            "per-trial wall",
+            "prefetch",
+            "completed round",
+            "informed frac",
+            "almost-complete",
+            "peak RSS so far",
+        ]),
+        cells,
         n,
-        fout.completion_round(),
-        fout.informed_fraction(),
-        fout.almost_complete_round(),
-        flood_wall,
-    ));
+        prefetch: prefetch_label,
+    };
+    let seeds = cli.seeds();
 
-    // 64-lane batched block over the same store: every segment load is
-    // amortized across the lanes, so the per-trial wall collapses.
-    let fb_start = Instant::now();
-    let fbatch = flood
-        .run_batch(P, cli.seeds().nth_seed(3), reachable)
-        .unwrap_or_else(|e| panic!("out-of-core flood batch failed: {e}"));
-    let fb_wall = fb_start.elapsed();
-    let fb_lanes = lane_stats(|l| {
-        (
-            fbatch.completion_round(l),
-            fbatch.informed_fraction(l),
-            fbatch.almost_complete_round(l),
-        )
-    });
-    batch_row(
-        &mut trials,
-        "flood x64",
-        horizon,
-        fb_wall,
-        prefetch_label,
-        &fb_lanes,
+    // Flood: the store moves in and comes back out for radio. Each
+    // kernel's 64-lane block runs over the same store as its lane:
+    // every segment load is amortized across the lanes, so the
+    // per-trial wall collapses.
+    let flood = ShardedFlood::new(store, 0, horizon).with_prefetch(cli.prefetch);
+    oc.kernel(
+        ("flood", "flood", horizon),
+        || flood.run_lane(P, seeds.nth_seed(0), 0).map(growth_stats),
+        || {
+            flood
+                .run_batch(P, seeds.nth_seed(3), reachable)
+                .map(growth_block_stats)
+        },
     );
-    cells.push(oc_batch_cell("flood", n, &fb_lanes, fb_wall));
     let store = flood.into_store();
 
     // Radio under the classical Decay schedule: epoch length
@@ -328,52 +298,15 @@ fn out_of_core_trials(cli: &Cli, n: usize, quick: bool, cells: &mut Vec<CellResu
     )
     .with_prefetch(cli.prefetch)
     .with_threads(cli.threads);
-    let radio_start = Instant::now();
-    let rout = radio
-        .run_lane(P, cli.seeds().nth_seed(1), 0)
-        .unwrap_or_else(|e| panic!("out-of-core radio trial failed: {e}"));
-    let radio_wall = radio_start.elapsed();
-    trials.row([
-        "radio/decay".into(),
-        format!("{}", decay.total_rounds()),
-        format!("{:.1}s", radio_wall.as_secs_f64()),
-        format!("{:.2}s", radio_wall.as_secs_f64()),
-        prefetch_label.into(),
-        fmt_round(rout.completion_round()),
-        format!("{:.6}", rout.informed_fraction()),
-        fmt_round(rout.almost_complete_round()),
-        fmt_gib(peak_rss_bytes()),
-    ]);
-    cells.push(oc_cell(
-        "radio",
-        n,
-        rout.completion_round(),
-        rout.informed_fraction(),
-        rout.almost_complete_round(),
-        radio_wall,
-    ));
-
-    let rb_start = Instant::now();
-    let rbatch = radio
-        .run_batch(P, cli.seeds().nth_seed(4))
-        .unwrap_or_else(|e| panic!("out-of-core radio batch failed: {e}"));
-    let rb_wall = rb_start.elapsed();
-    let rb_lanes = lane_stats(|l| {
-        (
-            rbatch.completion_round(l),
-            rbatch.informed_fraction(l),
-            rbatch.almost_complete_round(l),
-        )
-    });
-    batch_row(
-        &mut trials,
-        "radio/decay x64",
-        decay.total_rounds(),
-        rb_wall,
-        prefetch_label,
-        &rb_lanes,
+    oc.kernel(
+        ("radio", "radio/decay", decay.total_rounds()),
+        || radio.run_lane(P, seeds.nth_seed(1), 0).map(growth_stats),
+        || {
+            radio
+                .run_batch(P, seeds.nth_seed(4))
+                .map(growth_block_stats)
+        },
     );
-    cells.push(oc_batch_cell("radio", n, &rb_lanes, rb_wall));
     drop(radio); // releases the adjacency store (and its scratch dir)
 
     // Simple: the (level, id)-sorted phase walk over the directed
@@ -381,54 +314,29 @@ fn out_of_core_trials(cli: &Cli, n: usize, quick: bool, cells: &mut Vec<CellResu
     let m = phase_len_omission(n.max(2), P);
     let simple =
         ShardedSimple::new(ShardStore::Disk(children), order, 0, m).with_prefetch(cli.prefetch);
-    let simple_start = Instant::now();
-    let sout = simple
-        .run_lane(P, cli.seeds().nth_seed(2), 0)
-        .unwrap_or_else(|e| panic!("out-of-core simple trial failed: {e}"));
-    let simple_wall = simple_start.elapsed();
-    trials.row([
-        "simple".into(),
-        format!("{}", sout.total_rounds()),
-        format!("{:.1}s", simple_wall.as_secs_f64()),
-        format!("{:.2}s", simple_wall.as_secs_f64()),
-        prefetch_label.into(),
-        fmt_round(sout.completion_round()),
-        format!("{:.6}", sout.correct_fraction()),
-        fmt_round(sout.almost_complete_round()),
-        fmt_gib(peak_rss_bytes()),
-    ]);
-    cells.push(oc_cell(
-        "simple",
-        n,
-        sout.completion_round(),
-        sout.correct_fraction(),
-        sout.almost_complete_round(),
-        simple_wall,
-    ));
-
-    let sb_start = Instant::now();
-    let sbatch = simple
-        .run_batch(P, cli.seeds().nth_seed(5))
-        .unwrap_or_else(|e| panic!("out-of-core simple batch failed: {e}"));
-    let sb_wall = sb_start.elapsed();
-    let sb_lanes = lane_stats(|l| {
-        (
-            sbatch.completion_round(l),
-            sbatch.correct_fraction(l),
-            sbatch.almost_complete_round(l),
-        )
-    });
-    batch_row(
-        &mut trials,
-        "simple x64",
-        sbatch.total_rounds(),
-        sb_wall,
-        prefetch_label,
-        &sb_lanes,
+    oc.kernel(
+        ("simple", "simple", simple.total_rounds()),
+        || {
+            let out = simple.run_lane(P, seeds.nth_seed(2), 0)?;
+            Ok((
+                out.completion_round(),
+                out.correct_fraction(),
+                out.almost_complete_round(),
+            ))
+        },
+        || {
+            let batch = simple.run_batch(P, seeds.nth_seed(5))?;
+            Ok(lane_stats(|l| {
+                (
+                    batch.completion_round(l),
+                    batch.correct_fraction(l),
+                    batch.almost_complete_round(l),
+                )
+            }))
+        },
     );
-    cells.push(oc_batch_cell("simple", n, &sb_lanes, sb_wall));
 
-    println!("{}", trials.render());
+    println!("{}", oc.table.render());
     println!(
         "expected: the giant component of G(n, 8/n) covers ~0.9997 of the nodes; flood\n\
          covers it in ~D/(1-p) + O(log n) rounds, Decay in O((D + log n) log n), and\n\
@@ -437,45 +345,8 @@ fn out_of_core_trials(cli: &Cli, n: usize, quick: bool, cells: &mut Vec<CellResu
     );
 }
 
-/// One synthetic report row for an out-of-core trial. Only store- and
-/// shard-agnostic fields: the Ram-vs-Disk and shards determinism gates
-/// diff this JSON byte-for-byte (`wall_ms` is zeroed by
-/// `json_validate --normalize`).
-fn oc_cell(
-    engine: &str,
-    n: usize,
-    completed: Option<usize>,
-    informed_frac: f64,
-    almost: Option<usize>,
-    wall: Duration,
-) -> CellResult {
-    let success = completed.is_some();
-    #[allow(clippy::cast_precision_loss)]
-    let rounds = completed.map(|r| r as f64);
-    #[allow(clippy::cast_precision_loss)]
-    let almost_rounds = almost.map(|r| r as f64);
-    CellResult {
-        kind: CellKind::MonteCarlo,
-        params: vec![
-            ("engine".into(), format!("{engine}/out-of-core")),
-            ("n".into(), format!("{n}")),
-        ],
-        estimate: SuccessEstimate::new(usize::from(success), 1),
-        row: None,
-        mean_rounds: rounds,
-        mean_informed_frac: Some(informed_frac),
-        wall_ms: wall.as_secs_f64() * 1000.0,
-        outcomes: vec![TrialOutcome {
-            success,
-            rounds,
-            informed_frac: Some(informed_frac),
-            almost_rounds,
-        }],
-    }
-}
-
 /// Per-lane `(completion round, informed/correct fraction,
-/// almost-complete round)` of one 64-lane batched block.
+/// almost-complete round)` of one trial.
 type LaneStats = (Option<usize>, f64, Option<usize>);
 
 /// Collects the per-lane stats of a 64-lane batched block.
@@ -483,50 +354,105 @@ fn lane_stats(per_lane: impl Fn(u32) -> LaneStats) -> Vec<LaneStats> {
     (0..64).map(per_lane).collect()
 }
 
-/// One printed row for a batched block: total and per-trial wall, lane
-/// medians for the round columns, lane mean for the fraction.
-fn batch_row(
-    trials: &mut Table,
-    kernel: &str,
-    budget: usize,
-    wall: Duration,
-    prefetch: &str,
-    lanes: &[LaneStats],
-) {
-    #[allow(clippy::cast_precision_loss)]
-    let completed: Vec<f64> = lanes
-        .iter()
-        .filter_map(|&(c, _, _)| c.map(|r| r as f64))
-        .collect();
-    #[allow(clippy::cast_precision_loss)]
-    let almost: Vec<f64> = lanes
-        .iter()
-        .filter_map(|&(_, _, a)| a.map(|r| r as f64))
-        .collect();
-    #[allow(clippy::cast_precision_loss)]
-    let mean_frac = lanes.iter().map(|(_, f, _)| f).sum::<f64>() / lanes.len() as f64;
-    let fmt_p50 = |q: Option<QuantileSummary>| {
-        q.map_or_else(|| "-".into(), |s| format!("p50 {}", fmt_f2(s.p50)))
-    };
-    #[allow(clippy::cast_precision_loss)]
-    trials.row([
-        kernel.into(),
-        format!("{budget}"),
-        format!("{:.1}s", wall.as_secs_f64()),
-        format!("{:.2}s", wall.as_secs_f64() / lanes.len() as f64),
-        prefetch.into(),
-        fmt_p50(QuantileSummary::from_unsorted(&completed)),
-        format!("{mean_frac:.6}"),
-        fmt_p50(QuantileSummary::from_unsorted(&almost)),
-        fmt_gib(peak_rss_bytes()),
-    ]);
+/// A flood or Decay trial's stats.
+fn growth_stats(out: GrowthOutcome) -> LaneStats {
+    (
+        out.completion_round(),
+        out.informed_fraction(),
+        out.almost_complete_round(),
+    )
 }
 
-/// One synthetic report row for a 64-lane batched block: one
-/// [`TrialOutcome`] per lane. Like [`oc_cell`], only store-, shard-,
-/// thread-, and prefetch-agnostic fields, so the determinism gates
-/// diff the normalized JSON byte-for-byte across every knob.
-fn oc_batch_cell(engine: &str, n: usize, lanes: &[LaneStats], wall: Duration) -> CellResult {
+/// The per-lane stats of a flood or Decay block.
+fn growth_block_stats(batch: GrowthBatch) -> Vec<LaneStats> {
+    lane_stats(|l| {
+        (
+            batch.completion_round(l),
+            batch.informed_fraction(l),
+            batch.almost_complete_round(l),
+        )
+    })
+}
+
+/// The out-of-core part's printed table and report rows.
+struct OutOfCoreRows<'c> {
+    table: Table,
+    cells: &'c mut Vec<CellResult>,
+    n: usize,
+    prefetch: &'static str,
+}
+
+impl OutOfCoreRows<'_> {
+    /// Times one kernel's scalar lane and its 64-lane block, and
+    /// records a printed row and a report cell for each, under the
+    /// report's engine name, the printed row label and the rounds
+    /// budget.
+    fn kernel(
+        &mut self,
+        (engine, label, budget): (&str, &str, usize),
+        lane: impl FnOnce() -> Result<LaneStats, ShardError>,
+        block: impl FnOnce() -> Result<Vec<LaneStats>, ShardError>,
+    ) {
+        let start = Instant::now();
+        let stats = lane().unwrap_or_else(|e| panic!("out-of-core {engine} trial failed: {e}"));
+        let wall = start.elapsed();
+        self.row(label, budget, wall, &[stats]);
+        let params = vec![
+            ("engine".into(), format!("{engine}/out-of-core")),
+            ("n".into(), format!("{}", self.n)),
+        ];
+        self.cells.push(oc_cell(params, &[stats], wall));
+
+        let start = Instant::now();
+        let lanes = block().unwrap_or_else(|e| panic!("out-of-core {engine} batch failed: {e}"));
+        let wall = start.elapsed();
+        self.row(&format!("{label} x64"), budget, wall, &lanes);
+        let params = vec![
+            ("engine".into(), format!("{engine}/out-of-core-batch")),
+            ("n".into(), format!("{}", self.n)),
+            ("lanes".into(), format!("{}", lanes.len())),
+        ];
+        self.cells.push(oc_cell(params, &lanes, wall));
+    }
+
+    /// One printed row: total and per-trial wall, the round columns (a
+    /// block's lane medians), and the (mean) fraction.
+    fn row(&mut self, kernel: &str, budget: usize, wall: Duration, lanes: &[LaneStats]) {
+        let round_column = |pick: fn(&LaneStats) -> Option<usize>| match lanes {
+            [one] => pick(one).map_or_else(|| "-".into(), |r| r.to_string()),
+            _ => {
+                #[allow(clippy::cast_precision_loss)]
+                let rounds: Vec<f64> = lanes
+                    .iter()
+                    .filter_map(|l| pick(l).map(|r| r as f64))
+                    .collect();
+                QuantileSummary::from_unsorted(&rounds)
+                    .map_or_else(|| "-".into(), |s| format!("p50 {}", fmt_f2(s.p50)))
+            }
+        };
+        #[allow(clippy::cast_precision_loss)]
+        let trials = lanes.len() as f64;
+        let mean_frac = lanes.iter().map(|(_, f, _)| f).sum::<f64>() / trials;
+        self.table.row([
+            kernel.into(),
+            format!("{budget}"),
+            format!("{:.1}s", wall.as_secs_f64()),
+            format!("{:.2}s", wall.as_secs_f64() / trials),
+            self.prefetch.into(),
+            round_column(|l| l.0),
+            format!("{mean_frac:.6}"),
+            round_column(|l| l.2),
+            fmt_gib(peak_rss_bytes()),
+        ]);
+    }
+}
+
+/// One synthetic report row for an out-of-core lane or block: one
+/// [`TrialOutcome`] per lane. Only store-, shard-, thread- and
+/// prefetch-agnostic fields, so the determinism gates diff the
+/// normalized JSON byte-for-byte across every knob (`wall_ms` is zeroed
+/// by `json_validate --normalize`).
+fn oc_cell(params: Vec<(String, String)>, lanes: &[LaneStats], wall: Duration) -> CellResult {
     #[allow(clippy::cast_precision_loss)]
     let outcomes: Vec<TrialOutcome> = lanes
         .iter()
@@ -547,11 +473,7 @@ fn oc_batch_cell(engine: &str, n: usize, lanes: &[LaneStats], wall: Duration) ->
         outcomes.iter().filter_map(|o| o.informed_frac).sum::<f64>() / outcomes.len() as f64;
     CellResult {
         kind: CellKind::MonteCarlo,
-        params: vec![
-            ("engine".into(), format!("{engine}/out-of-core-batch")),
-            ("n".into(), format!("{n}")),
-            ("lanes".into(), format!("{}", lanes.len())),
-        ],
+        params,
         estimate: SuccessEstimate::new(successes, outcomes.len()),
         row: None,
         mean_rounds,

@@ -28,6 +28,7 @@ use rand::SeedableRng as _;
 use randcast_engine::adversary::{FlipMpAdversary, LieOrJamAdversary};
 use randcast_engine::fault::{FaultConfig, FaultKind};
 use randcast_engine::flood_fast::{FastFlood, FastFloodVariant};
+use randcast_engine::growth::{GrowthBatch, GrowthOutcome};
 use randcast_engine::kernel::{
     mask_lanes, FaultModel, FlipFault, LaneMask, LieOrJamFault, Omission, LANES,
 };
@@ -994,15 +995,8 @@ impl PreparedScenario {
             PlanKind::Flood(plan) => {
                 TrialOutcome::completed(plan.run(g, fault, seed).completion_round())
             }
-            PlanKind::FloodFast(plan) => {
-                // Omission runs the byte-stable silent-fault frontier.
-                let out = plan.run(fault.p.get(), seed);
-                TrialOutcome::flooded(
-                    out.completion_round(),
-                    out.informed_fraction(),
-                    out.almost_complete_round(),
-                )
-            }
+            // Omission runs the byte-stable silent-fault frontier.
+            PlanKind::FloodFast(plan) => growth_trial(&plan.run(fault.p.get(), seed)),
             PlanKind::Kucera(kb) => {
                 let behavior = if malicious {
                     FailureBehavior::Flip
@@ -1031,15 +1025,8 @@ impl PreparedScenario {
             PlanKind::Decay(cfg) => TrialOutcome::completed(
                 run_decay(g, g.node(0), *cfg, fault, seed).completion_round(),
             ),
-            PlanKind::DecayFast(plan) => {
-                // Omission keeps the byte-stable collision frontier.
-                let out = plan.run(fault.p.get(), seed);
-                TrialOutcome::flooded(
-                    out.completion_round(),
-                    out.informed_fraction(),
-                    out.almost_complete_round(),
-                )
-            }
+            // Omission keeps the byte-stable collision frontier.
+            PlanKind::DecayFast(plan) => growth_trial(&plan.run(fault.p.get(), seed)),
         }
     }
 
@@ -1126,28 +1113,10 @@ impl PreparedScenario {
                     .collect()
             }
             PlanKind::FloodFast(plan) => {
-                let out = plan.run_batch_model(model, block_seed, lanes);
-                mask_lanes(lanes)
-                    .map(|lane| {
-                        TrialOutcome::flooded(
-                            out.completion_round(lane),
-                            out.informed_fraction(lane),
-                            out.almost_complete_round(lane),
-                        )
-                    })
-                    .collect()
+                growth_block(&plan.run_batch_model(model, block_seed, lanes), lanes)
             }
             PlanKind::DecayFast(plan) => {
-                let out = plan.run_batch_model(model, block_seed, lanes);
-                mask_lanes(lanes)
-                    .map(|lane| {
-                        TrialOutcome::flooded(
-                            out.completion_round(lane),
-                            out.informed_fraction(lane),
-                            out.almost_complete_round(lane),
-                        )
-                    })
-                    .collect()
+                growth_block(&plan.run_batch_model(model, block_seed, lanes), lanes)
             }
             _ => panic!("trial_block requires a batch-capable fast-path plan"),
         }
@@ -1190,24 +1159,38 @@ impl PreparedScenario {
                 )
             }
             PlanKind::FloodFast(plan) => {
-                let out = plan.run_lane_model(model, block_seed, lane);
-                TrialOutcome::flooded(
-                    out.completion_round(),
-                    out.informed_fraction(),
-                    out.almost_complete_round(),
-                )
+                growth_trial(&plan.run_lane_model(model, block_seed, lane))
             }
             PlanKind::DecayFast(plan) => {
-                let out = plan.run_lane_model(model, block_seed, lane);
-                TrialOutcome::flooded(
-                    out.completion_round(),
-                    out.informed_fraction(),
-                    out.almost_complete_round(),
-                )
+                growth_trial(&plan.run_lane_model(model, block_seed, lane))
             }
             _ => panic!("trial_lane requires a batch-capable fast-path plan"),
         }
     }
+}
+
+/// A flood or Decay trial's row: success iff every node was informed,
+/// plus the informed fraction and the almost-complete round.
+fn growth_trial(out: &GrowthOutcome) -> TrialOutcome {
+    TrialOutcome::flooded(
+        out.completion_round(),
+        out.informed_fraction(),
+        out.almost_complete_round(),
+    )
+}
+
+/// The rows of a flood or Decay block's live lanes `lanes`, each the
+/// [`growth_trial`] row of its lane outcome.
+fn growth_block(batch: &GrowthBatch, lanes: LaneMask) -> Vec<TrialOutcome> {
+    mask_lanes(lanes)
+        .map(|lane| {
+            TrialOutcome::flooded(
+                batch.completion_round(lane),
+                batch.informed_fraction(lane),
+                batch.almost_complete_round(lane),
+            )
+        })
+        .collect()
 }
 
 /// Formats a probability compactly (at most 4 decimal places, no

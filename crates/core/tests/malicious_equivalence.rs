@@ -243,11 +243,11 @@ fn decay_limited_malicious_means_agree() {
 
 #[test]
 fn omission_instance_is_byte_identical_to_the_wired_kernels() {
-    // The trait layer's compatibility contract: running the `Omission`
-    // instance through the model entry points must reproduce the plain-p
-    // omission lane replays byte-for-byte, at any rate — the i.i.d.
-    // Silent delegation plus site-addressed coin sharing make this
-    // exact, not statistical.
+    // The trait layer's compatibility contract: the `Omission` instance
+    // behind a trait object — how scenarios run every non-omission
+    // model — must reproduce the monomorphized omission lane replays
+    // byte-for-byte, at any rate: coins are site-addressed pure
+    // functions, so dispatch cannot change a draw.
     let lanes = [0u32, 31, 63];
     let g = generators::grid(5, 6);
 
@@ -261,21 +261,22 @@ fn omission_instance_is_byte_identical_to_the_wired_kernels() {
     );
     for p in [0.0, 0.3, 0.76] {
         let model = Omission::new(p);
+        let boxed: &dyn FaultModel = &model;
         for seed in 0..10u64 {
             for lane in lanes {
                 assert_eq!(
+                    simple.run_lane_model(boxed, seed, lane),
                     simple.run_lane_model(&model, seed, lane),
-                    simple.run_lane(p, seed, lane),
                     "simple p={p} seed {seed} lane {lane}"
                 );
                 assert_eq!(
+                    flood.run_lane_model(boxed, seed, lane),
                     flood.run_lane_model(&model, seed, lane),
-                    flood.run_lane(p, seed, lane),
                     "flood p={p} seed {seed} lane {lane}"
                 );
                 assert_eq!(
+                    radio.run_lane_model(boxed, seed, lane),
                     radio.run_lane_model(&model, seed, lane),
-                    radio.run_lane(p, seed, lane),
                     "radio p={p} seed {seed} lane {lane}"
                 );
             }
@@ -305,7 +306,7 @@ fn malicious_kernels_agree_with_omission_lanes_at_p_zero() {
     );
     for seed in 0..10u64 {
         for lane in lanes {
-            let wired = simple.run_lane(0.0, seed, lane);
+            let wired = simple.run_lane_model(&Omission::new(0.0), seed, lane);
             for model in [
                 &FlipFault::new(0.0) as &dyn FaultModel,
                 &LieOrJamFault::new(0.0),
@@ -323,12 +324,12 @@ fn malicious_kernels_agree_with_omission_lanes_at_p_zero() {
             }
             assert_eq!(
                 flood.run_lane_model(&FlipFault::new(0.0), seed, lane),
-                flood.run_lane(0.0, seed, lane),
+                flood.run_lane_model(&Omission::new(0.0), seed, lane),
                 "flood seed {seed} lane {lane}"
             );
             assert_eq!(
                 radio.run_lane_model(&FlipFault::new(0.0), seed, lane),
-                radio.run_lane(0.0, seed, lane),
+                radio.run_lane_model(&Omission::new(0.0), seed, lane),
                 "radio seed {seed} lane {lane}"
             );
         }

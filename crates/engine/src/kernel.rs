@@ -829,94 +829,6 @@ impl LaneCounter {
     }
 }
 
-/// Records `round` as the crossing round for every lane set in `mask`
-/// (a shared helper of the batched engines' completion/almost
-/// bookkeeping).
-#[inline]
-pub(crate) fn record_crossings(mask: LaneMask, round: usize, rounds: &mut [Option<usize>]) {
-    let mut m = mask;
-    while m != 0 {
-        let lane = m.trailing_zeros() as usize;
-        rounds[lane] = Some(round);
-        m &= m - 1;
-    }
-}
-
-/// The per-lane round record of a 64-lane pass that advances round by
-/// round: each lane's completion (count `= n`) and almost-complete
-/// (count `≥ n − 1`) crossing rounds, plus one snapshot of the count
-/// planes per executed round, from which a lane's growth curve is
-/// rebuilt.
-#[derive(Clone, PartialEq, Debug)]
-pub(crate) struct LaneRounds {
-    n: usize,
-    completed: LaneMask,
-    almost_done: LaneMask,
-    /// Each lane's completion round.
-    pub(crate) completion_round: Vec<Option<usize>>,
-    /// Each lane's almost-complete round.
-    pub(crate) almost_round: Vec<Option<usize>>,
-    /// Words per count snapshot.
-    pub(crate) plane_width: usize,
-    /// `executed × plane_width` words: the per-lane counts after each
-    /// executed round.
-    pub(crate) count_arena: Vec<u64>,
-    /// Rounds executed.
-    pub(crate) executed: usize,
-}
-
-impl LaneRounds {
-    /// The record of `n` nodes before round 1: a lone node is complete,
-    /// and with `n ≤ 2` the source alone is almost-complete, at round 0.
-    pub(crate) fn new(n: usize) -> Self {
-        let mut rounds = LaneRounds {
-            n,
-            completed: 0,
-            almost_done: 0,
-            completion_round: vec![None; LANES],
-            almost_round: vec![None; LANES],
-            plane_width: (usize::BITS - n.leading_zeros()) as usize,
-            count_arena: Vec::new(),
-            executed: 0,
-        };
-        if n == 1 {
-            rounds.completed = !0;
-            rounds.completion_round.fill(Some(0));
-        }
-        if n <= 2 {
-            rounds.almost_done = !0;
-            rounds.almost_round.fill(Some(0));
-        }
-        rounds
-    }
-
-    /// The lanes that have completed.
-    pub(crate) fn completed(&self) -> LaneMask {
-        self.completed
-    }
-
-    /// Ends executed round `round`: snapshots `counts` and, when
-    /// `changed` (a count moved this round), records the lanes whose
-    /// count first reached `n` or `n − 1`.
-    pub(crate) fn end_round(&mut self, counts: &LaneCounter, round: usize, changed: bool) {
-        self.executed += 1;
-        self.count_arena.extend_from_slice(counts.planes());
-        self.count_arena.resize(self.executed * self.plane_width, 0);
-        if !changed {
-            return;
-        }
-        let comp = counts.eq_mask(self.n as u64) & !self.completed;
-        record_crossings(comp, round, &mut self.completion_round);
-        self.completed |= comp;
-        if self.almost_done != !0 {
-            let target = self.n.saturating_sub(1).max(1) as u64;
-            let almost = counts.ge_mask(target) & !self.almost_done;
-            record_crossings(almost, round, &mut self.almost_round);
-            self.almost_done |= almost;
-        }
-    }
-}
-
 /// Per-lane popcounts over a slice of lane masks: `out[k]` is the
 /// number of masks with bit `k` set. Runs as 64×64 bit-matrix
 /// transposes plus one hardware popcount per lane — ~7 word ops per
@@ -1868,10 +1780,20 @@ mod tests {
         assert!(mask_lanes(!0).eq(0..64));
     }
 
+    /// Coin rates at the extremes: 2⁻⁴⁰, 10⁻⁶ and its complement, and
+    /// the adoption coin `1 − p^m` that Simple's omission collapse draws
+    /// at p = 0.3, m = 20 (`1 − 3.5·10⁻¹¹`).
+    fn extreme_ps() -> [f64; 4] {
+        [2f64.powi(-40), 1e-6, 1.0 - 1e-6, 1.0 - 0.3f64.powi(20)]
+    }
+
     #[test]
     fn batch_mask_and_lane_view_agree_bit_for_bit() {
         let tape = BatchTape::new(42, FAULT_STREAM);
-        for p in [0.0, 0.3, 0.5, 0.76, 0.9, 1.0] {
+        for p in [0.0, 0.3, 0.5, 0.76, 0.9, 1.0]
+            .into_iter()
+            .chain(extreme_ps())
+        {
             let bern = BatchBernoulli::new(p);
             for site in 0..200u64 {
                 let full = bern.mask(&tape, site, !0);
@@ -1895,7 +1817,7 @@ mod tests {
         // The lane view is exactly `uniform53 < ⌈p·2^53⌉` — the same
         // acceptance set as the vendored rand's `gen_bool`.
         let tape = BatchTape::new(7, FAULT_STREAM);
-        for p in [0.25, 0.76] {
+        for p in [0.25, 0.76].into_iter().chain(extreme_ps()) {
             let bern = BatchBernoulli::new(p);
             let tint = (p * (1u64 << 53) as f64).ceil() as u64;
             for site in 0..50u64 {
@@ -1910,17 +1832,20 @@ mod tests {
 
     #[test]
     fn batch_coin_rate_tracks_p_in_both_regimes() {
-        // Across the scalar sampler's dense/sparse boundary the batch
-        // coins must hit probability p; 64 lanes × 4000 sites gives a
-        // standard error ≈ 0.001.
+        // Across the scalar sampler's dense/sparse boundary, and near
+        // both ends, the batch coins must hit probability p: the hit
+        // count over 64 lanes × 4000 sites is Binomial(N, p), checked by
+        // its z-score (an absolute rate tolerance would pass a coin at
+        // 10⁻³ that never fires).
         let tape = BatchTape::new(99, FAULT_STREAM);
-        for p in [0.3, 0.76, 0.9] {
+        let trials = 4000.0 * 64.0;
+        for p in [1e-3, 0.3, 0.76, 0.9, 1.0 - 1e-3] {
             let bern = BatchBernoulli::new(p);
-            let total: u32 = (0..4000u64)
+            let hits: u32 = (0..4000u64)
                 .map(|site| bern.mask(&tape, site, !0).count_ones())
                 .sum();
-            let rate = f64::from(total) / (4000.0 * 64.0);
-            assert!((rate - p).abs() < 0.005, "p={p}: rate {rate}");
+            let z = (f64::from(hits) - trials * p) / (trials * p * (1.0 - p)).sqrt();
+            assert!(z.abs() < 4.5, "p={p}: {hits} hits, z = {z:.2}");
         }
     }
 

@@ -66,6 +66,7 @@
 pub mod adversary;
 pub mod fault;
 pub mod flood_fast;
+pub mod growth;
 pub mod kernel;
 pub mod mp;
 pub mod radio;

@@ -72,11 +72,19 @@ use randcast_graph::shard::{PassLoader, RamShards, ShardError, ShardPlan, ShardS
 use randcast_graph::{Graph, NodeId};
 use randcast_stats::seed::{splitmix64, SeedSequence};
 
+use crate::growth::{GrowthBatch, GrowthOutcome, LaneRounds};
 use crate::kernel::{
-    record_crossings, BatchTape, BatchedInformedSet, CollisionCounter, CorruptionKind, FaultModel,
-    FaultSampler, FaultTapes, InformedSet, LaneCounter, LaneMask, LaneRounds, Omission,
-    ShardedCollisions, DECAY_STREAM, LANES,
+    BatchTape, BatchedInformedSet, CollisionCounter, CorruptionKind, FaultModel, FaultSampler,
+    FaultTapes, InformedSet, LaneMask, Omission, ShardedCollisions, DECAY_STREAM, LANES,
 };
+
+/// Decay's trial outcome: the [`GrowthOutcome`] flooding and Decay
+/// share.
+pub type FastRadioOutcome = GrowthOutcome;
+
+/// Decay's 64-lane block outcome: the [`GrowthBatch`] flooding and
+/// Decay share.
+pub type FastRadioBatch = GrowthBatch;
 
 /// The coin site of `(0-based round, node)`: both the fault coin and
 /// the batched Decay participation coin of a node are per-round, so the
@@ -201,12 +209,6 @@ impl FastRadio {
         self
     }
 
-    /// The shard plan the frontier passes follow.
-    #[must_use]
-    pub fn shard_plan(&self) -> &ShardPlan {
-        self.passes.store.plan()
-    }
-
     /// The horizon (maximum number of rounds executed).
     #[must_use]
     pub fn horizon(&self) -> usize {
@@ -217,12 +219,6 @@ impl FastRadio {
     #[must_use]
     pub fn node_count(&self) -> usize {
         self.passes.node_count()
-    }
-
-    /// The schedule this plan executes.
-    #[must_use]
-    pub fn schedule(&self) -> FastRadioSchedule {
-        self.passes.schedule
     }
 
     /// The whole adjacency arrays, for the passes that read them in RAM.
@@ -241,7 +237,7 @@ impl FastRadio {
     ///
     /// Panics if `p ∉ [0, 1)`.
     #[must_use]
-    pub fn run(&self, p: f64, seed: u64) -> FastRadioOutcome {
+    pub fn run(&self, p: f64, seed: u64) -> GrowthOutcome {
         let sampler = FaultSampler::new(p);
         let ram = self.ram();
         let (n, horizon) = (self.node_count(), self.horizon());
@@ -251,7 +247,6 @@ impl FastRadio {
         informed.insert(self.passes.source);
         let mut informed_by_round = Vec::with_capacity(horizon.min(1024) + 1);
         informed_by_round.push(1);
-        let mut completion_round = (n == 1).then_some(0);
 
         // Informed nodes that may still have uninformed neighbors;
         // re-filtered at every epoch boundary, and the only nodes the
@@ -262,10 +257,10 @@ impl FastRadio {
         let mut active: Vec<u32> = Vec::new();
         let mut transmitters: Vec<u32> = Vec::new();
         let mut counter = CollisionCounter::new(n);
-        let (decay, epoch_len) = self.schedule().epochs();
+        let (decay, epoch_len) = self.passes.schedule.epochs();
 
         for round in 1..=horizon {
-            if completion_round.is_some() {
+            if informed.count() == n {
                 break; // everyone informed: nothing can change
             }
             // `r0` is the trait-object engine's 0-based round index.
@@ -301,9 +296,6 @@ impl FastRadio {
             });
 
             informed_by_round.push(informed.count());
-            if informed.count() == n {
-                completion_round = Some(round);
-            }
 
             // Decay: a node active in round `j` stays active for round
             // `j + 1` iff its tape coin is heads (faults never touch
@@ -314,56 +306,7 @@ impl FastRadio {
             }
         }
 
-        FastRadioOutcome {
-            n,
-            horizon,
-            completion_round,
-            informed_by_round,
-            informed,
-        }
-    }
-
-    /// Scalar replay of lane `lane` of batched block `block_seed`: the
-    /// same frontier algorithm as [`run`](Self::run), but every fault
-    /// coin is bit `lane` of the site-addressed batch tape (site =
-    /// per-(round, node)) and every Decay participation coin is bit
-    /// `lane` of the [`DECAY_STREAM`] tape at the same site. Coins are
-    /// i.i.d. with the same marginals as [`run`](Self::run), so the
-    /// sampled process is statistically identical; the site addressing
-    /// is what lets [`run_batch`](Self::run_batch) reproduce this
-    /// outcome *exactly*, lane for lane — see
-    /// [`FastRadioBatch::lane_outcome`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `p ∉ [0, 1)` or `lane ≥ 64`.
-    #[must_use]
-    pub fn run_lane(&self, p: f64, block_seed: u64, lane: u32) -> FastRadioOutcome {
-        self.run_lane_model(&Omission::new(p), block_seed, lane)
-    }
-
-    /// Runs all 64 trial lanes of block `block_seed` at once, on one
-    /// thread: the informed set is a lane word per node, fault coins are
-    /// bit-sliced Bernoulli masks, Decay participation coins are raw
-    /// fair-coin tape words, and collision resolution is a pair of
-    /// saturating lane masks (`≥ 1` / `≥ 2` transmitting neighbors) per
-    /// touched listener. Lane `k` of the result is byte-identical to
-    /// [`run_lane`](Self::run_lane)`(p, block_seed, k)` — coins are
-    /// site-addressed pure functions of the block seed, so the batched
-    /// evolution reads exactly the bits the scalar replay reads.
-    ///
-    /// A lane's replay stops executing rounds once it completes or once
-    /// an epoch boundary finds it without participants; the batch keeps
-    /// looping while *any* lane is live and records each lane's stop
-    /// round so per-lane growth curves cut off exactly where the scalar
-    /// replay's do.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `p ∉ [0, 1)`.
-    #[must_use]
-    pub fn run_batch(&self, p: f64, block_seed: u64) -> FastRadioBatch {
-        self.run_batch_model(&Omission::new(p), block_seed, !0)
+        GrowthOutcome::new(n, horizon, informed, informed_by_round)
     }
 
     /// Runs the model's placement preprocessing against this plan's
@@ -374,12 +317,22 @@ impl FastRadio {
         model.preprocess_graph(ram.offsets(), ram.targets(), self.passes.source);
     }
 
-    /// [`run_lane`](Self::run_lane) under an arbitrary [`FaultModel`]
-    /// (byte-identical to the plain entry point for [`Omission`]). Under
-    /// a corrupted-value model (`Flip` / `Lie`) a corrupted transmitter
-    /// still transmits and collides, but delivers a corrupted message,
-    /// and the outcome's informed set and growth curve track the
-    /// **correctly informed** nodes.
+    /// Scalar replay of lane `lane` of batched block `block_seed` under
+    /// `model` ([`Omission`] for plain i.i.d. omission at rate `p`): the
+    /// frontier algorithm of [`run`](Self::run), but every fault coin is
+    /// bit `lane` of the site-addressed batch tape (site = per-(round,
+    /// node)) and every Decay participation coin is bit `lane` of the
+    /// [`DECAY_STREAM`] tape at the same site. Under [`Omission`] the
+    /// coins are i.i.d. with the same marginals as [`run`](Self::run),
+    /// so the sampled process is statistically identical; the site
+    /// addressing is what lets [`run_batch_model`](Self::run_batch_model)
+    /// reproduce this outcome *exactly*, lane for lane — see
+    /// [`GrowthBatch::lane_outcome`].
+    ///
+    /// Under a corrupted-value model (`Flip` / `Lie`) a corrupted
+    /// transmitter still transmits and collides, but delivers a
+    /// corrupted message, and the outcome's informed set and growth
+    /// curve track the **correctly informed** nodes.
     ///
     /// # Panics
     ///
@@ -390,28 +343,39 @@ impl FastRadio {
         model: &M,
         block_seed: u64,
         lane: u32,
-    ) -> FastRadioOutcome {
+    ) -> GrowthOutcome {
         self.passes
             .lane_pass(self.passes.views(), model, block_seed, lane, 1)
             .expect("RAM stores never fail a read")
     }
 
-    /// [`run_batch`](Self::run_batch) under an arbitrary
-    /// [`FaultModel`], on one thread, over the live lanes `lanes` only:
-    /// the source is seeded in those lanes alone, so a lane outside the
-    /// mask is never informed and no walk, coin or count visits it, and
-    /// the batch's views of it are unspecified. Live lane `k` is
-    /// byte-identical to
+    /// Runs the live lanes `lanes` of block `block_seed` under `model`
+    /// at once, on one thread: the informed set is a lane word per node,
+    /// fault coins are bit-sliced masks, Decay participation coins are
+    /// raw fair-coin tape words, and collision resolution is a pair of
+    /// saturating lane masks (`≥ 1` / `≥ 2` transmitting neighbors) per
+    /// touched listener. The source is seeded in the live lanes alone,
+    /// so a lane outside the mask is never informed and no walk, coin or
+    /// count visits it, and the batch's views of it are unspecified.
+    /// Live lane `k` is byte-identical to
     /// [`run_lane_model`](Self::run_lane_model)`(model, block_seed, k)`
-    /// whatever the mask. See [`run_lane_model`](Self::run_lane_model)
-    /// for the corrupted-value semantics.
+    /// whatever the mask — coins are site-addressed pure functions of
+    /// the block seed, so the batched evolution reads exactly the bits
+    /// the scalar replay reads.
+    ///
+    /// A lane's replay stops executing rounds once it completes or once
+    /// an epoch boundary finds it without participants; the batch keeps
+    /// looping while *any* lane is live and records each lane's stop
+    /// round so per-lane growth curves cut off exactly where the scalar
+    /// replay's do. See [`run_lane_model`](Self::run_lane_model) for the
+    /// corrupted-value semantics.
     #[must_use]
     pub fn run_batch_model<M: FaultModel + ?Sized>(
         &self,
         model: &M,
         block_seed: u64,
         lanes: LaneMask,
-    ) -> FastRadioBatch {
+    ) -> GrowthBatch {
         self.passes
             .batch_pass(self.passes.views(), model, block_seed, lanes)
             .expect("RAM stores never fail a read")
@@ -423,8 +387,8 @@ impl FastRadio {
 /// near one shard plus the node-level state: the `n = 10⁸` path. Its
 /// scalar-lane and 64-lane passes are the ones [`FastRadio`] runs over
 /// its in-RAM store, so outcomes are **bit-identical** to
-/// [`FastRadio::run_lane`] / [`FastRadio::run_batch`] on the same
-/// adjacency: the coin tape and sites are the same, the collision
+/// [`FastRadio::run_lane_model`] / [`FastRadio::run_batch_model`] on
+/// the same adjacency: the coin tape and sites are the same, the collision
 /// counts accumulate across every shard's transmit pass before the
 /// round's single sole-receiver drain, and the epoch-exhaustion sweep
 /// reads the participation union only after every shard's refilter has
@@ -492,12 +456,6 @@ impl ShardedRadio {
         self
     }
 
-    /// The underlying shard store.
-    #[must_use]
-    pub fn store(&self) -> &ShardStore {
-        &self.store
-    }
-
     /// Unwraps the shard store, e.g. to hand the same on-disk segments
     /// to another kernel without rebuilding them.
     #[must_use]
@@ -517,14 +475,9 @@ impl ShardedRadio {
         self.horizon
     }
 
-    /// The transmission schedule.
-    #[must_use]
-    pub fn schedule(&self) -> FastRadioSchedule {
-        self.schedule
-    }
-
-    /// Scalar lane replay over the shard store; bit-identical to
-    /// [`FastRadio::run_lane`] on the same adjacency.
+    /// Scalar lane replay under omission at rate `p` over the shard
+    /// store; bit-identical to [`FastRadio::run_lane_model`] with
+    /// [`Omission`] on the same adjacency.
     ///
     /// # Errors
     ///
@@ -539,7 +492,7 @@ impl ShardedRadio {
         p: f64,
         block_seed: u64,
         lane: u32,
-    ) -> Result<FastRadioOutcome, ShardError> {
+    ) -> Result<GrowthOutcome, ShardError> {
         self.lane_pass(
             self.views(),
             &Omission::new(p),
@@ -549,9 +502,9 @@ impl ShardedRadio {
         )
     }
 
-    /// One batched 64-lane block over the shard store — the lane
-    /// semantics of [`FastRadio::run_batch`], with every segment read
-    /// amortized across all 64 trials. Per-lane outcomes are
+    /// One batched 64-lane block under omission at rate `p` over the
+    /// shard store — the lane semantics of [`FastRadio::run_batch_model`],
+    /// with every segment read amortized across all 64 trials. Per-lane outcomes are
     /// byte-identical to 64 scalar [`run_lane`](Self::run_lane)
     /// replays of the same block seed.
     ///
@@ -563,7 +516,7 @@ impl ShardedRadio {
     /// # Panics
     ///
     /// Panics if `p ∉ [0, 1)`.
-    pub fn run_batch(&self, p: f64, block_seed: u64) -> Result<FastRadioBatch, ShardError> {
+    pub fn run_batch(&self, p: f64, block_seed: u64) -> Result<GrowthBatch, ShardError> {
         self.batch_pass(self.views(), &Omission::new(p), block_seed, !0)
     }
 
@@ -598,7 +551,7 @@ impl ShardedRadio {
         block_seed: u64,
         lane: u32,
         threads: usize,
-    ) -> Result<FastRadioOutcome, ShardError> {
+    ) -> Result<GrowthOutcome, ShardError> {
         assert!((lane as usize) < LANES, "lane out of range");
         let tapes = FaultTapes::new(block_seed);
         let decay_tape = BatchTape::new(block_seed, DECAY_STREAM);
@@ -609,7 +562,6 @@ impl ShardedRadio {
         informed.insert(self.source);
         let mut informed_by_round = Vec::with_capacity(self.horizon.min(1024) + 1);
         informed_by_round.push(1);
-        let mut completion_round = (n == 1).then_some(0);
         // The value plane of a `Flip` / `Lie` model: `correct` holds the
         // correctly informed nodes (membership is also the value a heard
         // node holds) and `sent_to[v]` the value sent to `v` this round,
@@ -631,7 +583,7 @@ impl ShardedRadio {
         let (decay, epoch_len) = self.schedule.epochs();
 
         for round in 1..=self.horizon {
-            if completion_round.is_some() {
+            if informed_by_round.last() == Some(&n) {
                 break;
             }
             let r0 = round - 1;
@@ -695,9 +647,6 @@ impl ShardedRadio {
                 informed.count()
             };
             informed_by_round.push(count);
-            if count == n {
-                completion_round = Some(round);
-            }
 
             if decay && j + 1 < epoch_len {
                 for list in &mut active {
@@ -706,13 +655,12 @@ impl ShardedRadio {
             }
         }
 
-        Ok(FastRadioOutcome {
+        Ok(GrowthOutcome::new(
             n,
-            horizon: self.horizon,
-            completion_round,
+            self.horizon,
+            if values { correct } else { informed },
             informed_by_round,
-            informed: if values { correct } else { informed },
-        })
+        ))
     }
 
     /// The 64-lane pass under any [`FaultModel`], on one thread, with
@@ -742,7 +690,7 @@ impl ShardedRadio {
         model: &M,
         block_seed: u64,
         lanes: LaneMask,
-    ) -> Result<FastRadioBatch, ShardError> {
+    ) -> Result<GrowthBatch, ShardError> {
         let tapes = FaultTapes::new(block_seed);
         let decay_tape = BatchTape::new(block_seed, DECAY_STREAM);
         let plan = self.store.plan();
@@ -764,10 +712,6 @@ impl ShardedRadio {
             correct.insert_masked(self.source, lanes);
         }
         let mut rounds = LaneRounds::new(n);
-        // Lanes whose replay broke at an epoch boundary with no
-        // participants left, and the number of rounds each had executed.
-        let mut exhausted: LaneMask = 0;
-        let mut exhaust_end: Vec<Option<usize>> = vec![None; LANES];
 
         // Union participant lists: nodes with a nonzero per-lane
         // participation mask in some lane. `act` is the per-node lane
@@ -792,7 +736,7 @@ impl ShardedRadio {
         let (decay, epoch_len) = self.schedule.epochs();
 
         for round in 1..=self.horizon {
-            let live = !(rounds.completed() | exhausted);
+            let live = rounds.live();
             if live == 0 {
                 break;
             }
@@ -831,11 +775,9 @@ impl ShardedRadio {
                     });
                     act_list.extend_from_slice(list);
                 }
-                // Lanes with no participants anywhere break *before*
+                // Lanes with no participants anywhere stop *before*
                 // executing this round, exactly like the scalar replay.
-                let newly_exhausted = live & !any;
-                record_crossings(newly_exhausted, rounds.executed, &mut exhaust_end);
-                exhausted |= newly_exhausted;
+                rounds.stop(live & !any);
                 if live & any == 0 {
                     break;
                 }
@@ -943,195 +885,14 @@ impl ShardedRadio {
             }
         }
 
-        Ok(FastRadioBatch {
-            n,
-            horizon: self.horizon,
-            informed: if values { correct } else { informed },
-            rounds,
-            exhaust_end,
-        })
-    }
-}
-
-/// Outcome of one batched 64-lane radio block; per-lane views are
-/// byte-identical to the corresponding [`FastRadio::run_lane`] replay.
-#[derive(Clone, PartialEq, Debug)]
-pub struct FastRadioBatch {
-    n: usize,
-    horizon: usize,
-    informed: BatchedInformedSet,
-    rounds: LaneRounds,
-    /// Rounds executed by each lane whose replay broke at an epoch
-    /// boundary (participants exhausted before the horizon).
-    exhaust_end: Vec<Option<usize>>,
-}
-
-impl FastRadioBatch {
-    /// Number of nodes in the graph.
-    #[must_use]
-    pub fn n(&self) -> usize {
-        self.n
-    }
-
-    /// Lane `k`'s completion round (`None` if that trial never
-    /// completed).
-    #[must_use]
-    pub fn completion_round(&self, lane: u32) -> Option<usize> {
-        self.rounds.completion_round[lane as usize]
-    }
-
-    /// Lane `k`'s first round with an almost-complete (`≥ n − 1`)
-    /// informed set.
-    #[must_use]
-    pub fn almost_complete_round(&self, lane: u32) -> Option<usize> {
-        self.rounds.almost_round[lane as usize]
-    }
-
-    /// Lane `k`'s final informed count.
-    #[must_use]
-    pub fn informed_count(&self, lane: u32) -> usize {
-        self.informed.count(lane)
-    }
-
-    /// Lane `k`'s final informed fraction.
-    #[must_use]
-    pub fn informed_fraction(&self, lane: u32) -> f64 {
-        self.informed.count(lane) as f64 / self.n as f64
-    }
-
-    /// Reconstructs lane `k`'s full scalar outcome — equal to
-    /// [`FastRadio::run_lane`] with the same block seed and lane. For a
-    /// lane outside the live mask of a
-    /// [`run_batch_model`](FastRadio::run_batch_model) call this and every
-    /// other per-lane view are unspecified.
-    #[must_use]
-    pub fn lane_outcome(&self, lane: u32) -> FastRadioOutcome {
-        let mut informed = InformedSet::new(self.n);
-        for v in 0..self.n as u32 {
-            if self.informed.lane_contains(v, lane) {
-                informed.insert(v);
-            }
-        }
-        // The replay stops at completion, at participant exhaustion,
-        // or at the last executed round.
-        let li = lane as usize;
-        let end = self.rounds.completion_round[li]
-            .or(self.exhaust_end[li])
-            .unwrap_or(self.rounds.executed);
-        let width = self.rounds.plane_width;
-        let mut informed_by_round = Vec::with_capacity(end + 1);
-        informed_by_round.push(1);
-        for planes in self.rounds.count_arena.chunks_exact(width).take(end) {
-            informed_by_round.push(LaneCounter::get_in(planes, lane) as usize);
-        }
-        FastRadioOutcome {
-            n: self.n,
-            horizon: self.horizon,
-            completion_round: self.rounds.completion_round[li],
-            informed_by_round,
-            informed,
-        }
-    }
-}
-
-/// Outcome of one fast-path radio broadcast: the informed set, its
-/// growth curve, and derived completion metrics.
-#[derive(Clone, PartialEq, Eq, Debug)]
-pub struct FastRadioOutcome {
-    n: usize,
-    horizon: usize,
-    informed: InformedSet,
-    completion_round: Option<usize>,
-    /// `informed_by_round[r]` = nodes informed by the end of round `r`
-    /// (`[0] == 1`, the source). The run stops early once nothing can
-    /// change, so the vector may be shorter than `horizon + 1`; counts
-    /// are constant from its last entry onward.
-    informed_by_round: Vec<usize>,
-}
-
-impl FastRadioOutcome {
-    /// Number of nodes in the graph.
-    #[must_use]
-    pub fn n(&self) -> usize {
-        self.n
-    }
-
-    /// The horizon the plan was allowed to run.
-    #[must_use]
-    pub fn horizon(&self) -> usize {
-        self.horizon
-    }
-
-    /// Whether every node (not just the source's component) was
-    /// informed within the horizon.
-    #[must_use]
-    pub fn complete(&self) -> bool {
-        self.completion_round.is_some()
-    }
-
-    /// The round by which the last node was informed, `None` if the
-    /// broadcast never completed (too few rounds, or the graph is
-    /// disconnected from the source).
-    #[must_use]
-    pub fn completion_round(&self) -> Option<usize> {
-        self.completion_round
-    }
-
-    /// Number of informed nodes at the end of the run.
-    #[must_use]
-    pub fn informed_count(&self) -> usize {
-        self.informed.count()
-    }
-
-    /// Informed fraction `informed / n` at the end of the run.
-    #[must_use]
-    pub fn informed_fraction(&self) -> f64 {
-        self.informed.count() as f64 / self.n as f64
-    }
-
-    /// Whether node `v` ended the run informed.
-    #[must_use]
-    pub fn is_informed(&self, v: NodeId) -> bool {
-        self.informed.contains(u32::from(v))
-    }
-
-    /// The per-round cumulative informed counts (see the field docs).
-    #[must_use]
-    pub fn informed_by_round(&self) -> &[usize] {
-        &self.informed_by_round
-    }
-
-    /// The first round by which at least `count` nodes were informed.
-    #[must_use]
-    pub fn round_reaching(&self, count: usize) -> Option<usize> {
-        self.informed_by_round.iter().position(|&c| c >= count)
-    }
-
-    /// The first round by which an *almost-complete* set — at least
-    /// `⌈(1 − 1/n)·n⌉ = n − 1` nodes — was informed; the metric of the
-    /// rapid almost-complete broadcasting regime.
-    #[must_use]
-    pub fn almost_complete_round(&self) -> Option<usize> {
-        self.round_reaching(self.n.saturating_sub(1).max(1))
-    }
-
-    /// The first round by which at least `frac · n` nodes (rounded up)
-    /// were informed.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `frac ∉ [0, 1]`.
-    #[must_use]
-    pub fn time_to_fraction(&self, frac: f64) -> Option<usize> {
-        assert!((0.0..=1.0).contains(&frac), "fraction out of range");
-        let target = (frac * self.n as f64).ceil() as usize;
-        self.round_reaching(target.max(1))
+        Ok(rounds.into_batch(if values { correct } else { informed }, self.horizon))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::kernel::LaneCounter;
     use randcast_graph::{generators, Graph, GraphBuilder};
 
     fn plan(g: &Graph, horizon: usize, schedule: FastRadioSchedule) -> FastRadio {
@@ -1282,7 +1043,8 @@ mod tests {
         assert!(out.is_informed(g.node(2)));
         assert!(!out.is_informed(g.node(3)));
         assert_eq!(out.almost_complete_round(), None);
-        assert!(out.time_to_fraction(0.6).is_some());
+        // 60% (3 of 5 nodes) is reached.
+        assert!(out.round_reaching(3).is_some());
         // And the run stopped long before the horizon: once the
         // component is saturated an epoch boundary breaks the loop.
         assert!(out.informed_by_round().len() < 100);
@@ -1343,9 +1105,9 @@ mod tests {
                 let plan = plan(g, 700, schedule);
                 for p in [0.0, 0.3, 0.76, 0.9] {
                     let seed = 1000 + (p * 100.0) as u64;
-                    let batch = plan.run_batch(p, seed);
+                    let batch = plan.run_batch_model(&Omission::new(p), seed, !0);
                     for lane in [0u32, 1, 17, 40, 63] {
-                        let scalar = plan.run_lane(p, seed, lane);
+                        let scalar = plan.run_lane_model(&Omission::new(p), seed, lane);
                         assert_eq!(
                             batch.lane_outcome(lane),
                             scalar,
@@ -1362,7 +1124,7 @@ mod tests {
     fn batch_summary_accessors_match_lane_outcomes() {
         let g = generators::grid(6, 5);
         let plan = decay_plan(&g, 2000);
-        let batch = plan.run_batch(0.4, 99);
+        let batch = plan.run_batch_model(&Omission::new(0.4), 99, !0);
         for lane in 0..LANES as u32 {
             let out = batch.lane_outcome(lane);
             assert_eq!(batch.completion_round(lane), out.completion_round());
@@ -1390,11 +1152,11 @@ mod tests {
         ] {
             let plan = decay_plan(&g, horizon);
             for p in [0.0, 0.5] {
-                let batch = plan.run_batch(p, 7);
+                let batch = plan.run_batch_model(&Omission::new(p), 7, !0);
                 for lane in [0u32, 31, 63] {
                     assert_eq!(
                         batch.lane_outcome(lane),
-                        plan.run_lane(p, 7, lane),
+                        plan.run_lane_model(&Omission::new(p), 7, lane),
                         "n={} horizon={horizon} p={p} lane={lane}",
                         plan.node_count()
                     );
@@ -1449,14 +1211,14 @@ mod tests {
                 for p in [0.0, 0.3, 0.8] {
                     let seed = 53 + shards as u64;
                     assert_eq!(
-                        sharded.run_batch(p, seed),
-                        fr.run_batch(p, seed),
+                        sharded.run_batch_model(&Omission::new(p), seed, !0),
+                        fr.run_batch_model(&Omission::new(p), seed, !0),
                         "batch diverged: {schedule:?} shards={shards} p={p}"
                     );
                     for lane in [0u32, 19, 63] {
                         assert_eq!(
-                            sharded.run_lane(p, seed, lane),
-                            fr.run_lane(p, seed, lane),
+                            sharded.run_lane_model(&Omission::new(p), seed, lane),
+                            fr.run_lane_model(&Omission::new(p), seed, lane),
                             "lane diverged: {schedule:?} shards={shards} p={p} lane={lane}"
                         );
                     }
@@ -1483,7 +1245,7 @@ mod tests {
             model: &M,
             block_seed: u64,
             lane: u32,
-        ) -> FastRadioOutcome {
+        ) -> GrowthOutcome {
             assert!((lane as usize) < LANES, "lane out of range");
             let tapes = FaultTapes::new(block_seed);
             let decay_tape = BatchTape::new(block_seed, DECAY_STREAM);
@@ -1497,7 +1259,6 @@ mod tests {
             correct.insert(source);
             let mut informed_by_round = Vec::with_capacity(horizon.min(1024) + 1);
             informed_by_round.push(1);
-            let mut completion_round = (n == 1).then_some(0);
 
             let mut participants: Vec<u32> = vec![source];
             let mut active: Vec<u32> = Vec::new();
@@ -1507,10 +1268,10 @@ mod tests {
             let mut twice = vec![false; n];
             let mut vonce = vec![false; n];
             let mut touched: Vec<u32> = Vec::new();
-            let (decay, epoch_len) = self.schedule().epochs();
+            let (decay, epoch_len) = self.passes.schedule.epochs();
 
             for round in 1..=horizon {
-                if completion_round.is_some() {
+                if correct.count() == n {
                     break;
                 }
                 let r0 = round - 1;
@@ -1568,22 +1329,13 @@ mod tests {
                 touched.clear();
 
                 informed_by_round.push(correct.count());
-                if correct.count() == n {
-                    completion_round = Some(round);
-                }
 
                 if decay && j + 1 < epoch_len {
                     active.retain(|&u| decay_tape.fair_lane(radio_site(r0, u), lane));
                 }
             }
 
-            FastRadioOutcome {
-                n,
-                horizon,
-                completion_round,
-                informed_by_round,
-                informed: correct,
-            }
+            GrowthOutcome::new(n, horizon, correct, informed_by_round)
         }
 
         /// The corrupted-value 64-lane pass the batch pass's value plane
@@ -1598,7 +1350,7 @@ mod tests {
             &self,
             model: &M,
             block_seed: u64,
-        ) -> FastRadioBatch {
+        ) -> GrowthBatch {
             let tapes = FaultTapes::new(block_seed);
             let decay_tape = BatchTape::new(block_seed, DECAY_STREAM);
             let ram = self.ram();
@@ -1610,10 +1362,6 @@ mod tests {
             let mut correct_counts = LaneCounter::new();
             correct_counts.add_masked(!0, 1);
             let mut rounds = LaneRounds::new(n);
-            // Lanes whose replay broke at an epoch boundary with no
-            // participants left, and the number of rounds each had executed.
-            let mut exhausted: LaneMask = 0;
-            let mut exhaust_end: Vec<Option<usize>> = vec![None; LANES];
 
             let mut plist: Vec<u32> = vec![source];
             let mut in_plist = vec![false; n];
@@ -1625,10 +1373,10 @@ mod tests {
             let mut twice: Vec<LaneMask> = vec![0; n];
             let mut vonce: Vec<LaneMask> = vec![0; n];
             let mut touched: Vec<u32> = Vec::new();
-            let (decay, epoch_len) = self.schedule().epochs();
+            let (decay, epoch_len) = self.passes.schedule.epochs();
 
             for round in 1..=horizon {
-                let live = !(rounds.completed() | exhausted);
+                let live = rounds.live();
                 if live == 0 {
                     break;
                 }
@@ -1656,9 +1404,7 @@ mod tests {
                         m != 0
                     });
                     active.clone_from(&plist);
-                    let newly_exhausted = live & !any;
-                    record_crossings(newly_exhausted, rounds.executed, &mut exhaust_end);
-                    exhausted |= newly_exhausted;
+                    rounds.stop(live & !any);
                     if live & any == 0 {
                         break;
                     }
@@ -1735,13 +1481,10 @@ mod tests {
                 }
             }
 
-            FastRadioBatch {
-                n,
+            rounds.into_batch(
+                BatchedInformedSet::from_parts(value_masks, correct_counts),
                 horizon,
-                informed: BatchedInformedSet::from_parts(value_masks, correct_counts),
-                rounds,
-                exhaust_end,
-            }
+            )
         }
     }
 
@@ -1856,7 +1599,7 @@ mod tests {
             let disk = ShardedRadio::new(disk_copy(&g, 3), 0, 900, schedule);
             for p in [0.0, 0.5] {
                 for lane in [0u32, 7, 63] {
-                    let mono = fr.run_lane(p, 77, lane);
+                    let mono = fr.run_lane_model(&Omission::new(p), 77, lane);
                     assert_eq!(
                         ram.run_lane(p, 77, lane).unwrap(),
                         mono,
@@ -1886,7 +1629,7 @@ mod tests {
             FastRadioSchedule::AllInformed,
         ] {
             let fr = FastRadio::new(&g, g.node(0), 1200, schedule);
-            let mono = fr.run_batch(0.3, 91);
+            let mono = fr.run_batch_model(&Omission::new(0.3), 91, !0);
             let stores = [
                 (
                     ShardStore::Ram(RamShards::from_graph(g.clone(), plan.clone())),
@@ -1921,12 +1664,19 @@ mod tests {
     fn silent_models_route_through_the_byte_identical_omission_machinery() {
         let g = generators::grid(6, 6);
         let fr = decay_plan(&g, 2000);
+        // The monomorphized omission instance and the same model behind
+        // a trait object (how scenarios run every other model) take the
+        // same passes, byte for byte.
         let model = Omission::new(0.4);
-        assert_eq!(fr.run_batch_model(&model, 77, !0), fr.run_batch(0.4, 77));
+        let boxed: &dyn FaultModel = &model;
+        assert_eq!(
+            fr.run_batch_model(&model, 77, !0),
+            fr.run_batch_model(boxed, 77, !0)
+        );
         for lane in [0u32, 17, 63] {
             assert_eq!(
                 fr.run_lane_model(&model, 77, lane),
-                fr.run_lane(0.4, 77, lane),
+                fr.run_lane_model(boxed, 77, lane),
                 "lane {lane}"
             );
         }
@@ -1977,10 +1727,10 @@ mod tests {
     /// `lane_outcome` and the per-lane accessors the scenario layer
     /// reads.
     fn assert_live_lanes(
-        masked: &FastRadioBatch,
-        full: &FastRadioBatch,
+        masked: &GrowthBatch,
+        full: &GrowthBatch,
         lanes: LaneMask,
-        want: impl Fn(u32) -> FastRadioOutcome,
+        want: impl Fn(u32) -> GrowthOutcome,
         label: &str,
     ) {
         for lane in crate::kernel::mask_lanes(lanes) {
@@ -2057,7 +1807,7 @@ mod tests {
         for lane in [0u32, 9, 63] {
             assert_eq!(
                 fr.run_lane_model(&FlipFault::new(0.0), 13, lane),
-                fr.run_lane(0.0, 13, lane),
+                fr.run_lane_model(&Omission::new(0.0), 13, lane),
                 "lane {lane}"
             );
         }

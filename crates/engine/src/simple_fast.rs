@@ -270,12 +270,6 @@ impl FastSimple {
         self
     }
 
-    /// The shard plan the phase walks follow.
-    #[must_use]
-    pub fn shard_plan(&self) -> &ShardPlan {
-        self.passes.store.plan()
-    }
-
     /// The phase length `m`.
     #[must_use]
     pub fn phase_len(&self) -> usize {
@@ -356,45 +350,6 @@ impl FastSimple {
         }
     }
 
-    /// Scalar replay of lane `lane` of batched block `block_seed`: the
-    /// same per-internal-node resolution as [`run`](Self::run), but the
-    /// phase draw is lane `lane` of the site-addressed batch tape (site
-    /// = phase index) instead of a draw from a sequential RNG — see
-    /// `phase_t` for the two-stage coupling. The sampled process is
-    /// statistically identical to [`run`](Self::run), and the site
-    /// addressing is what lets [`run_batch`](Self::run_batch) reproduce
-    /// this outcome *exactly*, lane for lane — see
-    /// [`FastSimpleBatch::lane_outcome`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `p ∉ [0, 1)` or `lane ≥ 64`.
-    #[must_use]
-    pub fn run_lane(&self, p: f64, block_seed: u64, lane: u32) -> FastSimpleOutcome {
-        self.run_lane_model(&Omission::new(p), block_seed, lane)
-    }
-
-    /// Runs all 64 trial lanes of block `block_seed` at once: the
-    /// correct set is a lane word per node and each internal node's
-    /// phase resolves as one bit-sliced adoption mask
-    /// (Bernoulli(`1 − p^m`), restricted to lanes whose parent is
-    /// correct). Lane `k` of the result is byte-identical to
-    /// [`run_lane`](Self::run_lane)`(p, block_seed, k)`.
-    ///
-    /// Round *numbers* (the almost-complete crossing and the last
-    /// adoption) need the within-phase transmission index `t`, which
-    /// only matters for at most two phases per lane; those lanes'
-    /// 53-bit uniforms are extracted lazily after the single forward
-    /// pass instead of being resolved for every node.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `p ∉ [0, 1)`.
-    #[must_use]
-    pub fn run_batch(&self, p: f64, block_seed: u64) -> FastSimpleBatch {
-        self.run_batch_model(&Omission::new(p), block_seed, !0)
-    }
-
     /// Hands `model` the plan's broadcast-tree topology — call once
     /// before the first `*_model` run so placement instances
     /// ([`crate::kernel::WorstCasePlacement`]) can pin their node set;
@@ -410,9 +365,17 @@ impl FastSimple {
     }
 
     /// Scalar replay of lane `lane` of batched block `block_seed` under
-    /// an arbitrary [`FaultModel`] — see the vote rules of the phase
-    /// resolution. I.i.d. `Silent` instances take the omission collapse
-    /// and stay byte-identical with [`run_lane`](Self::run_lane).
+    /// `model` ([`Omission`] for plain i.i.d. omission at rate `p`) —
+    /// see the vote rules of the phase resolution. I.i.d. `Silent`
+    /// instances take the omission collapse: the same per-internal-node
+    /// resolution as [`run`](Self::run), but the phase draw is lane
+    /// `lane` of the site-addressed batch tape (site = phase index)
+    /// instead of a draw from a sequential RNG — see `phase_t` for the
+    /// two-stage coupling. The sampled process is statistically
+    /// identical to [`run`](Self::run), and the site addressing is what
+    /// lets [`run_batch_model`](Self::run_batch_model) reproduce this
+    /// outcome *exactly*, lane for lane — see
+    /// [`FastSimpleBatch::lane_outcome`].
     ///
     /// The outcome's `correct` set holds the nodes whose final value is
     /// the source bit: under malicious corruption a node can be
@@ -434,16 +397,25 @@ impl FastSimple {
             .expect("RAM stores never fail a read")
     }
 
-    /// Runs the live lanes `lanes` of block `block_seed` under an
-    /// arbitrary [`FaultModel`]: per phase, one bit-sliced corruption
-    /// count over the `m` transmission coins resolves every live lane's
-    /// majority vote at once. The source is seeded in the live lanes
-    /// alone, so a lane outside the mask never adopts and no walk, coin
-    /// or count visits it, and the batch's views of it are unspecified.
-    /// Live lane `k` of the result is byte-identical to
+    /// Runs the live lanes `lanes` of block `block_seed` under `model`:
+    /// the correct set is a lane word per node, and per phase one
+    /// bit-sliced corruption count over the `m` transmission coins
+    /// resolves every live lane's majority vote at once. I.i.d. `Silent`
+    /// instances take the omission collapse instead: each internal
+    /// node's phase resolves as one bit-sliced adoption mask
+    /// (Bernoulli(`1 − p^m`), restricted to lanes whose parent is
+    /// correct). The source is seeded in the live lanes alone, so a lane
+    /// outside the mask never adopts and no walk, coin or count visits
+    /// it, and the batch's views of it are unspecified. Live lane `k` of
+    /// the result is byte-identical to
     /// [`run_lane_model`](Self::run_lane_model)`(model, block_seed, k)`
-    /// whatever the mask; i.i.d. `Silent` instances take the omission
-    /// collapse of [`run_batch`](Self::run_batch).
+    /// whatever the mask.
+    ///
+    /// Round *numbers* (the almost-complete crossing and the last
+    /// adoption) need the within-phase transmission index `t`, which
+    /// only matters for at most two phases per lane; those lanes'
+    /// 53-bit uniforms are extracted lazily after the single forward
+    /// pass instead of being resolved for every node.
     #[must_use]
     pub fn run_batch_model<M: FaultModel + ?Sized>(
         &self,
@@ -463,8 +435,8 @@ impl FastSimple {
 /// the monolithic tree. The walk follows the (level, id)-sorted phase
 /// order in maximal same-shard runs — the order is already
 /// segment-ordered, so sharding is a pure access-path change and
-/// outcomes are **bit-identical** to [`FastSimple::run_lane`] /
-/// [`FastSimple::run_batch`] on the same tree. Vote state (the correct
+/// outcomes are **bit-identical** to [`FastSimple::run_lane_model`] /
+/// [`FastSimple::run_batch_model`] on the same tree. Vote state (the correct
 /// set, the almost-complete crossing, the last adoption phase) is
 /// node-level and stays resident; only one shard's child rows are in
 /// memory at a time.
@@ -515,12 +487,6 @@ impl ShardedSimple {
         self
     }
 
-    /// The underlying child-list store.
-    #[must_use]
-    pub fn store(&self) -> &ShardStore {
-        &self.store
-    }
-
     /// Number of nodes.
     #[must_use]
     pub fn node_count(&self) -> usize {
@@ -539,8 +505,9 @@ impl ShardedSimple {
         self.n * self.m
     }
 
-    /// Scalar lane replay over the shard store; bit-identical to
-    /// [`FastSimple::run_lane`] on the same tree.
+    /// Scalar lane replay under omission at rate `p` over the shard
+    /// store; bit-identical to [`FastSimple::run_lane_model`] with
+    /// [`Omission`] on the same tree.
     ///
     /// # Errors
     ///
@@ -559,8 +526,9 @@ impl ShardedSimple {
         self.lane_pass(self.views(), &Omission::new(p), block_seed, lane)
     }
 
-    /// One batched 64-lane block over the shard store — the lane
-    /// semantics of [`FastSimple::run_batch`], with every segment read
+    /// One batched 64-lane block under omission at rate `p` over the
+    /// shard store — the lane semantics of
+    /// [`FastSimple::run_batch_model`], with every segment read
     /// amortized across all 64 trials. Per-lane outcomes are
     /// byte-identical to 64 scalar [`run_lane`](Self::run_lane) replays
     /// of the same block seed.
@@ -781,7 +749,8 @@ impl ShardedSimple {
 }
 
 /// Outcome of one batched 64-lane Simple block; per-lane views are
-/// byte-identical to the corresponding [`FastSimple::run_lane`] replay.
+/// byte-identical to the corresponding [`FastSimple::run_lane_model`]
+/// replay.
 #[derive(Clone, PartialEq, Debug)]
 pub struct FastSimpleBatch {
     n: usize,
@@ -844,7 +813,7 @@ impl FastSimpleBatch {
     }
 
     /// Reconstructs lane `k`'s full scalar outcome — equal to
-    /// [`FastSimple::run_lane`] with the same block seed and lane. For a
+    /// [`FastSimple::run_lane_model`] with the same block seed and lane. For a
     /// lane outside the live mask of a
     /// [`run_batch_model`](FastSimple::run_batch_model) call this and every
     /// other per-lane view are unspecified.
@@ -1118,9 +1087,9 @@ mod tests {
                 let fs = plan(g, m);
                 for p in [0.0, 0.3, 0.76, 0.9] {
                     let seed = 2000 + (p * 100.0) as u64 + m as u64;
-                    let batch = fs.run_batch(p, seed);
+                    let batch = fs.run_batch_model(&Omission::new(p), seed, !0);
                     for lane in [0u32, 1, 17, 40, 63] {
-                        let scalar = fs.run_lane(p, seed, lane);
+                        let scalar = fs.run_lane_model(&Omission::new(p), seed, lane);
                         assert_eq!(
                             batch.lane_outcome(lane),
                             scalar,
@@ -1137,7 +1106,7 @@ mod tests {
     fn batch_summary_accessors_match_lane_outcomes() {
         let g = generators::grid(6, 5);
         let fs = plan(&g, 2);
-        let batch = fs.run_batch(0.55, 42);
+        let batch = fs.run_batch_model(&Omission::new(0.55), 42, !0);
         for lane in 0..LANES as u32 {
             let out = batch.lane_outcome(lane);
             assert_eq!(batch.complete(lane), out.complete());
@@ -1159,11 +1128,11 @@ mod tests {
         for g in [disconnected, generators::path(0), generators::path(1)] {
             let fs = plan(&g, 4);
             for p in [0.0, 0.5] {
-                let batch = fs.run_batch(p, 7);
+                let batch = fs.run_batch_model(&Omission::new(p), 7, !0);
                 for lane in [0u32, 31, 63] {
                     assert_eq!(
                         batch.lane_outcome(lane),
-                        fs.run_lane(p, 7, lane),
+                        fs.run_lane_model(&Omission::new(p), 7, lane),
                         "n={} p={p} lane={lane}",
                         g.node_count()
                     );
@@ -1183,7 +1152,7 @@ mod tests {
         let blocks = 64u64;
         let mut ok = 0usize;
         for b in 0..blocks {
-            let batch = fs.run_batch(p, b);
+            let batch = fs.run_batch_model(&Omission::new(p), b, !0);
             ok += (0..LANES as u32).filter(|&l| batch.complete(l)).count();
         }
         let rate = ok as f64 / (blocks as f64 * LANES as f64);
@@ -1216,14 +1185,14 @@ mod tests {
                 for p in [0.0, 0.4, 0.9] {
                     let seed = 17 + shards as u64;
                     assert_eq!(
-                        sharded.run_batch(p, seed),
-                        fs.run_batch(p, seed),
+                        sharded.run_batch_model(&Omission::new(p), seed, !0),
+                        fs.run_batch_model(&Omission::new(p), seed, !0),
                         "batch diverged: m={m} shards={shards} p={p}"
                     );
                     for lane in [0u32, 19, 63] {
                         assert_eq!(
-                            sharded.run_lane(p, seed, lane),
-                            fs.run_lane(p, seed, lane),
+                            sharded.run_lane_model(&Omission::new(p), seed, lane),
+                            fs.run_lane_model(&Omission::new(p), seed, lane),
                             "lane diverged: m={m} shards={shards} p={p} lane={lane}"
                         );
                     }
@@ -1261,7 +1230,7 @@ mod tests {
         let disk_tree = ShardedSimple::new(ShardStore::Disk(children2), order2, 0, m);
         for p in [0.0, 0.5, 0.9] {
             for lane in [0u32, 7, 63] {
-                let mono = fs.run_lane(p, 99, lane);
+                let mono = fs.run_lane_model(&Omission::new(p), 99, lane);
                 assert_eq!(
                     ram_tree.run_lane(p, 99, lane).expect("ram tree"),
                     mono,
@@ -1289,7 +1258,7 @@ mod tests {
         let (order, children) = tree.into_parts();
         let mut simple = ShardedSimple::new(ShardStore::Disk(children), order, 0, m);
         for p in [0.0, 0.5, 0.9] {
-            let mono = fs.run_batch(p, 47);
+            let mono = fs.run_batch_model(&Omission::new(p), 47, !0);
             for prefetch in [true, false] {
                 simple = simple.with_prefetch(prefetch);
                 assert_eq!(
@@ -1357,16 +1326,22 @@ mod tests {
         for seed in 0..2 {
             assert_eq!(
                 fs.run_batch_model(&throttled, seed, !0),
-                fs.run_batch(eff, seed)
+                fs.run_batch_model(&Omission::new(eff), seed, !0)
             );
         }
+        // The throttled lanes, and the omission instance behind a trait
+        // object (how scenarios run every other model), replay the
+        // monomorphized omission kernel byte for byte.
+        let boxed: &dyn FaultModel = &om;
         for seed in 0..4 {
-            assert_eq!(fs.run_batch_model(&om, seed, !0), fs.run_batch(0.6, seed));
+            assert_eq!(
+                fs.run_batch_model(&om, seed, !0),
+                fs.run_batch_model(boxed, seed, !0)
+            );
             for lane in [0u32, 33] {
-                assert_eq!(
-                    fs.run_lane_model(&om, seed, lane),
-                    fs.run_lane(0.6, seed, lane)
-                );
+                let want = fs.run_lane_model(&om, seed, lane);
+                assert_eq!(fs.run_lane_model(boxed, seed, lane), want);
+                assert_eq!(fs.run_lane_model(&throttled, seed, lane), want);
             }
         }
     }

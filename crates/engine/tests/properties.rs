@@ -488,7 +488,7 @@ proptest! {
             FastFloodVariant::Graph
         };
         let ff = FastFlood::new(&g, g.node(0), 4 * g.node_count() + 40, variant);
-        let batch = ff.run_batch(p, block_seed);
+        let batch = ff.run_batch_model(&Omission::new(p), block_seed, !0);
         for lane in [0u32, 1, 17, 40, 63] {
             let out = batch.lane_outcome(lane);
             let counts = out.informed_by_round();
@@ -509,24 +509,24 @@ proptest! {
         // independent scalar lane replays, for every engine.
         let src = g.node(0);
         let ff = FastFlood::new(&g, src, 2 * g.node_count() + 20, FastFloodVariant::Graph);
-        let fb = ff.run_batch(p, block_seed);
+        let fb = ff.run_batch_model(&Omission::new(p), block_seed, !0);
         let batched: usize = (0..LANES as u32).map(|l| fb.informed_count(l)).sum();
         let scalar: usize = (0..LANES as u32)
-            .map(|l| ff.run_lane(p, block_seed, l).informed_count())
+            .map(|l| ff.run_lane_model(&Omission::new(p), block_seed, l).informed_count())
             .sum();
         prop_assert_eq!(batched, scalar, "flood");
         let fr = FastRadio::new(&g, src, 8 * g.node_count() + 30, FastRadioSchedule::Decay { epoch_len: 4 });
-        let rb = fr.run_batch(p, block_seed);
+        let rb = fr.run_batch_model(&Omission::new(p), block_seed, !0);
         let batched: usize = (0..LANES as u32).map(|l| rb.informed_count(l)).sum();
         let scalar: usize = (0..LANES as u32)
-            .map(|l| fr.run_lane(p, block_seed, l).informed_count())
+            .map(|l| fr.run_lane_model(&Omission::new(p), block_seed, l).informed_count())
             .sum();
         prop_assert_eq!(batched, scalar, "radio");
         let fs = FastSimple::new(&g, src, 2);
-        let sb = fs.run_batch(p, block_seed);
+        let sb = fs.run_batch_model(&Omission::new(p), block_seed, !0);
         let batched: usize = (0..LANES as u32).map(|l| sb.correct_count(l)).sum();
         let scalar: usize = (0..LANES as u32)
-            .map(|l| fs.run_lane(p, block_seed, l).correct_count())
+            .map(|l| fs.run_lane_model(&Omission::new(p), block_seed, l).correct_count())
             .sum();
         prop_assert_eq!(batched, scalar, "simple");
     }
@@ -544,8 +544,8 @@ proptest! {
         // node), never by horizon or by which lanes are still live.
         let src = g.node(0);
         let h = 2 * g.node_count() + 20;
-        let short = FastFlood::new(&g, src, h, FastFloodVariant::Graph).run_batch(p, block_seed);
-        let long = FastFlood::new(&g, src, 3 * h, FastFloodVariant::Graph).run_batch(p, block_seed);
+        let short = FastFlood::new(&g, src, h, FastFloodVariant::Graph).run_batch_model(&Omission::new(p), block_seed, !0);
+        let long = FastFlood::new(&g, src, 3 * h, FastFloodVariant::Graph).run_batch_model(&Omission::new(p), block_seed, !0);
         for lane in 0..LANES as u32 {
             if short.completion_round(lane).is_some() {
                 prop_assert_eq!(short.completion_round(lane), long.completion_round(lane));
@@ -555,8 +555,8 @@ proptest! {
         }
         let hr = 6 * g.node_count() + 24;
         let schedule = FastRadioSchedule::Decay { epoch_len: 4 };
-        let short = FastRadio::new(&g, src, hr, schedule).run_batch(p, block_seed);
-        let long = FastRadio::new(&g, src, 3 * hr, schedule).run_batch(p, block_seed);
+        let short = FastRadio::new(&g, src, hr, schedule).run_batch_model(&Omission::new(p), block_seed, !0);
+        let long = FastRadio::new(&g, src, 3 * hr, schedule).run_batch_model(&Omission::new(p), block_seed, !0);
         for lane in 0..LANES as u32 {
             if short.completion_round(lane).is_some() {
                 prop_assert_eq!(short.completion_round(lane), long.completion_round(lane));

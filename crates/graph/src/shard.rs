@@ -1389,12 +1389,6 @@ impl<'s> PrefetchingStore<'s> {
         PrefetchingStore { store, pipe }
     }
 
-    /// The wrapped store.
-    #[must_use]
-    pub fn store(&self) -> &'s ShardStore {
-        self.store
-    }
-
     /// The shard plan of the wrapped store.
     #[must_use]
     pub fn plan(&self) -> &ShardPlan {

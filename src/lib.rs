@@ -77,10 +77,11 @@ pub mod prelude {
         LieOrJamAdversary, RandomBitMpAdversary, Throttled,
     };
     pub use randcast_engine::fault::{FailureProb, FaultConfig, FaultKind};
-    pub use randcast_engine::flood_fast::{FastFlood, FastFloodOutcome, FastFloodVariant};
+    pub use randcast_engine::flood_fast::{FastFlood, FastFloodVariant};
+    pub use randcast_engine::growth::{GrowthBatch, GrowthOutcome};
     pub use randcast_engine::mp::{MpNetwork, MpNode, Outgoing, SilentMpAdversary};
     pub use randcast_engine::radio::{RadioAction, RadioNetwork, RadioNode, SilentRadioAdversary};
-    pub use randcast_engine::radio_fast::{FastRadio, FastRadioOutcome, FastRadioSchedule};
+    pub use randcast_engine::radio_fast::{FastRadio, FastRadioSchedule};
     pub use randcast_engine::trace::{TraceEvent, TraceLog, Traced};
     pub use randcast_graph::{generators, traversal, Graph, GraphBuilder, NodeId, SpanningTree};
     pub use randcast_stats::estimate::{SuccessEstimate, Verdict};
