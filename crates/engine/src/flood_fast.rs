@@ -15,12 +15,8 @@
 //! * transmission targets are the flat `u32` CSR arrays of a
 //!   [`Graph`] (the graph's adjacency, or its
 //!   [`bfs_tree`](Graph::bfs_tree) child lists for the paper's
-//!   tree-flooding variant), held as an in-RAM [`ShardStore`] — the
-//!   engine builds no adjacency of its own,
-//! * fault sampling is the aggregate
-//!   [`FaultSampler`]: one Bernoulli coin
-//!   per *frontier* node per round, or a geometric skip between
-//!   successful transmitters when `p > 0.75`,
+//!   tree-flooding variant), held as a [`ShardStore`] — the engine
+//!   builds no adjacency of its own,
 //! * a transmitter leaves the frontier the moment it can no longer
 //!   inform anyone, and the run stops as soon as nothing can change.
 //!
@@ -28,23 +24,23 @@
 //! flooding automaton on `MpNetwork` with omission faults (or any fault
 //! kind under the silent adversary): each round, each informed node's
 //! transmitter works independently with probability `1 − p`, and a
-//! working transmitter informs all of its targets. Only the RNG stream
-//! differs, so per-seed outcomes differ while every distribution
-//! matches — `crates/core/tests/flood_equivalence.rs` pins this.
+//! working transmitter informs all of its targets. Only the coin source
+//! differs ([`FastFlood::run`]'s sequential [`FaultSampler`], the
+//! lanes' site-addressed tapes), so per-seed outcomes differ while every
+//! distribution matches — `crates/core/tests/flood_equivalence.rs` pins
+//! this.
 //!
-//! The seeded scalar-lane and 64-lane frontier passes are written once,
-//! against [`ShardStore`]: [`FastFlood`] runs them over its in-RAM store
-//! (one shard, or `k` node-range shards — outcome-neutral), and
-//! [`ShardedFlood`] runs the same passes over any store, disk segments
-//! included — the `n = 10⁸` path. Both passes are parametric in a
-//! [`FaultModel`]: `Silent` models (i.i.d.
-//! omission, throttled mixtures, worst-case placement) supply the
-//! per-site suppression masks, and the plain-`p` entry points are the
-//! [`Omission`] instance. Corrupted-*value*
-//! models (`Flip` / `Lie`, the paper's malicious transmitters) run a
-//! deterministic-timing value pass instead: every delivery succeeds,
-//! node `v` is informed at its BFS depth, and the outcome tracks which
-//! nodes end up *correctly* informed.
+//! Every lane and 64-lane pass reads its rows from a [`ShardStore`] (one
+//! or `k` node-range shards in RAM, or disk segments — outcome-neutral)
+//! under a [`FaultModel`]. The graph variant under `Silent` models
+//! (i.i.d. omission, throttled mixtures, worst-case placement) runs the
+//! round-based frontier passes, which [`ShardedFlood`] also runs over
+//! any store — the `n = 10⁸` path. The tree variant under `Silent`
+//! models, and corrupted-*value* models (`Flip` / `Lie`, the paper's
+//! malicious transmitters: every delivery succeeds, node `v` is informed
+//! at its BFS depth, and the outcome tracks which nodes end up
+//! *correctly* informed), run round-free walks over the BFS order. The
+//! plain-`p` entry points are the [`Omission`] instance.
 //!
 //! Unlike the general engine, the fast path is **defined on graphs that
 //! are disconnected from the source**: it floods the source's component
@@ -53,15 +49,13 @@
 //! almost-complete broadcasting. A single trial at `n = 10⁵`, average
 //! degree 8, `p = 0.3` runs in well under a second in release mode.
 
-use std::sync::OnceLock;
-
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
 use randcast_graph::shard::{PassLoader, RamShards, ShardError, ShardPlan, ShardStore};
 use randcast_graph::{Graph, NodeId};
 
-use crate::growth::{GrowthBatch, GrowthOutcome, LaneRounds};
+use crate::growth::{counting_curve, GrowthBatch, GrowthOutcome, LaneRounds};
 use crate::kernel::{
     lane_popcounts, planes_add_one_masked, planes_assign, planes_eq_mask, planes_gt_mask,
     planes_le_mask, BatchedInformedSet, CorruptionKind, FaultModel, FaultSampler, FaultTapes,
@@ -103,38 +97,38 @@ pub struct FastFlood {
     /// The store-backed frontier passes over the transmission targets.
     passes: ShardedFlood,
     variant: FastFloodVariant,
-    /// Nodes reachable from the source along transmission targets, in
-    /// BFS order (parents before children) — computed once at plan
-    /// build so every batched block reuses it.
+    /// The source component in the BFS tree's (level, id) order
+    /// (parents before children), which the round-free walks follow.
     order: Vec<u32>,
-    /// Per-node BFS depth, built on the first corrupted-value run.
-    levels: OnceLock<Vec<u32>>,
+    /// The shards a walk over `order` visits ([`ShardPlan::runs`]).
+    runs: Vec<usize>,
 }
 
 impl FastFlood {
     /// Compiles a plan transmitting along the given variant's edges for
     /// `horizon` rounds. A `horizon` of 0 is allowed (the run reports
     /// only the source informed); a graph disconnected from `source` is
-    /// allowed (the flood covers the source's component). The
+    /// allowed (the flood covers the source's component). Both variants
+    /// walk the order of the graph's [`bfs_tree`](Graph::bfs_tree); the
     /// [`FastFloodVariant::Graph`] plan copies the graph's CSR arrays
-    /// into a one-shard store; the tree variant builds its BFS child
-    /// lists straight from the borrowed graph.
+    /// into a one-shard store, the tree variant keeps the tree's child
+    /// lists.
     #[must_use]
     pub fn new(graph: &Graph, source: NodeId, horizon: usize, variant: FastFloodVariant) -> Self {
         let n = graph.node_count();
+        let tree = graph.bfs_tree(u32::from(source));
+        let order = tree.order().to_vec();
         let (offsets, targets) = match variant {
             FastFloodVariant::Graph => graph.clone().into_raw_parts(),
-            FastFloodVariant::Tree => graph.bfs_tree(u32::from(source)).into_children_csr(),
+            FastFloodVariant::Tree => tree.into_children_csr(),
         };
         let store = ShardStore::Ram(RamShards::new(offsets, targets, ShardPlan::uniform(n, 1)));
-        let mut plan = FastFlood {
+        FastFlood {
             passes: ShardedFlood::new(store, u32::from(source), horizon),
             variant,
-            order: Vec::new(),
-            levels: OnceLock::new(),
-        };
-        plan.order = plan.compute_bfs_order();
-        plan
+            order,
+            runs: vec![0], // one shard, one run
+        }
     }
 
     /// Re-cuts the target store along `plan`, so the frontier passes
@@ -146,6 +140,7 @@ impl FastFlood {
     /// Panics if the plan covers a different node count.
     #[must_use]
     pub fn with_shard_plan(mut self, plan: ShardPlan) -> Self {
+        self.runs = plan.runs(&self.order);
         let ShardStore::Ram(ram) = self.passes.store else {
             unreachable!("fast plans hold RAM stores")
         };
@@ -165,7 +160,7 @@ impl FastFlood {
         self.passes.node_count()
     }
 
-    /// The whole target arrays, for the passes that read them in RAM.
+    /// The whole target arrays, for `run` and `preprocess`.
     fn ram(&self) -> &RamShards {
         let ShardStore::Ram(ram) = &self.passes.store else {
             unreachable!("fast plans hold RAM stores")
@@ -256,11 +251,14 @@ impl FastFlood {
     /// Scalar replay of lane `lane` of batched block `block_seed` under
     /// `model` ([`Omission`] for plain i.i.d. omission at rate `p`).
     ///
-    /// `Silent` models run the frontier algorithm of [`run`](Self::run),
-    /// but every fault coin is bit `lane` of the site-addressed batch
-    /// tape instead of a draw from a sequential RNG. Sites are
-    /// per-(node, round) for the graph variant and per-(node, attempt)
-    /// for the tree variant — under [`Omission`] the coins are i.i.d.
+    /// `Silent` models run the process of [`run`](Self::run), but every
+    /// fault coin is bit `lane` of the site-addressed batch tape instead
+    /// of a draw from a sequential RNG. The graph variant advances the
+    /// frontier round by round with per-(node, round) sites; the tree
+    /// variant walks the BFS order once, each informed internal node
+    /// taking its first clean attempt `a` at per-(node, attempt) site
+    /// `a` and informing its children at round `s(u) + 1 + a`, until
+    /// the horizon. Under [`Omission`] the coins are i.i.d.
     /// Bernoulli(`p`) either way, so the sampled process is
     /// statistically identical to [`run`](Self::run), and the site
     /// addressing is what lets [`run_batch_model`](Self::run_batch_model)
@@ -268,7 +266,7 @@ impl FastFlood {
     /// [`GrowthBatch::lane_outcome`].
     ///
     /// Corrupted-value models (`Flip` / `Lie`) run the
-    /// deterministic-timing value pass — every transmission delivers,
+    /// deterministic-timing value walk — every transmission delivers,
     /// so node `v` is informed exactly at its BFS depth, and the
     /// adversary decides which lanes receive the *correct* value. The
     /// outcome's informed set and growth curve then track the
@@ -286,15 +284,17 @@ impl FastFlood {
     ) -> GrowthOutcome {
         assert!((lane as usize) < LANES, "lane out of range");
         let tapes = FaultTapes::new(block_seed);
-        match model.kind() {
-            CorruptionKind::Silent => {
-                let attempt_sites = self.variant == FastFloodVariant::Tree;
+        match (model.kind(), self.variant) {
+            (CorruptionKind::Silent, FastFloodVariant::Tree) => {
+                self.run_lane_tree(model, &tapes, lane)
+            }
+            (CorruptionKind::Silent, FastFloodVariant::Graph) => {
                 self.passes
-                    .lane_pass(self.passes.views(), model, &tapes, lane, attempt_sites)
-                    .expect("RAM stores never fail a read")
+                    .lane_pass(self.passes.views(), model, &tapes, lane)
             }
             _ => self.run_lane_values(model, &tapes, lane),
         }
+        .expect("RAM stores never fail a read")
     }
 
     /// Runs the live lanes `lanes` of block `block_seed` under `model`
@@ -311,8 +311,8 @@ impl FastFlood {
     ///
     /// Under a `Silent` model the tree variant runs round-free: each
     /// node's inform round obeys `s(child) = s(parent) + 1 + Geom(1 −
-    /// p)`, so one topological pass resolves the whole block with the
-    /// per-(node, attempt) geometric waits drawn as bit-sliced masks.
+    /// p)`, so one walk over the BFS order resolves the whole block with
+    /// the per-(node, attempt) geometric waits drawn as bit-sliced masks.
     /// The graph variant advances the 64-lane union frontier round by
     /// round, retiring lanes whose informed count has reached the
     /// source component's closure size. See
@@ -330,64 +330,69 @@ impl FastFlood {
             (CorruptionKind::Silent, FastFloodVariant::Tree) => {
                 self.run_batch_tree(model, &tapes, lanes)
             }
-            (CorruptionKind::Silent, FastFloodVariant::Graph) => self
-                .passes
-                .batch_pass(self.passes.views(), model, &tapes, self.order.len(), lanes)
-                .expect("RAM stores never fail a read"),
+            (CorruptionKind::Silent, FastFloodVariant::Graph) => {
+                self.passes
+                    .batch_pass(self.passes.views(), model, &tapes, self.order.len(), lanes)
+            }
             _ => self.run_batch_values(model, &tapes, lanes),
         }
+        .expect("RAM stores never fail a read")
     }
 
-    fn compute_bfs_order(&self) -> Vec<u32> {
-        let ram = self.ram();
-        let source = self.passes.source;
-        let mut seen = InformedSet::new(self.node_count());
-        seen.insert(source);
-        let mut order = vec![source];
-        let mut i = 0;
-        while i < order.len() {
-            let v = order[i];
-            i += 1;
-            for &t in ram.targets_of(v) {
-                if seen.insert(t) {
-                    order.push(t);
-                }
+    /// Walks the BFS order over the plan's store ([`PassLoader::walk`]).
+    fn walk(&self, visit: impl FnMut(usize, u32, &[u32]) -> bool) -> Result<(), ShardError> {
+        self.passes.views().walk(&self.order, &self.runs, visit)
+    }
+
+    /// Tree-variant lane backend under a `Silent` model: the one-lane
+    /// form of [`run_batch_tree`](Self::run_batch_tree). A node still
+    /// failing at the horizon keeps the lane's replay running to it;
+    /// otherwise the replay stops at the last inform round.
+    fn run_lane_tree<M: FaultModel + ?Sized>(
+        &self,
+        model: &M,
+        tapes: &FaultTapes,
+        lane: u32,
+    ) -> Result<GrowthOutcome, ShardError> {
+        let (n, h, source) = (self.node_count(), self.horizon(), self.passes.source);
+        // Per-node inform round; `u32::MAX` = never informed.
+        let mut s = vec![u32::MAX; n];
+        s[source as usize] = 0;
+        let mut informed = InformedSet::new(n);
+        informed.insert(source);
+        let (mut last, mut unfinished) = (0usize, false);
+        self.walk(|_, u, kids| {
+            let su = s[u as usize];
+            if kids.is_empty() || su == u32::MAX {
+                return true;
             }
-        }
-        order
-    }
-
-    /// Per-node BFS depth along transmission targets (`u32::MAX` for
-    /// nodes unreachable from the source), plus the number of levels
-    /// the value passes run: the deepest node's depth, capped at the
-    /// horizon. First-write-wins over the BFS order, so graph-variant
-    /// cross edges cannot inflate a depth — for trees this is simply
-    /// the unique root distance. Built once, on the first call.
-    fn levels(&self) -> (&[u32], usize) {
-        let level = self.levels.get_or_init(|| {
-            let ram = self.ram();
-            let mut level = vec![u32::MAX; self.node_count()];
-            level[self.passes.source as usize] = 0;
-            for &v in &self.order {
-                for &t in ram.targets_of(v) {
-                    if level[t as usize] == u32::MAX {
-                        level[t as usize] = level[v as usize] + 1;
+            // Attempt `a` runs in round `s(u) + 1 + a`.
+            let su = su as usize;
+            let attempts = h.saturating_sub(su);
+            match (0..attempts).find(|&a| !model.corrupt_lane(tapes, fault_site(a, u), u, lane)) {
+                Some(a) => {
+                    let r = su + 1 + a;
+                    last = last.max(r);
+                    for &c in kids {
+                        s[c as usize] = r as u32;
+                        informed.insert(c);
                     }
                 }
+                None => unfinished |= attempts > 0,
             }
-            level
-        });
-        // The BFS order is level-sorted: its last node is the deepest.
-        let max_depth = level[*self.order.last().expect("the order holds the source") as usize];
-        (level, (max_depth as usize).min(self.horizon()))
+            true
+        })?;
+        let last = if unfinished { h } else { last };
+        let curve = counting_curve(self.order.iter().map(|&v| s[v as usize] as usize), last);
+        Ok(GrowthOutcome::new(n, h, informed, curve))
     }
 
-    /// Tree-variant batch backend: one pass over the BFS order (parents
+    /// Tree-variant batch backend: one walk over the BFS order (parents
     /// before children), resolving every node's 64 inform rounds in
     /// bit-plane form (the source is seeded in `lanes` only, so no other
-    /// lane resolves a round). It reads the whole child lists in RAM; every
-    /// output is a per-node value or a multiset statistic, so the shard
-    /// plan cannot change a bit.
+    /// lane resolves a round). Every output is a per-node value or a
+    /// multiset statistic, so neither the walk order nor the shard plan
+    /// can change a bit.
     ///
     /// Because tree edges have unique parents, all of a node's children
     /// share its success round, so every per-node statistic (informed
@@ -399,8 +404,7 @@ impl FastFlood {
         model: &M,
         tapes: &FaultTapes,
         lanes: LaneMask,
-    ) -> GrowthBatch {
-        let ram = self.ram();
+    ) -> Result<GrowthBatch, ShardError> {
         let n = self.node_count();
         let h = self.horizon();
         let reach = self.order.len();
@@ -433,9 +437,10 @@ impl FastFlood {
         // Per-lane success attempt index, accumulated plane-wise inside
         // the attempt loop; re-zeroed (used planes only) after each node.
         let mut a_planes = vec![0u64; w];
-        // Internal nodes in BFS order: the reverse stats pass walks
-        // exactly these (leaves are accounted through their parents).
-        let mut groups: Vec<u32> = Vec::new();
+        // Each internal node's first child and child count, in BFS
+        // order: the reverse stats pass walks exactly these groups
+        // (leaves are accounted through their parents).
+        let mut groups: Vec<(u32, u32)> = Vec::new();
         // Plane index such that values below `2^tight_plane` are at
         // least 65 attempt rounds short of the horizon.
         let tight_plane = if (h as u64) < 65 {
@@ -446,16 +451,15 @@ impl FastFlood {
         // Attempt-accumulator planes updated branch-free each attempt.
         let a_unroll = w.min(3);
 
-        // Forward pass: resolve every internal node's 64 success rounds.
-        for &u in &self.order {
+        // Forward walk: resolve every internal node's 64 success rounds.
+        self.walk(|_, u, kids| {
             let ui = u as usize;
-            let kids = ram.targets_of(u);
             if kids.is_empty() {
-                continue;
+                return true;
             }
-            groups.push(u);
+            groups.push((kids[0], kids.len() as u32));
             if h == 0 || informed_masks[ui] == 0 {
-                continue;
+                return true;
             }
             su_buf.copy_from_slice(&s_planes[ui * w..(ui + 1) * w]);
             // `elig`: lanes whose first attempt round s(u) + 1 is
@@ -489,7 +493,7 @@ impl FastFlood {
                 }
             }
             if elig == 0 {
-                continue;
+                return true;
             }
             let mut surviving = elig;
             let mut succeeded: LaneMask = 0;
@@ -549,7 +553,8 @@ impl FastFlood {
                 s_planes.copy_within(c0 * w..(c0 + 1) * w, ci);
                 informed_masks[c as usize] = succeeded;
             }
-        }
+            true
+        })?;
 
         // Reverse stats pass over the groups. Deep groups carry the
         // largest inform rounds, so visiting them first lets the
@@ -564,12 +569,11 @@ impl FastFlood {
         let mut max_r2 = vec![0u64; w];
         let mut uninf1: LaneMask = 0;
         let mut uninf2: LaneMask = 0;
-        for &u in groups.iter().rev() {
-            let kids = ram.targets_of(u);
-            let c0 = kids[0] as usize;
+        for &(c0, kids) in groups.iter().rev() {
+            let c0 = c0 as usize;
             let succ = informed_masks[c0];
             let miss = !succ;
-            uninf2 |= if kids.len() >= 2 { miss } else { uninf1 & miss };
+            uninf2 |= if kids >= 2 { miss } else { uninf1 & miss };
             uninf1 |= miss;
             if succ == 0 {
                 continue;
@@ -582,7 +586,7 @@ impl FastFlood {
                 continue;
             }
             let ge1 = !planes_gt_mask(&max_r, done_s) & succ;
-            if kids.len() >= 2 {
+            if kids >= 2 {
                 // A group of ≥ 2 children at or above the max occupies
                 // both slots.
                 planes_assign(&mut max_r2, done_s, ge1);
@@ -632,7 +636,7 @@ impl FastFlood {
             };
         }
 
-        GrowthBatch::from_schedule(
+        Ok(GrowthBatch::from_schedule(
             BatchedInformedSet::from_parts(informed_masks, counts),
             h,
             completion_round,
@@ -640,142 +644,120 @@ impl FastFlood {
             stop_round,
             w,
             s_planes,
-        )
+        ))
     }
 
-    /// Corrupted-value scalar backend: deliveries always succeed, so
-    /// timing is the deterministic BFS schedule and only message
-    /// *values* are at stake. Node `t` at depth `d` hears all of its
-    /// depth-`d − 1` neighbors simultaneously at round `d` and ends up
-    /// correctly informed iff every one of them delivered the true
-    /// value — a `Flip` transmitter delivers its own value XOR the
-    /// corruption coin, a `Lie` transmitter delivers the true value
-    /// only when uncorrupted and holding it. The returned informed set
-    /// and growth curve track the correctly informed nodes (the
-    /// quantity the paper's malicious feasibility results are about).
-    /// The pass touches each CSR row once and reads the whole arrays in
-    /// RAM, so the shard plan has nothing to change.
+    /// The corrupted-value walk of the live lanes `lanes`: deliveries
+    /// always succeed, so timing is the deterministic BFS schedule and
+    /// only message *values* are at stake. Node `t` at depth `d` hears
+    /// all of its depth-`d − 1` neighbors simultaneously at round `d`
+    /// and ends up correctly informed iff every one of them delivered
+    /// the true value — a `Flip` transmitter delivers its own value XOR
+    /// the corruption coin, a `Lie` transmitter delivers the true value
+    /// only when uncorrupted and holding it. The walk sets each target's
+    /// depth as it goes: first write wins over the level-sorted order,
+    /// so a graph-variant cross edge cannot inflate a depth, and on a
+    /// tree it is the unique root distance. `corrupt(site, u)` gives the
+    /// lanes in which `u`'s transmission at `site` is corrupted. Returns
+    /// each node's depth, the lanes in which it ends correct, and the
+    /// deepest level informed within the horizon.
+    fn value_walk<M: FaultModel + ?Sized>(
+        &self,
+        model: &M,
+        lanes: LaneMask,
+        corrupt: impl Fn(u64, u32) -> LaneMask,
+    ) -> Result<(Vec<u32>, Vec<LaneMask>, usize), ShardError> {
+        let (n, h, source) = (self.node_count(), self.horizon(), self.passes.source);
+        let flip = model.kind() == CorruptionKind::Flip;
+        let mut depth = vec![u32::MAX; n];
+        let mut values = vec![0u64; n];
+        depth[source as usize] = 0;
+        values[source as usize] = lanes;
+        let mut levels = 0;
+        self.walk(|_, u, targets| {
+            let du = depth[u as usize] as usize;
+            if du >= h {
+                return false; // the order is level-sorted: no transmitters left
+            }
+            if targets.is_empty() {
+                return true;
+            }
+            let corrupt = corrupt(fault_site(du + 1, u), u);
+            let c = lanes
+                & if flip {
+                    values[u as usize] ^ corrupt
+                } else {
+                    values[u as usize] & !corrupt
+                };
+            for &t in targets {
+                let dt = &mut depth[t as usize];
+                if *dt == u32::MAX {
+                    *dt = du as u32 + 1;
+                    values[t as usize] = c;
+                    levels = du + 1;
+                } else if *dt as usize == du + 1 {
+                    values[t as usize] &= c;
+                }
+            }
+            true
+        })?;
+        Ok((depth, values, levels))
+    }
+
+    /// Corrupted-value lane backend: the value walk of the one lane. The
+    /// informed set and the growth curve track the correctly informed
+    /// nodes (the quantity the paper's malicious feasibility results are
+    /// about), each counted at its depth.
     fn run_lane_values<M: FaultModel + ?Sized>(
         &self,
         model: &M,
         tapes: &FaultTapes,
         lane: u32,
-    ) -> GrowthOutcome {
-        let ram = self.ram();
+    ) -> Result<GrowthOutcome, ShardError> {
+        let (depth, values, levels) = self.value_walk(model, 1 << lane, |site, u| {
+            u64::from(model.corrupt_lane(tapes, site, u, lane)) << lane
+        })?;
         let n = self.node_count();
-        let (level, levels) = self.levels();
-        let order = &self.order;
-
-        // Every reachable node within the horizon is informed at its
-        // depth; values start true and parent contributions AND in.
-        let mut val = vec![false; n];
-        for &v in order {
-            if (level[v as usize] as usize) <= levels {
-                val[v as usize] = true;
-            }
-        }
-        for &u in order {
-            let du = level[u as usize] as usize;
-            if du >= levels {
-                break; // order is level-sorted: no transmitters left
-            }
-            let targets = ram.targets_of(u);
-            if targets.is_empty() {
-                continue;
-            }
-            let corrupt = model.corrupt_lane(tapes, fault_site(du + 1, u), u, lane);
-            let c = match model.kind() {
-                CorruptionKind::Flip => val[u as usize] ^ corrupt,
-                _ => val[u as usize] && !corrupt,
-            };
-            for &t in targets {
-                if level[t as usize] as usize == du + 1 {
-                    val[t as usize] &= c;
-                }
-            }
-        }
-
+        let correct = || self.order.iter().filter(|&&v| values[v as usize] != 0);
         let mut informed = InformedSet::new(n);
-        informed.insert(self.passes.source);
-        let mut informed_by_round = Vec::with_capacity(levels + 1);
-        informed_by_round.push(1);
-        let mut i = 1;
-        for l in 1..=levels {
-            while i < order.len() && level[order[i] as usize] as usize == l {
-                let v = order[i];
-                if val[v as usize] {
-                    informed.insert(v);
-                }
-                i += 1;
-            }
-            informed_by_round.push(informed.count());
+        for &v in correct() {
+            informed.insert(v);
         }
-
-        GrowthOutcome::new(n, self.horizon(), informed, informed_by_round)
+        let curve = counting_curve(correct().map(|&v| depth[v as usize] as usize), levels);
+        Ok(GrowthOutcome::new(n, self.horizon(), informed, curve))
     }
 
-    /// Corrupted-value batch backend: the 64-lane value pass of
-    /// [`run_lane_values`](Self::run_lane_values). Contributions are
-    /// lane masks composed by AND over the level-sorted BFS order. The
-    /// per-level counting pass snapshots the correct-count planes in
+    /// Corrupted-value batch backend: the value walk of the live lanes.
+    /// The per-level counting pass snapshots the correct-count planes in
     /// the same arena layout as the graph-variant silent pass, so
     /// [`GrowthBatch::lane_outcome`] reconstructs each lane's
-    /// correct-count curve unchanged. Values and coins cover `lanes`
-    /// only.
+    /// correct-count curve unchanged.
     fn run_batch_values<M: FaultModel + ?Sized>(
         &self,
         model: &M,
         tapes: &FaultTapes,
         lanes: LaneMask,
-    ) -> GrowthBatch {
-        let ram = self.ram();
+    ) -> Result<GrowthBatch, ShardError> {
+        let (depth, value_masks, levels) = self.value_walk(model, lanes, |site, u| {
+            model.corrupt_mask(tapes, site, u, lanes)
+        })?;
         let n = self.node_count();
-        let (level, levels) = self.levels();
-        let order = &self.order;
-
-        let mut value_masks = vec![0u64; n];
-        for &v in order {
-            if (level[v as usize] as usize) <= levels {
-                value_masks[v as usize] = lanes;
-            }
-        }
-        for &u in order {
-            let du = level[u as usize] as usize;
-            if du >= levels {
-                break;
-            }
-            let targets = ram.targets_of(u);
-            if targets.is_empty() {
-                continue;
-            }
-            let corrupt = model.corrupt_mask(tapes, fault_site(du + 1, u), u, lanes);
-            let c = match model.kind() {
-                CorruptionKind::Flip => value_masks[u as usize] ^ corrupt,
-                _ => value_masks[u as usize] & !corrupt,
-            };
-            for &t in targets {
-                if level[t as usize] as usize == du + 1 {
-                    value_masks[t as usize] &= c;
-                }
-            }
-        }
-
         let mut rounds = LaneRounds::new(n);
         let mut counts = LaneCounter::new();
         counts.add_masked(lanes, 1); // the source holds the true value in every live lane
         let mut i = 1;
         for l in 1..=levels {
-            while i < order.len() && level[order[i] as usize] as usize == l {
-                counts.add_masked(value_masks[order[i] as usize], 1);
+            while i < self.order.len() && depth[self.order[i] as usize] as usize == l {
+                counts.add_masked(value_masks[self.order[i] as usize], 1);
                 i += 1;
             }
             rounds.end_round(&counts, l, true);
         }
 
-        rounds.into_batch(
+        Ok(rounds.into_batch(
             BatchedInformedSet::from_parts(value_masks, counts),
             self.horizon(),
-        )
+        ))
     }
 }
 
@@ -787,9 +769,11 @@ impl FastFlood {
 /// [`FastFlood::run_batch_model`] with [`FastFloodVariant::Graph`] on
 /// the same adjacency, for every store, plan and prefetch setting.
 ///
-/// Only the graph variant is offered over arbitrary stores: the tree
-/// variant would first need a whole-graph BFS-tree construction, which
-/// defeats the bounded-memory point.
+/// Its public entry points run the graph variant under omission. The
+/// tree variant and the corrupted-value models walk a BFS order over
+/// the same kind of store (a sharded tree's child segments, e.g. from
+/// [`ShardedBfsTree`](randcast_graph::shard::ShardedBfsTree)), but only
+/// through [`FastFlood`]'s in-RAM plans so far.
 pub struct ShardedFlood {
     store: ShardStore,
     source: u32,
@@ -869,7 +853,6 @@ impl ShardedFlood {
             &Omission::new(p),
             &FaultTapes::new(block_seed),
             lane,
-            false,
         )
     }
 
@@ -926,9 +909,7 @@ impl ShardedFlood {
     /// round runs exactly when some node would pass that filter. Coins
     /// are site-addressed and the round evolution is set-based, so the
     /// outcome is the same for every plan and every shard order. Sites
-    /// are per-(node, round), or with `attempt_sites` per-(node,
-    /// attempt) — the tree variant's addressing, where a node's attempts
-    /// count from the round after it was informed. Disk passes are
+    /// are per-(node, round). Disk passes are
     /// served by the [`PassLoader`]: held segments without a read, full
     /// segment reads overlapped with the previous shard's compute, or
     /// coalesced sparse row reads when a pass touches a small fraction
@@ -939,7 +920,6 @@ impl ShardedFlood {
         model: &M,
         tapes: &FaultTapes,
         lane: u32,
-        attempt_sites: bool,
     ) -> Result<GrowthOutcome, ShardError> {
         assert!((lane as usize) < LANES, "lane out of range");
         let plan = self.store.plan();
@@ -947,12 +927,6 @@ impl ShardedFlood {
         let k = plan.shard_count();
         let mut informed = InformedSet::new(n);
         informed.insert(self.source);
-        // Each node's inform round, read only by attempt-indexed sites.
-        let mut informed_round = if attempt_sites {
-            vec![0u32; n]
-        } else {
-            Vec::new()
-        };
         let mut informed_by_round = Vec::with_capacity(self.horizon.min(1024) + 1);
         informed_by_round.push(1);
 
@@ -977,21 +951,13 @@ impl ShardedFlood {
                         continue;
                     }
                     ran = true;
-                    let site = if attempt_sites {
-                        fault_site(round - 1 - informed_round[u as usize] as usize, u)
-                    } else {
-                        fault_site(round, u)
-                    };
-                    if model.corrupt_lane(tapes, site, u, lane) {
+                    if model.corrupt_lane(tapes, fault_site(round, u), u, lane) {
                         // Failed transmitter: stays in the frontier.
                         staged.push(s, u);
                         continue;
                     }
                     for &t in targets {
                         if informed.insert(t) {
-                            if attempt_sites {
-                                informed_round[t as usize] = round as u32;
-                            }
                             staged.push(plan.shard_of(t), t);
                         }
                     }
@@ -1423,51 +1389,41 @@ mod tests {
         // lane-wise, so masking its siblings out of the pass — which
         // changes what they do, not just whether they are read — must
         // leave it byte-identical, for every pass: the round-free tree
-        // batch, the graph frontier pass on one, three and three disk
-        // shards, and the corrupted-value pass.
-        use crate::kernel::{FlipFault, LieOrJamFault, TEST_LANE_MASKS};
+        // walk, the graph frontier pass and the corrupted-value walk, on
+        // one, three and three disk shards.
+        use crate::kernel::{
+            CorruptionKind, FlipFault, LieOrJamFault, ThrottledFault, WorstCasePlacement,
+            TEST_LANE_MASKS,
+        };
         let g = generators::gnp_connected(120, 0.03, &mut rand::rngs::SmallRng::seed_from_u64(4));
         let n = g.node_count();
         let p = 0.35;
         let (omission, flip, lie) = (Omission::new(p), FlipFault::new(p), LieOrJamFault::new(p));
-        let models: [&dyn FaultModel; 3] = [&omission, &flip, &lie];
         for variant in [FastFloodVariant::Tree, FastFloodVariant::Graph] {
             let one = FastFlood::new(&g, g.node(0), 300, variant);
             let three = FastFlood::new(&g, g.node(0), 300, variant)
                 .with_shard_plan(ShardPlan::uniform(n, 3));
+            let disk = on_disk(&one, 3);
+            let mut placed = WorstCasePlacement::new(0.2, CorruptionKind::Silent);
+            one.preprocess(&mut placed);
+            // Throttled, so the placed coins vary from lane to lane.
+            let placed = ThrottledFault::try_new(placed, 0.1).unwrap();
+            let models: [&dyn FaultModel; 4] = [&omission, &flip, &lie, &placed];
             for model in models {
                 for seed in [5u64, 6] {
                     let full = one.run_batch_model(model, seed, !0);
                     for lanes in TEST_LANE_MASKS {
-                        for (plan, k) in [(&one, 1), (&three, 3)] {
+                        for (plan, k) in [(&one, "k=1"), (&three, "k=3"), (&disk, "disk k=3")] {
                             assert_live_lanes(
                                 &plan.run_batch_model(model, seed, lanes),
                                 &full,
                                 lanes,
                                 |lane| one.run_lane_model(model, seed, lane),
-                                &format!("{variant:?} {} k={k} seed={seed}", model.name()),
+                                &format!("{variant:?} {} {k} seed={seed}", model.name()),
                             );
                         }
                     }
                 }
-            }
-        }
-
-        let one = FastFlood::new(&g, g.node(0), 300, FastFloodVariant::Graph);
-        let disk = ShardedFlood::new(disk_copy(one.ram(), 3, false), 0, 300);
-        for seed in [5u64, 6] {
-            let full = one.run_batch_model(&Omission::new(p), seed, !0);
-            for lanes in TEST_LANE_MASKS {
-                let tapes = FaultTapes::new(seed);
-                let masked =
-                    disk.batch_pass(disk.views(), &omission, &tapes, one.order.len(), lanes);
-                assert_live_lanes(
-                    &masked.unwrap(),
-                    &full,
-                    lanes,
-                    |lane| one.run_lane_model(&Omission::new(p), seed, lane),
-                    &format!("disk seed={seed}"),
-                );
             }
         }
     }
@@ -1652,29 +1608,44 @@ mod tests {
 
     #[test]
     fn sharded_model_runs_match_monolithic_exactly() {
-        use crate::kernel::{CorruptionKind, FlipFault, WorstCasePlacement};
+        // Every walk and pass — tree blocks and lanes, value blocks and
+        // lanes, the graph frontier passes — on 2, 3 and 7 RAM shards
+        // and on 3 disk segments.
+        use crate::kernel::{CorruptionKind, FlipFault, LieOrJamFault, WorstCasePlacement};
         let g = generators::gnp_connected(110, 0.04, &mut rand::rngs::SmallRng::seed_from_u64(21));
+        let n = g.node_count();
+        let (omission, flip, lie) = (
+            Omission::new(0.35),
+            FlipFault::new(0.35),
+            LieOrJamFault::new(0.35),
+        );
         for variant in [FastFloodVariant::Tree, FastFloodVariant::Graph] {
             let ff = FastFlood::new(&g, g.node(0), 250, variant);
             let mut placed = WorstCasePlacement::new(0.1, CorruptionKind::Silent);
             ff.preprocess(&mut placed);
-            let flip = FlipFault::new(0.35);
-            let models: [&dyn FaultModel; 2] = [&placed, &flip];
+            let models: [&dyn FaultModel; 4] = [&omission, &flip, &lie, &placed];
+            let mut plans: Vec<(FastFlood, String)> = [2usize, 3, 7]
+                .into_iter()
+                .map(|k| {
+                    let plan = FastFlood::new(&g, g.node(0), 250, variant)
+                        .with_shard_plan(ShardPlan::uniform(n, k));
+                    (plan, format!("shards={k}"))
+                })
+                .collect();
+            plans.push((on_disk(&ff, 3), "disk k=3".to_string()));
             for model in models {
-                for shards in [2usize, 3, 7] {
-                    let sharded = FastFlood::new(&g, g.node(0), 250, variant)
-                        .with_shard_plan(ShardPlan::uniform(g.node_count(), shards));
+                for (sharded, what) in &plans {
                     assert_eq!(
                         sharded.run_batch_model(model, 7, !0),
                         ff.run_batch_model(model, 7, !0),
-                        "{variant:?} {} shards={shards}",
+                        "{variant:?} {} {what}",
                         model.name()
                     );
                     for lane in [0u32, 9, 63] {
                         assert_eq!(
                             sharded.run_lane_model(model, 7, lane),
                             ff.run_lane_model(model, 7, lane),
-                            "{variant:?} {} shards={shards} lane={lane}",
+                            "{variant:?} {} {what} lane={lane}",
                             model.name()
                         );
                     }
@@ -1802,6 +1773,19 @@ mod tests {
         ShardStore::Disk(sink.finalize().unwrap())
     }
 
+    /// `plan` over a `k`-segment disk copy of its targets: directed
+    /// child segments for the tree variant.
+    fn on_disk(plan: &FastFlood, k: usize) -> FastFlood {
+        let tree = plan.variant == FastFloodVariant::Tree;
+        let store = disk_copy(plan.ram(), k, tree);
+        FastFlood {
+            runs: store.plan().runs(&plan.order),
+            passes: ShardedFlood::new(store, plan.passes.source, plan.horizon()),
+            variant: plan.variant,
+            order: plan.order.clone(),
+        }
+    }
+
     #[test]
     fn one_pass_lane_rounds_match_the_two_pass_reference() {
         // Families where transmitters turn into no-ops mid-round: every
@@ -1824,7 +1808,7 @@ mod tests {
                 let one = FastFlood::new(g, source, horizon, variant);
                 let three = FastFlood::new(g, source, horizon, variant)
                     .with_shard_plan(ShardPlan::uniform(n, 3));
-                let disk = ShardedFlood::new(disk_copy(one.ram(), 3, tree), src, horizon);
+                let disk = on_disk(&one, 3);
                 let reference = |p: f64, seed: u64, lane: u32| {
                     two_pass_lane(&one.passes.store, src, horizon, (p, seed, lane), tree)
                 };
@@ -1843,28 +1827,21 @@ mod tests {
                             want,
                             "{label} k=3"
                         );
-                        let tapes = FaultTapes::new(seed);
-                        let model = Omission::new(p);
-                        let got = disk.lane_pass(disk.views(), &model, &tapes, lane, tree);
-                        assert_eq!(got.unwrap(), want, "{label} disk");
+                        assert_eq!(
+                            disk.run_lane_model(&Omission::new(p), seed, lane),
+                            want,
+                            "{label} disk"
+                        );
                     }
                 }
                 for seed in 0..3u64 {
                     let p = 0.5;
-                    let blocks = [
-                        one.run_batch_model(&Omission::new(p), seed, !0),
-                        three.run_batch_model(&Omission::new(p), seed, !0),
-                    ];
+                    let blocks = [&one, &three, &disk]
+                        .map(|plan| plan.run_batch_model(&Omission::new(p), seed, !0));
                     for lane in 0..LANES as u32 {
                         let want = reference(p, seed, lane);
                         for block in &blocks {
                             assert_eq!(block.lane_outcome(lane), want, "{variant:?} lane={lane}");
-                        }
-                    }
-                    if !tree {
-                        let block = disk.run_batch(p, seed, one.order.len()).unwrap();
-                        for lane in 0..LANES as u32 {
-                            assert_eq!(block.lane_outcome(lane), reference(p, seed, lane));
                         }
                     }
                 }

@@ -198,6 +198,13 @@ impl GrowthBatch {
         self.informed.count(lane) as f64 / self.n() as f64
     }
 
+    /// The lanes in which node `v` ended informed (correctly informed
+    /// under `Flip` / `Lie`).
+    #[must_use]
+    pub fn lanes(&self, v: u32) -> LaneMask {
+        self.informed.lanes(v)
+    }
+
     /// Reconstructs lane `k`'s full outcome, its curve cut at the
     /// lane's recorded stop round.
     #[must_use]
@@ -222,25 +229,32 @@ impl GrowthBatch {
                 );
                 curve
             }
-            Curve::Schedule { width, planes } => {
-                // Counting sort of the lane's inform rounds: every
-                // informed node's round is ≤ the lane's stop round, so
-                // the prefix sums are the growth curve.
-                let mut curve = vec![0usize; last + 1];
-                for s in planes.chunks_exact(*width) {
-                    let s = LaneCounter::get_in(s, lane) as usize;
-                    if s <= last {
-                        curve[s] += 1;
-                    }
-                }
-                for r in 1..=last {
-                    curve[r] += curve[r - 1];
-                }
-                curve
-            }
+            Curve::Schedule { width, planes } => counting_curve(
+                planes
+                    .chunks_exact(*width)
+                    .map(|s| LaneCounter::get_in(s, lane) as usize),
+                last,
+            ),
         };
         GrowthOutcome::new(n, self.horizon, informed, informed_by_round)
     }
+}
+
+/// One lane's growth curve through round `last`, by counting sort of
+/// its nodes' inform rounds: entry `r` counts the rounds `≤ r`. Every
+/// informed node's round is `≤ last` (the lane's stop round); larger
+/// rounds mark nodes never informed and are skipped.
+pub(crate) fn counting_curve(rounds: impl IntoIterator<Item = usize>, last: usize) -> Vec<usize> {
+    let mut curve = vec![0usize; last + 1];
+    for r in rounds {
+        if r <= last {
+            curve[r] += 1;
+        }
+    }
+    for r in 1..=last {
+        curve[r] += curve[r - 1];
+    }
+    curve
 }
 
 /// Records `round` as the crossing round for every lane set in `mask`.

@@ -1831,6 +1831,31 @@ mod tests {
     }
 
     #[test]
+    fn uniform53_is_uniform_on_the_unit_interval() {
+        // Kolmogorov–Smirnov over 2¹⁶ draws (1,024 sites × 64 lanes) on
+        // two fixed seeds, failing at √N·D > 2.0 (p ≈ 7·10⁻⁴).
+        for seed in [11u64, 12] {
+            let tape = BatchTape::new(seed, FAULT_STREAM);
+            let mut u: Vec<f64> = (0..1024u64)
+                .flat_map(|site| (0..64).map(move |lane| (site, lane)))
+                .map(|(site, lane)| tape.uniform53(site, lane) as f64 / (1u64 << 53) as f64)
+                .collect();
+            u.sort_by(f64::total_cmp);
+            let n = u.len() as f64;
+            let d = u
+                .iter()
+                .enumerate()
+                .map(|(i, &x)| (x - i as f64 / n).max((i + 1) as f64 / n - x))
+                .fold(0.0, f64::max);
+            assert!(
+                n.sqrt() * d < 2.0,
+                "seed={seed}: √N·D = {:.3}",
+                n.sqrt() * d
+            );
+        }
+    }
+
+    #[test]
     fn batch_coin_rate_tracks_p_in_both_regimes() {
         // Across the scalar sampler's dense/sparse boundary, and near
         // both ends, the batch coins must hit probability p: the hit

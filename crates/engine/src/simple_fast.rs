@@ -98,20 +98,6 @@ fn vote_site(t: usize, v: u32) -> u64 {
     (t as u64) << 32 | u64::from(v)
 }
 
-/// The sequence of shards a walk over `order` visits, one entry per
-/// maximal same-shard run — the pass announcement for the prefetch
-/// pipeline.
-fn shard_runs(order: &[u32], plan: &ShardPlan) -> Vec<usize> {
-    let mut runs = Vec::new();
-    for &u in order {
-        let s = plan.shard_of(u);
-        if runs.last() != Some(&s) {
-            runs.push(s);
-        }
-    }
-    runs
-}
-
 /// How one phase resolves under a [`FaultModel`], for a block's coin
 /// tapes: i.i.d. `Silent` models collapse to one adoption coin per
 /// phase, every other model votes over the phase's per-round
@@ -262,7 +248,7 @@ impl FastSimple {
     /// Panics if the plan covers a different node count.
     #[must_use]
     pub fn with_shard_plan(mut self, plan: ShardPlan) -> Self {
-        self.passes.runs = shard_runs(&self.passes.order, &plan);
+        self.passes.runs = plan.runs(&self.passes.order);
         let ShardStore::Ram(ram) = self.passes.store else {
             unreachable!("fast plans hold RAM stores")
         };
@@ -290,7 +276,7 @@ impl FastSimple {
         self.passes.total_rounds()
     }
 
-    /// The whole child lists, for the passes that read them in RAM.
+    /// The whole child lists, for `run` and `preprocess`.
     fn ram(&self) -> &RamShards {
         let ShardStore::Ram(ram) = &self.passes.store else {
             unreachable!("fast plans hold RAM stores")
@@ -467,7 +453,7 @@ impl ShardedSimple {
         let n = store.node_count();
         assert!((source as usize) < n, "source out of range");
         assert_eq!(order.first(), Some(&source), "order must start at source");
-        let runs = shard_runs(&order, store.plan());
+        let runs = store.plan().runs(&order);
         ShardedSimple {
             store,
             order,
@@ -550,13 +536,9 @@ impl ShardedSimple {
         PassLoader::new(&self.store, self.prefetch)
     }
 
-    /// The scalar lane pass: walks the phase order in same-shard runs,
-    /// one segment view per run (on disk stores the whole run sequence
-    /// is announced to the [`PassLoader`] up front, so the next run's
-    /// segment read overlaps the current run's compute; the walk
-    /// touches every row of every visited segment, so there is no
-    /// sparse path). Rounds resolve after the walk, for the last
-    /// correct adoption and the almost-complete crossing only.
+    /// The scalar lane pass: one [`PassLoader::walk`] over the phase
+    /// order. Rounds resolve after the walk, for the last correct
+    /// adoption and the almost-complete crossing only.
     fn lane_pass<M: FaultModel + ?Sized>(
         &self,
         mut views: PassLoader<'_>,
@@ -569,8 +551,6 @@ impl ShardedSimple {
         let bit: LaneMask = 1u64 << lane;
         let mut k = LaneCounter::new();
         let n = self.n;
-        let plan = self.store.plan();
-        views.begin_pass(&self.runs);
         let mut informed = InformedSet::new(n);
         let mut correct = InformedSet::new(n);
         informed.insert(self.source);
@@ -579,37 +559,28 @@ impl ShardedSimple {
         let mut last_phase = None;
         let mut almost_phase = None;
 
-        let len = self.order.len();
-        let mut phase = 0usize;
-        while phase < len {
-            let s = plan.shard_of(self.order[phase]);
-            let (start, end) = plan.range(s);
-            let view = views.view_full(s)?;
-            while phase < len && (start..end).contains(&self.order[phase]) {
-                let u = self.order[phase];
-                let kids = view.targets_of(u);
-                // Coins are pure functions of (site, lane): skipping a
-                // dead subtree reads nothing.
-                if !kids.is_empty() && informed.contains(u) {
-                    let val = if correct.contains(u) { bit } else { 0 };
-                    let (heard, right) = phases.resolve(&mut k, phase, u, bit, val);
-                    for &c in kids.iter().filter(|_| heard != 0) {
-                        informed.insert(c);
-                        if right != 0 {
-                            correct.insert(c);
-                        }
-                    }
-                    // A correct adoption implies a heard one.
+        views.walk(&self.order, &self.runs, |phase, u, kids| {
+            // Coins are pure functions of (site, lane): skipping a dead
+            // subtree reads nothing.
+            if !kids.is_empty() && informed.contains(u) {
+                let val = if correct.contains(u) { bit } else { 0 };
+                let (heard, right) = phases.resolve(&mut k, phase, u, bit, val);
+                for &c in kids.iter().filter(|_| heard != 0) {
+                    informed.insert(c);
                     if right != 0 {
-                        last_phase = Some(phase);
-                        if almost_phase.is_none() && correct.count() >= almost_target {
-                            almost_phase = Some(phase);
-                        }
+                        correct.insert(c);
                     }
                 }
-                phase += 1;
+                // A correct adoption implies a heard one.
+                if right != 0 {
+                    last_phase = Some(phase);
+                    if almost_phase.is_none() && correct.count() >= almost_target {
+                        almost_phase = Some(phase);
+                    }
+                }
             }
-        }
+            true
+        })?;
 
         let round = |phase: usize| phases.round(phase, self.order[phase], lane);
         Ok(FastSimpleOutcome {
@@ -642,8 +613,6 @@ impl ShardedSimple {
     ) -> Result<FastSimpleBatch, ShardError> {
         let phases = Phases::new(model, block_seed, self.m);
         let n = self.n;
-        let plan = self.store.plan();
-        views.begin_pass(&self.runs);
         // Silent corruption never delivers a wrong value, so there a
         // node is informed exactly where it is correct and the value
         // masks track both.
@@ -664,59 +633,48 @@ impl ShardedSimple {
         let mut adopted: LaneMask = 0;
         let mut k = LaneCounter::new();
 
-        let len = self.order.len();
-        let mut phase = 0usize;
-        while phase < len {
-            let s = plan.shard_of(self.order[phase]);
-            let (start, end) = plan.range(s);
-            let view = views.view_full(s)?;
-            while phase < len && (start..end).contains(&self.order[phase]) {
-                let u = self.order[phase] as usize;
-                let kids = view.targets_of(u as u32);
-                let act = if silent {
-                    value_masks[u]
-                } else {
-                    heard_masks[u]
-                };
-                if kids.is_empty() || act == 0 {
-                    phase += 1;
-                    continue;
-                }
-                let (heard, right) = phases.resolve(&mut k, phase, u as u32, act, value_masks[u]);
-                if heard == 0 {
-                    phase += 1;
-                    continue;
-                }
-                // Tree children have unique parents: each child's mask
-                // is written exactly once, by its own parent's phase.
-                for &c in kids {
-                    value_masks[c as usize] = right;
-                    if !silent {
-                        heard_masks[c as usize] = heard;
-                    }
-                }
-                counts.add_masked(right, kids.len() as u64);
-                if right == !0 {
-                    last_shared = phase as u32;
-                } else {
-                    let mut bits = right;
-                    while bits != 0 {
-                        last_phase[bits.trailing_zeros() as usize] = phase as u32;
-                        bits &= bits - 1;
-                    }
-                }
-                adopted |= right;
-                if almost_done != !0 {
-                    let mut bits = counts.ge_mask(almost_target) & !almost_done;
-                    almost_done |= bits;
-                    while bits != 0 {
-                        almost_phase[bits.trailing_zeros() as usize] = phase as u32;
-                        bits &= bits - 1;
-                    }
-                }
-                phase += 1;
+        views.walk(&self.order, &self.runs, |phase, u, kids| {
+            let act = if silent {
+                value_masks[u as usize]
+            } else {
+                heard_masks[u as usize]
+            };
+            if kids.is_empty() || act == 0 {
+                return true;
             }
-        }
+            let (heard, right) = phases.resolve(&mut k, phase, u, act, value_masks[u as usize]);
+            if heard == 0 {
+                return true;
+            }
+            // Tree children have unique parents: each child's mask is
+            // written exactly once, by its own parent's phase.
+            for &c in kids {
+                value_masks[c as usize] = right;
+                if !silent {
+                    heard_masks[c as usize] = heard;
+                }
+            }
+            counts.add_masked(right, kids.len() as u64);
+            if right == !0 {
+                last_shared = phase as u32;
+            } else {
+                let mut bits = right;
+                while bits != 0 {
+                    last_phase[bits.trailing_zeros() as usize] = phase as u32;
+                    bits &= bits - 1;
+                }
+            }
+            adopted |= right;
+            if almost_done != !0 {
+                let mut bits = counts.ge_mask(almost_target) & !almost_done;
+                almost_done |= bits;
+                while bits != 0 {
+                    almost_phase[bits.trailing_zeros() as usize] = phase as u32;
+                    bits &= bits - 1;
+                }
+            }
+            true
+        })?;
 
         let round = |phase: u32, lane: u32| {
             let phase = phase as usize;
@@ -810,6 +768,12 @@ impl FastSimpleBatch {
     #[must_use]
     pub fn correct_fraction(&self, lane: u32) -> f64 {
         self.correct.count(lane) as f64 / self.n as f64
+    }
+
+    /// The lanes in which node `v` ended correct.
+    #[must_use]
+    pub fn lanes(&self, v: u32) -> LaneMask {
+        self.correct.lanes(v)
     }
 
     /// Reconstructs lane `k`'s full scalar outcome — equal to
@@ -1158,6 +1122,53 @@ mod tests {
         let rate = ok as f64 / (blocks as f64 * LANES as f64);
         let expected = 1.0 - p.powi(m as i32);
         assert!((rate - expected).abs() < 0.02, "rate {rate} vs {expected}");
+    }
+
+    #[test]
+    fn phase_t_follows_the_truncated_geometric_law() {
+        // Given adoption, the index of the first clean transmission is
+        // Geometric(1 − p) truncated at m: P(t) = (1 − p) p^t / (1 − p^m).
+        // Chi-square over 2¹⁶ adopting (site, lane) draws, tail bins
+        // with an expected count under 5 pooled, failing beyond the 10⁻⁴
+        // tail: the upper 10⁻⁴ quantiles of χ² at 1..=7 degrees of
+        // freedom.
+        use crate::kernel::{mask_lanes, FAULT_STREAM};
+        const CHI2_TAIL: [f64; 7] = [15.137, 18.421, 21.108, 23.513, 25.745, 27.856, 29.878];
+        let tape = BatchTape::new(0x7A5E, FAULT_STREAM);
+        for p in [0.05f64, 0.3, 0.9] {
+            for m in [3usize, 8] {
+                let adoption = 1.0 - p.powi(m as i32);
+                let adopt = BatchBernoulli::new(adoption);
+                let mut counts = vec![0u64; m];
+                let (mut draws, mut site) = (0u64, 0u64);
+                while draws < 1 << 16 {
+                    for lane in mask_lanes(adopt.mask(&tape, site, !0)) {
+                        counts[phase_t(&tape, site, lane, p.ln(), m)] += 1;
+                        draws += 1;
+                    }
+                    site += 1;
+                }
+                let mut bins: Vec<(f64, u64)> = (0..m)
+                    .map(|t| {
+                        let expected = (1.0 - p) * p.powi(t as i32) / adoption;
+                        (draws as f64 * expected, counts[t])
+                    })
+                    .collect();
+                while bins.last().is_some_and(|&(e, _)| e < 5.0) {
+                    let (e, o) = bins.pop().unwrap();
+                    let last = bins.last_mut().unwrap();
+                    last.0 += e;
+                    last.1 += o;
+                }
+                let chi2: f64 = bins.iter().map(|&(e, o)| (o as f64 - e).powi(2) / e).sum();
+                let bound = CHI2_TAIL[bins.len() - 2];
+                assert!(
+                    chi2 < bound,
+                    "p={p} m={m}: χ² = {chi2:.2} over {} bins",
+                    bins.len()
+                );
+            }
+        }
     }
 
     #[test]

@@ -5,19 +5,20 @@
 //! parent's own coins, so across every internal node of every lane the
 //! per-edge events are independent and their success count is exactly
 //! binomial (Theorem 2.1's relay argument; the tree-percolation law of
-//! probabilistic forwarding). Each law counts its successes over 20
-//! 64-lane blocks (1,280 lanes) on fixed seeds and fails at |z| > 4.5.
+//! probabilistic forwarding). Tree flooding's completion probability by
+//! a horizon has an exact tree DP. Each law counts its events with
+//! popcounts over the blocks' per-node lane masks, on fixed seeds, and
+//! fails at |z| > 4.5.
 
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
 use randcast_engine::flood_fast::{FastFlood, FastFloodVariant};
-use randcast_engine::kernel::{FlipFault, Omission, LANES};
+use randcast_engine::kernel::{FlipFault, LaneMask, Omission, LANES};
 use randcast_engine::simple_fast::FastSimple;
-use randcast_graph::{generators, CsrTree, Graph, NodeId};
+use randcast_graph::{generators, CsrTree, Graph};
 
 const N: usize = 10_000;
-const BLOCKS: u64 = 20;
 const Z_MAX: f64 = 4.5;
 
 /// The fixed graph and the BFS tree every tree kernel builds on it.
@@ -27,8 +28,8 @@ fn graph_and_tree() -> (Graph, CsrTree) {
     (g, tree)
 }
 
-/// Successes of a per-edge law: Bernoulli(`q`) events counted one per
-/// (internal node, lane) pair.
+/// Successes of a law: Bernoulli(`q`) events, one per (node, lane) or
+/// per lane.
 #[derive(Default)]
 struct Binomial {
     trials: u64,
@@ -36,9 +37,10 @@ struct Binomial {
 }
 
 impl Binomial {
-    fn add(&mut self, hit: bool) {
-        self.trials += 1;
-        self.hits += u64::from(hit);
+    /// Counts one event per lane of `trials`, a hit where `hits` is set.
+    fn add(&mut self, trials: LaneMask, hits: LaneMask) {
+        self.trials += u64::from(trials.count_ones());
+        self.hits += u64::from((trials & hits).count_ones());
     }
 
     /// The z-score of the hit count under Binomial(trials, `q`).
@@ -48,31 +50,26 @@ impl Binomial {
     }
 }
 
-/// Calls `edge(parent's state, its children's state)` for every
-/// internal tree node in every lane of every block, `state(block, lane)`
-/// giving each node's final state, after checking that all of a node's
-/// children end in the same state (they share their parent's coins).
+/// Calls `edge(parent, child)` for every internal tree node with the
+/// lanes in which it and its children ended in state (`state(v)` gives
+/// node `v`'s lanes), after checking that all of a node's children end
+/// in the same lanes: they share their parent's coins.
 fn per_edge(
     tree: &CsrTree,
-    mut state: impl FnMut(u64, u32) -> Vec<bool>,
-    mut edge: impl FnMut(bool, bool),
+    state: impl Fn(u32) -> LaneMask,
+    mut edge: impl FnMut(LaneMask, LaneMask),
 ) {
-    for b in 0..BLOCKS {
-        for lane in 0..LANES as u32 {
-            let state = state(b, lane);
-            for &u in tree.order() {
-                let kids = tree.children_of(u as usize);
-                let Some(&first) = kids.first() else {
-                    continue;
-                };
-                let child = state[first as usize];
-                assert!(
-                    kids.iter().all(|&c| state[c as usize] == child),
-                    "siblings under {u} differ in block {b} lane {lane}"
-                );
-                edge(state[u as usize], child);
-            }
-        }
+    for &u in tree.order() {
+        let kids = tree.children_of(u as usize);
+        let Some(&first) = kids.first() else {
+            continue;
+        };
+        let child = state(first);
+        assert!(
+            kids.iter().all(|&c| state(c) == child),
+            "siblings under {u} differ"
+        );
+        edge(state(u), child);
     }
 }
 
@@ -80,33 +77,24 @@ fn per_edge(
 fn simple_omission_adopts_per_phase_with_probability_one_minus_p_to_the_m() {
     // A correct internal node passes the bit to all of its children iff
     // one of its m transmissions survives: one adoption coin per
-    // (phase, lane) at q = 1 − p^m.
+    // (phase, lane) at q = 1 − p^m. 20 blocks, 1,280 lanes.
     let (g, tree) = graph_and_tree();
     let p = 0.3;
     for m in [2usize, 3] {
         let plan = FastSimple::new(&g, g.node(0), m);
         let model = Omission::new(p);
         let mut law = Binomial::default();
-        let mut batch = None;
-        per_edge(
-            &tree,
-            |b, lane| {
-                if lane == 0 {
-                    batch = Some(plan.run_batch_model(&model, 0x5140 + 100 * m as u64 + b, !0));
-                }
-                let out = batch.as_ref().expect("block run").lane_outcome(lane);
-                (0..N as u32)
-                    .map(|v| out.is_correct(NodeId::from(v)))
-                    .collect()
-            },
-            |parent, child| {
-                if parent {
-                    law.add(child);
-                } else {
-                    assert!(!child, "a child adopted from an uninformed parent");
-                }
-            },
-        );
+        for b in 0..20 {
+            let batch = plan.run_batch_model(&model, 0x5140 + 100 * m as u64 + b, !0);
+            per_edge(
+                &tree,
+                |v| batch.lanes(v),
+                |parent, child| {
+                    assert_eq!(child & !parent, 0, "a child adopted from a wrong parent");
+                    law.add(parent, child);
+                },
+            );
+        }
         let z = law.z(1.0 - p.powi(m as i32));
         assert!(law.trials > 1_000_000, "m = {m}: {} events", law.trials);
         assert!(
@@ -121,46 +109,95 @@ fn simple_omission_adopts_per_phase_with_probability_one_minus_p_to_the_m() {
 fn tree_flip_flood_children_inherit_the_parent_value_through_one_coin() {
     // Every delivery succeeds; a child holds its parent's value XOR the
     // parent's corruption coin: the true bit with probability 1 − p
-    // under a correct parent, p under a wrong one.
+    // under a correct parent, p under a wrong one. 80 blocks, 5,120
+    // lanes.
     let (g, tree) = graph_and_tree();
     let p = 0.1;
     // The horizon exceeds the tree depth, so every node hears a value.
     let plan = FastFlood::new(&g, g.node(0), N, FastFloodVariant::Tree);
     let model = FlipFault::new(p);
     let (mut under_correct, mut under_wrong) = (Binomial::default(), Binomial::default());
-    let mut batch = None;
-    per_edge(
-        &tree,
-        |b, lane| {
-            if lane == 0 {
-                batch = Some(plan.run_batch_model(&model, 0xF100 + b, !0));
-            }
-            let out = batch.as_ref().expect("block run").lane_outcome(lane);
-            (0..N as u32)
-                .map(|v| out.is_informed(NodeId::from(v)))
-                .collect()
-        },
-        |parent, child| {
-            if parent {
-                under_correct.add(child);
-            } else {
-                under_wrong.add(child);
-            }
-        },
-    );
+    for b in 0..80 {
+        let batch = plan.run_batch_model(&model, 0xF100 + b, !0);
+        per_edge(
+            &tree,
+            |v| batch.lanes(v),
+            |parent, child| {
+                under_correct.add(parent, child);
+                under_wrong.add(!parent, child);
+            },
+        );
+    }
     for (law, q, label) in [
         (&under_correct, 1.0 - p, "correct"),
         (&under_wrong, p, "wrong"),
     ] {
         let z = law.z(q);
         assert!(
-            law.trials > 100_000,
+            law.trials > 400_000,
             "{label} parents: {} events",
             law.trials
         );
         assert!(
             z.abs() < Z_MAX,
             "{label} parents: z = {z:.2} over {} events",
+            law.trials
+        );
+    }
+}
+
+/// P(every node of the source component is informed by round `t`) for
+/// tree flooding under omission at rate `p`: `F_v(s)`, the probability
+/// that `v`'s subtree is informed within `s` rounds of `v`, is
+/// `Σ_{g=1..s} (1 − p) p^(g−1) Π_{c child of v} F_c(s − g)` — siblings
+/// share their parent's delay `g` — with `F ≡ 1` at leaves.
+fn tree_completion_cdf(tree: &CsrTree, p: f64, t: usize) -> f64 {
+    let mut f: Vec<Vec<f64>> = vec![Vec::new(); N];
+    let at = |f: &[Vec<f64>], c: u32, r: usize| f[c as usize].get(r).copied().unwrap_or(1.0);
+    for &v in tree.order().iter().rev() {
+        let kids = tree.children_of(v as usize);
+        if kids.is_empty() {
+            continue;
+        }
+        let all_kids: Vec<f64> = (0..=t)
+            .map(|r| kids.iter().map(|&c| at(&f, c, r)).product())
+            .collect();
+        f[v as usize] = (0..=t)
+            .map(|s| {
+                (1..=s)
+                    .map(|g| (1.0 - p) * p.powi(g as i32 - 1) * all_kids[s - g])
+                    .sum()
+            })
+            .collect();
+    }
+    at(&f, tree.order()[0], t)
+}
+
+#[test]
+fn tree_omission_flood_completes_by_t_with_the_tree_dp_probability() {
+    // Whether a lane informed its whole source component by the horizon
+    // t is a Bernoulli(F(t)) indicator, independent across lanes. 128
+    // blocks, 8,192 lanes, per horizon.
+    let (g, tree) = graph_and_tree();
+    let p = 0.3;
+    for t in [15usize, 16] {
+        let exact = tree_completion_cdf(&tree, p, t);
+        assert!((0.2..=0.8).contains(&exact), "t = {t}: F = {exact}");
+        let plan = FastFlood::new(&g, g.node(0), t, FastFloodVariant::Tree);
+        let model = Omission::new(p);
+        let mut law = Binomial::default();
+        for b in 0..128 {
+            let batch = plan.run_batch_model(&model, 0x7500 + 100 * t as u64 + b, !0);
+            let done = (0..LANES as u32)
+                .filter(|&lane| batch.informed_count(lane) == tree.component_size())
+                .fold(0, |mask, lane| mask | 1 << lane);
+            law.add(!0, done);
+        }
+        let z = law.z(exact);
+        assert!(
+            z.abs() < Z_MAX,
+            "t = {t}: F = {exact:.4}, observed {} of {}, z = {z:.2}",
+            law.hits,
             law.trials
         );
     }

@@ -233,6 +233,20 @@ impl ShardPlan {
         self.bounds.partition_point(|&b| b <= v) - 1
     }
 
+    /// The shards a [`PassLoader::walk`] over `order` visits, one per
+    /// maximal same-shard run.
+    #[must_use]
+    pub fn runs(&self, order: &[u32]) -> Vec<usize> {
+        let mut runs = Vec::new();
+        for &u in order {
+            let s = self.shard_of(u);
+            if runs.last() != Some(&s) {
+                runs.push(s);
+            }
+        }
+        runs
+    }
+
     /// The shard boundaries (`shard_count() + 1` entries, first `0`,
     /// last `n`).
     #[must_use]
@@ -1687,11 +1701,6 @@ impl<'s> PassLoader<'s> {
         requested.saturating_mul(SPARSE_RATIO) < (end - start) as usize
     }
 
-    /// Announces an explicit full-view shard sequence (prefetch hint).
-    pub fn begin_pass(&mut self, full: &[usize]) {
-        self.prefetch.begin_pass(full);
-    }
-
     /// Announces a pass over per-shard row lists (`lists[s]` for shard
     /// `s`, one per shard of the plan) and returns the order to walk the
     /// shards in: the shards
@@ -1751,6 +1760,37 @@ impl<'s> PassLoader<'s> {
         } else {
             self.view_full(s)
         }
+    }
+
+    /// Walks `order` in maximal same-shard runs, one full view per run,
+    /// calling `visit(i, order[i], row)` until it returns `false`.
+    /// `runs` ([`ShardPlan::runs`] of the order) is announced up front,
+    /// so a disk store's next segment read overlaps the current run.
+    ///
+    /// # Errors
+    ///
+    /// Exactly [`ShardStore::view`]'s errors.
+    #[inline]
+    pub fn walk(
+        &mut self,
+        order: &[u32],
+        runs: &[usize],
+        mut visit: impl FnMut(usize, u32, &[u32]) -> bool,
+    ) -> Result<(), ShardError> {
+        self.prefetch.begin_pass(runs);
+        let mut i = 0;
+        while i < order.len() {
+            let s = self.plan().shard_of(order[i]);
+            let (start, end) = self.plan().range(s);
+            let view = self.view_full(s)?;
+            while i < order.len() && (start..end).contains(&order[i]) {
+                if !visit(i, order[i], view.targets_of(order[i])) {
+                    return Ok(());
+                }
+                i += 1;
+            }
+        }
+        Ok(())
     }
 }
 
@@ -2507,6 +2547,40 @@ mod tests {
         let mut loader = PassLoader::new(&ram, true);
         for _ in 0..3 {
             assert_eq!(walk_pass(&mut loader, &ram, &lists), (vec![0, 1, 2, 3], 0));
+        }
+    }
+
+    #[test]
+    fn walk_serves_the_order_row_by_row_and_stops_on_request() {
+        // The BFS (level, id) order of a 4-segment disk store: every
+        // position gets its own node and exactly its row, with or
+        // without prefetch, and a `false` ends the walk at once.
+        let n = 4000u32;
+        let disk = disk_store(n, 4);
+        let csr = Graph::from_edges(n as usize, &chord_edges(n));
+        let order = csr.bfs_tree(0).order().to_vec();
+        let runs = disk.plan().runs(&order);
+        assert!(runs.len() > 4 && runs.windows(2).all(|w| w[0] != w[1]));
+        for prefetch in [true, false] {
+            let mut loader = PassLoader::new(&disk, prefetch);
+            let mut next = 0;
+            loader
+                .walk(&order, &runs, |i, u, row| {
+                    assert_eq!((i, u), (next, order[next]));
+                    assert_eq!(row, csr.targets_of(u), "row {u}");
+                    next += 1;
+                    true
+                })
+                .expect("walk");
+            assert_eq!(next, order.len());
+            let mut visited = 0;
+            loader
+                .walk(&order, &runs, |_, _, _| {
+                    visited += 1;
+                    visited < 10
+                })
+                .expect("walk");
+            assert_eq!(visited, 10);
         }
     }
 
