@@ -44,7 +44,7 @@ fn bench_broadcasts(c: &mut Criterion) {
     group.bench_function("kucera_tree", |b| {
         b.iter(|| {
             kucera
-                .run(&g, p, FailureBehavior::Flip, 3, true)
+                .run(p, FailureBehavior::Flip, 3, true)
                 .correct_count(true)
         })
     });

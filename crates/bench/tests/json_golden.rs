@@ -5,7 +5,7 @@
 //! one nondeterministic field, `wall_ms`, normalized to zero) is
 //! byte-identical to a committed golden file — locking in the schema,
 //! the writer's format, and the determinism of the sweep outcomes from
-//! the root seed. Nine reports are pinned:
+//! the root seed. Twelve reports are pinned:
 //!
 //! * `exp_e4_datalink`, the cheapest Monte-Carlo binary, through the
 //!   trait-object message-passing engine;
@@ -26,7 +26,11 @@
 //!   blocks and lanes are all in the report;
 //! * `exp_scale_xl`, whose out-of-core rows run a scalar lane and a
 //!   64-lane block of every kernel over a 3-segment disk store — the
-//!   only pin on the graph-variant flood passes.
+//!   only pin on the graph-variant flood passes;
+//! * `exp_e6_flood_time`, `exp_e7_kucera` and `exp_ablations`, whose
+//!   Monte-Carlo cells run the trait-object `FloodPlan`, Kučera's tree
+//!   lift and `SimplePlan` on the message-passing engine, so a change
+//!   to the spanning tree those plans read moves a report.
 
 use std::path::{Path, PathBuf};
 use std::process::Command;
@@ -200,6 +204,30 @@ fn out_of_core_quick_json_matches_the_golden_file() {
     );
 
     assert_matches_golden(report, "exp_scale_xl_quick.json");
+}
+
+#[test]
+fn flood_time_quick_json_matches_the_golden_file() {
+    let report = quick_report(env!("CARGO_BIN_EXE_exp_e6_flood_time"), &[]);
+    assert_eq!(report.experiment, "e6_flood_time");
+    assert_eq!(report.cells.len(), 9);
+    assert_matches_golden(report, "exp_e6_quick.json");
+}
+
+#[test]
+fn kucera_quick_json_matches_the_golden_file() {
+    let report = quick_report(env!("CARGO_BIN_EXE_exp_e7_kucera"), &[]);
+    assert_eq!(report.experiment, "e7_kucera");
+    assert_eq!(report.cells.len(), 34);
+    assert_matches_golden(report, "exp_e7_quick.json");
+}
+
+#[test]
+fn ablations_quick_json_matches_the_golden_file() {
+    let report = quick_report(env!("CARGO_BIN_EXE_exp_ablations"), &[]);
+    assert_eq!(report.experiment, "ablations");
+    assert_eq!(report.cells.len(), 17);
+    assert_matches_golden(report, "exp_ablations_quick.json");
 }
 
 #[test]

@@ -17,8 +17,10 @@
 use randcast_engine::adversary::FlipMpAdversary;
 use randcast_engine::fault::{FaultConfig, FaultKind};
 use randcast_engine::mp::{MpNetwork, MpNode, Outgoing};
-use randcast_graph::{traversal, Graph, NodeId, SpanningTree};
+use randcast_graph::{traversal, CsrTree, Graph, NodeId};
 use randcast_stats::chernoff;
+
+use crate::simple::{relay, spanning_tree};
 
 /// Which edges carry the flood.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -83,11 +85,11 @@ pub fn theorem_horizon(graph: &Graph, source: NodeId, p: f64) -> usize {
     chernoff::flood_horizon(d, p, 4.0 * (n as f64).ln()).max(1)
 }
 
-/// A compiled flooding plan: spanning tree plus horizon.
+/// A compiled flooding plan: spanning tree plus horizon. The graph
+/// variant transmits along the rows of the graph each run is given.
 #[derive(Clone, Debug)]
 pub struct FloodPlan {
-    children: Vec<Vec<NodeId>>,
-    neighbors: Vec<Vec<NodeId>>,
+    tree: CsrTree,
     source: NodeId,
     horizon: usize,
     variant: FloodVariant,
@@ -120,13 +122,8 @@ impl FloodPlan {
         horizon: usize,
         variant: FloodVariant,
     ) -> Self {
-        let tree = SpanningTree::bfs(graph, source);
         FloodPlan {
-            children: graph.nodes().map(|v| tree.children(v).to_vec()).collect(),
-            neighbors: graph
-                .nodes()
-                .map(|v| graph.neighbors(v).collect())
-                .collect(),
+            tree: spanning_tree(graph, source),
             source,
             horizon,
             variant,
@@ -162,16 +159,18 @@ impl FloodPlan {
         }
     }
 
-    fn targets_of(&self, v: NodeId) -> Vec<NodeId> {
+    /// The nodes `v` transmits to: its tree children, or its row of
+    /// `graph`.
+    fn targets_of<'a>(&'a self, graph: &'a Graph, v: NodeId) -> &'a [u32] {
         match self.variant {
-            FloodVariant::Tree => self.children[v.index()].clone(),
-            FloodVariant::Graph => self.neighbors[v.index()].clone(),
+            FloodVariant::Tree => self.tree.children_of(v.index()),
+            FloodVariant::Graph => graph.targets_of(u32::from(v)),
         }
     }
 
     fn run_omission(&self, graph: &Graph, fault: FaultConfig, seed: u64) -> FloodOutcome {
         let mut net = MpNetwork::new(graph, fault, seed, |v| FloodNode {
-            targets: self.targets_of(v),
+            targets: self.targets_of(graph, v),
             informed_at: (v == self.source).then_some(0),
         });
         for _ in 0..self.horizon {
@@ -189,7 +188,7 @@ impl FloodPlan {
     fn run_malicious(&self, graph: &Graph, fault: FaultConfig, seed: u64) -> FloodOutcome {
         let mut net =
             MpNetwork::with_adversary(graph, fault, FlipMpAdversary, seed, |v| FloodValueNode {
-                targets: self.targets_of(v),
+                targets: self.targets_of(graph, v),
                 informed_at: (v == self.source).then_some(0),
                 value: true,
             });
@@ -214,17 +213,17 @@ impl FloodPlan {
 
 /// Flooding automaton: once informed, transmit to targets every round.
 #[derive(Clone, Debug)]
-struct FloodNode {
-    targets: Vec<NodeId>,
+struct FloodNode<'a> {
+    targets: &'a [u32],
     informed_at: Option<usize>,
 }
 
-impl MpNode for FloodNode {
+impl MpNode for FloodNode<'_> {
     type Msg = bool;
 
     fn send(&mut self, _round: usize) -> Outgoing<bool> {
-        if self.informed_at.is_some() && !self.targets.is_empty() {
-            Outgoing::Directed(self.targets.iter().map(|&c| (c, true)).collect())
+        if self.informed_at.is_some() {
+            relay(self.targets, true)
         } else {
             Outgoing::Silent
         }
@@ -243,18 +242,18 @@ impl MpNode for FloodNode {
 /// parent-level transmitter poisons the node; bits delivered after the
 /// informing round are ignored (the adopted value is final).
 #[derive(Clone, Debug)]
-struct FloodValueNode {
-    targets: Vec<NodeId>,
+struct FloodValueNode<'a> {
+    targets: &'a [u32],
     informed_at: Option<usize>,
     value: bool,
 }
 
-impl MpNode for FloodValueNode {
+impl MpNode for FloodValueNode<'_> {
     type Msg = bool;
 
     fn send(&mut self, _round: usize) -> Outgoing<bool> {
-        if self.informed_at.is_some() && !self.targets.is_empty() {
-            Outgoing::Directed(self.targets.iter().map(|&c| (c, self.value)).collect())
+        if self.informed_at.is_some() {
+            relay(self.targets, self.value)
         } else {
             Outgoing::Silent
         }

@@ -21,7 +21,7 @@
 //! [`CompiledPlan`] flattens a plan into a deterministic event schedule
 //! (single-bit transmissions and local majority votes); and
 //! [`CompiledPlan::run_tree`] executes it along every branch of a BFS
-//! tree simultaneously — a node transmits once per step to all its
+//! tree ([`CsrTree`]) simultaneously — a node transmits once per step to all its
 //! children under a single fault coin, exactly the paper's per-node
 //! transmitter-failure model.
 //!
@@ -34,9 +34,11 @@ use std::collections::HashMap;
 use std::error::Error;
 use std::fmt;
 
-use randcast_graph::{Graph, NodeId, SpanningTree};
+use randcast_graph::{CsrTree, Graph, NodeId};
 use randcast_stats::chernoff::binomial_upper_tail;
 use randcast_stats::seed::splitmix64;
+
+use crate::simple::spanning_tree;
 
 /// Why a Kučera plan could not be constructed. Planning failures are
 /// *configuration* errors (infeasible `p`, impossible amplification
@@ -524,10 +526,11 @@ impl CompiledPlan {
         }
     }
 
-    /// Executes the plan along every branch of the BFS spanning tree of
-    /// `graph` rooted at `source`: line position `i` is played by all
-    /// tree nodes at depth `i`; a transmitting node sends one bit to all
-    /// of its children under a single per-(node, round) fault coin.
+    /// Executes the plan along every branch of `tree`, a BFS tree
+    /// ([`Graph::bfs_tree`]) rooted at the source: line position `i` is
+    /// played by all tree nodes at depth `i`; a transmitting node sends
+    /// one bit to all of its children under a single per-(node, round)
+    /// fault coin. Nodes outside the tree keep the default bit 0.
     ///
     /// Faults flip/drop/randomize per `behavior` with probability `p`,
     /// independently per (node, round) — the paper's transmitter model.
@@ -539,30 +542,24 @@ impl CompiledPlan {
     #[must_use]
     pub fn run_tree(
         &self,
-        graph: &Graph,
-        source: NodeId,
+        tree: &CsrTree,
         p: f64,
         behavior: FailureBehavior,
         seed: u64,
         source_bit: bool,
     ) -> KuceraOutcome {
         assert!((0.0..1.0).contains(&p), "failure probability out of range");
-        let tree = SpanningTree::bfs(graph, source);
         assert!(
             tree.depth() <= self.len,
             "plan covers {} hops but tree depth is {}",
             self.len,
             tree.depth()
         );
-        let n = graph.node_count();
-        // Nodes grouped by level for fast op application.
-        let mut by_level: Vec<Vec<NodeId>> = vec![Vec::new(); tree.depth() + 1];
-        for v in graph.nodes() {
-            by_level[tree.level(v)].push(v);
-        }
+        let n = tree.node_count();
+        let by_level = level_runs(tree);
         // Per-node register files.
         let mut regs: Vec<Vec<Option<bool>>> = vec![vec![None; self.n_regs as usize]; n];
-        regs[source.index()][0] = Some(source_bit);
+        regs[tree.order()[0] as usize][0] = Some(source_bit);
 
         for op in &self.ops {
             match op {
@@ -575,17 +572,17 @@ impl CompiledPlan {
                     if *from_pos >= by_level.len() {
                         continue; // beyond the deepest level: dummy region
                     }
-                    for &u in &by_level[*from_pos] {
-                        let children = tree.children(u);
+                    for &u in by_level[*from_pos] {
+                        let children = tree.children_of(u as usize);
                         if children.is_empty() {
                             continue;
                         }
                         // A silent reception earlier in the chain is
                         // relayed as the default bit 0.
-                        let bit = regs[u.index()][src.0 as usize].unwrap_or(false);
+                        let bit = regs[u as usize][src.0 as usize].unwrap_or(false);
                         let delivered = deliver(bit, p, behavior, seed, u, *time);
                         for &c in children {
-                            regs[c.index()][dst.0 as usize] = delivered;
+                            regs[c as usize][dst.0 as usize] = delivered;
                         }
                     }
                 }
@@ -593,30 +590,47 @@ impl CompiledPlan {
                     if *pos >= by_level.len() {
                         continue;
                     }
-                    for &u in &by_level[*pos] {
-                        let ballots: Vec<bool> = srcs
-                            .iter()
-                            .filter_map(|r| regs[u.index()][r.0 as usize])
-                            .collect();
+                    for &u in by_level[*pos] {
+                        let regs = &mut regs[u as usize];
+                        let ballots: Vec<bool> =
+                            srcs.iter().filter_map(|r| regs[r.0 as usize]).collect();
                         let ones = ballots.iter().filter(|&&b| b).count();
-                        regs[u.index()][dst.0 as usize] = Some(2 * ones > ballots.len());
+                        regs[dst.0 as usize] = Some(2 * ones > ballots.len());
                     }
                 }
             }
         }
 
-        let values = graph
-            .nodes()
-            .map(|v| {
-                let reg = self.final_reg[tree.level(v)];
-                regs[v.index()][reg.0 as usize].unwrap_or(false)
-            })
-            .collect();
+        let mut values = vec![false; n];
+        for (level, nodes) in by_level.iter().enumerate() {
+            let reg = self.final_reg[level].0 as usize;
+            for &v in *nodes {
+                values[v as usize] = regs[v as usize][reg].unwrap_or(false);
+            }
+        }
         KuceraOutcome {
             values,
             rounds: self.time,
         }
     }
+}
+
+/// The tree's order cut into its BFS levels, which the order lists one
+/// after another: level `d + 1` is exactly the children of level `d`.
+fn level_runs(tree: &CsrTree) -> Vec<&[u32]> {
+    let order = tree.order();
+    let mut runs = Vec::with_capacity(tree.depth() + 1);
+    let (mut start, mut end) = (0, 1);
+    while start < end {
+        let level = &order[start..end];
+        runs.push(level);
+        start = end;
+        end += level
+            .iter()
+            .map(|&u| tree.children_of(u as usize).len())
+            .sum::<usize>();
+    }
+    runs
 }
 
 /// Resolves one faulty-or-not transmission of `bit` from node `u` at
@@ -626,7 +640,7 @@ fn deliver(
     p: f64,
     behavior: FailureBehavior,
     seed: u64,
-    u: NodeId,
+    u: u32,
     time: usize,
 ) -> Option<bool> {
     if p == 0.0 {
@@ -635,7 +649,7 @@ fn deliver(
     // Deterministic per-(node, time) coin, independent of op processing
     // order.
     let h = splitmix64(
-        splitmix64(seed ^ (u.index() as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15))
+        splitmix64(seed ^ u64::from(u).wrapping_mul(0x9E37_79B9_7F4A_7C15))
             ^ (time as u64).wrapping_mul(0xD1B5_4A32_D192_ED03),
     );
     let unit = (h >> 11) as f64 / (1u64 << 53) as f64;
@@ -656,7 +670,7 @@ fn deliver(
 #[derive(Clone, Debug)]
 pub struct KuceraBroadcast {
     compiled: CompiledPlan,
-    source: NodeId,
+    tree: CsrTree,
 }
 
 impl KuceraBroadcast {
@@ -671,14 +685,14 @@ impl KuceraBroadcast {
     ///
     /// Panics if the graph is disconnected from `source`.
     pub fn new(graph: &Graph, source: NodeId, p: f64) -> Result<Self, KuceraError> {
-        let tree = SpanningTree::bfs(graph, source);
+        let tree = spanning_tree(graph, source);
         let len = tree.depth().max(1);
         let n = graph.node_count().max(2);
         let target = 1.0 / (2.0 * (n * n) as f64);
         let plan = Plan::for_line(len, p, target)?;
         Ok(KuceraBroadcast {
             compiled: plan.compile(),
-            source,
+            tree,
         })
     }
 
@@ -688,18 +702,17 @@ impl KuceraBroadcast {
         self.compiled.time()
     }
 
-    /// Executes one broadcast.
+    /// Executes one broadcast on the graph the plan was built for.
     #[must_use]
     pub fn run(
         &self,
-        graph: &Graph,
         p: f64,
         behavior: FailureBehavior,
         seed: u64,
         source_bit: bool,
     ) -> KuceraOutcome {
         self.compiled
-            .run_tree(graph, self.source, p, behavior, seed, source_bit)
+            .run_tree(&self.tree, p, behavior, seed, source_bit)
     }
 }
 
@@ -774,24 +787,24 @@ mod tests {
 
     #[test]
     fn fault_free_execution_delivers_everywhere() {
-        let g = generators::path(9);
+        let tree = generators::path(9).bfs_tree(0);
         let plan = Plan::for_line(9, 0.3, 1e-4).expect("feasible");
         let c = plan.compile();
         for bit in [false, true] {
-            let out = c.run_tree(&g, g.node(0), 0.0, FailureBehavior::Flip, 1, bit);
+            let out = c.run_tree(&tree, 0.0, FailureBehavior::Flip, 1, bit);
             assert!(out.all_correct(bit), "bit={bit}");
         }
     }
 
     #[test]
     fn flip_faults_mostly_corrected() {
-        let g = generators::path(20);
+        let tree = generators::path(20).bfs_tree(0);
         let p = 0.25;
         let plan = Plan::for_line(20, p, 1e-6).expect("feasible");
         let c = plan.compile();
         let mut ok = 0;
         for seed in 0..40 {
-            let out = c.run_tree(&g, g.node(0), p, FailureBehavior::Flip, seed, true);
+            let out = c.run_tree(&tree, p, FailureBehavior::Flip, seed, true);
             ok += usize::from(out.all_correct(true));
         }
         assert!(ok >= 38, "ok={ok}");
@@ -805,11 +818,11 @@ mod tests {
         let plan = Plan::basic(p).serial(3);
         let bound = plan.error_bound();
         let c = plan.compile();
-        let g = generators::path(3);
+        let tree = generators::path(3).bfs_tree(0);
         let trials = 2000;
         let mut wrong_end = 0;
         for seed in 0..trials {
-            let out = c.run_tree(&g, g.node(0), p, FailureBehavior::Flip, seed, true);
+            let out = c.run_tree(&tree, p, FailureBehavior::Flip, seed, true);
             wrong_end += usize::from(!out.values[3]);
         }
         let rate = wrong_end as f64 / trials as f64;
@@ -826,7 +839,7 @@ mod tests {
         let kb = KuceraBroadcast::new(&g, g.node(0), p).expect("feasible");
         let mut ok = 0;
         for seed in 0..30 {
-            let out = kb.run(&g, p, FailureBehavior::Flip, seed, true);
+            let out = kb.run(p, FailureBehavior::Flip, seed, true);
             ok += usize::from(out.all_correct(true));
         }
         assert!(ok >= 28, "ok={ok}");
@@ -836,18 +849,18 @@ mod tests {
     fn drop_behavior_defaults_to_zero_bias() {
         // With Drop behavior and source bit 0, drops can only help
         // (default is 0): success should be at least as high as with bit 1.
-        let g = generators::path(10);
+        let tree = generators::path(10).bfs_tree(0);
         let p = 0.3;
         let plan = Plan::for_line(10, p, 1e-4).expect("feasible").compile();
         let mut ok0 = 0;
         let mut ok1 = 0;
         for seed in 0..50 {
             ok0 += usize::from(
-                plan.run_tree(&g, g.node(0), p, FailureBehavior::Drop, seed, false)
+                plan.run_tree(&tree, p, FailureBehavior::Drop, seed, false)
                     .all_correct(false),
             );
             ok1 += usize::from(
-                plan.run_tree(&g, g.node(0), p, FailureBehavior::Drop, seed, true)
+                plan.run_tree(&tree, p, FailureBehavior::Drop, seed, true)
                     .all_correct(true),
             );
         }
@@ -857,7 +870,7 @@ mod tests {
 
     #[test]
     fn random_bit_behavior_is_weaker_than_flip() {
-        let g = generators::path(12);
+        let tree = generators::path(12).bfs_tree(0);
         let p = 0.35;
         // Weak plan to surface differences.
         let plan = Plan::basic(p).repeat(3).serial(12).compile();
@@ -865,11 +878,11 @@ mod tests {
         let mut rand_ok = 0;
         for seed in 0..300 {
             flip_ok += usize::from(
-                plan.run_tree(&g, g.node(0), p, FailureBehavior::Flip, seed, true)
+                plan.run_tree(&tree, p, FailureBehavior::Flip, seed, true)
                     .all_correct(true),
             );
             rand_ok += usize::from(
-                plan.run_tree(&g, g.node(0), p, FailureBehavior::RandomBit, seed, true)
+                plan.run_tree(&tree, p, FailureBehavior::RandomBit, seed, true)
                     .all_correct(true),
             );
         }
@@ -878,10 +891,10 @@ mod tests {
 
     #[test]
     fn deterministic_given_seed() {
-        let g = generators::path(8);
+        let tree = generators::path(8).bfs_tree(0);
         let plan = Plan::for_line(8, 0.3, 1e-4).expect("feasible").compile();
-        let a = plan.run_tree(&g, g.node(0), 0.3, FailureBehavior::Flip, 9, true);
-        let b = plan.run_tree(&g, g.node(0), 0.3, FailureBehavior::Flip, 9, true);
+        let a = plan.run_tree(&tree, 0.3, FailureBehavior::Flip, 9, true);
+        let b = plan.run_tree(&tree, 0.3, FailureBehavior::Flip, 9, true);
         assert_eq!(a, b);
     }
 
@@ -889,17 +902,17 @@ mod tests {
     fn single_node_graph() {
         let g = generators::path(0);
         let kb = KuceraBroadcast::new(&g, g.node(0), 0.3).expect("feasible");
-        let out = kb.run(&g, 0.3, FailureBehavior::Flip, 0, true);
+        let out = kb.run(0.3, FailureBehavior::Flip, 0, true);
         assert!(out.all_correct(true));
     }
 
     #[test]
     fn intermediate_nodes_also_decided() {
         // Every node, not just the endpoint, must end with the bit.
-        let g = generators::path(15);
+        let tree = generators::path(15).bfs_tree(0);
         let p = 0.2;
         let plan = Plan::for_line(15, p, 1e-8).expect("feasible").compile();
-        let out = plan.run_tree(&g, g.node(0), p, FailureBehavior::Flip, 3, true);
+        let out = plan.run_tree(&tree, p, FailureBehavior::Flip, 3, true);
         assert_eq!(out.values.len(), 16);
         assert_eq!(out.correct_count(true), 16);
     }

@@ -1003,10 +1003,7 @@ impl PreparedScenario {
                 } else {
                     FailureBehavior::Drop
                 };
-                TrialOutcome::pass(
-                    kb.run(g, fault.p.get(), behavior, seed, bit)
-                        .all_correct(bit),
-                )
+                TrialOutcome::pass(kb.run(fault.p.get(), behavior, seed, bit).all_correct(bit))
             }
             PlanKind::SelfTimed(plan) => TrialOutcome::pass(if malicious {
                 plan.run(g, fault, FlipMpAdversary, seed, bit)

@@ -29,17 +29,15 @@ use std::collections::VecDeque;
 
 use randcast_engine::fault::FaultConfig;
 use randcast_engine::mp::{MpAdversary, MpNetwork, MpNode, Outgoing};
-use randcast_graph::{Graph, NodeId, SpanningTree};
+use randcast_graph::{CsrTree, Graph, NodeId};
 use randcast_stats::chernoff;
 
-use crate::simple::BroadcastOutcome;
+use crate::simple::{relay, spanning_tree, BroadcastOutcome};
 
 /// A compiled self-timed plan (tree + window length + horizon).
 #[derive(Clone, Debug)]
 pub struct SelfTimedPlan {
-    parent: Vec<Option<NodeId>>,
-    children: Vec<Vec<NodeId>>,
-    source: NodeId,
+    tree: CsrTree,
     m: usize,
     horizon: usize,
     mode: SelfTimedMode,
@@ -98,12 +96,10 @@ impl SelfTimedPlan {
     #[must_use]
     pub fn with_window(graph: &Graph, source: NodeId, m: usize, mode: SelfTimedMode) -> Self {
         assert!(m > 0, "window length must be positive");
-        let tree = SpanningTree::bfs(graph, source);
+        let tree = spanning_tree(graph, source);
         let horizon = (tree.depth() + 1) * m;
         SelfTimedPlan {
-            parent: graph.nodes().map(|v| tree.parent(v)).collect(),
-            children: graph.nodes().map(|v| tree.children(v).to_vec()).collect(),
-            source,
+            tree,
             m,
             horizon,
             mode,
@@ -132,10 +128,11 @@ impl SelfTimedPlan {
         source_bit: bool,
     ) -> BroadcastOutcome {
         let mut net = MpNetwork::with_adversary(graph, fault, adversary, seed, |v| {
-            let is_source = v == self.source;
+            let parent = self.tree.parent(v.index()).map(NodeId::from);
+            let is_source = parent.is_none();
             SelfTimedNode {
-                parent: self.parent[v.index()],
-                children: self.children[v.index()].clone(),
+                parent,
+                children: self.tree.children_of(v.index()),
                 m: self.m,
                 mode: self.mode,
                 value: is_source.then_some(source_bit),
@@ -151,11 +148,11 @@ impl SelfTimedPlan {
     }
 }
 
-/// Self-timed automaton.
+/// Self-timed automaton; it reads its children from the plan's tree.
 #[derive(Clone, Debug)]
-struct SelfTimedNode {
+struct SelfTimedNode<'t> {
     parent: Option<NodeId>,
-    children: Vec<NodeId>,
+    children: &'t [u32],
     m: usize,
     mode: SelfTimedMode,
     value: Option<bool>,
@@ -166,7 +163,7 @@ struct SelfTimedNode {
     history: VecDeque<Option<bool>>,
 }
 
-impl SelfTimedNode {
+impl SelfTimedNode<'_> {
     /// Sliding-majority acceptance check over the last `m` observations.
     fn sliding_accept(&self) -> Option<bool> {
         for bit in [true, false] {
@@ -179,7 +176,7 @@ impl SelfTimedNode {
     }
 }
 
-impl MpNode for SelfTimedNode {
+impl MpNode for SelfTimedNode<'_> {
     type Msg = bool;
 
     fn send(&mut self, round: usize) -> Outgoing<bool> {
@@ -199,11 +196,7 @@ impl MpNode for SelfTimedNode {
         }
         match (self.value, self.window_from) {
             (Some(bit), Some(from)) if round >= from && round < from + self.m => {
-                if self.children.is_empty() {
-                    Outgoing::Silent
-                } else {
-                    Outgoing::Directed(self.children.iter().map(|&c| (c, bit)).collect())
-                }
+                relay(self.children, bit)
             }
             _ => Outgoing::Silent,
         }

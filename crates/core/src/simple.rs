@@ -20,7 +20,7 @@
 use randcast_engine::fault::FaultConfig;
 use randcast_engine::mp::{MpAdversary, MpNetwork, MpNode, Outgoing};
 use randcast_engine::radio::{RadioAction, RadioAdversary, RadioNetwork, RadioNode};
-use randcast_graph::{Graph, NodeId, SpanningTree};
+use randcast_graph::{CsrTree, Graph, NodeId};
 use randcast_stats::chernoff;
 
 /// How a node aggregates the bits heard during its parent's phase.
@@ -62,18 +62,40 @@ impl BroadcastOutcome {
     }
 }
 
+/// The BFS spanning tree of `graph` rooted at `source`, which the tree
+/// protocols require to span the whole graph.
+///
+/// # Panics
+///
+/// Panics if some node is unreachable from `source`.
+pub(crate) fn spanning_tree(graph: &Graph, source: NodeId) -> CsrTree {
+    let tree = graph.bfs_tree(u32::from(source));
+    assert!(
+        tree.component_size() == graph.node_count(),
+        "graph is not connected to the source"
+    );
+    tree
+}
+
+/// `bit` sent to each node of `targets` (a tree or graph row); silent
+/// for an empty row.
+pub(crate) fn relay(targets: &[u32], bit: bool) -> Outgoing<bool> {
+    if targets.is_empty() {
+        return Outgoing::Silent;
+    }
+    Outgoing::Directed(targets.iter().map(|&c| (NodeId::from(c), bit)).collect())
+}
+
 /// A compiled schedule for `Simple-Omission` / `Simple-Malicious`:
-/// the spanning tree, the level-order enumeration, and the phase length.
+/// the spanning tree, whose order is the phase order `v1..vn`, and the
+/// phase length.
 #[derive(Clone, Debug)]
 pub struct SimplePlan {
-    /// Phase index of each node (indexed by node id): node with phase `k`
-    /// transmits during rounds `[k·m, (k+1)·m)`.
+    tree: CsrTree,
+    /// Phase index of each node (indexed by node id), the inverse of
+    /// the tree's order: node with phase `k` transmits during rounds
+    /// `[k·m, (k+1)·m)`.
     phase_of: Vec<usize>,
-    /// Tree parent of each node (`None` for the source).
-    parent: Vec<Option<NodeId>>,
-    /// Tree children of each node.
-    children: Vec<Vec<NodeId>>,
-    source: NodeId,
     mode: VoteMode,
     m: usize,
 }
@@ -134,22 +156,24 @@ impl SimplePlan {
     #[must_use]
     pub fn with_phase_len(graph: &Graph, source: NodeId, m: usize, mode: VoteMode) -> Self {
         assert!(m > 0, "phase length must be positive");
-        let tree = SpanningTree::bfs(graph, source);
-        let order = tree.level_order();
+        let tree = spanning_tree(graph, source);
         let mut phase_of = vec![0usize; graph.node_count()];
-        for (k, &v) in order.iter().enumerate() {
-            phase_of[v.index()] = k;
+        for (k, &v) in tree.order().iter().enumerate() {
+            phase_of[v as usize] = k;
         }
-        let parent = graph.nodes().map(|v| tree.parent(v)).collect();
-        let children = graph.nodes().map(|v| tree.children(v).to_vec()).collect();
         SimplePlan {
+            tree,
             phase_of,
-            parent,
-            children,
-            source,
             mode,
             m,
         }
+    }
+
+    /// The BFS spanning tree the plan relays along; its order is the
+    /// phase order.
+    #[must_use]
+    pub fn tree(&self) -> &CsrTree {
+        &self.tree
     }
 
     /// The phase length `m`.
@@ -171,13 +195,14 @@ impl SimplePlan {
     }
 
     /// Builds the automaton for node `v` with the given source bit.
-    fn node(&self, v: NodeId, source_bit: bool) -> SimpleNode {
-        let is_source = v == self.source;
+    fn node(&self, v: NodeId, source_bit: bool) -> SimpleNode<'_> {
+        let parent = self.tree.parent(v.index());
+        let is_source = parent.is_none();
         SimpleNode {
             my_window: window(self.phase_of[v.index()], self.m),
-            parent: self.parent[v.index()],
-            parent_window: self.parent[v.index()].map(|p| window(self.phase_of[p.index()], self.m)),
-            children: self.children[v.index()].clone(),
+            parent: parent.map(NodeId::from),
+            parent_window: parent.map(|p| window(self.phase_of[p as usize], self.m)),
+            children: self.tree.children_of(v.index()),
             mode: self.mode,
             value: is_source.then_some(source_bit),
             is_source,
@@ -252,13 +277,13 @@ fn majority(votes: &[bool]) -> bool {
 }
 
 /// The per-node automaton shared by both algorithm variants and both
-/// communication models.
+/// communication models; it reads its children from the plan's tree.
 #[derive(Clone, Debug)]
-struct SimpleNode {
+struct SimpleNode<'t> {
     my_window: Window,
     parent: Option<NodeId>,
     parent_window: Option<Window>,
-    children: Vec<NodeId>,
+    children: &'t [u32],
     mode: VoteMode,
     value: Option<bool>,
     is_source: bool,
@@ -266,7 +291,7 @@ struct SimpleNode {
     decided: bool,
 }
 
-impl SimpleNode {
+impl SimpleNode<'_> {
     /// Accepts a bit heard during the parent's phase.
     fn observe(&mut self, round: usize, bit: bool) {
         let Some(w) = self.parent_window else {
@@ -310,14 +335,13 @@ impl SimpleNode {
     }
 }
 
-impl MpNode for SimpleNode {
+impl MpNode for SimpleNode<'_> {
     type Msg = bool;
 
     fn send(&mut self, round: usize) -> Outgoing<bool> {
         self.maybe_decide(round);
-        if self.my_window.contains(round) && !self.children.is_empty() {
-            let bit = self.transmit_bit();
-            Outgoing::Directed(self.children.iter().map(|&c| (c, bit)).collect())
+        if self.my_window.contains(round) {
+            relay(self.children, self.transmit_bit())
         } else {
             Outgoing::Silent
         }
@@ -330,7 +354,7 @@ impl MpNode for SimpleNode {
     }
 }
 
-impl RadioNode for SimpleNode {
+impl RadioNode for SimpleNode<'_> {
     type Msg = bool;
 
     fn act(&mut self, round: usize) -> RadioAction<bool> {
@@ -360,6 +384,15 @@ mod tests {
     use randcast_engine::mp::SilentMpAdversary;
     use randcast_engine::radio::SilentRadioAdversary;
     use randcast_graph::generators;
+
+    #[test]
+    #[should_panic(expected = "not connected")]
+    fn plan_panics_on_disconnected() {
+        let mut b = randcast_graph::GraphBuilder::new(3);
+        b.edge(0, 1);
+        let g = b.finish().unwrap();
+        let _ = SimplePlan::with_phase_len(&g, g.node(0), 1, VoteMode::Any);
+    }
 
     #[test]
     fn majority_defaults_to_false() {

@@ -100,8 +100,8 @@ proptest! {
         prop_assert_eq!(c.time(), plan.time());
         // Fault-free execution on a line of exactly the plan's length
         // delivers the bit everywhere.
-        let g = randcast_graph::generators::path(plan.len());
-        let out = c.run_tree(&g, g.node(0), 0.0, FailureBehavior::Flip, 0, bit);
+        let tree = randcast_graph::generators::path(plan.len()).bfs_tree(0);
+        let out = c.run_tree(&tree, 0.0, FailureBehavior::Flip, 0, bit);
         prop_assert!(out.all_correct(bit));
     }
 

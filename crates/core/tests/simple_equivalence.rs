@@ -16,7 +16,10 @@
 //!   scenario, comparing mean correct-node counts (and scenario-level
 //!   success rates) under a Welch-style confidence tolerance (4
 //!   standard errors — with fixed seeds the tests are deterministic,
-//!   and the margin makes the pinned draws comfortably interior).
+//!   and the margin makes the pinned draws comfortably interior);
+//! * the trait-object plan keeps the exact per-edge relay law on the
+//!   tree it holds: a decided node's children all adopt its bit in its
+//!   phase with probability `q = 1 − p^m`, independently across parents.
 
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -24,7 +27,7 @@ use rand::SeedableRng;
 use randcast_core::scenario::{
     Algorithm, GraphFamily, Model, Scenario, ShardSpec, SIMPLE_FAST_MIN_N,
 };
-use randcast_core::simple::SimplePlan;
+use randcast_core::simple::{SimplePlan, VoteMode};
 use randcast_engine::fault::FaultConfig;
 use randcast_engine::mp::SilentMpAdversary;
 use randcast_engine::radio::SilentRadioAdversary;
@@ -227,4 +230,65 @@ fn scenario_level_simple_paths_agree() {
             &summarize(&f_rates),
         );
     }
+}
+
+/// Runs of the per-edge relay law per model, on fixed seeds.
+const RELAY_RUNS: u64 = 400;
+
+/// The per-edge relay law of `SimplePlan` under omission with
+/// [`VoteMode::Any`], read off the plan's own tree. In its phase a node
+/// sends its bit (the default 0 if undecided) to all of its children at
+/// once, and a failed step silences every send, so the children share
+/// the node's `m` fault coins: given a decided node holding `b`, all of
+/// its children adopt `b` with probability `q = 1 − p^m`, or none does.
+/// The coins are independent across nodes, so over every decided
+/// internal node of every run the adoptions are `Bin(trials, q)`.
+/// Returns the binomial z-score.
+fn relay_law_z(model: Model) -> f64 {
+    let g = generators::grid(8, 8);
+    let (m, q) = (8, 0.3);
+    let p = (1.0f64 - q).powf(1.0 / m as f64);
+    let plan = SimplePlan::with_phase_len(&g, g.node(0), m, VoteMode::Any);
+    let tree = plan.tree();
+    let (mut trials, mut hits) = (0u64, 0u64);
+    for seed in 0..RELAY_RUNS {
+        let fault = FaultConfig::omission(p);
+        let values = match model {
+            Model::Mp => plan.run_mp(&g, fault, SilentMpAdversary, seed, SOURCE_BIT),
+            Model::Radio => plan.run_radio(&g, fault, SilentRadioAdversary, seed, SOURCE_BIT),
+        }
+        .values;
+        for &v in tree.order() {
+            let (children, Some(bit)) = (tree.children_of(v as usize), values[v as usize]) else {
+                continue;
+            };
+            let Some(&first) = children.first() else {
+                continue;
+            };
+            let adopted = values[first as usize];
+            for &c in children {
+                assert_eq!(values[c as usize], adopted, "siblings under {v} disagree");
+            }
+            assert!(
+                adopted.is_none() || adopted == Some(bit),
+                "{v}'s child flipped"
+            );
+            trials += 1;
+            hits += u64::from(adopted.is_some());
+        }
+    }
+    let t = trials as f64;
+    (hits as f64 - t * q) / (t * q * (1.0 - q)).sqrt()
+}
+
+#[test]
+fn trait_simple_relay_law_holds_per_edge_mp() {
+    let z = relay_law_z(Model::Mp);
+    assert!(z.abs() <= 4.5, "mp relay law: z = {z:.2}");
+}
+
+#[test]
+fn trait_simple_relay_law_holds_per_edge_radio() {
+    let z = relay_law_z(Model::Radio);
+    assert!(z.abs() <= 4.5, "radio relay law: z = {z:.2}");
 }

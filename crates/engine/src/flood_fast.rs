@@ -116,11 +116,10 @@ impl FastFlood {
     #[must_use]
     pub fn new(graph: &Graph, source: NodeId, horizon: usize, variant: FastFloodVariant) -> Self {
         let n = graph.node_count();
-        let tree = graph.bfs_tree(u32::from(source));
-        let order = tree.order().to_vec();
+        let (order, child_offsets, children) = graph.bfs_tree(u32::from(source)).into_parts();
         let (offsets, targets) = match variant {
             FastFloodVariant::Graph => graph.clone().into_raw_parts(),
-            FastFloodVariant::Tree => tree.into_children_csr(),
+            FastFloodVariant::Tree => (child_offsets, children),
         };
         let store = ShardStore::Ram(RamShards::new(offsets, targets, ShardPlan::uniform(n, 1)));
         FastFlood {

@@ -226,9 +226,7 @@ impl FastSimple {
     #[must_use]
     pub fn new(graph: &Graph, source: NodeId, m: usize) -> Self {
         let n = graph.node_count();
-        let tree = graph.bfs_tree(u32::from(source));
-        let order = tree.order().to_vec();
-        let (child_offsets, children) = tree.into_children_csr();
+        let (order, child_offsets, children) = graph.bfs_tree(u32::from(source)).into_parts();
         let store = ShardStore::Ram(RamShards::new(
             child_offsets,
             children,

@@ -1,6 +1,6 @@
 //! The flat `u32` compressed-sparse-row machinery behind [`Graph`]:
-//! its counting sort, that sort's typed errors, and the BFS child-list
-//! tree the fast kernels share.
+//! its counting sort, that sort's typed errors, and the BFS spanning
+//! tree every tree protocol shares.
 //!
 //! `u32` ids address 4 × 10⁹ nodes, which covers the 10⁸ scale tier with
 //! room to spare. Every [`Graph`] constructor — [`GraphBuilder`], the
@@ -14,11 +14,11 @@
 //! width check runs before the range check, so a `u64` endpoint that
 //! cannot fit the word is reported as exactly that.
 //!
-//! [`CsrTree`] is the BFS spanning structure the kernels share: the
-//! level order of the source's component plus per-parent child lists in
-//! one flat CSR, computed without touching nodes outside the component
-//! (so disconnected graphs are fine — the almost-complete broadcast
-//! regime).
+//! [`CsrTree`] is the BFS spanning tree the trait-object plans and the
+//! fast kernels share: the level order of the source's component, each
+//! node's parent, and per-parent child lists in one flat CSR, computed
+//! without touching nodes outside the component (so disconnected graphs
+//! are fine — the almost-complete broadcast regime).
 //!
 //! [`GraphBuilder`]: crate::GraphBuilder
 
@@ -185,19 +185,48 @@ where
     Ok((compact_offsets, targets))
 }
 
-/// The BFS spanning structure of one source component: the paper's
-/// `v1..vn` level-order enumeration plus flat per-parent child lists —
-/// everything the fast broadcast kernels need from a spanning tree.
+/// Marks the source and the nodes outside its component in
+/// [`CsrTree`]'s parent array.
+const NO_PARENT: u32 = u32::MAX;
+
+/// The BFS spanning tree of one source component — the tree the paper's
+/// algorithms build "centrally in a preprocessing stage": the `v1..vn`
+/// level-order enumeration, each node's parent, and flat per-parent
+/// child lists. Every tree protocol, trait-object or fast kernel, reads
+/// this one type.
+///
+/// It is a FIFO BFS over the sorted rows: a node's parent is its first
+/// discoverer, each parent's children come out in ascending id order,
+/// and the order is (level, id). Nodes outside the source's component
+/// are never touched, so disconnected graphs are fine.
+///
+/// # Example
+///
+/// ```
+/// use randcast_graph::generators;
+///
+/// let g = generators::grid(3, 3);
+/// let t = g.bfs_tree(0);
+/// assert_eq!(t.order()[0], 0);
+/// assert_eq!(t.parent(0), None);
+/// assert_eq!(t.depth(), 4);
+/// assert_eq!(t.children_of(0), &[1, 3]);
+/// ```
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct CsrTree {
     /// The source component in the paper's enumeration order:
     /// nondecreasing BFS level, ties broken by node id (`order[0]` is
     /// the source). Nodes outside the component do not appear.
     order: Vec<u32>,
+    /// Each node's parent, indexed by graph node id ([`NO_PARENT`] for
+    /// the source and for nodes outside its component).
+    parent: Vec<u32>,
     /// `n + 1` row boundaries into `children`, indexed by graph node id.
     child_offsets: Vec<u32>,
     /// Concatenated child lists, ascending per parent.
     children: Vec<u32>,
+    /// The deepest level: the source's radius within its component.
+    depth: usize,
 }
 
 impl CsrTree {
@@ -206,8 +235,7 @@ impl CsrTree {
     pub(crate) fn bfs(graph: &Graph, source: u32) -> CsrTree {
         let n = graph.node_count();
         assert!((source as usize) < n, "source out of range");
-        const UNSET: u32 = u32::MAX;
-        let mut parent = vec![UNSET; n];
+        let mut parent = vec![NO_PARENT; n];
         let mut level = vec![0u32; n];
         let mut order: Vec<u32> = Vec::new();
         parent[source as usize] = source;
@@ -217,19 +245,22 @@ impl CsrTree {
             let u = order[head];
             head += 1;
             for &v in graph.targets_of(u) {
-                if parent[v as usize] == UNSET {
+                if parent[v as usize] == NO_PARENT {
                     parent[v as usize] = u;
                     level[v as usize] = level[u as usize] + 1;
                     order.push(v);
                 }
             }
         }
+        parent[source as usize] = NO_PARENT;
         // The paper's enumeration `v1..vn`: nondecreasing level, ties
-        // broken by node id (matching `SpanningTree::level_order`).
+        // broken by node id.
         order.sort_unstable_by_key(|&v| (level[v as usize], v));
-        let mut degree = vec![0u32; n];
-        for (v, &p) in parent.iter().enumerate() {
-            if p != UNSET && p as usize != v {
+        let depth = level[order[order.len() - 1] as usize] as usize;
+        let mut degree = level;
+        degree.fill(0);
+        for &p in &parent {
+            if p != NO_PARENT {
                 degree[p as usize] += 1;
             }
         }
@@ -240,21 +271,23 @@ impl CsrTree {
             acc += d;
             child_offsets.push(acc);
         }
+        drop(degree);
         let mut children = vec![0u32; acc as usize];
         let mut cursor = child_offsets.clone();
-        // Children in BFS-discovery order (== ascending node id per
-        // parent, since neighbor rows are sorted).
+        // Children in (level, id) order == ascending id per parent.
         for &v in &order {
             let p = parent[v as usize];
-            if p != v {
+            if p != NO_PARENT {
                 children[cursor[p as usize] as usize] = v;
                 cursor[p as usize] += 1;
             }
         }
         CsrTree {
             order,
+            parent,
             child_offsets,
             children,
+            depth,
         }
     }
 
@@ -266,10 +299,31 @@ impl CsrTree {
         &self.order
     }
 
+    /// Number of nodes of the graph the tree was built on.
+    #[must_use]
+    pub fn node_count(&self) -> usize {
+        self.parent.len()
+    }
+
     /// Number of nodes reachable from the source (component size).
     #[must_use]
     pub fn component_size(&self) -> usize {
         self.order.len()
+    }
+
+    /// The deepest level of the tree: for a BFS tree, the paper's `D`
+    /// (the source's radius within its component).
+    #[must_use]
+    pub fn depth(&self) -> usize {
+        self.depth
+    }
+
+    /// The parent of node `v`: `None` for the source and for nodes
+    /// outside the source's component.
+    #[must_use]
+    pub fn parent(&self, v: usize) -> Option<u32> {
+        let p = self.parent[v];
+        (p != NO_PARENT).then_some(p)
     }
 
     /// The children of node `v` (empty for leaves and for nodes outside
@@ -279,12 +333,12 @@ impl CsrTree {
         &self.children[self.child_offsets[v] as usize..self.child_offsets[v + 1] as usize]
     }
 
-    /// Consumes the tree into its `(child_offsets, children)` CSR
-    /// arrays — the transmission-target structure of tree-based
-    /// broadcast kernels.
+    /// Consumes the tree into its order and its `(child_offsets,
+    /// children)` CSR arrays — what the fast kernels walk and transmit
+    /// along.
     #[must_use]
-    pub fn into_children_csr(self) -> (Vec<u32>, Vec<u32>) {
-        (self.child_offsets, self.children)
+    pub fn into_parts(self) -> (Vec<u32>, Vec<u32>, Vec<u32>) {
+        (self.order, self.child_offsets, self.children)
     }
 }
 
@@ -292,7 +346,8 @@ impl CsrTree {
 mod tests {
     use super::*;
     use crate::shard::{EdgeSink, ShardError};
-    use crate::{generators, SpanningTree};
+    use crate::{generators, traversal, NodeId};
+    use std::collections::VecDeque;
 
     #[test]
     fn from_edges_sorts_and_merges_duplicates() {
@@ -422,26 +477,82 @@ mod tests {
         }
     }
 
+    /// A textbook queue BFS, kept as the reference the CSR builder must
+    /// reproduce: each node's parent and level, and per-parent child
+    /// lists in discovery order.
+    fn queue_bfs(g: &Graph, root: NodeId) -> (Vec<Option<NodeId>>, Vec<usize>, Vec<Vec<NodeId>>) {
+        let n = g.node_count();
+        let mut parent = vec![None::<NodeId>; n];
+        let mut level = vec![usize::MAX; n];
+        let mut children = vec![Vec::new(); n];
+        let mut queue = VecDeque::from([root]);
+        level[root.index()] = 0;
+        while let Some(u) = queue.pop_front() {
+            for v in g.neighbors(u) {
+                if v != root && parent[v.index()].is_none() {
+                    parent[v.index()] = Some(u);
+                    level[v.index()] = level[u.index()] + 1;
+                    children[u.index()].push(v);
+                    queue.push_back(v);
+                }
+            }
+        }
+        (parent, level, children)
+    }
+
     #[test]
     fn bfs_tree_matches_spanning_tree() {
         let g = generators::grid(4, 6);
         let tree = g.bfs_tree(0);
-        let reference = SpanningTree::bfs(&g, g.node(0));
-        let ref_order: Vec<u32> = reference
-            .level_order()
-            .iter()
-            .map(|&v| u32::from(v))
-            .collect();
+        let (parent, level, children) = queue_bfs(&g, g.node(0));
+        let mut ref_order: Vec<u32> = (0..g.node_count() as u32).collect();
+        ref_order.sort_by_key(|&v| (level[v as usize], v));
         assert_eq!(tree.order(), ref_order.as_slice());
         assert_eq!(tree.component_size(), g.node_count());
+        assert_eq!(tree.depth(), level.iter().copied().max().unwrap());
         for v in g.nodes() {
-            let expect: Vec<u32> = reference
-                .children(v)
-                .iter()
-                .map(|&c| u32::from(c))
-                .collect();
+            let expect: Vec<u32> = children[v.index()].iter().map(|&c| u32::from(c)).collect();
             assert_eq!(tree.children_of(v.index()), expect.as_slice(), "{v}");
+            assert_eq!(
+                tree.parent(v.index()),
+                parent[v.index()].map(u32::from),
+                "{v}"
+            );
         }
+    }
+
+    #[test]
+    fn bfs_tree_on_path_is_the_path() {
+        let g = generators::path(4);
+        let t = g.bfs_tree(0);
+        assert_eq!(t.depth(), 4);
+        assert_eq!(t.parent(0), None);
+        for i in 1..=4 {
+            assert_eq!(t.parent(i), Some(i as u32 - 1));
+        }
+        assert_eq!(t.children_of(2), &[3]);
+        assert!(t.children_of(4).is_empty());
+    }
+
+    #[test]
+    fn level_order_respects_levels() {
+        let g = generators::grid(3, 3);
+        let t = g.bfs_tree(0);
+        let level = traversal::bfs_distances(&g, g.node(0));
+        let order = t.order();
+        assert_eq!(order[0], 0);
+        for w in order.windows(2) {
+            assert!(level[w[0] as usize] <= level[w[1] as usize]);
+        }
+        assert_eq!(order.len(), g.node_count());
+    }
+
+    #[test]
+    fn star_tree_depth_one() {
+        let g = generators::star(5);
+        let t = g.bfs_tree(0);
+        assert_eq!(t.depth(), 1);
+        assert_eq!(t.children_of(0).len(), 5);
     }
 
     #[test]
@@ -456,7 +567,13 @@ mod tests {
         let far = g.bfs_tree(3);
         assert_eq!(far.order(), &[3, 4]);
         assert_eq!(far.children_of(3), &[4]);
-        let (offsets, children) = far.into_children_csr();
+        assert_eq!(
+            (far.parent(4), far.parent(3), far.parent(0)),
+            (Some(3), None, None)
+        );
+        assert_eq!(far.depth(), 1);
+        let (order, offsets, children) = far.into_parts();
+        assert_eq!(order, vec![3, 4]);
         assert_eq!(offsets.len(), 6);
         assert_eq!(children, vec![4]);
     }
@@ -469,5 +586,6 @@ mod tests {
         assert!(g.targets_of(0).is_empty());
         let tree = g.bfs_tree(0);
         assert_eq!(tree.component_size(), 1);
+        assert_eq!((tree.depth(), tree.parent(0)), (0, None));
     }
 }

@@ -247,9 +247,9 @@ impl Graph {
         (self.offsets, self.targets)
     }
 
-    /// The BFS spanning structure rooted at `source`: level order and
-    /// per-parent child lists over the source's component only, so the
-    /// graph may be disconnected.
+    /// The BFS spanning tree rooted at `source`: level order, parents
+    /// and per-parent child lists over the source's component only, so
+    /// the graph may be disconnected.
     ///
     /// # Panics
     ///

@@ -10,7 +10,9 @@
 //!   large-`n` fast-path kernels read as raw rows, built by one
 //!   counting sort from a validating [`GraphBuilder`] or straight from
 //!   an edge list (the memory-lean path the scalable generators use),
-//! * [`CsrTree`] — the BFS child-list structure the fast kernels share,
+//! * [`CsrTree`] — the rooted BFS spanning tree every tree protocol runs
+//!   on ([`Graph::bfs_tree`]): the level-order enumeration `v1..vn` of
+//!   Sections 2 and 3, each node's parent, and per-parent child lists,
 //! * [`shard`] — node-range shard plans, views, and the out-of-core
 //!   spill/segment store that carry one trial to `n = 10⁸` under a fixed
 //!   RAM budget,
@@ -20,25 +22,23 @@
 //!   ([`generators::lower_bound_graph`]),
 //! * [`traversal`] — BFS distances, source radius (the paper's `D`),
 //!   diameter and connectivity,
-//! * [`SpanningTree`] — rooted BFS spanning trees with the level-order
-//!   enumeration `v1..vn` and root-to-leaf branches used by the algorithms
-//!   of Sections 2 and 3,
 //! * [`dot`] — Graphviz export for debugging and figures.
 //!
 //! # Example
 //!
 //! ```
-//! use randcast_graph::{generators, traversal, SpanningTree};
+//! use randcast_graph::{generators, traversal};
 //!
 //! let g = generators::grid(4, 5);
 //! let source = g.node(0);
 //! assert!(traversal::is_connected(&g));
 //!
-//! let tree = SpanningTree::bfs(&g, source);
+//! let tree = g.bfs_tree(0);
 //! assert_eq!(tree.depth(), traversal::radius_from(&g, source));
-//! // The paper's enumeration v1..vn respects BFS levels:
-//! let order = tree.level_order();
-//! assert_eq!(order[0], source);
+//! // The paper's enumeration v1..vn starts at the source and spans the
+//! // graph:
+//! assert_eq!(tree.order()[0], 0);
+//! assert_eq!(tree.component_size(), g.node_count());
 //! ```
 
 #![forbid(unsafe_code)]
@@ -47,7 +47,6 @@
 mod csr;
 mod graph;
 mod node;
-mod tree;
 
 pub mod dot;
 pub mod generators;
@@ -57,4 +56,3 @@ pub mod traversal;
 pub use csr::{CsrError, CsrTree};
 pub use graph::{Graph, GraphBuilder};
 pub use node::NodeId;
-pub use tree::SpanningTree;

@@ -509,22 +509,28 @@ impl ShardScratch {
     }
 }
 
+/// Byte size of the bounded decode buffer behind segment and spill
+/// reads.
+const CHUNK: usize = 1 << 20;
+
 /// Bounded decode buffer: stream `words` little-endian `u32`s from
 /// `reader` into `out` without buffering the whole payload.
 ///
-/// Both `out` and `buf` keep their allocations across calls: `buf` is
-/// pinned at the chunk size once, and `out` is only re-zeroed where it
-/// grows past its previous length, so back-to-back loads of same-sized
-/// segments never touch memory they are not about to overwrite.
+/// Both `out` and `buf` keep their allocations across calls: `buf` grows
+/// only to the bytes a read needs, capped at `CHUNK`, and `out` is
+/// only re-zeroed where it grows past its previous length, so a small
+/// segment never zero-fills a whole chunk and back-to-back loads of
+/// same-sized segments never touch memory they are not about to
+/// overwrite.
 fn read_words(
     reader: &mut impl Read,
     out: &mut Vec<u32>,
     words: usize,
     buf: &mut Vec<u8>,
 ) -> io::Result<()> {
-    const CHUNK: usize = 1 << 20;
-    if buf.len() < CHUNK {
-        buf.resize(CHUNK, 0);
+    let need = words.saturating_mul(4).min(CHUNK);
+    if buf.len() < need {
+        buf.resize(need, 0);
     }
     if out.len() > words {
         out.truncate(words);
@@ -800,7 +806,7 @@ impl SpillSink {
             }
             // Pass 1: per-row degree from the bucket stream.
             let mut degree = vec![0u32; rows];
-            stream_records(&spill, s, &mut scratch.buf, |src, _| {
+            stream_records(&spill, s, shard_half_edges, &mut scratch.buf, |src, _| {
                 degree[(src - start) as usize] += 1;
             })?;
             let mut offsets = Vec::with_capacity(rows + 1);
@@ -814,7 +820,7 @@ impl SpillSink {
             // Pass 2: scatter targets, then sort + dedup per row.
             let mut targets = vec![0u32; acc as usize];
             let mut cursor = offsets.clone();
-            stream_records(&spill, s, &mut scratch.buf, |src, dst| {
+            stream_records(&spill, s, shard_half_edges, &mut scratch.buf, |src, dst| {
                 let c = &mut cursor[(src - start) as usize];
                 targets[*c as usize] = dst;
                 *c += 1;
@@ -880,25 +886,32 @@ impl SpillSink {
 }
 
 /// Streams the 8-byte `(src, dst)` records of shard `shard`'s spill
-/// bucket through `f`, using `buf` as the bounded decode buffer. IO
-/// failures carry the bucket's shard index and path.
+/// bucket, which holds `records` of them, through `f`, using `buf` as
+/// the bounded decode buffer (grown to the bucket's bytes, capped at
+/// `CHUNK`). IO failures carry the bucket's shard index and path.
 fn stream_records(
     path: &Path,
     shard: usize,
+    records: u64,
     buf: &mut Vec<u8>,
     mut f: impl FnMut(u32, u32),
 ) -> Result<(), ShardError> {
-    const CHUNK: usize = 1 << 20;
     let seg_io = |source: io::Error| ShardError::SegmentIo {
         shard,
         path: path.to_path_buf(),
         source,
     };
     let mut file = File::open(path).map_err(seg_io)?;
-    buf.resize(CHUNK, 0);
+    // At least one record, so that a torn tail past the counted records
+    // is still read and reported.
+    let cap = records.saturating_mul(8).clamp(8, CHUNK as u64) as usize;
+    if buf.len() < cap {
+        buf.resize(cap, 0);
+    }
+    let buf = &mut buf[..cap];
     loop {
         let mut filled = 0usize;
-        while filled < CHUNK {
+        while filled < cap {
             let got = file.read(&mut buf[filled..]).map_err(seg_io)?;
             if got == 0 {
                 break;
@@ -920,7 +933,7 @@ fn stream_records(
             let dst = u32::from_le_bytes([rec[4], rec[5], rec[6], rec[7]]);
             f(src, dst);
         }
-        if filled < CHUNK {
+        if filled < cap {
             return Ok(());
         }
     }
@@ -1230,19 +1243,30 @@ impl Drop for Reader {
     }
 }
 
-/// The segment buffers of a disk-backed [`PrefetchingStore`]: `cur`,
-/// the buffer served last (what live views point into between `view`
-/// calls), and with prefetch on a second buffer that the background
-/// [`Reader`] fills while the caller computes over `cur`. At most two
-/// [`ShardScratch`] buffers exist, so the pipe's RSS contribution is two
-/// segments (one with prefetch off) — the double-buffering the
-/// out-of-core budget story is built on.
+/// The pipelined segment reader behind a disk store's [`PassLoader`]:
+/// segment reads overlap the caller's compute pass on the previous
+/// segment, and a segment one of the two buffers still holds is served
+/// without a read.
 ///
-/// Each buffer is tagged with the segment it holds, or for a buffer out
-/// with the reader, the segment being read into it. A request for a
-/// tagged segment is served without a read. A failed read leaves its
-/// buffer untagged, so the next request for that segment reads it again
-/// and raises the same typed error.
+/// The buffers are `cur`, the buffer served last (what live views point
+/// into between `view` calls), and with prefetch on a second buffer that
+/// the background [`Reader`] fills while the caller computes over `cur`.
+/// At most two [`ShardScratch`] buffers exist, so the pipe's RSS
+/// contribution is two segments (one with prefetch off) — the
+/// double-buffering the out-of-core budget story is built on.
+///
+/// The caller announces each pass's segment sequence up front with
+/// `begin_pass`; `view` then serves held segments from their buffer,
+/// announced ones from the background reader (blocking only for the
+/// part of the read that has not finished yet), and anything else by a
+/// synchronous load. Each buffer is tagged with the segment it holds, or
+/// for a buffer out with the reader, the segment being read into it. A
+/// failed read leaves its buffer untagged, so the next request for that
+/// segment reads it again and raises the same typed error: a truncated
+/// or corrupt segment read in the background surfaces from the `view`
+/// call that asks for it. Prefetching is pure plumbing: the views are
+/// byte-identical to [`ShardStore::view`]'s for every request sequence,
+/// announced or not, so the `--prefetch` knob cannot change outcomes.
 struct Pipe {
     catalog: SegmentCatalog,
     /// The background reader; `None` with prefetch off (or after the
@@ -1275,6 +1299,14 @@ impl Pipe {
             queue: VecDeque::new(),
             reads: 0,
         }
+    }
+
+    /// Announces the segments the upcoming pass will `view`, in order,
+    /// replacing any previous announcement.
+    fn begin_pass(&mut self, upcoming: &[usize]) {
+        self.queue.clear();
+        self.queue.extend(upcoming.iter().copied());
+        self.pump();
     }
 
     /// Whether a buffer holds segment `s`, or the reader is reading it.
@@ -1366,107 +1398,12 @@ impl Pipe {
     }
 }
 
-/// A pipelined reader over a [`ShardStore`]: segment reads for disk
-/// stores overlap the caller's compute pass on the previous segment, and
-/// a segment one of the two buffers still holds is served without a
-/// read.
-///
-/// The caller announces each pass's segment sequence up front with
-/// [`begin_pass`](Self::begin_pass); [`view`](Self::view) then serves
-/// held segments from their buffer, announced ones from the background
-/// reader (blocking only for the part of the read that has not finished
-/// yet), and anything else by a synchronous load. Prefetching is pure
-/// plumbing: the views returned are byte-identical to
-/// [`ShardStore::view`]'s for every request sequence, announced or not,
-/// so the `--prefetch` knob cannot change outcomes. With
-/// `enabled = false` there is no reader thread and one buffer; RAM
-/// stores read nothing.
-///
-/// Typed [`ShardError`]s cross the thread boundary intact: a truncated
-/// or corrupt segment read in the background surfaces from the `view`
-/// call that asks for that segment.
-pub struct PrefetchingStore<'s> {
-    store: &'s ShardStore,
-    /// The segment buffers of a disk store (`None` over RAM).
-    pipe: Option<Pipe>,
-}
-
-impl<'s> PrefetchingStore<'s> {
-    /// Wraps `store`, spawning the background reader only when
-    /// `enabled` holds and the store is on disk.
-    #[must_use]
-    pub fn new(store: &'s ShardStore, enabled: bool) -> Self {
-        let pipe = match store {
-            ShardStore::Disk(d) => Some(Pipe::new(d.catalog.clone(), enabled)),
-            ShardStore::Ram(_) => None,
-        };
-        PrefetchingStore { store, pipe }
-    }
-
-    /// The shard plan of the wrapped store.
-    #[must_use]
-    pub fn plan(&self) -> &ShardPlan {
-        self.store.plan()
-    }
-
-    /// Whether a background reader is running (disk store with
-    /// prefetch enabled).
-    #[must_use]
-    pub fn is_pipelined(&self) -> bool {
-        self.pipe.as_ref().is_some_and(|p| p.reader.is_some())
-    }
-
-    /// Announces the segments the upcoming pass will `view`, in order.
-    /// Replaces any previous announcement; a no-op over RAM.
-    pub fn begin_pass(&mut self, upcoming: &[usize]) {
-        if let Some(pipe) = &mut self.pipe {
-            pipe.queue.clear();
-            pipe.queue.extend(upcoming.iter().copied());
-            pipe.pump();
-        }
-    }
-
-    /// A view of shard `s` — from a buffer that holds it, from the
-    /// background reader when `s` was announced, by synchronous load
-    /// otherwise.
-    ///
-    /// # Errors
-    ///
-    /// Exactly [`ShardStore::view`]'s errors, including those raised on
-    /// the reader thread.
-    pub fn view(&mut self, s: usize) -> Result<ShardView<'_>, ShardError> {
-        match (&mut self.pipe, self.store) {
-            (Some(pipe), _) => pipe.view(s),
-            (None, ShardStore::Ram(ram)) => Ok(ram.view(s)),
-            (None, ShardStore::Disk(_)) => unreachable!("disk stores have a pipe"),
-        }
-    }
-
-    /// Whether a buffer holds segment `s` (or the reader is reading
-    /// it), so that a request for it costs no read.
-    fn holds(&self, s: usize) -> bool {
-        self.pipe.as_ref().is_some_and(|p| p.holds(s))
-    }
-
-    /// Full segment reads issued so far, synchronous or prefetched.
-    fn segment_reads(&self) -> u64 {
-        self.pipe.as_ref().map_or(0, |p| p.reads)
-    }
-
-    /// The shards the buffers hold, the one served last first.
-    fn held(&self) -> [Option<usize>; 2] {
-        self.pipe
-            .as_ref()
-            .map_or([None, None], |p| [p.cur_seg, p.spare_seg])
-    }
-}
-
 /// A borrowed window over an explicitly requested row subset of one
 /// shard, produced by [`SparseLoader::load_rows`]. Target lists are
 /// packed in ascending row order; lookup is by binary search over the
 /// requested row list, so callers may iterate rows in any order.
 #[derive(Clone, Copy, Debug)]
-pub struct RowSetView<'a> {
+struct RowSetView<'a> {
     rows: &'a [u32],
     offsets: &'a [u32],
     targets: &'a [u32],
@@ -1479,18 +1416,11 @@ impl RowSetView<'_> {
     ///
     /// Panics if `v` was not in the requested row set.
     #[inline]
-    #[must_use]
-    pub fn targets_of(&self, v: u32) -> &[u32] {
+    fn targets_of(&self, v: u32) -> &[u32] {
         match self.rows.binary_search(&v) {
             Ok(i) => &self.targets[self.offsets[i] as usize..self.offsets[i + 1] as usize],
             Err(_) => panic!("row {v} was not requested from the sparse loader"),
         }
-    }
-
-    /// Total packed adjacency entries.
-    #[must_use]
-    pub fn entry_count(&self) -> usize {
-        self.targets.len()
     }
 }
 
@@ -1508,7 +1438,7 @@ const COALESCE_GAP_WORDS: u32 = 4096;
 /// `4 · (rows + 1)` bytes per touched shard, one sequential read each,
 /// kept for the loader's lifetime. That cache is the price of skipping
 /// full-segment loads and is counted in the RSS budget (DESIGN.md).
-pub struct SparseLoader<'s> {
+struct SparseLoader<'s> {
     store: &'s ShardStore,
     index: Vec<Option<Vec<u32>>>,
     files: Vec<Option<File>>,
@@ -1519,8 +1449,7 @@ pub struct SparseLoader<'s> {
 
 impl<'s> SparseLoader<'s> {
     /// A loader over `store` with no indexes resident yet.
-    #[must_use]
-    pub fn new(store: &'s ShardStore) -> Self {
+    fn new(store: &'s ShardStore) -> Self {
         let k = store.plan().shard_count();
         SparseLoader {
             store,
@@ -1544,7 +1473,7 @@ impl<'s> SparseLoader<'s> {
     /// Panics on a RAM store (callers gate on
     /// [`PassLoader::use_sparse`]), or if `rows` is unsorted or out of
     /// the shard's range.
-    pub fn load_rows<'a>(
+    fn load_rows<'a>(
         &'a mut self,
         s: usize,
         rows: &'a [u32],
@@ -1641,8 +1570,8 @@ fn segment_read_err(catalog: &SegmentCatalog, s: usize, e: io::Error) -> ShardEr
 /// read, ~2 orders of magnitude more per row — hence the ratio.
 const SPARSE_RATIO: usize = 256;
 
-/// The engines' per-pass segment reader: a [`PrefetchingStore`] for
-/// full-segment passes plus a [`SparseLoader`] for passes that touch a
+/// The engines' per-pass segment reader: a prefetching segment pipe for
+/// full-segment passes plus a sparse row loader for passes that touch a
 /// small fraction of a shard, behind one adaptive threshold.
 ///
 /// Both paths return exactly the bytes [`ShardStore::view`] would, so
@@ -1650,7 +1579,8 @@ const SPARSE_RATIO: usize = 256;
 /// and the shard count — is invisible in outcomes.
 pub struct PassLoader<'s> {
     store: &'s ShardStore,
-    prefetch: PrefetchingStore<'s>,
+    /// The segment buffers of a disk store (`None` over RAM).
+    pipe: Option<Pipe>,
     sparse: SparseLoader<'s>,
     /// The sorted row list of the current sparse view.
     sorted: Vec<u32>,
@@ -1665,9 +1595,13 @@ impl<'s> PassLoader<'s> {
     /// reader (disk stores only).
     #[must_use]
     pub fn new(store: &'s ShardStore, prefetch: bool) -> Self {
+        let pipe = match store {
+            ShardStore::Disk(d) => Some(Pipe::new(d.catalog.clone(), prefetch)),
+            ShardStore::Ram(_) => None,
+        };
         PassLoader {
             store,
-            prefetch: PrefetchingStore::new(store, prefetch),
+            pipe,
             sparse: SparseLoader::new(store),
             sorted: Vec::new(),
             lens: Vec::new(),
@@ -1685,7 +1619,13 @@ impl<'s> PassLoader<'s> {
     /// (sparse row reads are not counted; always 0 over RAM).
     #[must_use]
     pub fn segment_reads(&self) -> u64 {
-        self.prefetch.segment_reads()
+        self.pipe.as_ref().map_or(0, |p| p.reads)
+    }
+
+    /// Whether a buffer holds segment `s` (or the reader is reading
+    /// it), so that a request for it costs no read.
+    fn holds(&self, s: usize) -> bool {
+        self.pipe.as_ref().is_some_and(|p| p.holds(s))
     }
 
     /// Whether a pass touching `requested` rows of shard `s` should use
@@ -1712,7 +1652,10 @@ impl<'s> PassLoader<'s> {
         self.lens.clear();
         self.lens.extend(lists.into_iter().map(<[u32]>::len));
         let order = PassOrder {
-            held: self.prefetch.held(),
+            held: self
+                .pipe
+                .as_ref()
+                .map_or([None, None], |p| [p.cur_seg, p.spare_seg]),
             next: 0,
             shards: self.lens.len(),
         };
@@ -1720,9 +1663,11 @@ impl<'s> PassLoader<'s> {
         full.clear();
         full.extend(order.filter(|&s| {
             let len = self.lens[s];
-            len > 0 && (self.prefetch.holds(s) || !self.use_sparse(s, len))
+            len > 0 && (self.holds(s) || !self.use_sparse(s, len))
         }));
-        self.prefetch.begin_pass(&full);
+        if let Some(pipe) = &mut self.pipe {
+            pipe.begin_pass(&full);
+        }
         self.full = full;
         order
     }
@@ -1736,9 +1681,10 @@ impl<'s> PassLoader<'s> {
     /// Exactly [`ShardStore::view`]'s errors.
     #[inline]
     pub fn view_full(&mut self, s: usize) -> Result<PassView<'_>, ShardError> {
-        match self.store {
-            ShardStore::Ram(ram) => Ok(PassView::Ram(ram)),
-            ShardStore::Disk(_) => Ok(PassView::Full(self.prefetch.view(s)?)),
+        match (self.store, &mut self.pipe) {
+            (ShardStore::Ram(ram), _) => Ok(PassView(Served::Ram(ram))),
+            (ShardStore::Disk(_), Some(pipe)) => Ok(PassView(Served::Full(pipe.view(s)?))),
+            (ShardStore::Disk(_), None) => unreachable!("disk stores have a pipe"),
         }
     }
 
@@ -1752,11 +1698,13 @@ impl<'s> PassLoader<'s> {
     /// Exactly [`ShardStore::view`]'s errors.
     #[inline]
     pub fn view_list(&mut self, s: usize, list: &[u32]) -> Result<PassView<'_>, ShardError> {
-        if !self.prefetch.holds(s) && self.use_sparse(s, list.len()) {
+        if !self.holds(s) && self.use_sparse(s, list.len()) {
             self.sorted.clear();
             self.sorted.extend_from_slice(list);
             self.sorted.sort_unstable();
-            Ok(PassView::Rows(self.sparse.load_rows(s, &self.sorted)?))
+            Ok(PassView(Served::Rows(
+                self.sparse.load_rows(s, &self.sorted)?,
+            )))
         } else {
             self.view_full(s)
         }
@@ -1777,7 +1725,9 @@ impl<'s> PassLoader<'s> {
         runs: &[usize],
         mut visit: impl FnMut(usize, u32, &[u32]) -> bool,
     ) -> Result<(), ShardError> {
-        self.prefetch.begin_pass(runs);
+        if let Some(pipe) = &mut self.pipe {
+            pipe.begin_pass(runs);
+        }
         let mut i = 0;
         while i < order.len() {
             let s = self.plan().shard_of(order[i]);
@@ -1828,7 +1778,10 @@ impl Iterator for PassOrder {
 /// engine passes use. Every kind serves exactly the rows the plain
 /// [`ShardStore::view`] would, so which one a pass got is invisible in
 /// outcomes.
-pub enum PassView<'a> {
+pub struct PassView<'a>(Served<'a>);
+
+/// Where a [`PassView`]'s rows come from.
+enum Served<'a> {
     /// A RAM store's whole arrays (every shard is resident).
     Ram(&'a RamShards),
     /// A full segment view (prefetched or synchronously loaded).
@@ -1847,10 +1800,10 @@ impl PassView<'_> {
     #[inline]
     #[must_use]
     pub fn targets_of(&self, v: u32) -> &[u32] {
-        match self {
-            PassView::Ram(ram) => ram.targets_of(v),
-            PassView::Full(view) => view.targets_of(v),
-            PassView::Rows(view) => view.targets_of(v),
+        match &self.0 {
+            Served::Ram(ram) => ram.targets_of(v),
+            Served::Full(view) => view.targets_of(v),
+            Served::Rows(view) => view.targets_of(v),
         }
     }
 }
@@ -1890,9 +1843,12 @@ impl ShardedBfsTree {
     /// Runs the sharded BFS over `store`'s adjacency from `source` and
     /// finalizes the child lists into directed segments under `dir`.
     ///
-    /// Peak RSS during the build is two `u32` words per node (parent
-    /// and FIFO rank, dropped on return) plus the order, one shard's
-    /// adjacency, and the current level's frontier.
+    /// Each level reads its frontier's rows through one [`PassLoader`]
+    /// (held segments first, prefetch, sparse row reads for small
+    /// frontiers). Peak RSS during the build is two `u32` words per node
+    /// (parent and FIFO rank, dropped on return) plus the order, the
+    /// loader's two segment buffers and row indexes, and the current
+    /// level's frontier.
     ///
     /// # Errors
     ///
@@ -1914,7 +1870,7 @@ impl ShardedBfsTree {
         const UNSET: u32 = u32::MAX;
 
         let mut sink = SpillSink::create_directed(dir, plan.clone())?;
-        let mut scratch = ShardScratch::new();
+        let mut loader = PassLoader::new(store, true);
         let mut parent = vec![UNSET; n];
         let mut rank = vec![UNSET; n];
         parent[source as usize] = source;
@@ -1928,11 +1884,14 @@ impl ShardedBfsTree {
 
         while frontier.iter().any(|l| !l.is_empty()) {
             discovered.clear();
-            for (s, list) in frontier.iter().enumerate() {
+            // The parent is the minimum-rank discoverer and `discovered`
+            // is sorted below, so the shard order cannot reach the tree.
+            for s in loader.begin_lists(frontier.iter().map(Vec::as_slice)) {
+                let list = &frontier[s];
                 if list.is_empty() {
                     continue;
                 }
-                let view = store.view(s, &mut scratch)?;
+                let view = loader.view_list(s, list)?;
                 for &u in list {
                     for &v in view.targets_of(u) {
                         let vi = v as usize;
@@ -2160,7 +2119,7 @@ mod tests {
         let edges = chord_edges(n as u32);
         let csr = Graph::from_edges(n, &edges);
         let reference = csr.bfs_tree(0);
-        let (ref_offsets, ref_children) = reference.clone().into_children_csr();
+        let (_, ref_offsets, ref_children) = reference.clone().into_parts();
         for k in [1usize, 2, 3, 7] {
             let plan = ShardPlan::uniform(n, k);
             let ram = ShardStore::Ram(RamShards::from_graph(csr.clone(), plan.clone()));
@@ -2354,9 +2313,12 @@ mod tests {
             (&[2, 0], &[2, 0, 1, 3]),
             (&[], &[3, 0]),
         ];
+        let ShardStore::Disk(d) = &store else {
+            unreachable!()
+        };
         for enabled in [true, false] {
-            let mut pf = PrefetchingStore::new(&store, enabled);
-            assert_eq!(pf.is_pipelined(), enabled);
+            let mut pf = Pipe::new(d.catalog.clone(), enabled);
+            assert_eq!(pf.reader.is_some(), enabled);
             for &(announce, requests) in sequences {
                 pf.begin_pass(announce);
                 for &s in requests {
@@ -2388,7 +2350,7 @@ mod tests {
             .expect("open")
             .set_len(len - 4)
             .expect("truncate");
-        let mut pf = PrefetchingStore::new(&store, true);
+        let mut pf = Pipe::new(d.catalog.clone(), true);
         pf.begin_pass(&[0, 1, 2]);
         pf.view(0).expect("segment 0 intact");
         match pf.view(1) {
@@ -2422,7 +2384,7 @@ mod tests {
                     assert_eq!(view.targets_of(v), full.targets_of(v), "row {v}");
                 }
             }
-            assert!(loader.load_rows(s, &[]).expect("empty").entry_count() == 0);
+            assert!(loader.load_rows(s, &[]).expect("empty").targets.is_empty());
         }
     }
 
@@ -2436,18 +2398,18 @@ mod tests {
         assert!(!loader.use_sparse(0, 0));
         loader.begin_lists([&[0u32; 3000][..], &[]]);
         let full = loader.view_full(0).expect("full");
-        assert!(matches!(full, PassView::Full(ref v) if v.entry_count() > 0));
+        assert!(matches!(full.0, Served::Full(ref v) if v.entry_count() > 0));
         // Shard 1's segment is not held: a small request reads rows.
         let rows = [5290u32, 5000, 5017];
         let sparse = loader.view_list(1, &rows).expect("sparse");
-        assert!(matches!(sparse, PassView::Rows(_)));
+        assert!(matches!(sparse.0, Served::Rows(_)));
         for v in rows {
             assert!(!sparse.targets_of(v).is_empty());
         }
         // Shard 0's segment is held: the same small request reads nothing.
         let reads = loader.segment_reads();
         let held = loader.view_list(0, &[290, 0, 17]).expect("held");
-        assert!(matches!(held, PassView::Full(_)));
+        assert!(matches!(held.0, Served::Full(_)));
         assert_eq!(loader.segment_reads(), reads);
 
         let edges = chord_edges(64);
@@ -2459,7 +2421,7 @@ mod tests {
         let mut ram_loader = PassLoader::new(&ram, true);
         assert!(!ram_loader.use_sparse(0, 1));
         let view = ram_loader.view_list(1, &[40]).expect("ram view");
-        assert!(matches!(view, PassView::Ram(_)));
+        assert!(matches!(view.0, Served::Ram(_)));
         assert_eq!(view.targets_of(40), csr.targets_of(40));
     }
 

@@ -1,7 +1,9 @@
 //! Property-based tests for graph invariants.
 
 use proptest::prelude::*;
-use randcast_graph::{generators, traversal, Graph, GraphBuilder, NodeId, SpanningTree};
+use std::collections::VecDeque;
+
+use randcast_graph::{generators, traversal, CsrTree, Graph, GraphBuilder, NodeId};
 
 /// Strategy: a random connected graph as (n, extra edge pairs).
 fn connected_graph() -> impl Strategy<Value = randcast_graph::Graph> {
@@ -23,6 +25,39 @@ fn connected_graph() -> impl Strategy<Value = randcast_graph::Graph> {
             }
             b.finish().expect("valid construction")
         })
+}
+
+/// Each node's level in `t`, derived from the parents in one pass over
+/// the order (parents come first).
+fn tree_levels(t: &CsrTree) -> Vec<usize> {
+    let mut level = vec![0usize; t.node_count()];
+    for &v in t.order() {
+        if let Some(p) = t.parent(v as usize) {
+            level[v as usize] = level[p as usize] + 1;
+        }
+    }
+    level
+}
+
+/// A textbook queue BFS, kept as the reference the CSR builder must
+/// reproduce: each node's level and per-parent child lists in
+/// discovery order.
+fn queue_bfs(g: &Graph, root: NodeId) -> (Vec<usize>, Vec<Vec<NodeId>>) {
+    let n = g.node_count();
+    let mut level = vec![usize::MAX; n];
+    let mut children = vec![Vec::new(); n];
+    let mut queue = VecDeque::from([root]);
+    level[root.index()] = 0;
+    while let Some(u) = queue.pop_front() {
+        for v in g.neighbors(u) {
+            if level[v.index()] == usize::MAX {
+                level[v.index()] = level[u.index()] + 1;
+                children[u.index()].push(v);
+                queue.push_back(v);
+            }
+        }
+    }
+    (level, children)
 }
 
 proptest! {
@@ -77,13 +112,14 @@ proptest! {
 
     #[test]
     fn bfs_tree_matches_bfs_levels(g in connected_graph()) {
-        let t = SpanningTree::bfs(&g, g.node(0));
+        let t = g.bfs_tree(0);
+        let level = tree_levels(&t);
         let d = traversal::bfs_distances(&g, g.node(0));
         for v in g.nodes() {
-            prop_assert_eq!(t.level(v), d[v.index()]);
-            if let Some(p) = t.parent(v) {
-                prop_assert!(g.has_edge(p, v));
-                prop_assert_eq!(t.level(p) + 1, t.level(v));
+            prop_assert_eq!(level[v.index()], d[v.index()]);
+            if let Some(p) = t.parent(v.index()) {
+                prop_assert!(g.has_edge(NodeId::from(p), v));
+                prop_assert_eq!(level[p as usize] + 1, level[v.index()]);
             } else {
                 prop_assert_eq!(v, g.node(0));
             }
@@ -93,11 +129,11 @@ proptest! {
 
     #[test]
     fn tree_children_are_inverse_of_parent(g in connected_graph()) {
-        let t = SpanningTree::bfs(&g, g.node(0));
+        let t = g.bfs_tree(0);
         let mut child_count = 0usize;
-        for v in g.nodes() {
-            for &c in t.children(v) {
-                prop_assert_eq!(t.parent(c), Some(v));
+        for v in 0..g.node_count() {
+            for &c in t.children_of(v) {
+                prop_assert_eq!(t.parent(c as usize), Some(v as u32));
                 child_count += 1;
             }
         }
@@ -107,29 +143,14 @@ proptest! {
 
     #[test]
     fn level_order_is_sorted_by_level(g in connected_graph()) {
-        let t = SpanningTree::bfs(&g, g.node(0));
-        let order = t.level_order();
+        let t = g.bfs_tree(0);
+        let d = traversal::bfs_distances(&g, g.node(0));
+        let order = t.order();
         prop_assert_eq!(order.len(), g.node_count());
         for w in order.windows(2) {
-            prop_assert!(t.level(w[0]) <= t.level(w[1]));
+            prop_assert!(d[w[0] as usize] <= d[w[1] as usize]);
         }
-        prop_assert_eq!(order[0], g.node(0));
-    }
-
-    #[test]
-    fn branches_partition_leaves(g in connected_graph()) {
-        let t = SpanningTree::bfs(&g, g.node(0));
-        let branches = t.branches();
-        let mut leaf_ends: Vec<NodeId> =
-            branches.iter().map(|b| *b.last().unwrap()).collect();
-        leaf_ends.sort();
-        leaf_ends.dedup();
-        let mut leaves: Vec<NodeId> = g.nodes().filter(|&v| t.is_leaf(v)).collect();
-        leaves.sort();
-        prop_assert_eq!(leaf_ends, leaves);
-        for b in &branches {
-            prop_assert!(b.len() <= t.depth() + 1);
-        }
+        prop_assert_eq!(order[0], 0);
     }
 
     #[test]
@@ -236,13 +257,13 @@ proptest! {
     #[test]
     fn csr_bfs_tree_matches_spanning_tree(g in connected_graph()) {
         let tree = g.bfs_tree(0);
-        let reference = SpanningTree::bfs(&g, g.node(0));
-        let ref_order: Vec<u32> =
-            reference.level_order().iter().map(|&v| u32::from(v)).collect();
+        let (level, children) = queue_bfs(&g, g.node(0));
+        let mut ref_order: Vec<u32> = (0..g.node_count() as u32).collect();
+        ref_order.sort_by_key(|&v| (level[v as usize], v));
         prop_assert_eq!(tree.order(), ref_order.as_slice());
         for v in g.nodes() {
             let expect: Vec<u32> =
-                reference.children(v).iter().map(|&c| u32::from(c)).collect();
+                children[v.index()].iter().map(|&c| u32::from(c)).collect();
             prop_assert_eq!(tree.children_of(v.index()), expect.as_slice());
         }
     }

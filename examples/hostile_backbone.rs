@@ -74,7 +74,7 @@ fn main() {
             .all_correct(bit)
     });
     let fast_est = run_success_trials(trials, SeedSequence::new(10), |seed| {
-        fast.run(&g, p, FailureBehavior::Flip, seed, bit)
+        fast.run(p, FailureBehavior::Flip, seed, bit)
             .all_correct(bit)
     });
     println!(

@@ -11,7 +11,9 @@
 //! This crate is a facade over the workspace:
 //!
 //! * [`graph`] ([`randcast_graph`]) — graphs, generators (including the
-//!   Theorem 3.3 lower-bound construction), BFS trees.
+//!   Theorem 3.3 lower-bound construction), and the one BFS spanning-tree
+//!   type ([`CsrTree`](randcast_graph::CsrTree)) every tree protocol runs
+//!   on.
 //! * [`engine`] ([`randcast_engine`]) — the two synchronous communication
 //!   models with omission / limited-malicious / malicious transmitter
 //!   faults and adaptive adversaries.
@@ -83,7 +85,7 @@ pub mod prelude {
     pub use randcast_engine::radio::{RadioAction, RadioNetwork, RadioNode, SilentRadioAdversary};
     pub use randcast_engine::radio_fast::{FastRadio, FastRadioSchedule};
     pub use randcast_engine::trace::{TraceEvent, TraceLog, Traced};
-    pub use randcast_graph::{generators, traversal, Graph, GraphBuilder, NodeId, SpanningTree};
+    pub use randcast_graph::{generators, traversal, CsrTree, Graph, GraphBuilder, NodeId};
     pub use randcast_stats::estimate::{SuccessEstimate, Verdict};
     pub use randcast_stats::quantile::{quantile, QuantileSummary};
     pub use randcast_stats::seed::SeedSequence;

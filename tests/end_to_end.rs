@@ -99,7 +99,7 @@ fn kucera_broadcast_succeeds_on_all_families() {
         let p = 0.35;
         let kb = KuceraBroadcast::new(&g, g.node(0), p).expect("p < 1/2 is feasible");
         let est = run_success_trials(40, SeedSequence::new(5), |seed| {
-            kb.run(&g, p, FailureBehavior::Flip, seed, true)
+            kb.run(p, FailureBehavior::Flip, seed, true)
                 .all_correct(true)
         });
         assert!(est.rate() >= 0.9, "{name}: rate {}", est.rate());
