@@ -11,17 +11,11 @@
 //! protocol runs on — is pinned the same way: its `(level, id)` order,
 //! then every node's parent and child list.
 
+mod common;
+
+use common::{fnv, FNV_OFFSET};
 use randcast_core::scenario::{standard_families, GraphFamily};
 use randcast_graph::Graph;
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-fn fnv(hash: u64, word: u64) -> u64 {
-    word.to_le_bytes()
-        .iter()
-        .fold(hash, |h, &b| (h ^ u64::from(b)).wrapping_mul(FNV_PRIME))
-}
 
 fn digest(g: &Graph) -> u64 {
     let n = g.node_count();
