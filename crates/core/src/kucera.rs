@@ -557,9 +557,12 @@ impl CompiledPlan {
         );
         let n = tree.node_count();
         let by_level = level_runs(tree);
-        // Per-node register files.
-        let mut regs: Vec<Vec<Option<bool>>> = vec![vec![None; self.n_regs as usize]; n];
-        regs[tree.order()[0] as usize][0] = Some(source_bit);
+        // One flat register file: node `u`'s register `r` is slot
+        // `u · n_regs + r`.
+        let width = self.n_regs as usize;
+        let slot = |u: u32, r: Reg| u as usize * width + r.0 as usize;
+        let mut regs: Vec<Option<bool>> = vec![None; n * width];
+        regs[slot(tree.order()[0], Reg(0))] = Some(source_bit);
 
         for op in &self.ops {
             match op {
@@ -579,10 +582,10 @@ impl CompiledPlan {
                         }
                         // A silent reception earlier in the chain is
                         // relayed as the default bit 0.
-                        let bit = regs[u as usize][src.0 as usize].unwrap_or(false);
+                        let bit = regs[slot(u, *src)].unwrap_or(false);
                         let delivered = deliver(bit, p, behavior, seed, u, *time);
                         for &c in children {
-                            regs[c as usize][dst.0 as usize] = delivered;
+                            regs[slot(c, *dst)] = delivered;
                         }
                     }
                 }
@@ -591,11 +594,14 @@ impl CompiledPlan {
                         continue;
                     }
                     for &u in by_level[*pos] {
-                        let regs = &mut regs[u as usize];
-                        let ballots: Vec<bool> =
-                            srcs.iter().filter_map(|r| regs[r.0 as usize]).collect();
-                        let ones = ballots.iter().filter(|&&b| b).count();
-                        regs[dst.0 as usize] = Some(2 * ones > ballots.len());
+                        // Count the ballots in place: +1 for a one, −1
+                        // for a zero, none for a silent register.
+                        let margin: isize = srcs
+                            .iter()
+                            .filter_map(|&r| regs[slot(u, r)])
+                            .map(|b| if b { 1 } else { -1 })
+                            .sum();
+                        regs[slot(u, *dst)] = Some(margin > 0);
                     }
                 }
             }
@@ -603,9 +609,8 @@ impl CompiledPlan {
 
         let mut values = vec![false; n];
         for (level, nodes) in by_level.iter().enumerate() {
-            let reg = self.final_reg[level].0 as usize;
             for &v in *nodes {
-                values[v as usize] = regs[v as usize][reg].unwrap_or(false);
+                values[v as usize] = regs[slot(v, self.final_reg[level])].unwrap_or(false);
             }
         }
         KuceraOutcome {

@@ -4,8 +4,7 @@
 use std::error::Error;
 use std::fmt;
 
-use rand::rngs::SmallRng;
-use rand::Rng;
+use rand::RngCore;
 
 /// The three transmission-failure types studied in the paper, in
 /// increasing order of adversarial power.
@@ -162,12 +161,37 @@ impl FaultConfig {
     pub fn malicious(p: f64) -> Self {
         FaultConfig::new(FaultKind::Malicious, p).expect("invalid probability")
     }
+}
 
-    /// Samples the set of failed transmitters for one step into `mask`:
-    /// `mask[v]` is `true` iff node `v`'s transmitter fails. One
-    /// independent coin per node, exactly as in the paper. The mask is
-    /// cleared and refilled, so per-round engines reuse one buffer.
-    pub fn sample_step_into(&self, nodes: usize, rng: &mut SmallRng, mask: &mut Vec<bool>) {
+/// A node-step's transmitter-fault coin, true with probability `p`, that
+/// draws nothing at `p = 0`. The vendored `gen_bool(p)` tests `M / 2⁵³ < p`
+/// on a draw's top 53 bits `M`; scaling by a power of two is exact in
+/// `f64`, so the integer compare `M < ⌈p · 2⁵³⌉` accepts the same words.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct FaultCoin(pub(crate) u64);
+
+impl FaultCoin {
+    pub(crate) fn new(p: f64) -> Self {
+        FaultCoin((p * (1u64 << 53) as f64).ceil() as u64)
+    }
+
+    pub(crate) fn fails<R: RngCore>(self, rng: &mut R) -> bool {
+        self.0 != 0 && rng.next_u64() >> 11 < self.0
+    }
+}
+
+/// The fault draw the engines made before they drew each coin in their
+/// node pass, kept for their reference steps: one `gen_bool(p)` per node
+/// into a cleared mask, none at `p = 0`.
+#[cfg(test)]
+impl FaultConfig {
+    pub(crate) fn sample_step_into(
+        &self,
+        nodes: usize,
+        rng: &mut rand::rngs::SmallRng,
+        mask: &mut Vec<bool>,
+    ) {
+        use rand::Rng;
         mask.clear();
         let p = self.p.get();
         if p == 0.0 {
@@ -181,7 +205,8 @@ impl FaultConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::SeedableRng;
+    use rand::rngs::SmallRng;
+    use rand::{Rng, SeedableRng};
 
     #[test]
     fn probability_validation() {
@@ -200,29 +225,82 @@ mod tests {
 
     #[test]
     fn fault_free_samples_nothing() {
+        // At p = 0 no coin fails, and none consumes a draw.
         let mut rng = SmallRng::seed_from_u64(1);
-        let f = FaultConfig::fault_free();
-        let mut mask = vec![true; 3];
-        f.sample_step_into(100, &mut rng, &mut mask);
-        assert_eq!(mask.len(), 100);
-        assert!(mask.iter().all(|&b| !b));
+        let mut untouched = rng.clone();
+        let coin = FaultCoin::new(0.0);
+        assert!((0..100).all(|_| !coin.fails(&mut rng)));
+        assert_eq!(rng.next_u64(), untouched.next_u64());
     }
 
     #[test]
     fn sampling_rate_matches_p() {
         let mut rng = SmallRng::seed_from_u64(2);
-        let f = FaultConfig::omission(0.3);
-        let mut failures = 0usize;
-        let steps = 2000;
-        let nodes = 10;
-        let mut mask = Vec::new();
-        for _ in 0..steps {
-            f.sample_step_into(nodes, &mut rng, &mut mask);
-            assert_eq!(mask.len(), nodes);
-            failures += mask.iter().filter(|&&b| b).count();
-        }
-        let rate = failures as f64 / (steps * nodes) as f64;
+        let coin = FaultCoin::new(0.3);
+        let draws = 20_000;
+        let failures = (0..draws).filter(|_| coin.fails(&mut rng)).count();
+        let rate = failures as f64 / draws as f64;
         assert!((rate - 0.3).abs() < 0.02, "rate={rate}");
+    }
+
+    /// Probabilities whose thresholds are exact (`2⁻⁴⁰`, quarters),
+    /// rounded up (`10⁻⁶`, 0.3, 0.9, `1 − 10⁻⁶`), and the two `f64`s
+    /// next to 0.75.
+    fn probes() -> Vec<f64> {
+        let mut ps = vec![2f64.powi(-40), 1e-6, 0.25, 0.3, 0.5, 0.75, 0.9, 1.0 - 1e-6];
+        ps.push(f64::from_bits(0.75f64.to_bits() - 1));
+        ps.push(f64::from_bits(0.75f64.to_bits() + 1));
+        ps
+    }
+
+    /// An RNG that yields one fixed word.
+    struct Word(u64);
+
+    impl RngCore for Word {
+        fn next_u32(&mut self) -> u32 {
+            self.0 as u32
+        }
+        fn next_u64(&mut self) -> u64 {
+            self.0
+        }
+    }
+
+    #[test]
+    fn coin_accepts_what_gen_bool_accepts_at_the_threshold() {
+        // gen_bool's float test on a word, as the vendored `rand` runs it.
+        let float_coin = |word: u64, p: f64| ((word >> 11) as f64 / (1u64 << 53) as f64) < p;
+        for p in probes() {
+            let coin = FaultCoin::new(p);
+            let t = coin.0;
+            for top in [t - 1, t, t + 1] {
+                for low in [0, 0x7ff] {
+                    let word = top << 11 | low;
+                    assert_eq!(
+                        coin.fails(&mut Word(word)),
+                        float_coin(word, p),
+                        "p = {p:e}, top 53 bits = {top}"
+                    );
+                }
+            }
+            assert!(coin.fails(&mut Word((t - 1) << 11)), "p = {p:e}");
+            assert!(!coin.fails(&mut Word(t << 11)), "p = {p:e}");
+        }
+    }
+
+    #[test]
+    fn coin_matches_gen_bool_draw_for_draw() {
+        for p in probes() {
+            let coin = FaultCoin::new(p);
+            let mut rng = SmallRng::seed_from_u64(7);
+            let mut reference = rng.clone();
+            for draw in 0..100_000 {
+                assert_eq!(
+                    coin.fails(&mut rng),
+                    reference.gen_bool(p),
+                    "p = {p:e}, draw {draw}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -613,7 +613,7 @@ impl BatchBernoulli {
     pub fn new(p: f64) -> Self {
         assert!((0.0..=1.0).contains(&p), "probability out of range");
         BatchBernoulli {
-            tint: (p * (1u64 << 53) as f64).ceil() as u64,
+            tint: crate::fault::FaultCoin::new(p).0,
         }
     }
 
