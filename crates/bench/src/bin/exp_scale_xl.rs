@@ -6,9 +6,10 @@
 //!
 //! 1. **Sweep** (JSON-reported): Flood / Radio(Decay) / Simple fast
 //!    paths on one `G(n, 8/n)` family through the standard sweep
-//!    driver. At full scale the grid tops out at `n = 10⁷`, where the
-//!    harness's auto-sharding (`ShardSpec::Auto`, ≥ ~8M nodes) engages
-//!    on its own; `--shards K` forces a count at any size — sharding
+//!    driver. At full scale the grid tops out at `n = 10⁷`, where
+//!    `ShardSpec::Auto` (≥ ~8M nodes) resolves a plan sized to 1 GiB of
+//!    adjacency per shard — one shard for this family; `--shards K`
+//!    forces a count at any size — sharding
 //!    is outcome-neutral, so the JSON is byte-identical either way
 //!    (CI's shards-1-vs-4 determinism gate diffs exactly this
 //!    report).
@@ -57,7 +58,8 @@ use randcast_graph::shard::{
     default_scratch_dir, RamShards, ShardError, ShardPlan, ShardStore, ShardedBfsTree, SpillSink,
 };
 use randcast_graph::Graph;
-use randcast_stats::chernoff::phase_len_omission;
+use randcast_stats::aggregate::OutcomeSummary;
+use randcast_stats::chernoff::{flood_horizon, phase_len_omission};
 use randcast_stats::estimate::SuccessEstimate;
 use randcast_stats::quantile::QuantileSummary;
 use randcast_stats::table::{fmt_f2, Table};
@@ -70,13 +72,13 @@ fn main() {
     let cli = cli();
     banner(
         "SCALE-XL (sharded + out-of-core)",
-        "Shard-at-a-time frontier passes at n = 10^6..10^7 through the sweep driver,\n\
+        "Fast-path frontier passes at n = 10^6..10^7 through the sweep driver,\n\
          plus out-of-core flood/radio/Simple trials at n = 10^8 whose CSR streams from disk.",
     );
     let quick = cli.scale > 1;
 
-    // Part 1: the sweep grid. Auto-sharding engages by itself at 10^7;
-    // --shards K forces the matter at any size (outcome-neutral).
+    // Part 1: the sweep grid. ShardSpec::Auto keeps both sizes in one
+    // shard; --shards K forces a count at any size (outcome-neutral).
     let sizes: &[usize] = if quick {
         &[100_000]
     } else {
@@ -225,9 +227,9 @@ fn out_of_core_trials(cli: &Cli, n: usize, quick: bool, cells: &mut Vec<CellResu
     // Theorem 3.1 shape without a resident graph: estimate the
     // diameter of the giant component of G(n, 8/n) as 3·ln n / ln 8
     // (generous; the trials stop early once nothing can change).
-    let d_est = (3.0 * nf.ln() / 8f64.ln()).ceil();
     #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
-    let horizon = ((2.0 * (d_est + 4.0 * nf.ln()) / (1.0 - P)).ceil() as usize).max(1);
+    let d_est = (3.0 * nf.ln() / 8f64.ln()).ceil() as usize;
+    let horizon = flood_horizon(d_est, P, 4.0 * nf.ln()).max(1);
 
     let prefetch_label = if cli.prefetch { "on" } else { "off" };
     println!(
@@ -286,8 +288,7 @@ fn out_of_core_trials(cli: &Cli, n: usize, quick: bool, cells: &mut Vec<CellResu
     // Radio under the classical Decay schedule: epoch length
     // ⌈log₂ n⌉ + 1, epochs 2·(d + log₂ n) — the global collision
     // counter and epoch-exhaustion sweep run across segment loads.
-    #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
-    let decay = DecayConfig::classical(n, d_est as usize);
+    let decay = DecayConfig::classical(n, d_est);
     let radio = ShardedRadio::new(
         store,
         0,
@@ -296,8 +297,7 @@ fn out_of_core_trials(cli: &Cli, n: usize, quick: bool, cells: &mut Vec<CellResu
             epoch_len: decay.epoch_len,
         },
     )
-    .with_prefetch(cli.prefetch)
-    .with_threads(cli.threads);
+    .with_prefetch(cli.prefetch);
     oc.kernel(
         ("radio", "radio/decay", decay.total_rounds()),
         || radio.run_lane(P, seeds.nth_seed(1), 0).map(growth_stats),
@@ -448,7 +448,8 @@ impl OutOfCoreRows<'_> {
 }
 
 /// One synthetic report row for an out-of-core lane or block: one
-/// [`TrialOutcome`] per lane. Only store-, shard-, thread- and
+/// [`TrialOutcome`] per lane, reduced through [`OutcomeSummary`] as the
+/// sweep driver reduces its cells. Only store-, shard-, thread- and
 /// prefetch-agnostic fields, so the determinism gates diff the
 /// normalized JSON byte-for-byte across every knob (`wall_ms` is zeroed
 /// by `json_validate --normalize`).
@@ -463,21 +464,18 @@ fn oc_cell(params: Vec<(String, String)>, lanes: &[LaneStats], wall: Duration) -
             almost_rounds: almost.map(|r| r as f64),
         })
         .collect();
-    let successes = outcomes.iter().filter(|o| o.success).count();
-    let rounds: Vec<f64> = outcomes.iter().filter_map(|o| o.rounds).collect();
-    #[allow(clippy::cast_precision_loss)]
-    let mean_rounds =
-        (!rounds.is_empty()).then(|| rounds.iter().sum::<f64>() / rounds.len() as f64);
-    #[allow(clippy::cast_precision_loss)]
-    let mean_frac =
-        outcomes.iter().filter_map(|o| o.informed_frac).sum::<f64>() / outcomes.len() as f64;
+    let summary = OutcomeSummary::collect(
+        outcomes
+            .iter()
+            .map(|o| (o.success, o.rounds, o.informed_frac)),
+    );
     CellResult {
         kind: CellKind::MonteCarlo,
         params,
-        estimate: SuccessEstimate::new(successes, outcomes.len()),
+        estimate: SuccessEstimate::new(summary.successes, summary.trials),
         row: None,
-        mean_rounds,
-        mean_informed_frac: Some(mean_frac),
+        mean_rounds: summary.mean_rounds,
+        mean_informed_frac: summary.mean_informed_frac,
         wall_ms: wall.as_secs_f64() * 1000.0,
         outcomes,
     }

@@ -26,6 +26,7 @@ use randcast_graph::generators::gnp_edges;
 use randcast_graph::shard::{
     default_scratch_dir, ShardPlan, ShardStore, ShardedBfsTree, SpillSink,
 };
+use randcast_stats::chernoff::flood_horizon;
 
 /// Asserts a peak-RSS budget — or skips *visibly* when the probe is
 /// unavailable, instead of silently passing. On Linux `VmHWM` is
@@ -318,9 +319,11 @@ fn sharded_flood_trial_at_n_1e6_fits_wall_and_rss_budgets() {
 #[ignore = "10^7-scale release gate: minutes of wall; run via CI's dedicated step or --include-ignored"]
 fn sharded_flood_trial_at_n_1e7_fits_wall_and_rss_budgets() {
     // The 10⁷ acceptance cell (CI runs this in its own release step).
-    // Auto-sharding must engage on its own above SHARD_AUTO_MIN_N, and
-    // the documented budgets are 10 min build + 30 s trial wall with
-    // 16 GiB peak RSS — the adjacency-list build dominates both.
+    // Above SHARD_AUTO_MIN_N `ShardSpec::Auto` must resolve a shard plan
+    // on its own; at 10⁷ that plan is one shard (~3.6·10⁸ B of CSR, under
+    // SHARD_AUTO_BUDGET_BYTES). The documented budgets are 10 min build
+    // + 30 s trial wall with 16 GiB peak RSS — the adjacency-list build
+    // dominates both.
     let prep = Scenario {
         graph: GraphFamily::Gnp {
             n: 10_000_000,
@@ -337,7 +340,7 @@ fn sharded_flood_trial_at_n_1e7_fits_wall_and_rss_budgets() {
     let build_time = build_start.elapsed();
     assert!(
         prep.shard_plan().is_some(),
-        "auto-sharding must engage at 1e7"
+        "ShardSpec::Auto must resolve a (one-shard) plan at 1e7"
     );
 
     let trial_start = Instant::now();
@@ -362,13 +365,12 @@ fn sharded_flood_trial_at_n_1e7_fits_wall_and_rss_budgets() {
 #[ignore = "10^7-scale release gate: minutes of wall; run via CI's dedicated step or --include-ignored"]
 fn sharded_radio_trial_at_n_1e7_fits_wall_and_rss_budgets() {
     // The 10⁷ radio acceptance cell (CI runs this in its own release
-    // step, next to the flood gate). One scalar Decay trial through the
-    // auto-engaged shard-at-a-time passes — the global collision
-    // counter and epoch-exhaustion sweep run across segment views. The
-    // documented budgets: 10 min build (graph + the BFS behind the
-    // classical Decay parameterization) + 120 s trial wall, 16 GiB
-    // peak RSS. The trial budget is wider than flood's because Decay
-    // re-walks the active set `⌈log₂ n⌉ + 1` rounds per epoch.
+    // step, next to the flood gate). One scalar Decay lane through the
+    // store-backed lane pass over the one shard `ShardSpec::Auto` plans
+    // at 10⁷. The documented budgets: 10 min build (graph + the BFS
+    // behind the classical Decay parameterization) + 120 s trial wall,
+    // 16 GiB peak RSS. The trial budget is wider than flood's because
+    // Decay re-walks the active set `⌈log₂ n⌉ + 1` rounds per epoch.
     let prep = Scenario {
         graph: GraphFamily::Gnp {
             n: 10_000_000,
@@ -385,7 +387,7 @@ fn sharded_radio_trial_at_n_1e7_fits_wall_and_rss_budgets() {
     let build_time = build_start.elapsed();
     assert!(
         prep.shard_plan().is_some(),
-        "auto-sharding must engage at 1e7"
+        "ShardSpec::Auto must resolve a (one-shard) plan at 1e7"
     );
 
     let trial_start = Instant::now();
@@ -410,11 +412,12 @@ fn sharded_radio_trial_at_n_1e7_fits_wall_and_rss_budgets() {
 #[ignore = "10^7-scale release gate: minutes of wall; run via CI's dedicated step or --include-ignored"]
 fn sharded_simple_trial_at_n_1e7_fits_wall_and_rss_budgets() {
     // The 10⁷ Simple acceptance cell (CI runs this in its own release
-    // step). One scalar trial of the fixed n·m schedule through the
-    // auto-engaged sharded (level, id)-ordered phase walk. Budgets:
-    // 10 min build (graph + BFS tree) + 30 s trial wall, 16 GiB peak
-    // RSS — the geometric-draw walk is O(n + adoptions), so the trial
-    // is flood-cheap despite the 10⁸-round nominal schedule.
+    // step). One scalar lane of the fixed n·m schedule through the
+    // (level, id)-ordered phase walk over the one shard `ShardSpec::Auto`
+    // plans at 10⁷. Budgets: 10 min build (graph + BFS tree) + 30 s
+    // trial wall, 16 GiB peak RSS — the geometric-draw walk is
+    // O(n + adoptions), so the trial is flood-cheap despite the
+    // 10⁸-round nominal schedule.
     let prep = Scenario {
         graph: GraphFamily::Gnp {
             n: 10_000_000,
@@ -431,7 +434,7 @@ fn sharded_simple_trial_at_n_1e7_fits_wall_and_rss_budgets() {
     let build_time = build_start.elapsed();
     assert!(
         prep.shard_plan().is_some(),
-        "auto-sharding must engage at 1e7"
+        "ShardSpec::Auto must resolve a (one-shard) plan at 1e7"
     );
 
     let trial_start = Instant::now();
@@ -456,8 +459,9 @@ fn sharded_simple_trial_at_n_1e7_fits_wall_and_rss_budgets() {
 #[ignore = "10^7-scale release gate: minutes of wall; run via CI's dedicated step or --include-ignored"]
 fn out_of_core_batch_per_trial_wall_beats_scalar_5x_at_n_1e7() {
     // The batched out-of-core acceptance gate: a 64-lane flood block
-    // over a disk-backed store at n = 10⁷ must amortize its segment
-    // loads well enough that the *per-trial* wall lands at least 5x
+    // over a disk-backed store at n = 10⁷ (one segment: `for_budget`
+    // fits its CSR in 1 GiB) must amortize its segment loads well
+    // enough that the *per-trial* wall lands at least 5x
     // below one scalar out-of-core trial of the same kernel. Flood is
     // the kernel where the batched claim bites: its lanes share one
     // bit-plane pass, so the block costs roughly one traversal's I/O.
@@ -482,12 +486,7 @@ fn out_of_core_batch_per_trial_wall_beats_scalar_5x_at_n_1e7() {
 
     #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
     let d_est = (3.0 * nf.ln() / 8f64.ln()).ceil() as usize;
-    #[allow(
-        clippy::cast_precision_loss,
-        clippy::cast_possible_truncation,
-        clippy::cast_sign_loss
-    )]
-    let horizon = ((2.0 * (d_est as f64 + 4.0 * nf.ln()) / 0.7).ceil() as usize).max(1);
+    let horizon = flood_horizon(d_est, 0.3, 4.0 * nf.ln()).max(1);
     let flood = ShardedFlood::new(store, 0, horizon);
 
     let scalar_start = Instant::now();

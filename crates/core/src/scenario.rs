@@ -114,13 +114,13 @@ pub const SHARD_AUTO_BUDGET_BYTES: usize = 1 << 30;
 /// [`trial`](PreparedScenario::trial) keeps its sequential RNG stream,
 /// whose draw order cannot be sharded without changing it. The same
 /// contract extends to the out-of-core kernels behind the scale
-/// binaries: their store backend (`--store ram|disk`), pipelined
-/// segment prefetch (`--prefetch on|off`), and drain/merge thread
-/// count are all byte-invisible too, so any `threads × shards ×
-/// prefetch × store` combination replays the identical trial.
-/// Deliberately
-/// **not** part of [`PreparedScenario::params`]: two runs differing
-/// only in sharding must produce identical reports.
+/// binaries: their store backend (`--store ram|disk`) and pipelined
+/// segment prefetch (`--prefetch on|off`) are byte-invisible too, as
+/// is the sweep's worker count (a trial runs on one thread), so any
+/// `threads × shards × prefetch × store` combination replays the
+/// identical trial. Deliberately **not** part of
+/// [`PreparedScenario::params`]: two runs differing only in sharding
+/// must produce identical reports.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub enum ShardSpec {
     /// One shard below [`SHARD_AUTO_MIN_N`] nodes; above it, enough

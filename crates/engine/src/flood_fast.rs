@@ -59,7 +59,7 @@ use crate::growth::{counting_curve, GrowthBatch, GrowthOutcome, LaneRounds};
 use crate::kernel::{
     lane_popcounts, planes_add_one_masked, planes_assign, planes_eq_mask, planes_gt_mask,
     planes_le_mask, BatchedInformedSet, CorruptionKind, FaultModel, FaultSampler, FaultTapes,
-    InformedSet, LaneCounter, LaneMask, Omission, ShardFrontier, LANES,
+    InformedSet, LaneCounter, LaneMask, Omission, LANES,
 };
 
 /// Flooding's trial outcome: the [`GrowthOutcome`] flooding and Decay
@@ -929,17 +929,17 @@ impl ShardedFlood {
         let mut informed_by_round = Vec::with_capacity(self.horizon.min(1024) + 1);
         informed_by_round.push(1);
 
-        let mut frontier = ShardFrontier::new(k);
-        let mut staged = ShardFrontier::new(k);
-        frontier.push(plan.shard_of(self.source), self.source);
+        let mut frontier: Vec<Vec<u32>> = vec![Vec::new(); k];
+        let mut staged: Vec<Vec<u32>> = vec![Vec::new(); k];
+        frontier[plan.shard_of(self.source)].push(self.source);
 
         for round in 1..=self.horizon {
-            if frontier.is_empty() {
+            if frontier.iter().all(Vec::is_empty) {
                 break;
             }
             let mut ran = false;
-            for s in views.begin_lists((0..k).map(|s| frontier.shard(s))) {
-                let list = frontier.shard(s);
+            for s in views.begin_lists(frontier.iter().map(Vec::as_slice)) {
+                let list = &frontier[s];
                 if list.is_empty() {
                     continue;
                 }
@@ -952,12 +952,12 @@ impl ShardedFlood {
                     ran = true;
                     if model.corrupt_lane(tapes, fault_site(round, u), u, lane) {
                         // Failed transmitter: stays in the frontier.
-                        staged.push(s, u);
+                        staged[s].push(u);
                         continue;
                     }
                     for &t in targets {
                         if informed.insert(t) {
-                            staged.push(plan.shard_of(t), t);
+                            staged[plan.shard_of(t)].push(t);
                         }
                     }
                 }
@@ -967,7 +967,7 @@ impl ShardedFlood {
             }
             informed_by_round.push(informed.count());
             std::mem::swap(&mut frontier, &mut staged);
-            staged.clear();
+            staged.iter_mut().for_each(Vec::clear);
         }
 
         Ok(GrowthOutcome::new(

@@ -75,7 +75,7 @@ use randcast_stats::seed::{splitmix64, SeedSequence};
 use crate::growth::{GrowthBatch, GrowthOutcome, LaneRounds};
 use crate::kernel::{
     BatchTape, BatchedInformedSet, CollisionCounter, CorruptionKind, FaultModel, FaultSampler,
-    FaultTapes, InformedSet, LaneMask, Omission, ShardedCollisions, DECAY_STREAM, LANES,
+    FaultTapes, InformedSet, LaneMask, Omission, DECAY_STREAM, LANES,
 };
 
 /// Decay's trial outcome: the [`GrowthOutcome`] flooding and Decay
@@ -345,7 +345,7 @@ impl FastRadio {
         lane: u32,
     ) -> GrowthOutcome {
         self.passes
-            .lane_pass(self.passes.views(), model, block_seed, lane, 1)
+            .lane_pass(self.passes.views(), model, block_seed, lane)
             .expect("RAM stores never fail a read")
     }
 
@@ -399,16 +399,14 @@ pub struct ShardedRadio {
     source: u32,
     horizon: usize,
     schedule: FastRadioSchedule,
-    threads: usize,
     prefetch: bool,
 }
 
 impl ShardedRadio {
     /// Wraps a shard store for radio broadcasting from `source` over
-    /// at most `horizon` rounds under `schedule`. Runs single-threaded
-    /// with segment prefetch on; both knobs
-    /// ([`with_threads`](Self::with_threads),
-    /// [`with_prefetch`](Self::with_prefetch)) are outcome-invisible.
+    /// at most `horizon` rounds under `schedule`. Every pass runs on
+    /// the calling thread, with segment prefetch on
+    /// ([`with_prefetch`](Self::with_prefetch), outcome-invisible).
     ///
     /// # Panics
     ///
@@ -433,18 +431,15 @@ impl ShardedRadio {
             source,
             horizon,
             schedule,
-            threads: 1,
             prefetch: true,
         }
     }
 
-    /// Sets the worker count for the scalar lane pass's collision drain,
-    /// which goes parallel from 2¹⁶ touched listeners in one round
-    /// (byte-outcome-invisible; clamped to at least 1). The 64-lane pass
-    /// runs on one thread.
+    /// Returns `self` unchanged: both passes run on the calling thread,
+    /// so there is no worker count to set. Kept for callers written
+    /// against the old drain-thread knob.
     #[must_use]
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = threads.max(1);
+    pub fn with_threads(self, _threads: usize) -> Self {
         self
     }
 
@@ -493,13 +488,7 @@ impl ShardedRadio {
         block_seed: u64,
         lane: u32,
     ) -> Result<GrowthOutcome, ShardError> {
-        self.lane_pass(
-            self.views(),
-            &Omission::new(p),
-            block_seed,
-            lane,
-            self.threads,
-        )
+        self.lane_pass(self.views(), &Omission::new(p), block_seed, lane)
     }
 
     /// One batched 64-lane block under omission at rate `p` over the
@@ -532,25 +521,24 @@ impl ShardedRadio {
     /// makes one shard-at-a-time transmit pass (plus, at epoch
     /// boundaries, one refilter pass over participant lists first sorted
     /// into node order, as in [`batch_pass`](Self::batch_pass)), walking
-    /// the shards in the [`PassLoader`]'s order; collision counts
-    /// accumulate across every shard and drain once per round in
-    /// listener-shard order, whatever the transmit order, on up to
-    /// `threads` workers. For disk
+    /// the shards in the [`PassLoader`]'s order; one
+    /// [`CollisionCounter`] accumulates the counts of every shard and
+    /// drains once per round, in first-touch order, routing each sole
+    /// receiver to its shard's participant list. For disk
     /// stores each shard pass is served by a segment the loader still
     /// holds, by a full segment read overlapped with the previous
     /// shard's compute (the prefetch pipeline) or, when the pass touches
     /// a small fraction of the shard — the common case under Decay
     /// thinning — by coalesced sparse row reads. Neither choice, nor the
-    /// shard order or the thread count, can change a byte of the
-    /// outcome: the drain's order within a shard reaches only the
-    /// participant lists, which the next epoch boundary sorts.
+    /// shard order, can change a byte of the outcome: the drain order
+    /// reaches only the participant lists, which the next epoch
+    /// boundary sorts.
     fn lane_pass<M: FaultModel + ?Sized>(
         &self,
         mut views: PassLoader<'_>,
         model: &M,
         block_seed: u64,
         lane: u32,
-        threads: usize,
     ) -> Result<GrowthOutcome, ShardError> {
         assert!((lane as usize) < LANES, "lane out of range");
         let tapes = FaultTapes::new(block_seed);
@@ -579,7 +567,7 @@ impl ShardedRadio {
         let mut participants: Vec<Vec<u32>> = vec![Vec::new(); k];
         participants[plan.shard_of(self.source)].push(self.source);
         let mut active: Vec<Vec<u32>> = vec![Vec::new(); k];
-        let mut counter = ShardedCollisions::new(plan.bounds());
+        let mut counter = CollisionCounter::new(n);
         let (decay, epoch_len) = self.schedule.epochs();
 
         for round in 1..=self.horizon {
@@ -631,14 +619,14 @@ impl ShardedRadio {
                     }
                 }
             }
-            counter.drain_sole_receivers(threads, |s, v| {
+            counter.drain_sole_receivers(|v| {
                 informed.insert(v);
                 // A sole receiver adopts its one transmitter's value.
                 if values && sent_to[v as usize] {
                     correct.insert(v);
                 }
                 // Joins the transmitters at the next epoch start.
-                participants[s].push(v);
+                participants[plan.shard_of(v)].push(v);
             });
 
             let count = if values {
@@ -1571,7 +1559,7 @@ mod tests {
             }
             for prefetch in [true, false] {
                 let views = || PassLoader::new(&disk.store, prefetch);
-                let lane_out = disk.lane_pass(views(), model, seed, lane, 1).unwrap();
+                let lane_out = disk.lane_pass(views(), model, seed, lane).unwrap();
                 assert_eq!(lane_out, want_lane, "{label} disk {prefetch} lane {lane}");
                 let block = disk.batch_pass(views(), model, seed, !0).unwrap();
                 assert_eq!(block, want_block, "{label} disk prefetch={prefetch}");
@@ -1640,20 +1628,18 @@ mod tests {
             for (store, what) in stores {
                 let mut radio = ShardedRadio::new(store, 0, 1200, schedule);
                 for prefetch in [true, false] {
-                    for threads in [1usize, 4] {
-                        radio = radio.with_prefetch(prefetch).with_threads(threads);
+                    radio = radio.with_prefetch(prefetch);
+                    assert_eq!(
+                        radio.run_batch(0.3, 91).unwrap(),
+                        mono,
+                        "{what} batch diverged: {schedule:?} prefetch={prefetch}"
+                    );
+                    for lane in [0u32, 63] {
                         assert_eq!(
-                            radio.run_batch(0.3, 91).unwrap(),
-                            mono,
-                            "{what} batch diverged: {schedule:?} prefetch={prefetch} threads={threads}"
+                            radio.run_lane(0.3, 91, lane).unwrap(),
+                            mono.lane_outcome(lane),
+                            "{what} lane diverged: {schedule:?} prefetch={prefetch} lane={lane}"
                         );
-                        for lane in [0u32, 63] {
-                            assert_eq!(
-                                radio.run_lane(0.3, 91, lane).unwrap(),
-                                mono.lane_outcome(lane),
-                                "{what} lane diverged: {schedule:?} prefetch={prefetch} threads={threads} lane={lane}"
-                            );
-                        }
                     }
                 }
             }

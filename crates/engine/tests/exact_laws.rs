@@ -5,18 +5,20 @@
 //! parent's own coins, so across every internal node of every lane the
 //! per-edge events are independent and their success count is exactly
 //! binomial (Theorem 2.1's relay argument; the tree-percolation law of
-//! probabilistic forwarding). Tree flooding's completion probability by
-//! a horizon has an exact tree DP. Each law counts its events with
-//! popcounts over the blocks' per-node lane masks, on fixed seeds, and
-//! fails at |z| > 4.5.
+//! probabilistic forwarding). Under `Flip` and `Lie` Simple's vote makes
+//! the same per-edge events a two-state chain down each path. Tree
+//! flooding's completion probability by a horizon has an exact tree DP.
+//! Each law counts its events with popcounts over the blocks' per-node
+//! lane masks, on fixed seeds, and fails at |z| > 4.5.
 
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
 use randcast_engine::flood_fast::{FastFlood, FastFloodVariant};
-use randcast_engine::kernel::{FlipFault, LaneMask, Omission, LANES};
+use randcast_engine::kernel::{FaultModel, FlipFault, LaneMask, LieOrJamFault, Omission, LANES};
 use randcast_engine::simple_fast::FastSimple;
 use randcast_graph::{generators, CsrTree, Graph};
+use randcast_stats::chernoff::binomial_upper_tail;
 
 const N: usize = 10_000;
 const Z_MAX: f64 = 4.5;
@@ -102,6 +104,65 @@ fn simple_omission_adopts_per_phase_with_probability_one_minus_p_to_the_m() {
             "m = {m}: z = {z:.2} over {} events",
             law.trials
         );
+    }
+}
+
+#[test]
+fn simple_malicious_votes_follow_the_two_state_chain() {
+    // Every child hears all m of its parent's transmissions, k of them
+    // corrupt, k ~ Bin(m, p) shared by the sibling set. Under a correct
+    // parent the vote keeps the bit iff k < m − ⌊m/2⌋ (α) under both
+    // models. Under a wrong parent it turns the bit iff k ≥ ⌊m/2⌋ + 1
+    // (β) under `Flip`, and never under `Lie`, whose corrupt rounds
+    // all send the lie. 20 blocks, 1,280 lanes, per model and m.
+    let (g, tree) = graph_and_tree();
+    let p = 0.3;
+    for m in [3usize, 4] {
+        let plan = FastSimple::new(&g, g.node(0), m);
+        let alpha = 1.0 - binomial_upper_tail(m as u64, (m - m / 2) as u64, p);
+        let beta = binomial_upper_tail(m as u64, (m / 2 + 1) as u64, p);
+        let (flip, lie) = (FlipFault::new(p), LieOrJamFault::new(p));
+        let models: [(&dyn FaultModel, u64, Option<f64>); 2] =
+            [(&flip, 0xF500, Some(beta)), (&lie, 0x1E00, None)];
+        for (model, seed, wrong_q) in models {
+            let (mut under_correct, mut under_wrong) = (Binomial::default(), Binomial::default());
+            for b in 0..20 {
+                let batch = plan.run_batch_model(model, seed + 100 * m as u64 + b, !0);
+                per_edge(
+                    &tree,
+                    |v| batch.lanes(v),
+                    |parent, child| {
+                        under_correct.add(parent, child);
+                        under_wrong.add(!parent, child);
+                    },
+                );
+            }
+            let label = model.name();
+            for (law, q, parents) in [
+                (&under_correct, Some(alpha), "correct"),
+                (&under_wrong, wrong_q, "wrong"),
+            ] {
+                assert!(
+                    law.trials > 500_000,
+                    "{label} m = {m}, {parents} parents: {} events",
+                    law.trials
+                );
+                // `Lie`: a wrong parent's children never turn correct.
+                let Some(q) = q else {
+                    assert_eq!(
+                        law.hits, 0,
+                        "{label} m = {m}: a wrong parent's child turned"
+                    );
+                    continue;
+                };
+                let z = law.z(q);
+                assert!(
+                    z.abs() < Z_MAX,
+                    "{label} m = {m}, {parents} parents: z = {z:.2} over {} events",
+                    law.trials
+                );
+            }
+        }
     }
 }
 

@@ -246,13 +246,6 @@ impl ShardPlan {
         }
         runs
     }
-
-    /// The shard boundaries (`shard_count() + 1` entries, first `0`,
-    /// last `n`).
-    #[must_use]
-    pub fn bounds(&self) -> &[u32] {
-        &self.bounds
-    }
 }
 
 /// A borrowed window over one shard's CSR rows.

@@ -9,7 +9,7 @@
 //!   experiment is deterministic from a single master seed,
 //! * [`aggregate`] — per-cell outcome reduction (success counts, mean
 //!   rounds, mean informed fraction) shared by the sweep driver,
-//! * [`montecarlo`] — sequential and parallel trial runners,
+//! * [`montecarlo`] — the seeded sequential trial runner,
 //! * [`estimate`] — success-rate estimation with Wilson confidence
 //!   intervals and almost-safety verdicts,
 //! * [`chernoff`] — the paper's parameter formulas (`m = ⌈c log n⌉` with
