@@ -5,8 +5,11 @@
 //! one nondeterministic field, `wall_ms`, normalized to zero) is
 //! byte-identical to a committed golden file — locking in the schema,
 //! the writer's format, and the determinism of the sweep outcomes from
-//! the root seed. Twelve reports are pinned:
+//! the root seed. Thirteen reports are pinned:
 //!
+//! * `exp_e1_simple_omission`, whose 36 cells are all `SimplePlan` on
+//!   the trait-object message-passing and radio engines, so a change to
+//!   the Simple automaton moves a report;
 //! * `exp_e4_datalink`, the cheapest Monte-Carlo binary, through the
 //!   trait-object message-passing engine;
 //! * `exp_decay_baseline`, whose Decay cells run on the trait-object
@@ -104,6 +107,20 @@ fn quick_json_output_matches_the_golden_file() {
     }
 
     assert_matches_golden(report, "exp_e4_quick.json");
+}
+
+#[test]
+fn simple_omission_quick_json_matches_the_golden_file() {
+    let report = quick_report(env!("CARGO_BIN_EXE_exp_e1_simple_omission"), &[]);
+
+    assert_eq!(report.experiment, "e1_simple_omission");
+    assert_eq!(report.cells.len(), 36, "6 graphs × 3 p × 2 models");
+    for cell in &report.cells {
+        assert_eq!(cell.trials, 60);
+        assert!(cell.successes <= cell.trials);
+    }
+
+    assert_matches_golden(report, "exp_e1_quick.json");
 }
 
 #[test]
