@@ -19,7 +19,10 @@
 //!   and the margin makes the pinned draws comfortably interior);
 //! * the trait-object plan keeps the exact per-edge relay law on the
 //!   tree it holds: a decided node's children all adopt its bit in its
-//!   phase with probability `q = 1 − p^m`, independently across parents.
+//!   phase with probability `q = 1 − p^m`, independently across parents;
+//! * under malicious faults its Majority vote makes the same per-edge
+//!   events the two-state chain that `exact_laws.rs` checks on the fast
+//!   kernel.
 
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -28,12 +31,13 @@ use randcast_core::scenario::{
     Algorithm, GraphFamily, Model, Scenario, ShardSpec, SIMPLE_FAST_MIN_N,
 };
 use randcast_core::simple::{SimplePlan, VoteMode};
+use randcast_engine::adversary::FlipMpAdversary;
 use randcast_engine::fault::FaultConfig;
 use randcast_engine::mp::SilentMpAdversary;
 use randcast_engine::radio::SilentRadioAdversary;
 use randcast_engine::simple_fast::FastSimple;
 use randcast_graph::{generators, Graph};
-use randcast_stats::chernoff;
+use randcast_stats::chernoff::{self, binomial_upper_tail};
 
 const TRIALS: u64 = 250;
 const SOURCE_BIT: bool = true;
@@ -277,8 +281,7 @@ fn relay_law_z(model: Model) -> f64 {
             hits += u64::from(adopted.is_some());
         }
     }
-    let t = trials as f64;
-    (hits as f64 - t * q) / (t * q * (1.0 - q)).sqrt()
+    binomial_z(trials, hits, q)
 }
 
 #[test]
@@ -291,4 +294,65 @@ fn trait_simple_relay_law_holds_per_edge_mp() {
 fn trait_simple_relay_law_holds_per_edge_radio() {
     let z = relay_law_z(Model::Radio);
     assert!(z.abs() <= 4.5, "radio relay law: z = {z:.2}");
+}
+
+/// The binomial z-score of `hits` successes in `trials` at rate `q`.
+fn binomial_z(trials: u64, hits: u64, q: f64) -> f64 {
+    let t = trials as f64;
+    (hits as f64 - t * q) / (t * q * (1.0 - q)).sqrt()
+}
+
+/// The per-edge law of `SimplePlan`'s [`VoteMode::Majority`] vote under
+/// [`FlipMpAdversary`] at rate `p`. A child hears all `m` of its
+/// parent's sends, `k ~ Bin(m, p)` of them flipped, and its siblings
+/// hear the same bits. Under a correct parent the child ends correct
+/// iff `k < m − ⌊m/2⌋` (α); under a wrong parent iff `k ≥ ⌊m/2⌋ + 1`
+/// (β), a tie deciding `false`. Counts one event per internal node of
+/// every run and returns the z-scores under α and β.
+fn majority_chain_z(m: usize, p: f64) -> [f64; 2] {
+    let g = generators::grid(8, 8);
+    let plan = SimplePlan::with_phase_len(&g, g.node(0), m, VoteMode::Majority);
+    let tree = plan.tree();
+    // [under a correct parent, under a wrong one]: (events, correct children)
+    let mut laws = [(0u64, 0u64); 2];
+    for seed in 0..RELAY_RUNS {
+        let fault = FaultConfig::malicious(p);
+        let values = plan
+            .run_mp(&g, fault, FlipMpAdversary, seed, SOURCE_BIT)
+            .values;
+        let correct = |v: u32| values[v as usize].expect("Majority decides") == SOURCE_BIT;
+        for &v in tree.order() {
+            let Some(&first) = tree.children_of(v as usize).first() else {
+                continue;
+            };
+            let child = correct(first);
+            for &c in tree.children_of(v as usize) {
+                assert_eq!(correct(c), child, "siblings under {v} disagree");
+            }
+            let law = &mut laws[usize::from(!correct(v))];
+            law.0 += 1;
+            law.1 += u64::from(child);
+        }
+    }
+    let alpha = 1.0 - binomial_upper_tail(m as u64, (m - m / 2) as u64, p);
+    let beta = binomial_upper_tail(m as u64, (m / 2 + 1) as u64, p);
+    [(laws[0], alpha), (laws[1], beta)].map(|((trials, hits), q)| {
+        assert!(trials > 1_000, "m = {m}: {trials} events");
+        binomial_z(trials, hits, q)
+    })
+}
+
+#[test]
+fn trait_simple_majority_chain_holds_per_edge_mp() {
+    for m in [3, 4] {
+        let [alpha_z, beta_z] = majority_chain_z(m, 0.3);
+        assert!(
+            alpha_z.abs() <= 4.5,
+            "m = {m}, correct parents: z = {alpha_z:.2}"
+        );
+        assert!(
+            beta_z.abs() <= 4.5,
+            "m = {m}, wrong parents: z = {beta_z:.2}"
+        );
+    }
 }

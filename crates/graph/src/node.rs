@@ -26,12 +26,14 @@ impl NodeId {
     ///
     /// Panics if `index` does not fit in `u32` (graphs in this crate are
     /// bounded by `u32::MAX` nodes).
+    #[inline]
     #[must_use]
     pub fn new(index: usize) -> Self {
         NodeId(u32::try_from(index).expect("node index exceeds u32::MAX"))
     }
 
     /// Returns the dense index of this node.
+    #[inline]
     #[must_use]
     pub fn index(self) -> usize {
         self.0 as usize
